@@ -15,7 +15,6 @@ from contextlib import nullcontext
 
 from repro.btree.btree import BTree
 from repro.core.locking import LOCK_IS, LOCK_IX
-from repro.obs import trace as ev
 from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
 from repro.pm.stats import MemoryStats
@@ -35,48 +34,21 @@ class TransactionError(Exception):
 
 
 class ReadView:
-    """Committed-state view over the page store (no pending overlays)."""
+    """Committed-state view for searches and scans: the engine's one
+    read seam.  ``page`` is ``Engine._read_page`` (DRAM cache tier →
+    open-epoch member overlays → the scheme's page fetch) and
+    ``root_page_no`` is ``Engine._root``; all three protocol members
+    are bound straight to their targets, so the view itself adds no
+    call depth.  Built per ``read_view()`` call, never kept on the
+    engine: a stored view would close an engine → view → bound-method
+    → engine cycle and park dead engines' arenas until a full GC."""
 
-    def __init__(self, store):
-        self.store = store
-        # The one hot-path alias for the view protocol's
-        # ``segment(name)``: bound straight to the clock's cached
-        # context managers, skipping two attribute hops per call.
-        self.segment = store.pm.clock.segment
-
-    def root_page_no(self, slot):
-        return self.store.root(slot)
-
-    def page(self, page_no):
-        return self.store.page(page_no)
-
-
-class GroupReadView(ReadView):
-    """Committed-state view while a group-commit epoch is open: epoch
-    members are committed (their headers are redo-logged, awaiting the
-    shared mark) but not yet checkpointed into the pages, so page and
-    root fetches go through the engine's overlay-aware fetch path."""
+    __slots__ = ("segment", "root_page_no", "page")
 
     def __init__(self, engine):
-        super().__init__(engine.store)
-        self.engine = engine
-
-    def root_page_no(self, slot):
-        return self.engine._root(slot)
-
-    def page(self, page_no):
-        return self.engine._fetch_page(page_no)
-
-
-class CachedReadView(GroupReadView):
-    """Committed-state view served through the tiered DRAM page cache:
-    page fetches go through the engine's cache-aware read path (which
-    still honours open-epoch member overlays by bypassing the cache for
-    overlaid pages); root fetches stay overlay-aware as in the group
-    view.  Only ever constructed when ``dram_cache_pages > 0``."""
-
-    def page(self, page_no):
-        return self.engine._read_page(page_no)
+        self.segment = engine.pm.clock.segment
+        self.root_page_no = engine._root
+        self.page = engine._read_page
 
 
 class Transaction:
@@ -373,10 +345,6 @@ class Engine:
             from repro.storage.cache import TieredPageCache
 
             self.page_cache = TieredPageCache(store, config.dram_cache_pages)
-            # Freed (or GC-swept) pages can be reallocated with new
-            # content: the store tells us so a stale frame can never
-            # outlive its page's identity.
-            store.on_page_freed = self._on_page_freed
         self._trees = {}
         self._active = None
         self._sessions = {}      # sid -> live Session
@@ -461,11 +429,7 @@ class Engine:
 
     def read_view(self):
         """A view of committed state for searches/scans."""
-        if self.page_cache is not None:
-            return CachedReadView(self)
-        if self.group is not None:
-            return GroupReadView(self)
-        return ReadView(self.store)
+        return ReadView(self)
 
     def _read_page(self, page_no):
         """The committed page, preferring the DRAM cache tier.
@@ -485,23 +449,6 @@ class Engine:
                     page = cache.fill(page_no)
                 return page
         return self._fetch_page(page_no)
-
-    def _cache_invalidate(self, page_no, reason=ev.INVAL_INSTALL):
-        """Drop ``page_no`` from the DRAM cache (no-op when cache off).
-
-        The coherence contract: call this at every point a committed
-        install rewrites the page's durable header — checkpoints, RTM
-        in-place publishes, pointer swaps (and their rollback
-        reversals), epoch closes, 2PC installs, recovery replay."""
-        cache = self.page_cache
-        if cache is not None:
-            cache.invalidate(page_no, reason)
-
-    def _on_page_freed(self, page_no):
-        """PageStore callback: a page returned to the free list (or was
-        swept by GC) — it can be reallocated with new content, so its
-        frame must die now."""
-        self.page_cache.invalidate(page_no, ev.INVAL_FREE)
 
     def _fetch_page(self, page_no):
         """The committed page, with any open-epoch member overlay

@@ -68,9 +68,6 @@ class FASTContext:
 
     # -- view protocol ---------------------------------------------------
 
-    def segment(self, name):
-        return self.obs.span(name)
-
     def root_page_no(self, slot):
         if slot in self.root_updates:
             return self.root_updates[slot]
@@ -153,15 +150,8 @@ class FASTContext:
         position = parent_page.base + offset + CELL_HEADER_SIZE
         with self.obs.span("defrag"):
             old_child_no = self.pm.read_u32(position)
-            # repro: allow[PM001] the paper's atomic pointer swap: one u32 store + immediate persist
-            self.pm.write_u32(position, new_child_no)
-            self.pm.persist(position, 4)
+            self.engine._swap_child_pointer(position, new_child_no)
         self.pointer_swaps.append((position, old_child_no, new_child_no))
-        # The swap changes the parent's committed content *without*
-        # marking it dirty (no checkpoint will ever touch it), so the
-        # DRAM cache must drop its frame here or serve the old child
-        # pointer forever.
-        self.engine._cache_invalidate(self.store.page_no_of(parent_page))
         if new_child_no in self.new_pages:
             self.dirty[new_child_no] = self.new_pages.pop(new_child_no)
 
@@ -201,14 +191,7 @@ class FASTContext:
         """
         while len(self.pointer_swaps) > snapshot["swap_count"]:
             position, old_child, _ = self.pointer_swaps.pop()
-            # repro: allow[PM001] savepoint rollback reverses a pointer swap the same atomic way
-            self.pm.write_u32(position, old_child)
-            self.pm.persist(position, 4)
-            # Reversing the swap is itself an in-place committed-content
-            # change to the parent page — same coherence rule as the swap.
-            self.engine._cache_invalidate(
-                (position - self.store.base) // self.store.page_size
-            )
+            self.engine._swap_child_pointer(position, old_child)
         for page_no in list(self.new_pages):
             if page_no not in snapshot["new_pages"]:
                 self.new_pages.pop(page_no)
@@ -268,7 +251,8 @@ class FASTEngine(Engine):
     leaf_capacity = None  # record offset array can be arbitrarily large
     #: PM-resident committed state: reads may be served from the
     #: tiered DRAM page cache (``repro.storage.cache``), invalidated
-    #: at the install points marked through this file.
+    #: by the install primitives below (``_install_header``,
+    #: ``_swap_child_pointer``, FAST⁺'s ``_commit_inplace``).
     _page_cache_supported = True
 
     def __init__(self, config, pm, store):
@@ -304,21 +288,32 @@ class FASTEngine(Engine):
         with self.obs.phase("commit"):
             if ctx.is_read_only:
                 return
-            # MVCC version publication must precede every header, log,
-            # and checkpoint store: at this instant the durable pages
-            # still hold the pre-transaction committed state (record
-            # bytes sit in unreachable free space; headers apply at
-            # checkpoint).  No-op unless a snapshot is active.
-            versions = self._versions
-            if versions is not None and versions.capture_active:
-                versions.publish_pm_commit(ctx)
-            self.commit_page_counts.append(len(ctx.dirty) + len(ctx.new_pages))
-            with self.obs.span("misc"):
-                self.clock.advance(self.pm.cost.pager_commit_ns)
-            if self.group is not None:
-                self._commit_grouped(ctx)
-            else:
-                self._commit_logged(ctx)
+            self._begin_commit(ctx)
+            self._commit_durable(ctx)
+
+    def _begin_commit(self, ctx):
+        """The preamble every committing writer runs first (plain,
+        grouped, in-place, and 2PC prepare alike)."""
+        # MVCC version publication must precede every header, log,
+        # RTM-publish and checkpoint store: at this instant the durable
+        # pages still hold the pre-transaction committed state (record
+        # bytes sit in unreachable free space; headers apply at
+        # checkpoint).  No-op unless a snapshot is active.
+        versions = self._versions
+        if versions is not None and versions.capture_active:
+            versions.publish_pm_commit(ctx)
+        self.commit_page_counts.append(len(ctx.dirty) + len(ctx.new_pages))
+        with self.obs.span("misc"):
+            self.clock.advance(self.pm.cost.pager_commit_ns)
+
+    def _commit_durable(self, ctx):
+        """How the prepared commit becomes durable: join the open
+        epoch when grouping, else log + mark + checkpoint.  (FAST⁺
+        overrides this to try the in-place publish first.)"""
+        if self.group is not None:
+            self._commit_grouped(ctx)
+        else:
+            self._commit_logged(ctx)
 
     def _commit_logged(self, ctx):
         """The slot-header logging commit (paper Figures 3-5)."""
@@ -327,8 +322,7 @@ class FASTEngine(Engine):
             self.log.commit(self.next_seq())
         # Eager checkpoint: apply the logged headers to the pages right
         # away so other transactions never read the log (Section 3.3).
-        with self.obs.span("checkpoint"):
-            self._checkpoint(ctx)
+        self._checkpoint(ctx.page)
         self._finish(ctx)
 
     def _commit_grouped(self, ctx):
@@ -377,12 +371,7 @@ class FASTEngine(Engine):
             self.pm.sfence()
         with self.obs.span("atomic_commit"):
             self.log.commit(group.members[-1]["seq"])
-        with self.obs.span("checkpoint"):
-            applied = self._apply_replay(self.log.replay(), self.store.page)
-            self.pm.sfence()
-            self.log.truncate()
-            self.obs.inc("engine.checkpoint")
-            self.obs.event(ev.CHECKPOINT, applied)
+        self._checkpoint(self.store.page)
         members = group.take()
         for member in members:
             # Reclaims go through fresh page objects: the members' own
@@ -432,12 +421,7 @@ class FASTEngine(Engine):
         invisible until :meth:`commit_prepared` publishes them.
         Returns the log sequence number the commit will use."""
         with self.obs.phase("commit"):
-            versions = self._versions
-            if versions is not None and versions.capture_active:
-                versions.publish_pm_commit(ctx)
-            self.commit_page_counts.append(len(ctx.dirty) + len(ctx.new_pages))
-            with self.obs.span("misc"):
-                self.clock.advance(self.pm.cost.pager_commit_ns)
+            self._begin_commit(ctx)
             self._stage_and_flush(ctx)
             seq = self.next_seq()
             self.twopc.prepare(gtid, seq, self.log.staged_bytes)
@@ -468,8 +452,7 @@ class FASTEngine(Engine):
             # From the mark on, plain single-shard recovery suffices:
             # the prepare record has done its job.
             self.twopc.clear()
-            with self.obs.span("checkpoint"):
-                self._checkpoint(ctx)
+            self._checkpoint(ctx.page)
             self._finish(ctx)
 
     def abort_prepared(self, ctx):
@@ -479,12 +462,16 @@ class FASTEngine(Engine):
         self.log.discard()
         self.twopc.clear()
 
-    def _checkpoint(self, ctx):
-        applied = self._apply_replay(self.log.replay(), ctx.page)
-        self.pm.sfence()
-        self.log.truncate()
-        self.obs.inc("engine.checkpoint")
-        self.obs.event(ev.CHECKPOINT, applied)
+    def _checkpoint(self, fetch):
+        """The checkpoint tail every marked commit shares (logged
+        commit, 2PC participant, epoch close): apply the committed
+        frames to pages obtained through ``fetch``, fence, truncate."""
+        with self.obs.span("checkpoint"):
+            applied = self._apply_replay(self.log.replay(), fetch)
+            self.pm.sfence()
+            self.log.truncate()
+            self.obs.inc("engine.checkpoint")
+            self.obs.event(ev.CHECKPOINT, applied)
 
     def _apply_replay(self, entries, fetch):
         """Apply committed log frames to the pages, coalescing the
@@ -511,11 +498,7 @@ class FASTEngine(Engine):
             if entry[0] == "page":
                 _, page_no, image = entry
                 page = fetch(page_no)
-                page.apply_header(image)
-                # The committed install point for logged commits, epoch
-                # closes, and 2PC participant installs alike: the page's
-                # durable header just changed, so any DRAM frame is stale.
-                self._cache_invalidate(page_no)
+                self._install_header(page_no, page, image)
                 if last_flush[page_no] == index:
                     self.pm.flush_range(page.base, flush_len[page_no])
             else:
@@ -524,6 +507,39 @@ class FASTEngine(Engine):
                 if last_flush["roots"] == index:
                     self.pm.flush_range(self.store.base, 64)
         return applied
+
+    # -- install primitives ------------------------------------------------
+    #
+    # A committed page changes at exactly three kinds of instant: a
+    # logged slot header is applied, a child pointer is swapped in
+    # place, or FAST⁺ publishes a header through RTM
+    # (``_commit_inplace``).  Each is one function, and each drops the
+    # page's DRAM cache frame itself — nobody else in ``core/`` calls
+    # ``TieredPageCache.invalidate``.
+
+    def _install_header(self, page_no, page, image):
+        """Apply a committed slot-header image to its PM page — the
+        install of logged commits, epoch closes, 2PC participants and
+        recovery replay (which can also run on a live engine).  The
+        caller flushes."""
+        page.apply_header(image)
+        cache = self.page_cache
+        if cache is not None:
+            cache.invalidate(page_no)
+
+    def _swap_child_pointer(self, position, child_no):
+        """The paper's in-place parent-pointer swap (Section 4.3): one
+        8-byte-atomic u32 store + persist at arena address
+        ``position``, forward or reversing.  It changes the parent's
+        committed content *without* marking it dirty (no checkpoint
+        will ever touch it), so its frame must die here."""
+        # repro: allow[PM001] the paper's atomic pointer swap: one u32 store + immediate persist
+        self.pm.write_u32(position, child_no)
+        self.pm.persist(position, 4)
+        cache = self.page_cache
+        if cache is not None:
+            store = self.store
+            cache.invalidate((position - store.base) // store.page_size)
 
     def _finish(self, ctx):
         """Post-commit housekeeping: reclaim dead cells, free pages.
@@ -582,14 +598,7 @@ class FASTEngine(Engine):
         """
         while ctx.pointer_swaps:
             position, old_child, _ = ctx.pointer_swaps.pop()
-            # repro: allow[PM001] precise rollback reverses a pointer swap the same atomic way
-            self.pm.write_u32(position, old_child)
-            self.pm.persist(position, 4)
-            # Same coherence rule as the forward swap: the parent's
-            # committed content just changed in place.
-            self._cache_invalidate(
-                (position - self.store.base) // self.store.page_size
-            )
+            self._swap_child_pointer(position, old_child)
         for page_no, page in list(ctx.dirty.items()):
             if page.has_pending:
                 self._discard_page_pending(page_no, page)
@@ -621,11 +630,7 @@ class FASTEngine(Engine):
                 if entry[0] == "page":
                     _, page_no, image = entry
                     page = self.store.page(page_no)
-                    page.apply_header(image)
-                    # A fresh attach starts with an empty cache, but
-                    # recovery can also be re-run on a live engine —
-                    # replayed installs obey the same coherence rule.
-                    self._cache_invalidate(page_no)
+                    self._install_header(page_no, page, image)
                     self.pm.flush_range(page.base, len(image))
                 else:
                     _, slot, page_no = entry
@@ -677,37 +682,20 @@ class FASTPlusEngine(FASTEngine):
     def rtm_fallbacks(self):
         return self.registry.value("engine.commit.fallback")
 
-    def _commit(self, ctx):
-        with self.obs.phase("commit"):
-            if ctx.is_read_only:
+    def _commit_durable(self, ctx):
+        # Grouping bypasses the in-place path entirely: an RTM header
+        # publish is its own per-page commit mark and would fence for
+        # itself, so grouped transactions always take the logged path
+        # where the epoch can absorb them.
+        if self.group is None and ctx.is_single_page:
+            (page,) = ctx.dirty.values()
+            image = page.pending_header_image()
+            line_start = page.base - page.base % CACHE_LINE
+            if page.base + len(image) <= line_start + CACHE_LINE:
+                self._commit_inplace(ctx, page)
                 return
-            # Same publication point as FAST: before the RTM in-place
-            # header publish or any logged-commit store.
-            versions = self._versions
-            if versions is not None and versions.capture_active:
-                versions.publish_pm_commit(ctx)
-            self.commit_page_counts.append(len(ctx.dirty) + len(ctx.new_pages))
-            with self.obs.span("misc"):
-                self.clock.advance(self.pm.cost.pager_commit_ns)
-            # Grouping bypasses the in-place path entirely: an RTM
-            # header publish is its own per-page commit mark and would
-            # fence for itself, so grouped transactions always take
-            # the logged path where the epoch can absorb them.
-            if self.group is None and ctx.is_single_page:
-                (page,) = ctx.dirty.values()
-                image = page.pending_header_image()
-                line_start = page.base - page.base % CACHE_LINE
-                fits_line = (
-                    page.base + len(image) <= line_start + CACHE_LINE
-                )
-                if fits_line:
-                    self._commit_inplace(ctx, page)
-                    return
-            self.obs.inc("engine.commit.logged")
-            if self.group is not None:
-                self._commit_grouped(ctx)
-            else:
-                self._commit_logged(ctx)
+        self.obs.inc("engine.commit.logged")
+        super()._commit_durable(ctx)
 
     def _commit_inplace(self, ctx, page):
         """One RTM store of the header + one flush: optimal commit.
@@ -739,5 +727,7 @@ class FASTPlusEngine(FASTEngine):
         self.obs.inc("engine.commit.inplace")
         # The RTM publish IS the install: the page's durable header
         # changed without a checkpoint, so the frame dies here.
-        self._cache_invalidate(self.store.page_no_of(page))
+        cache = self.page_cache
+        if cache is not None:
+            cache.invalidate(self.store.page_no_of(page))
         self._finish(ctx)

@@ -89,28 +89,15 @@ class BufferCache:
         return page_no in self._frame_of
 
 
-class NVWALView:
-    """Committed-state view: fetches pages through the buffer cache."""
-
-    def __init__(self, engine):
-        self.engine = engine
-        self.segment = engine.obs.clock.segment  # hot-path alias
-
-    def root_page_no(self, slot):
-        return self.engine._root(slot)
-
-    def page(self, page_no):
-        return self.engine._fetch_page(page_no)
-
-
-class NVWALContext(NVWALView):
+class NVWALContext:
     """Transaction context: volatile page updates + commit-time WAL."""
 
     def __init__(self, engine, session=None):
-        super().__init__(engine)
+        self.engine = engine
         self.session = session
         self.clock = engine.clock
         self.obs = engine.obs
+        self.segment = self.clock.segment  # hot-path alias
         self.dirty = {}       # page_no -> SlottedPage (DRAM)
         self.snapshots = {}   # page_no -> bytes at first touch
         self.new_pages = set()
@@ -329,9 +316,6 @@ class NVWALEngine(Engine):
     def _new_context(self, session=None):
         return NVWALContext(self, session=session)
 
-    def read_view(self):
-        return NVWALView(self)
-
     # ------------------------------------------------------------------
     # Page fetch path (DRAM miss -> database page + WAL deltas)
     # ------------------------------------------------------------------
@@ -538,11 +522,6 @@ class NVWALEngine(Engine):
                 # repro: allow[PM001] checkpoint writeback of whole WAL-protected pages, flushed below
                 self.pm.write(target, content)
                 self.pm.flush_range(target, self.config.page_size)
-                # NVWAL keeps ``_page_cache_supported = False`` (its
-                # DRAM tier is the buffer cache above), so this is a
-                # guarded no-op — kept so the copy-back install point
-                # stays coherent if the cache is ever enabled here.
-                self._cache_invalidate(page_no)
             for slot, page_no in self.wal.roots.items():
                 self.store.set_root(slot, page_no, persist=False)
                 self.pm.flush_range(self.store.base, 64)

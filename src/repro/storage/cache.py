@@ -12,20 +12,23 @@ volatile buffer cache uses) instead of ``read_ns``.
 
 Coherence contract (DESIGN.md §17): the cache is strictly read-only
 and write-through-by-invalidation.  Every write path keeps the full
-store→flush→fence→≤8B-mark discipline against PM, untouched; whenever
-a committed install rewrites a page's durable header — the FAST
-checkpoint, the FAST⁺ RTM in-place publish, a copy-on-write parent
-pointer swap, a group-commit epoch close, a 2PC participant install,
-recovery replay, or a page returning to the free list — the installer
-calls :meth:`TieredPageCache.invalidate` for that page.  A cached
-frame therefore always holds the *latest committed* image of its page
-(pre-commit record writes land in free space invisible to the durable
-header, exactly as they are invisible to a direct PM read).  The TC111
-trace rule (``repro.analysis.tracecheck``) checks this end to end from
+store→flush→fence→≤8B-mark discipline against PM, untouched; a
+committed page changes at exactly three kinds of instant, each one
+engine primitive that calls :meth:`TieredPageCache.invalidate` itself
+— ``FASTEngine._install_header`` (logged checkpoints, epoch closes,
+2PC participant installs, recovery replay),
+``FASTEngine._swap_child_pointer`` (copy-on-write swaps and their
+rollback reversals) and ``FASTPlusEngine._commit_inplace`` (the RTM
+publish) — plus the page store's one free-list link step
+(``PageStore.on_page_freed``).  A cached frame therefore always holds
+the *latest committed* image of its page (pre-commit record writes
+land in free space invisible to the durable header, exactly as they
+are invisible to a direct PM read).  The TC111 trace rule
+(``repro.analysis.tracecheck``) checks header installs end to end from
 the CACHE_FILL / CACHE_HIT / CACHE_INVAL events.
 
 Frames are never handed out for writing: a frame's page view is backed
-by ``_FrameMemory``, which raises on any store or flush.  Eviction
+by ``_ImageMemory``, which raises on any store or flush.  Eviction
 drops the cache's reference only — outstanding page views keep their
 (consistent, committed-as-of-fetch) buffer, the same lifetime contract
 MVCC version images have.
@@ -33,74 +36,7 @@ MVCC version images have.
 
 from repro.obs import trace as ev
 from repro.storage.slotted_page import SlottedPage
-
-
-class _FrameMemory:
-    """Read-only memory over one cached page copy, charged at DRAM cost.
-
-    Mirrors ``VolatileMemory``'s accounting: the first missing 64-byte
-    line of a read pays ``dram_ns``, subsequent missing lines of the
-    same sequential read stream at ``dram_stream_line_ns``, resident
-    lines pay the CPU cache-hit cost.  Per-frame residency persists
-    across reads — a truly read-hot frame converges to cache-hit cost,
-    exactly like a hot line in the PM arena's residency model.
-    """
-
-    __slots__ = ("clock", "_image", "_hit_ns", "_miss_ns", "_stream_ns",
-                 "_resident")
-
-    def __init__(self, image, clock, hit_ns, miss_ns, stream_ns):
-        self._image = image
-        self.clock = clock
-        self._hit_ns = hit_ns
-        self._miss_ns = miss_ns
-        self._stream_ns = stream_ns
-        self._resident = set()
-
-    def read(self, addr, length):
-        end = addr + length
-        if addr < 0 or end > len(self._image):
-            raise IndexError(
-                "access [%d, %d) outside cached frame of %d bytes"
-                % (addr, end, len(self._image))
-            )
-        if length <= 0:
-            return b""
-        clock = self.clock
-        resident = self._resident
-        missed_before = False
-        for line in range(addr >> 6, ((end - 1) >> 6) + 1):
-            if line in resident:
-                ns = self._hit_ns
-            else:
-                resident.add(line)
-                if missed_before:
-                    ns = self._stream_ns
-                else:
-                    ns = self._miss_ns
-                    missed_before = True
-            if ns > 0:
-                clock.now_ns += ns
-                clock.pending_ns += ns
-        return self._image[addr:end]
-
-    def read_u16(self, addr):
-        return int.from_bytes(self.read(addr, 2), "little")
-
-    def read_u32(self, addr):
-        return int.from_bytes(self.read(addr, 4), "little")
-
-    def read_u64(self, addr):
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def _no_write(self, *args, **kwargs):
-        raise TypeError("cached page frames are read-only")
-
-    write = write_u16 = write_u32 = write_u64 = _no_write
-    clflush = clwb = flush_range = persist = _no_write
-
-    def sfence(self):
-        raise TypeError("cached page frames are read-only")
+from repro.storage.versions import _ImageMemory
 
 
 class _Frame:
@@ -147,6 +83,12 @@ class TieredPageCache:
         self._c_fill = registry.counter("cache.fill")
         self._c_evict = registry.counter("cache.evict")
         self._c_invalidate = registry.counter("cache.invalidate")
+        # Freed (or GC-swept) pages can be reallocated with new
+        # content: the store tells us, so a stale frame can never
+        # outlive its page's identity.
+        store.on_page_freed = (
+            lambda page_no: self.invalidate(page_no, ev.INVAL_FREE)
+        )
 
     def __len__(self):
         return len(self._frames)
@@ -177,7 +119,9 @@ class TieredPageCache:
         image = self.pm.read(store.page_base(page_no), self._page_size)
         if len(self._ring) >= self.capacity:
             self._evict_one()
-        memory = _FrameMemory(
+        # Charged like ``VolatileMemory``: first cold line ``dram_ns``,
+        # later cold lines of the same read stream cheaper.
+        memory = _ImageMemory(
             image, self.pm.clock, self._hit_line_ns,
             self._miss_line_ns, self._stream_line_ns,
         )
@@ -216,8 +160,8 @@ class TieredPageCache:
     def invalidate(self, page_no, reason=ev.INVAL_INSTALL):
         """Drop ``page_no``'s frame (no-op when not cached).
 
-        Called at every committed install point and on page free/GC —
-        the coherence contract this module's docstring spells out.
+        Called by the three install primitives and the page-free hook
+        — the coherence contract this module's docstring spells out.
         """
         frame = self._frames.get(page_no)
         if frame is None:

@@ -41,11 +41,11 @@ class PageStore:
         self.npages = npages
         self.page_size = page_size
         #: Page-reuse hook for dependent layers (the tiered DRAM page
-        #: cache): called with the page number whenever a page returns
-        #: to the free list — ``free_page`` or a ``garbage_collect``
-        #: sweep — because a freed page can be reallocated with new
-        #: content, and nothing derived from its old identity may
-        #: survive that.  None = nobody listening.
+        #: cache): called with the page number whenever a page is
+        #: linked into the free list (``_link_free``), because a freed
+        #: page can be reallocated with new content, and nothing
+        #: derived from its old identity may survive that.  None =
+        #: nobody listening.
         self.on_page_freed = None
 
     # ------------------------------------------------------------------
@@ -143,15 +143,22 @@ class PageStore:
             header_capacity=header_capacity,
         )
 
-    def free_page(self, page_no):
-        """Return ``page_no`` to the free list."""
+    def _link_free(self, page_no, next_no):
+        """Chain ``page_no`` in front of ``next_no`` on the free list
+        and tell the owner its old identity is gone — the one step
+        ``free_page`` and ``garbage_collect`` share (the caller then
+        publishes the new head)."""
         base = self.page_base(page_no)
-        self.pm.write_u32(base, self.free_head)
+        self.pm.write_u32(base, next_no)
         self.pm.persist(base, 4)
-        self.pm.write_u32(self.base + _OFF_FREE_HEAD, page_no)
-        self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
         if self.on_page_freed is not None:
             self.on_page_freed(page_no)
+
+    def free_page(self, page_no):
+        """Return ``page_no`` to the free list."""
+        self._link_free(page_no, self.free_head)
+        self.pm.write_u32(self.base + _OFF_FREE_HEAD, page_no)
+        self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
 
     def free_page_count(self):
         """Number of pages currently on the free list."""
@@ -177,13 +184,9 @@ class PageStore:
         for page_no in range(self.npages - 1, 0, -1):
             if page_no in reachable or page_no in protected:
                 continue
-            base = self.page_base(page_no)
-            self.pm.write_u32(base, head)
-            self.pm.persist(base, 4)
+            self._link_free(page_no, head)
             head = page_no
             freed += 1
-            if self.on_page_freed is not None:
-                self.on_page_freed(page_no)
         self.pm.write_u32(self.base + _OFF_FREE_HEAD, head)
         self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
         return freed

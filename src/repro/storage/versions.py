@@ -27,8 +27,9 @@ The pieces:
     traffic at all — and never writes.
 
 ``_ImageMemory``
-    A read-only memory adapter serving a retained pre-image with the
-    same cache/latency accounting as reading the underlying PM page.
+    The one read-only memory adapter over an immutable page image —
+    retained pre-images here, cached frames in ``repro.storage.cache``
+    — with per-line cache/latency accounting.
 
 Version chains are *volatile* metadata over *persistent* pre-images:
 a crash discards them (recovery starts with empty chains), and readers
@@ -58,40 +59,53 @@ def _visible_bytes(pm, base, length):
 
 
 class _ImageMemory:
-    """Read-only memory over one retained pre-image.
+    """Read-only memory over one immutable page image — a retained
+    pre-image (version chains, NVWAL writer-held pages) or a cached
+    committed copy (``repro.storage.cache`` frames).
 
-    Reads charge the shared clock like PM loads: the first touch of
-    each 64-byte line pays the PM read latency, later touches the
-    cache-hit cost.  Stores are impossible by construction — snapshot
-    transactions have no mutation path — and raise if attempted.
+    Reads charge the shared clock per 64-byte line: a resident line
+    pays ``hit_ns``; the first missing line of a read pays ``miss_ns``
+    and later missing lines of the same sequential read ``stream_ns``
+    (default ``miss_ns``: every cold line pays the full latency, like
+    PM loads; DRAM frames stream cheaper, like ``VolatileMemory``).
+    Residency persists across reads, so a hot image converges to
+    cache-hit cost.  Stores are impossible by construction — nothing
+    that reads an image has a mutation path — and raise if attempted.
     """
 
-    __slots__ = ("clock", "_image", "_hit_ns", "_miss_ns", "_resident")
+    __slots__ = ("clock", "_image", "_hit_ns", "_miss_ns", "_stream_ns",
+                 "_resident")
 
-    def __init__(self, image, clock, hit_ns, miss_ns):
+    def __init__(self, image, clock, hit_ns, miss_ns, stream_ns=None):
         self._image = image
         self.clock = clock
         self._hit_ns = hit_ns
         self._miss_ns = miss_ns
+        self._stream_ns = miss_ns if stream_ns is None else stream_ns
         self._resident = set()
 
     def read(self, addr, length):
         end = addr + length
         if addr < 0 or end > len(self._image):
             raise IndexError(
-                "access [%d, %d) outside version image of %d bytes"
+                "access [%d, %d) outside page image of %d bytes"
                 % (addr, end, len(self._image))
             )
         if length <= 0:
             return b""
         clock = self.clock
         resident = self._resident
+        missed_before = False
         for line in range(addr >> 6, ((end - 1) >> 6) + 1):
             if line in resident:
                 ns = self._hit_ns
             else:
                 resident.add(line)
-                ns = self._miss_ns
+                if missed_before:
+                    ns = self._stream_ns
+                else:
+                    ns = self._miss_ns
+                    missed_before = True
             if ns > 0:
                 clock.now_ns += ns
                 clock.pending_ns += ns
@@ -107,13 +121,10 @@ class _ImageMemory:
         return int.from_bytes(self.read(addr, 8), "little")
 
     def _no_write(self, *args, **kwargs):
-        raise TypeError("version images are immutable")
+        raise TypeError("page images are read-only")
 
     write = write_u16 = write_u32 = write_u64 = _no_write
-    clflush = clwb = flush_range = persist = _no_write
-
-    def sfence(self):
-        raise TypeError("version images are immutable")
+    clflush = clwb = flush_range = persist = sfence = _no_write
 
 
 class SnapshotContext:
@@ -359,8 +370,7 @@ class VersionManager:
             # lines.  A private cold-miss set would double-charge that
             # traffic; the committing writer just touched every one of
             # these lines, so they are accounted as cache-resident.
-            self._retain_page(page_no, ts, image,
-                              engine.pm._hit_ns, engine.pm._hit_ns)
+            self._retain_page(page_no, ts, image, engine.pm._hit_ns)
         for page_no in sorted(touched):
             self._page_ts[page_no] = ts
         for page_no in sorted(new):
@@ -396,8 +406,7 @@ class VersionManager:
             # NVWAL pre-images are copies of cache-resident DRAM frames
             # (made at the writer's first touch); version reads charge
             # the cache-hit cost, like reads of the live frame itself.
-            self._retain_page(page_no, ts, bytes(image),
-                              dram._hit_ns, dram._hit_ns)
+            self._retain_page(page_no, ts, bytes(image), dram._hit_ns)
         for page_no in sorted(touched):
             self._page_ts[page_no] = ts
         for page_no in sorted(new):
@@ -429,21 +438,14 @@ class VersionManager:
             image[offset:offset + len(data)] = data
         return bytes(image)
 
-    def _retain_page(self, page_no, superseded_ts, image,
-                     hit_ns=None, miss_ns=None):
+    def _retain_page(self, page_no, superseded_ts, image, line_ns):
         """Retain one pre-image; reads of the version view charge
-        ``hit_ns``/``miss_ns`` per line (defaults: the engine PM's
-        latencies — right for FAST, whose pre-images live in PM free
-        space; NVWAL passes its DRAM latencies, because its pre-images
-        are buffered version copies in DRAM)."""
+        ``line_ns`` per line, warm or cold (both publishers account
+        their pre-images as cache-resident — see the call sites)."""
         birth_ts = self._page_ts.get(page_no, 0)
-        engine = self.engine
-        pm = engine.pm
-        if hit_ns is None:
-            hit_ns, miss_ns = pm._hit_ns, pm._read_miss_ns
         page = SlottedPage(
-            _ImageMemory(image, self.clock, hit_ns, miss_ns),
-            0, engine.config.page_size,
+            _ImageMemory(image, self.clock, line_ns, line_ns),
+            0, self.engine.config.page_size,
         )
         page.page_no = page_no
         self._page_chains.setdefault(page_no, []).append(
@@ -479,10 +481,7 @@ class VersionManager:
             for birth_ts, superseded_ts, root_no in chain:
                 if birth_ts <= ts < superseded_ts:
                     return root_no
-        engine = self.engine
-        if hasattr(engine, "_root"):
-            return engine._root(slot)
-        return engine.store.root(slot)
+        return self.engine._root(slot)
 
     def live_page(self, page_no):
         return self.engine._snapshot_live_page(page_no)

@@ -11,8 +11,9 @@ from repro.analysis.corpus import mixed_explore_workloads, run_explored
 from repro.analysis.explore import (
     DEFAULT_BUDGET, ExplorationError, Explorer, default_workloads, explore,
 )
-from repro.analysis.mutants import MUTANTS
+from repro.analysis.mutants import MUTANTS, skip_cache_invalidate
 from repro.core import SystemConfig
+from tests.storage.test_cache import run_seam_row
 
 
 def test_default_locked_workload_explores_exhaustively():
@@ -85,6 +86,17 @@ def test_seeded_mutant_is_detected_within_default_budget(name):
     assert expected_rule in fired, (
         "%s escaped exploration (findings: %r)" % (name, result["findings"])
     )
+
+
+def test_cache_mutant_also_bites_at_the_pointer_swap():
+    """TC111 only watches header installs; the mutant must equally
+    break the swap primitive, whose workload's one stale frame (the
+    root, holding the old child pointer) nothing but the swap drops."""
+    expected = run_seam_row("cow-defragment-swap", cache_pages=0)
+    with skip_cache_invalidate():
+        with pytest.raises(IndexError):  # descent into the freed old leaf
+            run_seam_row("cow-defragment-swap", cache_pages=16)
+    assert run_seam_row("cow-defragment-swap", cache_pages=16) == expected
 
 
 def test_mixed_isolation_workload_is_clean():

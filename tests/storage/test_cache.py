@@ -7,17 +7,23 @@ Three layers of guarantees:
 * equivalence — a cache-on engine's committed state (scan, verify,
   arena bytes) is identical to a cache-off run of the same workload,
   deterministically and under hypothesis;
+* the install seam — for every kind of committed install, warm frames
+  followed by the install still read like the uncached engine, and
+  stop doing so once that kind's seam helper no longer invalidates;
 * default-off — ``dram_cache_pages=0`` builds no cache at all: no
   object, no counters, no trace events, bit-identical arenas and
   simulated time across repeat runs.
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SystemConfig, open_engine
-from repro.storage import PAGE_INTERNAL, PAGE_LEAF
+from repro.core.fast import FASTEngine, FASTPlusEngine
+from repro.storage import PAGE_INTERNAL, PAGE_LEAF, PageStore
 from repro.storage.cache import TieredPageCache
 
 SMALL = dict(
@@ -287,3 +293,188 @@ def test_golden_cache_counters(scheme, capacity):
     engine = make_engine(scheme, cache_pages=capacity)
     _apply_ops(engine, _DETERMINISTIC_OPS)
     assert cache_counters(engine) == _GOLDEN[scheme, capacity]
+
+
+# ----------------------------------------------------------------------
+# The install seam: every kind of committed install drops its frame
+# ----------------------------------------------------------------------
+
+_SEAM_KEYS = [b"k%03d" % i for i in range(40)]
+_SEAM_PROBES = _SEAM_KEYS + [b"n%03d" % i for i in range(12)]
+
+
+def _seam_preload(engine):
+    """Forty committed keys over five leaves under one internal root,
+    with leaf page 2 fragmented by committed deletes — the only page a
+    ``compact(min_waste=64)`` rewrites copy-on-write."""
+    for key in _SEAM_KEYS:
+        engine.insert(key, b"v" * 24)
+    for key in _SEAM_KEYS[1:8:2]:
+        engine.delete(key)
+    engine.drain_group_commit()
+
+
+def _seam_reads(engine):
+    """Every probe key through ``search`` plus one full ``scan`` —
+    doubles as the step that warms the frames."""
+    return [engine.search(key) for key in _SEAM_PROBES], list(engine.scan())
+
+
+def _cow_swap(engine, txn):
+    """Defragment leaf 2 copy-on-write inside ``txn``: exactly one
+    in-place pointer swap in the root, which is *not* otherwise dirtied
+    — so only the swap primitive can drop the root's frame."""
+    ctx = txn.inner_ctx
+    assert engine.tree().compact(txn.ctx, min_waste=64) == 1
+    assert len(ctx.pointer_swaps) == 1 and not ctx.root_updates
+    parent_no = (ctx.pointer_swaps[0][0] - engine.store.base) // engine.store.page_size
+    assert parent_no not in ctx.dirty
+
+
+def _install_logged(engine, state):
+    with engine.transaction() as txn:
+        txn.update(b"k010", b"w" * 24)
+
+
+def _install_inplace(engine, state):
+    before = engine.inplace_commits
+    engine.insert(b"k010", b"w" * 24, replace=True)
+    assert engine.inplace_commits == before + 1
+
+
+def _install_cow_swap(engine, state):
+    with engine.transaction() as txn:
+        _cow_swap(engine, txn)
+
+
+def _open_swapped_session(engine):
+    txn = engine.session("writer").transaction()
+    token = txn.savepoint()
+    _cow_swap(engine, txn)
+    return txn, token
+
+
+def _install_savepoint_reversal(engine, state):
+    txn, token = state
+    txn.rollback_to(token)      # un-swaps; nothing left to reverse below
+    assert not txn.inner_ctx.pointer_swaps
+    txn.rollback()
+
+
+def _install_session_reversal(engine, state):
+    txn, _ = state
+    txn.rollback()
+
+
+def _install_epoch_close(engine, state):
+    with engine.transaction() as txn:
+        txn.update(b"k010", b"w" * 24)
+    assert engine.group.member_count == 1
+    engine.drain_group_commit()
+
+
+def _install_live_recovery(engine, state):
+    # A commit whose checkpoint never ran (as if power failed right
+    # after the mark) on an engine that stays alive: recovery's replay
+    # loop is then the install.
+    checkpoint = engine._checkpoint
+    engine._checkpoint = lambda fetch: None
+    try:
+        engine.insert(b"k010", b"w" * 24, replace=True)
+    finally:
+        engine._checkpoint = checkpoint
+    assert engine.log.pending_bytes()
+    engine.recover()
+
+
+def _install_free_then_reallocate(engine, state):
+    free_before = engine.store.free_head
+    with engine.transaction() as txn:
+        for key in _SEAM_KEYS[14:21]:      # every record of one leaf
+            txn.delete(key)
+    emptied = engine.store.free_head
+    assert emptied != free_before          # ...so the leaf was freed
+    for key in _SEAM_PROBES[len(_SEAM_KEYS):]:
+        engine.insert(key, b"x" * 24)
+    # ...and a split has handed its page number to a different leaf.
+    assert emptied in engine.reachable_pages()
+
+
+# kind -> (scheme, extra config, open-state step run before warming,
+#          the install, the seam helper whose invalidation it relies on)
+_SEAM_ROWS = {
+    "logged-commit": (
+        "fast", {}, None, _install_logged,
+        (FASTEngine, "_install_header")),
+    "inplace-commit": (
+        "fastplus", {}, None, _install_inplace,
+        (FASTPlusEngine, "_commit_inplace")),
+    "cow-defragment-swap": (
+        "fast", {}, None, _install_cow_swap,
+        (FASTEngine, "_swap_child_pointer")),
+    "savepoint-rollback-unswap": (
+        "fast", {}, _open_swapped_session, _install_savepoint_reversal,
+        (FASTEngine, "_swap_child_pointer")),
+    "session-rollback-unswap": (
+        "fast", {}, _open_swapped_session, _install_session_reversal,
+        (FASTEngine, "_swap_child_pointer")),
+    "epoch-close": (
+        "fast", {"group_commit": True, "group_commit_size": 4}, None,
+        _install_epoch_close, (FASTEngine, "_install_header")),
+    "live-recovery": (
+        "fast", {}, None, _install_live_recovery,
+        (FASTEngine, "_install_header")),
+    "free-then-reallocate": (
+        "fast", {}, None, _install_free_then_reallocate,
+        (PageStore, "_link_free")),
+}
+
+
+@contextmanager
+def _helper_stops_invalidating(monkeypatch, owner, name):
+    """While active, ``owner.name`` still does its PM work but every
+    ``TieredPageCache.invalidate`` it would issue is dropped."""
+    helper = getattr(owner, name)
+
+    def silenced(self, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(TieredPageCache, "invalidate",
+                          lambda *a, **k: None)
+            return helper(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, name, silenced)
+        yield
+
+
+def run_seam_row(kind, cache_pages, monkeypatch=None):
+    """Preload, (open the row's transaction), warm every frame, perform
+    the install, and return what ``search``/``scan`` then answer.  With
+    ``monkeypatch`` the row's seam helper stops invalidating for the
+    duration of the install."""
+    scheme, extra, open_state, install, (owner, name) = _SEAM_ROWS[kind]
+    engine = make_engine(scheme, cache_pages=cache_pages, **extra)
+    _seam_preload(engine)
+    state = open_state(engine) if open_state is not None else None
+    _seam_reads(engine)
+    if monkeypatch is None:
+        install(engine, state)
+    else:
+        with _helper_stops_invalidating(monkeypatch, owner, name):
+            install(engine, state)
+    return _seam_reads(engine)
+
+
+@pytest.mark.parametrize("kind", sorted(_SEAM_ROWS))
+def test_install_seam_keeps_cached_reads_coherent(kind, monkeypatch):
+    expected = run_seam_row(kind, cache_pages=0)
+    assert run_seam_row(kind, cache_pages=16) == expected
+    # The same row with its helper's invalidation removed must go
+    # stale — otherwise nothing enforces that call.
+    try:
+        stale = run_seam_row(kind, cache_pages=16, monkeypatch=monkeypatch)
+    except IndexError:
+        # A stale parent pointer led the descent into a freed page,
+        # whose clobbered header has no slot 0.
+        return
+    assert stale != expected
