@@ -127,7 +127,7 @@ def run_group_commit(scheme, *, items=30, config=None):
     mark, every member's log lines flushed and fenced before it — and
     the end-of-run drain closes the last epoch under the checker."""
     config = config or SystemConfig(
-        group_commit=True, group_commit_size=4, **_SMALL_CONFIG
+        group_commit_size=4, **_SMALL_CONFIG
     )
     engine = open_engine(config, scheme=scheme)
     checker = TraceChecker.for_engine(engine)
@@ -506,7 +506,7 @@ def run_all(schemes=SCHEMES):
         totals["runs"] += 1
 
     grouped = SystemConfig(
-        group_commit=True, group_commit_size=4, **_SMALL_CONFIG
+        group_commit_size=4, **_SMALL_CONFIG
     )
     # Tiered DRAM page cache on: snapshot readers fill and hit frames,
     # so the TC111 coherence invariant sees real cache traffic (locked

@@ -88,7 +88,7 @@ from repro.core.locking import (
     _COMPATIBLE, _upgrade, LOCK_S, LOCK_X, decode_lock,
 )
 from repro.core.scheduler import (
-    RetriesExhausted, Scheduler, SchedulerError, _ops_of,
+    RetriesExhausted, Scheduler, SchedulerError, _ops_of, client_spec,
 )
 from repro.obs import trace as ev
 
@@ -202,19 +202,6 @@ def _dependent(fp_a, fp_b):
 # Workloads
 # ----------------------------------------------------------------------
 
-def _client_spec(workload):
-    """An item list, or ``{"items": [...], "isolation": mode}`` (the
-    same shapes :mod:`repro.testing.crashsim` accepts)."""
-    if isinstance(workload, dict):
-        isolation = workload.get("isolation")
-        if isolation is None:
-            isolation = (
-                "read_only" if workload.get("read_only") else "locked"
-            )
-        return workload["items"], isolation
-    return workload, "locked"
-
-
 def default_workloads(clients=2, ops=2):
     """The default exploration target: ``clients`` locked writers,
     each running one multi-op transaction over a shared hot key (so
@@ -291,12 +278,12 @@ class Explorer:
                  invariants=EXPLORE_INVARIANTS):
         self.scheme = scheme
         self.config = config or SystemConfig(**_SMALL_CONFIG)
-        if self.config.group_commit:
+        if self.config.group_commit_size:
             # An epoch closer applies *other* members' headers at its
             # own commit — per-step attribution (and with it TC110)
             # does not compose with grouped visibility.
             raise ExplorationError(
-                "exploration requires group_commit=False"
+                "exploration requires group_commit_size=0"
             )
         self.workloads = (
             workloads if workloads is not None else default_workloads()
@@ -453,7 +440,7 @@ class Explorer:
             pick_strategy=pick, on_step=on_step,
         )
         for workload in self.workloads:
-            items, isolation = _client_spec(workload)
+            items, isolation = client_spec(workload)
             scheduler.add_client(items, isolation=isolation)
 
         completed = False
@@ -526,7 +513,7 @@ class Explorer:
             engine.insert(key, value, replace=True)
         items_of = {}
         for index, workload in enumerate(self.workloads):
-            items, _isolation = _client_spec(workload)
+            items, _isolation = client_spec(workload)
             items_of["c%d" % index] = items
         try:
             for name, item_idx in commit_order:

@@ -11,7 +11,7 @@ ordering theorem *as it executes*:
     in-flight log line at the mark means the mark could become durable
     before the frames it validates (paper Section 3.3's ordering).
     This accepts *group* commit marks unchanged: with
-    ``SystemConfig.group_commit`` on, several transactions' frames
+    ``SystemConfig.group_commit_size`` set, several transactions' frames
     accumulate (written + flushed, unfenced) and one shared fence +
     one mark covers them all — the invariant is exactly that every
     member line reached the fence before the mark, however many

@@ -315,10 +315,7 @@ def run_group_commit(scheme, *, group_size=0, clients=8, items=50,
         scheme, read_ns=read_ns, write_ns=write_ns,
         ops=max(512, clients * items * 3), record_size=record_size,
     )
-    if group_size:
-        config = replace(
-            config, group_commit=True, group_commit_size=group_size,
-        )
+    config = replace(config, group_commit_size=group_size)
     result = run_multi_client(
         scheme, clients=clients, items=items, read_ratio=read_ratio,
         key_space=key_space, seed=seed, record_size=record_size,

@@ -14,7 +14,8 @@ sub-phases) correspond to the bars of the paper's breakdown figures.
 from contextlib import nullcontext
 
 from repro.btree.btree import BTree
-from repro.core.locking import LOCK_IS, LOCK_IX
+from repro.core.locking import LOCK_IS, LOCK_IX, LockingContext
+from repro.core.occ import OCCConflict, OccContext, occ_commit
 from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
 from repro.pm.stats import MemoryStats
@@ -60,48 +61,51 @@ class Transaction:
         with engine.transaction() as txn:
             txn.insert(b"key", b"value")
 
-    With a ``session``, the transaction belongs to that session: its
-    context is wrapped by the session's lock manager (when locking),
-    simulated time spent in its operations is attributed to the
-    session's clock segment, and the session is notified on finish.
+    One lifecycle (begin → mode → ops → prepare → commit/rollback →
+    epilogue, DESIGN.md §10) runs every ``mode``.  The mode is decided
+    once, by whoever begins the transaction, and everything downstream
+    dispatches on it:
+
+    ``"plain"``
+        the engine's implicit single-writer transaction: no session,
+        the bare scheme context.
+    ``"locked"``
+        a session's strict-2PL transaction: the scheme context behind
+        the session's lock shim, simulated time attributed to the
+        session's clock segment.
+    ``"read_only"``
+        a snapshot pinned at the current commit frontier — no scheme
+        context, no locks, no IS/S traffic at all.
+    ``"occ"``
+        reads at a pinned *tracked* snapshot, writes buffered in a
+        private write set that installs (under short X locks) only at
+        commit (:mod:`repro.core.occ`).
+
+    A session's transactions get their mode from
+    ``Session._begin_mode()`` and notify the session when they finish.
     """
 
-    def __init__(self, engine, session=None):
+    def __init__(self, engine, session=None, mode="plain"):
         self.engine = engine
         self.session = session
-        self._locked = False
-        self._snapshot = False
-        self._occ = False
-        # One lifecycle, three isolation modes: the session's state
-        # machine (Session._begin_mode) picks how this transaction
-        # reads and writes; everything downstream dispatches on the
-        # _locked/_snapshot/_occ flags set here.
-        mode = "locked" if session is None else session._begin_mode()
-        if mode == "read_only":
-            # Read-only snapshot transaction: the context is a
-            # SnapshotContext pinned at the current commit frontier —
-            # no scheme context, no locks, no IS/S traffic at all.
-            ctx = engine.version_manager.begin_snapshot(session)
-            self._snapshot = True
-        elif mode == "occ":
-            # Optimistic transaction: reads at a pinned *tracked*
-            # snapshot, writes buffered in a private write set that
-            # installs (under short X locks) only at commit.
-            from repro.core.occ import OccContext
-
-            ctx = OccContext(engine, session)
-            self._occ = True
-        else:
-            ctx = engine._new_context(session=session)
-            if session is not None:
-                ctx = session._wrap_context(ctx)
-                self._locked = session.locking
+        self.mode = mode
         if session is not None:
             self._op_segment = session.op_segment
         else:
             self._op_segment = _null_segment
-        self.ctx = ctx
+        self.ctx = self._open_ctx()
         self._done = False
+
+    def _open_ctx(self):
+        engine, session, mode = self.engine, self.session, self.mode
+        if mode == "read_only":
+            return engine.version_manager.begin_snapshot(session)
+        if mode == "occ":
+            return OccContext(engine, session)
+        ctx = engine._new_context(session=session)
+        if mode == "locked":
+            ctx = LockingContext(ctx, session)
+        return ctx
 
     @property
     def inner_ctx(self):
@@ -110,90 +114,76 @@ class Transaction:
         OCC transaction this is the installed context once the write
         set has replayed (the OccContext itself before that)."""
         ctx = self.ctx
-        if self._occ:
-            return ctx.installed_ctx if ctx.installed_ctx is not None else ctx
-        return ctx.inner if self._locked else ctx
+        if self.mode == "locked":
+            return ctx.inner
+        if self.mode == "occ" and ctx.installed_ctx is not None:
+            return ctx.installed_ctx
+        return ctx
 
     @property
     def pinned_snapshot(self):
         """The MVCC snapshot this transaction pinned (read-only and
         OCC modes; None otherwise) — the session epilogue unpins it."""
-        if self._snapshot:
+        if self.mode == "read_only":
             return self.ctx
-        if self._occ:
+        if self.mode == "occ":
             return self.ctx.snapshot
         return None
 
+    @property
+    def is_writer(self):
+        """Does a scheme context hold changes of this transaction's to
+        commit or roll back?  Never for a snapshot; for an OCC
+        transaction only once its write set installed."""
+        return not self.inner_ctx.is_read_only
+
     # -- data operations ------------------------------------------------
 
+    def _op(self, name, root_slot, intent, *args, **kwargs):
+        """One logical operation under this transaction's mode: OCC
+        buffers it in the write set; 2PL takes the root's intention
+        lock first; every other mode goes straight to the tree."""
+        ctx = self.ctx
+        if self.mode == "occ":
+            return getattr(ctx, name)(root_slot, *args, **kwargs)
+        if self.mode == "locked":
+            ctx.begin_op()
+            ctx.lock_root(root_slot, intent)
+        return getattr(self.engine.tree(root_slot), name)(
+            ctx, *args, **kwargs
+        )
+
     def insert(self, key, value, *, root_slot=0, replace=False):
-        self._check_open()
         self._check_writable()
         with self._op_segment():
-            if self._occ:
-                self.ctx.occ_insert(root_slot, key, value, replace=replace)
-                return
-            if self._locked:
-                self.ctx.begin_op()
-                self.ctx.lock_root(root_slot, LOCK_IX)
-            self.engine.tree(root_slot).insert(
-                self.ctx, key, value, replace=replace
-            )
+            self._op("insert", root_slot, LOCK_IX, key, value,
+                     replace=replace)
 
     def update(self, key, value, *, root_slot=0):
-        self._check_open()
         self._check_writable()
         with self._op_segment():
-            if self._occ:
-                return self.ctx.occ_update(root_slot, key, value)
-            if self._locked:
-                self.ctx.begin_op()
-                self.ctx.lock_root(root_slot, LOCK_IX)
-            return self.engine.tree(root_slot).update(self.ctx, key, value)
+            return self._op("update", root_slot, LOCK_IX, key, value)
 
     def delete(self, key, *, root_slot=0):
-        self._check_open()
         self._check_writable()
         with self._op_segment():
-            if self._occ:
-                return self.ctx.occ_delete(root_slot, key)
-            if self._locked:
-                self.ctx.begin_op()
-                self.ctx.lock_root(root_slot, LOCK_IX)
-            return self.engine.tree(root_slot).delete(self.ctx, key)
+            return self._op("delete", root_slot, LOCK_IX, key)
 
     def search(self, key, *, root_slot=0):
         """Read inside the transaction (sees its own writes)."""
         self._check_open()
         with self._op_segment():
-            if self._occ:
-                return self.ctx.occ_search(root_slot, key)
-            if self._locked:
-                self.ctx.begin_op()
-                self.ctx.lock_root(root_slot, LOCK_IS)
-            return self.engine.tree(root_slot).search(self.ctx, key)
+            return self._op("search", root_slot, LOCK_IS, key)
 
     def scan(self, lo=None, hi=None, *, root_slot=0):
         self._check_open()
-        if self._occ:
-            return self.ctx.occ_scan(root_slot, lo, hi)
-        if self._locked:
-            self.ctx.begin_op()
-            self.ctx.lock_root(root_slot, LOCK_IS)
-        return self.engine.tree(root_slot).scan(self.ctx, lo, hi)
+        return self._op("scan", root_slot, LOCK_IS, lo, hi)
 
     def create_tree(self, root_slot):
         """Allocate an empty tree at ``root_slot`` (commits with txn)."""
-        self._check_open()
         self._check_writable()
         with self._op_segment():
-            if self._occ:
-                self.ctx.occ_create(root_slot)
-                return
-            if self._locked:
-                self.ctx.begin_op()
-                self.ctx.lock_root(root_slot, LOCK_IX)
-            self.engine.tree(root_slot).create(self.ctx)
+            self._op("create", root_slot, LOCK_IX)
 
     def savepoint(self):
         """Capture a point to partially roll back to (``rollback_to``).
@@ -201,7 +191,6 @@ class Transaction:
         Returns an opaque token.  Schemes that apply changes in place
         immediately (naive) cannot support this.
         """
-        self._check_open()
         self._check_writable()
         snapshot = getattr(self.ctx, "snapshot_state", None)
         if snapshot is None:
@@ -213,11 +202,59 @@ class Transaction:
     def rollback_to(self, token):
         """Undo every change made after ``savepoint()`` returned
         ``token``; the transaction stays open."""
-        self._check_open()
         self._check_writable()
         self.ctx.restore_state(token)
 
     # -- lifecycle --------------------------------------------------------
+
+    def commit(self):
+        self._check_open()
+        if self.mode == "occ":
+            # May raise OCCConflict, leaving the transaction OPEN: the
+            # caller (normally the scheduler) rolls it back and
+            # retries, eventually under the 2PL fallback.
+            try:
+                with self._op_segment():
+                    occ_commit(self._legs(), self._commit_work)
+            except OCCConflict:
+                self.session._occ_failed()
+                raise
+            self._finish(True, None)
+        elif self.mode == "read_only":
+            # Nothing to make durable: a snapshot read nothing but
+            # committed versions and wrote nothing.  Ending the
+            # transaction unpins the snapshot (advancing the GC
+            # watermark) via the session epilogue.
+            self._finish(True, None)
+        else:
+            self._finish(True, self._commit_work)
+
+    def rollback(self):
+        self._check_open()
+        if self.mode in ("read_only", "occ"):
+            # Nothing durable to undo: a snapshot wrote nothing, and
+            # an OCC write set that never installed (or whose install
+            # already rolled back precisely) lives only in the buffer.
+            self._finish(False, None)
+        else:
+            self._finish(False, self._rollback_work)
+
+    def _legs(self):
+        """The transactions whose contexts commit together: this one
+        (a sharded transaction answers with its per-shard legs)."""
+        return [self]
+
+    def _commit_work(self):
+        self.engine._commit(self.inner_ctx)
+
+    def _rollback_work(self):
+        if self.mode == "locked":
+            # Concurrent sessions roll back precisely: other
+            # sessions' uncommitted pages must survive, so no
+            # global garbage collection here.
+            self.engine._rollback_precise(self.inner_ctx)
+        else:
+            self.engine._rollback(self.inner_ctx)
 
     def _finish(self, committed, work):
         """The one transaction epilogue every isolation mode shares:
@@ -233,60 +270,18 @@ class Transaction:
                 "engine.txn.commit" if committed else "engine.txn.rollback"
             )
         finally:
-            if self.session is None:
-                self.engine._active = None
-            else:
-                self.session._txn_finished(self, committed=committed)
+            self._end(committed)
 
-    def commit(self):
-        self._check_open()
-        if self._occ:
-            # May raise OCCConflict, leaving the transaction OPEN: the
-            # caller (normally the scheduler) rolls it back and
-            # retries, eventually under the 2PL fallback.
-            self._commit_occ()
-            return
+    def _end(self, committed):
+        """Hand the finished transaction back: the session epilogue
+        releases its locks, unpins its snapshot and (unless quiet)
+        emits the TXN event.  A sharded transaction ends its legs
+        through this, without their scheme work."""
         self._done = True
-        if self._snapshot:
-            # Nothing to make durable: a snapshot read nothing but
-            # committed versions and wrote nothing.  Ending the
-            # transaction unpins the snapshot (advancing the GC
-            # watermark) via the session epilogue.
-            self._finish(True, None)
-            return
-        self._finish(True, lambda: self.engine._commit(self.inner_ctx))
-
-    def _commit_occ(self):
-        """Validate + install the OCC write set (see repro.core.occ)."""
-        from repro.core.occ import OCCConflict, occ_commit
-
-        session = self.session
-        try:
-            with self._op_segment():
-                occ_commit(self.engine, session, self.ctx)
-        except OCCConflict:
-            session._occ_failed()
-            raise
-        self._done = True
-        self._finish(True, None)
-
-    def rollback(self):
-        self._check_open()
-        self._done = True
-        if self._snapshot or self._occ:
-            # Nothing durable to undo: a snapshot wrote nothing, and
-            # an OCC write set that never installed (or whose install
-            # already rolled back precisely) lives only in the buffer.
-            self._finish(False, None)
-            return
-        if self._locked:
-            # Concurrent sessions roll back precisely: other
-            # sessions' uncommitted pages must survive, so no
-            # global garbage collection here.
-            work = lambda: self.engine._rollback_precise(self.inner_ctx)
+        if self.session is None:
+            self.engine._active = None
         else:
-            work = lambda: self.engine._rollback(self.inner_ctx)
-        self._finish(False, work)
+            self.session._txn_finished(self, committed=committed)
 
     def __enter__(self):
         return self
@@ -305,7 +300,8 @@ class Transaction:
             raise TransactionError("transaction already finished")
 
     def _check_writable(self):
-        if self._snapshot:
+        self._check_open()
+        if self.mode == "read_only":
             raise TransactionError(
                 "read-only snapshot transactions cannot write"
             )
@@ -595,24 +591,9 @@ class Engine:
                 "the %r scheme does not support concurrent sessions "
                 "(it cannot roll back)" % self.scheme
             )
-        if isolation is None:
-            isolation = "read_only" if read_only else "locked"
-        if isolation not in ("locked", "read_only", "occ"):
-            raise ValueError("unknown isolation mode %r" % isolation)
         from repro.core.session import Session
 
-        sid = self._next_sid
-        self._next_sid += 1
-        session = Session(
-            self, sid, name or ("s%d" % sid),
-            lock_manager=(
-                None if isolation == "read_only" else self.lock_manager
-            ),
-            isolation=isolation,
-        )
-        self._sessions[sid] = session
-        self.obs.inc("engine.session.open")
-        return session
+        return Session.open(self, name, read_only, isolation)
 
     def _session_closed(self, session):
         self._sessions.pop(session.sid, None)

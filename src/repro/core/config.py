@@ -57,18 +57,6 @@ class SystemConfig:
     #: pages wait for an explicit ``engine.garbage_collect()``
     #: (free-list staleness is always corrected lazily on use).
     eager_recovery_gc: bool = True
-    #: Concurrency policy (sessions + scheduler, simulated time):
-    #: how long a session waits on a lock before timing out, how far
-    #: an aborted transaction backs off before retrying, and how many
-    #: retries it gets before the scheduler gives up on the item.
-    lock_timeout_ns: float = 2_000_000.0
-    lock_retry_backoff_ns: float = 50_000.0
-    max_txn_retries: int = 64
-    #: OCC sessions (``isolation="occ"``): consecutive failed
-    #: commit-time validations before the session falls back to
-    #: classic 2PL for its next transaction.  A successful optimistic
-    #: commit resets the streak.
-    occ_max_validation_failures: int = 3
     #: Shard support: a sharded deployment carves one PM arena into N
     #: per-shard sub-arenas, each described by a copy of this config
     #: with ``base_offset`` pointing at its slice.  The default (0)
@@ -81,16 +69,10 @@ class SystemConfig:
     #: stage + flush their frames, then *join* the current epoch
     #: instead of fencing individually; the epoch closes with ONE
     #: sfence and ONE ≤8B group commit mark covering every member.
-    #: Off by default — grouping-off runs are byte-identical to the
-    #: per-txn commit path.
-    group_commit: bool = False
-    #: Members that force an epoch close at the join that reaches it.
-    group_commit_size: int = 4
-    #: Simulated-ns age at which a joining commit closes the epoch
-    #: even below ``group_commit_size`` (0 = size-threshold only).
-    #: Evaluated at commit boundaries only, so scheduling stays
-    #: deterministic under the cooperative scheduler.
-    group_commit_window_ns: float = 0.0
+    #: The value is the member count that forces an epoch close at the
+    #: join that reaches it; 0 (the default) is off — byte-identical
+    #: to the per-txn commit path.
+    group_commit_size: int = 0
     #: Tiered DRAM page cache (``repro.storage.cache``): committed
     #: reads of read-hot pages are served from clock/second-chance
     #: DRAM copies at ``latency.dram_ns`` instead of ``read_ns``,

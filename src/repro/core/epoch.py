@@ -1,13 +1,12 @@
 """Group commit: the per-engine epoch pipeline.
 
 Every committing transaction historically paid its own sfence + 8-byte
-commit mark.  With ``SystemConfig.group_commit`` on, a committing
+commit mark.  With ``SystemConfig.group_commit_size`` set, a committing
 transaction instead *stages* its durable stores (record writes and log
 frames, written and flushed but **not fenced**) and then joins the
 engine's open *epoch*.  The epoch closes — at the join that reaches
-``group_commit_size`` members, at the first join after
-``group_commit_window_ns`` simulated nanoseconds, or at an explicit
-drain — with exactly ONE sfence covering every member's in-flight
+``group_commit_size`` members, or at an explicit drain — with exactly
+ONE sfence covering every member's in-flight
 lines and ONE ≤8-byte group commit mark whose (seq, tail) covers the
 whole member prefix.  Recovery therefore sees the group atomically: a
 crash before the mark loses every open member, a crash after it
@@ -32,7 +31,7 @@ checkpoint, deferred housekeeping) as the ``close`` callable; the
 pipeline only decides *when* and guards against re-entry (a close that
 triggers a checkpoint that would drain again).
 
-Everything here runs under the cooperative scheduler: thresholds are
+Everything here runs under the cooperative scheduler: the threshold is
 evaluated only at commit boundaries, so grouping is deterministic and
 byte-identical across reruns.
 """
@@ -41,19 +40,15 @@ byte-identical across reruns.
 class EpochPipeline:
     """The open epoch of one engine (or of one shard's engine)."""
 
-    def __init__(self, clock, size, window_ns, close):
-        self.clock = clock
+    def __init__(self, size, close):
         #: Member count that forces a close at the join reaching it.
-        self.size = max(1, size)
-        #: Simulated-ns age forcing a close at the next join (0 = off).
-        self.window_ns = window_ns
+        self.size = size
         self._close_fn = close
         self.members = []
         #: page_no -> latest member slot-header image (overlay).
         self.pending_headers = {}
         #: root slot -> latest member root pointer (overlay).
         self.pending_roots = {}
-        self._opened_ns = None
         self._closing = False
 
     # ------------------------------------------------------------------
@@ -68,8 +63,6 @@ class EpochPipeline:
         the member's visibility overlay entries — latest join wins, so
         two members touching the same page leave the second's image.
         """
-        if self._opened_ns is None:
-            self._opened_ns = self.clock.now_ns
         self.members.append(member)
         for page_no, image in headers:
             self.pending_headers[page_no] = image
@@ -108,19 +101,9 @@ class EpochPipeline:
     # Closing
     # ------------------------------------------------------------------
 
-    def should_close(self):
-        """Threshold check, evaluated at commit boundaries only."""
-        if not self.members:
-            return False
-        if len(self.members) >= self.size:
-            return True
-        return bool(
-            self.window_ns
-            and self.clock.now_ns - self._opened_ns >= self.window_ns
-        )
-
     def maybe_close(self):
-        if self.should_close():
+        """Threshold check, evaluated at commit boundaries only."""
+        if len(self.members) >= self.size:
             self.close()
 
     def drain(self):
@@ -149,5 +132,4 @@ class EpochPipeline:
         self.members = []
         self.pending_headers = {}
         self.pending_roots = {}
-        self._opened_ns = None
         return members

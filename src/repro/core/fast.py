@@ -261,10 +261,9 @@ class FASTEngine(Engine):
         #: 2PC prepare region (sharded deployments only; see
         #: ``repro.wal.twopc`` / ``repro.storage.sharding``).
         self.twopc = None
-        if config.group_commit:
+        if config.group_commit_size:
             self.group = EpochPipeline(
-                pm.clock, config.group_commit_size,
-                config.group_commit_window_ns, self._close_epoch,
+                config.group_commit_size, self._close_epoch,
             )
 
     def _format(self):

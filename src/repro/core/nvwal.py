@@ -279,12 +279,11 @@ class NVWALEngine(Engine):
 
     def __init__(self, config, pm, store):
         super().__init__(config, pm, store)
-        if config.group_commit:
+        if config.group_commit_size:
             from repro.core.epoch import EpochPipeline
 
             self.group = EpochPipeline(
-                pm.clock, config.group_commit_size,
-                config.group_commit_window_ns, self._close_epoch,
+                config.group_commit_size, self._close_epoch,
             )
         self.dram = VolatileMemory(
             config.dram_bytes,

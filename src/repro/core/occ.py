@@ -35,11 +35,13 @@ publishes, so a stale read cannot slip through unstamped.  The
 cooperative scheduler makes validate-then-install atomic — no other
 session runs between the two.
 
-After ``SystemConfig.occ_max_validation_failures`` consecutive failed
-validations, the owning session's next transaction falls back to
-classic 2PL (:class:`repro.core.session.Session` tracks the streak);
-one successful commit switches it back to optimistic mode.
+After ``OCC_MAX_VALIDATION_FAILURES`` consecutive failed validations,
+the owning session's next transaction falls back to classic 2PL
+(:class:`repro.core.session.Session` tracks the streak); one
+successful commit switches it back to optimistic mode.
 """
+
+from contextlib import ExitStack
 
 from repro.btree.btree import DuplicateKeyError
 from repro.core.locking import LOCK_IX, LockConflict, LockingContext
@@ -78,7 +80,10 @@ class OccContext:
     replays at install time.
     """
 
-    is_read_only = False
+    #: The buffer itself holds nothing a scheme could commit or roll
+    #: back; once the write set installs, ``Transaction.inner_ctx``
+    #: names the scheme context instead.
+    is_read_only = True
     #: Buffered ops never half-apply (nothing touches the tree), so
     #: the scheduler's mutated-op accounting always sees False here.
     op_mutated = False
@@ -130,11 +135,11 @@ class OccContext:
         value = self.engine.tree(root_slot).search(self.snapshot, key)
         return value is not None, value
 
-    def occ_search(self, root_slot, key):
+    def search(self, root_slot, key):
         present, value = self._read(root_slot, key)
         return value if present else None
 
-    def occ_scan(self, root_slot, lo=None, hi=None):
+    def scan(self, root_slot, lo=None, hi=None):
         """Snapshot scan merged with the private overlay."""
         overlay = self._overlays.get(root_slot, {})
         merged = {
@@ -162,14 +167,14 @@ class OccContext:
             overlay = self._overlays[root_slot] = {}
         return overlay
 
-    def occ_insert(self, root_slot, key, value, *, replace=False):
+    def insert(self, root_slot, key, value, *, replace=False):
         present, _ = self._read(root_slot, key)
         if present and not replace:
             raise DuplicateKeyError(key)
         self._writes.append(("insert", root_slot, key, value, replace))
         self._overlay(root_slot)[key] = value
 
-    def occ_update(self, root_slot, key, value):
+    def update(self, root_slot, key, value):
         present, _ = self._read(root_slot, key)
         if not present:
             return False
@@ -177,7 +182,7 @@ class OccContext:
         self._overlay(root_slot)[key] = value
         return True
 
-    def occ_delete(self, root_slot, key):
+    def delete(self, root_slot, key):
         present, _ = self._read(root_slot, key)
         if not present:
             return False
@@ -185,7 +190,7 @@ class OccContext:
         self._overlay(root_slot)[key] = _DELETED
         return True
 
-    def occ_create(self, root_slot):
+    def create(self, root_slot):
         # Reading the root slot records it in the read set, so a
         # concurrent create of the same slot fails validation.
         self.snapshot.root_page_no(root_slot)
@@ -226,12 +231,11 @@ class OccContext:
         snapshot acquiring locks violates TC107."""
         self.engine.version_manager.end_snapshot(self.snapshot)
 
-    def replay_into(self, session):
-        """Install the write set into a fresh lock-managed scheme
-        context (caller owns lock release).  A lock conflict rolls the
-        partial context back precisely and raises
-        :class:`OCCConflict("install")`."""
-        engine = session.engine
+    def install(self):
+        """Replay the write set into a fresh lock-managed scheme
+        context (caller owns lock release).  A lock conflict uninstalls
+        the partial context and raises :class:`OCCConflict("install")`."""
+        engine, session = self.engine, self.session
         inner = engine._new_context(session=session)
         lctx = LockingContext(inner, session)
         self.installed_ctx = inner
@@ -249,12 +253,16 @@ class OccContext:
                 else:
                     tree.create(lctx)
         except LockConflict:
-            engine._rollback_precise(inner)
-            self.installed_ctx = None
+            self.uninstall()
             self.obs.inc("occ.install.conflict")
             self.obs.event(ev.OCC_CONFLICT, self.session.sid, 1)
             raise OCCConflict("install")
-        return inner
+
+    def uninstall(self):
+        """Roll the installed context back precisely; the write set
+        stays buffered and the transaction open."""
+        self.engine._rollback_precise(self.installed_ctx)
+        self.installed_ctx = None
 
     # -- GC protection (engine._protected_pages) ---------------------------
 
@@ -264,24 +272,43 @@ class OccContext:
         return owned() if owned is not None else set()
 
 
-def occ_commit(engine, session, octx):
-    """The single-engine optimistic commit: validate, unpin, install
-    under ``commit_scope``, run the scheme's ordinary commit protocol.
-    Raises :class:`OCCConflict` (transaction left open) on failure.
+def occ_commit(legs, commit):
+    """The optimistic commit, over the one transaction of an engine or
+    the per-shard legs of a router transaction: validate every leg's
+    read set (zero locks, so a failure aborts for free), then unpin
+    each leg's snapshot and install its write set under its lock
+    manager's ``commit_scope``, run ``commit()`` — the scheme's
+    ordinary commit protocol, or the router's native-vs-2PC choice —
+    with those locks held, and count ``occ.commit`` once.
 
-    Because the install replays through ``engine._commit``, the tiered
-    DRAM page cache needs no OCC-specific hook: the ordinary commit's
+    Any :class:`OCCConflict` unwinds the already-installed legs
+    precisely and re-raises with every leg still open and
+    rollbackable.  A write-free commit installs nothing, takes no
+    locks, makes nothing durable and doesn't count.
+
+    Because the install replays through the ordinary commit, the
+    tiered DRAM page cache needs no OCC-specific hook: the commit's
     install points (checkpoint apply, RTM in-place publish, pointer
     swaps) invalidate every frame the replay's writes touch.
     """
-    octx.validate()
-    octx.unpin()
-    if not octx.has_writes:
-        # Snapshot-isolation read-only commit: nothing to install,
-        # nothing to make durable, no locks at all.
-        return None
-    with session.lock_manager.commit_scope(session.sid, clock=engine.clock):
-        inner = octx.replay_into(session)
-        engine._commit(inner)
-    engine.obs.inc("occ.commit")
-    return inner
+    for leg in legs:
+        leg.ctx.validate()
+    installed = []
+    with ExitStack() as scopes:
+        try:
+            for leg in legs:
+                octx, session = leg.ctx, leg.session
+                octx.unpin()
+                if octx.has_writes:
+                    scopes.enter_context(session.lock_manager.commit_scope(
+                        session.sid, clock=session.engine.clock,
+                    ))
+                    octx.install()
+                    installed.append(octx)
+        except OCCConflict:
+            for octx in installed:
+                octx.uninstall()
+            raise
+        if installed:
+            commit()
+            installed[0].obs.inc("occ.commit")

@@ -33,7 +33,7 @@ Conflict policy (the timeout/abort-retry policy of the lock manager):
 * a wait that outlives ``lock_timeout_ns`` simulated nanoseconds times
   out: the transaction aborts and retries the same way.
 
-Aborted items retry up to ``max_txn_retries`` times (then the run
+Aborted items retry up to ``max_retries`` times (then the run
 fails loudly — livelock is a bug in the policy, not something to paper
 over).  Committed items are recorded in ``commit_order``; because of
 strict two-phase locking the interleaving is serializable *in that
@@ -48,11 +48,20 @@ kinds ``insert`` / ``update`` / ``delete`` / ``search`` / ``think``
 
 from repro.core.locking import DeadlockError, LockConflict
 from repro.core.occ import OCCConflict
+from repro.core.session import resolve_isolation
 from repro.obs import trace as ev
 
 READY = "ready"
 WAITING = "waiting"
 DONE = "done"
+
+#: The conflict policy's defaults, in simulated time: how long a
+#: client waits on a lock before timing out, how far an aborted
+#: transaction backs off before retrying, and how many retries an item
+#: gets before the scheduler gives up on it.
+LOCK_TIMEOUT_NS = 2_000_000.0
+RETRY_BACKOFF_NS = 50_000.0
+MAX_RETRIES = 64
 
 
 class SchedulerError(Exception):
@@ -124,11 +133,23 @@ def _ops_of(item):
     return [item]
 
 
+def client_spec(workload):
+    """``(items, isolation)`` of one client workload entry as the
+    crash and exploration harnesses spell it: a plain item list (a
+    classic 2PL writer), or ``{"items": [...], "isolation": mode}``
+    (``{"read_only": True}`` is accepted as legacy spelling)."""
+    if isinstance(workload, dict):
+        return workload["items"], resolve_isolation(
+            workload.get("read_only"), workload.get("isolation")
+        )
+    return workload, "locked"
+
+
 class Scheduler:
     """Interleaves N client sessions deterministically (see module doc)."""
 
-    def __init__(self, engine, *, lock_timeout_ns=None,
-                 retry_backoff_ns=None, max_retries=None,
+    def __init__(self, engine, *, lock_timeout_ns=LOCK_TIMEOUT_NS,
+                 retry_backoff_ns=RETRY_BACKOFF_NS, max_retries=MAX_RETRIES,
                  cleanup_on_error=True, on_step=None, pick_strategy=None):
         if not engine.supports_sessions:
             raise SchedulerError(
@@ -138,18 +159,9 @@ class Scheduler:
         self.engine = engine
         self.obs = engine.obs
         self.clock = engine.clock
-        config = engine.config
-        self.lock_timeout_ns = (
-            config.lock_timeout_ns if lock_timeout_ns is None
-            else lock_timeout_ns
-        )
-        self.retry_backoff_ns = (
-            config.lock_retry_backoff_ns if retry_backoff_ns is None
-            else retry_backoff_ns
-        )
-        self.max_retries = (
-            config.max_txn_retries if max_retries is None else max_retries
-        )
+        self.lock_timeout_ns = lock_timeout_ns
+        self.retry_backoff_ns = retry_backoff_ns
+        self.max_retries = max_retries
         #: Roll back open transactions and close sessions when an
         #: unexpected (non-LockConflict) exception escapes the run loop,
         #: so a failed operation can never leak held locks.  Crash
@@ -193,8 +205,7 @@ class Scheduler:
         ``think`` operations (validated here — failing at add time
         beats a mid-run surprise).
         """
-        if isolation is None:
-            isolation = "read_only" if read_only else "locked"
+        isolation = resolve_isolation(read_only, isolation)
         if isolation == "read_only":
             for item in items:
                 for op in _ops_of(item):
@@ -243,9 +254,7 @@ class Scheduler:
         # End-of-run durability barrier: close any open group-commit
         # epoch so the report's counts cover every member's shared
         # fence + mark (no-op with grouping off).
-        drain = getattr(self.engine, "drain_group_commit", None)
-        if drain is not None:
-            drain()
+        self.engine.drain_group_commit()
         report = self._report(start_ns)
         for client in self.clients:
             client.session.close()
@@ -518,4 +527,7 @@ class Scheduler:
         }
 
 
-__all__ = ["Scheduler", "SchedulerError", "RetriesExhausted", "DeadlockError"]
+__all__ = [
+    "Scheduler", "SchedulerError", "RetriesExhausted", "DeadlockError",
+    "client_spec",
+]

@@ -20,37 +20,53 @@ host code at any instant.  The deterministic interleaving of many
 sessions is the scheduler's job (:mod:`repro.core.scheduler`).
 """
 
-from repro.core.locking import LockingContext
 from repro.obs import trace as ev
+
+#: The session isolation modes — what every transaction's lifecycle
+#: dispatches on:
+#:
+#: ``"locked"``
+#:     classic strict 2PL (IS/IX/S/X held to commit).
+#: ``"read_only"``
+#:     MVCC snapshot reads: no lock manager, zero locks, reads resolve
+#:     against version chains.
+#: ``"occ"``
+#:     snapshot-isolation writes: reads at a pinned tracked snapshot,
+#:     writes buffered, commit-time validation + install under short X
+#:     locks — falling back to ``"locked"`` for one transaction after
+#:     :data:`OCC_MAX_VALIDATION_FAILURES` straight failed validations.
+ISOLATION_MODES = ("locked", "read_only", "occ")
+
+#: Consecutive failed commit-time validations before an OCC session
+#: runs its next transaction under classic 2PL (a committed
+#: transaction resets the streak).
+OCC_MAX_VALIDATION_FAILURES = 3
+
+
+def resolve_isolation(read_only=False, isolation=None):
+    """The isolation mode a ``read_only``/``isolation`` pair names:
+    ``isolation`` when given, else ``read_only=True`` as the historical
+    spelling of ``"read_only"``, else ``"locked"``."""
+    if isolation is None:
+        isolation = "read_only" if read_only else "locked"
+    if isolation not in ISOLATION_MODES:
+        raise ValueError(
+            "unknown isolation mode %r (choose from %s)"
+            % (isolation, ", ".join(ISOLATION_MODES))
+        )
+    return isolation
 
 
 class Session:
     """One client's transaction scope on a shared engine."""
 
-    def __init__(self, engine, sid, name, *, lock_manager=None,
-                 read_only=False, isolation=None, quiet=False,
-                 resource_namespace=0):
+    def __init__(self, engine, sid, name, *, isolation="locked",
+                 lock_manager=None, quiet=False, resource_namespace=0):
         self.engine = engine
         self.sid = sid
         self.name = name
         self.lock_manager = lock_manager
-        #: The session's isolation mode — the state machine every
-        #: transaction's lifecycle dispatches on:
-        #:
-        #: ``"locked"``
-        #:     classic strict 2PL (IS/IX/S/X held to commit).
-        #: ``"read_only"``
-        #:     MVCC snapshot reads: no lock manager, zero locks,
-        #:     reads resolve against version chains.
-        #: ``"occ"``
-        #:     snapshot-isolation writes: reads at a pinned tracked
-        #:     snapshot, writes buffered, commit-time validation +
-        #:     install under short X locks — falling back to
-        #:     ``"locked"`` for one transaction after
-        #:     ``config.occ_max_validation_failures`` consecutive
-        #:     failed validations (a success resets the streak).
-        if isolation is None:
-            isolation = "read_only" if read_only else "locked"
+        #: One of :data:`ISOLATION_MODES`.
         self.isolation = isolation
         #: Read-only sessions run MVCC snapshot transactions: they
         #: carry no lock manager and acquire zero locks (no IS/S
@@ -58,11 +74,6 @@ class Session:
         self.read_only = isolation == "read_only"
         #: Consecutive failed OCC validations (the 2PL-fallback streak).
         self._occ_failures = 0
-        #: Sharded OCC legs: the router decides fallback globally (one
-        #: policy per sharded transaction) and forces its quiet inner
-        #: sessions locked through this flag instead of their own
-        #: streaks.
-        self.force_locked = False
         #: Quiet sessions are inner per-shard legs of a sharded
         #: transaction: the router emits one *global* TXN event and
         #: outcome counter per transaction, so the legs suppress
@@ -83,6 +94,25 @@ class Session:
         self._last_commit_seq = None
         self.closed = False
 
+    @classmethod
+    def open(cls, host, name=None, read_only=False, isolation=None):
+        """Open and register one session on ``host`` (an engine, or a
+        shard router for the sharded subclass) — what both
+        ``session()`` entry points do.  Read-only sessions get no lock
+        manager, so a pure-reader mix never instantiates one."""
+        isolation = resolve_isolation(read_only, isolation)
+        sid = host._next_sid
+        host._next_sid += 1
+        session = cls(
+            host, sid, name or ("s%d" % sid), isolation=isolation,
+            lock_manager=(
+                None if isolation == "read_only" else host.lock_manager
+            ),
+        )
+        host._sessions[sid] = session
+        host.obs.inc("engine.session.open")
+        return session
+
     # -- transactions ------------------------------------------------------
 
     @property
@@ -92,25 +122,18 @@ class Session:
     def _begin_mode(self):
         """The mode the *next* transaction runs in — where the OCC
         fallback policy lives.  An OCC session that failed validation
-        ``config.occ_max_validation_failures`` times in a row runs its
+        :data:`OCC_MAX_VALIDATION_FAILURES` times in a row runs its
         next transaction under classic 2PL (guaranteed lock-managed
         progress); its success resets the streak and the session
         returns to optimistic mode."""
-        if self.isolation == "read_only":
-            return "read_only"
-        if self.isolation == "occ":
-            if self.force_locked or (
-                self._occ_failures
-                >= self.engine.config.occ_max_validation_failures
-            ):
-                if not self.quiet:
-                    self.engine.obs.inc("occ.fallback")
-                    self.engine.obs.event(
-                        ev.OCC_FALLBACK, self.sid, self._occ_failures
-                    )
-                return "locked"
-            return "occ"
-        return "locked"
+        if (self.isolation == "occ"
+                and self._occ_failures >= OCC_MAX_VALIDATION_FAILURES):
+            self.engine.obs.inc("occ.fallback")
+            self.engine.obs.event(
+                ev.OCC_FALLBACK, self.sid, self._occ_failures
+            )
+            return "locked"
+        return self.isolation
 
     def _occ_failed(self):
         """Count one failed validation/install toward the fallback."""
@@ -125,14 +148,15 @@ class Session:
         """Is this session's last committed transaction durable?
 
         With grouping off every commit fences before returning, so
-        this is always True.  With ``SystemConfig.group_commit`` on, a
-        commit is *committed* (visible to every later transaction) the
-        moment it joins the open epoch but *durable* only once the
-        epoch closes and the shared group mark persists — until then
-        this reports False.  ``engine.drain_group_commit()`` forces
-        the close (a durability barrier).
+        this is always True.  With ``SystemConfig.group_commit_size``
+        set, a commit is *committed* (visible to every later
+        transaction) the moment it joins the open epoch but *durable*
+        only once the epoch closes and the shared group mark persists
+        — until then this reports False.
+        ``engine.drain_group_commit()`` forces the close (a
+        durability barrier).
         """
-        group = getattr(self.engine, "group", None)
+        group = self.engine.group
         if group is None or self._last_commit_seq is None:
             return True
         return not group.contains_seq(self._last_commit_seq)
@@ -148,7 +172,7 @@ class Session:
 
     def transaction(self):
         """Begin this session's transaction (one at a time)."""
-        from repro.core.base import Transaction, TransactionError
+        from repro.core.base import TransactionError
 
         if self.closed:
             raise TransactionError("session %r is closed" % self.name)
@@ -156,18 +180,23 @@ class Session:
             raise TransactionError(
                 "session %r already has an open transaction" % self.name
             )
-        txn = Transaction(self.engine, session=self)
-        self._txn = txn
+        return self._begin(self._begin_mode())
+
+    def _begin(self, mode):
+        """Open a transaction in ``mode``.  The session's own
+        transactions get theirs from ``_begin_mode()``; a sharded
+        transaction's per-shard legs are handed the router
+        transaction's, so every leg runs — and falls back — together."""
+        txn = self._txn = self._new_transaction(mode)
         if not self.quiet:
             self.engine.obs.inc("engine.txn.begin")
             self.engine.obs.event(ev.TXN_BEGIN, self.sid)
         return txn
 
-    def _wrap_context(self, ctx):
-        """Interpose the lock manager (when this session locks)."""
-        if self.lock_manager is None:
-            return ctx
-        return LockingContext(ctx, self)
+    def _new_transaction(self, mode):
+        from repro.core.base import Transaction
+
+        return Transaction(self.engine, self, mode)
 
     def op_segment(self):
         """Clock segment attributing an operation's simulated time to
@@ -247,4 +276,4 @@ class Session:
 
     def __repr__(self):
         state = "txn open" if self._txn is not None else "idle"
-        return "Session(%r, %s)" % (self.name, state)
+        return "%s(%r, %s)" % (type(self).__name__, self.name, state)

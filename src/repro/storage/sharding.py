@@ -51,7 +51,7 @@ from dataclasses import replace
 from zlib import crc32
 
 from repro.core import engine_class
-from repro.core.base import TransactionError
+from repro.core.base import Transaction
 from repro.core.locking import find_cycle
 from repro.core.session import Session
 from repro.obs import trace as ev
@@ -254,21 +254,7 @@ class ShardRouter:
 
     def session(self, name=None, read_only=False, isolation=None):
         """Open a sharded session (one concurrent client)."""
-        if isolation is None:
-            isolation = "read_only" if read_only else "locked"
-        if isolation not in ("locked", "read_only", "occ"):
-            raise ValueError(
-                "unknown isolation %r (choose locked, read_only or occ)"
-                % (isolation,)
-            )
-        sid = self._next_sid
-        self._next_sid += 1
-        session = ShardedSession(
-            self, sid, name or ("s%d" % sid), isolation=isolation,
-        )
-        self._sessions[sid] = session
-        self.obs.inc("engine.session.open")
-        return session
+        return ShardedSession.open(self, name, read_only, isolation)
 
     def _session_closed(self, session):
         self._sessions.pop(session.sid, None)
@@ -357,9 +343,7 @@ class ShardRouter:
         epoch, then settle any outstanding 2PC decision (exactly a
         no-op with grouping off)."""
         for shard in self.shards:
-            drain = getattr(shard, "drain_group_commit", None)
-            if drain is not None:
-                drain()
+            shard.drain_group_commit()
         if not self._twopc_settled:
             self.coordinator.clear()
             self._twopc_settled = True
@@ -424,60 +408,33 @@ class ShardLockFacade:
         return find_cycle(self.wait_edges(), owner)
 
 
-class ShardedSession:
-    """One client's transaction scope across every shard.
+class ShardedSession(Session):
+    """One client's transaction scope across every shard: a
+    :class:`repro.core.session.Session` whose engine is the router.
 
-    Holds one lazily-created *inner* :class:`repro.core.session.Session`
-    per shard actually touched — quiet (the router emits the single
+    The lifecycle — guards, isolation mode, the OCC fallback streak,
+    the global TXN events and outcome counters — is the base class's.
+    What is per-shard lives here: one lazily-created *inner* session
+    per shard actually touched — quiet (this session emits the single
     global TXN event and outcome counter per transaction) and
     namespaced (its lock resources carry the shard index).  All inner
     sessions share this session's global sid, which is unambiguous
     because each lives in a different shard engine.
     """
 
-    def __init__(self, router, sid, name, *, read_only=False,
-                 isolation=None):
-        self.engine = router
-        self.router = router
-        self.sid = sid
-        self.name = name
-        if isolation is None:
-            isolation = "read_only" if read_only else "locked"
-        #: Same three-mode state machine as a native session's
-        #: (locked / read_only / occ) — the OCC fallback streak lives
-        #: HERE, not on the quiet inner legs: one validation failure
-        #: anywhere fails the whole transaction, and the fallback
-        #: decision must flip every leg to 2PL together.
-        self.isolation = isolation
-        self.read_only = isolation == "read_only"
-        self._occ_failures = 0
-        self.segment_name = "session.%s" % name
-        self.obs = router.obs.labeled("session.%s" % name)
-        self._clock = router.clock
+    def __init__(self, router, sid, name, **kwargs):
+        super().__init__(router, sid, name, **kwargs)
         self._inner = {}         # shard index -> inner Session
-        self._txn = None
-        self.closed = False
 
     @property
-    def locking(self):
-        return not self.read_only
-
-    @property
-    def lock_manager(self):
-        return None if self.read_only else self.router.lock_manager
-
-    def _occ_failed(self):
-        """Count one failed validation/install toward the fallback."""
-        self._occ_failures += 1
-
-    @property
-    def in_transaction(self):
-        return self._txn is not None
+    def commit_durable(self):
+        """Durable once every touched shard's epoch has closed."""
+        return all(leg.commit_durable for leg in self._inner.values())
 
     def _inner_session(self, index):
         session = self._inner.get(index)
         if session is None:
-            shard = self.router.shards[index]
+            shard = self.engine.shards[index]
             session = Session(
                 shard, self.sid, self.name,
                 lock_manager=None if self.read_only else shard.lock_manager,
@@ -491,67 +448,13 @@ class ShardedSession:
             self._inner[index] = session
         return session
 
-    def transaction(self):
-        if self.closed:
-            raise TransactionError("session %r is closed" % self.name)
-        if self._txn is not None:
-            raise TransactionError(
-                "session %r already has an open transaction" % self.name
-            )
-        txn = ShardedTransaction(self)
-        self._txn = txn
-        self.router.obs.inc("engine.txn.begin")
-        self.router.obs.event(ev.TXN_BEGIN, self.sid)
-        return txn
-
-    def op_segment(self):
-        return self._clock.segment(self.segment_name)
-
-    def _txn_finished(self, txn, committed):
-        """Global transaction epilogue: the per-shard lock releases and
-        snapshot ends have already been emitted by the inner sessions,
-        so the TXN event lands after them (strict 2PL event order)."""
-        if self._txn is txn:
-            self._txn = None
-        if committed and self.isolation == "occ":
-            self._occ_failures = 0
-        self.obs.inc("commit" if committed else "abort")
-        self.router.obs.event(
-            ev.TXN_COMMIT if committed else ev.TXN_ABORT, self.sid
-        )
-
-    # -- autocommit conveniences ------------------------------------------
-
-    def insert(self, key, value, *, root_slot=0, replace=False):
-        with self.transaction() as txn:
-            txn.insert(key, value, root_slot=root_slot, replace=replace)
-
-    def search(self, key, *, root_slot=0):
-        with self.transaction() as txn:
-            return txn.search(key, root_slot=root_slot)
-
-    # -- lifecycle ---------------------------------------------------------
+    def _new_transaction(self, mode):
+        return ShardedTransaction(self.engine, self, mode)
 
     def close(self):
-        if self.closed:
-            return
-        if self._txn is not None:
-            self._txn.rollback()
+        super().close()
         for index in sorted(self._inner):
             self._inner[index].close()
-        self.closed = True
-        self.router._session_closed(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
-    def __repr__(self):
-        state = "txn open" if self._txn is not None else "idle"
-        return "ShardedSession(%r, %s)" % (self.name, state)
 
 
 class _IdleCtx:
@@ -564,158 +467,98 @@ class _IdleCtx:
 _IDLE_CTX = _IdleCtx()
 
 
-class ShardedTransaction:
-    """One transaction spanning any subset of the shards.
+class ShardedTransaction(Transaction):
+    """One transaction spanning any subset of the shards: the
+    :class:`repro.core.base.Transaction` lifecycle fanned out over
+    per-shard *legs*.
 
     Operations route by key; the first touch of a shard opens an inner
-    leg transaction there (for read-only sessions this is also where
-    that shard's snapshot pins — untouched shards pin nothing and
-    retain nothing).  Commit picks the cheapest sufficient protocol:
-    zero or one writer shard commits natively (FAST⁺ in-place still
-    applies), two or more commit via 2PC.
+    leg transaction there, in this transaction's mode — so an OCC
+    fallback flips every leg to 2PL together (for read-only sessions
+    this is also where that shard's snapshot pins — untouched shards
+    pin nothing and retain nothing).  Commit picks the cheapest
+    sufficient protocol: zero or one writer shard commits natively
+    (FAST⁺ in-place still applies), two or more commit via 2PC.
     """
 
-    def __init__(self, session):
-        self.session = session
-        self.router = session.router
-        self._txns = {}          # shard index -> inner Transaction
-        self._op_ctx = _IDLE_CTX
-        self._done = False
-        #: Does this transaction run optimistically?  Decided once at
-        #: begin — the fallback policy (mirroring Session._begin_mode)
-        #: must flip every leg together, so the quiet inner sessions
-        #: are forced locked rather than consulting their own streaks.
-        self.occ = False
-        if session.isolation == "occ":
-            config = self.router.config
-            if (session._occ_failures
-                    >= config.occ_max_validation_failures):
-                self.router.obs.inc("occ.fallback")
-                self.router.obs.event(
-                    ev.OCC_FALLBACK, session.sid, session._occ_failures
-                )
-            else:
-                self.occ = True
+    #: Scheme contexts and pinned snapshots are per leg; the legs'
+    #: own epilogues account for them.
+    inner_ctx = None
+    pinned_snapshot = None
 
-    @property
-    def ctx(self):
-        """The current operation's shard-local context — what the
-        scheduler consults (``op_mutated``) after a conflict."""
-        return self._op_ctx
+    def __init__(self, router, session, mode):
+        self._txns = {}          # shard index -> inner Transaction
+        super().__init__(router, session, mode)
+
+    def _open_ctx(self):
+        # ``ctx`` is the current operation's shard-local context —
+        # what the scheduler consults (``op_mutated``) after a conflict.
+        return _IDLE_CTX
 
     @property
     def shards_touched(self):
         return sorted(self._txns)
 
     def _leg(self, key):
-        index = self.router.shard_of(key)
+        self._check_open()
+        index = self.engine.shard_of(key)
         txn = self._txns.get(index)
         if txn is None:
-            inner = self.session._inner_session(index)
-            if self.session.isolation == "occ":
-                inner.force_locked = not self.occ
-            txn = inner.transaction()
+            txn = self.session._inner_session(index)._begin(self.mode)
             self._txns[index] = txn
-        self._op_ctx = txn.ctx
+        self.ctx = txn.ctx
         return txn
 
     # -- data operations ---------------------------------------------------
 
     def insert(self, key, value, *, root_slot=0, replace=False):
-        self._check_open()
         self._leg(key).insert(key, value, root_slot=root_slot, replace=replace)
 
     def update(self, key, value, *, root_slot=0):
-        self._check_open()
         return self._leg(key).update(key, value, root_slot=root_slot)
 
     def delete(self, key, *, root_slot=0):
-        self._check_open()
         return self._leg(key).delete(key, root_slot=root_slot)
 
     def search(self, key, *, root_slot=0):
-        self._check_open()
         return self._leg(key).search(key, root_slot=root_slot)
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _is_writer(self, txn):
-        if self.session.read_only:
-            return False
-        if getattr(txn, "_occ", False):
-            # An OCC leg is a writer only once its write set installed
-            # (validation-failed or read-only legs have no scheme ctx
-            # to commit or roll back).
-            return txn.ctx.installed_ctx is not None
-        return not txn.inner_ctx.is_read_only
+    def _legs(self):
+        return [txn for _index, txn in sorted(self._txns.items())]
 
-    def _occ_prepare(self, legs):
-        """Per-shard OCC validation + install — the optimistic analogue
-        of the prepare phase, run before any leg is marked finished.
+    def _writers(self):
+        return [
+            (index, txn) for index, txn in sorted(self._txns.items())
+            if txn.is_writer
+        ]
 
-        Every leg first validates its read set against its own shard's
-        version stamps (zero locks, so a failure aborts for free);
-        only then does each writer leg unpin its snapshot and install
-        its write set into a lock-managed context on its shard.  Any
-        conflict unwinds the already-installed legs precisely and
-        re-raises with the transaction still open and rollbackable,
-        counting one failure toward the session's 2PL-fallback streak.
-        """
-        from repro.core.occ import OCCConflict
+    def _commit_work(self):
+        router = self.engine
+        writers = self._writers()
+        if len(writers) == 1:
+            # Single-shard commit: the native protocol applies
+            # unchanged (including FAST⁺'s in-place path).
+            index, txn = writers[0]
+            router.shards[index]._commit(txn.inner_ctx)
+        elif writers:
+            self._commit_two_phase(writers)
+        for index, _txn in writers:
+            router._shard_obs[index].inc("commit")
 
-        router = self.router
-        installed = []
-        try:
-            with self.session.op_segment():
-                for _index, txn in legs:
-                    txn.ctx.validate()
-                for index, txn in legs:
-                    octx = txn.ctx
-                    octx.unpin()
-                    if not octx.has_writes:
-                        continue
-                    octx.replay_into(self.session._inner[index])
-                    installed.append((index, octx))
-        except OCCConflict:
-            for index, octx in installed:
-                router.shards[index]._rollback_precise(octx.installed_ctx)
-                octx.installed_ctx = None
-            self.session._occ_failed()
-            raise
-        if installed:
-            # Mirrors occ_commit: a write-free optimistic commit
-            # installed nothing and doesn't count as an OCC commit.
-            router.obs.inc("occ.commit")
+    def _rollback_work(self):
+        router = self.engine
+        for index, txn in self._writers():
+            router.shards[index]._rollback_precise(txn.inner_ctx)
+            router._shard_obs[index].inc("abort")
 
-    def commit(self):
-        self._check_open()
-        legs = sorted(self._txns.items())
-        if self.occ:
-            # May raise OCCConflict — deliberately before any leg is
-            # marked done, so the conflicted transaction stays open.
-            self._occ_prepare(legs)
-        self._done = True
-        for _index, txn in legs:
-            txn._done = True
-        writers = [(i, txn) for i, txn in legs if self._is_writer(txn)]
-        try:
-            with self.session.op_segment():
-                if len(writers) == 1:
-                    # Single-shard commit: the native protocol applies
-                    # unchanged (including FAST⁺'s in-place path).
-                    index, txn = writers[0]
-                    self.router.shards[index]._commit(txn.inner_ctx)
-                elif writers:
-                    self._commit_two_phase(writers)
-            self.router.obs.inc("engine.txn.commit")
-            for index, _txn in writers:
-                self.router._shard_obs[index].inc("commit")
-        finally:
-            # Per-leg epilogues (lock releases, snapshot unpins) come
-            # before the single global TXN event.
-            for _index, txn in legs:
-                txn.session._txn_finished(txn, committed=True)
-            self.session._txn_finished(self, committed=True)
+    def _end(self, committed):
+        # Per-leg epilogues (lock releases, snapshot unpins) come
+        # before the single global TXN event.
+        for txn in self._legs():
+            txn._end(committed)
+        super()._end(committed)
 
     def _commit_two_phase(self, writers):
         """The cross-shard commit (module docstring, steps 1-4).
@@ -729,7 +572,7 @@ class ShardedTransaction:
         instead of being published per transaction.  The single
         decision word is recycled by :meth:`ShardRouter._settle_twopc`
         before the next decision is persisted."""
-        router = self.router
+        router = self.engine
         grouped = router.group_commit
         if grouped:
             router._settle_twopc()
@@ -764,36 +607,3 @@ class ShardedTransaction:
             router._twopc_settled = False
         else:
             router.coordinator.clear()
-
-    def rollback(self):
-        self._check_open()
-        self._done = True
-        legs = sorted(self._txns.items())
-        with self.session.op_segment():
-            for index, txn in legs:
-                txn._done = True
-                if self._is_writer(txn):
-                    self.router.shards[index]._rollback_precise(txn.inner_ctx)
-        self.router.obs.inc("engine.txn.rollback")
-        for index, txn in legs:
-            if self._is_writer(txn):
-                self.router._shard_obs[index].inc("abort")
-        for _index, txn in legs:
-            txn.session._txn_finished(txn, committed=False)
-        self.session._txn_finished(self, committed=False)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._done:
-            return False
-        if exc_type is None:
-            self.commit()
-        else:
-            self.rollback()
-        return False
-
-    def _check_open(self):
-        if self._done:
-            raise TransactionError("transaction already finished")

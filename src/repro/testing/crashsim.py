@@ -171,7 +171,7 @@ def _prefix_model(items, count):
 def _group_candidates(engine, items, inflight):
     """Recovered-state candidates under group commit, or None.
 
-    With ``SystemConfig.group_commit`` on, the open epoch's M members
+    With ``SystemConfig.group_commit_size`` set, the open epoch's M members
     are committed but not yet durable: a crash before the shared fence
     + group mark loses all M, a crash after the mark (mid-close) loses
     none.  A crash inside a commit that already joined the epoch
@@ -237,9 +237,7 @@ def run_to_crash_point(scheme, workload, budget, *, config=None, policy=None,
         # End-of-run durability barrier (armed: the sweep also visits
         # every crash point inside the final epoch close) — a no-op
         # with grouping off.
-        drain = getattr(engine, "drain_group_commit", None)
-        if drain is not None:
-            drain()
+        engine.drain_group_commit()
     except CrashPoint:
         crashed = True
     finally:
@@ -250,7 +248,7 @@ def run_to_crash_point(scheme, workload, budget, *, config=None, policy=None,
     if not crashed:
         recovered = {k: v for k, v in engine.scan()}
         result = CrashTestResult(False, committed, inflight, recovered)
-        _validate(engine, result, strict_inflight=False)
+        _validate(engine, result)
         return result
 
     prefix_candidates = _group_candidates(engine, committed_items, inflight)
@@ -269,12 +267,11 @@ def run_to_crash_point(scheme, workload, budget, *, config=None, policy=None,
     result.recovery_events = pm.obs.trace.events(
         kind=RECOVERY_REPLAY, since_seq=recovery_start_seq
     )
-    _validate(engine, result, strict_inflight=True,
-              prefix_candidates=prefix_candidates)
+    _validate(engine, result, prefix_candidates=prefix_candidates)
     return result
 
 
-def _validate(engine, result, *, strict_inflight, prefix_candidates=None):
+def _validate(engine, result, *, prefix_candidates=None):
     """Exact-state validation: the recovered database must equal either
     the committed model or committed-plus-the-whole-in-flight-
     transaction — nothing else (durability + atomicity + no phantoms
@@ -289,7 +286,6 @@ def _validate(engine, result, *, strict_inflight, prefix_candidates=None):
     except AssertionError as err:
         result.violations.append("structure: %s" % err)
 
-    del strict_inflight
     candidates = list(prefix_candidates) if prefix_candidates else [committed]
     if inflight:
         with_inflight = dict(committed)
@@ -320,8 +316,6 @@ def _validate(engine, result, *, strict_inflight, prefix_candidates=None):
 def crash_points_in(scheme, workload, *, config=None):
     """Total armed memory events the workload generates (the sweep
     range for exhaustive injection)."""
-    result_events = {}
-
     config = config or SystemConfig(
         npages=128, page_size=512, log_bytes=16384,
         heap_bytes=1 << 20, dram_bytes=64 * 512,
@@ -334,11 +328,8 @@ def crash_points_in(scheme, workload, *, config=None):
         txn = engine.transaction()
         _execute(txn, op)
         txn.commit()
-    drain = getattr(engine, "drain_group_commit", None)
-    if drain is not None:
-        drain()
+    engine.drain_group_commit()
     pm.armed = False
-    result_events["total"] = pm.events
     return pm.events
 
 
@@ -358,30 +349,6 @@ def _writes_of(item):
         op for op in _ops_of(item)
         if op[0] in ("insert", "update", "delete")
     ]
-
-
-def _client_spec(workload):
-    """One scheduler-client workload entry: a plain item list (a
-    classic 2PL writer), or ``{"items": [...], "isolation": mode}``
-    with mode one of ``"locked"`` / ``"read_only"`` / ``"occ"``
-    (``{"read_only": True}`` is accepted as legacy spelling).
-
-    Read-only clients are lock-free MVCC snapshot readers (pure
-    ``search``/``think`` items); they change no durable state, so the
-    committed-prefix model is untouched by them — but their presence
-    at the crash exercises recovery with version chains live (all
-    volatile: recovery starts with none).  OCC clients buffer their
-    writes and install them at commit, so the committed-prefix model
-    is identical to a 2PL client's: only committed transactions may
-    surface, in commit order."""
-    if isinstance(workload, dict):
-        isolation = workload.get("isolation")
-        if isolation is None:
-            isolation = (
-                "read_only" if workload.get("read_only") else "locked"
-            )
-        return workload["items"], isolation
-    return workload, "locked"
 
 
 def _scheduled_model(clients, commit_order):
@@ -405,7 +372,14 @@ def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
     ``workloads`` is one entry per client: an item list (items as in
     ``run_to_crash_point``: bare ``(op, key, value)`` tuples or
     ``("txn", [ops])``, plus ``("search", key, None)`` reads), or
-    ``{"items": [...], "isolation": mode}`` — see ``_client_spec``.
+    ``{"items": [...], "isolation": mode}`` — see
+    :func:`repro.core.scheduler.client_spec`.  Read-only clients (pure
+    ``search``/``think`` items) change no durable state, so the
+    committed-prefix model is untouched by them — but their presence
+    at the crash exercises recovery with version chains live (all
+    volatile: recovery starts with none).  OCC clients buffer their
+    writes and install them at commit, so their model is a 2PL
+    client's: only committed transactions may surface, in commit order.
     The recovered database must equal the committed transactions
     replayed in the scheduler's commit order, optionally plus the
     whole item that was in flight on the one client executing at the
@@ -423,7 +397,7 @@ def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
     obs trace, not the crashable memory, so arming budgets are
     unchanged by it.
     """
-    from repro.core.scheduler import Scheduler
+    from repro.core.scheduler import Scheduler, client_spec
 
     config = config or SystemConfig(**_SMALL_CONFIG)
     engine, pm = _build_engine(config, scheme)
@@ -441,7 +415,7 @@ def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
         ),
     )
     for workload in workloads:
-        items, isolation = _client_spec(workload)
+        items, isolation = client_spec(workload)
         scheduler.add_client(items, isolation=isolation)
     crashed = False
     pm.budget = budget
@@ -477,7 +451,7 @@ def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
                     "client %r commit count disagrees with commit order"
                     % client.name
                 )
-        _validate(engine, result, strict_inflight=False)
+        _validate(engine, result)
         return result
 
     # Only the client that was executing can have an in-flight commit;
@@ -510,15 +484,14 @@ def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
         )
         return result
     result = CrashTestResult(True, committed, inflight, recovered)
-    _validate(engine, result, strict_inflight=True,
-              prefix_candidates=prefix_candidates)
+    _validate(engine, result, prefix_candidates=prefix_candidates)
     return result
 
 
 def scheduler_crash_points_in(scheme, workloads, *, config=None,
                               pick_strategy_factory=None):
     """Armed memory events in a full scheduled run (the sweep range)."""
-    from repro.core.scheduler import Scheduler
+    from repro.core.scheduler import Scheduler, client_spec
 
     config = config or SystemConfig(**_SMALL_CONFIG)
     engine, pm = _build_engine(config, scheme)
@@ -530,7 +503,7 @@ def scheduler_crash_points_in(scheme, workloads, *, config=None,
         ),
     )
     for workload in workloads:
-        items, isolation = _client_spec(workload)
+        items, isolation = client_spec(workload)
         scheduler.add_client(items, isolation=isolation)
     pm.budget = None
     pm.events = 0
@@ -605,7 +578,7 @@ def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
     committed prefix nor prefix-plus-whole-in-flight-item, and fails
     as an atomicity blend.
     """
-    from repro.core.scheduler import Scheduler
+    from repro.core.scheduler import Scheduler, client_spec
     from repro.storage.sharding import ShardRouter
 
     config = config or SystemConfig(**_SMALL_CONFIG)
@@ -616,7 +589,7 @@ def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
         on_step=None if checker is None else lambda _client: checker.advance(),
     )
     for workload in workloads:
-        items, isolation = _client_spec(workload)
+        items, isolation = client_spec(workload)
         scheduler.add_client(items, isolation=isolation)
     crashed = False
     pm.budget = budget
@@ -636,7 +609,7 @@ def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
     if not crashed:
         recovered = {k: v for k, v in router.scan()}
         result = CrashTestResult(False, committed, (), recovered)
-        _validate(router, result, strict_inflight=False)
+        _validate(router, result)
         return result
 
     inflight = ()
@@ -666,19 +639,19 @@ def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
             )
     if router.coordinator.decided_commit() is not None:
         result.violations.append("2PC: decision record survived recovery")
-    _validate(router, result, strict_inflight=True)
+    _validate(router, result)
     return result
 
 
 def sharded_crash_points_in(scheme, workloads, *, shards=2, config=None):
     """Armed memory events in a full sharded run (the sweep range)."""
-    from repro.core.scheduler import Scheduler
+    from repro.core.scheduler import Scheduler, client_spec
 
     config = config or SystemConfig(**_SMALL_CONFIG)
     router, pm = _build_sharded(config, scheme, shards)
     scheduler = Scheduler(router, cleanup_on_error=False)
     for workload in workloads:
-        items, isolation = _client_spec(workload)
+        items, isolation = client_spec(workload)
         scheduler.add_client(items, isolation=isolation)
     pm.budget = None
     pm.events = 0

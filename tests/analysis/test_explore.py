@@ -115,7 +115,7 @@ def test_crash_product_sweeps_distinct_schedules():
 def test_group_commit_configs_are_rejected():
     config = SystemConfig(
         npages=128, page_size=512, log_bytes=16384,
-        heap_bytes=1 << 20, dram_bytes=64 * 512, group_commit=True,
+        heap_bytes=1 << 20, dram_bytes=64 * 512, group_commit_size=4,
     )
     with pytest.raises(ExplorationError, match="group_commit"):
         Explorer("fast", config=config)

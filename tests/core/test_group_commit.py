@@ -20,7 +20,7 @@ PAYLOAD = bytes(range(48))
 
 
 def grouped_config(**overrides):
-    params = dict(group_commit=True, group_commit_size=4)
+    params = dict(group_commit_size=4)
     params.update(overrides)
     return small_config(**params)
 
@@ -93,12 +93,12 @@ class TestGroupingOff:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_off_path_byte_identical(self, scheme):
-        """An explicit ``group_commit=False`` run leaves the arena
+        """An explicit ``group_commit_size=0`` run leaves the arena
         byte-for-byte identical to a default-config run — the knob
         touches nothing when off."""
         results = []
         for config in (small_config(scheme=scheme),
-                       small_config(scheme=scheme, group_commit=False)):
+                       small_config(scheme=scheme, group_commit_size=0)):
             engine = open_engine(config)
             _run_workload(engine, items=12)
             results.append(engine.pm.read(0, config.arena_bytes))
@@ -181,8 +181,7 @@ class TestEpochCloseCrashSweep:
 
     @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
     def test_close_window_all_or_nothing(self, scheme):
-        config = SystemConfig(group_commit=True, group_commit_size=4,
-                              **SMALL)
+        config = SystemConfig(group_commit_size=4, **SMALL)
         workload = [("insert", b"ck%02d" % i, PAYLOAD) for i in range(3)]
         failures = run_crash_sweep(scheme, workload, config=config,
                                    stride=1, seeds=(0,))
@@ -192,8 +191,7 @@ class TestEpochCloseCrashSweep:
     def test_multi_epoch_sweep(self, scheme):
         """A workload spanning a mid-run size-triggered close plus the
         final drain: stride-1 over every armed event."""
-        config = SystemConfig(group_commit=True, group_commit_size=2,
-                              **SMALL)
+        config = SystemConfig(group_commit_size=2, **SMALL)
         workload = [("insert", b"ck%02d" % i, PAYLOAD) for i in range(5)]
         workload.append(("update", b"ck00", PAYLOAD[::-1]))
         failures = run_crash_sweep(scheme, workload, config=config,
@@ -225,3 +223,14 @@ class TestShardedGroupCommit:
             finals.append((router.verify(),
                            [router.search(key) for key in keys]))
         assert finals[0] == finals[1]
+
+    def test_commit_durable_follows_every_touched_shard(self):
+        from repro.storage.sharding import ShardRouter
+
+        router = ShardRouter.create(grouped_config(scheme="fast"), 2)
+        with router.session("c0") as session:
+            assert session.commit_durable is True
+            session.insert(b"k", PAYLOAD)
+            assert session.commit_durable is False
+            router.drain_group_commit()
+            assert session.commit_durable is True

@@ -5,6 +5,9 @@ import pytest
 
 from repro.core import TransactionError, open_engine
 from repro.core.occ import OCCConflict
+from repro.core.session import OCC_MAX_VALIDATION_FAILURES
+from repro.obs import trace as ev
+from repro.storage.sharding import ShardRouter
 
 from tests.core.conftest import small_config
 
@@ -152,43 +155,82 @@ class TestValidationConflict:
         assert engine.search(b"seed038") == b"z" * 40
 
 
+@pytest.fixture(
+    params=["fast", "fastplus", "nvwal", "fast-2shards", "fastplus-2shards"]
+)
+def host(request):
+    """A plain engine per durable scheme, plus a 2-shard router per
+    shardable one: the fallback rule must mean the same on both."""
+    scheme, _, sharded = request.param.partition("-")
+    config = small_config(scheme=scheme)
+    if sharded:
+        return ShardRouter.create(config, 2)
+    return open_engine(config)
+
+
+def _one_key_per_shard(host):
+    """One key on an engine; on a router one key per shard, so a
+    transaction over all of them has a leg everywhere."""
+    if not hasattr(host, "shard_of"):
+        return [b"k"]
+    keys = {}
+    i = 0
+    while len(keys) < host.nshards:
+        key = b"k%d" % i
+        keys.setdefault(host.shard_of(key), key)
+        i += 1
+    return [keys[index] for index in sorted(keys)]
+
+
 class TestFallback:
-    def _fail_once(self, engine, session, marker):
+    def _fail_once(self, host, session, keys, marker):
         txn = session.transaction()
-        txn.search(b"k")
-        _rival_update(engine, b"k", marker)
-        txn.insert(b"w", marker)
+        for key in keys:
+            txn.search(key)
+        _rival_update(host, keys[-1], marker)
+        for key in keys:
+            txn.insert(key, marker, replace=True)
         with pytest.raises(OCCConflict):
             txn.commit()
         txn.rollback()
 
-    def test_fallback_after_streak_then_reset(self, engine):
-        engine.insert(b"k", b"orig")
-        limit = engine.config.occ_max_validation_failures
-        with engine.session("o", isolation="occ") as session:
-            for i in range(limit):
-                self._fail_once(engine, session, b"r%d" % i)
+    def test_fallback_after_streak_then_reset(self, host):
+        keys = _one_key_per_shard(host)
+        for key in keys:
+            host.insert(key, b"orig")
+        with host.session("o", isolation="occ") as session:
+            for i in range(OCC_MAX_VALIDATION_FAILURES):
+                self._fail_once(host, session, keys, b"r%d" % i)
 
             # Next transaction runs under classic 2PL: locks are taken
-            # during the operations, before any commit.
-            snapshot = engine.obs.snapshot()
+            # during the operations, before any commit — on every leg,
+            # though the fallback is decided (and announced) once.
+            snapshot = host.obs.snapshot()
+            since_seq = host.obs.trace.seq
             txn = session.transaction()
-            txn.insert(b"w", b"fallback")
-            delta = _delta(engine, snapshot)
+            acquired = 0
+            for key in keys:
+                txn.insert(key, b"fallback", replace=True)
+                delta = _delta(host, snapshot)
+                assert delta.get("lock.acquire", 0) > acquired
+                acquired = delta["lock.acquire"]
             assert delta.get("occ.fallback", 0) == 1
             assert delta.get("occ.begin", 0) == 0
-            assert delta.get("lock.acquire", 0) > 0
+            assert len(host.obs.trace.events(
+                kind=ev.OCC_FALLBACK, since_seq=since_seq,
+            )) == 1
             txn.commit()
 
             # The committed fallback resets the streak: optimism returns.
-            snapshot = engine.obs.snapshot()
+            snapshot = host.obs.snapshot()
             with session.transaction() as txn:
                 txn.insert(b"w2", b"optimistic")
-            delta = _delta(engine, snapshot)
+            delta = _delta(host, snapshot)
             assert delta.get("occ.begin", 0) == 1
             assert delta.get("occ.fallback", 0) == 0
-        assert engine.search(b"w") == b"fallback"
-        assert engine.search(b"w2") == b"optimistic"
+        for key in keys:
+            assert host.search(key) == b"fallback"
+        assert host.search(b"w2") == b"optimistic"
 
 
 class TestImplicitTransactionGuard:
@@ -233,7 +275,7 @@ class TestImplicitTransactionGuard:
 class TestGroupedOcc:
     def test_occ_commits_join_epochs(self):
         config = small_config(
-            scheme="fast", group_commit=True, group_commit_size=2,
+            scheme="fast", group_commit_size=2,
         )
         engine = open_engine(config, scheme="fast")
         with engine.session("o", isolation="occ") as session:

@@ -67,14 +67,14 @@ class TestMixedSchedules:
         assert a[3] == b[3]
 
     def test_grouped_schedule_commits_everything(self):
-        config = replace(_config(), group_commit=True, group_commit_size=4)
+        config = replace(_config(), group_commit_size=4)
         report, counters, _events, _state = _mixed_run(config=config)
         assert report["commits"] == 4 * 8
         assert counters["occ.commit"] > 0
         assert counters["group.close"] > 0
 
     def test_grouped_matches_ungrouped_state(self):
-        config = replace(_config(), group_commit=True, group_commit_size=4)
+        config = replace(_config(), group_commit_size=4)
         plain = _mixed_run()
         grouped = _mixed_run(config=config)
         assert grouped[0]["commits"] == plain[0]["commits"]
@@ -109,7 +109,7 @@ class TestOccCrashSweeps:
         assert failures == []
 
     def test_grouped_sweep_clean(self):
-        config = replace(_config(), group_commit=True, group_commit_size=2)
+        config = replace(_config(), group_commit_size=2)
         failures = run_scheduler_crash_sweep(
             "fast", self._workloads(), config=config, stride=1, seeds=(0,),
         )

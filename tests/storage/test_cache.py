@@ -419,7 +419,7 @@ _SEAM_ROWS = {
         "fast", {}, _open_swapped_session, _install_session_reversal,
         (FASTEngine, "_swap_child_pointer")),
     "epoch-close": (
-        "fast", {"group_commit": True, "group_commit_size": 4}, None,
+        "fast", {"group_commit_size": 4}, None,
         _install_epoch_close, (FASTEngine, "_install_header")),
     "live-recovery": (
         "fast", {}, None, _install_live_recovery,

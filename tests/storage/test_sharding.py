@@ -166,6 +166,9 @@ class TestCommitProtocols:
             with session.transaction() as txn:
                 assert txn.search(k0) == b"a"
                 assert txn.search(k1) == b"b"
+        # Readers take no locks, so nothing built a lock manager.
+        assert router._lock_facade is None
+        assert all(shard._lock_manager is None for shard in router.shards)
 
 
 class TestRecoveryMatrix:

@@ -1,5 +1,7 @@
 """The top-level package surface."""
 
+import dataclasses
+
 import repro
 
 
@@ -28,6 +30,15 @@ def test_config_knobs_exported():
     )
     engine = repro.open_engine(config, scheme="fastplus")
     assert engine.pm.latency.read_ns == 500
+    # Every knob is a configuration to test and bench: adding one must
+    # be a visible diff here.
+    assert {f.name for f in dataclasses.fields(repro.SystemConfig)} == {
+        "scheme", "page_size", "npages", "log_bytes", "heap_bytes",
+        "dram_bytes", "nvwal_checkpoint_bytes", "latency", "cost",
+        "atomic_granularity", "cache_lines", "flush_instruction",
+        "eager_recovery_gc", "base_offset", "twopc_bytes",
+        "group_commit_size", "dram_cache_pages",
+    }
 
 
 def test_reopen_database_from_pm():

@@ -84,7 +84,7 @@ def test_validator_catches_planted_corruption():
             return 0
 
     result.violations.clear()
-    _validate(_FakeEngine(), result, strict_inflight=False)
+    _validate(_FakeEngine(), result)
     assert any("durability" in v for v in result.violations)
 
 
