@@ -67,7 +67,7 @@ CACHE_SIZES = (0, 8, 64)
 CACHE_READ_LATS = (300.0, 900.0, 1200.0)
 #: Longer per-client runs than the contention grid: read-hot caching
 #: needs enough reads per invalidation to amortize its fills, and the
-#: fig15 crossover claim (>=1.5x at the slow-PM/high-hit corner) is
+#: fig15 crossover claim (>=2.0x at the slow-PM/high-hit corner) is
 #: asserted over these committed rows.
 CACHE_ITEMS = 40
 

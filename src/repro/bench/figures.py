@@ -729,11 +729,14 @@ def fig15(ops=None):
     of any page); this figure quantifies what a hybrid tier buys back.
     1 writer + 7 MVCC snapshot readers run byte-identical workloads at
     every (cache_pages, read_ns) cell; ``cache_pages=0`` is the paper's
-    configuration and each latency's speedup baseline.  An undersized
-    cache (8 pages, hit ratio well under 0.8) can *lose* — fills read
-    whole pages through PM and invalidations keep discarding them —
-    while a cache that holds the read-hot set crosses over and the win
-    grows with the PM read latency each DRAM hit hides."""
+    configuration and each latency's speedup baseline.  A fill reads
+    only a page's live extents through PM (header + content area, not
+    the free-space hole), so an undersized cache (8 pages, hit ratio
+    well under 0.8) roughly breaks even — it still *loses* on FAST⁺ at
+    the lowest latency, where a fill plus the evictions that keep
+    discarding it cost more than the few hits repay — while a cache
+    that holds the read-hot set crosses over and the win grows with
+    the PM read latency each DRAM hit hides."""
     from repro.bench.multiclient import sweep_cache
 
     items = max(10, min(40, (ops or default_ops()) // 37))

@@ -730,13 +730,16 @@ class Engine:
             PAGE_META: "meta",
             PAGE_OVERFLOW: "overflow",
         }
-        view = self.read_view()
         counts = {}
         used_bytes = 0
         fragmented_bytes = 0
         data_capacity = 0
         for page_no in self.reachable_pages():
-            page = view.page(page_no)
+            # Straight from PM, not the DRAM tier: the in-page free
+            # list is writer-side scratch that no install publishes, so
+            # a cached frame neither tracks it nor (for a chunk an open
+            # writer left below the committed content area) holds it.
+            page = self._fetch_page(page_no)
             kind = names.get(page.page_type, "other")
             counts[kind] = counts.get(kind, 0) + 1
             if page.page_type in (PAGE_LEAF, PAGE_INTERNAL):

@@ -178,14 +178,25 @@ def _cache_tier(counters):
         return []
     evicts = counters.get("cache.evict", 0)
     invalidates = counters.get("cache.invalidate", 0)
+    fills = counters.get("cache.fill", 0)
+    copied = counters.get("cache.fill_bytes", 0)
+    skipped = counters.get("cache.fill_skipped_bytes", 0)
     lines = [
         "",
         "dram page cache",
         "---------------",
         "  lookups           %8d  (%d hits, %d misses, %.1f%% hit "
         "ratio)" % (lookups, hits, misses, 100.0 * hits / lookups),
-        "  fills             %8d  full-page PM reads into DRAM frames"
-        % counters.get("cache.fill", 0),
+        "  fills             %8d  PM reads of a page's live extents into "
+        "DRAM frames" % fills,
+    ]
+    if fills and copied:
+        lines.append(
+            "  bytes per fill    %8d  (%.1f%% of a page; the free-space "
+            "hole is not copied)"
+            % (copied / fills, 100.0 * copied / (copied + skipped))
+        )
+    lines += [
         "  evictions         %8d  clock/second-chance capacity drops"
         % evicts,
         "  invalidations     %8d  coherence drops (commit installs, "

@@ -47,7 +47,7 @@ COUNTERS = frozenset({
     "mvcc.snapshot_reads", "mvcc.gc_reclaimed",
     # storage/cache.py — tiered DRAM page cache in front of the PM arena
     "cache.hit", "cache.miss", "cache.fill", "cache.evict",
-    "cache.invalidate",
+    "cache.invalidate", "cache.fill_bytes", "cache.fill_skipped_bytes",
     # core/occ.py + core/session.py — OCC writer path
     "occ.begin", "occ.validation", "occ.validation.abort",
     "occ.install.conflict", "occ.fallback", "occ.commit",

@@ -27,6 +27,16 @@ are invisible to a direct PM read).  The TC111 trace rule
 (``repro.analysis.tracecheck``) checks header installs end to end from
 the CACHE_FILL / CACHE_HIT / CACHE_INVAL events.
 
+Frames are *sparse*: PM read bandwidth is what a hybrid tier spends
+(van Renen et al.), so a fill copies only the bytes a reader of the
+committed header can reach — ``slotted_page.live_extents``: the slot
+header with its offset array, and the content area — and never the
+free-space hole between them (most of a FAST⁺ leaf, whose 28-slot
+header cap leaves a 4 KiB page under half full).  The frame cannot
+answer for the hole: open writers' unpublished cells really do live
+there in PM, so ``_ImageMemory`` raises on such a read instead of
+inventing zeros.
+
 Frames are never handed out for writing: a frame's page view is backed
 by ``_ImageMemory``, which raises on any store or flush.  Eviction
 drops the cache's reference only — outstanding page views keep their
@@ -35,8 +45,12 @@ MVCC version images have.
 """
 
 from repro.obs import trace as ev
-from repro.storage.slotted_page import SlottedPage
-from repro.storage.versions import _ImageMemory
+from repro.storage.slotted_page import (
+    FIXED_HEADER_SIZE,
+    SlottedPage,
+    live_extents,
+)
+from repro.storage.versions import _ImageMemory, _visible_bytes
 
 
 class _Frame:
@@ -81,6 +95,8 @@ class TieredPageCache:
         self._c_hit = registry.counter("cache.hit")
         self._c_miss = registry.counter("cache.miss")
         self._c_fill = registry.counter("cache.fill")
+        self._c_fill_bytes = registry.counter("cache.fill_bytes")
+        self._c_fill_skipped = registry.counter("cache.fill_skipped_bytes")
         self._c_evict = registry.counter("cache.evict")
         self._c_invalidate = registry.counter("cache.invalidate")
         # Freed (or GC-swept) pages can be reallocated with new
@@ -111,28 +127,63 @@ class TieredPageCache:
     def fill(self, page_no):
         """Copy ``page_no``'s committed image into a DRAM frame.
 
-        The copy itself reads through the PM arena, so the fill pays
-        the full PM read cost once; subsequent hits are DRAM-priced.
-        Returns the frame's page view.
+        The copy reads through the PM arena, so the fill pays PM read
+        cost once for the lines it copies; subsequent hits are
+        DRAM-priced.  It copies the page's two live extents and skips
+        the hole — unless skipping would not pay: the second extent
+        opens a new read, whose first line costs a full PM miss where
+        a straight copy would have streamed into it, so a hole too
+        short to cover that difference is copied through.  Both plans
+        are priced at the arena's own cold-read prices, so a cold fill
+        never costs more than the full-page copy.  The extents are
+        sized from the fixed header host-side: those eight bytes are
+        the start of the first extent, whose read is where they are
+        charged (a copy loop that loads line 0, decodes two fields and
+        keeps streaming is one sequential read, not two).  Returns the
+        frame's page view.
         """
-        store = self.store
-        image = self.pm.read(store.page_base(page_no), self._page_size)
+        pm = self.pm
+        size = self._page_size
+        base = self.store.page_base(page_no)
+        head_end, tail_start = live_extents(
+            _visible_bytes(pm, base, FIXED_HEADER_SIZE), size
+        )
+        if (self._cold_read_ns(0, head_end)
+                + self._cold_read_ns(tail_start, size)
+                >= self._cold_read_ns(0, size)):
+            head_end = tail_start = size
+        image = pm.read(base, head_end)
+        if tail_start < size:
+            image += pm.read(base + tail_start, size - tail_start)
         if len(self._ring) >= self.capacity:
             self._evict_one()
         # Charged like ``VolatileMemory``: first cold line ``dram_ns``,
         # later cold lines of the same read stream cheaper.
         memory = _ImageMemory(
-            image, self.pm.clock, self._hit_line_ns,
+            image, pm.clock, self._hit_line_ns,
             self._miss_line_ns, self._stream_line_ns,
+            hole=(head_end, tail_start),
         )
-        page = SlottedPage(memory, 0, self._page_size)
+        page = SlottedPage(memory, 0, size)
         page.page_no = page_no
         frame = _Frame(page_no, page, len(self._ring))
         self._ring.append(frame)
         self._frames[page_no] = frame
         self._c_fill.value += 1
+        self._c_fill_bytes.value += len(image)
+        self._c_fill_skipped.value += size - len(image)
         self.obs.event(ev.CACHE_FILL, page_no)
         return page
+
+    def _cold_read_ns(self, start, end):
+        """What one PM read of page bytes ``[start, end)`` costs with
+        no line resident, at the arena's own prices: a full miss, then
+        streaming."""
+        if end <= start:
+            return 0.0
+        pm = self.pm
+        return (pm._read_miss_ns
+                + (((end - 1) >> 6) - (start >> 6)) * pm._stream_ns)
 
     def _evict_one(self):
         """Clock sweep: skip (and clear) referenced frames once, evict

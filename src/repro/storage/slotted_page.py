@@ -682,6 +682,31 @@ def encode_header(page_type, flags, content_start, freelist_head, offsets):
     )
 
 
+def live_extents(fixed_header, page_size):
+    """Which bytes of a committed page a reader of its header can
+    reach, decoded from the page's first ``FIXED_HEADER_SIZE`` bytes:
+    ``(head_end, tail_start)``, meaning ``[0, head_end)`` and
+    ``[tail_start, page_size)``.
+
+    For the slotted layouts (leaf, internal, META) that is the header
+    with its offset array, and the content area from ``content_start``
+    (every cell offset and free-list chunk lies there).  Between them
+    is the free-space hole, which holds nothing committed — only open
+    writers' not-yet-published cells.  Any other type (overflow pages
+    keep data from +16, freed pages a link word), and any header whose
+    fields do not describe that layout, is live throughout:
+    ``(page_size, page_size)``.
+    """
+    if fixed_header[_OFF_TYPE] in (PAGE_LEAF, PAGE_INTERNAL, PAGE_META):
+        nrecords, content_start = _struct.unpack_from(
+            "<HH", fixed_header, _OFF_NRECORDS
+        )
+        header_end = FIXED_HEADER_SIZE + SLOT_SIZE * nrecords
+        if header_end <= content_start <= page_size:
+            return header_end, content_start
+    return page_size, page_size
+
+
 def _cell_size(payload_len):
     """Nominal allocated size of a cell: 4-byte header + payload,
     rounded up to keep u16 alignment (a cell that swallowed a chunk

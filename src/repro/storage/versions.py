@@ -71,32 +71,60 @@ class _ImageMemory:
     Residency persists across reads, so a hot image converges to
     cache-hit cost.  Stores are impossible by construction — nothing
     that reads an image has a mutation path — and raise if attempted.
+
+    A *sparse* image is a page with the bytes of ``hole`` (page
+    offsets ``[start, end)``) left out: ``image`` is then the bytes
+    before the hole followed by the bytes after it.  Addresses stay
+    page offsets, and a read that touches the hole raises exactly like
+    one past the end — the image cannot answer for a byte it does not
+    hold.
     """
 
     __slots__ = ("clock", "_image", "_hit_ns", "_miss_ns", "_stream_ns",
-                 "_resident")
+                 "_resident", "_size", "_hole_start", "_hole_end", "_gap")
 
-    def __init__(self, image, clock, hit_ns, miss_ns, stream_ns=None):
+    def __init__(self, image, clock, hit_ns, miss_ns, stream_ns=None,
+                 hole=None):
         self._image = image
         self.clock = clock
         self._hit_ns = hit_ns
         self._miss_ns = miss_ns
         self._stream_ns = miss_ns if stream_ns is None else stream_ns
         self._resident = set()
+        held = len(image)
+        self._hole_start, self._hole_end = (held, held) if hole is None else hole
+        self._gap = self._hole_end - self._hole_start
+        self._size = held + self._gap
 
     def read(self, addr, length):
         end = addr + length
-        if addr < 0 or end > len(self._image):
-            raise IndexError(
-                "access [%d, %d) outside page image of %d bytes"
-                % (addr, end, len(self._image))
-            )
+        if 0 <= addr and end <= self._hole_start:
+            pos = addr
+        elif self._hole_end <= addr and end <= self._size:
+            pos = addr - self._gap
+        else:
+            raise self._outside(addr, end)
         if length <= 0:
             return b""
-        clock = self.clock
+        line = addr >> 6
         resident = self._resident
+        if end <= (line + 1) << 6:
+            # Fast path: the read sits in one line (slot-header fields,
+            # cell headers, most cells) — no range loop, as in
+            # ``PersistentMemory.read``.  Same charges as the loop.
+            if line in resident:
+                ns = self._hit_ns
+            else:
+                resident.add(line)
+                ns = self._miss_ns
+            if ns > 0:
+                clock = self.clock
+                clock.now_ns += ns
+                clock.pending_ns += ns
+            return self._image[pos:pos + length]
+        clock = self.clock
         missed_before = False
-        for line in range(addr >> 6, ((end - 1) >> 6) + 1):
+        for line in range(line, ((end - 1) >> 6) + 1):
             if line in resident:
                 ns = self._hit_ns
             else:
@@ -109,9 +137,32 @@ class _ImageMemory:
             if ns > 0:
                 clock.now_ns += ns
                 clock.pending_ns += ns
-        return self._image[addr:end]
+        return self._image[pos:pos + length]
 
     def read_u16(self, addr):
+        """Little-endian u16 without the ``bytes`` slice (every slot
+        probe reads three of these); line-crossing and out-of-image
+        reads take the generic path, which handles and reports both."""
+        if addr & 63 != 63:
+            if 0 <= addr and addr + 2 <= self._hole_start:
+                pos = addr
+            elif self._hole_end <= addr and addr + 2 <= self._size:
+                pos = addr - self._gap
+            else:
+                raise self._outside(addr, addr + 2)
+            line = addr >> 6
+            resident = self._resident
+            if line in resident:
+                ns = self._hit_ns
+            else:
+                resident.add(line)
+                ns = self._miss_ns
+            if ns > 0:
+                clock = self.clock
+                clock.now_ns += ns
+                clock.pending_ns += ns
+            image = self._image
+            return image[pos] | (image[pos + 1] << 8)
         return int.from_bytes(self.read(addr, 2), "little")
 
     def read_u32(self, addr):
@@ -119,6 +170,17 @@ class _ImageMemory:
 
     def read_u64(self, addr):
         return int.from_bytes(self.read(addr, 8), "little")
+
+    def _outside(self, addr, end):
+        if self._gap and addr < self._hole_end and end > self._hole_start:
+            return IndexError(
+                "access [%d, %d) touches the hole [%d, %d) of a sparse "
+                "page image" % (addr, end, self._hole_start, self._hole_end)
+            )
+        return IndexError(
+            "access [%d, %d) outside page image of %d bytes"
+            % (addr, end, self._size)
+        )
 
     def _no_write(self, *args, **kwargs):
         raise TypeError("page images are read-only")

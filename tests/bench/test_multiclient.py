@@ -342,8 +342,8 @@ class TestCacheSweep:
 class TestCommittedCacheBaseline:
     """The acceptance floor rides on the committed baseline: at PM read
     latency 1200ns with a 64-page cache, the read-mostly mix must hit
-    >= 0.9 and run >= 1.5x the cache-off throughput on both PM-resident
-    schemes."""
+    >= 0.9 and run >= 2.0x the cache-off throughput on both PM-resident
+    schemes (measured 2.22x / 2.63x)."""
 
     def _rows(self, scheme):
         baseline = json.loads(
@@ -361,7 +361,7 @@ class TestCommittedCacheBaseline:
         for scheme in ("fast", "fastplus"):
             cell = self._cell(scheme, 64, 1200.0)
             assert cell["cache_hit_ratio"] >= 0.9
-            assert cell["speedup_vs_uncached"] >= 1.5
+            assert cell["speedup_vs_uncached"] >= 2.0
 
     def test_uncached_rows_are_the_baseline(self):
         for scheme in ("fast", "fastplus"):
@@ -380,6 +380,24 @@ class TestCommittedCacheBaseline:
                 assert small["speedup_vs_uncached"] < (
                     sized["speedup_vs_uncached"])
         assert self._cell("fastplus", 8, 300.0)["speedup_vs_uncached"] < 1.0
+
+    def test_sparse_fills_left_the_frame_traffic_alone(self):
+        """Sparse fills changed what a fill costs, not which frames are
+        filled and dropped: every cell's cache events are the ones the
+        full-page fill committed (at every latency — the schedule does
+        not depend on simulated time)."""
+        events = {
+            ("fast", 8): (431, 129, 108, 15),
+            ("fast", 64): (526, 34, 0, 25),
+            ("fastplus", 8): (343, 217, 206, 3),
+            ("fastplus", 64): (512, 48, 0, 23),
+        }
+        for (scheme, pages), expected in events.items():
+            for read_ns in (300.0, 900.0, 1200.0):
+                cell = self._cell(scheme, pages, read_ns)
+                assert (cell["cache_hits"], cell["cache_misses"],
+                        cell["cache_evicts"],
+                        cell["cache_invalidates"]) == expected
 
     def test_win_grows_with_pm_latency(self):
         for scheme in ("fast", "fastplus"):

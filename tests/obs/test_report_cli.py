@@ -72,3 +72,25 @@ def test_report_groups_counters_by_prefix(snapshot_path):
     # One section per top-level counter family present in the run.
     for family in ("pm.", "engine.", "rtm."):
         assert family in report
+
+
+def test_cache_section_reports_bytes_per_fill():
+    """The DRAM-tier section says how much of a page a fill copies —
+    the number sparse frames exist to shrink."""
+    config = SystemConfig(
+        scheme="fastplus", npages=32, page_size=4096, log_bytes=16384,
+        heap_bytes=1 << 20, dram_bytes=64 * 512, dram_cache_pages=8,
+    )
+    engine = open_engine(config, scheme="fastplus")
+    for i in range(10):
+        engine.insert(b"key%04d" % i, b"v" * 32)
+    engine.search(b"key0003")
+    engine.search(b"key0004")
+    report = render_report(engine.obs.snapshot())
+    counters = engine.obs.registry.counters()
+    copied = counters["cache.fill_bytes"]
+    assert counters["cache.fill"] == 1 and copied < 4096
+    assert copied + counters["cache.fill_skipped_bytes"] == 4096
+    assert "dram page cache" in report
+    assert "bytes per fill    %8d  (%.1f%% of a page" % (
+        copied, 100.0 * copied / 4096) in report

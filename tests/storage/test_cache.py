@@ -1,12 +1,15 @@
 """Tests for the tiered DRAM page cache (``repro.storage.cache``).
 
-Three layers of guarantees:
+Layers of guarantees:
 
 * unit — clock/second-chance eviction, invalidation, read-only frames,
   the free -> reallocate -> read regression;
-* equivalence — a cache-on engine's committed state (scan, verify,
-  arena bytes) is identical to a cache-off run of the same workload,
-  deterministically and under hypothesis;
+* sparse frames — which extents a fill copies per page type, that the
+  hole it skips cannot be read, and that a fill costs its live lines
+  and never more than the full-page copy;
+* equivalence — a cache-on engine's committed state (search, scan,
+  verify, page stats, arena bytes) is identical to a cache-off run of
+  the same workload, deterministically and under hypothesis;
 * the install seam — for every kind of committed install, warm frames
   followed by the install still read like the uncached engine, and
   stop doing so once that kind's seam helper no longer invalidates;
@@ -23,8 +26,16 @@ from hypothesis import strategies as st
 
 from repro.core import SystemConfig, open_engine
 from repro.core.fast import FASTEngine, FASTPlusEngine
+from repro.hashindex import HashIndex
 from repro.storage import PAGE_INTERNAL, PAGE_LEAF, PageStore
 from repro.storage.cache import TieredPageCache
+from repro.storage.slotted_page import (
+    PAGE_FREE,
+    PAGE_META,
+    PAGE_OVERFLOW,
+    encode_header,
+    live_extents,
+)
 
 SMALL = dict(
     npages=256, page_size=512, log_bytes=16384,
@@ -174,11 +185,162 @@ def test_garbage_collect_invalidates_swept_pages():
 
 
 # ----------------------------------------------------------------------
+# Sparse frames: what a fill copies, what it refuses to answer, what it
+# costs
+# ----------------------------------------------------------------------
+
+_PAGE = 4096
+
+
+def _fixed(page_type, nrecords, content_start):
+    return encode_header(page_type, 0, content_start, 0, [0] * nrecords)[:8]
+
+
+@pytest.mark.parametrize("header, expected", [
+    # Slotted layouts: [0, header_end) and [content_start, page end).
+    (_fixed(PAGE_LEAF, 5, 3000), (18, 3000)),
+    (_fixed(PAGE_INTERNAL, 40, 2048), (88, 2048)),
+    (_fixed(PAGE_META, 8, 4000), (24, 4000)),
+    (_fixed(PAGE_LEAF, 0, _PAGE), (8, _PAGE)),          # empty page
+    (_fixed(PAGE_LEAF, 28, 64), (64, 64)),              # no hole left
+    # Everything else is live throughout: copy straight through.
+    (_fixed(PAGE_OVERFLOW, 0, 0), (_PAGE, _PAGE)),      # data from +16
+    (_fixed(PAGE_FREE, 0, 3000), (_PAGE, _PAGE)),       # freed page
+    (_fixed(9, 5, 3000), (_PAGE, _PAGE)),               # unknown type
+    (_fixed(PAGE_LEAF, 5, _PAGE + 2), (_PAGE, _PAGE)),  # past the end
+    (_fixed(PAGE_LEAF, 40, 60), (_PAGE, _PAGE)),        # inside the array
+], ids=["leaf", "internal", "meta", "empty-leaf", "full-leaf", "overflow",
+        "freed", "unknown-type", "content-start-past-end",
+        "content-start-in-header"])
+def test_live_extents_by_page_type(header, expected):
+    assert live_extents(header, _PAGE) == expected
+
+
+def _single_leaf_engine(records, scheme="fast", **overrides):
+    """A tree that is one 4 KiB leaf holding ``records`` 100-byte
+    records; returns (engine, the leaf's page number)."""
+    engine = make_engine(scheme, npages=32, page_size=_PAGE, **overrides)
+    for i in range(records):
+        engine.insert(b"k%03d" % i, b"v" * 100)
+    leaf_no = engine.store.root(0)
+    assert engine.store.page(leaf_no).page_type == PAGE_LEAF
+    return engine, leaf_no
+
+
+def test_hole_reads_raise_like_out_of_image_reads():
+    engine, leaf_no = _single_leaf_engine(6)
+    live = engine.store.page(leaf_no)
+    head_end, tail_start = live.header_end(), live.content_start
+    frame = engine.page_cache.fill(leaf_no)
+    memory = frame.pm
+    # Every copied byte answers exactly like PM...
+    base = engine.store.page_base(leaf_no)
+    assert memory.read(0, head_end) == engine.pm.read(base, head_end)
+    assert memory.read(tail_start, _PAGE - tail_start) == engine.pm.read(
+        base + tail_start, _PAGE - tail_start)
+    assert [frame.record(slot) for slot in range(frame.nrecords)] == [
+        live.record(slot) for slot in range(live.nrecords)]
+    # ...and no hole byte answers at all, alone or inside a wider read.
+    for addr in range(head_end, tail_start):
+        with pytest.raises(IndexError):
+            memory.read(addr, 1)
+    for addr, length in ((head_end - 1, 2), (tail_start - 1, 2),
+                         (0, _PAGE), (head_end - 4, tail_start)):
+        with pytest.raises(IndexError):
+            memory.read(addr, length)
+    for addr in (head_end - 1, head_end, tail_start - 2, tail_start - 1):
+        with pytest.raises(IndexError):
+            memory.read_u16(addr)
+    with pytest.raises(IndexError):
+        memory.read(_PAGE - 1, 2)          # the out-of-image read it mirrors
+    assert cache_counters(engine)["cache.fill_bytes"] == (
+        head_end + _PAGE - tail_start)
+
+
+def _cold_ns(engine, action):
+    """Simulated ns and ``pm.load_miss`` delta of ``action`` with no PM
+    line CPU-resident."""
+    pm = engine.pm
+    pm._resident.clear()
+    misses = pm._c_load_miss.value
+    start = pm.clock.now_ns
+    action()
+    return pm.clock.now_ns - start, pm._c_load_miss.value - misses
+
+
+def test_fill_costs_its_live_lines_and_never_more_than_the_full_copy():
+    """Grow one leaf from empty to its split: every fill misses exactly
+    the lines it keeps, and once the hole is too short to repay the
+    second extent's first miss the fill is the old straight copy, to
+    the nanosecond."""
+    engine = make_engine("fast", npages=32, page_size=_PAGE)
+    cache = engine.page_cache
+    pm = engine.pm
+    leaf_no = engine.store.root(0)
+    base = engine.store.page_base(leaf_no)
+    lines = _PAGE // 64
+    # The hole must save more streamed lines than the extra miss costs.
+    break_even = (pm._read_miss_ns - pm._stream_ns) / pm._stream_ns
+    sparse = straight = 0
+    for i in range(60):
+        page = engine.store.page(leaf_no)
+        if page.page_type != PAGE_LEAF:
+            break                              # the leaf split: done
+        head_lines = (page.header_end() - 1) // 64 + 1
+        tail_lines = lines - page.content_start // 64
+        full_ns, full_misses = _cold_ns(
+            engine, lambda: pm.read(base, _PAGE))
+        assert full_misses == lines
+        cache.invalidate(leaf_no)
+        copied = cache_counters(engine)["cache.fill_bytes"]
+        fill_ns, fill_misses = _cold_ns(engine, lambda: cache.fill(leaf_no))
+        copied = cache_counters(engine)["cache.fill_bytes"] - copied
+        assert fill_ns <= full_ns
+        if lines - head_lines - tail_lines > break_even:
+            sparse += 1
+            assert fill_misses == head_lines + tail_lines
+            assert copied == page.header_end() + _PAGE - page.content_start
+            assert fill_ns < full_ns
+        else:
+            straight += 1
+            assert (fill_misses, fill_ns, copied) == (lines, full_ns, _PAGE)
+        engine.insert(b"k%03d" % i, b"v" * 100)
+    # Both sides of the rule were exercised, the short-hole side by the
+    # nearly full page just before the split.
+    assert sparse > 20 and straight >= 1
+
+
+def test_page_stats_reads_the_free_list_from_pm():
+    """The in-page free list is writer-side scratch no install
+    publishes: a savepoint rollback can leave a chunk below the
+    committed content area, where a sparse frame holds nothing, and a
+    session rollback rewrites the list under a warm frame.  The stats
+    walk must not depend on either."""
+    answers = []
+    for cache_pages in (0, 8):
+        engine, _ = _single_leaf_engine(5, dram_cache_pages=cache_pages)
+        txn = engine.session("writer").transaction()
+        txn.insert(b"a001", b"A" * 40)
+        txn.insert(b"a002", b"B" * 40)
+        txn.delete(b"a001")                    # a cell dead to its own txn
+        token = txn.savepoint()
+        txn.insert(b"a003", b"C" * 40)
+        txn.rollback_to(token)                 # rebuilds the list around it
+        engine.search(b"k000")                 # warm a frame mid-transaction
+        during = engine.page_stats()
+        txn.rollback()
+        answers.append((during, engine.page_stats(), list(engine.scan())))
+    assert answers[0] == answers[1]
+
+
+# ----------------------------------------------------------------------
 # Equivalence: cache on == cache off for committed state
 # ----------------------------------------------------------------------
 
 
-def _apply_ops(engine, ops):
+def _apply_ops(engine, ops, index=None):
+    """One autocommit transaction per op; ``index`` takes the
+    ``hash-*`` kinds."""
     for kind, key, value in ops:
         if kind == "insert":
             with engine.transaction() as txn:
@@ -189,6 +351,12 @@ def _apply_ops(engine, ops):
         elif kind == "delete":
             with engine.transaction() as txn:
                 txn.delete(key)
+        elif kind == "hash-insert":
+            with engine.transaction() as txn:
+                index.insert(txn.ctx, key, value, replace=True)
+        elif kind == "hash-delete":
+            with engine.transaction() as txn:
+                index.delete(txn.ctx, key)
         else:
             engine.search(key)
     engine.drain_group_commit()
@@ -232,30 +400,65 @@ def test_cache_off_runs_are_bit_identical(scheme):
     assert first.pm.clock.now_ns == second.pm.clock.now_ns
 
 
+_KEYS = [b"key%02d" % i for i in range(24)]
+
+# 2 KiB pages: small enough that a spilling value (> page - 128 bytes
+# inline) stays cheap, large enough (32 lines) that most fills have a
+# hole worth skipping.
+_PROPERTY_GEOMETRY = dict(npages=128, page_size=2048)
+
 _ops_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "update", "delete", "search"]),
-        st.integers(min_value=0, max_value=23),
+        st.sampled_from(["insert", "update", "delete", "search",
+                         "hash-insert", "hash-delete"]),
+        st.sampled_from(_KEYS),
         st.integers(min_value=0, max_value=255),
+        # Mostly small records; one in four spills to an overflow chain.
+        st.sampled_from([24, 24, 24, 2000]),
     ),
     min_size=1,
     max_size=60,
 )
 
 
-@given(ops=_ops_strategy)
+def _committed_answers(engine, index):
+    """Everything a committed reader can ask, through ``read_view``."""
+    view = engine.read_view()
+    return {
+        "search": [engine.search(key) for key in _KEYS],
+        "scan": list(engine.scan()),
+        "verify": engine.verify(),
+        "page_stats": engine.page_stats(),
+        "reachable": engine.reachable_pages(),
+        "hash-search": [index.search(view, key) for key in _KEYS],
+        "hash-items": sorted(index.items(view)),
+        "hash-verify": index.verify(view),
+    }
+
+
+@given(ops=_ops_strategy, scheme=st.sampled_from(SCHEMES),
+       cache_pages=st.sampled_from([1, 8]))
 @settings(max_examples=25, deadline=None)
-def test_cache_equivalence_property(ops):
+def test_cache_equivalence_property(ops, scheme, cache_pages):
+    """Sparse frames answer exactly like the pages they copy: B-tree
+    leaves and internals, overflow chains (copied straight through) and
+    a hash index's META directory, down to a one-frame cache whose
+    every fill evicts the page the descent just left."""
     decoded = [
-        (kind, b"key%02d" % key, bytes([fill]) * 24)
-        for kind, key, fill in ops
+        (kind, key, bytes([fill]) * (24 if kind.startswith("hash") else size))
+        for kind, key, fill, size in ops
     ]
-    plain = make_engine("fast", cache_pages=0)
-    cached = make_engine("fast", cache_pages=4)
-    _apply_ops(plain, decoded)
-    _apply_ops(cached, decoded)
-    assert list(cached.scan()) == list(plain.scan())
-    assert arena_image(cached.pm) == arena_image(plain.pm)
+    answers = []
+    for pages in (0, cache_pages):
+        engine = make_engine(scheme, cache_pages=pages, **_PROPERTY_GEOMETRY)
+        index = HashIndex(root_slot=2, nbuckets=8)
+        with engine.transaction() as txn:
+            index.create(txn.ctx)
+        _apply_ops(engine, decoded, index)
+        answers.append((_committed_answers(engine, index),
+                        arena_image(engine.pm)))
+    assert answers[0] == answers[1]
+    assert cache_counters(engine)["cache.fill_skipped_bytes"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -265,24 +468,30 @@ def test_cache_equivalence_property(ops):
 # Keyed by (scheme, capacity): a roomy cache exercises the
 # invalidation path (commits drop frames), a two-frame cache exercises
 # the clock eviction path.  Both schemes read through the same tree
-# shape under this workload, so their profiles happen to agree — the
-# per-scheme parametrization is what pins that down.
+# shape under this workload, so their frame traffic happens to agree —
+# the per-scheme parametrization is what pins that down — and only the
+# bytes per fill differ (512-byte pages at 300 ns: the hole pays for a
+# second extent only while a page is nearly empty).
 _GOLDEN = {
     ("fast", 8): {
         "cache.hit": 374, "cache.miss": 10, "cache.fill": 10,
         "cache.evict": 0, "cache.invalidate": 6,
+        "cache.fill_bytes": 4686, "cache.fill_skipped_bytes": 434,
     },
     ("fastplus", 8): {
         "cache.hit": 374, "cache.miss": 10, "cache.fill": 10,
         "cache.evict": 0, "cache.invalidate": 6,
+        "cache.fill_bytes": 4670, "cache.fill_skipped_bytes": 450,
     },
     ("fast", 2): {
         "cache.hit": 366, "cache.miss": 18, "cache.fill": 18,
         "cache.evict": 14, "cache.invalidate": 2,
+        "cache.fill_bytes": 6612, "cache.fill_skipped_bytes": 2604,
     },
     ("fastplus", 2): {
         "cache.hit": 366, "cache.miss": 18, "cache.fill": 18,
         "cache.evict": 14, "cache.invalidate": 2,
+        "cache.fill_bytes": 6516, "cache.fill_skipped_bytes": 2700,
     },
 }
 
