@@ -23,6 +23,7 @@ Usage::
 """
 
 import argparse
+import itertools
 import json
 import pathlib
 import sys
@@ -226,6 +227,47 @@ def run_grid():
     return grid
 
 
+#: Group-commit correctness grid (``--group-grid``): every cell must end
+#: in exactly its committed state.  Scheme x group size x clients x
+#: items/client x seed = 162 cells, ~80 s.
+GRID_GROUP_SIZES = (2, 4, 8)
+GRID_CLIENTS = (2, 8)
+GRID_ITEMS = (25, 50, 100)
+GRID_SEEDS = (7, 8, 9)
+
+
+def run_group_grid():
+    """Run every cell under the committed-prefix oracle (``verify()``
+    + scan == the dict model replaying the commit order, live and
+    after ``DropAll`` + attach) and, on the PM-resident schemes, the
+    per-step page invariant checker.  Returns the cell count and the
+    failing cells."""
+    from repro.bench.multiclient import run_group_commit
+    from repro.testing.invariants import PageInvariantChecker
+
+    failures = []
+    cells = list(itertools.product(
+        SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS, GRID_SEEDS,
+    ))
+    for scheme, size, clients, items, seed in cells:
+        try:
+            run_group_commit(
+                scheme, group_size=size, clients=clients, items=items,
+                seed=seed, oracle=True,
+                checker_factory=(
+                    PageInvariantChecker if scheme != "nvwal" else None
+                ),
+            )
+        # Report every failing cell, whatever it raised.
+        except Exception as err:
+            failures.append(
+                "%s G=%d clients=%d items=%d seed=%d: %s: %s"
+                % (scheme, size, clients, items, seed,
+                   type(err).__name__, err)
+            )
+    return len(cells), failures
+
+
 def _print_grid(grid):
     print("multiclient: simulated throughput under contention "
           "(%d items/client, seed %d)" % (ITEMS, SEED))
@@ -312,7 +354,20 @@ def main(argv=None):
     parser.add_argument("--shards", metavar="N", type=int, default=None,
                         help="skip the grid: one sharded run over N "
                              "pagestores (8 clients, disjoint pools)")
+    parser.add_argument("--group-grid", action="store_true",
+                        help="skip the baseline grid: run the group-commit "
+                             "correctness grid (162 cells under the "
+                             "committed-prefix oracle); exit 1 on any "
+                             "failing cell")
     args = parser.parse_args(argv)
+
+    if args.group_grid:
+        cells, failures = run_group_grid()
+        for failure in failures:
+            print("  FAIL %s" % failure, file=sys.stderr)
+        print("group-commit grid: %d of %d cells failed"
+              % (len(failures), cells))
+        return 1 if failures else 0
 
     if args.shards is not None:
         from repro.bench.multiclient import run_sharded_multi_client

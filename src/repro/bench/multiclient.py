@@ -66,7 +66,7 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
                      key_space=200, seed=7, read_ns=300.0, write_ns=300.0,
                      record_size=48, preload=64, config=None,
                      checker_factory=None, readers=0, mvcc=False,
-                     isolation=None, extra_counters=()):
+                     isolation=None, extra_counters=(), oracle=False):
     """One contention run: N clients, shared engine, full report.
 
     ``checker_factory`` (optional) is called with the engine and must
@@ -74,6 +74,12 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
     drained after every scheduler step and finished with the run, and
     the report gains a ``trace_check`` entry with its verdict — the
     bench itself asserting the ordering + 2PL discipline it exercises.
+
+    ``oracle=True`` ends the run with the committed-prefix oracle
+    (``repro.testing.crashsim.check_committed_prefix``): scan == the
+    dict model replaying the commit order over the preload, live and
+    after a ``DropAll`` crash + attach.  It raises on a mismatch, and
+    runs after everything the report measures.
 
     ``readers`` appends that many pure-read clients (``read_ratio=1.0``
     workloads) after the ``clients`` mixed clients.  With ``mvcc=False``
@@ -98,9 +104,11 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
     # Preload part of the hot key space so reads hit and writes update
     # shared pages (the contended regime), outside the measured window.
     payload = bytes(record_size)
+    preloaded = {}
     for i in range(preload):
-        engine.insert(b"mk%05d" % (i * key_space // max(1, preload)),
-                      payload, replace=True)
+        key = b"mk%05d" % (i * key_space // max(1, preload))
+        engine.insert(key, payload, replace=True)
+        preloaded[key] = payload
     checker = checker_factory(engine) if checker_factory is not None else None
     scheduler = Scheduler(
         engine,
@@ -164,6 +172,10 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
             "findings": [f.render() for f in findings],
             "stats": checker.stats,
         }
+    if oracle:
+        from repro.testing.crashsim import check_committed_prefix
+
+        check_committed_prefix(engine, scheduler, preloaded=preloaded)
     return result
 
 

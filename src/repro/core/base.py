@@ -469,6 +469,14 @@ class Engine:
                 return page_no
         return self.store.root(slot)
 
+    def _held_cells(self, page_no):
+        """Offsets of the dead cells on ``page_no`` the open epoch
+        holds for its close (``EpochPipeline.held_cells``) — what a
+        free-list rebuild of the page must count live.  Grouping off:
+        none."""
+        group = self.group
+        return group.held_cells(page_no) if group is not None else ()
+
     def drain_group_commit(self):
         """Close any open group-commit epoch: issue the shared fence
         and publish the group mark covering every pending member.
@@ -708,10 +716,14 @@ class Engine:
         )
 
     def repair_free_lists(self):
-        """Lazily rebuild every reachable page's in-page free list
-        (they are reconstructible; see paper Section 4.3)."""
+        """Rebuild every reachable page's in-page free list (they are
+        reconstructible; see paper Section 4.3) from its committed
+        state — open-epoch overlays applied, the epoch's held cells
+        live.  Call with no transaction open."""
         for page_no in self.reachable_pages():
-            self.store.page(page_no).rebuild_free_list()
+            self._fetch_page(page_no).rebuild_free_list(
+                self._held_cells(page_no)
+            )
 
     def page_stats(self):
         """Storage-health snapshot: page counts by type, fill factor,

@@ -19,7 +19,9 @@ The pipeline itself is scheme-agnostic bookkeeping.  It holds:
 
 * ``members`` — one record per joined commit ({"seq", "reclaims",
   "freed", ...}), whose post-mark housekeeping the engine defers to
-  the close;
+  the close.  From the join to the close the epoch is the one owner
+  of the cells and pages listed there (``held_cells``,
+  ``deferred_pages``);
 * ``pending_headers`` / ``pending_roots`` — the *visibility overlay*:
   slot-header images and root pointers that are redo-logged (and will
   be covered by the shared mark) but not yet applied to the pages.
@@ -87,6 +89,19 @@ class EpochPipeline:
         ever hold durable images.  The overlay retires at the close,
         whose checkpoint invalidates the page's frame anyway."""
         return page_no in self.pending_headers
+
+    def held_cells(self, page_no):
+        """Offsets of the dead cells on ``page_no`` that members are
+        waiting to reclaim at the close.  The pre-epoch durable header
+        (what a crash before the mark recovers) still reaches them, so
+        until the close they belong to the epoch, and a free-list
+        rebuild of the page must count them live."""
+        return [
+            offset
+            for member in self.members
+            for no, offset in member.get("reclaims", ())
+            if no == page_no
+        ]
 
     def deferred_pages(self):
         """Pages whose frees are deferred to the close — committed-free

@@ -206,7 +206,15 @@ class FASTContext:
                     self.engine._discard_page_pending(page_no, page)
                 self._pages.pop(page_no)
                 continue
-            page.restore_pending(snapshot["pending"][page_no])
+            # Cells the savepoint's header had already dropped are
+            # still live in the committed header: this context holds
+            # them (beside whatever the open epoch holds on the page).
+            held = [
+                offset for held_page, offset in snapshot["reclaims"]
+                if held_page.base == page.base
+            ]
+            held += self.engine._held_cells(page_no)
+            page.restore_pending(snapshot["pending"][page_no], held)
         self.dirty = {
             page_no: self._pages[page_no] for page_no in snapshot["dirty"]
         }
@@ -520,8 +528,16 @@ class FASTEngine(Engine):
         """Apply a committed slot-header image to its PM page — the
         install of logged commits, epoch closes, 2PC participants and
         recovery replay (which can also run on a live engine).  The
-        caller flushes."""
-        page.apply_header(image)
+        caller flushes.
+
+        Under grouping the image can be older than the page's free
+        list: it was serialised at the member's join, and later
+        writers popped chunks and rollbacks rebuilt the list before
+        the close applied it.  The head word lives in PM, so such an
+        install leaves it alone.  (Ungrouped, nothing can touch the
+        page between serialising the image and applying it — the
+        writer still holds it — so the image's copy is PM's.)"""
+        page.apply_header(image, keep_freelist_head=self.group is not None)
         cache = self.page_cache
         if cache is not None:
             cache.invalidate(page_no)
@@ -559,14 +575,19 @@ class FASTEngine(Engine):
         open, is the member overlay rather than the durable header.
         The free list is rebuilt from the overlay's offsets so cells
         the rolled-back transaction wrote return to free space without
-        handing back the member's live cells."""
+        handing back the member's live cells — nor, on either arm, the
+        dead cells the epoch holds for its close: the durable header
+        still reaches them, and a member's *new* page carries them
+        without ever being overlaid (its header was applied
+        directly)."""
+        held = self._held_cells(page_no)
         if self.group is not None:
             image = self.group.pending_headers.get(page_no)
             if image is not None:
                 page.overlay_header(image)
-                page.rebuild_free_list()
+                page.rebuild_free_list(held)
                 return
-        page.discard_pending()
+        page.discard_pending(held)
 
     def _rollback(self, ctx):
         for page_no, page in list(ctx.dirty.items()):
@@ -622,6 +643,7 @@ class FASTEngine(Engine):
         lists are lazily rebuilt from the offset arrays.
         """
         self.obs.inc("engine.recovery")
+        self.store.freelist_validated.clear()
         if self.log.pending_bytes():
             for entry in self.log.replay():
                 self.obs.inc("engine.recovery.replayed")

@@ -134,5 +134,6 @@ class NaiveEngine(Engine):
         themselves lazily).  Torn headers are *not* detectable — see
         the ablation."""
         self.obs.inc("engine.recovery")
+        self.store.freelist_validated.clear()
         if self.config.eager_recovery_gc:
             self.garbage_collect()

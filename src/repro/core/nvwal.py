@@ -51,6 +51,11 @@ class BufferCache:
         self._frame_of = OrderedDict()  # page_no -> frame index (LRU order)
         self._free = list(range(self.nframes))
         self.pinned = set()
+        #: Bases of the frames whose page's free list has been
+        #: validated since the frame was loaded (the ``SlottedPage``
+        #: views over the frames share it); a frame re-arms when it is
+        #: handed to another page.
+        self.freelist_validated = set()
 
     def lookup(self, page_no):
         """Frame base address if resident (refreshes LRU)."""
@@ -72,6 +77,7 @@ class BufferCache:
                 raise MemoryError("buffer cache full of pinned pages")
             frame = self._frame_of.pop(victim)
         self._frame_of[page_no] = frame
+        self.freelist_validated.discard(frame * self.page_size)
         return frame * self.page_size
 
     def drop(self, page_no):
@@ -84,6 +90,7 @@ class BufferCache:
         self._frame_of.clear()
         self._free = list(range(self.nframes))
         self.pinned.clear()
+        self.freelist_validated.clear()
 
     def resident(self, page_no):
         return page_no in self._frame_of
@@ -147,7 +154,8 @@ class NVWALContext:
             base = engine.cache.install(page_no)
             engine.dram.write(base, bytes(engine.config.page_size))
             page = SlottedPage.initialize(
-                engine.dram, base, engine.config.page_size, page_type, persist=False
+                engine.dram, base, engine.config.page_size, page_type,
+                persist=False, validated=engine.cache.freelist_validated,
             )
             page.page_no = page_no
             engine.cache.pinned.add(page_no)
@@ -189,7 +197,8 @@ class NVWALContext:
             page_type = page.page_type
             self.engine.dram.write(base, bytes(size))
             fresh = SlottedPage.initialize(
-                self.engine.dram, base, size, page_type, persist=False
+                self.engine.dram, base, size, page_type, persist=False,
+                validated=self.engine.cache.freelist_validated,
             )
             for slot, payload in enumerate(records):
                 fresh.pending_insert(slot, payload)
@@ -370,7 +379,8 @@ class NVWALEngine(Engine):
                 self.dram.write(base, content)
                 for offset, data in self.wal.deltas_for(page_no):
                     self.dram.write(base + offset, data)
-        page = SlottedPage(self.dram, base, self.config.page_size)
+        page = SlottedPage(self.dram, base, self.config.page_size,
+                           validated=self.cache.freelist_validated)
         page.page_no = page_no  # reverse mapping for snapshotting
         return page
 
@@ -537,6 +547,12 @@ class NVWALEngine(Engine):
         self._seq = self.wal.committed_seq + 1
         if self.config.eager_recovery_gc:
             self.garbage_collect_after_recovery()
+
+    def repair_free_lists(self):
+        """Nothing to repair: a frame's free list is part of the page
+        image — loaded from committed bytes, rolled back by image — so
+        it is never stale, and a rebuild the WAL never sees would only
+        desynchronise the frame from its deltas."""
 
     def garbage_collect_after_recovery(self):
         """Reclaim pages leaked by uncommitted allocations.

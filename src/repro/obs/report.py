@@ -124,6 +124,25 @@ def _durability_cost(counters):
     return lines
 
 
+def _page_layer(counters):
+    """Derived slotted-page health: how many in-page free lists the
+    lazy check of paper Section 4.3 walked — one per page per attach
+    (or per DRAM frame load), so it tracks the pages mutated, not the
+    transactions run — and how many of them it had to rebuild (only a
+    crash leaves a list that needs it)."""
+    checks = counters.get("page.freelist.check", 0)
+    if not checks:
+        return []
+    return [
+        "",
+        "slotted pages",
+        "-------------",
+        "  free lists        %8d  validated on first mutation since "
+        "attach / frame load, %d rebuilt"
+        % (checks, counters.get("page.freelist.rebuild", 0)),
+    ]
+
+
 def _isolation(counters):
     """Derived OCC writer-path health: how often optimistic commits
     validated cleanly, how often they aborted (validation or install),
@@ -290,6 +309,7 @@ def render_report(snapshot, *, title="observability report"):
             for name in sorted(n for n in counters if n.split(".", 1)[0] == group):
                 lines.append("  %s  %d" % (name.ljust(width), counters[name]))
         lines.extend(_durability_cost(counters))
+        lines.extend(_page_layer(counters))
         lines.extend(_isolation(counters))
         lines.extend(_cache_tier(counters))
         lines.extend(_exploration(counters, gauges))

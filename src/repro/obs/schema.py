@@ -21,6 +21,9 @@ COUNTERS = frozenset({
     "pm.flush", "pm.flush.clwb", "pm.flush_bytes", "pm.fence",
     # pm/memory.py — the volatile (DRAM) arena
     "dram.load", "dram.load_miss", "dram.store", "dram.store_bytes",
+    # storage/slotted_page.py — lazy free-list validation (once per
+    # page per attach / DRAM frame load) and the rebuilds it triggered
+    "page.freelist.check", "page.freelist.rebuild",
     # htm/rtm.py
     "rtm.begin", "rtm.commit", "rtm.abort", "rtm.abort.capacity",
     "rtm.fallback",

@@ -47,6 +47,13 @@ class PageStore:
         #: derived from its old identity may survive that.  None =
         #: nobody listening.
         self.on_page_freed = None
+        #: Bases of the pages whose in-page free lists have been
+        #: validated since this store was attached (a page formatted
+        #: here starts out validated).  Every ``SlottedPage`` view the
+        #: store hands out shares it, so the lazy check of paper
+        #: Section 4.3 runs once per page per attach instead of once
+        #: per view; recovery on a live engine empties it.
+        self.freelist_validated = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -96,7 +103,8 @@ class PageStore:
     def page(self, page_no, header_capacity=None):
         """A ``SlottedPage`` view of an existing page."""
         return SlottedPage(
-            self.pm, self.page_base(page_no), self.page_size, header_capacity
+            self.pm, self.page_base(page_no), self.page_size, header_capacity,
+            validated=self.freelist_validated,
         )
 
     def page_no_of(self, page):
@@ -141,6 +149,7 @@ class PageStore:
             self.page_size,
             page_type,
             header_capacity=header_capacity,
+            validated=self.freelist_validated,
         )
 
     def _link_free(self, page_no, next_no):

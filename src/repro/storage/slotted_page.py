@@ -43,7 +43,23 @@ Section 4.4: "perishable scratch space").
 
 The free list is intentionally *not* crash-consistent: it is fully
 reconstructible from the record offset array (Section 4.3), which
-:meth:`rebuild_free_list` implements.
+:meth:`rebuild_free_list` implements.  It is validated lazily — once
+per page per attach (or per DRAM frame load), on the first mutation
+after the page's bytes stopped being trusted — and whoever outlives a
+transaction remembers that it was (``validated`` below).
+
+Two pieces of free-list state have exactly one owner:
+
+* the **head word** (offset 6) lives in the page's memory.  Every
+  change writes it through (:meth:`_set_freelist_head`); a header
+  image that was serialised earlier carries a copy that may be stale,
+  so :meth:`overlay_header` never trusts an image for it and
+  :meth:`apply_header` can be told not to;
+* a **dead cell awaiting reclamation** — dropped from a header that is
+  not durable yet, so a crash can still make it live — belongs to
+  whoever will reclaim it.  The page cannot see such cells from its
+  offset array; every rebuild that can run while they exist is handed
+  them as ``held`` and counts them live.
 """
 
 import struct as _struct
@@ -127,23 +143,26 @@ class SlottedPage:
         header_capacity: optional cap on the number of record offsets
             (FAST⁺ leaf pages use 28 so the header fits one cache
             line); ``None`` means limited only by free space.
+        validated: the set of page bases whose free lists have been
+            validated, kept by whatever hands out views of this memory
+            and outlives them (the ``PageStore``, NVWAL's
+            ``BufferCache``); its keeper empties it when the bytes stop
+            being trusted.  ``None`` — a view nobody keeps state for —
+            validates every time a pending header is begun.
     """
 
-    def __init__(self, pm, base, page_size, header_capacity=None):
+    def __init__(self, pm, base, page_size, header_capacity=None, *,
+                 validated=None):
         self.pm = pm
         self.base = base
         self.page_size = page_size
         self.header_capacity = header_capacity
+        self._validated = validated
         self._pending = None
         # While a pending header exists, no allocation may dip below
         # the *committed* header's extent: those bytes are still the
         # durable offset array a crash would recover from.
         self._floor = 0
-        # Lazy free-list validation (paper Section 4.3): the list is
-        # checked against the offset array on first use and rebuilt if
-        # a crash left it inconsistent — so recovery never has to walk
-        # pages eagerly.
-        self._freelist_checked = False
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -151,9 +170,12 @@ class SlottedPage:
 
     @classmethod
     def initialize(cls, pm, base, page_size, page_type, *, header_capacity=None,
-                   persist=True):
-        """Format a fresh page of ``page_type`` and return it."""
-        page = cls(pm, base, page_size, header_capacity)
+                   persist=True, validated=None):
+        """Format a fresh page of ``page_type`` and return it.  Its
+        (empty) free list counts as validated."""
+        page = cls(pm, base, page_size, header_capacity, validated=validated)
+        if validated is not None:
+            validated.add(base)
         pm.write(base + _OFF_TYPE, bytes([page_type]))
         pm.write(base + _OFF_FLAGS, b"\x00")
         pm.write_u16(base + _OFF_NRECORDS, 0)
@@ -356,14 +378,23 @@ class SlottedPage:
         """Load the durable header into the volatile pending copy.
 
         Also the lazy free-list correction point (paper Section 4.3):
-        at this boundary the page holds only committed state, so an
-        inconsistent list (stale after a crash) can be rebuilt safely
-        from the committed offset array before any pending mutation.
+        the first mutation of a page since its bytes were last
+        untrusted checks the list against the offset array and
+        rebuilds it if a crash left it inconsistent — so recovery
+        never walks pages eagerly, and no later transaction walks this
+        one again.  No dead cell can be awaiting reclamation here:
+        one exists only once a transaction mutated the page, and that
+        transaction's first mutation came through this check.
         """
         if self._pending is None:
-            if not self._freelist_checked:
-                self._freelist_checked = True
+            validated = self._validated
+            if validated is None or self.base not in validated:
+                if validated is not None:
+                    validated.add(self.base)
+                counters = self.pm.stats.registry
+                counters.inc("page.freelist.check")
                 if self.freelist_head and not self.free_list_consistent():
+                    counters.inc("page.freelist.rebuild")
                     self.rebuild_free_list()
             self._floor = self.header_length()
             self._pending = self._decode(self.header_image())
@@ -382,18 +413,26 @@ class SlottedPage:
         Until then every fresh fetch of the page must see the member's
         committed state — this installs it as the pending overlay.
 
-        The free-list consistency check is deliberately skipped (and
-        marked done): judged against the *durable* offset array the
-        member's new cells look dead, and a rebuild would hand live
-        cells back to the allocator.  The in-PM free list is already
-        consistent with the overlay — the member's allocations updated
-        it in place.  The floor protects both the durable offset array
-        (still what a crash pre-checkpoint replays over) and the
-        overlay's own extent.
+        The free-list consistency check is skipped (a pending header
+        now exists, so :meth:`begin_pending` has nothing to load) and
+        the page is *not* marked validated: judged against the
+        *durable* offset array the member's new cells look dead, and a
+        rebuild would hand live cells back to the allocator.  Nothing
+        needs marking either — a page is overlaid only after a
+        transaction mutated it, which validated it.
+
+        The head word is the page's, not the image's: the image froze
+        the value the member saw when it was logged, and every later
+        pop, reclaim or rebuild moved the one in memory.  The floor
+        protects both the durable offset array (still what a crash
+        pre-checkpoint replays over) and the overlay's own extent.
         """
-        self._freelist_checked = True
-        self._floor = max(len(self.committed_header_image()), len(image))
+        committed = self.committed_header_image()
+        self._floor = max(len(committed), len(image))
         self._pending = self._decode(image)
+        self._pending.freelist_head = int.from_bytes(
+            committed[_OFF_FREELIST:FIXED_HEADER_SIZE], "little"
+        )
         return self._pending
 
     def clone_pending(self):
@@ -401,28 +440,31 @@ class SlottedPage:
         savepoints for partial rollback."""
         return None if self._pending is None else self._pending.clone()
 
-    def restore_pending(self, snapshot):
+    def restore_pending(self, snapshot, held=()):
         """Reinstate a snapshot taken by :meth:`clone_pending`.
 
         The in-page free list is rebuilt from the restored offset
         array: chunks consumed after the savepoint become free again
         and cells written after it return to free space (they were
-        never reachable from a committed header).
+        never reachable from a committed header).  ``held``: cells the
+        restored header already dropped but a committed header still
+        reaches (see :meth:`rebuild_free_list`).
         """
         self._pending = None if snapshot is None else snapshot.clone()
         if self._pending is not None and self._floor == 0:
             self._floor = len(self.committed_header_image())
-        self.rebuild_free_list()
+        self.rebuild_free_list(held)
 
-    def discard_pending(self):
+    def discard_pending(self, held=()):
         """Forget all uncommitted header changes (rollback).
 
         Record bytes already written into free space stay where they
         are — they are unreachable, and the free list is rebuilt from
-        the committed offset array.
+        the committed offset array (plus ``held``, see
+        :meth:`rebuild_free_list`).
         """
         self._pending = None
-        self.rebuild_free_list()
+        self.rebuild_free_list(held)
 
     def pending_insert(self, slot, payload):
         """Write ``payload`` into free space; add it at ``slot`` in the
@@ -469,12 +511,21 @@ class SlottedPage:
     # Header application (commit side)
     # ------------------------------------------------------------------
 
-    def apply_header(self, image, *, persist=False):
+    def apply_header(self, image, *, persist=False, keep_freelist_head=False):
         """Overwrite the durable slot header with ``image``.
 
         Used by slot-header-log checkpointing (and by tests).  With
-        ``persist`` the header lines are flushed and fenced.
+        ``persist`` the header lines are flushed and fenced.  With
+        ``keep_freelist_head`` the page's own head word survives: for
+        an ``image`` serialised before the page's free list last
+        changed, whose copy of it is stale.
         """
+        if keep_freelist_head:
+            image = (
+                image[:_OFF_FREELIST]
+                + self.pm.read(self.base + _OFF_FREELIST, 2)
+                + image[FIXED_HEADER_SIZE:]
+            )
         self.pm.write(self.base, image)
         if persist:
             self.pm.persist(self.base, len(image))
@@ -532,11 +583,19 @@ class SlottedPage:
         """
         self._push_chunk(offset, self.cell_allocated_size(offset))
 
-    def rebuild_free_list(self):
+    def rebuild_free_list(self, held=()):
         """Recompute the free list from the record offset array
-        (Section 4.3: gaps between live cells in the content area)."""
+        (Section 4.3: gaps between live cells in the content area).
+
+        ``held`` lists the offsets of cells that are dead in the
+        effective header yet must not be handed out: a header that is
+        not durable yet dropped them, so until it is they are what a
+        crash recovers, and their owner reclaims them afterwards.  The
+        caller asks that owner; they count as live here.
+        """
         live = sorted(
-            (offset, self.cell_allocated_size(offset)) for offset in self.slots()
+            (offset, self.cell_allocated_size(offset))
+            for offset in (*self.slots(), *held)
         )
         self._set_freelist_head(0)
         cursor = self.content_start

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.core import SystemConfig, engine_class
 from repro.obs.trace import RECOVERY_REPLAY
-from repro.pm.crash import RandomPersist
+from repro.pm.crash import DropAll, RandomPersist
 from repro.pm.memory import PersistentMemory
 
 
@@ -168,6 +168,20 @@ def _prefix_model(items, count):
     return model
 
 
+def _dirtying_positions(items):
+    """Indexes of the ``items`` whose commit dirtied a page.  Only
+    those join an epoch: a read-only item, or one whose updates and
+    deletes all missed, commits without staging anything."""
+    model = {}
+    positions = []
+    for index, item in enumerate(items):
+        if any(kind == "insert" or key in model
+               for kind, key, _ in _ops_of(item)):
+            positions.append(index)
+        _apply(model, item)
+    return positions
+
+
 def _group_candidates(engine, items, inflight):
     """Recovered-state candidates under group commit, or None.
 
@@ -179,16 +193,28 @@ def _group_candidates(engine, items, inflight):
     recovered, others not — is exactly the torn-group atomicity
     violation this harness exists to catch, so only the boundary
     prefixes are legal.  ``items`` must be ``_apply``-able committed
-    items in commit order.
+    items in commit order; the members are the last M of them *that
+    dirtied a page* (the commit order also holds items that never
+    joined — reads, no-op deletes).
     """
     group = getattr(engine, "group", None)
     if group is None:
         return None
     members = group.member_count
     total = len(items)
-    lengths = {max(0, total - members), total}
+    joined = _dirtying_positions(items)
+
+    def without_last(count):
+        """Prefix length that loses the last ``count`` members: it
+        ends where the earliest of them starts (whatever follows that
+        one and is not a member changes nothing)."""
+        if count <= 0:
+            return total
+        return joined[-count] if count <= len(joined) else 0
+
+    lengths = {without_last(members), total}
     if inflight:
-        lengths.add(max(0, min(total, total - members + 1)))
+        lengths.add(without_last(members - 1))
     return [_prefix_model(items, count) for count in sorted(lengths)]
 
 
@@ -351,16 +377,48 @@ def _writes_of(item):
     ]
 
 
-def _scheduled_model(clients, commit_order):
-    """Replay the committed transactions in commit order — strict 2PL
-    makes the interleaving serializable in exactly that order, so this
-    is the one state a correct recovery may expose (modulo the
-    in-flight commit)."""
+def _scheduled_model(clients, commit_order, preloaded=None):
+    """Replay the committed transactions in commit order (over the
+    ``preloaded`` records, if any) — strict 2PL makes the interleaving
+    serializable in exactly that order, so this is the one state a
+    correct recovery may expose (modulo the in-flight commit)."""
     items_of = {client.name: client.items for client in clients}
-    model = {}
+    model = dict(preloaded or ())
     for name, item_idx in commit_order:
         _apply(model, ("txn", _writes_of(items_of[name][item_idx])))
     return model
+
+
+def check_committed_prefix(engine, scheduler, *, preloaded=None):
+    """The committed-prefix oracle for a *finished* scheduled run:
+    ``verify()`` passes and a scan equals the plain-dict model that
+    replays ``scheduler.commit_order`` over the ``preloaded`` records —
+    on the live engine, then again on a fresh attach after a
+    ``DropAll`` power failure.  Raises ``AtomicityViolation`` (or
+    ``verify()``'s own ``AssertionError``) at the first mismatch.
+
+    The crash destroys the engine's volatile state: call this last.
+    """
+    model = _scheduled_model(
+        scheduler.clients, scheduler.commit_order, preloaded
+    )
+
+    def expect_model(engine, label):
+        engine.verify()
+        found = dict(engine.scan())
+        if found != model:
+            wrong = sorted(
+                key for key in set(found) | set(model)
+                if found.get(key) != model.get(key)
+            )
+            raise AtomicityViolation(
+                "%s scan != committed model at %d keys, first %r"
+                % (label, len(wrong), wrong[:3])
+            )
+
+    expect_model(engine, "live")
+    engine.pm.crash(DropAll())
+    expect_model(type(engine).attach(engine.config, engine.pm), "recovered")
 
 
 def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,

@@ -10,8 +10,11 @@ group mark) asserting all-or-nothing recovery at epoch granularity.
 
 import pytest
 
-from repro.core import SystemConfig, open_engine
+from repro.bench.multiclient import run_group_commit
+from repro.core import SystemConfig, engine_class, open_engine
+from repro.pm.crash import PersistAll
 from repro.testing.crashsim import run_crash_sweep
+from repro.testing.invariants import PageInvariantChecker
 
 from .conftest import SMALL, small_config
 
@@ -197,6 +200,56 @@ class TestEpochCloseCrashSweep:
         failures = run_crash_sweep(scheme, workload, config=config,
                                    stride=1, seeds=(0,))
         assert failures == []
+
+
+class TestRepairInAnOpenEpoch:
+    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    def test_repair_free_lists_asks_the_epoch_for_its_cells(self, scheme):
+        """An open-epoch update leaves two cells the page's durable
+        offset array cannot vouch for: the new one (live only in the
+        overlay) and the old one (dead in the overlay, held by the
+        epoch, and what a crash before the mark recovers).  A rebuild
+        that frees either hands it to the next insert."""
+        config = grouped_config(scheme=scheme, group_commit_size=8)
+        engine = open_engine(config)
+        for i in range(6):
+            engine.insert(b"rk%d" % i, PAYLOAD)
+        engine.drain_group_commit()
+        durable = dict(engine.scan())
+        engine.insert(b"rk0", PAYLOAD[::-1], replace=True)
+        engine.repair_free_lists()
+        engine.insert(b"rk9", PAYLOAD)
+        assert dict(engine.scan()) == {
+            **durable, b"rk0": PAYLOAD[::-1], b"rk9": PAYLOAD,
+        }
+        engine.pm.crash(PersistAll())  # every line, but no group mark
+        recovered = engine_class(scheme).attach(config, engine.pm)
+        recovered.verify()
+        assert dict(recovered.scan()) == durable
+
+
+class TestContendedGrid:
+    """The cells of ROADMAP item 1's grid (scheme x G x clients x N x
+    seed) that corrupted committed pages before deferred reclamation
+    had one owner, at N <= 50; CI's ``concurrency`` job runs all 162
+    (``bench_multiclient.py --group-grid``).  Each cell runs under the
+    per-step page invariant checker and ends with the committed-prefix
+    oracle: ``verify()`` + scan == the dict model replaying the commit
+    order, live and after ``DropAll`` + attach."""
+
+    @pytest.mark.parametrize("scheme,group_size,items,seed", [
+        ("fast", 4, 50, 7), ("fast", 4, 50, 9), ("fast", 8, 25, 7),
+        ("fast", 8, 25, 9), ("fast", 8, 50, 8),
+        ("fastplus", 8, 25, 7), ("fastplus", 8, 50, 7),
+    ])
+    def test_cell_keeps_committed_pages_intact(self, scheme, group_size,
+                                               items, seed):
+        result = run_group_commit(
+            scheme, group_size=group_size, clients=8, items=items,
+            seed=seed, checker_factory=PageInvariantChecker, oracle=True,
+        )
+        assert result["commits"] == 8 * items
+        assert result["trace_check"]["stats"]["steps"] == result["steps"]
 
 
 class TestShardedGroupCommit:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import engine_class, open_engine
+from repro.pm.crash import PersistAll
 from repro.testing import run_crash_sweep
 from tests.core.conftest import small_config
 
@@ -82,3 +83,97 @@ def test_deferred_gc_reclaims_on_demand():
     assert reclaimed >= 0
     assert recovered.store.free_page_count() >= free_before
     assert recovered.verify() == 60
+
+
+# ----------------------------------------------------------------------
+# The lazy free-list check runs once per page per attach / frame load
+# ----------------------------------------------------------------------
+
+
+def _checks(engine):
+    registry = engine.registry
+    return (registry.value("page.freelist.check"),
+            registry.value("page.freelist.rebuild"))
+
+
+def _one_leaf_with_a_free_chunk(scheme):
+    """A single-leaf tree whose leaf carries a reclaimed cell."""
+    config = small_config(scheme=scheme,
+                          atomic_granularity=64 if scheme == "fastplus" else 8)
+    engine = open_engine(config)
+    for i in range(5):
+        engine.insert(b"k%d" % i, bytes([i]) * 24)
+    engine.delete(b"k2")
+    (leaf_no,) = engine.reachable_pages()
+    assert engine.store.page(leaf_no).freelist_head
+    return config, engine, leaf_no
+
+
+def _scramble_free_list(engine, leaf_no):
+    """Grow the first chunk's size field: the list no longer accounts
+    for the page's dead bytes (and now runs over a live cell)."""
+    page = engine.store.page(leaf_no)
+    head = page.freelist_head
+    assert head
+    size = engine.pm.read_u16(page.base + head)
+    engine.pm.write_u16(page.base + head, size + 8)
+    assert not page.free_list_consistent()
+
+
+@pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+def test_free_list_is_walked_once_per_attach(scheme):
+    config, engine, leaf_no = _one_leaf_with_a_free_chunk(scheme)
+    # Formatted by this store, mutated ever since: never checked.
+    assert _checks(engine) == (0, 0)
+    engine.pm.crash(PersistAll())
+    engine = engine_class(scheme).attach(config, engine.pm)
+    engine.insert(b"k5", b"5" * 8)
+    assert _checks(engine) == (1, 0)
+    # A second transaction fetches a fresh view of the same page and
+    # does not walk it again.
+    engine.insert(b"k6", b"6" * 8)
+    engine.delete(b"k0")
+    assert _checks(engine) == (1, 0)
+    assert engine.store.page(leaf_no).free_list_consistent()
+
+
+@pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+@pytest.mark.parametrize("restart", ["recover", "attach"])
+def test_restart_rearms_the_free_list_check(scheme, restart):
+    """``pm.crash()`` + ``recover()`` on the live engine, and a fresh
+    ``attach``, both stop trusting every page's list: one scrambled
+    while the power was out is rebuilt on the first touch after."""
+    config, engine, leaf_no = _one_leaf_with_a_free_chunk(scheme)
+    engine.pm.crash(PersistAll())
+    _scramble_free_list(engine, leaf_no)
+    if restart == "recover":
+        engine.recover()
+    else:
+        engine = engine_class(scheme).attach(config, engine.pm)
+    before = _checks(engine)
+    engine.insert(b"k7", b"7" * 24)
+    assert _checks(engine) == (before[0] + 1, before[1] + 1)
+    assert engine.store.page(leaf_no).free_list_consistent()
+    assert engine.verify() == 5
+    engine.insert(b"k8", b"8" * 24)
+    assert _checks(engine) == (before[0] + 1, before[1] + 1)
+
+
+def test_nvwal_frame_revalidates_after_eviction_and_reload():
+    config = dataclasses.replace(
+        small_config(scheme="nvwal"), dram_bytes=8 * 512,
+    )
+    engine = open_engine(config)
+    for i in range(60):
+        engine.insert(b"n%03d" % i, b"v" * 60)
+    assert len(engine.reachable_pages()) > 2 * engine.cache.nframes
+    engine.insert(b"n000", b"w" * 60, replace=True)
+    resident = _checks(engine)
+    # Same frame, next transaction: validated already.
+    engine.insert(b"n000", b"x" * 60, replace=True)
+    assert _checks(engine) == resident
+    # A scan cycles every leaf through the eight frames, evicting the
+    # first leaf's; its reload is a new frame load.
+    assert dict(engine.scan())[b"n000"] == b"x" * 60
+    engine.insert(b"n000", b"y" * 60, replace=True)
+    assert _checks(engine) == (resident[0] + 1, resident[1])

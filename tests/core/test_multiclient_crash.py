@@ -8,13 +8,19 @@ committed transactions, replayed in commit order, plus at most the one
 item the running client had in flight.
 """
 
+import random
+
 import pytest
 
+from repro.bench.multiclient import client_workload
+from repro.core import SystemConfig
+from repro.pm.crash import DropAll, PersistAll, RandomPersist
 from repro.testing.crashsim import (
     run_scheduler_crash_sweep,
     run_scheduler_to_crash_point,
     scheduler_crash_points_in,
 )
+from repro.testing.invariants import PageInvariantChecker
 
 SCHEMES = ("fast", "fastplus", "nvwal")
 
@@ -81,6 +87,46 @@ class TestScheduledCrashDeterminism:
         assert a.committed == b.committed
         assert a.recovered == b.recovered
         assert a.inflight == b.inflight
+
+
+class TestGroupedContendedCrashSweep:
+    """Group commit under contention: eight ``client_workload`` clients
+    over 40 hot keys, so lock conflicts and deadlocks abort
+    transactions and their rollbacks rebuild free lists *inside* open
+    epochs — what the single-client, write-only grouped sweeps in
+    ``test_group_commit.py`` never do.  The commit order is full of
+    items that never joined an epoch (half the items are reads), which
+    is what ``_group_candidates`` has to count around.  Sampled crash
+    points x the two extreme writeback orders and two random ones;
+    two cells also run under the per-step page invariant checker."""
+
+    @pytest.mark.parametrize("scheme,group_size,armed", [
+        ("fast", 4, True), ("fast", 8, False),
+        ("fastplus", 4, False), ("fastplus", 8, True),
+    ])
+    def test_sampled_sweep_finds_no_violations(self, scheme, group_size,
+                                               armed):
+        config = SystemConfig(
+            group_commit_size=group_size, npages=64, page_size=512,
+            log_bytes=32768, heap_bytes=1 << 20, dram_bytes=64 * 512,
+        )
+        workloads = [
+            client_workload(index, items=25, key_space=40, seed=7)
+            for index in range(8)
+        ]
+        policies = [
+            DropAll(), PersistAll(),
+            RandomPersist(rng=random.Random(1)),
+            RandomPersist(rng=random.Random(2)),
+        ]
+        failures = run_scheduler_crash_sweep(
+            scheme, workloads, config=config, policies=policies,
+            max_points=4,
+            checker_factory=PageInvariantChecker if armed else None,
+        )
+        assert failures == [], [
+            (budget, result.violations[:2]) for budget, result in failures[:3]
+        ]
 
 
 def _mvcc_workloads():

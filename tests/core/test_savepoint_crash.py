@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core import SystemConfig, engine_class
-from repro.pm.crash import RandomPersist
+from repro.pm.crash import PersistAll, RandomPersist
 from repro.testing.crashsim import CrashPoint, CrashablePM
 
 
@@ -100,3 +100,29 @@ def test_savepoint_txn_completes_clean(scheme, granularity):
     engine, committed = run_savepoint_txn(scheme, granularity, None, seed=0)
     assert committed
     verify(engine, True)
+
+
+@pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+def test_rollback_to_does_not_free_cells_the_context_still_holds(scheme):
+    """An update before the savepoint leaves the *committed* old cell
+    dead in the pending header and held in the context's ``reclaims``.
+    ``rollback_to`` rebuilds the page's free list from the restored
+    header; if it does not count that held cell live, the next insert
+    is written over committed bytes — and a crash before commit (every
+    line persisted, nothing ever committed) recovers a tree that lost
+    the committed record and shows the uncommitted one."""
+    cfg = config(scheme, 64 if scheme == "fastplus" else 8)
+    engine = engine_class(scheme).create(cfg)
+    for i in range(1, 8):
+        engine.insert(b"k%d" % i, bytes([i]) * 30)
+    committed = dict(engine.scan())
+    txn = engine.transaction()
+    txn.update(b"k1", b"U" * 30)
+    token = txn.savepoint()
+    txn.insert(b"k8", b"8" * 30)
+    txn.rollback_to(token)
+    txn.insert(b"k9", b"9" * 30)
+    engine.pm.crash(PersistAll())
+    recovered = engine_class(scheme).attach(cfg, engine.pm)
+    recovered.verify()
+    assert dict(recovered.scan()) == committed

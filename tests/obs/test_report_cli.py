@@ -94,3 +94,25 @@ def test_cache_section_reports_bytes_per_fill():
     assert "dram page cache" in report
     assert "bytes per fill    %8d  (%.1f%% of a page" % (
         copied, 100.0 * copied / 4096) in report
+
+
+def test_page_section_reports_free_list_checks_and_rebuilds():
+    """"N checks, 0 rebuilds" is read from the report: one check per
+    page mutated since the attach, however many transactions ran."""
+    from repro.core import engine_class
+
+    config = SystemConfig(
+        scheme="fast", npages=32, page_size=4096, log_bytes=16384,
+        heap_bytes=1 << 20, dram_bytes=64 * 512,
+    )
+    engine = open_engine(config, scheme="fast")
+    engine.insert(b"key0", b"v" * 32)
+    assert "slotted pages" not in render_report(engine.obs.snapshot())
+    engine.pm.crash()
+    engine = engine_class("fast").attach(config, engine.pm)
+    for i in range(1, 10):
+        engine.insert(b"key%d" % i, b"v" * 32)
+    report = render_report(engine.obs.snapshot())
+    assert "slotted pages" in report
+    assert "free lists        %8d  validated" % 1 in report
+    assert report.count(", 0 rebuilt") == 1

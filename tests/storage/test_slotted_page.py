@@ -274,6 +274,102 @@ def test_rebuild_free_list_after_crash():
     survivor.pending_insert(survivor.nrecords, b"n" * 8)
 
 
+# ----------------------------------------------------------------------
+# One owner: held cells, the head word, validated-once
+# ----------------------------------------------------------------------
+
+
+def _page_with_a_dropped_cell():
+    """Three committed records and a pending header that dropped the
+    middle one: dead in the effective header, live in the durable one
+    until that pending header commits."""
+    pm, page = make_page()
+    offsets = [page.pending_insert(i, bytes([i]) * 20) for i in range(3)]
+    commit(page)
+    page.pending_delete(1)
+    return pm, page, offsets
+
+
+def _chunk_offsets(page):
+    return [offset for offset, _ in page.free_chunks()]
+
+
+def test_rebuild_counts_the_owners_held_cells_live():
+    _, page, offsets = _page_with_a_dropped_cell()
+    page.rebuild_free_list([offsets[1]])
+    assert page.free_chunks() == []
+    # Nobody vouching for it, the dropped cell is a gap like any other
+    # (and the chunk header written there ends the cell for good).
+    page.rebuild_free_list()
+    assert _chunk_offsets(page) == [offsets[1]]
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_restore_and_discard_pass_held_cells_through(held):
+    _, page, offsets = _page_with_a_dropped_cell()
+    owned = [offsets[1]] if held else []
+    expected = [] if held else [offsets[1]]
+    snapshot = page.clone_pending()
+    page.pending_insert(1, b"after the savepoint")
+    page.restore_pending(snapshot, owned)
+    assert page.slots() == [offsets[0], offsets[2]]
+    assert page.content_start == offsets[2]
+    assert _chunk_offsets(page) == expected
+    if held:
+        page.discard_pending(owned)
+        assert page.slots() == offsets
+        assert page.free_chunks() == []
+
+
+def test_overlay_takes_the_head_word_from_the_page_not_the_image():
+    pm, page, offsets = _page_with_a_dropped_cell()
+    commit(page)
+    page.reclaim_cell(offsets[1])
+    image = page.header_image()          # freezes head == offsets[1]
+    assert page.freelist_head == offsets[1]
+    # A later writer pops that chunk: the cell there is live now.
+    page.pending_insert(2, bytes(20))
+    commit(page)
+    assert page.freelist_head == 0
+    view = SlottedPage(pm, 0, PAGE_SIZE)
+    view.overlay_header(image)
+    assert view.slots() == [offsets[0], offsets[2]]
+    assert view.freelist_head == 0
+
+
+def test_apply_header_can_leave_the_head_word_alone():
+    pm, page, offsets = _page_with_a_dropped_cell()
+    image = page.pending_header_image()  # serialised with head == 0
+    commit(page)
+    page.reclaim_cell(offsets[1])        # the list moved since
+    page.apply_header(image, keep_freelist_head=True)
+    assert page.freelist_head == offsets[1]
+    assert pm.read(0, len(image))[:6] == image[:6]
+    page.apply_header(image)
+    assert page.freelist_head == 0
+
+
+def test_free_list_check_is_remembered_by_the_views_keeper():
+    pm, page, offsets = _page_with_a_dropped_cell()
+    commit(page)
+    page.reclaim_cell(offsets[1])
+    counter = pm.stats.registry.counter("page.freelist.check")
+    start = counter.value
+    validated = set()
+    for _ in range(3):
+        view = SlottedPage(pm, 0, PAGE_SIZE, validated=validated)
+        view.begin_pending()
+    assert counter.value - start == 1 and validated == {0}
+    # A view nobody keeps state for checks every time it begins.
+    for _ in range(2):
+        SlottedPage(pm, 0, PAGE_SIZE).begin_pending()
+    assert counter.value - start == 3
+    # A page formatted through its keeper starts out validated.
+    SlottedPage.initialize(pm, PAGE_SIZE, PAGE_SIZE, PAGE_LEAF,
+                           validated=validated).begin_pending()
+    assert counter.value - start == 3 and validated == {0, PAGE_SIZE}
+
+
 def test_needs_defrag_flag():
     _, page = make_page(page_size=256)
     offsets = []

@@ -101,3 +101,31 @@ def test_sweep_respects_max_points():
         "fast", WORKLOAD, config=config(), stride=1, max_points=5, seeds=(1,)
     )
     assert failures == []
+
+
+def test_group_candidates_cut_at_members_not_at_commit_order_items():
+    """The open epoch's members are the last M committed items *that
+    dirtied a page*; reads and no-op deletes sit in the commit order
+    without ever having joined."""
+    from types import SimpleNamespace
+
+    from repro.testing.crashsim import _group_candidates
+
+    engine = SimpleNamespace(group=SimpleNamespace(member_count=2))
+    items = [
+        ("insert", b"a", b"1"),
+        ("insert", b"b", b"2"),           # member
+        ("delete", b"missing", None),     # never joined
+        ("txn", []),                      # a read: never joined
+        ("insert", b"c", b"3"),           # member
+        ("update", b"missing", b"4"),     # never joined
+    ]
+    assert _group_candidates(engine, items, ()) == [
+        {b"a": b"1"},
+        {b"a": b"1", b"b": b"2", b"c": b"3"},
+    ]
+    # A crash inside a commit that already joined: that member is not
+    # in the commit order yet, so one fewer of the listed items is.
+    assert {b"a": b"1", b"b": b"2"} in _group_candidates(
+        engine, items, ("insert", b"d", b"5")
+    )
