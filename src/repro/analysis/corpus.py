@@ -16,7 +16,8 @@ invariants apply to:
   deterministic scheduler, checking ordering plus strict 2PL off the
   lock/txn event stream (live ranges are per-transaction snapshots,
   which interleaving invalidates, so that invariant is out of scope
-  here); ``run_all`` drives it both grouped and ungrouped;
+  here); ``run_all`` drives it grouped, ungrouped, and with a warmed
+  DRAM page cache whose frames only the locked writers' contexts hit;
 * :func:`run_mvcc_scheduled` — writers plus read-only MVCC sessions,
   adding the snapshot invariant (TC107): a read-only transaction must
   acquire zero locks and only resolve versions with commit timestamp
@@ -142,7 +143,9 @@ def run_group_commit(scheme, *, items=30, config=None):
 
 
 def run_scheduled(scheme, *, clients=4, items=12, config=None):
-    """Ordering + strict-2PL checked multi-client scheduler run."""
+    """Ordering + strict-2PL checked multi-client scheduler run.  With
+    a DRAM page cache in ``config`` the locked writers' contexts read
+    through it, and TC111 checks every one of their hits."""
     from repro.bench.multiclient import client_workload
     from repro.core.scheduler import Scheduler
 
@@ -151,8 +154,13 @@ def run_scheduled(scheme, *, clients=4, items=12, config=None):
     payload = bytes(48)
     for i in range(0, 200, 4):
         engine.insert(b"mk%05d" % i, payload, replace=True)
+    if engine.page_cache is not None:
+        # Writer contexts hit frames but never fill one, so a committed
+        # scan warms the tier — before the checker attaches: TC111 has
+        # to pick these frames up from their first observed hit.
+        list(engine.scan())
     checker = TraceChecker.for_engine(
-        engine, invariants=("flush", "atomic", "twopl"),
+        engine, invariants=("flush", "atomic", "twopl", "cache"),
     )
     # Drain the ring after every step: the checker never lets the ring
     # wrap, and the wait-for graph is validated at every grant.
@@ -508,15 +516,16 @@ def run_all(schemes=SCHEMES):
     grouped = SystemConfig(
         group_commit_size=4, **_SMALL_CONFIG
     )
-    # Tiered DRAM page cache on: snapshot readers fill and hit frames,
-    # so the TC111 coherence invariant sees real cache traffic (locked
-    # single-client runs read through contexts and never touch it).
+    # Tiered DRAM page cache on: snapshot readers fill and hit frames
+    # and locked writers' contexts hit them, so the TC111 coherence
+    # invariant sees real cache traffic from both sides.
     cached = SystemConfig(dram_cache_pages=16, **_SMALL_CONFIG)
     for scheme in schemes:
         merge(run_single_client(scheme))
         merge(run_group_commit(scheme))
         merge(run_scheduled(scheme))
         merge(run_scheduled(scheme, config=grouped))
+        merge(run_scheduled(scheme, config=cached))
         merge(run_mvcc_scheduled(scheme))
         merge(run_mvcc_scheduled(scheme, config=cached))
         merge(run_occ_single_client(scheme))

@@ -372,6 +372,20 @@ def _tc111_reinstall():
     return checker.finish()
 
 
+def _tc111_fill_before_attach():
+    # The frame was filled before the checker attached (preload, a
+    # warm-up outside the traced window): the first hit has no fill on
+    # record, but it shows a frame is live, so the install after it
+    # must be followed by an invalidation before the next hit.
+    checker = _lockset_checker()
+    checker.feed([
+        (1, 0.0, ev.CACHE_HIT, 1, 0),      # no fill seen: tracked from here
+        (2, 0.0, ev.STORE, 0x200, 8),      # header install on page 1
+        (3, 0.0, ev.CACHE_HIT, 1, 0),      # stale bytes served
+    ])
+    return checker.finish()
+
+
 def _cache_good():
     # The full coherent lifecycle: fill, pre-commit cell traffic into
     # the cached page (legal — record bytes land in free space the
@@ -390,6 +404,13 @@ def _cache_good():
         (7, 0.0, ev.CACHE_HIT, 1, 0),
         (8, 0.0, ev.STORE, 0x206, 2),      # free-list head: carved out
         (9, 0.0, ev.CACHE_HIT, 1, 0),
+        # A frame filled before the checker attached (page 2, first
+        # seen at a hit) living through the same coherent lifecycle.
+        (10, 0.0, ev.CACHE_HIT, 2, 0),
+        (11, 0.0, ev.STORE, 0x400, 8),
+        (12, 0.0, ev.CACHE_INVAL, 2, ev.INVAL_INSTALL),
+        (13, 0.0, ev.CACHE_FILL, 2, 0),
+        (14, 0.0, ev.CACHE_HIT, 2, 0),
     ])
     return checker.finish()
 
@@ -432,6 +453,7 @@ DYNAMIC_FIXTURES = {
     "TC110": _tc110,
     "TC111": _tc111,
     "TC111-reinstall": _tc111_reinstall,
+    "TC111-fill-before-attach": _tc111_fill_before_attach,
 }
 
 #: Known-good traces that must produce ZERO findings — guards against

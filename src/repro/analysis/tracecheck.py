@@ -99,7 +99,9 @@ ordering theorem *as it executes*:
     offsets 6-8 is carved out on both sides: it is reconstructible
     and rewritten in place pre-commit).  A ``cache_hit`` on a page
     whose frame was filled before such an install, with no
-    ``cache_inval`` or re-fill in between, is a stale read.
+    ``cache_inval`` or re-fill in between, is a stale read.  A frame
+    filled before the checker attached is tracked from its first
+    observed hit.
     Pre-commit record/cell traffic lands outside the window by
     construction, so legitimately cached pages never trip the rule.
     Cache-off runs emit no cache events and the rule is dormant.
@@ -774,8 +776,14 @@ class TraceChecker:
 
     def _on_cache_hit(self, seq, page_no):
         """A hit on a stale-marked frame is the TC111 violation.  A hit
-        with no recorded fill is implicit-fill territory (the checker
-        may have attached mid-stream) and passes."""
+        with no recorded fill means the frame was filled before the
+        checker attached: the hit itself is taken on trust (what the
+        frame missed cannot be known), but it proves a frame is live,
+        so the frame is tracked from this seq on — a later install
+        with no invalidation, then a hit, is the finding."""
+        if page_no not in self._cache_filled:
+            self._cache_filled[page_no] = seq
+            return
         install_seq = self._cache_stale.get(page_no)
         if install_seq is None:
             return

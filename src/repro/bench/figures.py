@@ -731,12 +731,13 @@ def fig15(ops=None):
     every (cache_pages, read_ns) cell; ``cache_pages=0`` is the paper's
     configuration and each latency's speedup baseline.  A fill reads
     only a page's live extents through PM (header + content area, not
-    the free-space hole), so an undersized cache (8 pages, hit ratio
-    well under 0.8) roughly breaks even — it still *loses* on FAST⁺ at
-    the lowest latency, where a fill plus the evictions that keep
-    discarding it cost more than the few hits repay — while a cache
-    that holds the read-hot set crosses over and the win grows with
-    the PM read latency each DRAM hit hides."""
+    the free-space hole), and the writer's descents hit frames too
+    (without ever filling one), so an undersized cache (8 pages, hit
+    ratio under 0.8) no longer loses anywhere — it barely breaks even
+    at the lowest latency, where the fills its evictions keep
+    discarding eat what the hits repay — while a cache that holds the
+    read-hot set crosses over and the win grows with the PM read
+    latency each DRAM hit hides."""
     from repro.bench.multiclient import sweep_cache
 
     items = max(10, min(40, (ops or default_ops()) // 37))

@@ -603,8 +603,9 @@ class BTree:
                 path.append(_PathEntry(child_no, child, slot))
                 rewritten += self._compact_walk(ctx, path, min_waste)
                 path.pop()
-        waste = page.total_free() - page.contiguous_free()
-        if waste >= min_waste:
+        # Asked of the cells, not of the free list: a context may hold
+        # the page as a copy of its committed bytes until it mutates it.
+        if page.dead_content_bytes() >= min_waste:
             self._copy_on_write(ctx, path, len(path) - 1)
             rewritten += 1
         return rewritten

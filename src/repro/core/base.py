@@ -35,9 +35,10 @@ class TransactionError(Exception):
 
 
 class ReadView:
-    """Committed-state view for searches and scans: the engine's one
-    read seam.  ``page`` is ``Engine._read_page`` (DRAM cache tier →
-    open-epoch member overlays → the scheme's page fetch) and
+    """Committed-state view for searches and scans, over the engine's
+    one read seam (scheme contexts take their first touch of a page
+    through it too).  ``page`` is ``Engine._read_page`` (DRAM cache tier
+    → open-epoch member overlays → the scheme's page fetch) and
     ``root_page_no`` is ``Engine._root``; all three protocol members
     are bound straight to their targets, so the view itself adds no
     call depth.  Built per ``read_view()`` call, never kept on the
@@ -427,23 +428,35 @@ class Engine:
         """A view of committed state for searches/scans."""
         return ReadView(self)
 
-    def _read_page(self, page_no):
-        """The committed page, preferring the DRAM cache tier.
+    def _read_page(self, page_no, writer=False):
+        """The committed page, preferring the DRAM cache tier — the
+        one rule every committed read goes by, a reader's and a writer
+        context's first touch of a page alike.
 
         Open-epoch member overlays bypass the cache entirely: an
         overlaid page's *visible* committed state (durable header +
         pending member header) differs from its durable image, and the
         cache only ever holds durable committed images.  Cache off:
         exactly ``_fetch_page``.
+
+        A ``writer`` — a scheme context, which until its first mutation
+        of the page sees exactly the committed page — gets a private
+        view it can later promote to PM, and *hits* frames without
+        ever filling one: an insert-heavy writer would fill a leaf's
+        frame per transaction only for its own commit to drop it.
         """
         cache = self.page_cache
         if cache is not None:
             group = self.group
             if group is None or not group.overlaid(page_no):
-                page = cache.lookup(page_no)
-                if page is None:
-                    page = cache.fill(page_no)
-                return page
+                if writer:
+                    page = cache.view(page_no)
+                else:
+                    page = cache.lookup(page_no)
+                    if page is None:
+                        page = cache.fill(page_no)
+                if page is not None:
+                    return page
         return self._fetch_page(page_no)
 
     def _fetch_page(self, page_no):

@@ -27,6 +27,8 @@ Clock segments produced per transaction (mapped to the paper's bars):
       checkpoint                Figure 8 "Checkpointing"
 """
 
+from functools import partial
+
 from repro.core.base import Engine
 from repro.core.config import FASTPLUS_LEAF_CAPACITY
 from repro.core.epoch import EpochPipeline
@@ -50,6 +52,16 @@ class FASTContext:
         self.clock = engine.pm.clock
         self.obs = engine.obs
         self.segment = self.clock.segment  # hot-path alias
+        # First touch of a page.  Until this transaction mutates it the
+        # page has no pending header and the committed page *is* the
+        # transaction's view of it, so with a DRAM tier it comes through
+        # the engine's committed-read seam: a private view over the
+        # cached frame if there is one, else PM (``Engine._read_page``).
+        # Every mutator promotes its page to PM first (``_promote``).
+        if engine.page_cache is None:
+            self._first_touch = engine._fetch_page
+        else:
+            self._first_touch = partial(engine._read_page, writer=True)
         self._pages = {}
         self.dirty = {}        # page_no -> page whose header will be logged
         self.new_pages = {}    # page_no -> page created by this txn
@@ -76,13 +88,26 @@ class FASTContext:
     def page(self, page_no):
         page = self._pages.get(page_no)
         if page is None:
-            page = self.engine._fetch_page(page_no)
+            page = self._first_touch(page_no)
             self._pages[page_no] = page
         return page
 
     # -- mutation protocol -------------------------------------------------
 
+    def _promote(self, page):
+        """Re-seat a frame-backed view on its PM page, in place (the
+        B-tree's descent path holds the object), before the first
+        mutation that touches it.  Only a committed install could have
+        made PM differ from the frame since the view was taken, and
+        none can have landed: nobody else's under the S latch the view
+        was fetched behind, and this transaction's own happen at its
+        commit — bar the in-place pointer swap, which promotes the
+        parent before it stores (DESIGN.md §17)."""
+        page.promote(self.pm, self.store.freelist_validated)
+
     def insert_record(self, page, slot, payload):
+        if page.frame_backed:
+            self._promote(page)
         with self.obs.span("in_place_record_insert"):
             offset = page.pending_insert(slot, payload)
         with self.obs.span("clflush_record"):
@@ -91,6 +116,8 @@ class FASTContext:
         return offset
 
     def update_record(self, page, slot, payload):
+        if page.frame_backed:
+            self._promote(page)
         old_offset = page.slot_offset(slot)
         with self.obs.span("in_place_record_insert"):
             offset = page.pending_update(slot, payload)
@@ -101,6 +128,8 @@ class FASTContext:
         return offset
 
     def delete_record(self, page, slot):
+        if page.frame_backed:
+            self._promote(page)
         old_offset = page.slot_offset(slot)
         page.pending_delete(slot)
         self._mark_dirty(page)
@@ -146,6 +175,8 @@ class FASTContext:
         """
         from repro.storage.slotted_page import CELL_HEADER_SIZE
 
+        if parent_page.frame_backed:
+            self._promote(parent_page)
         offset = parent_page.slot_offset(slot)
         position = parent_page.base + offset + CELL_HEADER_SIZE
         with self.obs.span("defrag"):
@@ -157,7 +188,10 @@ class FASTContext:
 
     def defragment(self, page_no):
         with self.obs.span("defrag"):
-            fresh = defragment_into(self.store, self.page(page_no))
+            page = self.page(page_no)
+            if page.frame_backed:
+                self._promote(page)
+            fresh = defragment_into(self.store, page)
         fresh_no = self.store.page_no_of(fresh)
         self._pages[fresh_no] = fresh
         self.new_pages[fresh_no] = fresh
@@ -206,6 +240,12 @@ class FASTContext:
                     self.engine._discard_page_pending(page_no, page)
                 self._pages.pop(page_no)
                 continue
+            saved = snapshot["pending"][page_no]
+            if saved is None and not page.has_pending:
+                # Only read, before the savepoint and since: there is
+                # no header to restore and its free list was never
+                # touched (the view may not even be PM-backed).
+                continue
             # Cells the savepoint's header had already dropped are
             # still live in the committed header: this context holds
             # them (beside whatever the open epoch holds on the page).
@@ -214,7 +254,7 @@ class FASTContext:
                 if held_page.base == page.base
             ]
             held += self.engine._held_cells(page_no)
-            page.restore_pending(snapshot["pending"][page_no], held)
+            page.restore_pending(saved, held)
         self.dirty = {
             page_no: self._pages[page_no] for page_no in snapshot["dirty"]
         }
@@ -257,9 +297,10 @@ class FASTEngine(Engine):
 
     scheme = "fast"
     leaf_capacity = None  # record offset array can be arbitrarily large
-    #: PM-resident committed state: reads may be served from the
-    #: tiered DRAM page cache (``repro.storage.cache``), invalidated
-    #: by the install primitives below (``_install_header``,
+    #: PM-resident committed state: reads — committed readers' and a
+    #: context's of pages it has not mutated yet — may be served from
+    #: the tiered DRAM page cache (``repro.storage.cache``),
+    #: invalidated by the install primitives below (``_install_header``,
     #: ``_swap_child_pointer``, FAST⁺'s ``_commit_inplace``).
     _page_cache_supported = True
 

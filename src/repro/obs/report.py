@@ -195,6 +195,7 @@ def _cache_tier(counters):
     lookups = hits + misses
     if not lookups:
         return []
+    bypasses = counters.get("cache.bypass", 0)
     evicts = counters.get("cache.evict", 0)
     invalidates = counters.get("cache.invalidate", 0)
     fills = counters.get("cache.fill", 0)
@@ -206,6 +207,8 @@ def _cache_tier(counters):
         "---------------",
         "  lookups           %8d  (%d hits, %d misses, %.1f%% hit "
         "ratio)" % (lookups, hits, misses, 100.0 * hits / lookups),
+        "  bypasses          %8d  writer first touches with no frame "
+        "(read from PM; writers never fill)" % bypasses,
         "  fills             %8d  PM reads of a page's live extents into "
         "DRAM frames" % fills,
     ]

@@ -49,7 +49,9 @@ COUNTERS = frozenset({
     # storage/versions.py — MVCC snapshot reads over version chains
     "mvcc.snapshot_reads", "mvcc.gc_reclaimed",
     # storage/cache.py — tiered DRAM page cache in front of the PM arena
-    "cache.hit", "cache.miss", "cache.fill", "cache.evict",
+    # (a miss is a lookup that goes on to fill; a bypass is a writer
+    # context's lookup that found no frame and read PM instead)
+    "cache.hit", "cache.miss", "cache.bypass", "cache.fill", "cache.evict",
     "cache.invalidate", "cache.fill_bytes", "cache.fill_skipped_bytes",
     # core/occ.py + core/session.py — OCC writer path
     "occ.begin", "occ.validation", "occ.validation.abort",

@@ -1,4 +1,4 @@
-"""Tiered DRAM page cache in front of the PM arena (read path only).
+"""Tiered DRAM page cache in front of the PM arena (reads only).
 
 The paper's pitch is PM-as-the-buffer-cache, but hybrid DRAM/PM tiers
 win whenever the read-hot set fits in DRAM (van Renen et al., Lersch
@@ -42,6 +42,13 @@ by ``_ImageMemory``, which raises on any store or flush.  Eviction
 drops the cache's reference only — outstanding page views keep their
 (consistent, committed-as-of-fetch) buffer, the same lifetime contract
 MVCC version images have.
+
+Two kinds of reader (``Engine._read_page``).  Committed readers share
+a frame's page object (:meth:`TieredPageCache.lookup`) and fill on a
+miss.  A writer context — which sees exactly the committed page until
+its first mutation of it — takes a *private* view over the frame
+(:meth:`TieredPageCache.view`), which it re-seats on the PM page before
+it stores anything; it hits frames but never fills one.
 """
 
 from repro.obs import trace as ev
@@ -94,6 +101,7 @@ class TieredPageCache:
         registry = self.obs.registry
         self._c_hit = registry.counter("cache.hit")
         self._c_miss = registry.counter("cache.miss")
+        self._c_bypass = registry.counter("cache.bypass")
         self._c_fill = registry.counter("cache.fill")
         self._c_fill_bytes = registry.counter("cache.fill_bytes")
         self._c_fill_skipped = registry.counter("cache.fill_skipped_bytes")
@@ -123,6 +131,27 @@ class TieredPageCache:
         self._c_hit.value += 1
         self.obs.event(ev.CACHE_HIT, page_no)
         return frame.page
+
+    def view(self, page_no):
+        """A writer context's first touch of ``page_no``: a *private*
+        page view over the cached frame's memory, or None.
+
+        A hit is a hit (counted, reference bit set, ``CACHE_HIT``
+        emitted — TC111 checks it like any other), but finding no frame
+        is not a miss, because the caller will not fill one: it reads
+        PM as it always did, counted ``cache.bypass``, so ``cache.miss
+        == cache.fill`` and the hit ratio keep their meaning.  The view
+        is private because its holder re-seats it on the PM page
+        (``SlottedPage.promote``) at its first mutation; it shares the
+        frame's memory, hence its line residency, and keeps that buffer
+        when the frame is evicted or invalidated.
+        """
+        if page_no not in self._frames:
+            self._c_bypass.value += 1
+            return None
+        shared = self.lookup(page_no)
+        return SlottedPage(shared.pm, shared.base, self._page_size,
+                           frame_backed=True)
 
     def fill(self, page_no):
         """Copy ``page_no``'s committed image into a DRAM frame.
@@ -162,10 +191,9 @@ class TieredPageCache:
         memory = _ImageMemory(
             image, pm.clock, self._hit_line_ns,
             self._miss_line_ns, self._stream_line_ns,
-            hole=(head_end, tail_start),
+            hole=(head_end, tail_start), origin=base,
         )
-        page = SlottedPage(memory, 0, size)
-        page.page_no = page_no
+        page = SlottedPage(memory, base, size, frame_backed=True)
         frame = _Frame(page_no, page, len(self._ring))
         self._ring.append(frame)
         self._frames[page_no] = frame

@@ -149,14 +149,24 @@ class SlottedPage:
             ``BufferCache``); its keeper empties it when the bytes stop
             being trusted.  ``None`` — a view nobody keeps state for —
             validates every time a pending header is begun.
+        frame_backed: ``pm`` is a read-only copy of the page's
+            *committed* bytes (a DRAM-tier frame) at the page's own
+            address.  Such a view reads records and headers like the
+            page it copies but refuses every free-space question: the
+            in-page free list is writer-side scratch no install
+            publishes, so the copied head word goes stale under the
+            frame and a chunk an open writer left below the committed
+            content area lies in the frame's hole.  A writer
+            :meth:`promote` s its view before its first mutation.
     """
 
     def __init__(self, pm, base, page_size, header_capacity=None, *,
-                 validated=None):
+                 validated=None, frame_backed=False):
         self.pm = pm
         self.base = base
         self.page_size = page_size
         self.header_capacity = header_capacity
+        self.frame_backed = frame_backed
         self._validated = validated
         self._pending = None
         # While a pending header exists, no allocation may dip below
@@ -184,6 +194,24 @@ class SlottedPage:
         if persist:
             pm.persist(base, FIXED_HEADER_SIZE)
         return page
+
+    def promote(self, pm, validated):
+        """Re-seat a frame-backed view, in place, on the PM page it
+        copies (same ``base``): from here on every read and store goes
+        to ``pm``, and ``validated`` is the keeper of the page's lazy
+        free-list check.  The caller guarantees the frame was the
+        page's committed state when the view was taken and that no
+        install can have landed since (DESIGN.md §17)."""
+        self.pm = pm
+        self._validated = validated
+        self.frame_backed = False
+
+    def _no_free_space_answer(self):
+        return TypeError(
+            "frame-backed view of the page at %#x cannot answer free-space "
+            "questions (the in-page free list lives in PM); promote it first"
+            % self.base
+        )
 
     # ------------------------------------------------------------------
     # Header accessors (pending overlay wins)
@@ -226,6 +254,8 @@ class SlottedPage:
 
     @property
     def freelist_head(self):
+        if self.frame_backed:
+            raise self._no_free_space_answer()
         if self._pending is not None:
             return self._pending.freelist_head
         return self.pm.read_u16(self.base + _OFF_FREELIST)
@@ -323,6 +353,8 @@ class SlottedPage:
 
     def contiguous_free(self):
         """Free bytes between the offset array and the content area."""
+        if self.frame_backed:
+            raise self._no_free_space_answer()
         return self.content_start - self.header_end()
 
     def free_chunks(self):
@@ -342,9 +374,19 @@ class SlottedPage:
         """Contiguous free space plus all free-list chunks."""
         return self.contiguous_free() + sum(size for _, size in self.free_chunks())
 
+    def dead_content_bytes(self):
+        """Bytes of the content area no record of the effective header
+        occupies — what a copy-on-write rewrite would win back.
+        Decoded from the offset array and the cells, never from the
+        free list, so a frame-backed view answers it too."""
+        live = sum(self.cell_allocated_size(offset) for offset in self.slots())
+        return (self.page_size - self.content_start) - live
+
     def fits(self, payload_len, extra_slots=1):
         """Can a record of ``payload_len`` bytes be inserted (possibly
         after defragmentation)?"""
+        if self.frame_backed:
+            raise self._no_free_space_answer()
         if self.header_capacity is not None and (
             self.nrecords + extra_slots > self.header_capacity
         ):
@@ -359,6 +401,8 @@ class SlottedPage:
         the same-transaction reinsert-into-an-overflowing-page case:
         cells made dead by *this* transaction cannot be reused in
         place, but a copy-on-write page reclaims their space."""
+        if self.frame_backed:
+            raise self._no_free_space_answer()
         if self.header_capacity is not None and (
             self.nrecords + extra_slots > self.header_capacity
         ):
@@ -609,8 +653,7 @@ class SlottedPage:
     def free_list_consistent(self):
         """Does the free list account for exactly the dead bytes of the
         content area?  (The paper's lazy consistency check.)"""
-        live = sum(self.cell_allocated_size(offset) for offset in self.slots())
-        dead = (self.page_size - self.content_start) - live
+        dead = self.dead_content_bytes()
         chunk_total = sum(size for _, size in self.free_chunks())
         return chunk_total == dead
 

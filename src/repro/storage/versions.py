@@ -74,18 +74,25 @@ class _ImageMemory:
 
     A *sparse* image is a page with the bytes of ``hole`` (page
     offsets ``[start, end)``) left out: ``image`` is then the bytes
-    before the hole followed by the bytes after it.  Addresses stay
-    page offsets, and a read that touches the hole raises exactly like
-    one past the end — the image cannot answer for a byte it does not
-    hold.
+    before the hole followed by the bytes after it.  A read that
+    touches the hole raises exactly like one past the end — the image
+    cannot answer for a byte it does not hold.
+
+    Addresses are ``origin`` plus a page offset.  A cached frame's
+    origin is its page's arena address, so a ``SlottedPage`` over it
+    has the ``base`` the PM page has and everything that identifies a
+    page by ``base`` needs no second rule; a retained pre-image is
+    addressed from 0.
     """
 
     __slots__ = ("clock", "_image", "_hit_ns", "_miss_ns", "_stream_ns",
-                 "_resident", "_size", "_hole_start", "_hole_end", "_gap")
+                 "_resident", "_size", "_hole_start", "_hole_end", "_gap",
+                 "_origin")
 
     def __init__(self, image, clock, hit_ns, miss_ns, stream_ns=None,
-                 hole=None):
+                 hole=None, origin=0):
         self._image = image
+        self._origin = origin
         self.clock = clock
         self._hit_ns = hit_ns
         self._miss_ns = miss_ns
@@ -97,6 +104,7 @@ class _ImageMemory:
         self._size = held + self._gap
 
     def read(self, addr, length):
+        addr -= self._origin
         end = addr + length
         if 0 <= addr and end <= self._hole_start:
             pos = addr
@@ -143,14 +151,15 @@ class _ImageMemory:
         """Little-endian u16 without the ``bytes`` slice (every slot
         probe reads three of these); line-crossing and out-of-image
         reads take the generic path, which handles and reports both."""
-        if addr & 63 != 63:
-            if 0 <= addr and addr + 2 <= self._hole_start:
-                pos = addr
-            elif self._hole_end <= addr and addr + 2 <= self._size:
-                pos = addr - self._gap
+        offset = addr - self._origin
+        if offset & 63 != 63:
+            if 0 <= offset and offset + 2 <= self._hole_start:
+                pos = offset
+            elif self._hole_end <= offset and offset + 2 <= self._size:
+                pos = offset - self._gap
             else:
-                raise self._outside(addr, addr + 2)
-            line = addr >> 6
+                raise self._outside(offset, offset + 2)
+            line = offset >> 6
             resident = self._resident
             if line in resident:
                 ns = self._hit_ns

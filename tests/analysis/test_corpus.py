@@ -29,6 +29,24 @@ def test_scheduled_corpus_is_clean():
     assert stats["txns"] > 0  # TXN_BEGIN events from the session layer
 
 
+def test_cache_armed_locked_writer_corpus_is_clean_and_watched():
+    """Only locked writers' contexts touch the warmed tier here, and
+    the frames were filled before the checker attached: TC111 must see
+    those hits — clean on the real engine, and flagged once installs
+    stop invalidating."""
+    from repro.analysis.mutants import skip_cache_invalidate
+    from repro.core import SystemConfig
+
+    cached = SystemConfig(dram_cache_pages=16, **corpus._SMALL_CONFIG)
+    for scheme in corpus.SCHEMES:
+        findings, stats = corpus.run_scheduled(scheme, config=cached)
+        assert findings == [], "\n".join(f.render() for f in findings)
+        assert stats["txns"] > 0
+    with skip_cache_invalidate():
+        findings, _ = corpus.run_scheduled("fast", config=cached)
+    assert findings and {f.rule for f in findings} == {"TC111"}
+
+
 def test_crash_swept_corpus_is_clean():
     findings, stats = corpus.run_crash_swept(
         "fast", items=3, stride=11, max_points=8,

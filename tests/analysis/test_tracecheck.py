@@ -496,6 +496,21 @@ def test_tc111_hit_without_recorded_fill_is_exempt():
     assert checker.finish() == []
 
 
+def test_tc111_frame_filled_before_attach_is_tracked_from_its_first_hit():
+    # ...but that hit proves a frame is live.  Exempting every later
+    # hit too ("implicit-fill territory") left a frame filled before
+    # the checker attached unchecked for the rest of the run: the
+    # seeded skip_cache_invalidate mutant escaped that way.
+    from repro.analysis.selftest import DYNAMIC_FIXTURES
+
+    findings = DYNAMIC_FIXTURES["TC111-fill-before-attach"]()
+    assert [f.render() for f in findings] == [
+        "trace@3: TC111: cached read of page 1 served bytes older than "
+        "the committed install at trace seq 2 (no invalidation between "
+        "install and hit)",
+    ]
+
+
 def test_tc111_dormant_without_page_geometry():
     checker = _lockset_checker(page_size=None)
     checker.feed([

@@ -342,8 +342,9 @@ class TestCacheSweep:
 class TestCommittedCacheBaseline:
     """The acceptance floor rides on the committed baseline: at PM read
     latency 1200ns with a 64-page cache, the read-mostly mix must hit
-    >= 0.9 and run >= 2.0x the cache-off throughput on both PM-resident
-    schemes (measured 2.22x / 2.63x)."""
+    >= 0.9 and run >= 3.5x the cache-off throughput on both PM-resident
+    schemes (measured 4.08x / 4.45x since the locked writer's descents
+    read through the tier too)."""
 
     def _rows(self, scheme):
         baseline = json.loads(
@@ -361,7 +362,7 @@ class TestCommittedCacheBaseline:
         for scheme in ("fast", "fastplus"):
             cell = self._cell(scheme, 64, 1200.0)
             assert cell["cache_hit_ratio"] >= 0.9
-            assert cell["speedup_vs_uncached"] >= 2.0
+            assert cell["speedup_vs_uncached"] >= 3.5
 
     def test_uncached_rows_are_the_baseline(self):
         for scheme in ("fast", "fastplus"):
@@ -370,27 +371,39 @@ class TestCommittedCacheBaseline:
                     assert row["speedup_vs_uncached"] == 1.0
                     assert row["cache_hits"] == 0
 
-    def test_undersized_cache_can_lose(self):
+    def test_undersized_cache_wins_least(self):
         """The fig15 crossover: an 8-page cache thrashes (fills are not
-        amortized) and a 64-page cache wins at every swept latency."""
+        amortized), so it trails the 64-page cache at every swept
+        latency — but it no longer *loses* to the uncached run, at
+        300 ns either (0.99x / 0.92x before writer contexts read
+        through the tier, which hit frames and never fill one)."""
         for scheme in ("fast", "fastplus"):
             for read_ns in (300.0, 900.0, 1200.0):
                 small = self._cell(scheme, 8, read_ns)
                 sized = self._cell(scheme, 64, read_ns)
-                assert small["speedup_vs_uncached"] < (
+                assert 1.0 < small["speedup_vs_uncached"] < (
                     sized["speedup_vs_uncached"])
-        assert self._cell("fastplus", 8, 300.0)["speedup_vs_uncached"] < 1.0
+        assert self._cell("fast", 8, 300.0)["speedup_vs_uncached"] < 1.1
+        assert self._cell("fastplus", 8, 300.0)["speedup_vs_uncached"] < 1.1
 
     def test_sparse_fills_left_the_frame_traffic_alone(self):
-        """Sparse fills changed what a fill costs, not which frames are
-        filled and dropped: every cell's cache events are the ones the
-        full-page fill committed (at every latency — the schedule does
-        not depend on simulated time)."""
+        """What a fill or a hit costs never decides which frames are
+        filled and dropped: every cell's cache events are the same at
+        every latency (the schedule does not depend on simulated time).
+        Pinned as (hits, misses, evictions, invalidations); re-pinned
+        once when the locked writer's context started to read through
+        the tier.  Its hits are counted (64 pages: +87 / +81, and
+        nothing else moves — it fills nothing, so misses, and with no
+        capacity pressure evictions and invalidations, are the
+        readers').  At 8 pages its hits also set reference bits, so
+        the clock spares different frames: a few more reader misses and
+        evictions, and invalidations follow which frames happen to be
+        resident when the writer commits."""
         events = {
-            ("fast", 8): (431, 129, 108, 15),
-            ("fast", 64): (526, 34, 0, 25),
-            ("fastplus", 8): (343, 217, 206, 3),
-            ("fastplus", 64): (512, 48, 0, 23),
+            ("fast", 8): (490, 135, 117, 12),
+            ("fast", 64): (613, 34, 0, 25),
+            ("fastplus", 8): (395, 218, 205, 5),
+            ("fastplus", 64): (593, 48, 0, 23),
         }
         for (scheme, pages), expected in events.items():
             for read_ns in (300.0, 900.0, 1200.0):

@@ -94,6 +94,11 @@ def test_cache_section_reports_bytes_per_fill():
     assert "dram page cache" in report
     assert "bytes per fill    %8d  (%.1f%% of a page" % (
         copied, 100.0 * copied / 4096) in report
+    # The ten inserts each touched the (then frameless) root leaf: a
+    # writer's lookup that finds no frame is a bypass, not a miss.
+    assert counters["cache.bypass"] == 10
+    assert counters["cache.miss"] == counters["cache.fill"]
+    assert "bypasses          %8d  writer first touches" % 10 in report
 
 
 def test_page_section_reports_free_list_checks_and_rebuilds():
