@@ -37,6 +37,12 @@ except ImportError:
 
 BASELINE_PATH = ROOT / "BENCH_multiclient.json"
 SCHEMES = ("fast", "fastplus", "nvwal")
+#: The PM-resident schemes: the only ones that shard, group commit,
+#: serve MVCC / OCC sessions or front PM with the DRAM page cache.
+#: NVWAL is the paper's single-writer baseline (plain and strict-2PL
+#: transactions only) and already fronts PM with its own volatile
+#: buffer cache.
+PM_SCHEMES = ("fast", "fastplus")
 CLIENT_COUNTS = (1, 2, 4, 8)
 READ_RATIOS = (0.0, 0.5, 0.9)
 ITEMS = 25
@@ -47,8 +53,7 @@ SEED = 7
 MVCC_CLIENT_COUNTS = (4, 8)
 MVCC_KEY_SPACE = 100
 #: Shard sweep: 8 clients on disjoint per-shard key pools over 1/2/4
-#: independent pagestores (only the commit-mark schemes shard).
-SHARD_SCHEMES = ("fast", "fastplus")
+#: independent pagestores.
 SHARD_COUNTS = (1, 2, 4)
 SHARD_CLIENTS = 8
 #: Group-commit sweep: per-txn durability cost (fences / commit marks /
@@ -60,10 +65,7 @@ GROUP_CLIENTS = (2, 8)
 OCC_CLIENTS = (2, 8)
 #: Cache sweep (fig15): tiered DRAM page cache capacity x PM read
 #: latency over the read-mostly MVCC cell; 0 pages = cache off (the
-#: baseline each latency's speedups are relative to).  NVWAL already
-#: fronts PM with its own volatile buffer cache, so only the
-#: commit-mark schemes sweep.
-CACHE_SCHEMES = ("fast", "fastplus")
+#: baseline each latency's speedups are relative to).
 CACHE_SIZES = (0, 8, 64)
 CACHE_READ_LATS = (300.0, 900.0, 1200.0)
 #: Longer per-client runs than the contention grid: read-hot caching
@@ -187,6 +189,7 @@ def run_grid():
             ))
             for ratio in READ_RATIOS
         ]
+    for scheme in PM_SCHEMES:
         grid["mvcc_sweep"][scheme] = [
             _summarize_mvcc(run_read_mostly(
                 scheme, clients=count, items=ITEMS, seed=SEED,
@@ -208,7 +211,6 @@ def run_grid():
                 scheme, counts=OCC_CLIENTS, items=ITEMS, seed=SEED,
             )
         ]
-    for scheme in CACHE_SCHEMES:
         grid["cache_sweep"][scheme] = [
             _summarize_cache(row)
             for row in sweep_cache(
@@ -216,7 +218,6 @@ def run_grid():
                 read_lats=CACHE_READ_LATS, items=CACHE_ITEMS, seed=SEED,
             )
         ]
-    for scheme in SHARD_SCHEMES:
         grid["shard_sweep"][scheme] = [
             _summarize_sharded(row)
             for row in sweep_shards(
@@ -229,7 +230,7 @@ def run_grid():
 
 #: Group-commit correctness grid (``--group-grid``): every cell must end
 #: in exactly its committed state.  Scheme x group size x clients x
-#: items/client x seed = 162 cells, ~80 s.
+#: items/client x seed = 108 cells.
 GRID_GROUP_SIZES = (2, 4, 8)
 GRID_CLIENTS = (2, 8)
 GRID_ITEMS = (25, 50, 100)
@@ -239,24 +240,21 @@ GRID_SEEDS = (7, 8, 9)
 def run_group_grid():
     """Run every cell under the committed-prefix oracle (``verify()``
     + scan == the dict model replaying the commit order, live and
-    after ``DropAll`` + attach) and, on the PM-resident schemes, the
-    per-step page invariant checker.  Returns the cell count and the
+    after ``DropAll`` + attach) and the per-step page invariant
+    checker.  Returns the cell count and the
     failing cells."""
     from repro.bench.multiclient import run_group_commit
     from repro.testing.invariants import PageInvariantChecker
 
     failures = []
     cells = list(itertools.product(
-        SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS, GRID_SEEDS,
+        PM_SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS, GRID_SEEDS,
     ))
     for scheme, size, clients, items, seed in cells:
         try:
             run_group_commit(
                 scheme, group_size=size, clients=clients, items=items,
-                seed=seed, oracle=True,
-                checker_factory=(
-                    PageInvariantChecker if scheme != "nvwal" else None
-                ),
+                seed=seed, oracle=True, checker_factory=PageInvariantChecker,
             )
         # Report every failing cell, whatever it raised.
         except Exception as err:
@@ -281,7 +279,7 @@ def _print_grid(grid):
         ))
     print("read-mostly (1 writer + N-1 readers, key space %d): "
           "locked vs MVCC readers" % MVCC_KEY_SPACE)
-    for scheme in SCHEMES:
+    for scheme in PM_SCHEMES:
         rows = grid["mvcc_sweep"][scheme]
         print("  %-9s " % scheme + "  ".join(
             "%dc %-4s %8.0f tps (%d cf)" % (
@@ -291,7 +289,7 @@ def _print_grid(grid):
             for r in rows
         ))
     print("group commit (size 0 = off): marginal fences per committed txn")
-    for scheme in SCHEMES:
+    for scheme in PM_SCHEMES:
         rows = grid["group_sweep"][scheme]
         print("  %-9s " % scheme + "  ".join(
             "%dc/g%d %5.2f f/txn (%.2fx)" % (
@@ -302,7 +300,7 @@ def _print_grid(grid):
         ))
     print("occ sweep (locked vs optimistic twins): lock acquires per "
           "committed txn")
-    for scheme in SCHEMES:
+    for scheme in PM_SCHEMES:
         rows = grid["occ_sweep"][scheme]
         cells = {}
         for r in rows:
@@ -319,7 +317,7 @@ def _print_grid(grid):
         ))
     print("cache sweep (DRAM pages x PM read latency, read-mostly MVCC): "
           "hit ratio and speedup vs cache-off")
-    for scheme in CACHE_SCHEMES:
+    for scheme in PM_SCHEMES:
         rows = grid["cache_sweep"][scheme]
         print("  %-9s " % scheme + "  ".join(
             "p%d@%.0f %.2fh %.2fx" % (
@@ -330,7 +328,7 @@ def _print_grid(grid):
         ))
     print("shard sweep (%d clients, disjoint per-shard pools): modeled "
           "parallel throughput" % SHARD_CLIENTS)
-    for scheme in SHARD_SCHEMES:
+    for scheme in PM_SCHEMES:
         rows = grid["shard_sweep"][scheme]
         print("  %-9s " % scheme + "  ".join(
             "%ds %8.0f tps (%.2fx)" % (
@@ -356,7 +354,7 @@ def main(argv=None):
                              "pagestores (8 clients, disjoint pools)")
     parser.add_argument("--group-grid", action="store_true",
                         help="skip the baseline grid: run the group-commit "
-                             "correctness grid (162 cells under the "
+                             "correctness grid (108 cells under the "
                              "committed-prefix oracle); exit 1 on any "
                              "failing cell")
     args = parser.parse_args(argv)

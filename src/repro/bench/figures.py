@@ -27,6 +27,10 @@ from repro.bench.report import format_table
 from repro.wal.legacy import run_legacy_models
 
 SCHEMES = ("nvwal", "fast", "fastplus")
+#: The schemes the concurrency extensions (figs 13-15) run: NVWAL, the
+#: paper's single-writer baseline, serves no MVCC or OCC sessions and
+#: takes no DRAM page cache.
+PM_SCHEMES = ("fast", "fastplus")
 
 LATENCY_POINTS = ((120, 120), (300, 300), (600, 600), (900, 900), (1200, 1200))
 WRITE_LATENCIES = (300, 600, 900, 1200)
@@ -640,7 +644,7 @@ def fig13(ops=None):
     items = max(5, min(25, (ops or default_ops()) // 60))
     rows = []
     data = {}
-    for scheme in SCHEMES:
+    for scheme in PM_SCHEMES:
         for clients in (2, 4, 8):
             for mvcc in (False, True):
                 result = run_read_mostly(
@@ -687,7 +691,7 @@ def fig14(ops=None):
     items = max(5, min(25, (ops or default_ops()) // 60))
     rows = []
     data = {}
-    for scheme in SCHEMES:
+    for scheme in PM_SCHEMES:
         for mix, read_ratio, key_space in OCC_MIXES:
             for isolation in ("locked", "occ"):
                 result = run_isolation_cell(
@@ -743,7 +747,7 @@ def fig15(ops=None):
     items = max(10, min(40, (ops or default_ops()) // 37))
     rows = []
     data = {}
-    for scheme in ("fast", "fastplus"):
+    for scheme in PM_SCHEMES:
         for row in sweep_cache(
             scheme, cache_sizes=(0, 8, 64),
             read_lats=(300.0, 900.0, 1200.0), items=items,

@@ -16,6 +16,7 @@ from contextlib import nullcontext
 from repro.btree.btree import BTree
 from repro.core.locking import LOCK_IS, LOCK_IX, LockingContext
 from repro.core.occ import OCCConflict, OccContext, occ_commit
+from repro.core.session import ISOLATION_MODES, Session
 from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
 from repro.pm.stats import MemoryStats
@@ -315,20 +316,23 @@ class Engine:
     #: leaf slot-header record cap (None = space-limited); FAST⁺
     #: overrides this with the one-cache-line bound.
     leaf_capacity = None
-    #: Concurrent sessions need transaction rollback; the naive
-    #: in-place scheme cannot provide it and opts out.
-    supports_sessions = True
+    #: The session isolation modes this scheme serves
+    #: (``Session.open`` refuses the rest).  Every mode needs rollback;
+    #: ``"read_only"`` and ``"occ"`` also need a committed page that
+    #: open writers never touch — PM-resident state, where pre-commit
+    #: records sit in unreachable free space.
+    isolation_modes = ISOLATION_MODES
     #: The open group-commit epoch pipeline (``repro.core.epoch``);
     #: ``None`` = grouping off, every commit fences for itself.
     #: Schemes that support grouping construct one from the config.
     group = None
-    #: Whether the scheme's committed reads may be served from the
-    #: tiered DRAM page cache (``repro.storage.cache``).  PM-resident
-    #: schemes (FAST / FAST⁺) opt in; NVWAL keeps False — its DRAM
-    #: tier *is* its volatile buffer cache, and its shared frames are
-    #: mutated by open writers, so a second copy layer would be both
-    #: redundant and incoherent.
-    _page_cache_supported = False
+    #: Is committed state PM-resident, published only by the install
+    #: primitives (FAST / FAST⁺)?  Only then do group commit (epoch
+    #: overlays over durable pages) and the tiered DRAM page cache
+    #: (copies of durable pages, ``repro.storage.cache``) apply; the
+    #: other schemes refuse both config fields.  NVWAL's DRAM tier *is*
+    #: its volatile buffer cache, whose frames open writers mutate.
+    _pm_resident = False
 
     def __init__(self, config, pm, store):
         self.config = config
@@ -337,8 +341,16 @@ class Engine:
         # All instrumentation (registry counters, phase histograms,
         # event trace) flows through the arena's shared handle.
         self.obs = pm.obs
+        if not self._pm_resident:
+            for field in ("group_commit_size", "dram_cache_pages"):
+                if getattr(config, field) > 0:
+                    raise ValueError(
+                        "the %r scheme does not support %s > 0 (its "
+                        "committed state is not PM-resident)"
+                        % (self.scheme, field)
+                    )
         self.page_cache = None
-        if config.dram_cache_pages > 0 and self._page_cache_supported:
+        if config.dram_cache_pages > 0:
             from repro.storage.cache import TieredPageCache
 
             self.page_cache = TieredPageCache(store, config.dram_cache_pages)
@@ -572,26 +584,6 @@ class Engine:
             self._versions = VersionManager(self)
         return self._versions
 
-    #: Snapshots may reuse live-page views across reads: durable page
-    #: content only changes at a commit, which stamps the page and
-    #: shadows any cached view with a chain entry.  NVWAL sets this
-    #: False (open writers mutate shared DRAM frames without a stamp).
-    _snapshot_live_cacheable = True
-
-    def _snapshot_live_page(self, page_no):
-        """The live page as a snapshot read sees it.  For PM-resident
-        schemes the committed-state page object suffices: pre-commit
-        record writes sit in free space invisible to the durable
-        header (epoch-member overlays are committed state and apply).
-        The DRAM cache tier serves these too — a frame always holds
-        the latest committed image, which is exactly what the version
-        manager resolves the live page to (a commit that supersedes it
-        stamps the page and shadows any live view with a chain entry,
-        and the install invalidates the frame).  NVWAL overrides this
-        (its open writers apply headers to shared DRAM frames before
-        commit)."""
-        return self._read_page(page_no)
-
     def session(self, name=None, read_only=False, isolation=None):
         """Open a session (one concurrent client).
 
@@ -605,15 +597,10 @@ class Engine:
         (snapshot-isolation writes validated at commit, installed
         under short commit-time locks, falling back to 2PL after
         repeated validation failures).  ``read_only=True`` is the
-        historical spelling of ``isolation="read_only"``.
+        historical spelling of ``isolation="read_only"``.  A mode
+        outside the scheme's ``isolation_modes`` raises
+        ``TransactionError``.
         """
-        if not self.supports_sessions:
-            raise TransactionError(
-                "the %r scheme does not support concurrent sessions "
-                "(it cannot roll back)" % self.scheme
-            )
-        from repro.core.session import Session
-
         return Session.open(self, name, read_only, isolation)
 
     def _session_closed(self, session):

@@ -71,13 +71,15 @@ class SystemConfig:
     #: sfence and ONE ≤8B group commit mark covering every member.
     #: The value is the member count that forces an epoch close at the
     #: join that reaches it; 0 (the default) is off — byte-identical
-    #: to the per-txn commit path.
+    #: to the per-txn commit path.  FAST / FAST⁺ only: the other
+    #: schemes raise ``ValueError`` for a value > 0.
     group_commit_size: int = 0
     #: Tiered DRAM page cache (``repro.storage.cache``): committed
     #: reads of read-hot pages are served from clock/second-chance
     #: DRAM copies at ``latency.dram_ns`` instead of ``read_ns``,
     #: invalidated at every committed install point.  0 (the default)
     #: builds no cache at all — byte-identical to pre-cache builds.
+    #: FAST / FAST⁺ only, like ``group_commit_size``.
     dram_cache_pages: int = 0
 
     # ------------------------------------------------------------------

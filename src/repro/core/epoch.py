@@ -15,7 +15,8 @@ Transactions" (Marathe et al.) and "Hardware Transactional Persistent
 Memory" (Giles et al.): fence and mark cost per transaction drops
 roughly with the group size.
 
-The pipeline itself is scheme-agnostic bookkeeping.  It holds:
+The pipeline is the FAST / FAST⁺ engine's bookkeeping (the NVWAL
+baseline commits one writer at a time and never groups).  It holds:
 
 * ``members`` — one record per joined commit ({"seq", "reclaims",
   "freed", ...}), whose post-mark housekeeping the engine defers to
@@ -30,8 +31,8 @@ The pipeline itself is scheme-agnostic bookkeeping.  It holds:
 
 The engine supplies the actual close sequence (fence, mark, coalesced
 checkpoint, deferred housekeeping) as the ``close`` callable; the
-pipeline only decides *when* and guards against re-entry (a close that
-triggers a checkpoint that would drain again).
+pipeline only decides *when*.  Nothing the close runs (checkpoint,
+reclaims, page frees, 2PC record clears) closes the epoch again.
 
 Everything here runs under the cooperative scheduler: the threshold is
 evaluated only at commit boundaries, so grouping is deterministic and
@@ -51,7 +52,6 @@ class EpochPipeline:
         self.pending_headers = {}
         #: root slot -> latest member root pointer (overlay).
         self.pending_roots = {}
-        self._closing = False
 
     # ------------------------------------------------------------------
     # Joining
@@ -61,9 +61,10 @@ class EpochPipeline:
         """Enqueue one committed transaction onto the open epoch.
 
         ``member`` is the engine's deferred-housekeeping record (it
-        must at least carry ``"seq"``); ``headers`` and ``roots`` are
-        the member's visibility overlay entries — latest join wins, so
-        two members touching the same page leave the second's image.
+        carries ``"seq"``, ``"reclaims"`` and ``"freed"``); ``headers``
+        and ``roots`` are the member's visibility overlay entries —
+        latest join wins, so two members touching the same page leave
+        the second's image.
         """
         self.members.append(member)
         for page_no, image in headers:
@@ -99,7 +100,7 @@ class EpochPipeline:
         return [
             offset
             for member in self.members
-            for no, offset in member.get("reclaims", ())
+            for no, offset in member["reclaims"]
             if no == page_no
         ]
 
@@ -109,7 +110,7 @@ class EpochPipeline:
         allocation nor GC may hand them out before the mark."""
         pages = set()
         for member in self.members:
-            pages.update(member.get("freed", ()))
+            pages.update(member["freed"])
         return pages
 
     # ------------------------------------------------------------------
@@ -121,21 +122,10 @@ class EpochPipeline:
         if len(self.members) >= self.size:
             self.close()
 
-    def drain(self):
-        """Force-close the open epoch (end of run, explicit barrier)."""
-        if self.members:
-            self.close()
-
     def close(self):
-        """Run the engine's close sequence once (re-entrancy guarded:
-        a close whose checkpoint would drain again is a no-op)."""
-        if self._closing or not self.members:
-            return
-        self._closing = True
-        try:
+        """Run the engine's close sequence (no-op on an empty epoch)."""
+        if self.members:
             self._close_fn()
-        finally:
-            self._closing = False
 
     def take(self):
         """Hand the members over to the closing engine and reset.

@@ -297,12 +297,13 @@ class FASTEngine(Engine):
 
     scheme = "fast"
     leaf_capacity = None  # record offset array can be arbitrarily large
-    #: PM-resident committed state: reads — committed readers' and a
-    #: context's of pages it has not mutated yet — may be served from
-    #: the tiered DRAM page cache (``repro.storage.cache``),
-    #: invalidated by the install primitives below (``_install_header``,
-    #: ``_swap_child_pointer``, FAST⁺'s ``_commit_inplace``).
-    _page_cache_supported = True
+    #: PM-resident committed state: commits may group into epochs, and
+    #: reads — committed readers' and a context's of pages it has not
+    #: mutated yet — may be served from the tiered DRAM page cache
+    #: (``repro.storage.cache``), invalidated by the install primitives
+    #: below (``_install_header``, ``_swap_child_pointer``, FAST⁺'s
+    #: ``_commit_inplace``).
+    _pm_resident = True
 
     def __init__(self, config, pm, store):
         super().__init__(config, pm, store)

@@ -114,7 +114,7 @@ class NaiveEngine(Engine):
     #: This also rules out MVCC snapshot reads (``read_only`` sessions):
     #: in-place header overwrites destroy the committed pre-images the
     #: version chains are built from.
-    supports_sessions = False
+    isolation_modes = ()
 
     def _new_context(self, session=None):
         return NaiveContext(self)

@@ -282,18 +282,14 @@ class NVWALEngine(Engine):
 
     scheme = "nvwal"
     leaf_capacity = None
-    #: Live DRAM frames mutate under open writers with no commit stamp;
-    #: snapshot reads must re-resolve on every call.
-    _snapshot_live_cacheable = False
+    #: The paper's baseline as SQLite runs it: writers commit one at a
+    #: time, each with its own fence and commit mark.  Open writers
+    #: mutate the shared DRAM frames before commit, so there is no
+    #: committed page for a snapshot (MVCC or OCC read phase) to read.
+    isolation_modes = ("locked",)
 
     def __init__(self, config, pm, store):
         super().__init__(config, pm, store)
-        if config.group_commit_size:
-            from repro.core.epoch import EpochPipeline
-
-            self.group = EpochPipeline(
-                config.group_commit_size, self._close_epoch,
-            )
         self.dram = VolatileMemory(
             config.dram_bytes,
             latency=config.latency,
@@ -303,11 +299,6 @@ class NVWALEngine(Engine):
         )
         self.cache = BufferCache(self.dram, config.page_size)
         self.wal = None
-        # page_no -> (pre-image bytes, SlottedPage view) for snapshot
-        # reads of writer-held pages: the view (and its residency
-        # accounting) is reused for as long as the same pre-image is
-        # current, instead of re-reading it cold on every resolution.
-        self._snapshot_view_cache = {}
 
     @property
     def checkpoints(self):
@@ -333,41 +324,6 @@ class NVWALEngine(Engine):
             return self.wal.roots[slot]
         return self.store.root(slot)
 
-    def _snapshot_live_page(self, page_no):
-        """Snapshot reads cannot use a DRAM frame an open writer has
-        already applied uncommitted headers to (NVWAL mutates frames
-        immediately, pre-commit).  At most one writer holds a page (X
-        locks), and its first-touch snapshot is exactly the committed
-        content — serve that instead.  Clean pages go through the
-        normal fetch path (database page + committed WAL deltas)."""
-        from repro.storage.versions import _ImageMemory
-
-        for session in self._sessions.values():
-            ctx = session.transaction_ctx
-            if ctx is None:
-                continue
-            images = getattr(ctx, "snapshots", None)
-            if images is None:
-                continue
-            image = images.get(page_no)
-            if image is not None:
-                cached = self._snapshot_view_cache.get(page_no)
-                if cached is not None and cached[0] is image:
-                    return cached[1]
-                # The pre-image was copied out of a cache-resident DRAM
-                # frame at the writer's first touch; its lines are
-                # cache-warm, so reads charge the hit cost — the same
-                # cost a locked reader pays on the live frame.
-                page = SlottedPage(
-                    _ImageMemory(image, self.clock, self.dram._hit_ns,
-                                 self.dram._hit_ns),
-                    0, self.config.page_size,
-                )
-                page.page_no = page_no
-                self._snapshot_view_cache[page_no] = (image, page)
-                return page
-        return self._fetch_page(page_no)
-
     def _fetch_page(self, page_no):
         base = self.cache.lookup(page_no)
         if base is None:
@@ -392,13 +348,6 @@ class NVWALEngine(Engine):
         with self.obs.phase("commit"):
             if ctx.is_read_only:
                 return
-            # MVCC version publication before any WAL append or root
-            # overlay update: the context's first-touch snapshots are
-            # the committed pre-images.  No-op unless a snapshot is
-            # active.
-            versions = self._versions
-            if versions is not None and versions.capture_active:
-                versions.publish_wal_commit(ctx)
             self.commit_page_counts.append(len(ctx.dirty))
             with self.obs.span("misc"):
                 self.clock.advance(self.pm.cost.pager_commit_ns)
@@ -431,27 +380,6 @@ class NVWALEngine(Engine):
                 frames.append(
                     self._append(encode_frame(seq, FRAME_ROOT, slot, payload))
                 )
-            if self.group is not None:
-                # Grouped: the frames are installed (each chain link
-                # fences itself) but the commit mark waits for the
-                # epoch's shared fence.  The volatile WAL index and
-                # root table publish now — the member is committed and
-                # visible to every later fetch — while page frees are
-                # deferred to the mark (a freed page is still
-                # referenced by the pre-epoch durable tree).
-                with self.obs.span("wal_index"):
-                    self.wal.publish(frames)
-                    self.clock.advance(
-                        self.pm.cost.wal_index_insert_ns * len(frames)
-                    )
-                self.wal.roots.update(ctx.root_updates)
-                for page_no in ctx.dirty:
-                    self.cache.pinned.discard(page_no)
-                self.group.join({"seq": seq, "freed": list(ctx.freed)})
-                ctx.commit_seq = seq
-                self.obs.inc("group.join")
-                self.group.maybe_close()
-                return
             with self.obs.span("log_flush"):
                 self.pm.sfence()
             with self.obs.span("atomic_commit"):
@@ -465,27 +393,6 @@ class NVWALEngine(Engine):
                 self.store.free_page(page_no)
             for page_no in ctx.dirty:
                 self.cache.pinned.discard(page_no)
-        if self.wal.bytes_used >= self.config.nvwal_checkpoint_bytes:
-            self.checkpoint()
-
-    def _close_epoch(self):
-        """Close the open epoch: the members' WAL frames are already
-        durable (every chain link fences as it installs), so one
-        shared sfence settles any straggling lines and one ≤8-byte
-        commit mark — the last member's seq — commits the whole chain
-        prefix.  Deferred page frees and the lazy-checkpoint threshold
-        check follow."""
-        group = self.group
-        with self.obs.span("log_flush"):
-            self.pm.sfence()
-        with self.obs.span("atomic_commit"):
-            self.wal.commit(group.members[-1]["seq"])
-        members = group.take()
-        for member in members:
-            for page_no in member["freed"]:
-                self.cache.drop(page_no)
-                self.store.free_page(page_no)
-        self.obs.inc("group.close")
         if self.wal.bytes_used >= self.config.nvwal_checkpoint_bytes:
             self.checkpoint()
 
@@ -513,12 +420,6 @@ class NVWALEngine(Engine):
     def checkpoint(self):
         """Lazy checkpoint: write every WAL-covered page back to the
         database region and reset the log (paper Section 2.2)."""
-        if self.group is not None:
-            # An open epoch's members must reach their shared mark
-            # before their frames are written back and the WAL resets
-            # (the pipeline's re-entrancy guard makes this a no-op
-            # when the close itself triggered the checkpoint).
-            self.group.drain()
         self.obs.inc("engine.checkpoint")
         self.obs.event(ev.CHECKPOINT, len(self.wal.index))
         with self.obs.span("nvwal_checkpoint"):

@@ -151,7 +151,7 @@ class Scheduler:
     def __init__(self, engine, *, lock_timeout_ns=LOCK_TIMEOUT_NS,
                  retry_backoff_ns=RETRY_BACKOFF_NS, max_retries=MAX_RETRIES,
                  cleanup_on_error=True, on_step=None, pick_strategy=None):
-        if not engine.supports_sessions:
+        if not engine.isolation_modes:
             raise SchedulerError(
                 "the %r scheme does not support concurrent sessions"
                 % engine.scheme

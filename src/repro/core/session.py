@@ -98,9 +98,19 @@ class Session:
     def open(cls, host, name=None, read_only=False, isolation=None):
         """Open and register one session on ``host`` (an engine, or a
         shard router for the sharded subclass) — what both
-        ``session()`` entry points do.  Read-only sessions get no lock
-        manager, so a pure-reader mix never instantiates one."""
+        ``session()`` entry points do.  A mode outside the host's
+        ``isolation_modes`` raises ``TransactionError``.  Read-only
+        sessions get no lock manager, so a pure-reader mix never
+        instantiates one."""
         isolation = resolve_isolation(read_only, isolation)
+        if isolation not in host.isolation_modes:
+            from repro.core.base import TransactionError
+
+            raise TransactionError(
+                "the %r scheme does not serve %r sessions (it serves: %s)"
+                % (host.scheme, isolation,
+                   ", ".join(host.isolation_modes) or "none")
+            )
         sid = host._next_sid
         host._next_sid += 1
         session = cls(

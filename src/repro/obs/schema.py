@@ -44,7 +44,7 @@ COUNTERS = frozenset({
     "sched.abort.mutated", "sched.abort.deadlock", "sched.abort.timeout",
     "sched.abort.occ",
     "sched.retry", "sched.deadlock", "sched.timeout",
-    # core/epoch.py joins/closes (core/fast.py, core/nvwal.py)
+    # core/epoch.py joins/closes (core/fast.py)
     "group.join", "group.close",
     # storage/versions.py — MVCC snapshot reads over version chains
     "mvcc.snapshot_reads", "mvcc.gc_reclaimed",

@@ -53,7 +53,7 @@ from zlib import crc32
 from repro.core import engine_class
 from repro.core.base import Transaction
 from repro.core.locking import find_cycle
-from repro.core.session import Session
+from repro.core.session import ISOLATION_MODES, Session
 from repro.obs import trace as ev
 from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
@@ -102,7 +102,7 @@ class ShardRouter:
     ``verify`` / ``garbage_collect`` fan out over the shards).
     """
 
-    supports_sessions = True
+    isolation_modes = ISOLATION_MODES
 
     def __init__(self, config, pm, shards, coordinator):
         self.config = config        # the base (per-shard) geometry

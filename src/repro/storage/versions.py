@@ -1,12 +1,11 @@
 """MVCC version chains: lock-free snapshot reads over pre-images.
 
-The FAST/FAST⁺ commit protocol (and the NVWAL baseline's differential
-logging) never update committed page content in place: records land in
-free space, headers publish atomically, structural changes go through
-copy-on-write plus an 8-byte pointer swap.  Every committed page
-version therefore has a stable pre-image the instant a transaction
-commits over it — the substrate this module turns into multi-version
-concurrency control for readers.
+The FAST/FAST⁺ commit protocol never updates committed page content
+in place: records land in free space, headers publish atomically,
+structural changes go through copy-on-write plus an 8-byte pointer
+swap.  Every committed page version therefore has a stable pre-image
+the instant a transaction commits over it — the substrate this module
+turns into multi-version concurrency control for readers.
 
 The pieces:
 
@@ -60,8 +59,8 @@ def _visible_bytes(pm, base, length):
 
 class _ImageMemory:
     """Read-only memory over one immutable page image — a retained
-    pre-image (version chains, NVWAL writer-held pages) or a cached
-    committed copy (``repro.storage.cache`` frames).
+    pre-image (version chains) or a cached committed copy
+    (``repro.storage.cache`` frames).
 
     Reads charge the shared clock per 64-byte line: a resident line
     pays ``hit_ns``; the first missing line of a read pays ``miss_ns``
@@ -229,9 +228,9 @@ class SnapshotContext:
         # (a later commit may supersede them mid-snapshot).
         self._image_pages = {}
         # Live-page views, keyed by the page's commit stamp at caching
-        # time (only when the engine allows it — see ``live_cacheable``):
-        # a superseding commit stamps the page AND retains a pre-image,
-        # so the chain shadows a stale entry before it can be served.
+        # time: a superseding commit stamps the page AND retains a
+        # pre-image, so the chain shadows a stale entry before it can
+        # be served.
         self._live_pages = {}
 
     def root_page_no(self, slot):
@@ -261,8 +260,7 @@ class SnapshotContext:
                 page = live[1]
             else:
                 page = versions.live_page(page_no)
-                if versions.live_cacheable:
-                    self._live_pages[page_no] = (version_ts, page)
+                self._live_pages[page_no] = (version_ts, page)
         else:
             version_ts, page = resolved
             self._image_pages[page_no] = (version_ts, page)
@@ -441,7 +439,7 @@ class VersionManager:
             # lines.  A private cold-miss set would double-charge that
             # traffic; the committing writer just touched every one of
             # these lines, so they are accounted as cache-resident.
-            self._retain_page(page_no, ts, image, engine.pm._hit_ns)
+            self._retain_page(page_no, ts, image)
         for page_no in sorted(touched):
             self._page_ts[page_no] = ts
         for page_no in sorted(new):
@@ -455,67 +453,14 @@ class VersionManager:
         self._announce_publish(ctx, touched.union(new), ts)
         self._update_gauge()
 
-    def publish_wal_commit(self, ctx):
-        """NVWAL version publication, called at the top of ``_commit``
-        before the WAL append: the context's first-touch snapshots ARE
-        the committed pre-images (the DRAM frames were committed state
-        when the transaction first touched them)."""
-        if not self._snapshots:
-            return
-        ts = self._next_ts()
-        engine = self.engine
-        dram = engine.dram
-        touched = set(ctx.dirty)
-        touched.update(ctx.freed)
-        new = ctx.new_pages
-        for page_no in sorted(touched):
-            if page_no in new:
-                continue
-            image = ctx.snapshots.get(page_no)
-            if image is None:
-                image = self._committed_wal_image(page_no)
-            # NVWAL pre-images are copies of cache-resident DRAM frames
-            # (made at the writer's first touch); version reads charge
-            # the cache-hit cost, like reads of the live frame itself.
-            self._retain_page(page_no, ts, bytes(image), dram._hit_ns)
-        for page_no in sorted(touched):
-            self._page_ts[page_no] = ts
-        for page_no in sorted(new):
-            self._page_ts[page_no] = ts
-        for slot in sorted(ctx.root_updates):
-            self._retain_root(slot, ts, engine._root(slot))
-            self._root_ts[slot] = ts
-        self._announce_publish(ctx, touched.union(new), ts)
-        self._update_gauge()
-
-    def _committed_wal_image(self, page_no):
-        """Committed content of an NVWAL page the committing context
-        never snapshotted (e.g. freed without modification): the
-        resident DRAM frame if any — clean committed content, because
-        a page freed-but-unmodified was never written by this or (X
-        locks) any other open transaction — else database page plus
-        WAL deltas."""
-        engine = self.engine
-        page_size = engine.config.page_size
-        frame = engine.cache._frame_of.get(page_no)
-        if frame is not None:
-            base = frame * page_size
-            return bytes(engine.dram._data[base:base + page_size])
-        image = bytearray(
-            _visible_bytes(engine.pm, engine.store.page_base(page_no),
-                           page_size)
-        )
-        for offset, data in engine.wal.deltas_for(page_no):
-            image[offset:offset + len(data)] = data
-        return bytes(image)
-
-    def _retain_page(self, page_no, superseded_ts, image, line_ns):
-        """Retain one pre-image; reads of the version view charge
-        ``line_ns`` per line, warm or cold (both publishers account
-        their pre-images as cache-resident — see the call sites)."""
+    def _retain_page(self, page_no, superseded_ts, image):
+        """Retain one pre-image; reads of the version view charge the
+        arena's cache-hit cost per line, warm or cold (see
+        ``publish_pm_commit``)."""
         birth_ts = self._page_ts.get(page_no, 0)
+        hit_ns = self.engine.pm._hit_ns
         page = SlottedPage(
-            _ImageMemory(image, self.clock, line_ns, line_ns),
+            _ImageMemory(image, self.clock, hit_ns, hit_ns),
             0, self.engine.config.page_size,
         )
         page.page_no = page_no
@@ -555,16 +500,14 @@ class VersionManager:
         return self.engine._root(slot)
 
     def live_page(self, page_no):
-        return self.engine._snapshot_live_page(page_no)
-
-    @property
-    def live_cacheable(self):
-        """True when a snapshot may reuse a live-page view across reads
-        (FAST: durable page content only changes at a commit, which
-        stamps the page and shadows the cache with a chain entry).
-        NVWAL says no — an open writer applies uncommitted headers to
-        the shared DRAM frame without any commit stamp."""
-        return self.engine._snapshot_live_cacheable
+        """The live page as a snapshot read sees it: the committed page
+        through the engine's one read seam (DRAM tier included).
+        Pre-commit record writes sit in free space invisible to the
+        durable header, and epoch-member overlays are committed state;
+        a commit that supersedes the page stamps it and shadows the
+        live view with a chain entry, and its install invalidates any
+        frame."""
+        return self.engine._read_page(page_no)
 
     def live_versions(self, page_no):
         """Live version count for a page: the current page plus every

@@ -207,7 +207,7 @@ class TestCommittedGroupCommitBaseline:
     def test_marks_amortize_with_group_size(self):
         """One shared mark per epoch: marks/txn must drop monotonically
         with the group size at every swept client count and scheme."""
-        for scheme in ("fast", "fastplus", "nvwal"):
+        for scheme in ("fast", "fastplus"):
             by_clients = {}
             for row in self._rows(scheme):
                 by_clients.setdefault(row["clients"], []).append(
@@ -241,10 +241,10 @@ class TestOccSweep:
         )
 
     def test_byte_identical_reruns(self):
-        a = run_isolation_cell("nvwal", isolation="occ", clients=4, items=10,
-                               read_ratio=0.5, key_space=40)
-        b = run_isolation_cell("nvwal", isolation="occ", clients=4, items=10,
-                               read_ratio=0.5, key_space=40)
+        a = run_isolation_cell("fastplus", isolation="occ", clients=4,
+                               items=10, read_ratio=0.5, key_space=40)
+        b = run_isolation_cell("fastplus", isolation="occ", clients=4,
+                               items=10, read_ratio=0.5, key_space=40)
         assert a == b
 
     def test_sweep_occ_shape(self):
@@ -272,7 +272,7 @@ class TestCommittedOccBaseline:
         return (rows[(mix, clients, "locked")], rows[(mix, clients, "occ")])
 
     def test_read_mostly_meets_lock_floor(self):
-        for scheme in ("fast", "fastplus", "nvwal"):
+        for scheme in ("fast", "fastplus"):
             locked, occ = self._pair(scheme, "read_mostly", 8)
             assert occ["lock_acquires_per_commit"] <= (
                 0.5 * locked["lock_acquires_per_commit"]
@@ -281,7 +281,7 @@ class TestCommittedOccBaseline:
     def test_every_cell_commits_the_full_workload(self):
         """OCC aborts are retried, not lost: each twin commits exactly
         as many transactions as its locked baseline."""
-        for scheme in ("fast", "fastplus", "nvwal"):
+        for scheme in ("fast", "fastplus"):
             for row in self._rows(scheme):
                 if row["isolation"] != "occ":
                     continue
@@ -293,7 +293,7 @@ class TestCommittedOccBaseline:
         8 clients — otherwise the sweep no longer covers it."""
         assert any(
             self._pair(scheme, "hot_writes", 8)[1]["occ_fallbacks"] > 0
-            for scheme in ("fast", "fastplus", "nvwal")
+            for scheme in ("fast", "fastplus")
         )
 
 

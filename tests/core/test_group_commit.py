@@ -1,7 +1,7 @@
 """Epoch-pipelined group commit.
 
 Covers the grouped commit path end to end: logical equivalence with
-the per-transaction path on every scheme, byte-identity of the
+the per-transaction path on every grouping scheme, byte-identity of the
 grouping-off path, the committed-vs-durable split surfaced by
 ``Session.commit_durable``, fence amortization floors, and stride-1
 crash sweeps through the epoch-close window (stage -> shared fence ->
@@ -19,6 +19,8 @@ from repro.testing.invariants import PageInvariantChecker
 from .conftest import SMALL, small_config
 
 SCHEMES = ("fast", "fastplus", "nvwal")
+#: The schemes that group commits (NVWAL refuses ``group_commit_size``).
+GROUPING = ("fast", "fastplus")
 PAYLOAD = bytes(range(48))
 
 
@@ -57,7 +59,7 @@ def _contents(engine, items=20):
 
 
 class TestGroupedEquivalence:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_same_final_state_as_ungrouped(self, scheme):
         plain = open_engine(small_config(scheme=scheme))
         _run_workload(plain)
@@ -67,7 +69,7 @@ class TestGroupedEquivalence:
         assert grouped.verify() == plain.verify()
         assert _contents(grouped) == _contents(plain)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_commits_visible_before_drain(self, scheme):
         """Joining the epoch publishes the commit: later transactions
         (and read views) see it immediately, durability comes later."""
@@ -77,7 +79,7 @@ class TestGroupedEquivalence:
         assert engine.group.member_count > 0  # still riding the epoch
         assert engine.search(b"early") == PAYLOAD
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_drain_is_idempotent(self, scheme):
         engine = open_engine(grouped_config(scheme=scheme))
         _run_workload(engine, items=6)
@@ -108,8 +110,24 @@ class TestGroupingOff:
         assert results[0] == results[1]
 
 
+class TestGroupingRefused:
+    """NVWAL, the paper's single-writer baseline, and the naive
+    strawman commit one transaction at a time: asking them to group
+    is an error, not a silent no-op."""
+
+    @pytest.mark.parametrize("scheme", ("nvwal", "naive"))
+    def test_config_refused_at_construction(self, scheme):
+        with pytest.raises(ValueError,
+                           match="'%s'.*group_commit_size" % scheme):
+            open_engine(grouped_config(scheme=scheme))
+
+    def test_group_commit_bench_refuses_nvwal(self):
+        with pytest.raises(ValueError, match="'nvwal'.*group_commit_size"):
+            run_group_commit("nvwal", group_size=4, clients=2, items=2)
+
+
 class TestCommitDurability:
-    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_commit_durable_flips_at_epoch_close(self, scheme):
         engine = open_engine(grouped_config(scheme=scheme,
                                             group_commit_size=64))
@@ -149,16 +167,16 @@ class TestFenceAmortization:
         grouped = self._marginal_fences("fast", grouped_config(scheme="fast"))
         assert plain >= 2.0 * grouped
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_grouping_never_adds_fences(self, scheme):
         """Even where the ungrouped path is already cheap (FAST+
-        in-place commits, NVWAL's per-frame installs) grouping must
-        strictly reduce fences per transaction, never add them."""
+        in-place commits) grouping must strictly reduce fences per
+        transaction, never add them."""
         plain = self._marginal_fences(scheme, small_config(scheme=scheme))
         grouped = self._marginal_fences(scheme, grouped_config(scheme=scheme))
         assert grouped < plain
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_one_mark_per_epoch(self, scheme):
         engine = open_engine(grouped_config(scheme=scheme))
         snapshot = engine.obs.snapshot()
@@ -166,9 +184,7 @@ class TestFenceAmortization:
             engine.insert(b"fk%04d" % i, PAYLOAD)
         engine.drain_group_commit()
         delta = engine.obs.since(snapshot)["registry"]["counters"]
-        marks = delta.get("log.commit_mark", 0) + delta.get(
-            "wal.commit_mark", 0)
-        assert marks == delta.get("group.close", 0)
+        assert delta.get("log.commit_mark", 0) == delta.get("group.close", 0)
         assert delta.get("group.join", 0) == 16
 
 
@@ -182,7 +198,7 @@ class TestEpochCloseCrashSweep:
     none; the group-aware validator in crashsim rejects torn groups).
     """
 
-    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_close_window_all_or_nothing(self, scheme):
         config = SystemConfig(group_commit_size=4, **SMALL)
         workload = [("insert", b"ck%02d" % i, PAYLOAD) for i in range(3)]
@@ -190,7 +206,7 @@ class TestEpochCloseCrashSweep:
                                    stride=1, seeds=(0,))
         assert failures == []
 
-    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_multi_epoch_sweep(self, scheme):
         """A workload spanning a mid-run size-triggered close plus the
         final drain: stride-1 over every armed event."""
@@ -203,7 +219,7 @@ class TestEpochCloseCrashSweep:
 
 
 class TestRepairInAnOpenEpoch:
-    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_repair_free_lists_asks_the_epoch_for_its_cells(self, scheme):
         """An open-epoch update leaves two cells the page's durable
         offset array cannot vouch for: the new one (live only in the
@@ -253,7 +269,7 @@ class TestContendedGrid:
 
 
 class TestShardedGroupCommit:
-    @pytest.mark.parametrize("scheme", ("fast", "fastplus"))
+    @pytest.mark.parametrize("scheme", GROUPING)
     def test_cross_shard_equivalence(self, scheme):
         """Grouped sharded runs (2PC decisions riding the epochs) end
         in the same logical state as ungrouped ones."""

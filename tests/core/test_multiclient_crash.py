@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.bench.multiclient import client_workload
-from repro.core import SystemConfig
+from repro.core import SystemConfig, TransactionError
 from repro.pm.crash import DropAll, PersistAll, RandomPersist
 from repro.testing.crashsim import (
     run_scheduler_crash_sweep,
@@ -23,6 +23,8 @@ from repro.testing.crashsim import (
 from repro.testing.invariants import PageInvariantChecker
 
 SCHEMES = ("fast", "fastplus", "nvwal")
+#: The schemes that serve read-only snapshot clients.
+MVCC_SCHEMES = ("fast", "fastplus")
 
 
 def _workloads():
@@ -143,7 +145,7 @@ def _mvcc_workloads():
 
 
 class TestScheduledCrashWithReaders:
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", MVCC_SCHEMES)
     def test_midpoint_crash_recovers(self, scheme):
         total = scheduler_crash_points_in(scheme, _mvcc_workloads())
         result = run_scheduler_to_crash_point(
@@ -152,12 +154,16 @@ class TestScheduledCrashWithReaders:
         assert result.crashed
         assert result.ok, result.violations
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", MVCC_SCHEMES)
     def test_sweep_finds_no_violations(self, scheme):
         failures = run_scheduler_crash_sweep(
             scheme, _mvcc_workloads(), stride=11, seeds=(0,)
         )
         assert failures == [], failures[:3]
+
+    def test_nvwal_refuses_a_read_only_client(self):
+        with pytest.raises(TransactionError, match="'nvwal'.*'read_only'"):
+            run_scheduler_to_crash_point("nvwal", _mvcc_workloads(), 1)
 
     def test_recovery_discards_version_chains(self):
         # Version chains are volatile metadata over persistent

@@ -11,6 +11,12 @@ from repro.storage.sharding import ShardRouter
 
 from tests.core.conftest import small_config
 
+#: The schemes that serve OCC and read-only sessions: NVWAL, the
+#: paper's single-writer baseline, serves strict 2PL only.
+on_occ_schemes = pytest.mark.parametrize(
+    "engine", ["fast", "fastplus"], indirect=True,
+)
+
 
 def _delta(engine, snapshot):
     return engine.obs.since(snapshot)["registry"]["counters"]
@@ -23,6 +29,7 @@ def _rival_update(engine, key, value):
             txn.insert(key, value, replace=True)
 
 
+@on_occ_schemes
 class TestOccBasics:
     def test_commit_installs_writes(self, engine):
         with engine.session("o", isolation="occ") as session:
@@ -94,6 +101,7 @@ class TestOccBasics:
         assert dict(engine.scan()) == {b"keep": b"1"}
 
 
+@on_occ_schemes
 class TestValidationConflict:
     def test_stale_read_aborts_commit(self, engine):
         engine.insert(b"k", b"orig")
@@ -156,11 +164,11 @@ class TestValidationConflict:
 
 
 @pytest.fixture(
-    params=["fast", "fastplus", "nvwal", "fast-2shards", "fastplus-2shards"]
+    params=["fast", "fastplus", "fast-2shards", "fastplus-2shards"]
 )
 def host(request):
-    """A plain engine per durable scheme, plus a 2-shard router per
-    shardable one: the fallback rule must mean the same on both."""
+    """A plain engine per OCC-serving scheme, plus a 2-shard router
+    over each: the fallback rule must mean the same on both."""
     scheme, _, sharded = request.param.partition("-")
     config = small_config(scheme=scheme)
     if sharded:
@@ -245,6 +253,7 @@ class TestImplicitTransactionGuard:
                 engine.transaction()
             txn.rollback()
 
+    @on_occ_schemes
     def test_overlap_with_occ_session_raises(self, engine):
         with engine.session("o", isolation="occ") as session:
             txn = session.transaction()
@@ -253,6 +262,7 @@ class TestImplicitTransactionGuard:
                 engine.transaction()
             txn.rollback()
 
+    @on_occ_schemes
     def test_read_only_session_is_exempt(self, engine):
         engine.insert(b"k", b"v")
         with engine.session("r", isolation="read_only") as session:

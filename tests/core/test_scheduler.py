@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SchedulerError, open_engine
+from repro.core import SchedulerError, TransactionError, open_engine
 from repro.core.scheduler import RetriesExhausted, Scheduler
 from repro.obs import trace as ev
 
@@ -88,6 +88,12 @@ class TestBasicInterleaving:
         engine = _engine("naive")
         with pytest.raises(SchedulerError):
             Scheduler(engine)
+
+    def test_nvwal_refuses_an_occ_client(self):
+        scheduler = Scheduler(_engine("nvwal"))
+        with pytest.raises(TransactionError, match="'nvwal'.*'occ'"):
+            scheduler.add_client([("insert", b"k", b"v")], isolation="occ")
+        assert scheduler.clients == []
 
 
 class TestContention:

@@ -89,8 +89,14 @@ def test_engine_attaches_cache_only_when_configured():
 
 
 def test_nvwal_opts_out_of_the_cache_tier():
-    engine = make_engine(scheme="nvwal", cache_pages=8)
-    assert engine.page_cache is None
+    """The tier copies PM-resident committed pages; NVWAL's pages live
+    in its own volatile buffer cache and the naive scheme installs
+    headers in place, so both refuse the field instead of ignoring
+    it."""
+    for scheme in ("nvwal", "naive"):
+        with pytest.raises(ValueError,
+                           match="'%s'.*dram_cache_pages" % scheme):
+            make_engine(scheme=scheme, cache_pages=8)
 
 
 def test_fill_then_lookup_hits():

@@ -18,9 +18,11 @@ from repro.obs import trace as ev
 from tests.core.conftest import small_config
 
 SCHEMES = ("fast", "fastplus", "nvwal")
+#: The schemes that serve snapshot sessions (NVWAL refuses them).
+SNAPSHOT_SCHEMES = ("fast", "fastplus")
 
 
-@pytest.fixture(params=SCHEMES)
+@pytest.fixture(params=SNAPSHOT_SCHEMES)
 def engine(request):
     return open_engine(small_config(scheme=request.param))
 
@@ -88,6 +90,7 @@ class TestSnapshotVisibility:
         assert ev.SNAPSHOT_END in kinds
         assert engine.registry.value("mvcc.snapshot_reads") > 0
 
+    @pytest.mark.parametrize("engine", SCHEMES, indirect=True)
     def test_no_reader_means_no_version_state(self, engine):
         with engine.session("w") as writer:
             for i in range(6):
@@ -182,3 +185,15 @@ class TestSchemeGating:
         engine = open_engine(small_config(scheme="naive"))
         with pytest.raises(TransactionError):
             engine.session("r", read_only=True)
+
+    @pytest.mark.parametrize("isolation", ["read_only", "occ"])
+    def test_nvwal_refuses_snapshot_sessions(self, isolation):
+        """Open writers mutate NVWAL's shared DRAM frames before
+        commit, so there is no committed page to snapshot: the engine
+        serves strict-2PL sessions only, and says so by name."""
+        engine = open_engine(small_config(scheme="nvwal"))
+        assert engine.isolation_modes == ("locked",)
+        with pytest.raises(TransactionError,
+                           match="'nvwal'.*'%s'" % isolation):
+            engine.session("r", isolation=isolation)
+        assert engine.sessions() == []

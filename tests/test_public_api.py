@@ -49,3 +49,20 @@ def test_reopen_database_from_pm():
     pm.crash()
     again = repro.open_database(pm=pm)
     assert again.query("SELECT COUNT(*) FROM t") == [(1,)]
+
+
+def test_isolation_modes_per_scheme():
+    """Which session isolation modes each engine serves — the one
+    declaration ``Session.open`` checks — is part of the surface."""
+    from repro.core import engine_class
+    from repro.storage.sharding import ShardRouter
+
+    modes = {scheme: engine_class(scheme).isolation_modes
+             for scheme in repro.SCHEMES}
+    assert modes == {
+        "fast": ("locked", "read_only", "occ"),
+        "fastplus": ("locked", "read_only", "occ"),
+        "nvwal": ("locked",),
+        "naive": (),
+    }
+    assert ShardRouter.isolation_modes == ("locked", "read_only", "occ")
