@@ -16,6 +16,7 @@ Context protocol (mutation path) — extends the view protocol::
     ctx.insert_record(page, slot, payload) -> offset
     ctx.update_record(page, slot, payload) -> offset
     ctx.delete_record(page, slot)
+    ctx.set_page_flags(page, mask)         # OR into the header's flags
     ctx.allocate_page(page_type) -> (page_no, SlottedPage)
     ctx.free_page(page_no)                 # deferred to post-commit
     ctx.set_root(slot, page_no)            # atomic with the commit
@@ -32,7 +33,10 @@ Structural notes (paper Section 4):
   copy-on-write and the parent's child pointer is swapped as part of
   the same transaction (Section 4.3);
 * structural changes restart the insert from the root — the context's
-  page cache keeps the pending view consistent across restarts.
+  page cache keeps the pending view consistent across restarts;
+* every leaf-cell write goes through :meth:`BTree._put_leaf_cell`, which
+  sets a leaf's ``FLAG_HAS_OVERFLOW`` header bit with its first overflow
+  cell, so reachability reads the records of flagged leaves only.
 """
 
 from contextlib import nullcontext
@@ -47,7 +51,12 @@ from repro.btree.cells import (
     parse_internal,
     parse_leaf_any,
 )
-from repro.storage.slotted_page import PAGE_INTERNAL, PAGE_LEAF, PageFullError
+from repro.storage.slotted_page import (
+    FLAG_HAS_OVERFLOW,
+    PAGE_INTERNAL,
+    PAGE_LEAF,
+    PageFullError,
+)
 
 _MAX_RESTARTS = 32
 
@@ -157,7 +166,9 @@ class BTree:
 
     def reachable_pages(self, view):
         """Page numbers of every page in the tree, including overflow
-        chains (for GC)."""
+        chains (for GC).  A leaf's records are read only if its header
+        says it may hold an overflow cell (``FLAG_HAS_OVERFLOW``), so
+        the walk costs a header line per leaf, not a read per record."""
         pages = set()
         stack = [view.root_page_no(self.root_slot)]
         while stack:
@@ -169,7 +180,7 @@ class BTree:
             if page.page_type == PAGE_INTERNAL:
                 for payload in page.records():
                     stack.append(parse_internal(payload)[1])
-            else:
+            elif page.flags & FLAG_HAS_OVERFLOW:
                 for payload in page.records():
                     if is_overflow_cell(payload):
                         _, _, (_, head) = parse_leaf_any(payload)
@@ -180,7 +191,9 @@ class BTree:
         """Check structural invariants; returns the record count.
 
         Raises ``AssertionError`` on: unsorted keys, separator bounds
-        violated, malformed rightmost cells, or uneven leaf depth.
+        violated, malformed rightmost cells, uneven leaf depth, a
+        truncated overflow chain, or an overflow cell in a leaf whose
+        ``FLAG_HAS_OVERFLOW`` bit is clear.
         """
         root = view.root_page_no(self.root_slot)
         leaf_depths = set()
@@ -363,7 +376,7 @@ class BTree:
         """One attempt to place ``payload``; False asks for a restart."""
         leaf = path[-1]
         try:
-            ctx.insert_record(leaf.page, slot, payload)
+            self._put_leaf_cell(ctx, leaf.page, slot, payload)
             return True
         except PageFullError as err:
             self._make_room(ctx, path, len(path) - 1, len(payload), err)
@@ -372,13 +385,25 @@ class BTree:
     def _replace(self, ctx, path, slot, payload):
         leaf = path[-1]
         try:
-            ctx.update_record(leaf.page, slot, payload)
+            self._put_leaf_cell(ctx, leaf.page, slot, payload, replace=True)
             return True
         except PageFullError:
             # Replace as delete + (re-descending) insert: the deletion
             # frees the slot; the insert path handles any split.
             ctx.delete_record(leaf.page, slot)
             return False
+
+    def _put_leaf_cell(self, ctx, page, slot, payload, *, replace=False):
+        """Write a leaf cell — insert it at ``slot``, or with
+        ``replace`` repoint ``slot`` at it — and flag the leaf when the
+        cell is its first overflow cell (same transaction, so the bit
+        commits with the header that makes the cell reachable)."""
+        if replace:
+            ctx.update_record(page, slot, payload)
+        else:
+            ctx.insert_record(page, slot, payload)
+        if is_overflow_cell(payload) and not page.flags & FLAG_HAS_OVERFLOW:
+            ctx.set_page_flags(page, FLAG_HAS_OVERFLOW)
 
     def _make_room(self, ctx, path, depth, need, err):
         """Copy-on-write if compaction would make the record fit —
@@ -467,7 +492,7 @@ class BTree:
         )
         if page.page_type == PAGE_LEAF:
             for i in range(half):
-                ctx.insert_record(sibling, i, page.record(i))
+                self._put_leaf_cell(ctx, sibling, i, page.record(i))
             separator = leaf_key(page.record(half - 1))
         else:
             # The moved boundary cell becomes the sibling's rightmost;
@@ -622,6 +647,10 @@ class BTree:
                 assert hi is None or key <= hi, "key above bound in leaf %d" % page_no
             for payload in page.records():
                 if is_overflow_cell(payload):
+                    assert page.flags & FLAG_HAS_OVERFLOW, (
+                        "leaf %d holds an overflow cell but "
+                        "FLAG_HAS_OVERFLOW is clear" % page_no
+                    )
                     _, prefix, (total, head) = parse_leaf_any(payload)
                     tail = overflow.read_chain(view, head)
                     assert len(prefix) + len(tail) == total, (

@@ -135,6 +135,12 @@ class FASTContext:
         self._mark_dirty(page)
         self.reclaims.append((page, old_offset))
 
+    def set_page_flags(self, page, mask):
+        if page.frame_backed:
+            self._promote(page)
+        page.pending_set_flags(mask)
+        self._mark_dirty(page)
+
     def allocate_page(self, page_type):
         page = self.store.allocate_page(page_type)
         page_no = self.store.page_no_of(page)

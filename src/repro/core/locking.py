@@ -429,6 +429,11 @@ class LockingContext:
         self._inner.delete_record(page, slot)
         self.__dict__["op_mutated"] = True
 
+    def set_page_flags(self, page, mask):
+        self._xlock_page(page)
+        self._inner.set_page_flags(page, mask)
+        self.__dict__["op_mutated"] = True
+
     def allocate_page(self, page_type):
         page_no, page = self._inner.allocate_page(page_type)
         # A fresh page is uncontended: the grant cannot conflict.

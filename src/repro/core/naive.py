@@ -65,6 +65,10 @@ class NaiveContext:
         self._apply(page)
         page.reclaim_cell(old_offset)
 
+    def set_page_flags(self, page, mask):
+        page.pending_set_flags(mask)
+        self._apply(page)
+
     def allocate_page(self, page_type):
         page = self.store.allocate_page(page_type)
         page_no = self.store.page_no_of(page)

@@ -147,6 +147,12 @@ class NVWALContext:
             self._apply(page)
             page.reclaim_cell(old_offset)
 
+    def set_page_flags(self, page, mask):
+        with self.obs.span("volatile_buffer_caching"):
+            self._snapshot(page)
+            page.pending_set_flags(mask)
+            self._apply(page)
+
     def allocate_page(self, page_type):
         engine = self.engine
         with self.obs.span("volatile_buffer_caching"):
@@ -194,12 +200,13 @@ class NVWALContext:
             self._snapshot(page)
             records = page.records()
             base, size = page.base, page.page_size
-            page_type = page.page_type
+            page_type, flags = page.page_type, page.flags
             self.engine.dram.write(base, bytes(size))
             fresh = SlottedPage.initialize(
                 self.engine.dram, base, size, page_type, persist=False,
                 validated=self.engine.cache.freelist_validated,
             )
+            fresh.pending_set_flags(flags)
             for slot, payload in enumerate(records):
                 fresh.pending_insert(slot, payload)
             fresh.apply_header(fresh.pending_header_image())

@@ -32,7 +32,11 @@ def defragment_into(store, page, *, header_capacity=None):
     """
     capacity = header_capacity if header_capacity is not None else page.header_capacity
     fresh = store.allocate_page(page.page_type, header_capacity=capacity)
-    fresh.begin_pending()  # a page emptied by its transaction copies nothing
+    # A fresh page's flags are 0: the pending header (the one that
+    # commits) takes the source's, as the published image below does.
+    # This also begins it, so a page emptied by its transaction copies
+    # nothing and still commits an empty header.
+    fresh.pending_set_flags(page.flags)
     committed = set(page.committed_offsets())
     committed_copies = []
     for slot, src_offset in enumerate(page.slots()):

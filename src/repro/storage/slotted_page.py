@@ -14,10 +14,20 @@ Fixed metadata (8 bytes, so that one 64-byte cache line holds it plus
 leaf pages):
 
     offset 0  u8   page type (free / leaf / internal / meta)
-    offset 1  u8   flags
+    offset 1  u8   flags (bit 0: ``FLAG_HAS_OVERFLOW``; others 0)
     offset 2  u16  number of records
     offset 4  u16  content_start — beginning of the record content area
     offset 6  u16  free-list head (0 = empty)
+
+``FLAG_HAS_OVERFLOW`` means "this leaf may hold overflow cells".  The
+page never sets it (it does not know the cell format): the B-tree does,
+through :meth:`pending_set_flags`, whenever it writes an overflow cell
+into a leaf, so reachability can skip a clear leaf's records.  Being
+in the header, it commits atomically with the offset array that makes
+the cell reachable — on every commit path, since all of them carry the
+whole header image — so in every committed state a clear bit means no
+overflow cell.  It is sticky: deleting the cell does not clear it, and
+copy-on-write defragmentation carries it to the fresh page.
 
 A record cell is ``u16 payload length`` followed by the payload; cells
 are allocated backward from ``content_start`` or carved out of the
@@ -78,6 +88,8 @@ PAGE_LEAF = 1
 PAGE_INTERNAL = 2
 PAGE_META = 3
 PAGE_OVERFLOW = 4
+
+FLAG_HAS_OVERFLOW = 0x01
 
 _OFF_TYPE = 0
 _OFF_FLAGS = 1
@@ -538,6 +550,10 @@ class SlottedPage:
 
     def pending_set_type(self, page_type):
         self.begin_pending().page_type = page_type
+
+    def pending_set_flags(self, mask):
+        """OR ``mask`` into the pending header's flags byte."""
+        self.begin_pending().flags |= mask
 
     def pending_header_image(self):
         """The pending header serialised — what gets redo-logged or

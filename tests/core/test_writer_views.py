@@ -28,7 +28,7 @@ from repro.hashindex import HashIndex
 from repro.obs import trace as ev
 from repro.pm.crash import DropAll, PersistAll, RandomPersist
 from repro.storage.cache import TieredPageCache
-from repro.storage.slotted_page import SlottedPage
+from repro.storage.slotted_page import FLAG_HAS_OVERFLOW, SlottedPage
 from repro.testing.crashsim import run_scheduler_crash_sweep
 from repro.testing.invariants import PageInvariantChecker
 from tests.storage.test_cache import (
@@ -192,6 +192,15 @@ def _mutate_delete(engine, txn):
     return {_leaf_no(engine, b"k010")}
 
 
+def _mutate_set_flags(engine, txn):
+    # The B-tree sets a flag only after a cell write promoted the page;
+    # called first, the mutator must promote it itself.
+    leaf_no = _leaf_no(engine, b"k010")
+    ctx = txn.inner_ctx
+    ctx.set_page_flags(ctx._pages[leaf_no], FLAG_HAS_OVERFLOW)
+    return {leaf_no}
+
+
 def _mutate_cow_swap(engine, txn):
     # ``defragment`` promotes its source (leaf 2) and
     # ``overwrite_child_pointer`` the parent it stores into (the root,
@@ -201,8 +210,9 @@ def _mutate_cow_swap(engine, txn):
 
 
 @pytest.mark.parametrize("mutate", [
-    _mutate_insert, _mutate_update, _mutate_delete, _mutate_cow_swap,
-], ids=["insert_record", "update_record", "delete_record",
+    _mutate_insert, _mutate_update, _mutate_delete, _mutate_set_flags,
+    _mutate_cow_swap,
+], ids=["insert_record", "update_record", "delete_record", "set_page_flags",
         "defragment+overwrite_child_pointer"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_mutators_promote_their_page_in_place(scheme, mutate):
