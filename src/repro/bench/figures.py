@@ -576,8 +576,9 @@ def extension_recovery_scaling(ops=None):
         note="Lazy mode replays only the commit-marked log frames; "
              "eager mode additionally garbage-collects: a header line "
              "per leaf (records only in leaves flagged as holding "
-             "overflow cells) plus relinking every free page, so it "
-             "scales with pages, not records.",
+             "overflow cells) plus relinking the free pages below the "
+             "highest live page (the rest become one run link), so it "
+             "scales with live pages, not records or the arena.",
     )
     return {"table": table, "data": data}
 

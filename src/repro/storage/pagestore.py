@@ -11,6 +11,29 @@ can at worst *leak* a page that no committed structure references yet
 ("the sibling page can be safely garbage collected").
 :meth:`garbage_collect` rebuilds the free list from a reachability set,
 reclaiming such orphans.
+
+Free-list links.  The head word and a free page's first word each hold
+a link: 0 ends the list, a page number ``n`` continues it at page ``n``,
+and a *run* link ``RUN | F`` (bit 31 set) stands for every page in
+``[F, npages)``, handed out in ascending order without reading them.
+Only :meth:`garbage_collect` writes a run: every page above the highest
+reachable or protected page is free, so it relinks just the free pages
+below that mark and names the rest with one link.  Its publish order
+makes every crash state the old list, the new list, or the new list
+with the run leaked:
+
+1. relink the free pages below ``F`` in descending page order, each
+   link persisted before the next, the first (the list's tail) to 0 —
+   a crash here leaves the old list, which, once it reaches a relinked
+   page, follows only new links, each to a larger page, so it cannot
+   loop;
+2. publish the head;
+3. persist the tail's link as ``RUN | F`` (if no free page lies below
+   ``F``, step 2 publishes ``RUN | F`` as the head and this step is
+   void).
+
+Writing the run before step 2 would splice it into the old list, whose
+pages above ``F`` would then be handed out twice.
 """
 
 from repro.storage.slotted_page import SlottedPage
@@ -22,6 +45,9 @@ _OFF_NPAGES = 8
 _OFF_FREE_HEAD = 12
 _OFF_ROOTS = 16
 N_ROOT_SLOTS = 12
+
+#: Tag bit of a run link: ``RUN | F`` = every page in ``[F, npages)``.
+RUN = 1 << 31
 
 
 class OutOfPagesError(Exception):
@@ -36,16 +62,18 @@ class PageStore:
             raise ValueError("page_size must be cache-line aligned")
         if npages < 2:
             raise ValueError("need at least a header page and one data page")
+        if npages >= RUN:
+            raise ValueError("page numbers must leave the run tag bit clear")
         self.pm = pm
         self.base = base
         self.npages = npages
         self.page_size = page_size
         #: Page-reuse hook for dependent layers (the tiered DRAM page
         #: cache): called with the page number whenever a page is
-        #: linked into the free list (``_link_free``), because a freed
-        #: page can be reallocated with new content, and nothing
-        #: derived from its old identity may survive that.  None =
-        #: nobody listening.
+        #: linked into the free list (``_link_free``) or swept into a
+        #: run by ``garbage_collect``, because a freed page can be
+        #: reallocated with new content, and nothing derived from its
+        #: old identity may survive that.  None = nobody listening.
         self.on_page_freed = None
         #: Bases of the pages whose in-page free lists have been
         #: validated since this store was attached (a page formatted
@@ -125,11 +153,16 @@ class PageStore:
         Used by engines that materialise the page elsewhere first
         (NVWAL builds it in the volatile buffer cache).  The pop is one
         8-byte-atomic head update; a crash can at worst leak the page.
+        A run head ``RUN | F`` pops ``F`` without reading page ``F``.
         """
         head = self.free_head
         if not head:
             raise OutOfPagesError("no free pages")
-        nxt = self.pm.read_u32(self.page_base(head))
+        if head & RUN:
+            head &= ~RUN
+            nxt = self._run_link(head + 1)
+        else:
+            nxt = self.pm.read_u32(self.page_base(head))
         self.pm.write_u32(self.base + _OFF_FREE_HEAD, nxt)
         self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
         return head
@@ -169,14 +202,28 @@ class PageStore:
         self.pm.write_u32(self.base + _OFF_FREE_HEAD, page_no)
         self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
 
+    def _run_link(self, first):
+        """The link standing for every page in ``[first, npages)``."""
+        return RUN | first if first < self.npages else 0
+
+    def free_pages(self, read_u32=None):
+        """Every page on the free list, in the order allocation hands
+        them out: the explicit chain, then the run its last link names.
+        ``read_u32`` reads a link word (default: ``pm.read_u32``, which
+        charges simulated time); a chain that loops is cut where it
+        would repeat a page."""
+        read_u32 = read_u32 or self.pm.read_u32
+        chain = {}
+        link = read_u32(self.base + _OFF_FREE_HEAD)
+        while link and not link & RUN and link not in chain:
+            chain[link] = None
+            link = read_u32(self.page_base(link))
+        run = range(link & ~RUN, self.npages) if link & RUN else ()
+        return [*chain, *run]
+
     def free_page_count(self):
         """Number of pages currently on the free list."""
-        count = 0
-        page_no = self.free_head
-        while page_no:
-            count += 1
-            page_no = self.pm.read_u32(self.page_base(page_no))
-        return count
+        return len(self.free_pages())
 
     def garbage_collect(self, reachable, *, protected=frozenset()):
         """Rebuild the free list as every page not in ``reachable``.
@@ -187,18 +234,33 @@ class PageStore:
         reclaimed (paper Section 4.4).  ``protected`` pages survive
         even when unreachable — they belong to other live sessions'
         uncommitted transactions.
+
+        Only the free pages below ``F`` (one past the highest kept
+        page) are relinked; ``[F, npages)`` becomes one run link, in
+        the publish order the module docstring gives.  Allocation then
+        hands out exactly the ascending order a full relink would.
         """
+        first = max(max(reachable, default=0), max(protected, default=0)) + 1
         freed = 0
-        head = 0
-        for page_no in range(self.npages - 1, 0, -1):
+        head = tail = 0
+        for page_no in range(first - 1, 0, -1):
             if page_no in reachable or page_no in protected:
                 continue
             self._link_free(page_no, head)
+            if not head:
+                tail = page_no
             head = page_no
             freed += 1
-        self.pm.write_u32(self.base + _OFF_FREE_HEAD, head)
+        run = self._run_link(first)
+        if self.on_page_freed is not None:
+            for page_no in range(first, self.npages):
+                self.on_page_freed(page_no)
+        self.pm.write_u32(self.base + _OFF_FREE_HEAD, head or run)
         self.pm.persist(self.base + _OFF_FREE_HEAD, 4)
-        return freed
+        if head and run:
+            self.pm.write_u32(self.page_base(tail), run)
+            self.pm.persist(self.page_base(tail), 4)
+        return freed + self.npages - first
 
     # ------------------------------------------------------------------
     # Named roots

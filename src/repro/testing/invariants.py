@@ -25,7 +25,6 @@ DRAM frames that roll back by image, with nothing owned off the page.
 """
 
 from repro.core.fast import FASTContext, FASTEngine
-from repro.storage.pagestore import _OFF_FREE_HEAD
 from repro.storage.slotted_page import (
     _MIN_CHUNK,
     _OFF_FREELIST,
@@ -136,20 +135,15 @@ class PageInvariantChecker:
         return found
 
     def _free_pages(self):
-        """The store's free-page list.  A freed page keeps its old
-        bytes past the link word, so it must be skipped by number, not
-        by type byte."""
-        pm, store = self.engine.pm, self.engine.store
+        """The store's free pages, the run included.  A freed page keeps
+        its old bytes past the link word, so it must be skipped by
+        number, not by type byte."""
+        pm = self.engine.pm
 
         def link_at(addr):
             return int.from_bytes(_visible_bytes(pm, addr, 4), "little")
 
-        free = set()
-        page_no = link_at(store.base + _OFF_FREE_HEAD)
-        while page_no and page_no not in free:
-            free.add(page_no)
-            page_no = link_at(store.page_base(page_no))
-        return free
+        return set(self.engine.store.free_pages(read_u32=link_at))
 
     def _open_contexts(self):
         engine = self.engine

@@ -51,15 +51,6 @@ def oracle_reachable(tree, view):
     return pages
 
 
-def free_pages(store):
-    pages = set()
-    page_no = store.free_head
-    while page_no:
-        pages.add(page_no)
-        page_no = store.pm.read_u32(store.page_base(page_no))
-    return pages
-
-
 def value(rng, large):
     """A value on one side or the other of the spill threshold."""
     limit = overflow.max_local_payload(PAGE_SIZE)
@@ -307,7 +298,7 @@ def test_crash_sweep_eager_gc_keeps_committed_chains(scheme):
         tree = engine.tree()
         reachable = oracle_reachable(tree, view)
         assert tree.reachable_pages(view) == reachable, budget
-        assert not reachable & free_pages(engine.store), budget
+        assert not reachable & set(engine.store.free_pages()), budget
 
 
 # ----------------------------------------------------------------------

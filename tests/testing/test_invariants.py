@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import SystemConfig, open_engine
 from repro.core.scheduler import Scheduler
+from repro.storage import PAGE_LEAF
 from repro.testing.invariants import (
     PageInvariantChecker,
     PageInvariantViolation,
@@ -110,6 +111,24 @@ def test_sees_an_open_writers_pending_header_and_held_cells():
     assert leaf_of(engine) in heads
     txn.rollback()
     checker()
+
+
+def test_skips_the_pages_of_a_free_run():
+    """GC turns every free page above the highest live one into a run
+    link; those pages keep their old bytes and are no live leaves."""
+    engine = engine_of()
+    store = engine.store
+    orphan = store.allocate_page(PAGE_LEAF)
+    for slot in range(3):
+        orphan.pending_insert(slot, PAYLOAD)
+    orphan.apply_header(orphan.pending_header_image(), persist=True)
+    orphan.reclaim_cell(orphan.slot_offset(1))  # a broken leaf...
+    checker = PageInvariantChecker(engine)
+    assert checker.problems()
+    engine.garbage_collect()                    # ...swept into the run
+    assert store.free_pages()[-1] == store.npages - 1
+    assert store.page_no_of(orphan) > max(engine.reachable_pages())
+    assert checker.problems() == []
 
 
 def test_refuses_schemes_whose_pages_do_not_live_in_pm():
