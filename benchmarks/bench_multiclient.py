@@ -27,6 +27,7 @@ import itertools
 import json
 import pathlib
 import sys
+from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -230,7 +231,8 @@ def run_grid():
 
 #: Group-commit correctness grid (``--group-grid``): every cell must end
 #: in exactly its committed state.  Scheme x group size x clients x
-#: items/client x seed = 108 cells.
+#: items/client x seed = 108 cells, plus the 16 small-page cells
+#: (``SMALL_PAGE_EPOCH_CELLS`` on both schemes).
 GRID_GROUP_SIZES = (2, 4, 8)
 GRID_CLIENTS = (2, 8)
 GRID_ITEMS = (25, 50, 100)
@@ -243,26 +245,36 @@ def run_group_grid():
     after ``DropAll`` + attach) and the per-step page invariant
     checker.  Returns the cell count and the
     failing cells."""
-    from repro.bench.multiclient import run_group_commit
+    from repro.bench.multiclient import (
+        SMALL_PAGE_EPOCH_CELLS, run_group_commit, run_small_page_epoch_cell,
+    )
     from repro.testing.invariants import PageInvariantChecker
 
+    armed = dict(oracle=True, checker_factory=PageInvariantChecker)
+    cells = [
+        ("%s G=%d clients=%d items=%d seed=%d"
+         % (scheme, size, clients, items, seed),
+         partial(run_group_commit, scheme, group_size=size, clients=clients,
+                 items=items, seed=seed, **armed))
+        for scheme, size, clients, items, seed in itertools.product(
+            PM_SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS,
+            GRID_SEEDS,
+        )
+    ]
+    cells += [
+        ("%s G=%d small pages seed=%d" % (scheme, size, seed),
+         partial(run_small_page_epoch_cell, scheme, group_size=size,
+                 seed=seed, **armed))
+        for scheme in PM_SCHEMES
+        for seed, size in SMALL_PAGE_EPOCH_CELLS
+    ]
     failures = []
-    cells = list(itertools.product(
-        PM_SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS, GRID_SEEDS,
-    ))
-    for scheme, size, clients, items, seed in cells:
+    for name, run in cells:
         try:
-            run_group_commit(
-                scheme, group_size=size, clients=clients, items=items,
-                seed=seed, oracle=True, checker_factory=PageInvariantChecker,
-            )
+            run()
         # Report every failing cell, whatever it raised.
         except Exception as err:
-            failures.append(
-                "%s G=%d clients=%d items=%d seed=%d: %s: %s"
-                % (scheme, size, clients, items, seed,
-                   type(err).__name__, err)
-            )
+            failures.append("%s: %s: %s" % (name, type(err).__name__, err))
     return len(cells), failures
 
 
@@ -354,7 +366,7 @@ def main(argv=None):
                              "pagestores (8 clients, disjoint pools)")
     parser.add_argument("--group-grid", action="store_true",
                         help="skip the baseline grid: run the group-commit "
-                             "correctness grid (108 cells under the "
+                             "correctness grid (124 cells under the "
                              "committed-prefix oracle); exit 1 on any "
                              "failing cell")
     args = parser.parse_args(argv)

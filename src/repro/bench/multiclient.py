@@ -19,7 +19,7 @@ import random
 from zlib import crc32
 
 from repro.bench.harness import build_config
-from repro.core import open_engine
+from repro.core import SystemConfig, open_engine
 from repro.core.scheduler import Scheduler
 
 #: Registry counters reported per run (deltas over the scheduled window).
@@ -345,6 +345,32 @@ def run_group_commit(scheme, *, group_size=0, clients=8, items=50,
         counters["pm.flush"] / commits if commits else 0.0
     )
     return result
+
+
+#: (seed, group size) of the 8-client cells on 512-byte pages and a
+#: 40-key space whose epochs overlay one page with headers of differing
+#: lengths — the cells that corrupted a cell under an earlier member's
+#: longer header before ``EpochPipeline.header_extents`` floored
+#: allocation at it: the first four under the schedules of splits that
+#: stored before locking the parent, the last four under today's.  Run
+#: by ``bench_multiclient.py --group-grid``.
+SMALL_PAGE_EPOCH_CELLS = (
+    (19, 8), (4, 8), (21, 8), (11, 4),
+    (13, 4), (7, 8), (34, 8), (36, 8),
+)
+
+
+def run_small_page_epoch_cell(scheme, *, group_size, seed, **kwargs):
+    """One of :data:`SMALL_PAGE_EPOCH_CELLS`: 8 clients × 25 items over
+    40 keys on a 64-page arena of 512-byte pages, no preload."""
+    config = SystemConfig(
+        group_commit_size=group_size, npages=64, page_size=512,
+        log_bytes=32768, heap_bytes=1 << 20, dram_bytes=64 * 512,
+    )
+    return run_multi_client(
+        scheme, clients=8, items=25, key_space=40, preload=0, seed=seed,
+        config=config, **kwargs,
+    )
 
 
 def sweep_group_commit(scheme, *, group_sizes=(0, 2, 4), counts=(2, 8),

@@ -21,6 +21,7 @@ Context protocol (mutation path) — extends the view protocol::
     ctx.free_page(page_no)                 # deferred to post-commit
     ctx.set_root(slot, page_no)            # atomic with the commit
     ctx.defragment(page_no) -> (new_no, new_page)
+    ctx.lock_ahead(page=None, root_slot=None)  # claim before storing
 
 Structural notes (paper Section 4):
 
@@ -34,6 +35,12 @@ Structural notes (paper Section 4):
   the same transaction (Section 4.3);
 * structural changes restart the insert from the root — the context's
   page cache keeps the pending view consistent across restarts;
+* a leaf split or copy-on-write first claims what it will write above
+  the leaf — the parent page, or the root slot for a root leaf —
+  through ``ctx.lock_ahead``, before any store (Bayer & Schkolnick's
+  rule for structure modifications), so a locking context that meets
+  another transaction there can wait instead of discarding the new
+  sibling;
 * every leaf-cell write goes through :meth:`BTree._put_leaf_cell`, which
   sets a leaf's ``FLAG_HAS_OVERFLOW`` header bit with its first overflow
   cell, so reachability reads the records of flagged leaves only.
@@ -409,8 +416,17 @@ class BTree:
         """Copy-on-write if compaction would make the record fit —
         this covers both fragmented committed space and space held
         hostage by cells this transaction made dead (paper Section
-        4.3) — otherwise split."""
+        4.3) — otherwise split.
+
+        Either way the parent (or, for the root, the root slot) is
+        claimed first: the leaf insert that raised ``PageFullError``
+        stored nothing, so a conflict here is one a locking context can
+        still wait out."""
         del err
+        if depth:
+            ctx.lock_ahead(path[depth - 1].page)
+        else:
+            ctx.lock_ahead(root_slot=self.root_slot)
         page = path[depth].page
         if page.fits_after_copy(need):
             self._copy_on_write(ctx, path, depth)

@@ -90,6 +90,9 @@ class DirectContext:
         self.store.pm.write_u32(position, new_child_no)
         self.store.pm.persist(position, 4)
 
+    def lock_ahead(self, page=None, root_slot=None):
+        """Nothing to claim: a direct context serves no sessions."""
+
     def defragment(self, page_no):
         fresh = defragment_into(self.store, self.page(page_no))
         fresh_no = self.store.page_no_of(fresh)

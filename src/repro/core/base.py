@@ -12,6 +12,7 @@ sub-phases) correspond to the bars of the paper's breakdown figures.
 """
 
 from contextlib import nullcontext
+from functools import partial
 
 from repro.btree.btree import BTree
 from repro.core.locking import LOCK_IS, LOCK_IX, LockingContext
@@ -44,14 +45,22 @@ class ReadView:
     are bound straight to their targets, so the view itself adds no
     call depth.  Built per ``read_view()`` call, never kept on the
     engine: a stored view would close an engine → view → bound-method
-    → engine cycle and park dead engines' arenas until a full GC."""
+    → engine cycle and park dead engines' arenas until a full GC.
+
+    ``fill=False`` reads the way a writer context's first touch does:
+    a frame is hit if one exists, but a miss reads PM (``cache.bypass``)
+    instead of filling one — for one-pass walks (GC reachability,
+    ``page_stats``) that would otherwise evict the hot set."""
 
     __slots__ = ("segment", "root_page_no", "page")
 
-    def __init__(self, engine):
+    def __init__(self, engine, fill=True):
         self.segment = engine.pm.clock.segment
         self.root_page_no = engine._root
-        self.page = engine._read_page
+        if fill:
+            self.page = engine._read_page
+        else:
+            self.page = partial(engine._read_page, writer=True)
 
 
 class Transaction:
@@ -480,7 +489,7 @@ class Engine:
         if group is not None:
             image = group.pending_headers.get(page_no)
             if image is not None:
-                page.overlay_header(image)
+                page.overlay_header(image, group.header_extents[page_no])
         return page
 
     def _root(self, slot):
@@ -667,12 +676,13 @@ class Engine:
 
         Root slots may hold B-trees (leaf/internal root page) or hash
         indexes (META directory page, see ``repro.hashindex``); the
-        root page's type says which reachability walk applies.
+        root page's type says which reachability walk applies.  The
+        walk reads each page once, so it fills no DRAM-tier frame.
         """
         from repro.hashindex.index import HashIndex
         from repro.storage.slotted_page import PAGE_META
 
-        view = self.read_view()
+        view = ReadView(self, fill=False)
         pages = set()
         for slot in self.active_root_slots():
             root_no = view.root_page_no(slot)

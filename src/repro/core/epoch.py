@@ -27,7 +27,11 @@ baseline commits one writer at a time and never groups).  It holds:
   slot-header images and root pointers that are redo-logged (and will
   be covered by the shared mark) but not yet applied to the pages.
   Fresh page fetches between join and close install these so every
-  later transaction sees the members' committed state.
+  later transaction sees the members' committed state;
+* ``header_extents`` — per overlaid page, the widest member image.  The
+  close writes *every* member's image in log order (and so does crash
+  replay), so an overlay floors allocation at this extent, not at the
+  latest image's.
 
 The engine supplies the actual close sequence (fence, mark, coalesced
 checkpoint, deferred housekeeping) as the ``close`` callable; the
@@ -50,6 +54,8 @@ class EpochPipeline:
         self.members = []
         #: page_no -> latest member slot-header image (overlay).
         self.pending_headers = {}
+        #: page_no -> byte length of the widest member image.
+        self.header_extents = {}
         #: root slot -> latest member root pointer (overlay).
         self.pending_roots = {}
 
@@ -67,8 +73,10 @@ class EpochPipeline:
         the second's image.
         """
         self.members.append(member)
+        extents = self.header_extents
         for page_no, image in headers:
             self.pending_headers[page_no] = image
+            extents[page_no] = max(extents.get(page_no, 0), len(image))
         for slot, page_no in roots:
             self.pending_roots[slot] = page_no
 
@@ -136,5 +144,6 @@ class EpochPipeline:
         members = self.members
         self.members = []
         self.pending_headers = {}
+        self.header_extents = {}
         self.pending_roots = {}
         return members

@@ -192,6 +192,9 @@ class FASTContext:
         if new_child_no in self.new_pages:
             self.dirty[new_child_no] = self.new_pages.pop(new_child_no)
 
+    def lock_ahead(self, page=None, root_slot=None):
+        """Nothing to claim: locks belong to the session's ``LockingContext``."""
+
     def defragment(self, page_no):
         with self.obs.span("defrag"):
             page = self.page(page_no)
@@ -632,7 +635,7 @@ class FASTEngine(Engine):
         if self.group is not None:
             image = self.group.pending_headers.get(page_no)
             if image is not None:
-                page.overlay_header(image)
+                page.overlay_header(image, self.group.header_extents[page_no])
                 page.rebuild_free_list(held)
                 return
         page.discard_pending(held)

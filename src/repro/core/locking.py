@@ -456,6 +456,17 @@ class LockingContext:
         self._inner.overwrite_child_pointer(parent_page, slot, new_child_no)
         self.__dict__["op_mutated"] = True
 
+    def lock_ahead(self, page=None, root_slot=None):
+        """X-lock ``page`` — or, given none, root slot ``root_slot`` —
+        for a structure change about to write it, before anything is
+        stored.  Unlike the mutators this leaves ``op_mutated`` alone,
+        so a conflict here parks the transaction instead of aborting
+        it."""
+        if page is None:
+            self._lock(root_resource(self._ns | root_slot), LOCK_X)
+        else:
+            self._xlock_page(page)
+
     def defragment(self, page_no):
         self._lock(page_resource(self._ns | page_no), LOCK_X)
         fresh_no, fresh = self._inner.defragment(page_no)

@@ -91,6 +91,9 @@ class NaiveContext:
         self.pm.write_u32(position, new_child_no)
         self.pm.persist(position, 4)
 
+    def lock_ahead(self, page=None, root_slot=None):
+        """Nothing to claim: the naive baseline serves no sessions."""
+
     def defragment(self, page_no):
         with self.obs.span("defrag"):
             fresh = defragment_into(self.store, self.page(page_no))

@@ -191,6 +191,9 @@ class NVWALContext:
                 parent_page.base + offset + CELL_HEADER_SIZE, new_child_no
             )
 
+    def lock_ahead(self, page=None, root_slot=None):
+        """Nothing to claim: locks belong to the session's ``LockingContext``."""
+
     def defragment(self, page_no):
         """In the volatile cache, defragmentation is an in-frame
         compaction — no copy-on-write is needed because DRAM pages may

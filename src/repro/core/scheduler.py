@@ -29,7 +29,11 @@ Conflict policy (the timeout/abort-retry policy of the lock manager):
 * a conflict *after* the operation mutated transaction state cannot be
   waited out — the half-applied operation cannot be re-issued — so the
   transaction aborts and the whole item retries after a deterministic
-  exponential backoff;
+  exponential backoff.  A B-tree split keeps this path rare: it claims
+  its parent page (or the root slot) before its first store
+  (``LockingContext.lock_ahead``), so meeting a holder there parks it.
+  What still aborts here stores before its next lock: cascading
+  splits, a replace's delete-and-reinsert fallback, empty-leaf unlinks;
 * a wait that outlives ``lock_timeout_ns`` simulated nanoseconds times
   out: the transaction aborts and retries the same way.
 

@@ -124,6 +124,32 @@ def _durability_cost(counters):
     return lines
 
 
+#: Why a scheduled transaction was retried (``Scheduler._abort``).
+_ABORT_CAUSES = ("mutated", "deadlock", "timeout", "occ")
+
+
+def _scheduler(counters):
+    """Derived scheduler health: lock waits and aborts per committed
+    transaction, the aborts split by cause — a conflict after the
+    operation stored (``mutated``), a wait-for cycle, a wait timeout, a
+    failed OCC commit.  Present only for scheduled runs."""
+    if not counters.get("sched.step", 0):
+        return []
+    commits = counters.get("engine.txn.commit", 0) or 1
+    causes = ", ".join(
+        "%s %.3f" % (cause, counters.get("sched.abort." + cause, 0) / commits)
+        for cause in _ABORT_CAUSES
+    )
+    return [
+        "",
+        "scheduler",
+        "---------",
+        "  per committed txn %.3f waits, %.3f aborts (%s)"
+        % (counters.get("sched.wait", 0) / commits,
+           counters.get("sched.abort", 0) / commits, causes),
+    ]
+
+
 def _page_layer(counters):
     """Derived slotted-page health: how many in-page free lists the
     lazy check of paper Section 4.3 walked — one per page per attach
@@ -312,6 +338,7 @@ def render_report(snapshot, *, title="observability report"):
             for name in sorted(n for n in counters if n.split(".", 1)[0] == group):
                 lines.append("  %s  %d" % (name.ljust(width), counters[name]))
         lines.extend(_durability_cost(counters))
+        lines.extend(_scheduler(counters))
         lines.extend(_page_layer(counters))
         lines.extend(_isolation(counters))
         lines.extend(_cache_tier(counters))

@@ -460,7 +460,7 @@ class SlottedPage:
     def has_pending(self):
         return self._pending is not None
 
-    def overlay_header(self, image):
+    def overlay_header(self, image, extent=0):
         """Install ``image`` as this page's volatile header overlay.
 
         Group commit: an epoch member's header image is redo-logged
@@ -480,11 +480,15 @@ class SlottedPage:
         The head word is the page's, not the image's: the image froze
         the value the member saw when it was logged, and every later
         pop, reclaim or rebuild moved the one in memory.  The floor
-        protects both the durable offset array (still what a crash
-        pre-checkpoint replays over) and the overlay's own extent.
+        protects the durable offset array (still what a crash
+        pre-checkpoint replays over), the overlay's own extent, and
+        ``extent``: the widest image the epoch's close will still write
+        here.  The close and crash replay apply every member's image in
+        log order, so an earlier member's longer header lands over any
+        cell placed between the latest image's end and its own.
         """
         committed = self.committed_header_image()
-        self._floor = max(len(committed), len(image))
+        self._floor = max(len(committed), len(image), extent)
         self._pending = self._decode(image)
         self._pending.freelist_head = int.from_bytes(
             committed[_OFF_FREELIST:FIXED_HEADER_SIZE], "little"

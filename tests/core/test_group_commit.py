@@ -10,7 +10,9 @@ group mark) asserting all-or-nothing recovery at epoch granularity.
 
 import pytest
 
-from repro.bench.multiclient import run_group_commit
+from repro.bench.multiclient import (
+    SMALL_PAGE_EPOCH_CELLS, run_group_commit, run_small_page_epoch_cell,
+)
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm.crash import PersistAll
 from repro.testing.crashsim import run_crash_sweep
@@ -247,7 +249,7 @@ class TestRepairInAnOpenEpoch:
 class TestContendedGrid:
     """The cells of ROADMAP item 1's grid (scheme x G x clients x N x
     seed) that corrupted committed pages before deferred reclamation
-    had one owner, at N <= 50; CI's ``concurrency`` job runs all 162
+    had one owner, at N <= 50; CI's ``concurrency`` job runs all 124
     (``bench_multiclient.py --group-grid``).  Each cell runs under the
     per-step page invariant checker and ends with the committed-prefix
     oracle: ``verify()`` + scan == the dict model replaying the commit
@@ -266,6 +268,47 @@ class TestContendedGrid:
         )
         assert result["commits"] == 8 * items
         assert result["trace_check"]["stats"]["steps"] == result["steps"]
+
+
+class TestSmallPageEpochFloor:
+    """An epoch close (and crash replay) writes every member's header
+    image of a page in log order, so an overlay floors allocation at
+    the *widest* member image, not the latest one.  Before that, these
+    cells placed a cell just past a later member's shorter header, and
+    the close wrote an earlier member's longer header over it."""
+
+    @pytest.mark.parametrize("scheme", GROUPING)
+    @pytest.mark.parametrize("seed,group_size", SMALL_PAGE_EPOCH_CELLS)
+    def test_cell_keeps_committed_pages_intact(self, scheme, seed,
+                                               group_size):
+        result = run_small_page_epoch_cell(
+            scheme, group_size=group_size, seed=seed,
+            checker_factory=PageInvariantChecker, oracle=True,
+        )
+        assert result["commits"] == 8 * 25
+
+    @pytest.mark.parametrize("scheme", GROUPING)
+    def test_overlay_floors_at_the_widest_member_image(self, scheme):
+        """One member grows a page's header past its durable length,
+        the next shrinks it below; a fresh fetch before the close must
+        not allocate below the first member's header, which the close
+        still writes."""
+        engine = open_engine(grouped_config(scheme=scheme, group_commit_size=8))
+        for i in range(4):
+            engine.insert(b"fk%d" % i, PAYLOAD)
+        engine.drain_group_commit()
+        leaf = engine.store.root(0)
+        durable = len(engine.store.page(leaf).committed_header_image())
+        with engine.transaction() as txn:
+            txn.insert(b"fk4", PAYLOAD)
+            txn.insert(b"fk5", PAYLOAD)
+        wide = len(engine.group.pending_headers[leaf])
+        with engine.transaction() as txn:
+            for i in range(3):
+                txn.delete(b"fk%d" % i)
+        assert len(engine.group.pending_headers[leaf]) < durable < wide
+        assert engine.group.header_extents[leaf] == wide
+        assert engine._fetch_page(leaf)._floor == wide
 
 
 class TestShardedGroupCommit:

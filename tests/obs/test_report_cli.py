@@ -121,3 +121,29 @@ def test_page_section_reports_free_list_checks_and_rebuilds():
     assert "slotted pages" in report
     assert "free lists        %8d  validated" % 1 in report
     assert report.count(", 0 rebuilt") == 1
+
+
+def test_scheduler_line_says_why_transactions_retried():
+    """Waits and aborts per committed transaction, the aborts split by
+    cause, read from the report of a contended scheduled run."""
+    from repro.bench.multiclient import client_workload
+    from repro.core.scheduler import Scheduler
+
+    engine = _small_engine()
+    assert "scheduler" not in render_report(engine.obs.snapshot())
+    scheduler = Scheduler(engine)
+    for index in range(4):
+        scheduler.add_client(client_workload(index, items=12, key_space=20))
+    scheduler.run()
+    counters = engine.obs.registry.counters()
+    commits = counters["engine.txn.commit"]
+    assert counters["sched.wait"] and counters["sched.abort"]
+    causes = ", ".join(
+        "%s %.3f" % (cause, counters.get("sched.abort." + cause, 0) / commits)
+        for cause in ("mutated", "deadlock", "timeout", "occ")
+    )
+    assert (
+        "  per committed txn %.3f waits, %.3f aborts (%s)"
+        % (counters["sched.wait"] / commits,
+           counters["sched.abort"] / commits, causes)
+    ) in render_report(engine.obs.snapshot())

@@ -190,6 +190,28 @@ def test_garbage_collect_invalidates_swept_pages():
     assert cache.lookup(no) is None
 
 
+def test_reachability_walks_fill_no_frames():
+    """GC and ``page_stats`` read every reachable page once: they hit
+    the frames that exist and read the rest from PM (``cache.bypass``),
+    leaving the tier's contents as they found them."""
+    engine = make_engine(cache_pages=4)
+    for i in range(120):
+        engine.insert(b"walk%04d" % i, b"v" * 24)
+    engine.search(b"walk0000")
+    warm = set(engine.page_cache._frames)
+    reachable = engine.reachable_pages()
+    assert warm and len(reachable) > len(warm) + 4
+    before = cache_counters(engine)
+    engine.garbage_collect()
+    engine.page_stats()
+    after = cache_counters(engine)
+    moved = {name: after[name] - before[name] for name in after}
+    assert moved["cache.fill"] == moved["cache.miss"] == 0
+    assert moved["cache.evict"] == 0
+    assert moved["cache.bypass"] == 2 * (len(reachable) - len(warm))
+    assert set(engine.page_cache._frames) == warm
+
+
 # ----------------------------------------------------------------------
 # Sparse frames: what a fill copies, what it refuses to answer, what it
 # costs
