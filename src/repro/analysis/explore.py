@@ -40,9 +40,12 @@ Two steps are *dependent* iff their footprints share a resource in
 incompatible access modes (the lock compatibility matrix — so two IX
 holders of the same root slot commute, two X writers of one page do
 not).  A footprint collects, per step: lock acquire/upgrade/release/
-wait events (decoded resource + mode), arena page stores (``("page",
-n)`` in X), named-root stores (``("root", slot)`` in X), OCC read-set
-events (S) and version publishes (X).  Stores to the shared redo log
+wait events and passed instant-duration checks (``lock_check``: a
+descent routing through an internal page, in S — it grants nothing,
+but a later X on that page would have parked it), each as decoded
+resource + mode; arena page stores (``("page", n)`` in X), named-root
+stores (``("root", slot)`` in X), OCC read-set events (S) and version
+publishes (X).  Stores to the shared redo log
 and its commit word are deliberately *excluded*: the log is an
 implementation detail of durability, every commit appends to it, and
 treating those appends as conflicts would make all commit steps
@@ -172,7 +175,7 @@ def _footprint(events, base, page_size, npages):
                 continue  # allocator words: single-word-atomic contract
             _merge(footprint, ("page", page_no), LOCK_X)
         elif kind in (ev.LOCK_ACQUIRE, ev.LOCK_UPGRADE,
-                      ev.LOCK_RELEASE, ev.LOCK_WAIT):
+                      ev.LOCK_RELEASE, ev.LOCK_WAIT, ev.LOCK_CHECK):
             resource, mode = decode_lock(b)
             _merge(footprint, resource, mode)
         elif kind == ev.OCC_READ:

@@ -37,6 +37,9 @@ ordering theorem *as it executes*:
     lock still held at transaction end (TC105), and the wait-for graph
     is acyclic at every granted acquire and commit (TC106) — a cycle
     must be resolved by victim abort before anyone else makes progress.
+    A passed instant-duration check (``lock_check``, a descent routing
+    through an internal page) is neither a grant nor a release, so
+    none of the three counts it.
 ``TC107`` (lock-free snapshot reads)
     A read-only MVCC transaction (``snapshot_begin`` … ``snapshot_end``)
     must acquire **zero** locks — that is the whole point of the

@@ -10,6 +10,7 @@ View protocol (read path)::
 
     view.root_page_no(slot) -> int
     view.page(page_no) -> SlottedPage      # pending overlay included
+    view.route(page_no) -> SlottedPage     # the same, for a point descent
 
 Context protocol (mutation path) — extends the view protocol::
 
@@ -35,6 +36,13 @@ Structural notes (paper Section 4):
   the same transaction (Section 4.3);
 * structural changes restart the insert from the root — the context's
   page cache keeps the pending view consistent across restarts;
+* a point descent (search, insert, delete, update) reads through
+  ``view.route``, which is ``view.page`` everywhere but under 2PL:
+  there an internal page it only routes through gets an
+  instant-duration S check instead of an S lock held to commit, and
+  only the leaf keeps one (DESIGN.md §10).  Range scans read through
+  ``view.page``: a lazy cursor outlives its step, so it keeps S on
+  every page it passes;
 * a leaf split or copy-on-write first claims what it will write above
   the leaf — the parent page, or the root slot for a root leaf —
   through ``ctx.lock_ahead``, before any store (Bayer & Schkolnick's
@@ -329,7 +337,9 @@ class BTree:
     # ------------------------------------------------------------------
 
     def _typed_page(self, view, page_no):
-        page = view.page(page_no)
+        return self._typed(view.page(page_no))
+
+    def _typed(self, page):
         if page.page_type == PAGE_LEAF:
             page.header_capacity = self.leaf_capacity
         else:
@@ -340,8 +350,9 @@ class BTree:
         path = []
         page_no = view.root_page_no(self.root_slot)
         parent_slot = None
+        route = view.route
         while True:
-            page = self._typed_page(view, page_no)
+            page = self._typed(route(page_no))
             path.append(_PathEntry(page_no, page, parent_slot))
             if page.page_type == PAGE_LEAF:
                 return path

@@ -14,7 +14,8 @@ It serves two purposes:
   is exactly the failure the paper's in-place commit (RTM + line-atomic
   flush) and slot-header logging exist to prevent.
 
-It also doubles as a read view (``root_page_no`` / ``page``).
+It also doubles as a read view (``root_page_no`` / ``page`` /
+``route``).
 """
 
 from repro.storage.defrag import defragment_into
@@ -40,6 +41,8 @@ class DirectContext:
             page = self.store.page(page_no)
             self._pages[page_no] = page
         return page
+
+    route = page
 
     # ------------------------------------------------------------------
     # Mutation protocol

@@ -39,28 +39,29 @@ class TransactionError(Exception):
 class ReadView:
     """Committed-state view for searches and scans, over the engine's
     one read seam (scheme contexts take their first touch of a page
-    through it too).  ``page`` is ``Engine._read_page`` (DRAM cache tier
-    → open-epoch member overlays → the scheme's page fetch) and
-    ``root_page_no`` is ``Engine._root``; all three protocol members
-    are bound straight to their targets, so the view itself adds no
-    call depth.  Built per ``read_view()`` call, never kept on the
-    engine: a stored view would close an engine → view → bound-method
-    → engine cycle and park dead engines' arenas until a full GC.
+    through it too).  ``page`` — and ``route``, the same read for a
+    descent — is ``Engine._read_page`` (DRAM cache tier → open-epoch
+    member overlays → the scheme's page fetch) and ``root_page_no`` is
+    ``Engine._root``; every protocol member is bound straight to its
+    target, so the view itself adds no call depth.  Built per
+    ``read_view()`` call, never kept on the engine: a stored view would
+    close an engine → view → bound-method → engine cycle and park dead
+    engines' arenas until a full GC.
 
     ``fill=False`` reads the way a writer context's first touch does:
     a frame is hit if one exists, but a miss reads PM (``cache.bypass``)
     instead of filling one — for one-pass walks (GC reachability,
     ``page_stats``) that would otherwise evict the hot set."""
 
-    __slots__ = ("segment", "root_page_no", "page")
+    __slots__ = ("segment", "root_page_no", "page", "route")
 
     def __init__(self, engine, fill=True):
         self.segment = engine.pm.clock.segment
         self.root_page_no = engine._root
         if fill:
-            self.page = engine._read_page
+            self.page = self.route = engine._read_page
         else:
-            self.page = partial(engine._read_page, writer=True)
+            self.page = self.route = partial(engine._read_page, writer=True)
 
 
 class Transaction:

@@ -92,6 +92,15 @@ class FASTContext:
             self._pages[page_no] = page
         return page
 
+    route = page
+
+    def keep(self, page_no, page):
+        """Cache ``page`` as this transaction's view of ``page_no``: a
+        view its lock shim read fresh (``LockingContext.route``) and
+        has just latched, so nobody else can install there while it is
+        kept."""
+        self._pages[page_no] = page
+
     # -- mutation protocol -------------------------------------------------
 
     def _promote(self, page):
@@ -99,10 +108,13 @@ class FASTContext:
         B-tree's descent path holds the object), before the first
         mutation that touches it.  Only a committed install could have
         made PM differ from the frame since the view was taken, and
-        none can have landed: nobody else's under the S latch the view
-        was fetched behind, and this transaction's own happen at its
-        commit — bar the in-place pointer swap, which promotes the
-        parent before it stores (DESIGN.md §17)."""
+        none can have landed: a view this context keeps across steps
+        is of a page its transaction holds a lock on, so nobody else
+        installed there; a view a locked descent only routed through
+        is fresh from the step that mutates it, behind the X latch the
+        mutator takes first; and this transaction's own installs happen
+        at its commit — bar the in-place pointer swap, which promotes
+        the parent before it stores (DESIGN.md §17)."""
         page.promote(self.pm, self.store.freelist_validated)
 
     def insert_record(self, page, slot, payload):
@@ -281,7 +293,13 @@ class FASTContext:
         return set(self.allocated)
 
     def _mark_dirty(self, page):
+        """Record ``page`` for the commit, adopting it as this
+        transaction's view: a locked descent reads an internal page it
+        only routes through fresh and keeps nothing, so the first
+        mutation — behind its X latch — is what makes such a view the
+        one later descents must see."""
         page_no = self.store.page_no_of(page)
+        self._pages[page_no] = page
         if page_no not in self.new_pages:
             self.dirty[page_no] = page
 

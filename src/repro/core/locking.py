@@ -6,7 +6,12 @@ root slot (``IS`` to read, ``IX`` to write, ``X`` to repoint the root)
 and then shared/exclusive latches on the individual pages it touches.
 Locks are held to commit/rollback (strict two-phase locking), which is
 what makes the cooperative scheduler's interleavings serializable in
-commit order.
+commit order.  One read is lighter: a point descent only *routes*
+through an internal page, so it checks that page with an
+instant-duration S lock (:meth:`LockManager.check`) — an X holder, a
+transaction with an uncommitted structure change there, still stops
+it — and keeps nothing.  Leaves keep their S/X locks to commit, and so
+do range scans on every page (DESIGN.md §10).
 
 Everything here is *simulated-time* machinery: there are no host
 threads, so a conflicting ``acquire`` never blocks — it raises
@@ -32,8 +37,10 @@ emitted ``snapshot_begin`` must emit zero ``lock_acquire`` events.
 """
 
 from contextlib import contextmanager
+from functools import partial
 
 from repro.obs import trace as ev
+from repro.storage.slotted_page import PAGE_LEAF
 
 LOCK_IS = "IS"
 LOCK_IX = "IX"
@@ -88,6 +95,18 @@ def _upgrade(held, wanted):
     if held in _COVERS[wanted]:
         return wanted
     return LOCK_X
+
+
+def _blockers(granted, owner, target):
+    """The owners in ``granted`` ({owner: mode}) whose modes exclude
+    ``owner`` holding ``target`` — the one conflict rule behind
+    ``acquire``, ``check`` and the wait-for graph."""
+    compatible = _COMPATIBLE[target]
+    blockers = []
+    for other, other_mode in granted.items():
+        if other != owner and other_mode not in compatible:
+            blockers.append(other)
+    return blockers
 
 
 class LockError(Exception):
@@ -170,11 +189,7 @@ class LockManager:
                 return held
         else:
             target = mode
-        compatible = _COMPATIBLE[target]
-        blockers = [
-            other for other, other_mode in granted.items()
-            if other != owner and other_mode not in compatible
-        ]
+        blockers = _blockers(granted, owner, target)
         if blockers:
             if self.obs is not None:
                 self.obs.inc("lock.conflict")
@@ -190,6 +205,40 @@ class LockManager:
                 encode_lock(resource, target),
             )
         return target
+
+    def check(self, owner, resource, mode):
+        """An instant-duration lock: raise :class:`LockConflict` exactly
+        when :meth:`acquire` would, but grant nothing — the caller
+        passes the resource and keeps no claim on it (a B-tree descent
+        routing through an internal page, DESIGN.md §10).
+
+        Returns the mode ``owner`` holds if that already covers
+        ``mode`` (the held lock answers for the check, and nothing is
+        traced), else None.  A passed check is traced as
+        ``lock_check``; a failed one raises before anything is traced,
+        as a failed acquire does."""
+        granted = self._granted.get(resource)
+        if granted:
+            held = granted.get(owner)
+            if held is not None:
+                target = _upgrade(held, mode)
+                if target == held:
+                    return held
+            else:
+                target = mode
+            blockers = _blockers(granted, owner, target)
+            if blockers:
+                if self.obs is not None:
+                    self.obs.inc("lock.conflict")
+                raise LockConflict(owner, resource, mode, blockers)
+        if self.obs is not None:
+            self.obs.inc("lock.check")
+            self.obs.event(
+                ev.LOCK_CHECK,
+                owner if isinstance(owner, int) else 0,
+                encode_lock(resource, mode),
+            )
+        return None
 
     def try_acquire(self, owner, resource, mode):
         """``acquire`` returning False instead of raising on conflict."""
@@ -291,11 +340,7 @@ class LockManager:
             return ()
         held = granted.get(owner)
         target = mode if held is None else _upgrade(held, mode)
-        compatible = _COMPATIBLE[target]
-        return tuple(
-            other for other, other_mode in granted.items()
-            if other != owner and other_mode not in compatible
-        )
+        return tuple(_blockers(granted, owner, target))
 
     def wait_edges(self):
         """The wait-for graph: {waiter: (blocking owners...)}."""
@@ -347,11 +392,22 @@ class LockingContext:
     """A transaction context proxy that latches before delegating.
 
     Sits between a :class:`repro.core.session.Session` and the
-    scheme context (FAST/FAST⁺/NVWAL): reads take S page latches,
-    mutations take X, root-pointer updates take X on the root slot.
-    Attributes and methods outside the view/mutation protocol are
-    forwarded to the wrapped context, so the commit paths (which
-    receive the *inner* context) see the exact objects they always did.
+    scheme context (FAST/FAST⁺/NVWAL): ``page`` reads take S page
+    latches held to commit, ``route`` reads an instant S check on an
+    internal page and an S latch on a leaf, mutations take X,
+    root-pointer updates take X on the root slot.  Attributes and
+    methods outside the view/mutation protocol are forwarded to the
+    wrapped context, so the commit paths (which receive the *inner*
+    context) see the exact objects they always did.
+
+    The wrapped context caches views only of pages this transaction
+    holds a lock on: a page it holds none on carries none of its
+    changes, so ``route`` reads it fresh from the engine's committed
+    read seam (what the context's own first touch would read) and
+    hands it to the context to ``keep`` only once it has S-latched a
+    leaf; a route-only internal view is adopted by the first mutator
+    that X-latches it.  A cached route-only view would outlive the
+    check it was read behind and miss a later committed install.
 
     ``op_mutated`` tracks whether the current top-level operation has
     already changed transaction state; the scheduler uses it to decide
@@ -367,6 +423,9 @@ class LockingContext:
         self.__dict__["_locks"] = session.lock_manager
         self.__dict__["_owner"] = session.sid
         self.__dict__["_store"] = session.engine.store
+        self.__dict__["_committed_page"] = partial(
+            session.engine._read_page, writer=True
+        )
         # Sharded sessions namespace their resource ids (shard << 24)
         # so per-shard locks stay distinct in a merged wait-for graph.
         self.__dict__["_ns"] = session.resource_namespace
@@ -409,6 +468,23 @@ class LockingContext:
     def page(self, page_no):
         self._lock(page_resource(self._ns | page_no), LOCK_S)
         return self._inner.page(page_no)
+
+    def route(self, page_no):
+        """``page`` for a point descent: a page this transaction holds
+        no lock on is checked for S and read fresh, and only a leaf
+        then keeps its S latch.  An internal page is passed under the
+        check alone — its routing can change only through a structure
+        change that X-locks it (or the leaf below it), which the check
+        or the leaf's latch still meets."""
+        resource = page_resource(self._ns | page_no)
+        locks = self._locks
+        if locks.check(self._owner, resource, LOCK_S) is not None:
+            return self._inner.page(page_no)
+        page = self._committed_page(page_no)
+        if page.page_type == PAGE_LEAF:
+            locks.acquire(self._owner, resource, LOCK_S)
+            self._inner.keep(page_no, page)
+        return page
 
     # -- mutation protocol -------------------------------------------------
 

@@ -39,6 +39,8 @@ class NaiveContext:
             self._pages[page_no] = page
         return page
 
+    route = page
+
     # -- mutation protocol -------------------------------------------------
 
     def insert_record(self, page, slot, payload):

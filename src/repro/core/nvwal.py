@@ -268,6 +268,11 @@ class NVWALContext:
             return page
         return self.engine._fetch_page(page_no)
 
+    route = page
+
+    def keep(self, page_no, page):
+        """Nothing to cache: ``page`` re-reads the buffer cache's frame."""
+
     def _snapshot(self, page):
         page_no = page.page_no
         if page_no in self.snapshots:

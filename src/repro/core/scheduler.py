@@ -33,7 +33,12 @@ Conflict policy (the timeout/abort-retry policy of the lock manager):
   its parent page (or the root slot) before its first store
   (``LockingContext.lock_ahead``), so meeting a holder there parks it.
   What still aborts here stores before its next lock: cascading
-  splits, a replace's delete-and-reinsert fallback, empty-leaf unlinks;
+  splits, a replace's delete-and-reinsert fallback, empty-leaf unlinks.
+  Those meet holders rarely, because a point descent holds no internal
+  page: it passes each under an instant-duration S check
+  (``LockManager.check``) that grants nothing, so an internal page is
+  held only by a structure change (X) or an open range scan (S) — and
+  an X holder still parks a descent at the check, before it reads;
 * a wait that outlives ``lock_timeout_ns`` simulated nanoseconds times
   out: the transaction aborts and retries the same way.
 

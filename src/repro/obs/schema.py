@@ -39,6 +39,7 @@ COUNTERS = frozenset({
     "engine.commit.fallback",
     # core/locking.py
     "lock.acquire", "lock.upgrade", "lock.conflict", "lock.release",
+    "lock.check",
     # core/scheduler.py
     "sched.step", "sched.wait", "sched.wake", "sched.abort",
     "sched.abort.mutated", "sched.abort.deadlock", "sched.abort.timeout",

@@ -62,6 +62,7 @@ LOCK_UPGRADE = "lock_upgrade"        # a=sid, b=encoded (resource, mode)
 LOCK_RELEASE = "lock_release"        # a=sid, b=encoded (resource, mode)
 LOCK_WAIT = "lock_wait"              # a=sid, b=encoded wanted (resource, mode)
 LOCK_WAKE = "lock_wake"              # a=sid
+LOCK_CHECK = "lock_check"            # a=sid, b=encoded (resource, mode): passed, nothing granted
 TXN_BEGIN = "txn_begin"              # a=sid
 TXN_COMMIT = "txn_commit"            # a=sid
 TXN_ABORT = "txn_abort"              # a=sid
@@ -116,6 +117,7 @@ KINDS = (
     LOG_APPEND, COMMIT_MARK, LOG_TRUNCATE,
     CHECKPOINT, RECOVERY_REPLAY, CRASH,
     LOCK_ACQUIRE, LOCK_UPGRADE, LOCK_RELEASE, LOCK_WAIT, LOCK_WAKE,
+    LOCK_CHECK,
     TXN_BEGIN, TXN_COMMIT, TXN_ABORT,
     SNAPSHOT_BEGIN, SNAPSHOT_READ, SNAPSHOT_END, MVCC_GC,
     OCC_BEGIN, OCC_READ, OCC_VALIDATE, OCC_CONFLICT, OCC_FALLBACK,

@@ -20,7 +20,7 @@ The pieces:
 
 ``SnapshotContext``
     The read-only transaction context: it implements the B-tree view
-    protocol (``segment`` / ``root_page_no`` / ``page``) by resolving
+    protocol (``segment`` / ``root_page_no`` / ``page`` / ``route``) by resolving
     every read against the latest version with commit timestamp ≤ its
     pinned snapshot timestamp.  It acquires **no** locks — no IS/S
     traffic at all — and never writes.
@@ -266,6 +266,8 @@ class SnapshotContext:
             self._image_pages[page_no] = (version_ts, page)
         versions.obs.event(ev.SNAPSHOT_READ, self.session.sid, version_ts)
         return page
+
+    route = page
 
     def reachable_pages(self):
         """Page numbers this snapshot's trees reference (the GC

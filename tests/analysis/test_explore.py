@@ -9,10 +9,13 @@ import pytest
 
 from repro.analysis.corpus import mixed_explore_workloads, run_explored
 from repro.analysis.explore import (
-    DEFAULT_BUDGET, ExplorationError, Explorer, default_workloads, explore,
+    DEFAULT_BUDGET, ExplorationError, Explorer, _dependent, _footprint,
+    default_workloads, explore,
 )
 from repro.analysis.mutants import MUTANTS, skip_cache_invalidate
 from repro.core import SystemConfig
+from repro.core.locking import LOCK_S, LOCK_X, encode_lock
+from repro.obs import trace as ev
 from tests.storage.test_cache import run_seam_row
 
 
@@ -32,6 +35,30 @@ def test_exploration_is_deterministic_byte_identical_json():
         result = explore("fast", budget=DEFAULT_BUDGET)
         blobs.append(json.dumps(result, sort_keys=True).encode())
     assert blobs[0] == blobs[1]
+
+
+def test_a_route_check_depends_on_an_x_lock_of_the_same_page():
+    """A descent that passed internal page 5 under an instant S check,
+    and a step that X-locks page 5, do not commute: swapped, the check
+    meets the X holder and parks.  Two checks of one page, or a check
+    and an X lock of another page, still commute."""
+
+    def footprint(*events):
+        return _footprint(
+            [(seq, 0.0, kind, sid, word)
+             for seq, (kind, sid, word) in enumerate(events)],
+            0, 512, 128,
+        )
+
+    check = footprint((ev.LOCK_CHECK, 1, encode_lock(("page", 5), LOCK_S)))
+    assert check == {("page", 5): LOCK_S}
+    split = footprint((ev.LOCK_ACQUIRE, 2, encode_lock(("page", 5), LOCK_X)))
+    assert _dependent(check, split) and _dependent(split, check)
+    other = footprint((ev.LOCK_CHECK, 2, encode_lock(("page", 5), LOCK_S)))
+    assert not _dependent(check, other)
+    elsewhere = footprint(
+        (ev.LOCK_ACQUIRE, 2, encode_lock(("page", 6), LOCK_X)))
+    assert not _dependent(check, elsewhere)
 
 
 def _independent_reader_workloads():

@@ -9,6 +9,7 @@ from repro.core.locking import (
     LOCK_X,
     LockConflict,
     LockManager,
+    encode_lock,
     page_resource,
     root_resource,
 )
@@ -102,6 +103,31 @@ class TestRelease:
         assert locks.holds(2, PAGE) is None
 
 
+class TestInstantCheck:
+    def test_check_conflicts_exactly_as_acquire_would(self, locks):
+        locks.acquire(1, PAGE, LOCK_X)
+        for mode in (LOCK_IS, LOCK_IX, LOCK_S, LOCK_X):
+            with pytest.raises(LockConflict) as info:
+                locks.check(2, PAGE, mode)
+            assert info.value.holders == (1,)
+        locks.release_all(1)
+        locks.acquire(1, PAGE, LOCK_S)
+        assert locks.check(2, PAGE, LOCK_S) is None
+        with pytest.raises(LockConflict):
+            locks.check(2, PAGE, LOCK_X)
+
+    def test_check_grants_nothing(self, locks):
+        assert locks.check(2, PAGE, LOCK_S) is None
+        assert locks.holds(2, PAGE) is None and locks.locks_of(2) == {}
+        locks.acquire(1, PAGE, LOCK_X)   # nothing of 2's stands in the way
+
+    def test_a_covering_held_lock_answers_the_check(self, locks):
+        locks.acquire(1, PAGE, LOCK_X)
+        assert locks.check(1, PAGE, LOCK_S) == LOCK_X
+        locks.acquire(2, ROOT, LOCK_IS)
+        assert locks.check(2, ROOT, LOCK_IS) == LOCK_IS
+
+
 class TestWaitGraph:
     def test_blockers(self, locks):
         locks.acquire(1, PAGE, LOCK_X)
@@ -165,9 +191,17 @@ class TestObsCounters:
         locks.acquire(1, PAGE, LOCK_X)   # upgrade
         with pytest.raises(LockConflict):
             locks.acquire(2, PAGE, LOCK_S)
+        with pytest.raises(LockConflict):
+            locks.check(2, PAGE, LOCK_S)
+        locks.check(1, PAGE, LOCK_S)     # answered by the held X
         locks.release_all(1)
+        seq = obs.trace.seq
+        locks.check(2, PAGE, LOCK_S)
         counters = obs.registry.counters("lock.")
         assert counters["lock.acquire"] == 1
         assert counters["lock.upgrade"] == 1
-        assert counters["lock.conflict"] == 1
+        assert counters["lock.conflict"] == 2
         assert counters["lock.release"] == 1
+        assert counters["lock.check"] == 1
+        assert [event[2:] for event in obs.trace.events(since_seq=seq)] == [
+            ("lock_check", 2, encode_lock(PAGE, LOCK_S))]

@@ -69,10 +69,12 @@ _PARKED_ONCE = {
 
 
 def test_split_waits_for_a_holder_of_the_parent():
-    """The holder writes one leaf (X on it, S on the root internal page
-    above) and keeps its transaction open; the other client's insert
-    meets a full sibling leaf under that root.  It parks on the parent
-    — one wait, no abort — and commits after the holder."""
+    """The holder's open range scan has stepped into the root internal
+    page (a cursor keeps S on every page it passes); the other client's
+    insert meets a full leaf under that root.  It parks on the parent
+    — one wait, one wake, no abort — and commits once the holder is
+    gone.  (A point operation holds no internal page it only routes
+    through, so a scan is what holds a parent here.)"""
     # 29 ascending keys split the root leaf once: k000-k013 move to a
     # left sibling, k014-k028 stay.  Fill the left leaf to capacity.
     keys = [b"k%03d" % i for i in range(29)]
@@ -80,21 +82,25 @@ def test_split_waits_for_a_holder_of_the_parent():
     engine = _engine(keys)
     full_leaf, nrecords, depth = _leaf_of(engine, b"j999")
     assert depth == 2 and nrecords == FASTPLUS_LEAF_CAPACITY
-    assert _leaf_of(engine, b"k020")[0] != full_leaf
     root = engine.store.root(0)
 
+    holder = engine.session("holder")
+    held = holder.transaction()
+    cursor = held.scan(lo=b"k020")
+    assert next(cursor)[0] == b"k020"
+    assert engine.lock_manager.holds(holder.sid, page_resource(root)) == "S"
+    assert engine.lock_manager.holds(holder.sid, page_resource(full_leaf)) is None
     scheduler = Scheduler(engine)
-    scheduler.add_client([("txn", [
-        ("insert", b"k020", b"held"),
-        ("think", 20_000.0, None),
-        ("search", b"k020", None),
-    ])], name="holder")
     scheduler.add_client([("insert", b"j999", b"split")], name="splitter")
-    report, waits, deltas = _run(engine, scheduler)
+    # A think-only client: its empty commit wakes the splitter once the
+    # holder is gone.
+    scheduler.add_client([("txn", [("think", 10_000.0, None)] * 2)])
+    report, waits, deltas = _run(engine, scheduler, on_park=held.commit)
+    holder.close()
 
     assert waits == [(page_resource(root), "X")]
     assert deltas == _PARKED_ONCE
-    assert report["commit_order"] == [("holder", 0), ("splitter", 0)]
+    assert ("splitter", 0) in report["commit_order"]
     assert _leaf_of(engine, b"j999")[1] < FASTPLUS_LEAF_CAPACITY
     check_committed_prefix(
         engine, scheduler, preloaded={key: VALUE for key in keys}

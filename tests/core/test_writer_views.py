@@ -57,6 +57,12 @@ def _leaf_no(engine, key):
     return engine.tree()._descend(engine.read_view(), key)[-1].page_no
 
 
+def _locked_pages(engine, txn):
+    """Page numbers ``txn``'s session holds a lock on."""
+    held = engine.lock_manager.locks_of(txn.session.sid)
+    return {ident for kind, ident in held if kind == "page"}
+
+
 # ----------------------------------------------------------------------
 # The view
 # ----------------------------------------------------------------------
@@ -224,24 +230,32 @@ def test_mutators_promote_their_page_in_place(scheme, mutate):
 
     txn = engine.session("writer").transaction()
     ctx = txn.inner_ctx
+    root_no = store.root(0)
     pm._resident.clear()
     for key in _SEAM_KEYS:                  # descend to every leaf
         txn.search(key)
     views = dict(ctx._pages)
-    assert len(views) == 6
+    # The context keeps a view of each leaf the searches latched, and
+    # of nothing else: the root was only routed through.
+    leaves = {_leaf_no(engine, key) for key in _SEAM_KEYS}
+    assert set(views) == leaves == _locked_pages(engine, txn)
+    assert len(views) == 5 and root_no not in views
     # Every descent went through DRAM: no page line was loaded from PM.
     assert all(view.frame_backed for view in views.values())
-    assert not any(header_line_in_cpu_cache(no) for no in views)
+    assert not any(header_line_in_cpu_cache(no) for no in leaves | {root_no})
     promoted = mutate(engine, txn)
+    assert set(ctx._pages) <= _locked_pages(engine, txn)
     for page_no, view in views.items():
         assert ctx._pages.get(page_no, view) is view       # in place
+    for page_no in leaves | {root_no}:
+        view = ctx._pages.get(page_no, views.get(page_no))
         if page_no in promoted:
             assert not view.frame_backed and view.pm is pm
             assert view._validated is store.freelist_validated
             # Its first header read after promotion came from PM.
             assert header_line_in_cpu_cache(page_no)
         else:
-            assert view.frame_backed
+            assert view is None or view.frame_backed
             assert not header_line_in_cpu_cache(page_no)
     txn.commit()
     assert engine.verify() == len(list(engine.scan()))
@@ -336,21 +350,24 @@ def test_savepoint_rollback_leaves_pages_it_only_read_alone(scheme):
         store = engine.store
         txn = engine.session("writer").transaction()
         ctx = txn.inner_ctx
+        root_no, read_leaf = store.root(0), _leaf_no(engine, b"k030")
         assert txn.search(b"k030") == b"v" * 24     # root + a leaf: read only
         token = txn.savepoint()
         txn.insert(b"k0105", b"n" * 24)             # another leaf: mutated
-        only_read = [no for no, page in ctx._pages.items()
-                     if not page.has_pending]
-        assert len(only_read) == 2 and len(ctx._pages) == 3
+        # Kept: the two latched leaves, one of them mutated; the root
+        # the descents only routed through is not kept at all.
+        assert set(ctx._pages) == _locked_pages(engine, txn)
+        assert root_no not in ctx._pages and len(ctx._pages) == 2
+        assert not ctx._pages[read_leaf].has_pending
         seq = engine.trace.seq
         txn.rollback_to(token)
         stores = engine.trace.events(ev.STORE, since_seq=seq)
         assert stores                               # the mutated leaf's list
-        for page_no in only_read:
+        for page_no in (root_no, read_leaf):
             base = store.page_base(page_no)
             assert not [s for s in stores
                         if s[3] < base + store.page_size and s[3] + s[4] > base]
-            assert ctx._pages[page_no].frame_backed == bool(cache_pages)
+        assert ctx._pages[read_leaf].frame_backed == bool(cache_pages)
         assert txn.search(b"k0105") is None
         assert txn.search(b"k030") == b"v" * 24
         txn.insert(b"k0305", b"m" * 24)
