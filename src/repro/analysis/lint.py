@@ -32,8 +32,9 @@ a syntactic check:
 ``PM006``
     Direct ``LockManager.acquire`` calls outside ``core/locking.py``.
     The only structurally safe ways to take a lock are
-    ``LockingContext`` (locks released by the session's commit/abort
-    on every path) and ``commit_scope`` (a ``with`` block) — a bare
+    ``TwoPhaseLocking``'s claim hook (locks released by the session's
+    commit/abort on every path) and ``commit_scope`` (a ``with``
+    block) — a bare
     ``.acquire`` anywhere else has no release-on-all-paths guarantee,
     and a leaked lock deadlocks every later schedule (the exact bug
     class the schedule-space explorer hunts dynamically; PM006 is its
@@ -365,7 +366,7 @@ def lint_source(source, *, file, module):
         for node in visitor.lock_acquires:
             receiver, _method = _receiver_tail(node)
             add("PM006", node.lineno,
-                "direct %s.acquire() outside LockingContext/commit_scope "
+                "direct %s.acquire() outside TwoPhaseLocking/commit_scope "
                 "(no release-on-all-paths guarantee)" % receiver)
 
     findings.sort(key=lambda f: (f.file, f.line or 0, f.rule))

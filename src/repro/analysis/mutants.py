@@ -13,11 +13,12 @@ visible outside the ``with`` block.
 Three mutants, matching the halves of the detector suite:
 
 ``skip_page_lock``
-    :meth:`LockingContext.update_record` forgets ``_xlock_page`` — an
-    update writes its leaf under only the descent's S latch.  Two
-    sessions updating keys on one leaf interleave their writes with no
-    consistent protecting X lock: the TC110 lockset race detector must
-    flag the page.
+    :meth:`MutationContext.update_record` skips its ``_claim`` — the X
+    claim every mutator body takes before its store — while the other
+    bodies keep theirs, so an update writes its leaf under only the
+    descent's S latch.  Two sessions updating keys on one leaf
+    interleave their writes with no consistent protecting X lock: the
+    TC110 lockset race detector must flag the page.
 
 ``mark_before_fence``
     :meth:`SlotHeaderLog.flush_frames` becomes a no-op, so the commit
@@ -46,7 +47,7 @@ Three mutants, matching the halves of the detector suite:
 from contextlib import contextmanager
 
 from repro.core import SystemConfig
-from repro.core.locking import LockingContext
+from repro.core.base import MutationContext
 from repro.obs import trace as ev
 from repro.storage.cache import TieredPageCache
 from repro.wal.slot_header_log import SlotHeaderLog
@@ -54,19 +55,25 @@ from repro.wal.slot_header_log import SlotHeaderLog
 
 @contextmanager
 def skip_page_lock():
-    """Drop the X page lock from ``update_record`` (race seed)."""
-    original = LockingContext.update_record
+    """Drop the X page claim from ``update_record`` (race seed)."""
+    original = MutationContext.update_record
 
     def update_record(self, page, slot, payload):
-        offset = self._inner.update_record(page, slot, payload)
-        self.__dict__["op_mutated"] = True
+        # An instance attribute shadows the locked class's claim hook
+        # for this one body only.
+        self._claim = None
+        try:
+            offset = original(self, page, slot, payload)
+        finally:
+            del self._claim
+        self.op_mutated = True
         return offset
 
-    LockingContext.update_record = update_record
+    MutationContext.update_record = update_record
     try:
         yield
     finally:
-        LockingContext.update_record = original
+        MutationContext.update_record = original
 
 
 @contextmanager

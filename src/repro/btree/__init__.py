@@ -7,8 +7,8 @@ smaller keys (paper Figures 4-5), and copy-on-write defragmentation.
 All mutation is routed through a transaction-context protocol (see
 ``repro.btree.btree``) so the same tree code runs under every commit
 scheme the paper evaluates — FAST, FAST⁺, NVWAL — as well as the
-deliberately unsafe direct-write baseline used by the atomicity
-ablation.
+deliberately unsafe naive in-place baseline of the atomicity ablation
+(``repro.core.base.MutationContext`` is the one implementation).
 """
 
 from repro.btree.cells import (
@@ -19,11 +19,9 @@ from repro.btree.cells import (
     parse_leaf,
 )
 from repro.btree.btree import BTree, DuplicateKeyError
-from repro.btree.direct import DirectContext
 
 __all__ = [
     "BTree",
-    "DirectContext",
     "DuplicateKeyError",
     "RIGHTMOST_KEY_LEN",
     "internal_cell",

@@ -3,8 +3,11 @@
 The tree never touches persistent memory directly: every read goes
 through a *view* and every mutation through a *transaction context*,
 both duck-typed.  The commit schemes (FAST, FAST⁺, NVWAL, the unsafe
-direct baseline) provide these objects, which is what lets one tree
+naive baseline) provide these objects, which is what lets one tree
 implementation run under every recovery scheme the paper compares.
+Every context is a :class:`repro.core.base.MutationContext`, which
+owns the body of each protocol method below; a scheme supplies only
+the hooks around the store (and 2PL only the claim hook).
 
 View protocol (read path)::
 
@@ -21,6 +24,7 @@ Context protocol (mutation path) — extends the view protocol::
     ctx.allocate_page(page_type) -> (page_no, SlottedPage)
     ctx.free_page(page_no)                 # deferred to post-commit
     ctx.set_root(slot, page_no)            # atomic with the commit
+    ctx.overwrite_child_pointer(page, slot, child_no)  # in-place swap
     ctx.defragment(page_no) -> (new_no, new_page)
     ctx.lock_ahead(page=None, root_slot=None)  # claim before storing
 
@@ -458,7 +462,8 @@ class BTree:
         if new_no != old.page_no:
             self._swap_child(ctx, path, depth, new_no)
             ctx.free_page(old.page_no)
-        path[depth] = _PathEntry(new_no, new_page, old.parent_slot)
+        # Re-located: a root split in the swap's cascade prepends an entry.
+        path[path.index(old)] = _PathEntry(new_no, new_page, old.parent_slot)
 
     def _swap_child(self, ctx, path, depth, new_page_no):
         """Repoint the parent at a copy-on-write page.
@@ -497,6 +502,9 @@ class BTree:
             # full insert machinery (copy-on-write or split the parent).
             ctx.delete_record(parent.page, slot)
             self._insert_cell(ctx, path, path.index(parent), slot, cell)
+            # ``_insert_cell`` tracks the cell after the one it inserts;
+            # here the inserted cell is the entry's own.
+            entry.parent_slot -= 1
 
     def _split(self, ctx, path, depth):
         """Split ``path[depth]``: allocate a left sibling that takes
@@ -554,7 +562,7 @@ class BTree:
             old_root.parent_slot = 1
             return
         parent = path[depth]
-        child = path[depth + 1] if depth + 1 < len(path) else None
+        child = path[depth + 1]  # its cell is (or, replaced, was) at ``slot``
         try:
             ctx.insert_record(parent.page, slot, cell)
         except PageFullError:
@@ -564,12 +572,17 @@ class BTree:
                 parent = path[index]
                 ctx.insert_record(parent.page, slot, cell)
             else:
-                _, sibling, half = self._split(ctx, path, path.index(parent))
-                # Cells [0, half) moved to the sibling; route the
-                # pending cell to whichever side owns its slot now.
+                sibling_no, sibling, half = self._split(
+                    ctx, path, path.index(parent)
+                )
+                # Cells [0, half) moved to the sibling.  The pending cell
+                # goes in at the child's slot, so the two land on the
+                # same side: rebase both to that page's coordinates.
                 if slot >= half:
+                    slot -= half
+                    child.parent_slot -= half
                     try:
-                        ctx.insert_record(parent.page, slot - half, cell)
+                        ctx.insert_record(parent.page, slot, cell)
                     except PageFullError:
                         # The kept half still has no in-place room (its
                         # dead cells are unreclaimable until commit):
@@ -577,12 +590,17 @@ class BTree:
                         index = path.index(parent)
                         self._copy_on_write(ctx, path, index)
                         parent = path[index]
-                        ctx.insert_record(parent.page, slot - half, cell)
+                        ctx.insert_record(parent.page, slot, cell)
                 else:
                     ctx.insert_record(sibling, slot, cell)
-        if child is not None and child.parent_slot is not None:
-            if slot <= child.parent_slot:
-                child.parent_slot += 1
+                    # The path now runs through the sibling, linked just
+                    # left of the kept page (the index is read after
+                    # ``_split``: a root split inside it prepends one).
+                    path[path.index(parent)] = _PathEntry(
+                        sibling_no, sibling, parent.parent_slot - 1
+                    )
+        if slot <= child.parent_slot:
+            child.parent_slot += 1
 
     # ------------------------------------------------------------------
     # Scan / verify internals

@@ -2,8 +2,8 @@
 
 An ``Engine`` owns the simulated persistent memory, the page store,
 and one B-tree per named root slot.  Subclasses provide the commit
-scheme by implementing ``_new_context`` / ``_commit`` / ``_rollback``
-/ ``recover``.
+scheme by naming their ``context_class`` (a :class:`MutationContext`)
+and implementing ``_commit`` / ``_rollback`` / ``recover``.
 
 The measured quantity everywhere is *simulated* time: the engine's
 ``clock`` accumulates nanoseconds charged by the memory hierarchy, and
@@ -15,13 +15,17 @@ from contextlib import nullcontext
 from functools import partial
 
 from repro.btree.btree import BTree
-from repro.core.locking import LOCK_IS, LOCK_IX, LockingContext
+from repro.core.locking import (
+    LOCK_IS, LOCK_IX, LOCK_X, page_resource, root_resource,
+)
 from repro.core.occ import OCCConflict, OccContext, occ_commit
 from repro.core.session import ISOLATION_MODES, Session
 from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
 from repro.pm.stats import MemoryStats
+from repro.storage.defrag import defragment_into
 from repro.storage.pagestore import N_ROOT_SLOTS, PageStore
+from repro.storage.slotted_page import CELL_HEADER_SIZE
 
 #: Shared reusable no-op context manager: the default (session-less)
 #: transaction path opens this instead of a session clock segment.
@@ -64,6 +68,258 @@ class ReadView:
             self.page = self.route = partial(engine._read_page, writer=True)
 
 
+class MutationContext:
+    """The B-tree's mutation protocol (:mod:`repro.btree.btree`),
+    written once for every commit scheme (DESIGN.md §10).
+
+    Every protocol method's body lives here; a scheme supplies only the
+    hooks that say how a page change becomes durable.  Before the
+    store a frame-backed view (FAST's DRAM tier) is promoted here
+    (``_promote``), and NVWAL snapshots its frame in its ``_write`` /
+    ``_write_pointer``, which wrap a whole page write in one
+    ``volatile_buffer_caching`` span.  After the store, ``_stored``:
+    FAST marks the page dirty, NVWAL and naive apply the header (naive
+    also flushes it).  For a dead cell, ``_dead``: FAST defers the
+    reclaim, the others reclaim at once.  NVWAL writes records without
+    the in-place spans and flush of ``_write_record``; the page-level
+    steps ``_allocate``, ``_defragment``, ``_free``, ``_set_root`` and
+    ``_repoint`` default to the PM store and to deferral.
+
+    Locking is the claim hook ``_claim(resource, mode)``: None here, so
+    the plain path tests an attribute and makes no call; a strict-2PL
+    context mixes in :class:`repro.core.locking.TwoPhaseLocking`.
+    Every body claims X — on the page it writes, or the root slot —
+    before its first store, and sets ``op_mutated`` once a claimed
+    store is done; ``lock_ahead`` claims without storing.
+    """
+
+    _claim = None
+    op_mutated = False
+
+    def __init__(self, engine, session=None):
+        self.engine = engine
+        self.session = session
+        self.store = engine.store
+        self.pm = engine.pm
+        self.clock = engine.pm.clock
+        self.obs = engine.obs
+        self.segment = self.clock.segment  # hot-path alias
+        # First touch of a page.  Until this transaction mutates it the
+        # page has no pending header and the committed page *is* the
+        # transaction's view of it, so with a DRAM tier it comes through
+        # the engine's committed-read seam: a private view over the
+        # cached frame if there is one, else PM (``Engine._read_page``).
+        # Every mutator promotes its page to PM first (``_promote``).
+        if engine.page_cache is None:
+            self._first_touch = engine._fetch_page
+        else:
+            self._first_touch = partial(engine._read_page, writer=True)
+        self._pages = {}
+        self.dirty = {}        # page_no -> page the commit publishes
+        self.new_pages = {}    # page_no -> page created by this txn
+        self.freed = []        # page_nos released once the txn commits
+        self.root_updates = {}
+
+    def uncommitted_pages(self):
+        """Pages this open transaction owns (GC protection set)."""
+        return set(self.new_pages)
+
+    @property
+    def is_read_only(self):
+        return not (
+            self.dirty or self.new_pages or self.freed or self.root_updates
+        )
+
+    # -- view protocol ---------------------------------------------------
+
+    def root_page_no(self, slot):
+        if slot in self.root_updates:
+            return self.root_updates[slot]
+        return self.engine._root(slot)
+
+    def _lookup(self, page_no):
+        """This transaction's view of ``page_no`` (its pending header
+        included), cached from the first touch on."""
+        page = self._pages.get(page_no)
+        if page is None:
+            page = self._first_touch(page_no)
+            self._pages[page_no] = page
+        return page
+
+    page = route = _lookup
+
+    def keep(self, page_no, page):
+        """Cache ``page`` as this transaction's view of ``page_no``: a
+        view a locked ``route`` read fresh and has just latched, so
+        nobody else can install there while it is kept."""
+        self._pages[page_no] = page
+
+    def _page_no(self, page):
+        return self.store.page_no_of(page)
+
+    # -- mutation protocol -------------------------------------------------
+
+    def insert_record(self, page, slot, payload):
+        return self._edit(
+            page, None, self._write_record, page, page.pending_insert, slot,
+            payload,
+        )
+
+    def update_record(self, page, slot, payload):
+        return self._edit(
+            page, slot, self._write_record, page, page.pending_update, slot,
+            payload,
+        )
+
+    def delete_record(self, page, slot):
+        self._edit(page, slot, page.pending_delete, slot)
+
+    def set_page_flags(self, page, mask):
+        self._edit(page, None, page.pending_set_flags, mask)
+
+    def _edit(self, page, dead, store, *args):
+        """The one body of the four page edits: claim ``page``, then
+        write it (``_write``), marking the op once the store is done."""
+        claim = self._claim
+        if claim is not None:
+            claim(page_resource(self._page_no(page)), LOCK_X)
+        result = self._write(page, dead, store, args)
+        if claim is not None:
+            self.op_mutated = True
+        return result
+
+    def _write(self, page, dead, store, args):
+        """Run ``store(*args)`` on ``page``, record the store, and hand
+        over the cell it left dead (the one that was in slot ``dead``,
+        if any)."""
+        if page.frame_backed:
+            self._promote(page)
+        if dead is not None:
+            dead = page.slot_offset(dead)
+        result = store(*args)
+        self._stored(page)
+        if dead is not None:
+            self._dead(page, dead)
+        return result
+
+    def allocate_page(self, page_type):
+        page_no, page = self._allocate(page_type)
+        claim = self._claim
+        if claim is not None:
+            # A fresh page is uncontended: the grant cannot conflict.
+            claim(page_resource(page_no), LOCK_X)
+            self.op_mutated = True
+        return page_no, page
+
+    def free_page(self, page_no):
+        claim = self._claim
+        if claim is not None:
+            claim(page_resource(page_no), LOCK_X)
+        self._free(page_no)
+        if claim is not None:
+            self.op_mutated = True
+
+    def set_root(self, slot, page_no):
+        claim = self._claim
+        if claim is not None:
+            claim(root_resource(slot), LOCK_X)
+        self._set_root(slot, page_no)
+        if claim is not None:
+            self.op_mutated = True
+
+    def overwrite_child_pointer(self, parent_page, slot, new_child_no):
+        """Repoint ``parent_page``'s cell ``slot`` at ``new_child_no``
+        with one u32 store (the paper's in-place pointer swap after a
+        copy-on-write, Section 4.3)."""
+        claim = self._claim
+        if claim is not None:
+            claim(page_resource(self._page_no(parent_page)), LOCK_X)
+        self._write_pointer(parent_page, slot, new_child_no)
+        if claim is not None:
+            self.op_mutated = True
+
+    def lock_ahead(self, page=None, root_slot=None):
+        """Claim ``page`` — or, given none, root slot ``root_slot`` — X
+        for a structure change about to write it, before anything is
+        stored.  It stores nothing, so a conflict here parks the
+        transaction instead of aborting it."""
+        if self._claim is not None:
+            self._claim(root_resource(root_slot) if page is None
+                        else page_resource(self._page_no(page)), LOCK_X)
+
+    def defragment(self, page_no):
+        claim = self._claim
+        if claim is not None:
+            claim(page_resource(page_no), LOCK_X)
+        fresh_no, fresh = self._defragment(page_no)
+        if claim is not None:
+            claim(page_resource(fresh_no), LOCK_X)
+            self.op_mutated = True
+        return fresh_no, fresh
+
+    # -- scheme hooks ------------------------------------------------------
+
+    def _write_pointer(self, page, slot, child_no):
+        if page.frame_backed:
+            self._promote(page)
+        offset = page.slot_offset(slot)
+        self._repoint(page.base + offset + CELL_HEADER_SIZE, child_no)
+
+    def _promote(self, page):
+        """Re-seat a frame-backed view on its PM page, in place (the
+        B-tree's descent path holds the object), before its first
+        store.  No committed install can have made PM differ from the
+        frame since the view was taken: a kept view is of a page this
+        transaction holds a lock on, a route-only view is fresh from
+        the step that X-claims it, and this transaction's own installs
+        happen at its commit — bar the pointer swap, which promotes the
+        parent first (DESIGN.md §17)."""
+        page.promote(self.pm, self.store.freelist_validated)
+
+    def _write_record(self, page, store, slot, payload):
+        """Write a record in place into the page's free space and flush
+        it: record bytes are durable before any header names them."""
+        with self.obs.span("in_place_record_insert"):
+            offset = store(slot, payload)
+        with self.obs.span("clflush_record"):
+            page.flush_record(offset, len(payload))
+        return offset
+
+    def _allocate(self, page_type):
+        page = self.store.allocate_page(page_type)
+        page_no = self.store.page_no_of(page)
+        self._pages[page_no] = page
+        self._created(page_no, page)
+        return page_no, page
+
+    def _defragment(self, page_no):
+        """Copy the page's live records into a fresh page (paper
+        Section 4.3); the caller swaps the parent pointer."""
+        with self.obs.span("defrag"):
+            page = self._lookup(page_no)
+            if page.frame_backed:
+                self._promote(page)
+            fresh = defragment_into(self.store, page)
+        fresh_no = self.store.page_no_of(fresh)
+        self._pages[fresh_no] = fresh
+        self._created(fresh_no, fresh)
+        return fresh_no, fresh
+
+    def _created(self, page_no, page):
+        """A page this transaction allocated (nothing to record)."""
+
+    def _free(self, page_no):
+        """Deferred to the commit: no page is reused within a
+        transaction (savepoints and rollback rely on it), and all other
+        tracking stays intact so rollback can still restore the page if
+        the free itself is rolled back."""
+        self.freed.append(page_no)
+
+    def _set_root(self, slot, page_no):
+        """Deferred: the new root becomes visible with the commit."""
+        self.root_updates[slot] = page_no
+
+
 class Transaction:
     """A database transaction: a scheme context plus B-tree bindings.
 
@@ -82,9 +338,9 @@ class Transaction:
         the engine's implicit single-writer transaction: no session,
         the bare scheme context.
     ``"locked"``
-        a session's strict-2PL transaction: the scheme context behind
-        the session's lock shim, simulated time attributed to the
-        session's clock segment.
+        a session's strict-2PL transaction: the scheme context with
+        its claim hook filled in (``TwoPhaseLocking``), simulated time
+        attributed to the session's clock segment.
     ``"read_only"``
         a snapshot pinned at the current commit frontier — no scheme
         context, no locks, no IS/S traffic at all.
@@ -114,20 +370,15 @@ class Transaction:
             return engine.version_manager.begin_snapshot(session)
         if mode == "occ":
             return OccContext(engine, session)
-        ctx = engine._new_context(session=session)
-        if mode == "locked":
-            ctx = LockingContext(ctx, session)
-        return ctx
+        return engine._new_context(session, locked=mode == "locked")
 
     @property
     def inner_ctx(self):
-        """The scheme context itself (unwrapping any lock shim) — what
-        the engine's commit/rollback/recovery paths consume.  For an
-        OCC transaction this is the installed context once the write
-        set has replayed (the OccContext itself before that)."""
+        """The scheme context — what the engine's commit/rollback/
+        recovery paths consume.  For an OCC transaction this is the
+        installed context once the write set has replayed (the
+        OccContext itself before that)."""
         ctx = self.ctx
-        if self.mode == "locked":
-            return ctx.inner
         if self.mode == "occ" and ctx.installed_ctx is not None:
             return ctx.installed_ctx
         return ctx
@@ -425,8 +676,15 @@ class Engine:
     def _attach_regions(self):
         """Attach scheme-specific regions after a restart."""
 
-    def _new_context(self, session=None):
-        raise NotImplementedError
+    #: The scheme's :class:`MutationContext`, and the same class with
+    #: :class:`repro.core.locking.TwoPhaseLocking` mixed in for strict-2PL
+    #: transactions (None where the scheme serves no locked sessions).
+    context_class = None
+    locked_context_class = None
+
+    def _new_context(self, session=None, locked=False):
+        cls = self.locked_context_class if locked else self.context_class
+        return cls(self, session)
 
     def _commit(self, ctx):
         raise NotImplementedError

@@ -27,47 +27,24 @@ Clock segments produced per transaction (mapped to the paper's bars):
       checkpoint                Figure 8 "Checkpointing"
 """
 
-from functools import partial
-
-from repro.core.base import Engine
+from repro.core.base import Engine, MutationContext
 from repro.core.config import FASTPLUS_LEAF_CAPACITY
 from repro.core.epoch import EpochPipeline
+from repro.core.locking import TwoPhaseLocking
 from repro.htm.rtm import RTM
 from repro.obs import trace as ev
 from repro.pm.memory import CACHE_LINE
-from repro.storage.defrag import defragment_into
 from repro.wal.slot_header_log import SlotHeaderLog
 from repro.wal.twopc import PrepareRegion
 
 
-class FASTContext:
+class FASTContext(MutationContext):
     """Transaction context implementing the B-tree mutation protocol
     with in-place record writes and deferred (logged) header commits."""
 
     def __init__(self, engine, session=None):
-        self.engine = engine
-        self.session = session
-        self.store = engine.store
-        self.pm = engine.pm
-        self.clock = engine.pm.clock
-        self.obs = engine.obs
-        self.segment = self.clock.segment  # hot-path alias
-        # First touch of a page.  Until this transaction mutates it the
-        # page has no pending header and the committed page *is* the
-        # transaction's view of it, so with a DRAM tier it comes through
-        # the engine's committed-read seam: a private view over the
-        # cached frame if there is one, else PM (``Engine._read_page``).
-        # Every mutator promotes its page to PM first (``_promote``).
-        if engine.page_cache is None:
-            self._first_touch = engine._fetch_page
-        else:
-            self._first_touch = partial(engine._read_page, writer=True)
-        self._pages = {}
-        self.dirty = {}        # page_no -> page whose header will be logged
-        self.new_pages = {}    # page_no -> page created by this txn
-        self.freed = []        # page_nos released once the txn commits
+        super().__init__(engine, session)
         self.reclaims = []     # (page, offset) cells dead once committed
-        self.root_updates = {}
         # Every page this transaction obtained from the store and still
         # owns — what precise (session) rollback returns to the free
         # list and what GC must protect while the txn is open.
@@ -78,98 +55,32 @@ class FASTContext:
         # pages are committed-equivalent.
         self.pointer_swaps = []
 
-    # -- view protocol ---------------------------------------------------
+    # -- mutation hooks ----------------------------------------------------
 
-    def root_page_no(self, slot):
-        if slot in self.root_updates:
-            return self.root_updates[slot]
-        return self.engine._root(slot)
-
-    def page(self, page_no):
-        page = self._pages.get(page_no)
-        if page is None:
-            page = self._first_touch(page_no)
-            self._pages[page_no] = page
-        return page
-
-    route = page
-
-    def keep(self, page_no, page):
-        """Cache ``page`` as this transaction's view of ``page_no``: a
-        view its lock shim read fresh (``LockingContext.route``) and
-        has just latched, so nobody else can install there while it is
-        kept."""
-        self._pages[page_no] = page
-
-    # -- mutation protocol -------------------------------------------------
-
-    def _promote(self, page):
-        """Re-seat a frame-backed view on its PM page, in place (the
-        B-tree's descent path holds the object), before the first
-        mutation that touches it.  Only a committed install could have
-        made PM differ from the frame since the view was taken, and
-        none can have landed: a view this context keeps across steps
-        is of a page its transaction holds a lock on, so nobody else
-        installed there; a view a locked descent only routed through
-        is fresh from the step that mutates it, behind the X latch the
-        mutator takes first; and this transaction's own installs happen
-        at its commit — bar the in-place pointer swap, which promotes
-        the parent before it stores (DESIGN.md §17)."""
-        page.promote(self.pm, self.store.freelist_validated)
-
-    def insert_record(self, page, slot, payload):
-        if page.frame_backed:
-            self._promote(page)
-        with self.obs.span("in_place_record_insert"):
-            offset = page.pending_insert(slot, payload)
-        with self.obs.span("clflush_record"):
-            page.flush_record(offset, len(payload))
-        self._mark_dirty(page)
-        return offset
-
-    def update_record(self, page, slot, payload):
-        if page.frame_backed:
-            self._promote(page)
-        old_offset = page.slot_offset(slot)
-        with self.obs.span("in_place_record_insert"):
-            offset = page.pending_update(slot, payload)
-        with self.obs.span("clflush_record"):
-            page.flush_record(offset, len(payload))
-        self._mark_dirty(page)
-        self.reclaims.append((page, old_offset))
-        return offset
-
-    def delete_record(self, page, slot):
-        if page.frame_backed:
-            self._promote(page)
-        old_offset = page.slot_offset(slot)
-        page.pending_delete(slot)
-        self._mark_dirty(page)
-        self.reclaims.append((page, old_offset))
-
-    def set_page_flags(self, page, mask):
-        if page.frame_backed:
-            self._promote(page)
-        page.pending_set_flags(mask)
-        self._mark_dirty(page)
-
-    def allocate_page(self, page_type):
-        page = self.store.allocate_page(page_type)
+    def _stored(self, page):
+        """Record ``page`` for the commit, adopting it as this
+        transaction's view: a locked descent keeps no view of an
+        internal page it only routed through, so the first mutation —
+        behind its X claim — makes it the one later descents see."""
         page_no = self.store.page_no_of(page)
         self._pages[page_no] = page
+        if page_no not in self.new_pages:
+            self.dirty[page_no] = page
+
+    def _dead(self, page, offset):
+        """The cell stays live in the committed header until the commit
+        retires it."""
+        self.reclaims.append((page, offset))
+
+    def _created(self, page_no, page):
         self.new_pages[page_no] = page
         self.allocated.append(page_no)
-        return page_no, page
 
-    def free_page(self, page_no):
-        """Release a page once the transaction commits.
-
-        The free is ALWAYS deferred — even for pages this transaction
-        allocated — so no page is ever reused within a transaction:
-        reuse would otherwise corrupt state through stale page objects
-        (deferred cell reclaims, savepoint snapshots, reversed pointer
-        swaps all reference the page by identity).
-        """
+    def _free(self, page_no):
+        """The free is deferred even for pages this transaction
+        allocated: reuse within it would corrupt state through stale
+        page objects (deferred cell reclaims, savepoint snapshots,
+        reversed pointer swaps all reference the page by identity)."""
         # Cells awaiting post-commit reclamation on this page die with it.
         self.reclaims = [
             (page, offset) for page, offset in self.reclaims
@@ -177,47 +88,22 @@ class FASTContext:
         ]
         self.new_pages.pop(page_no, None)
         self.dirty.pop(page_no, None)
-        self.freed.append(page_no)
+        super()._free(page_no)
 
-    def set_root(self, slot, page_no):
-        self.root_updates[slot] = page_no
-
-    def overwrite_child_pointer(self, parent_page, slot, new_child_no):
-        """The paper's in-place parent-pointer swap after copy-on-write
-        (Section 4.3): one 8-byte-atomic u32 store + flush.  Safe at
-        any crash instant because the new page's durable header is
+    def _repoint(self, position, new_child_no):
+        """One 8-byte-atomic u32 store + flush, safe at any crash
+        instant because the new page's durable header is
         committed-equivalent to the old page's.
 
         The published page becomes reachable, so its pending header
         now commits through the log like any dirty page.
         """
-        from repro.storage.slotted_page import CELL_HEADER_SIZE
-
-        if parent_page.frame_backed:
-            self._promote(parent_page)
-        offset = parent_page.slot_offset(slot)
-        position = parent_page.base + offset + CELL_HEADER_SIZE
         with self.obs.span("defrag"):
             old_child_no = self.pm.read_u32(position)
             self.engine._swap_child_pointer(position, new_child_no)
         self.pointer_swaps.append((position, old_child_no, new_child_no))
         if new_child_no in self.new_pages:
             self.dirty[new_child_no] = self.new_pages.pop(new_child_no)
-
-    def lock_ahead(self, page=None, root_slot=None):
-        """Nothing to claim: locks belong to the session's ``LockingContext``."""
-
-    def defragment(self, page_no):
-        with self.obs.span("defrag"):
-            page = self.page(page_no)
-            if page.frame_backed:
-                self._promote(page)
-            fresh = defragment_into(self.store, page)
-        fresh_no = self.store.page_no_of(fresh)
-        self._pages[fresh_no] = fresh
-        self.new_pages[fresh_no] = fresh
-        self.allocated.append(fresh_no)
-        return fresh_no, fresh
 
     # -- savepoints --------------------------------------------------------
 
@@ -292,21 +178,6 @@ class FASTContext:
         """Pages this open transaction owns (GC protection set)."""
         return set(self.allocated)
 
-    def _mark_dirty(self, page):
-        """Record ``page`` for the commit, adopting it as this
-        transaction's view: a locked descent reads an internal page it
-        only routes through fresh and keeps nothing, so the first
-        mutation — behind its X latch — is what makes such a view the
-        one later descents must see."""
-        page_no = self.store.page_no_of(page)
-        self._pages[page_no] = page
-        if page_no not in self.new_pages:
-            self.dirty[page_no] = page
-
-    @property
-    def is_read_only(self):
-        return not (self.dirty or self.new_pages or self.freed or self.root_updates)
-
     @property
     def is_single_page(self):
         """Eligible for the in-place commit: exactly one dirty page and
@@ -319,10 +190,16 @@ class FASTContext:
         )
 
 
+class LockedFASTContext(TwoPhaseLocking, FASTContext):
+    """A FAST / FAST⁺ context in a strict-2PL transaction."""
+
+
 class FASTEngine(Engine):
     """Slot-header logging for every transaction (Section 4.1)."""
 
     scheme = "fast"
+    context_class = FASTContext
+    locked_context_class = LockedFASTContext
     leaf_capacity = None  # record offset array can be arbitrarily large
     #: PM-resident committed state: commits may group into epochs, and
     #: reads — committed readers' and a context's of pages it has not
@@ -354,9 +231,6 @@ class FASTEngine(Engine):
                                         self.config.log_bytes)
         if self.config.twopc_bytes:
             self.twopc = PrepareRegion.attach(self.pm, self.config.twopc_base)
-
-    def _new_context(self, session=None):
-        return FASTContext(self, session=session)
 
     # -- commit ------------------------------------------------------------
 
@@ -398,7 +272,7 @@ class FASTEngine(Engine):
             self.log.commit(self.next_seq())
         # Eager checkpoint: apply the logged headers to the pages right
         # away so other transactions never read the log (Section 3.3).
-        self._checkpoint(ctx.page)
+        self._checkpoint(ctx._lookup)
         self._finish(ctx)
 
     def _commit_grouped(self, ctx):
@@ -528,7 +402,7 @@ class FASTEngine(Engine):
             # From the mark on, plain single-shard recovery suffices:
             # the prepare record has done its job.
             self.twopc.clear()
-            self._checkpoint(ctx.page)
+            self._checkpoint(ctx._lookup)
             self._finish(ctx)
 
     def abort_prepared(self, ctx):

@@ -21,11 +21,11 @@ retry, or abort.  Waiting sessions are registered with
 :meth:`LockManager.start_wait`, which keeps the wait-for graph the
 deadlock detector walks.
 
-``LockingContext`` is the shim that puts the lock manager between a
-session and ``PageStore``/``BTree``: it wraps an engine transaction
-context, acquires the right latch before delegating each view/mutation
-call, and forwards everything else untouched.  Single-session engines
-never construct one, so the default code path pays nothing.
+``TwoPhaseLocking`` puts the lock manager between a session and
+``PageStore``/``BTree``: mixed into a scheme's context class, it fills
+in the claim hook every mutator body calls before its first store, and
+latches the pages the tree reads.  Only a locked transaction's context
+has it, so the default code path never takes a lock.
 
 Read-only MVCC sessions (``engine.session(read_only=True)``) bypass
 this module entirely: their transactions resolve reads against the
@@ -37,7 +37,6 @@ emitted ``snapshot_begin`` must emit zero ``lock_acquire`` events.
 """
 
 from contextlib import contextmanager
-from functools import partial
 
 from repro.obs import trace as ev
 from repro.storage.slotted_page import PAGE_LEAF
@@ -388,86 +387,52 @@ def find_cycle(edges, owner):
     return None
 
 
-class LockingContext:
-    """A transaction context proxy that latches before delegating.
+class TwoPhaseLocking:
+    """Strict two-phase locking for a scheme context: a mixin.
 
-    Sits between a :class:`repro.core.session.Session` and the
-    scheme context (FAST/FAST⁺/NVWAL): ``page`` reads take S page
-    latches held to commit, ``route`` reads an instant S check on an
-    internal page and an S latch on a leaf, mutations take X,
-    root-pointer updates take X on the root slot.  Attributes and
-    methods outside the view/mutation protocol are forwarded to the
-    wrapped context, so the commit paths (which receive the *inner*
-    context) see the exact objects they always did.
+    A strict-2PL transaction's context is its scheme's context class
+    with this mixed in (``Engine.locked_context_class``), built when
+    ``Transaction._open_ctx`` (mode ``"locked"``) or an OCC install
+    asks for one.  It fills in :class:`repro.core.base.MutationContext`'s
+    claim hook, and latches the two reads: ``page`` S to commit,
+    ``route`` as below.
 
-    The wrapped context caches views only of pages this transaction
-    holds a lock on: a page it holds none on carries none of its
-    changes, so ``route`` reads it fresh from the engine's committed
-    read seam (what the context's own first touch would read) and
-    hands it to the context to ``keep`` only once it has S-latched a
-    leaf; a route-only internal view is adopted by the first mutator
-    that X-latches it.  A cached route-only view would outlive the
+    The context caches views only of pages this transaction holds a
+    lock on: ``route`` reads a page it holds none on fresh (the first
+    touch's committed read) and keeps it only once it has S-latched a
+    leaf; the first mutator that X-latches a route-only internal view
+    adopts it.  Cached, such a view would outlive the
     check it was read behind and miss a later committed install.
 
-    ``op_mutated`` tracks whether the current top-level operation has
-    already changed transaction state; the scheduler uses it to decide
-    between waiting (operation restart is safe — only reads happened)
-    and aborting the transaction (a partial mutation cannot be
-    re-issued).
+    ``op_mutated`` — set by the mutator bodies after a claimed store —
+    tells the scheduler whether the current top-level operation can
+    simply re-run after a conflict (only reads happened) or must abort
+    the transaction (a partial mutation cannot be re-issued).
     """
 
-    def __init__(self, inner, session):
-        # Avoid __setattr__ recursion by writing through __dict__.
-        self.__dict__["_inner"] = inner
-        self.__dict__["_session"] = session
-        self.__dict__["_locks"] = session.lock_manager
-        self.__dict__["_owner"] = session.sid
-        self.__dict__["_store"] = session.engine.store
-        self.__dict__["_committed_page"] = partial(
-            session.engine._read_page, writer=True
-        )
+    def __init__(self, engine, session):
+        super().__init__(engine, session)
+        self._locks = session.lock_manager
+        self._owner = session.sid
         # Sharded sessions namespace their resource ids (shard << 24)
         # so per-shard locks stay distinct in a merged wait-for graph.
-        self.__dict__["_ns"] = session.resource_namespace
-        self.__dict__["op_mutated"] = False
-
-    # -- lock plumbing ----------------------------------------------------
+        self._ns = session.resource_namespace
 
     def begin_op(self):
         """Mark the start of a top-level operation (insert/search/...)."""
-        self.__dict__["op_mutated"] = False
+        self.op_mutated = False
 
-    def _lock(self, resource, mode):
-        self._locks.acquire(self._owner, resource, mode)
+    def _claim(self, resource, mode):
+        kind, ident = resource
+        self._locks.acquire(self._owner, (kind, self._ns | ident), mode)
 
     def lock_root(self, slot, mode):
         """Intent lock on a tree's root slot (taken per operation)."""
-        self._locks.acquire(
-            self._owner, root_resource(self._ns | slot), mode
-        )
-
-    def _page_no(self, page):
-        page_no = getattr(page, "page_no", None)
-        if page_no is not None:
-            return page_no  # NVWAL's DRAM frames carry their number
-        return self._store.page_no_of(page)
-
-    def _xlock_page(self, page):
-        self._locks.acquire(
-            self._owner, page_resource(self._ns | self._page_no(page)), LOCK_X
-        )
-
-    # -- view protocol -----------------------------------------------------
-
-    def segment(self, name):
-        return self._inner.segment(name)
-
-    def root_page_no(self, slot):
-        return self._inner.root_page_no(slot)
+        self._claim(root_resource(slot), mode)
 
     def page(self, page_no):
-        self._lock(page_resource(self._ns | page_no), LOCK_S)
-        return self._inner.page(page_no)
+        self._claim(page_resource(page_no), LOCK_S)
+        return self._lookup(page_no)
 
     def route(self, page_no):
         """``page`` for a point descent: a page this transaction holds
@@ -479,89 +444,9 @@ class LockingContext:
         resource = page_resource(self._ns | page_no)
         locks = self._locks
         if locks.check(self._owner, resource, LOCK_S) is not None:
-            return self._inner.page(page_no)
-        page = self._committed_page(page_no)
+            return self._lookup(page_no)
+        page = self._first_touch(page_no)
         if page.page_type == PAGE_LEAF:
             locks.acquire(self._owner, resource, LOCK_S)
-            self._inner.keep(page_no, page)
+            self.keep(page_no, page)
         return page
-
-    # -- mutation protocol -------------------------------------------------
-
-    def insert_record(self, page, slot, payload):
-        self._xlock_page(page)
-        offset = self._inner.insert_record(page, slot, payload)
-        self.__dict__["op_mutated"] = True
-        return offset
-
-    def update_record(self, page, slot, payload):
-        self._xlock_page(page)
-        offset = self._inner.update_record(page, slot, payload)
-        self.__dict__["op_mutated"] = True
-        return offset
-
-    def delete_record(self, page, slot):
-        self._xlock_page(page)
-        self._inner.delete_record(page, slot)
-        self.__dict__["op_mutated"] = True
-
-    def set_page_flags(self, page, mask):
-        self._xlock_page(page)
-        self._inner.set_page_flags(page, mask)
-        self.__dict__["op_mutated"] = True
-
-    def allocate_page(self, page_type):
-        page_no, page = self._inner.allocate_page(page_type)
-        # A fresh page is uncontended: the grant cannot conflict.
-        self._lock(page_resource(self._ns | page_no), LOCK_X)
-        self.__dict__["op_mutated"] = True
-        return page_no, page
-
-    def free_page(self, page_no):
-        self._lock(page_resource(self._ns | page_no), LOCK_X)
-        self._inner.free_page(page_no)
-        self.__dict__["op_mutated"] = True
-
-    def set_root(self, slot, page_no):
-        self._lock(root_resource(self._ns | slot), LOCK_X)
-        self._inner.set_root(slot, page_no)
-        self.__dict__["op_mutated"] = True
-
-    def overwrite_child_pointer(self, parent_page, slot, new_child_no):
-        self._xlock_page(parent_page)
-        self._inner.overwrite_child_pointer(parent_page, slot, new_child_no)
-        self.__dict__["op_mutated"] = True
-
-    def lock_ahead(self, page=None, root_slot=None):
-        """X-lock ``page`` — or, given none, root slot ``root_slot`` —
-        for a structure change about to write it, before anything is
-        stored.  Unlike the mutators this leaves ``op_mutated`` alone,
-        so a conflict here parks the transaction instead of aborting
-        it."""
-        if page is None:
-            self._lock(root_resource(self._ns | root_slot), LOCK_X)
-        else:
-            self._xlock_page(page)
-
-    def defragment(self, page_no):
-        self._lock(page_resource(self._ns | page_no), LOCK_X)
-        fresh_no, fresh = self._inner.defragment(page_no)
-        self._lock(page_resource(self._ns | fresh_no), LOCK_X)
-        self.__dict__["op_mutated"] = True
-        return fresh_no, fresh
-
-    # -- passthrough -------------------------------------------------------
-
-    @property
-    def inner(self):
-        """The wrapped scheme context (what the commit paths consume)."""
-        return self._inner
-
-    def __getattr__(self, name):
-        return getattr(self.__dict__["_inner"], name)
-
-    def __setattr__(self, name, value):
-        if name in self.__dict__:
-            self.__dict__[name] = value
-        else:
-            setattr(self.__dict__["_inner"], name, value)

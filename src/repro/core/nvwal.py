@@ -25,7 +25,8 @@ Clock segments (mapping to Figure 8's commit-time bars):
 
 from collections import OrderedDict
 
-from repro.core.base import Engine
+from repro.core.base import Engine, MutationContext
+from repro.core.locking import TwoPhaseLocking
 from repro.obs import trace as ev
 from repro.pm.memory import VolatileMemory
 from repro.storage.slotted_page import SlottedPage
@@ -96,64 +97,50 @@ class BufferCache:
         return page_no in self._frame_of
 
 
-class NVWALContext:
+class NVWALContext(MutationContext):
     """Transaction context: volatile page updates + commit-time WAL."""
 
     def __init__(self, engine, session=None):
-        self.engine = engine
-        self.session = session
-        self.clock = engine.clock
-        self.obs = engine.obs
-        self.segment = self.clock.segment  # hot-path alias
-        self.dirty = {}       # page_no -> SlottedPage (DRAM)
+        super().__init__(engine, session)
         self.snapshots = {}   # page_no -> bytes at first touch
         self.new_pages = set()
-        self.freed = []
-        self.root_updates = {}
 
-    def uncommitted_pages(self):
-        """Pages this open transaction owns (GC protection set) —
-        page numbers reserved for DRAM-only new pages."""
-        return set(self.new_pages)
+    # -- mutation hooks ----------------------------------------------------
 
-    def root_page_no(self, slot):
-        if slot in self.root_updates:
-            return self.root_updates[slot]
-        return self.engine._root(slot)
-
-    # -- mutation protocol -------------------------------------------------
-
-    def insert_record(self, page, slot, payload):
+    def _write(self, page, dead, store, args):
         with self.obs.span("volatile_buffer_caching"):
             self._snapshot(page)
-            offset = page.pending_insert(slot, payload)
-            self._apply(page)
-        return offset
+            return super()._write(page, dead, store, args)
 
-    def update_record(self, page, slot, payload):
+    def _write_pointer(self, page, slot, child_no):
         with self.obs.span("volatile_buffer_caching"):
             self._snapshot(page)
-            old_offset = page.slot_offset(slot)
-            offset = page.pending_update(slot, payload)
-            self._apply(page)
-            page.reclaim_cell(old_offset)  # volatile copy: free to move
-        return offset
+            super()._write_pointer(page, slot, child_no)
 
-    def delete_record(self, page, slot):
-        with self.obs.span("volatile_buffer_caching"):
-            self._snapshot(page)
-            old_offset = page.slot_offset(slot)
-            page.pending_delete(slot)
-            self._apply(page)
-            page.reclaim_cell(old_offset)
+    def _snapshot(self, page):
+        """Snapshot the frame at its first touch (the commit word-diffs
+        against it) and pin it dirty."""
+        page_no = page.page_no
+        if page_no in self.snapshots:
+            self.dirty.setdefault(page_no, page)
+            return
+        self.snapshots[page_no] = bytes(
+            self.engine.dram._data[page.base : page.base + page.page_size]
+        )
+        self.dirty[page_no] = page
+        self.engine.cache.pinned.add(page_no)
 
-    def set_page_flags(self, page, mask):
-        with self.obs.span("volatile_buffer_caching"):
-            self._snapshot(page)
-            page.pending_set_flags(mask)
-            self._apply(page)
+    def _write_record(self, page, store, slot, payload):
+        """A DRAM frame: nothing to flush."""
+        return store(slot, payload)
 
-    def allocate_page(self, page_type):
+    def _stored(self, page):
+        page.apply_header(page.pending_header_image())
+
+    def _dead(self, page, offset):
+        page.reclaim_cell(offset)  # volatile copy: free to move
+
+    def _allocate(self, page_type):
         engine = self.engine
         with self.obs.span("volatile_buffer_caching"):
             page_no = engine.store.reserve_page_no()
@@ -170,36 +157,16 @@ class NVWALContext:
             self.new_pages.add(page_no)
         return page_no, page
 
-    def free_page(self, page_no):
-        """Deferred to commit, like the FAST contexts: no page reuse
-        within a transaction (savepoints and rollback rely on it).
-        All other tracking stays intact so rollback can still restore
-        the page if the free itself is rolled back."""
-        self.freed.append(page_no)
-
-    def set_root(self, slot, page_no):
-        self.root_updates[slot] = page_no
-
-    def overwrite_child_pointer(self, parent_page, slot, new_child_no):
+    def _repoint(self, position, new_child_no):
         """Volatile pointer rewrite (NVWAL pages live in DRAM)."""
-        from repro.storage.slotted_page import CELL_HEADER_SIZE
+        self.engine.dram.write_u32(position, new_child_no)
 
-        with self.obs.span("volatile_buffer_caching"):
-            self._snapshot(parent_page)
-            offset = parent_page.slot_offset(slot)
-            self.engine.dram.write_u32(
-                parent_page.base + offset + CELL_HEADER_SIZE, new_child_no
-            )
-
-    def lock_ahead(self, page=None, root_slot=None):
-        """Nothing to claim: locks belong to the session's ``LockingContext``."""
-
-    def defragment(self, page_no):
+    def _defragment(self, page_no):
         """In the volatile cache, defragmentation is an in-frame
         compaction — no copy-on-write is needed because DRAM pages may
         shift records freely (paper Section 4.3's contrast)."""
         with self.obs.span("volatile_buffer_caching"):
-            page = self.page(page_no)
+            page = self._lookup(page_no)
             self._snapshot(page)
             records = page.records()
             base, size = page.base, page.page_size
@@ -260,42 +227,35 @@ class NVWALContext:
         self.freed = list(snapshot["freed"])
         self.root_updates = dict(snapshot["root_updates"])
 
-    # -- helpers -----------------------------------------------------------
+    # -- view protocol ---------------------------------------------------
 
-    def page(self, page_no):
+    def _lookup(self, page_no):
+        """The frame this transaction dirtied, else the buffer cache's
+        (read afresh: the fetch keeps the cache's LRU order)."""
         page = self.dirty.get(page_no)
         if page is not None:
             return page
         return self.engine._fetch_page(page_no)
 
-    route = page
+    page = route = _lookup
 
     def keep(self, page_no, page):
         """Nothing to cache: ``page`` re-reads the buffer cache's frame."""
 
-    def _snapshot(self, page):
-        page_no = page.page_no
-        if page_no in self.snapshots:
-            self.dirty.setdefault(page_no, page)
-            return
-        self.snapshots[page_no] = bytes(
-            self.engine.dram._data[page.base : page.base + page.page_size]
-        )
-        self.dirty[page_no] = page
-        self.engine.cache.pinned.add(page_no)
+    def _page_no(self, page):
+        return page.page_no  # DRAM frames carry their page number
 
-    def _apply(self, page):
-        page.apply_header(page.pending_header_image())
 
-    @property
-    def is_read_only(self):
-        return not (self.dirty or self.freed or self.root_updates)
+class LockedNVWALContext(TwoPhaseLocking, NVWALContext):
+    """An NVWAL context in a strict-2PL transaction."""
 
 
 class NVWALEngine(Engine):
     """DRAM buffer cache + differential WAL in PM (the baseline)."""
 
     scheme = "nvwal"
+    context_class = NVWALContext
+    locked_context_class = LockedNVWALContext
     leaf_capacity = None
     #: The paper's baseline as SQLite runs it: writers commit one at a
     #: time, each with its own fence and commit mark.  Open writers
@@ -326,9 +286,6 @@ class NVWALEngine(Engine):
     def _attach_regions(self):
         self.wal = NVWALog.attach(self.pm, self.config.heap_base,
                                   self.config.heap_bytes)
-
-    def _new_context(self, session=None):
-        return NVWALContext(self, session=session)
 
     # ------------------------------------------------------------------
     # Page fetch path (DRAM miss -> database page + WAL deltas)

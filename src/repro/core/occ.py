@@ -44,7 +44,7 @@ successful commit switches it back to optimistic mode.
 from contextlib import ExitStack
 
 from repro.btree.btree import DuplicateKeyError
-from repro.core.locking import LOCK_IX, LockConflict, LockingContext
+from repro.core.locking import LOCK_IX, LockConflict
 from repro.obs import trace as ev
 
 #: Overlay tombstone: the key was deleted by this transaction.
@@ -236,22 +236,20 @@ class OccContext:
         context (caller owns lock release).  A lock conflict uninstalls
         the partial context and raises :class:`OCCConflict("install")`."""
         engine, session = self.engine, self.session
-        inner = engine._new_context(session=session)
-        lctx = LockingContext(inner, session)
-        self.installed_ctx = inner
+        ctx = self.installed_ctx = engine._new_context(session, locked=True)
         try:
             for kind, slot, key, value, replace in self._writes:
-                lctx.begin_op()
-                lctx.lock_root(slot, LOCK_IX)
+                ctx.begin_op()
+                ctx.lock_root(slot, LOCK_IX)
                 tree = engine.tree(slot)
                 if kind == "insert":
-                    tree.insert(lctx, key, value, replace=replace)
+                    tree.insert(ctx, key, value, replace=replace)
                 elif kind == "update":
-                    tree.update(lctx, key, value)
+                    tree.update(ctx, key, value)
                 elif kind == "delete":
-                    tree.delete(lctx, key)
+                    tree.delete(ctx, key)
                 else:
-                    tree.create(lctx)
+                    tree.create(ctx)
         except LockConflict:
             self.uninstall()
             self.obs.inc("occ.install.conflict")

@@ -31,7 +31,7 @@ Conflict policy (the timeout/abort-retry policy of the lock manager):
   transaction aborts and the whole item retries after a deterministic
   exponential backoff.  A B-tree split keeps this path rare: it claims
   its parent page (or the root slot) before its first store
-  (``LockingContext.lock_ahead``), so meeting a holder there parks it.
+  (``MutationContext.lock_ahead``), so meeting a holder there parks it.
   What still aborts here stores before its next lock: cascading
   splits, a replace's delete-and-reinsert fallback, empty-leaf unlinks.
   Those meet holders rarely, because a point descent holds no internal

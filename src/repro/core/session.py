@@ -7,9 +7,9 @@ session owns at most one open transaction, its own clock-segment
 attribution (all simulated time spent inside its operations lands in
 the ``session.<name>`` segment) and obs labels
 (``session.<name>.commit`` / ``.abort`` counters), and — when the
-engine hands out lock-managed sessions — a :class:`LockingContext`
-that serializes conflicting page/root access against the other
-sessions (strict 2PL).
+engine hands out lock-managed sessions — a scheme context with
+:class:`repro.core.locking.TwoPhaseLocking` mixed in, which serializes
+conflicting page/root access against the other sessions (strict 2PL).
 
 The *default* single-session path (``engine.transaction()``,
 ``engine.insert()``, every existing benchmark and golden-counter test)

@@ -16,7 +16,8 @@ transaction that FAST⁺ automatically routes through slot-header
 logging, exactly like a B-tree split.
 
 The index uses the same view/context protocol as ``repro.btree``, so
-``FASTContext``, ``NVWALContext`` etc. work unchanged::
+any transaction's context — every scheme's is a
+``repro.core.base.MutationContext`` — works unchanged::
 
     index = HashIndex(root_slot=2)
     with engine.transaction() as txn:

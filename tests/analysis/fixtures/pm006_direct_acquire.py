@@ -1,7 +1,7 @@
 """Known-bad fixture for PM006: direct lock-manager acquisition.
 
 The release-on-all-paths guarantee lives in
-``repro.core.locking.LockingContext`` / ``commit_scope``; any other
+``repro.core.locking.TwoPhaseLocking`` / ``commit_scope``; any other
 call site that invokes ``.acquire`` directly can leak the lock on an
 exception path.
 """

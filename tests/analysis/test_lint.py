@@ -84,10 +84,10 @@ def test_pm005_swallowed_lock_error_and_bare_except():
 def test_pm006_direct_acquire_outside_locking_module():
     assert [f.render() for f in _lint_fixture("pm006_direct_acquire.py")] == [
         "pm006_direct_acquire.py:11: PM006: direct lock_manager.acquire() "
-        "outside LockingContext/commit_scope (no release-on-all-paths "
+        "outside TwoPhaseLocking/commit_scope (no release-on-all-paths "
         "guarantee)",
         "pm006_direct_acquire.py:15: PM006: direct _locks.acquire() "
-        "outside LockingContext/commit_scope (no release-on-all-paths "
+        "outside TwoPhaseLocking/commit_scope (no release-on-all-paths "
         "guarantee)",
     ]
 

@@ -4,18 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BTree, DirectContext, DuplicateKeyError
-from repro.pm import PersistentMemory
-from repro.storage import PageStore
+from repro.btree import DuplicateKeyError
+from repro.core.naive import NaiveContext
+from tests.btree.helpers import naive_tree
 
 
 def make_tree(npages=256, page_size=512, leaf_capacity=None):
-    pm = PersistentMemory(npages * page_size, cache_lines=1 << 16)
-    store = PageStore.format(pm, 0, npages, page_size)
-    ctx = DirectContext(store)
-    tree = BTree(leaf_capacity=leaf_capacity)
-    tree.create(ctx)
-    return pm, store, ctx, tree
+    engine, ctx, tree = naive_tree(npages, page_size, leaf_capacity)
+    return engine.pm, engine.store, ctx, tree
 
 
 def key_of(i):
@@ -151,14 +147,14 @@ def test_three_level_tree():
 
 
 def test_reachable_pages_covers_tree():
-    _, store, ctx, tree = make_tree()
+    pm, store, ctx, tree = make_tree()
     for i in range(200):
         tree.insert(ctx, key_of(i), b"v" * 10)
     pages = tree.reachable_pages(ctx)
     assert len(pages) > 1
     # Garbage collection with exactly this set keeps the tree intact.
     store.garbage_collect(pages)
-    assert tree.verify(DirectContext(store)) == 200
+    assert tree.verify(NaiveContext(ctx.engine)) == 200
 
 
 def test_split_preserves_values_not_just_keys():

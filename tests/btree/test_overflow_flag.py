@@ -9,14 +9,14 @@ import random
 
 import pytest
 
-from repro.btree import BTree, DirectContext, overflow
+from repro.btree import BTree, overflow
 from repro.btree.cells import is_overflow_cell, parse_internal, parse_leaf_any
 from repro.core import SystemConfig, engine_class, open_engine
-from repro.pm import PersistentMemory, RandomPersist
-from repro.storage import PageStore
+from repro.pm import RandomPersist
 from repro.storage.defrag import defragment_into
 from repro.storage.slotted_page import FLAG_HAS_OVERFLOW, PAGE_INTERNAL, PAGE_LEAF
 from repro.testing import CrashablePM, CrashPoint
+from tests.btree.helpers import naive_tree
 
 PAGE_SIZE = 512
 SCHEMES = ["fast", "fastplus", "nvwal"]
@@ -100,12 +100,8 @@ def apply_ops(model, ops):
 
 
 def make_tree(npages=256):
-    pm = PersistentMemory(npages * PAGE_SIZE, cache_lines=1 << 16)
-    store = PageStore.format(pm, 0, npages, PAGE_SIZE)
-    ctx = DirectContext(store)
-    tree = BTree()
-    tree.create(ctx)
-    return store, ctx, tree
+    engine, ctx, tree = naive_tree(npages, PAGE_SIZE)
+    return engine.store, ctx, tree
 
 
 def leaf_of(tree, view, key):

@@ -4,21 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BTree, DirectContext
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.db import Database, SqlError
-from repro.pm import PersistentMemory
-from repro.storage import PageStore
+from tests.btree.helpers import naive_tree
 from tests.core.conftest import small_config
 
 
 def make_tree(npages=512, page_size=512):
-    pm = PersistentMemory(npages * page_size, cache_lines=1 << 16)
-    store = PageStore.format(pm, 0, npages, page_size)
-    ctx = DirectContext(store)
-    tree = BTree()
-    tree.create(ctx)
-    return store, ctx, tree
+    engine, ctx, tree = naive_tree(npages, page_size)
+    return engine.store, ctx, tree
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """A point descent checks internal pages instead of locking them.
 
 ``BTree._descend`` reads through ``ctx.route``.  Under 2PL
-(``LockingContext.route``) an internal page gets an instant-duration S
+(``TwoPhaseLocking.route``) an internal page gets an instant-duration S
 check — an X holder, an uncommitted structure change there, still parks
 the descent — and nothing is granted; only the leaf keeps an S latch to
 commit.  Range scans keep S on every page they pass.  The scheme

@@ -450,8 +450,8 @@ _op_strategy = st.tuples(
 )
 
 # A run is a list of transactions: how each is opened (the engine's
-# implicit transaction, or a strict-2PL session's — whose context sits
-# behind the lock shim), its ops, and whether it commits.  One-op
+# implicit transaction, or a strict-2PL session's, whose context takes
+# lock claims), its ops, and whether it commits.  One-op
 # committed plain transactions are the autocommit traffic that fills
 # and invalidates frames between the longer ones.
 _txns_strategy = st.lists(
