@@ -12,7 +12,7 @@ Run:  python examples/crash_recovery.py
 """
 
 from repro.core import SystemConfig
-from repro.testing import crash_points_in, run_crash_sweep
+from repro.testing import SMALL_CONFIG, run_crash_sweep, run_to_crash_point
 
 WORKLOAD = (
     [("insert", b"user:%04d" % i, b"profile-%04d" % i) for i in range(12)]
@@ -22,11 +22,7 @@ WORKLOAD = (
 
 
 def config(granularity):
-    return SystemConfig(
-        npages=128, page_size=512, log_bytes=16384,
-        heap_bytes=1 << 20, dram_bytes=64 * 512,
-        atomic_granularity=granularity,
-    )
+    return SystemConfig(atomic_granularity=granularity, **SMALL_CONFIG)
 
 
 def main():
@@ -41,7 +37,7 @@ def main():
     )
     for scheme, granularity in cases:
         cfg = config(granularity)
-        total = crash_points_in(scheme, WORKLOAD, config=cfg)
+        total = run_to_crash_point(scheme, WORKLOAD, None, config=cfg).events
         failures = run_crash_sweep(scheme, WORKLOAD, config=cfg, stride=3)
         verdict = "survives every crash" if not failures else "CORRUPTS"
         print("%-10s %11d B %14d %12d  %s" % (

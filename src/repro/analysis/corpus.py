@@ -32,15 +32,15 @@ invariants apply to:
   validation — single-session, racing 2PL writers and MVCC readers
   under the scheduler (grouped and ungrouped), and crash-swept;
 * :func:`run_crash_swept` — the crash-injection sweep with a checker
-  riding along on every budgeted run: ordering violations surface even
-  at executions that happen to recover correctly;
+  riding along on its one execution: ordering violations surface even
+  at crash points that happen to recover correctly;
 * :func:`run_sharded_scheduled` — clients over a sharded router with
   single- and cross-shard transactions, adding the 2PC invariant
   (TC108: no shard commit mark before its prepare record and the
   coordinator decision) plus per-shard flush/atomic checkers scoped to
   each shard's own log and commit word;
 * :func:`run_sharded_crash_swept` — the cross-shard crash sweep with a
-  TC108-armed checker on every budgeted run.
+  TC108-armed checker riding its one execution.
 
 ``python -m repro.analysis --trace-check`` runs all of them and merges
 the findings.
@@ -55,12 +55,8 @@ crash-point product.  ``python -m repro.analysis --explore`` drives it.
 
 from repro.analysis.tracecheck import TraceChecker
 from repro.core import SystemConfig, open_engine
-
-#: Arena geometry shared by all corpora: small pages so the workloads
-#: exercise splits, reclaims, and checkpoints within a few dozen ops.
-_SMALL_CONFIG = dict(
-    npages=128, page_size=512, log_bytes=16384,
-    heap_bytes=1 << 20, dram_bytes=64 * 512,
+from repro.testing.crashsim import (
+    SMALL_CONFIG, ScheduledRun, ShardedRun, SingleRun, crash_sweep, failing,
 )
 
 #: Schemes with a commit mark the ordering invariants apply to.
@@ -109,7 +105,7 @@ def _account(engine, checker):
 def run_single_client(scheme, *, items=30, config=None):
     """Full-invariant checked run of one session; returns
     ``(findings, stats)``."""
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     engine = open_engine(config, scheme=scheme)
     checker = TraceChecker.for_engine(engine)
     for item in _workload(items):
@@ -128,7 +124,7 @@ def run_group_commit(scheme, *, items=30, config=None):
     mark, every member's log lines flushed and fenced before it — and
     the end-of-run drain closes the last epoch under the checker."""
     config = config or SystemConfig(
-        group_commit_size=4, **_SMALL_CONFIG
+        group_commit_size=4, **SMALL_CONFIG
     )
     engine = open_engine(config, scheme=scheme)
     checker = TraceChecker.for_engine(engine)
@@ -149,7 +145,7 @@ def run_scheduled(scheme, *, clients=4, items=12, config=None):
     from repro.bench.multiclient import client_workload
     from repro.core.scheduler import Scheduler
 
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     engine = open_engine(config, scheme=scheme)
     payload = bytes(48)
     for i in range(0, 200, 4):
@@ -180,7 +176,7 @@ def run_mvcc_scheduled(scheme, *, writers=2, readers=2, items=12,
     from repro.bench.multiclient import client_workload
     from repro.core.scheduler import Scheduler
 
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     engine = open_engine(config, scheme=scheme)
     payload = bytes(48)
     for i in range(0, 200, 4):
@@ -207,7 +203,7 @@ def run_occ_single_client(scheme, *, items=30, config=None):
     locks — the live-range and mark-ordering rules apply to the
     install's commit exactly as to a 2PL transaction's, and the occ
     invariant (TC109) audits the validation exchange itself."""
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     engine = open_engine(config, scheme=scheme)
     checker = TraceChecker.for_engine(engine)
     with engine.session("occ", isolation="occ") as session:
@@ -230,7 +226,7 @@ def run_occ_scheduled(scheme, *, occ=2, locked=1, readers=1, items=10,
     from repro.bench.multiclient import client_workload
     from repro.core.scheduler import Scheduler
 
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     engine = open_engine(config, scheme=scheme)
     payload = bytes(48)
     for i in range(0, 200, 4):
@@ -256,84 +252,63 @@ def run_occ_scheduled(scheme, *, occ=2, locked=1, readers=1, items=10,
     return findings, _account(engine, checker)
 
 
-def run_occ_crash_swept(scheme, *, items=4, stride=11, max_points=30):
-    """Scheduled crash sweep with an OCC client racing a 2PL client and
-    an occ-armed checker sealed at every crash point (same contract as
-    :func:`run_crash_swept`: recovery itself is unchecked, and sweep
-    failures surface as TC000 findings)."""
+def _crash_swept(label, shape, make_checker, **sweep):
+    """One crash sweep (seed 0: each point's own seed) with one checker
+    riding its single execution; recovery on the forks is unchecked
+    (its redo stores legitimately rewrite live bytes).  Correctness of
+    the recovered state stays the sweep's own job — each failing point
+    surfaces as a TC000 finding, so a broken execution can never report
+    a clean trace."""
     from repro.analysis.findings import Finding
-    from repro.bench.multiclient import client_workload
-    from repro.testing.crashsim import run_scheduler_crash_sweep
 
     checkers = []
 
     def factory(engine):
-        checker = TraceChecker.for_engine(
-            engine,
-            invariants=("flush", "atomic", "twopl", "snapshot", "occ"),
-        )
-        checkers.append(checker)
-        return checker
+        checkers.append(make_checker(engine))
+        return checkers[-1]
+
+    failures = failing(crash_sweep(
+        shape, seeds=(0,), checker_factory=factory, **sweep,
+    ))
+    (checker,) = checkers
+    findings = list(checker.finish())
+    for budget, result in failures:
+        findings.append(Finding(
+            "TC000",
+            "%s violation at budget %d: %s"
+            % (label, budget, "; ".join(result.violations)),
+        ))
+    stats = {key: checker.stats[key] for key in ("txns", "events", "findings")}
+    return findings, stats
+
+
+def run_occ_crash_swept(scheme, *, items=4, stride=11, max_points=30):
+    """Scheduled crash sweep with an OCC client racing a 2PL client and
+    an occ-armed checker riding the run (see :func:`_crash_swept`)."""
+    from repro.bench.multiclient import client_workload
 
     workloads = [
         {"items": client_workload(0, items=items), "isolation": "occ"},
         client_workload(1, items=items),
     ]
-    failures = run_scheduler_crash_sweep(
-        scheme, workloads, stride=stride, seeds=(0,),
-        max_points=max_points, checker_factory=factory,
+    return _crash_swept(
+        "occ crash sweep", ScheduledRun(scheme, workloads),
+        lambda engine: TraceChecker.for_engine(
+            engine,
+            invariants=("flush", "atomic", "twopl", "snapshot", "occ"),
+        ),
+        stride=stride, max_points=max_points,
     )
-    findings = []
-    stats = {"txns": 0, "events": 0, "findings": 0}
-    for checker in checkers:
-        findings.extend(checker.findings)
-        for key in stats:
-            stats[key] += checker.stats[key]
-    for budget, result in failures:
-        findings.append(Finding(
-            "TC000",
-            "occ crash sweep violation at budget %d: %s"
-            % (budget, "; ".join(result.violations)),
-        ))
-    return findings, stats
 
 
 def run_crash_swept(scheme, *, items=6, stride=7, max_points=40):
-    """The crash-injection sweep with a checker on every budgeted run.
-
-    Recovery is *not* checked (its redo stores legitimately overwrite
-    live bytes); each checker observes the run up to its crash point.
-    Correctness of the recovered state stays the crash sweep's own job
-    — a sweep failure here is surfaced as a TC000 finding so the CLI
-    cannot report a clean trace over a broken execution.
-    """
-    from repro.analysis.findings import Finding
-    from repro.testing.crashsim import run_crash_sweep
-
-    checkers = []
-
-    def factory(engine):
-        checker = TraceChecker.for_engine(engine)
-        checkers.append(checker)
-        return checker
-
-    failures = run_crash_sweep(
-        scheme, _workload(items), stride=stride, seeds=(0,),
-        max_points=max_points, checker_factory=factory,
+    """The crash-injection sweep with a full checker riding the run
+    (see :func:`_crash_swept`): ordering violations surface even at
+    crash points that happen to recover correctly."""
+    return _crash_swept(
+        "crash sweep", SingleRun(scheme, _workload(items)),
+        TraceChecker.for_engine, stride=stride, max_points=max_points,
     )
-    findings = []
-    stats = {"txns": 0, "events": 0, "findings": 0}
-    for checker in checkers:
-        findings.extend(checker.finish())
-        for key in stats:
-            stats[key] += checker.stats[key]
-    for budget, result in failures:
-        findings.append(Finding(
-            "TC000",
-            "crash sweep violation at budget %d: %s"
-            % (budget, "; ".join(result.violations)),
-        ))
-    return findings, stats
 
 
 def run_sharded_scheduled(scheme, *, shards=2, clients=4, items=10,
@@ -352,7 +327,7 @@ def run_sharded_scheduled(scheme, *, shards=2, clients=4, items=10,
     from repro.core.scheduler import Scheduler
     from repro.storage.sharding import ShardRouter
 
-    config = config or SystemConfig(**_SMALL_CONFIG)
+    config = config or SystemConfig(**SMALL_CONFIG)
     router = ShardRouter.create(config, shards, scheme=scheme)
     checkers = [
         TraceChecker(router.trace, invariants=("twopl", "twopc", "occ"))
@@ -397,23 +372,9 @@ def run_sharded_scheduled(scheme, *, shards=2, clients=4, items=10,
 
 
 def run_sharded_crash_swept(scheme, *, shards=2, stride=9, max_points=30):
-    """The cross-shard crash sweep with a TC108-armed checker on every
-    budgeted run (same shape as :func:`run_crash_swept`: each checker
-    observes its run up to the crash, recovery itself is unchecked, and
-    sweep failures surface as TC000 so a broken execution can never
-    report a clean trace)."""
-    from repro.analysis.findings import Finding
+    """The cross-shard crash sweep with a TC108-armed checker riding
+    the run (see :func:`_crash_swept`)."""
     from repro.bench.multiclient import sharded_client_workload
-    from repro.testing.crashsim import run_sharded_crash_sweep
-
-    checkers = []
-
-    def factory(router):
-        checker = TraceChecker(
-            router.obs.trace, invariants=("twopl", "twopc"),
-        )
-        checkers.append(checker)
-        return checker
 
     workloads = [
         sharded_client_workload(
@@ -421,23 +382,13 @@ def run_sharded_crash_swept(scheme, *, shards=2, stride=9, max_points=30):
         )
         for index in range(2)
     ]
-    failures = run_sharded_crash_sweep(
-        scheme, workloads, shards=shards, stride=stride, seeds=(0,),
-        max_points=max_points, checker_factory=factory,
+    return _crash_swept(
+        "sharded crash sweep", ShardedRun(scheme, workloads, shards),
+        lambda router: TraceChecker(
+            router.obs.trace, invariants=("twopl", "twopc"),
+        ),
+        stride=stride, max_points=max_points,
     )
-    findings = []
-    stats = {"txns": 0, "events": 0, "findings": 0}
-    for checker in checkers:
-        findings.extend(checker.finish())
-        for key in stats:
-            stats[key] += checker.stats[key]
-    for budget, result in failures:
-        findings.append(Finding(
-            "TC000",
-            "sharded crash sweep violation at budget %d: %s"
-            % (budget, "; ".join(result.violations)),
-        ))
-    return findings, stats
 
 
 def mixed_explore_workloads():
@@ -514,12 +465,12 @@ def run_all(schemes=SCHEMES):
         totals["runs"] += 1
 
     grouped = SystemConfig(
-        group_commit_size=4, **_SMALL_CONFIG
+        group_commit_size=4, **SMALL_CONFIG
     )
     # Tiered DRAM page cache on: snapshot readers fill and hit frames
     # and locked writers' contexts hit them, so the TC111 coherence
     # invariant sees real cache traffic from both sides.
-    cached = SystemConfig(dram_cache_pages=16, **_SMALL_CONFIG)
+    cached = SystemConfig(dram_cache_pages=16, **SMALL_CONFIG)
     for scheme in schemes:
         merge(run_single_client(scheme))
         merge(run_group_commit(scheme))

@@ -62,9 +62,10 @@ executions, complete or pruned), a per-schedule step budget
 (``max_steps``), and state-hash dedup — each completed schedule's
 ``(commit order, committed arena scan)`` is digested, and the
 serializability oracle runs only once per distinct digest.  The
-schedule × crash-point product mode re-runs bounded crash sweeps with
-the explored schedule *forced*, at the first ``crash_schedules``
-most-distinct explored schedules (one per distinct state digest).
+schedule × crash-point product mode runs one bounded crash sweep (one
+execution, forked at each sampled point) with the explored schedule
+*forced*, at the first ``crash_schedules`` most-distinct explored
+schedules (one per distinct state digest).
 
 Findings
 --------
@@ -94,12 +95,7 @@ from repro.core.scheduler import (
     RetriesExhausted, Scheduler, SchedulerError, _ops_of, client_spec,
 )
 from repro.obs import trace as ev
-
-#: Arena geometry for exploration runs: small pages, small workloads.
-_SMALL_CONFIG = dict(
-    npages=128, page_size=512, log_bytes=16384,
-    heap_bytes=1 << 20, dram_bytes=64 * 512,
-)
+from repro.testing.crashsim import SMALL_CONFIG, ScheduledRun, crash_sweep
 
 #: Invariants armed on every explored schedule.  ``live`` is out of
 #: scope (its per-transaction live-range snapshots are invalidated by
@@ -280,7 +276,7 @@ class Explorer:
                  crash_schedules=0, crash_stride=7, crash_max_points=10,
                  invariants=EXPLORE_INVARIANTS):
         self.scheme = scheme
-        self.config = config or SystemConfig(**_SMALL_CONFIG)
+        self.config = config or SystemConfig(**SMALL_CONFIG)
         if self.config.group_commit_size:
             # An epoch closer applies *other* members' headers at its
             # own commit — per-step attribution (and with it TC110)
@@ -563,30 +559,17 @@ class Explorer:
         """Bounded crash sweeps with the most-distinct explored
         schedules *forced*: one schedule per distinct committed-state
         digest, first ``crash_schedules`` in discovery order."""
-        if not self.crash_schedules:
-            return
-        from repro.testing.crashsim import (
-            run_scheduler_to_crash_point, scheduler_crash_points_in,
-        )
-        paths = list(self._digests.values())[:self.crash_schedules]
-        for path in paths:
-            def factory(path=path):
-                return _ForcedReplay(path)
-            total = scheduler_crash_points_in(
-                self.scheme, self.workloads, config=self.config,
-                pick_strategy_factory=factory,
+        for path in list(self._digests.values())[:self.crash_schedules]:
+            shape = ScheduledRun(
+                self.scheme, self.workloads,
+                lambda path=path: _ForcedReplay(path),
             )
-            budgets = list(range(1, total + 1, self.crash_stride))
-            if len(budgets) > self.crash_max_points:
-                step = max(1, len(budgets) // self.crash_max_points)
-                budgets = budgets[::step]
-            for budget in budgets:
-                result = run_scheduler_to_crash_point(
-                    self.scheme, self.workloads, budget,
-                    config=self.config, seed=budget,
-                    pick_strategy_factory=factory,
-                )
-                self.stats["crash_points"] += 1
+            results = crash_sweep(
+                shape, config=self.config, stride=self.crash_stride,
+                max_points=self.crash_max_points, seeds=(0,),
+            )
+            self.stats["crash_points"] += len(results)
+            for budget, result in results:
                 if not result.ok:
                     self._add_finding(Finding(
                         "EX002",

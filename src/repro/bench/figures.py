@@ -354,7 +354,7 @@ def ablation_atomicity():
     8-byte atomic writes; FAST+ needs line-atomic writes; naive
     in-place paging is unsafe either way."""
     from repro.core import SystemConfig
-    from repro.testing import run_crash_sweep
+    from repro.testing import SMALL_CONFIG, run_crash_sweep
 
     workload = [("insert", b"%04d" % i, b"x" * 40) for i in range(18)]
     rows = []
@@ -363,10 +363,7 @@ def ablation_atomicity():
         ("fast", 8), ("nvwal", 8), ("fastplus", 8), ("fastplus", 64),
         ("naive", 8), ("naive", 64),
     ):
-        config = SystemConfig(
-            npages=128, page_size=512, log_bytes=16384, heap_bytes=1 << 20,
-            dram_bytes=64 * 512, atomic_granularity=granularity,
-        )
+        config = SystemConfig(atomic_granularity=granularity, **SMALL_CONFIG)
         failures = run_crash_sweep(scheme, workload, config=config, stride=4)
         rows.append([scheme, granularity, len(failures),
                      "SAFE" if not failures else "CORRUPTS"])

@@ -813,6 +813,35 @@ class PersistentMemory:
         self._vis.clear()
         self._resident.clear()
 
+    def fork(self):
+        """An independent arena holding this one's durable bytes and
+        at-risk lines, with its own fresh clock and ``obs``: what a
+        power failure *now* would act on, for ``crash()`` and recovery
+        to consume while this memory keeps running.
+
+        The in-flight and dirty lines are copied in their current dict
+        order, because a policy that draws per unit (``RandomPersist``)
+        must see them in the order ``crash()`` here would.
+        """
+        twin = PersistentMemory(
+            self.size,
+            latency=self.latency,
+            cost=self.cost,
+            atomic_granularity=self.atomic_granularity,
+            cache_lines=self._rcap,
+            flush_instruction=self.flush_instruction,
+        )
+        twin._durable[:] = self._durable
+        # Dirty after in-flight: the CPU-visible entry of a line in both
+        # is the dirty one.
+        for source, target in ((self._inflight, twin._inflight),
+                               (self._dirty, twin._dirty)):
+            for line, entry in source.items():
+                target[line] = twin._vis[line] = _DirtyLine(
+                    bytearray(entry.data), entry.dirty_words
+                )
+        return twin
+
     def dirty_unit_count(self):
         """Number of atomic units currently at risk (for exhaustive
         crash enumeration in tests)."""

@@ -1,12 +1,13 @@
 """Systematic crash injection for the storage engines.
 
-The harness runs a workload of single-operation transactions against
-an engine whose ``PersistentMemory`` is replaced by ``CrashablePM``,
-which raises ``CrashPoint`` after a chosen number of memory events
-(stores, flushes, fences).  At the crash point the volatile state is
-discarded under a ``CrashPolicy`` (any subset of unfenced atomic units
-may survive), recovery runs, and the recovered database is checked
-against the model:
+The harness runs a workload once, against an engine whose
+``PersistentMemory`` is a ``CrashablePM``: it counts memory events
+(stores, flushes, fences) and hands the live memory to a visitor at
+each selected one.  The crash visitor forks the memory at the N-th
+event of that one run, discards the fork's volatile state under a
+``CrashPolicy`` (any subset of unfenced atomic units may survive),
+runs recovery on the fork, and checks the recovered database against
+the model while the run itself keeps going:
 
 * **durability** — every transaction whose ``commit()`` returned must
   be fully visible;
@@ -14,12 +15,23 @@ against the model:
   either fully visible or fully invisible;
 * **integrity** — the B-tree passes structural verification.
 
-Sweeping the crash point across every memory event of a workload
-explores every writeback interleaving the hardware could produce —
-this is the executable form of the paper's Section 4.4 case analysis.
+A crash image depends only on the durable arena and the at-risk words
+at that instant, so a fork at event N is the image a run stopped at
+event N would leave; ``tests/testing/test_crash_fork_equivalence.py``
+keeps that true.  Sweeping the fork point across every memory event
+of a workload explores every writeback interleaving the hardware could
+produce — this is the executable form of the paper's Section 4.4 case
+analysis.
+
+What is run is a *shape*: :class:`SingleRun` (one session, item by
+item), :class:`ScheduledRun` (N clients through the deterministic
+scheduler) or :class:`ShardedRun` (N clients over a sharded router).
+:func:`crash_sweep` visits many points of one execution;
+:func:`crash_at` visits one point and stops there.
 """
 
 import random
+import sys
 from dataclasses import dataclass, field
 
 from repro.core import SystemConfig, engine_class
@@ -27,36 +39,60 @@ from repro.obs.trace import RECOVERY_REPLAY
 from repro.pm.crash import DropAll, RandomPersist
 from repro.pm.memory import PersistentMemory
 
+#: The crash harnesses' arena: small pages so a few dozen operations
+#: exercise splits, reclaims and checkpoints.
+SMALL_CONFIG = dict(
+    npages=128, page_size=512, log_bytes=16384,
+    heap_bytes=1 << 20, dram_bytes=64 * 512,
+)
+
 
 class CrashPoint(Exception):
-    """Raised by ``CrashablePM`` when the event budget is exhausted."""
+    """A power failure that stops the run (see :func:`power_fail`)."""
 
 
 class AtomicityViolation(AssertionError):
     """The recovered state broke durability or atomicity."""
 
 
+def power_fail(_pm):
+    """The visitor that cuts the power at the visited event."""
+    raise CrashPoint()
+
+
 class CrashablePM(PersistentMemory):
-    """A ``PersistentMemory`` that power-fails after N memory events.
+    """A ``PersistentMemory`` whose memory events can be visited.
 
     Events are counted only while ``armed`` (so setup and recovery are
     exempt) and never inside an RTM commit (the hardware applies those
-    stores indivisibly).
+    stores indivisibly).  ``arm(points, visit)`` calls ``visit(pm)`` at
+    each counted event whose index is in ``points``, before the event
+    takes effect and with the memory disarmed.  A visitor that raises
+    (:func:`power_fail`) ends the run there, still disarmed.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.armed = False
-        self.budget = None
         self.events = 0
+        self.points = ()
+        self.visit = None
+
+    def arm(self, points, visit):
+        """Count events from zero, visiting those in ``points``."""
+        self.points = points
+        self.visit = visit
+        self.events = 0
+        self.armed = True
 
     def _tick(self):
         if not self.armed or getattr(self, "rtm_commit_in_progress", False):
             return
         self.events += 1
-        if self.budget is not None and self.events >= self.budget:
+        if self.events in self.points:
             self.armed = False
-            raise CrashPoint()
+            self.visit(self)
+            self.armed = True
 
     def write(self, addr, data):
         self._tick()
@@ -102,7 +138,7 @@ class CrashablePM(PersistentMemory):
 
 @dataclass
 class CrashTestResult:
-    """Outcome of one crash-and-recover run."""
+    """Outcome of one crash-and-recover check (or of an uncrashed run)."""
 
     crashed: bool
     committed: dict
@@ -112,22 +148,23 @@ class CrashTestResult:
     #: ``recovery_replay`` trace events emitted while recovery ran
     #: (empty when the run completed without crashing).
     recovery_events: list = field(default_factory=list)
+    #: Armed memory events counted: the crash point's index, or every
+    #: event of a run that completed.
+    events: int = 0
 
     @property
     def ok(self):
         return not self.violations
 
 
-def _build_engine(config, scheme):
-    cls = engine_class(scheme)
-    pm = CrashablePM(
-        config.arena_bytes,
+def _crashable_pm(config, size):
+    return CrashablePM(
+        size,
         latency=config.latency,
         cost=config.cost,
         atomic_granularity=config.atomic_granularity,
         cache_lines=config.cache_lines,
     )
-    return cls.create(config, pm=pm), pm
 
 
 def _ops_of(item):
@@ -160,10 +197,10 @@ def _execute(txn, item):
             txn.delete(key)
 
 
-def _prefix_model(items, count):
-    """Model state after the first ``count`` committed items."""
-    model = {}
-    for item in items[:count]:
+def _replay(items, base=()):
+    """Model state after applying ``items`` in order over ``base``."""
+    model = dict(base)
+    for item in items:
         _apply(model, item)
     return model
 
@@ -215,86 +252,7 @@ def _group_candidates(engine, items, inflight):
     lengths = {without_last(members), total}
     if inflight:
         lengths.add(without_last(members - 1))
-    return [_prefix_model(items, count) for count in sorted(lengths)]
-
-
-def run_to_crash_point(scheme, workload, budget, *, config=None, policy=None,
-                       seed=0, checker_factory=None):
-    """Run ``workload`` (a list of ``(op, key, value)`` single-op
-    transactions), crash after ``budget`` armed memory events, recover,
-    and validate.  ``budget=None`` runs to completion (baseline).
-
-    ``checker_factory`` (optional) is called with the fresh engine and
-    must return a ``repro.analysis.TraceChecker``-shaped object; the
-    run then drives it transaction by transaction so persistence-
-    ordering violations surface even at crash points that happen to
-    recover cleanly.  The checker observes the run only up to the
-    crash — recovery's redo stores legitimately rewrite live bytes.
-
-    Returns a ``CrashTestResult``; ``result.violations`` lists every
-    broken invariant (empty = the scheme survived this crash point).
-    """
-    config = config or SystemConfig(
-        npages=128, page_size=512, log_bytes=16384,
-        heap_bytes=1 << 20, dram_bytes=64 * 512,
-    )
-    engine, pm = _build_engine(config, scheme)
-    checker = checker_factory(engine) if checker_factory is not None else None
-    committed = {}
-    committed_items = []
-    inflight = ()
-    crashed = False
-    pm.budget = budget
-    pm.events = 0
-    pm.armed = True
-    try:
-        for op in workload:
-            inflight = op
-            if checker is not None:
-                # Pure PM reads: refreshing the live set never ticks
-                # the crash budget or perturbs the traced store stream.
-                checker.begin_txn(checker.live_ranges_of(engine))
-            txn = engine.transaction()
-            _execute(txn, op)
-            txn.commit()
-            _apply(committed, op)
-            committed_items.append(op)
-            inflight = ()
-        # End-of-run durability barrier (armed: the sweep also visits
-        # every crash point inside the final epoch close) — a no-op
-        # with grouping off.
-        engine.drain_group_commit()
-    except CrashPoint:
-        crashed = True
-    finally:
-        pm.armed = False
-        if checker is not None:
-            checker.close()  # seal at the crash; recovery is unchecked
-
-    if not crashed:
-        recovered = {k: v for k, v in engine.scan()}
-        result = CrashTestResult(False, committed, inflight, recovered)
-        _validate(engine, result)
-        return result
-
-    prefix_candidates = _group_candidates(engine, committed_items, inflight)
-    pm.crash(policy or RandomPersist(rng=random.Random(seed)))
-    recovery_start_seq = pm.obs.trace.seq
-    try:
-        engine = engine_class(scheme).attach(config, pm)
-        recovered = {k: v for k, v in engine.scan()}
-    except Exception as err:  # corruption can crash recovery itself
-        result = CrashTestResult(True, committed, inflight, {})
-        result.violations.append(
-            "recovery crashed: %s: %s" % (type(err).__name__, err)
-        )
-        return result
-    result = CrashTestResult(True, committed, inflight, recovered)
-    result.recovery_events = pm.obs.trace.events(
-        kind=RECOVERY_REPLAY, since_seq=recovery_start_seq
-    )
-    _validate(engine, result, prefix_candidates=prefix_candidates)
-    return result
+    return [_replay(items[:count]) for count in sorted(lengths)]
 
 
 def _validate(engine, result, *, prefix_candidates=None):
@@ -339,34 +297,87 @@ def _validate(engine, result, *, prefix_candidates=None):
     return result
 
 
-def crash_points_in(scheme, workload, *, config=None):
-    """Total armed memory events the workload generates (the sweep
-    range for exhaustive injection)."""
-    config = config or SystemConfig(
-        npages=128, page_size=512, log_bytes=16384,
-        heap_bytes=1 << 20, dram_bytes=64 * 512,
-    )
-    engine, pm = _build_engine(config, scheme)
-    pm.budget = None
-    pm.events = 0
-    pm.armed = True
-    for op in workload:
-        txn = engine.transaction()
-        _execute(txn, op)
-        txn.commit()
-    engine.drain_group_commit()
-    pm.armed = False
-    return pm.events
-
-
 # ----------------------------------------------------------------------
-# Crash injection through the multi-client scheduler
+# Run shapes: what one execution builds, runs, and checks
 # ----------------------------------------------------------------------
 
-_SMALL_CONFIG = dict(
-    npages=128, page_size=512, log_bytes=16384,
-    heap_bytes=1 << 20, dram_bytes=64 * 512,
-)
+
+class _Shape:
+    """What one execution builds, runs and checks.  A shape supplies
+    ``run()`` and ``state()``: the ``(committed model, in-flight item,
+    group-commit prefix candidates)`` at this instant of the run."""
+
+    def __init__(self, scheme, workload):
+        self.scheme = scheme
+        self.workload = workload
+
+    def _create(self, config):
+        pm = _crashable_pm(config, config.arena_bytes)
+        return engine_class(self.scheme).create(config, pm=pm), pm
+
+    def build(self, config, checker_factory):
+        """A fresh engine and checker, before arming; returns
+        ``(pm, checker)``."""
+        self.engine, self.pm = self._create(config)
+        self.checker = (
+            checker_factory(self.engine) if checker_factory is not None
+            else None
+        )
+        return self.pm, self.checker
+
+    def attach(self, config, pm):
+        """Re-open a crashed arena: recovery runs here."""
+        return engine_class(self.scheme).attach(config, pm)
+
+    def recovered_violations(self, engine):
+        """Checks beyond the model comparison after recovery."""
+        return []
+
+    def completed_violations(self):
+        """Checks beyond the model comparison after a run that did not
+        crash (a single session cannot skip an item, so none here)."""
+        return []
+
+
+class SingleRun(_Shape):
+    """One session runs ``workload`` item by item, each item its own
+    transaction: a bare ``(op, key, value)`` or ``("txn", [ops])``.
+
+    A ``checker_factory`` checker is refreshed from the committed
+    state before every transaction, so persistence-ordering violations
+    surface even at crash points that happen to recover cleanly."""
+
+    def build(self, config, checker_factory):
+        self.committed = {}
+        self.committed_items = []
+        self.inflight = ()
+        return super().build(config, checker_factory)
+
+    def run(self):
+        engine, checker = self.engine, self.checker
+        for item in self.workload:
+            self.inflight = item
+            if checker is not None:
+                # Pure PM reads: refreshing the live set never ticks
+                # an armed event or perturbs the traced store stream.
+                checker.begin_txn(checker.live_ranges_of(engine))
+            txn = engine.transaction()
+            _execute(txn, item)
+            txn.commit()
+            _apply(self.committed, item)
+            self.committed_items.append(item)
+            self.inflight = ()
+        # End-of-run durability barrier (armed: a sweep also visits
+        # every crash point inside the final epoch close) — a no-op
+        # with grouping off.
+        engine.drain_group_commit()
+
+    def state(self):
+        return (
+            dict(self.committed), self.inflight,
+            _group_candidates(self.engine, self.committed_items,
+                              self.inflight),
+        )
 
 
 def _writes_of(item):
@@ -377,16 +388,322 @@ def _writes_of(item):
     ]
 
 
-def _scheduled_model(clients, commit_order, preloaded=None):
-    """Replay the committed transactions in commit order (over the
-    ``preloaded`` records, if any) — strict 2PL makes the interleaving
-    serializable in exactly that order, so this is the one state a
-    correct recovery may expose (modulo the in-flight commit)."""
+def _committed_items(clients, commit_order):
+    """The committed transactions' writes, in commit order — strict 2PL
+    makes the interleaving serializable in exactly that order, so their
+    replay is the one state a correct recovery may expose (modulo the
+    in-flight commit)."""
     items_of = {client.name: client.items for client in clients}
-    model = dict(preloaded or ())
-    for name, item_idx in commit_order:
-        _apply(model, ("txn", _writes_of(items_of[name][item_idx])))
-    return model
+    return [
+        ("txn", _writes_of(items_of[name][item_idx]))
+        for name, item_idx in commit_order
+    ]
+
+
+class ScheduledRun(_Shape):
+    """N clients interleaved by the deterministic scheduler.
+
+    ``workloads`` is one entry per client: an item list (items as in
+    :class:`SingleRun`, plus ``("search", key, None)`` reads), or
+    ``{"items": [...], "isolation": mode}`` — see
+    :func:`repro.core.scheduler.client_spec`.  Read-only clients change
+    no durable state, but their presence at the crash exercises
+    recovery with version chains live (all volatile: recovery starts
+    with none).  OCC clients buffer their writes and install them at
+    commit, so their model is a 2PL client's.  The recovered database
+    must equal the committed transactions replayed in the scheduler's
+    commit order, optionally plus the whole item that was in flight on
+    the one client executing at the crash — any other state (a torn
+    commit, a half-rolled-back abort, another session's uncommitted
+    pages surfacing) is a violation.
+
+    ``pick_strategy_factory`` (optional) builds a fresh scheduler
+    ``pick_strategy`` per execution, so the schedule-space explorer
+    can crash a *specific* explored interleaving.  The strategy's
+    ``sched_pick`` events live in the obs trace, not the crashable
+    memory, so event indexes are unchanged by it.
+    """
+
+    def __init__(self, scheme, workloads, pick_strategy_factory=None):
+        super().__init__(scheme, workloads)
+        self.pick_strategy_factory = pick_strategy_factory
+
+    def build(self, config, checker_factory):
+        from repro.core.scheduler import Scheduler, client_spec
+
+        pm, checker = super().build(config, checker_factory)
+        # No error cleanup: a CrashPoint is a simulated power failure,
+        # and the recovered state must be exactly what the crash left
+        # behind — rolling the running transaction back would write
+        # *after* the power was cut.
+        self.scheduler = Scheduler(
+            self.engine, cleanup_on_error=False,
+            on_step=None if checker is None else (
+                lambda _client: checker.advance()
+            ),
+            pick_strategy=(
+                self.pick_strategy_factory()
+                if self.pick_strategy_factory is not None else None
+            ),
+        )
+        for workload in self.workload:
+            items, isolation = client_spec(workload)
+            self.scheduler.add_client(items, isolation=isolation)
+        return pm, checker
+
+    def run(self):
+        self.scheduler.run()
+
+    def state(self):
+        scheduler = self.scheduler
+        ordered = _committed_items(scheduler.clients, scheduler.commit_order)
+        # Only the client that was executing can have an in-flight
+        # commit; every other open transaction was parked mid-operation
+        # and its effects must vanish with the volatile state.
+        inflight = ()
+        running = scheduler.running_client
+        if running is not None and not running.finished:
+            writes = _writes_of(running.items[running.item_idx])
+            if writes:
+                inflight = ("txn", writes)
+        return (
+            _replay(ordered), inflight,
+            _group_candidates(self.engine, ordered, inflight),
+        )
+
+    def completed_violations(self):
+        """Every client drained its workload, and every commit it
+        counted is in the global commit order."""
+        violations = []
+        order_counts = {}
+        for name, _ in self.scheduler.commit_order:
+            order_counts[name] = order_counts.get(name, 0) + 1
+        for client in self.scheduler.clients:
+            if client.commits != len(client.items):
+                violations.append(
+                    "client %r committed %d of %d items"
+                    % (client.name, client.commits, len(client.items))
+                )
+            if order_counts.get(client.name, 0) != client.commits:
+                violations.append(
+                    "client %r commit count disagrees with commit order"
+                    % client.name
+                )
+        return violations
+
+
+class ShardedRun(ScheduledRun):
+    """N clients over a ``shards``-way router with cross-shard 2PC.
+
+    Recovery resolves in-doubt participants from the prepare/decision
+    records, and the exact-state comparison is what makes the check a
+    2PC conformance test: a transaction whose commit marks landed on
+    some shards but not others recovers to a state that is neither the
+    committed prefix nor prefix-plus-whole-in-flight-item, and fails as
+    an atomicity blend."""
+
+    def __init__(self, scheme, workloads, shards=2):
+        super().__init__(scheme, workloads)
+        self.shards = shards
+
+    def _create(self, config):
+        from repro.storage.sharding import ShardRouter, total_arena_bytes
+
+        pm = _crashable_pm(config, total_arena_bytes(config, self.shards))
+        router = ShardRouter.create(
+            config, self.shards, scheme=self.scheme, pm=pm,
+        )
+        return router, pm
+
+    def attach(self, config, pm):
+        from repro.storage.sharding import ShardRouter
+
+        return ShardRouter.attach(config, self.shards, pm, scheme=self.scheme)
+
+    def recovered_violations(self, router):
+        """All-or-nothing across shards: after attach, no shard may
+        carry a leftover prepare record and the coordinator must be
+        clear."""
+        violations = [
+            "2PC: prepare record survived recovery on a shard"
+            for shard in router.shards if shard.twopc.prepared() is not None
+        ]
+        if router.coordinator.decided_commit() is not None:
+            violations.append("2PC: decision record survived recovery")
+        return violations
+
+
+# ----------------------------------------------------------------------
+# The driver
+# ----------------------------------------------------------------------
+
+
+def _recover(shape, config, image, point, state):
+    """Recover the crashed ``image`` and validate it against the
+    ``(committed, inflight, candidates)`` the run had at ``point``."""
+    committed, inflight, candidates = state
+    start_seq = image.obs.trace.seq
+    try:
+        engine = shape.attach(config, image)
+        recovered = dict(engine.scan())
+    except Exception as err:  # corruption can crash recovery itself
+        result = CrashTestResult(True, committed, inflight, {}, events=point)
+        result.violations.append(
+            "recovery crashed: %s: %s" % (type(err).__name__, err)
+        )
+        return result
+    result = CrashTestResult(
+        True, committed, inflight, recovered, events=point,
+        recovery_events=image.obs.trace.events(
+            kind=RECOVERY_REPLAY, since_seq=start_seq,
+        ),
+    )
+    result.violations.extend(shape.recovered_violations(engine))
+    return _validate(engine, result, prefix_candidates=candidates)
+
+
+def _drive(shape, config, points, policies_at, checker_factory, stop=False):
+    """Execute ``shape`` once.  At each armed event in ``points``, fork
+    the live memory once per policy in ``policies_at(point)``, crash
+    the fork under it, recover and validate; ``stop`` ends the run at
+    the first visited point.  Returns the ``(point, result)`` list in
+    visit order.
+
+    A checker from ``checker_factory`` observes the run itself: it is
+    finished when the run completes or sealed at the stopping crash, and
+    never sees a fork's recovery (whose redo stores legitimately rewrite
+    live bytes)."""
+    pm, checker = shape.build(config, checker_factory)
+    results = []
+
+    def visit(live):
+        state = shape.state()
+        for policy in policies_at(live.events):
+            image = live.fork()
+            image.crash(policy)
+            results.append(
+                (live.events, _recover(shape, config, image, live.events,
+                                       state))
+            )
+        if stop:
+            raise CrashPoint()
+
+    pm.arm(points, visit)
+    try:
+        shape.run()
+    except CrashPoint:
+        pass
+    else:
+        if checker is not None:
+            checker.finish()  # a completed run gets end-of-stream checks
+    finally:
+        pm.armed = False
+        if checker is not None:
+            checker.close()
+    return results
+
+
+def crash_at(shape, budget, *, config=None, policy=None, seed=0,
+             checker_factory=None):
+    """Run ``shape``, crash it at armed event ``budget`` under
+    ``policy`` (default: ``RandomPersist`` seeded with ``seed``),
+    recover and validate; returns the ``CrashTestResult``.
+
+    A run that ends before ``budget`` (or ``budget=None``) is checked
+    as completed instead: its live state must equal the full committed
+    model, and every client must have drained its items."""
+    config = config or SystemConfig(**SMALL_CONFIG)
+    results = _drive(
+        shape, config, () if budget is None else (budget,),
+        lambda _point: [policy or RandomPersist(rng=random.Random(seed))],
+        checker_factory, stop=True,
+    )
+    if results:
+        return results[0][1]
+    committed, inflight, _ = shape.state()
+    result = CrashTestResult(
+        False, committed, inflight, dict(shape.engine.scan()),
+        events=shape.pm.events,
+    )
+    result.violations.extend(shape.completed_violations())
+    return _validate(shape.engine, result)
+
+
+def crash_sweep(shape, *, config=None, stride=1, seeds=(0, 1),
+                policies=None, max_points=None, checker_factory=None):
+    """Crash ``shape`` at every ``stride``-th armed memory event (thinned
+    to about ``max_points``), all forked from one execution, under each
+    of ``policies`` or else a ``RandomPersist`` per seed (seed 0 means
+    "seeded with the point").  Returns every ``(point, result)`` in
+    ascending point order, so stateful policies see the points in
+    order."""
+    config = config or SystemConfig(**SMALL_CONFIG)
+    points = range(1, sys.maxsize, stride)
+    if max_points is not None:
+        # Thinning needs the event total: one uncrashed execution.
+        _drive(shape, config, (), None, None)
+        points = range(1, shape.pm.events + 1, stride)
+        if len(points) > max_points:
+            points = points[::max(1, len(points) // max_points)]
+
+    def policies_at(point):
+        if policies is not None:
+            return list(policies)
+        return [RandomPersist(rng=random.Random(seed or point))
+                for seed in seeds]
+
+    return _drive(shape, config, points, policies_at, checker_factory)
+
+
+def failing(results):
+    """The ``(point, result)`` pairs of a sweep that broke an invariant
+    (empty = the scheme survived every crash point)."""
+    return [(point, result) for point, result in results if not result.ok]
+
+
+def run_to_crash_point(scheme, workload, budget, **options):
+    """:func:`crash_at` of a :class:`SingleRun`."""
+    return crash_at(SingleRun(scheme, workload), budget, **options)
+
+
+def run_scheduler_to_crash_point(scheme, workloads, budget, *,
+                                 pick_strategy_factory=None, **options):
+    """:func:`crash_at` of a :class:`ScheduledRun`."""
+    return crash_at(
+        ScheduledRun(scheme, workloads, pick_strategy_factory), budget,
+        **options,
+    )
+
+
+def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
+                               **options):
+    """:func:`crash_at` of a :class:`ShardedRun`."""
+    return crash_at(ShardedRun(scheme, workloads, shards), budget, **options)
+
+
+def run_crash_sweep(scheme, workload, **options):
+    """The failing points of a :class:`SingleRun` :func:`crash_sweep`.
+
+    An empty return value is the theorem the paper argues in Section
+    4.4: no crash point and no writeback ordering breaks the scheme.
+    """
+    return failing(crash_sweep(SingleRun(scheme, workload), **options))
+
+
+def run_scheduler_crash_sweep(scheme, workloads, *,
+                              pick_strategy_factory=None, **options):
+    """The failing points of a :class:`ScheduledRun` :func:`crash_sweep`."""
+    return failing(crash_sweep(
+        ScheduledRun(scheme, workloads, pick_strategy_factory), **options,
+    ))
+
+
+def run_sharded_crash_sweep(scheme, workloads, *, shards=2, **options):
+    """The failing points of a :class:`ShardedRun` :func:`crash_sweep`:
+    every instant between redo-frame writes, prepare records, the
+    coordinator decision and the per-shard commit marks."""
+    return failing(crash_sweep(ShardedRun(scheme, workloads, shards),
+                               **options))
 
 
 def check_committed_prefix(engine, scheduler, *, preloaded=None):
@@ -394,390 +711,26 @@ def check_committed_prefix(engine, scheduler, *, preloaded=None):
     ``verify()`` passes and a scan equals the plain-dict model that
     replays ``scheduler.commit_order`` over the ``preloaded`` records —
     on the live engine, then again on a fresh attach after a
-    ``DropAll`` power failure.  Raises ``AtomicityViolation`` (or
-    ``verify()``'s own ``AssertionError``) at the first mismatch.
+    ``DropAll`` power failure.  Raises ``AtomicityViolation`` at the
+    first mismatch.
 
     The crash destroys the engine's volatile state: call this last.
     """
-    model = _scheduled_model(
-        scheduler.clients, scheduler.commit_order, preloaded
+    model = _replay(
+        _committed_items(scheduler.clients, scheduler.commit_order),
+        preloaded or (),
     )
 
     def expect_model(engine, label):
-        engine.verify()
-        found = dict(engine.scan())
-        if found != model:
-            wrong = sorted(
-                key for key in set(found) | set(model)
-                if found.get(key) != model.get(key)
-            )
+        result = _validate(
+            engine, CrashTestResult(False, model, (), dict(engine.scan())),
+        )
+        if not result.ok:
             raise AtomicityViolation(
-                "%s scan != committed model at %d keys, first %r"
-                % (label, len(wrong), wrong[:3])
+                "%s state is not the committed model: %s"
+                % (label, "; ".join(result.violations[:3]))
             )
 
     expect_model(engine, "live")
     engine.pm.crash(DropAll())
     expect_model(type(engine).attach(engine.config, engine.pm), "recovered")
-
-
-def run_scheduler_to_crash_point(scheme, workloads, budget, *, config=None,
-                                 policy=None, seed=0, checker_factory=None,
-                                 pick_strategy_factory=None):
-    """Crash an N-client scheduled run after ``budget`` armed memory
-    events, recover, and validate the serializable committed prefix.
-
-    ``workloads`` is one entry per client: an item list (items as in
-    ``run_to_crash_point``: bare ``(op, key, value)`` tuples or
-    ``("txn", [ops])``, plus ``("search", key, None)`` reads), or
-    ``{"items": [...], "isolation": mode}`` — see
-    :func:`repro.core.scheduler.client_spec`.  Read-only clients (pure
-    ``search``/``think`` items) change no durable state, so the
-    committed-prefix model is untouched by them — but their presence
-    at the crash exercises recovery with version chains live (all
-    volatile: recovery starts with none).  OCC clients buffer their
-    writes and install them at commit, so their model is a 2PL
-    client's: only committed transactions may surface, in commit order.
-    The recovered database must equal the committed transactions
-    replayed in the scheduler's commit order, optionally plus the
-    whole item that was in flight on the one client executing at the
-    crash — any other state (a torn commit, a half-rolled-back abort,
-    another session's uncommitted pages surfacing) is a violation.
-
-    ``checker_factory`` (optional) attaches a trace checker to the run
-    (advanced at every scheduler step, sealed at the crash — recovery's
-    redo stores are legitimately out of scope).
-
-    ``pick_strategy_factory`` (optional) builds a fresh scheduler
-    ``pick_strategy`` per run, so the schedule-space explorer can crash
-    a *specific* explored interleaving (the schedule × crash-point
-    product mode).  The strategy's ``sched_pick`` events live in the
-    obs trace, not the crashable memory, so arming budgets are
-    unchanged by it.
-    """
-    from repro.core.scheduler import Scheduler, client_spec
-
-    config = config or SystemConfig(**_SMALL_CONFIG)
-    engine, pm = _build_engine(config, scheme)
-    checker = checker_factory(engine) if checker_factory is not None else None
-    on_step = None if checker is None else (lambda _client: checker.advance())
-    # No error cleanup: a CrashPoint is a simulated power failure, and
-    # the recovered state must be exactly what the crash left behind —
-    # rolling the running transaction back would write *after* the
-    # power was cut.
-    scheduler = Scheduler(
-        engine, cleanup_on_error=False, on_step=on_step,
-        pick_strategy=(
-            pick_strategy_factory() if pick_strategy_factory is not None
-            else None
-        ),
-    )
-    for workload in workloads:
-        items, isolation = client_spec(workload)
-        scheduler.add_client(items, isolation=isolation)
-    crashed = False
-    pm.budget = budget
-    pm.events = 0
-    pm.armed = True
-    try:
-        scheduler.run()
-    except CrashPoint:
-        crashed = True
-    finally:
-        pm.armed = False
-        if checker is not None:
-            checker.close()
-
-    committed = _scheduled_model(scheduler.clients, scheduler.commit_order)
-
-    if not crashed:
-        recovered = {k: v for k, v in engine.scan()}
-        result = CrashTestResult(False, committed, (), recovered)
-        # Per-session invariants: every client drained its workload,
-        # and every commit it counted is in the global commit order.
-        order_counts = {}
-        for name, _ in scheduler.commit_order:
-            order_counts[name] = order_counts.get(name, 0) + 1
-        for client in scheduler.clients:
-            if client.commits != len(client.items):
-                result.violations.append(
-                    "client %r committed %d of %d items"
-                    % (client.name, client.commits, len(client.items))
-                )
-            if order_counts.get(client.name, 0) != client.commits:
-                result.violations.append(
-                    "client %r commit count disagrees with commit order"
-                    % client.name
-                )
-        _validate(engine, result)
-        return result
-
-    # Only the client that was executing can have an in-flight commit;
-    # every other open transaction was parked mid-operation and its
-    # effects must vanish with the volatile state.
-    inflight = ()
-    running = scheduler.running_client
-    if running is not None and not running.finished:
-        writes = _writes_of(running.items[running.item_idx])
-        if writes:
-            inflight = ("txn", writes)
-
-    # Group commit: the serializable committed prefix may legally stop
-    # at the open epoch's boundary instead of the full commit order.
-    items_of = {client.name: client.items for client in scheduler.clients}
-    ordered = [
-        ("txn", _writes_of(items_of[name][item_idx]))
-        for name, item_idx in scheduler.commit_order
-    ]
-    prefix_candidates = _group_candidates(engine, ordered, inflight)
-
-    pm.crash(policy or RandomPersist(rng=random.Random(seed)))
-    try:
-        engine = engine_class(scheme).attach(config, pm)
-        recovered = {k: v for k, v in engine.scan()}
-    except Exception as err:  # corruption can crash recovery itself
-        result = CrashTestResult(True, committed, inflight, {})
-        result.violations.append(
-            "recovery crashed: %s: %s" % (type(err).__name__, err)
-        )
-        return result
-    result = CrashTestResult(True, committed, inflight, recovered)
-    _validate(engine, result, prefix_candidates=prefix_candidates)
-    return result
-
-
-def scheduler_crash_points_in(scheme, workloads, *, config=None,
-                              pick_strategy_factory=None):
-    """Armed memory events in a full scheduled run (the sweep range)."""
-    from repro.core.scheduler import Scheduler, client_spec
-
-    config = config or SystemConfig(**_SMALL_CONFIG)
-    engine, pm = _build_engine(config, scheme)
-    scheduler = Scheduler(
-        engine, cleanup_on_error=False,
-        pick_strategy=(
-            pick_strategy_factory() if pick_strategy_factory is not None
-            else None
-        ),
-    )
-    for workload in workloads:
-        items, isolation = client_spec(workload)
-        scheduler.add_client(items, isolation=isolation)
-    pm.budget = None
-    pm.events = 0
-    pm.armed = True
-    scheduler.run()
-    pm.armed = False
-    return pm.events
-
-
-def run_scheduler_crash_sweep(scheme, workloads, *, config=None, stride=1,
-                              seeds=(0, 1), policies=None, max_points=None,
-                              checker_factory=None,
-                              pick_strategy_factory=None):
-    """Crash the scheduled multi-client run at every ``stride``-th
-    memory event; returns the failing ``CrashTestResult`` list (empty =
-    the committed prefix survived every interleaved crash point)."""
-    total = scheduler_crash_points_in(
-        scheme, workloads, config=config,
-        pick_strategy_factory=pick_strategy_factory,
-    )
-    budgets = list(range(1, total + 1, stride))
-    if max_points is not None and len(budgets) > max_points:
-        step = max(1, len(budgets) // max_points)
-        budgets = budgets[::step]
-    failures = []
-    for budget in budgets:
-        if policies is not None:
-            runs = [(None, policy) for policy in policies]
-        else:
-            runs = [(seed, None) for seed in seeds]
-        for seed, policy in runs:
-            result = run_scheduler_to_crash_point(
-                scheme, workloads, budget,
-                config=config, policy=policy, seed=seed or budget,
-                checker_factory=checker_factory,
-                pick_strategy_factory=pick_strategy_factory,
-            )
-            if not result.ok:
-                failures.append((budget, result))
-    return failures
-
-
-# ----------------------------------------------------------------------
-# Crash injection through the sharded router (cross-shard 2PC)
-# ----------------------------------------------------------------------
-
-
-def _build_sharded(config, scheme, nshards):
-    from repro.storage.sharding import ShardRouter, total_arena_bytes
-
-    pm = CrashablePM(
-        total_arena_bytes(config, nshards),
-        latency=config.latency,
-        cost=config.cost,
-        atomic_granularity=config.atomic_granularity,
-        cache_lines=config.cache_lines,
-    )
-    return ShardRouter.create(config, nshards, scheme=scheme, pm=pm), pm
-
-
-def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
-                               config=None, policy=None, seed=0,
-                               checker_factory=None):
-    """Crash an N-client run over a sharded router after ``budget``
-    armed memory events, recover (resolving in-doubt 2PC participants
-    from the prepare/decision records), and validate.
-
-    The validation is the same exact-state comparison as the unsharded
-    scheduler harness — which is precisely what makes it a 2PC
-    conformance check: a transaction whose commit marks landed on some
-    shards but not others recovers to a state that is neither the
-    committed prefix nor prefix-plus-whole-in-flight-item, and fails
-    as an atomicity blend.
-    """
-    from repro.core.scheduler import Scheduler, client_spec
-    from repro.storage.sharding import ShardRouter
-
-    config = config or SystemConfig(**_SMALL_CONFIG)
-    router, pm = _build_sharded(config, scheme, shards)
-    checker = checker_factory(router) if checker_factory is not None else None
-    scheduler = Scheduler(
-        router, cleanup_on_error=False,
-        on_step=None if checker is None else lambda _client: checker.advance(),
-    )
-    for workload in workloads:
-        items, isolation = client_spec(workload)
-        scheduler.add_client(items, isolation=isolation)
-    crashed = False
-    pm.budget = budget
-    pm.events = 0
-    pm.armed = True
-    try:
-        scheduler.run()
-    except CrashPoint:
-        crashed = True
-    finally:
-        pm.armed = False
-        if checker is not None:
-            checker.close()  # seal at the crash; recovery is unchecked
-
-    committed = _scheduled_model(scheduler.clients, scheduler.commit_order)
-
-    if not crashed:
-        recovered = {k: v for k, v in router.scan()}
-        result = CrashTestResult(False, committed, (), recovered)
-        _validate(router, result)
-        return result
-
-    inflight = ()
-    running = scheduler.running_client
-    if running is not None and not running.finished:
-        writes = _writes_of(running.items[running.item_idx])
-        if writes:
-            inflight = ("txn", writes)
-
-    pm.crash(policy or RandomPersist(rng=random.Random(seed)))
-    try:
-        router = ShardRouter.attach(config, shards, pm, scheme=scheme)
-        recovered = {k: v for k, v in router.scan()}
-    except Exception as err:  # corruption can crash recovery itself
-        result = CrashTestResult(True, committed, inflight, {})
-        result.violations.append(
-            "recovery crashed: %s: %s" % (type(err).__name__, err)
-        )
-        return result
-    result = CrashTestResult(True, committed, inflight, recovered)
-    # All-or-nothing across shards: after attach, no shard may carry a
-    # leftover prepare record and the coordinator must be clear.
-    for shard in router.shards:
-        if shard.twopc.prepared() is not None:
-            result.violations.append(
-                "2PC: prepare record survived recovery on a shard"
-            )
-    if router.coordinator.decided_commit() is not None:
-        result.violations.append("2PC: decision record survived recovery")
-    _validate(router, result)
-    return result
-
-
-def sharded_crash_points_in(scheme, workloads, *, shards=2, config=None):
-    """Armed memory events in a full sharded run (the sweep range)."""
-    from repro.core.scheduler import Scheduler, client_spec
-
-    config = config or SystemConfig(**_SMALL_CONFIG)
-    router, pm = _build_sharded(config, scheme, shards)
-    scheduler = Scheduler(router, cleanup_on_error=False)
-    for workload in workloads:
-        items, isolation = client_spec(workload)
-        scheduler.add_client(items, isolation=isolation)
-    pm.budget = None
-    pm.events = 0
-    pm.armed = True
-    scheduler.run()
-    pm.armed = False
-    return pm.events
-
-
-def run_sharded_crash_sweep(scheme, workloads, *, shards=2, config=None,
-                            stride=1, seeds=(0, 1), policies=None,
-                            max_points=None, checker_factory=None):
-    """Crash the sharded multi-client run at every ``stride``-th memory
-    event — which enumerates every instant between redo-frame writes,
-    prepare records, the coordinator decision, and the per-shard commit
-    marks — and validate all-shards-or-none recovery at each.  Returns
-    the failing ``CrashTestResult`` list (empty = conformant)."""
-    total = sharded_crash_points_in(
-        scheme, workloads, shards=shards, config=config,
-    )
-    budgets = list(range(1, total + 1, stride))
-    if max_points is not None and len(budgets) > max_points:
-        step = max(1, len(budgets) // max_points)
-        budgets = budgets[::step]
-    failures = []
-    for budget in budgets:
-        if policies is not None:
-            runs = [(None, policy) for policy in policies]
-        else:
-            runs = [(seed, None) for seed in seeds]
-        for seed, policy in runs:
-            result = run_sharded_to_crash_point(
-                scheme, workloads, budget, shards=shards,
-                config=config, policy=policy, seed=seed or budget,
-                checker_factory=checker_factory,
-            )
-            if not result.ok:
-                failures.append((budget, result))
-    return failures
-
-
-def run_crash_sweep(scheme, workload, *, config=None, stride=1, seeds=(0, 1),
-                    policies=None, max_points=None, checker_factory=None):
-    """Crash the workload at every ``stride``-th memory event under
-    each policy/seed; returns the list of failing ``CrashTestResult``.
-    ``checker_factory`` attaches a fresh trace checker to every
-    budgeted run (see ``run_to_crash_point``).
-
-    An empty return value is the theorem the paper argues in Section
-    4.4: no crash point and no writeback ordering breaks the scheme.
-    """
-    total = crash_points_in(scheme, workload, config=config)
-    budgets = list(range(1, total + 1, stride))
-    if max_points is not None and len(budgets) > max_points:
-        step = max(1, len(budgets) // max_points)
-        budgets = budgets[::step]
-    failures = []
-    for budget in budgets:
-        if policies is not None:
-            runs = [(None, policy) for policy in policies]
-        else:
-            runs = [(seed, None) for seed in seeds]
-        for seed, policy in runs:
-            result = run_to_crash_point(
-                scheme, workload, budget,
-                config=config, policy=policy, seed=seed or budget,
-                checker_factory=checker_factory,
-            )
-            if not result.ok:
-                failures.append((budget, result))
-    return failures

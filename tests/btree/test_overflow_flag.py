@@ -15,7 +15,7 @@ from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm import RandomPersist
 from repro.storage.defrag import defragment_into
 from repro.storage.slotted_page import FLAG_HAS_OVERFLOW, PAGE_INTERNAL, PAGE_LEAF
-from repro.testing import CrashablePM, CrashPoint
+from repro.testing import CrashablePM, CrashPoint, power_fail
 from tests.btree.helpers import naive_tree
 
 PAGE_SIZE = 512
@@ -260,7 +260,7 @@ def crash_and_attach(scheme, config, budget):
     )
     engine = engine_class(scheme).create(config, pm=pm)
     committed, inflight = {}, None
-    pm.budget, pm.events, pm.armed = budget, 0, True
+    pm.arm(() if budget is None else {budget}, power_fail)
     try:
         for ops in CRASH_TXNS:
             inflight = ops

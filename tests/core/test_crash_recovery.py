@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import SystemConfig, engine_class
 from repro.pm.crash import DropAll, PersistAll
-from repro.testing import crash_points_in, run_crash_sweep, run_to_crash_point
+from repro.testing import run_crash_sweep, run_to_crash_point
 
 WORKLOAD = (
     [("insert", b"%04d" % i, b"value-%04d" % i) for i in range(10)]
@@ -109,7 +109,7 @@ def test_orphan_pages_are_garbage_collected(scheme):
     """Crash mid-split leaks the new sibling; recovery reclaims it."""
     granularity = 64 if scheme == "fastplus" else 8
     cfg = config(granularity)
-    total = crash_points_in(scheme, SPLIT_WORKLOAD, config=cfg)
+    total = run_to_crash_point(scheme, SPLIT_WORKLOAD, None, config=cfg).events
     free_counts = set()
     for budget in range(total // 3, total // 3 + 12):
         result = run_to_crash_point(scheme, SPLIT_WORKLOAD, budget, config=cfg)
@@ -122,7 +122,7 @@ def test_recovery_is_idempotent():
     re-running recovery replays the same frames."""
     cfg = config(8)
     scheme = "fast"
-    total = crash_points_in(scheme, WORKLOAD, config=cfg)
+    total = run_to_crash_point(scheme, WORKLOAD, None, config=cfg).events
     # Crash late (inside commit/checkpoint machinery), recover twice.
     result = run_to_crash_point(scheme, WORKLOAD, total - 3, config=cfg)
     assert result.ok, result.violations

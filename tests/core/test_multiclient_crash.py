@@ -18,7 +18,6 @@ from repro.pm.crash import DropAll, PersistAll, RandomPersist
 from repro.testing.crashsim import (
     run_scheduler_crash_sweep,
     run_scheduler_to_crash_point,
-    scheduler_crash_points_in,
 )
 from repro.testing.invariants import PageInvariantChecker
 
@@ -47,15 +46,20 @@ def _workloads():
     return [w1, w2, w3]
 
 
+def _event_total(scheme, workloads):
+    """Armed memory events in the uncrashed scheduled run."""
+    return run_scheduler_to_crash_point(scheme, workloads, None).events
+
+
 class TestScheduledCrashPoints:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_crash_points_exist(self, scheme):
-        total = scheduler_crash_points_in(scheme, _workloads())
+        total = _event_total(scheme, _workloads())
         assert total > 20
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_midpoint_crash_recovers(self, scheme):
-        total = scheduler_crash_points_in(scheme, _workloads())
+        total = _event_total(scheme, _workloads())
         result = run_scheduler_to_crash_point(
             scheme, _workloads(), total // 2
         )
@@ -64,7 +68,7 @@ class TestScheduledCrashPoints:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_overlong_budget_runs_to_completion(self, scheme):
-        total = scheduler_crash_points_in(scheme, _workloads())
+        total = _event_total(scheme, _workloads())
         result = run_scheduler_to_crash_point(
             scheme, _workloads(), total + 1000
         )
@@ -147,7 +151,7 @@ def _mvcc_workloads():
 class TestScheduledCrashWithReaders:
     @pytest.mark.parametrize("scheme", MVCC_SCHEMES)
     def test_midpoint_crash_recovers(self, scheme):
-        total = scheduler_crash_points_in(scheme, _mvcc_workloads())
+        total = _event_total(scheme, _mvcc_workloads())
         result = run_scheduler_to_crash_point(
             scheme, _mvcc_workloads(), total // 2
         )

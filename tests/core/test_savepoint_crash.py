@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import SystemConfig, engine_class
 from repro.pm.crash import PersistAll, RandomPersist
-from repro.testing.crashsim import CrashPoint, CrashablePM
+from repro.testing.crashsim import CrashPoint, CrashablePM, power_fail
 
 
 def config(scheme, granularity):
@@ -34,9 +34,7 @@ def run_savepoint_txn(scheme, granularity, budget, seed):
     )
     engine = engine_class(scheme).create(cfg, pm=pm)
     committed = False
-    pm.budget = budget
-    pm.events = 0
-    pm.armed = True
+    pm.arm(() if budget is None else {budget}, power_fail)
     try:
         with engine.transaction() as txn:
             for i in range(8):

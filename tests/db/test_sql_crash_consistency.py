@@ -14,7 +14,7 @@ import pytest
 from repro.core import SystemConfig
 from repro.db import Database
 from repro.pm.crash import RandomPersist
-from repro.testing.crashsim import CrashPoint, CrashablePM
+from repro.testing.crashsim import CrashPoint, CrashablePM, power_fail
 
 
 def config():
@@ -50,9 +50,7 @@ def run_sql_to_crash(budget, seed):
     db.execute("CREATE INDEX by_tag ON t (tag)")
     committed = []
     crashed = False
-    pm.budget = budget
-    pm.events = 0
-    pm.armed = True
+    pm.arm({budget}, power_fail)
     try:
         for i in range(14):
             sql, make_params = STATEMENTS[i % len(STATEMENTS)]
@@ -126,9 +124,7 @@ def test_crash_during_create_index_backfill():
         db2.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, tag TEXT, v INTEGER)")
         for i in range(30):
             db2.execute("INSERT INTO t VALUES (?, ?, ?)", (i, "g%d" % (i % 4), i))
-        pm2.budget = budget
-        pm2.events = 0
-        pm2.armed = True
+        pm2.arm({budget}, power_fail)
         crashed = False
         try:
             db2.execute("CREATE INDEX by_tag ON t (tag)")

@@ -8,7 +8,7 @@ from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm import DropAll, PersistAll, PersistentMemory, RandomPersist
 from repro.storage import OutOfPagesError, PAGE_INTERNAL, PAGE_LEAF, PageStore
 from repro.storage.pagestore import _OFF_FREE_HEAD, RUN
-from repro.testing import CrashablePM, CrashPoint
+from repro.testing import CrashablePM, CrashPoint, power_fail
 
 
 def make_store(npages=8, page_size=512):
@@ -340,7 +340,7 @@ def gc_crash_arena(budget, policy):
     assert max(low) < max(reachable) < min(high)
     for page_no in (low[0], high[0], low[2], high[1], low[4], high[2]):
         store.free_page(page_no)            # everything else stays leaked
-    pm.budget, pm.events, pm.armed = budget, 0, True
+    pm.arm(() if budget is None else {budget}, power_fail)
     try:
         store.garbage_collect(reachable, protected=protected)
     except CrashPoint:

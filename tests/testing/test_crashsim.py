@@ -5,9 +5,10 @@ import pytest
 from repro.core import SystemConfig
 from repro.pm.crash import PersistAll
 from repro.testing import (
+    SMALL_CONFIG,
     CrashPoint,
     CrashablePM,
-    crash_points_in,
+    power_fail,
     run_crash_sweep,
     run_to_crash_point,
 )
@@ -16,10 +17,7 @@ WORKLOAD = [("insert", b"%02d" % i, b"v%d" % i) for i in range(5)]
 
 
 def config():
-    return SystemConfig(
-        npages=128, page_size=512, log_bytes=16384,
-        heap_bytes=1 << 20, dram_bytes=64 * 512, atomic_granularity=8,
-    )
+    return SystemConfig(atomic_granularity=8, **SMALL_CONFIG)
 
 
 def test_crashable_pm_counts_only_when_armed():
@@ -35,8 +33,7 @@ def test_crashable_pm_counts_only_when_armed():
 
 def test_crashable_pm_raises_at_budget():
     pm = CrashablePM(4096)
-    pm.armed = True
-    pm.budget = 2
+    pm.arm({2}, power_fail)
     pm.write(0, b"a")
     with pytest.raises(CrashPoint):
         pm.write(8, b"b")
@@ -48,8 +45,7 @@ def test_rtm_commit_is_not_a_crash_point():
 
     pm = CrashablePM(4096)
     rtm = RTM(pm)
-    pm.armed = True
-    pm.budget = 1  # would fire on the first counted write
+    pm.arm({1}, power_fail)  # would fire on the first counted write
     rtm.execute(lambda txn: txn.write(0, b"atomic"))
     assert pm.read(0, 6) == b"atomic"  # applied without firing
 
@@ -62,9 +58,10 @@ def test_no_crash_run_reports_clean():
 
 
 def test_crash_points_in_is_positive_and_stable():
-    total = crash_points_in("fast", WORKLOAD, config=config())
+    total = run_to_crash_point("fast", WORKLOAD, None, config=config()).events
     assert total > 10
-    assert crash_points_in("fast", WORKLOAD, config=config()) == total
+    again = run_to_crash_point("fast", WORKLOAD, None, config=config())
+    assert again.events == total
 
 
 def test_crash_point_runs_report_inflight():

@@ -8,7 +8,6 @@ import pytest
 from repro.testing.crashsim import (
     run_sharded_crash_sweep,
     run_sharded_to_crash_point,
-    sharded_crash_points_in,
 )
 
 #: One client whose middle item is a cross-shard transaction — by
@@ -43,16 +42,43 @@ _MIXED_WORKLOADS = [
 
 class TestSweepMechanics:
     def test_crash_points_enumerable(self):
-        total = sharded_crash_points_in("fast", _CROSS_WORKLOAD, shards=2)
+        total = run_sharded_to_crash_point(
+            "fast", _CROSS_WORKLOAD, None, shards=2,
+        ).events
         assert total > 20  # prepare/decide/commit all emit memory events
 
     def test_uncrashed_run_validates_clean(self):
-        total = sharded_crash_points_in("fast", _CROSS_WORKLOAD, shards=2)
+        total = run_sharded_to_crash_point(
+            "fast", _CROSS_WORKLOAD, None, shards=2,
+        ).events
         result = run_sharded_to_crash_point(
             "fast", _CROSS_WORKLOAD, total + 100, shards=2,
         )
         assert not result.crashed
         assert result.ok, result.violations
+
+    def test_completed_run_checks_every_client_drained(self):
+        """An uncrashed sharded run gets the scheduled shape's
+        completed-run checks: every client committed all its items,
+        each client's commit count agrees with the commit order, and
+        the live state is the full committed model."""
+        from repro.testing.crashsim import ShardedRun, crash_at
+
+        shape = ShardedRun("fast", _MIXED_WORKLOADS, shards=2)
+        result = crash_at(shape, None)
+        assert not result.crashed
+        assert result.ok, result.violations
+        assert result.events > 0 and not result.inflight
+        assert [c.commits for c in shape.scheduler.clients] == [3, 3]
+        assert set(result.recovered) == {
+            b"w0b", b"w0c", b"w0d", b"w1a", b"w1b", b"w1c",
+        }
+        # A client that lost a commit is reported, not passed.
+        shape.scheduler.clients[1].commits -= 1
+        assert shape.completed_violations() == [
+            "client 'c1' committed 2 of 3 items",
+            "client 'c1' commit count disagrees with commit order",
+        ]
 
     def test_crashed_run_reports_committed_prefix(self):
         result = run_sharded_to_crash_point(
