@@ -10,7 +10,7 @@ that monkeypatches exactly one method for the duration of an
 exploration and restores it on exit, so the mutated code path is never
 visible outside the ``with`` block.
 
-Three mutants, matching the halves of the detector suite:
+Four mutants, matching the halves of the detector suite:
 
 ``skip_page_lock``
     :meth:`MutationContext.update_record` skips its ``_claim`` — the X
@@ -19,6 +19,14 @@ Three mutants, matching the halves of the detector suite:
     descent's S latch.  Two sessions updating keys on one leaf
     interleave their writes with no consistent protecting X lock: the
     TC110 lockset race detector must flag the page.
+
+``skip_lock_ahead``
+    :meth:`BTree._claim_above` claims nothing, so a leaf that must
+    split or be rewritten copy-on-write stores its new sibling before
+    it has asked for the parent it will link it into.  The locked
+    context refuses that claim after the operation's first store
+    (``ClaimAfterStore``, contended or not): the explorer must report
+    it as EX000 on the first split.
 
 ``mark_before_fence``
     :meth:`SlotHeaderLog.flush_frames` becomes a no-op, so the commit
@@ -46,6 +54,7 @@ Three mutants, matching the halves of the detector suite:
 
 from contextlib import contextmanager
 
+from repro.btree.btree import BTree
 from repro.core import SystemConfig
 from repro.core.base import MutationContext
 from repro.obs import trace as ev
@@ -63,17 +72,27 @@ def skip_page_lock():
         # for this one body only.
         self._claim = None
         try:
-            offset = original(self, page, slot, payload)
+            return original(self, page, slot, payload)
         finally:
             del self._claim
-        self.op_mutated = True
-        return offset
 
     MutationContext.update_record = update_record
     try:
         yield
     finally:
         MutationContext.update_record = original
+
+
+@contextmanager
+def skip_lock_ahead():
+    """A structure change claims nothing above the leaf before it
+    stores (plan seed)."""
+    original = BTree._claim_above
+    BTree._claim_above = lambda *args: None
+    try:
+        yield
+    finally:
+        BTree._claim_above = original
 
 
 @contextmanager
@@ -167,8 +186,18 @@ def _stale_read_workloads():
     }
 
 
+def _split_workloads():
+    # Appends past the ordering preload land in its rightmost leaf,
+    # which holds all 8 records a 512-byte leaf fits under an internal
+    # root: the first insert of either client splits it.
+    spec = _ordering_workloads()
+    spec["workloads"] = [[("insert", b"k%05d" % i, bytes(40))] for i in (24, 25)]
+    return spec
+
+
 MUTANTS = {
     "TC110-skip-page-lock": (skip_page_lock, "TC110", _race_workloads),
+    "EX000-skip-lock-ahead": (skip_lock_ahead, "EX000", _split_workloads),
     "TC101-mark-before-fence": (
         mark_before_fence, "TC101", _ordering_workloads,
     ),
@@ -178,6 +207,7 @@ MUTANTS = {
 }
 
 __all__ = [
-    "skip_page_lock", "mark_before_fence", "skip_cache_invalidate",
+    "skip_page_lock", "skip_lock_ahead", "mark_before_fence",
+    "skip_cache_invalidate",
     "MUTANTS",
 ]

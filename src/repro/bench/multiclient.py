@@ -210,14 +210,6 @@ def run_read_mostly(scheme, *, clients=4, mvcc=False, **kwargs):
     )
 
 
-def sweep_read_mostly(scheme, *, counts=(2, 4, 8), mvcc=False, **kwargs):
-    """Read-mostly throughput vs. total client count, locked or MVCC."""
-    return [
-        run_read_mostly(scheme, clients=count, mvcc=mvcc, **kwargs)
-        for count in counts
-    ]
-
-
 # ----------------------------------------------------------------------
 # OCC writer path: lock traffic and abort behavior vs. strict 2PL
 # ----------------------------------------------------------------------
@@ -246,7 +238,8 @@ def run_isolation_cell(scheme, *, isolation="locked", clients=8,
         scheme, clients=clients, read_ratio=read_ratio,
         key_space=key_space,
         isolation=None if isolation == "locked" else isolation,
-        extra_counters=_OCC_COUNTERS, **kwargs,
+        extra_counters=_OCC_COUNTERS + tuple(kwargs.pop("extra_counters", ())),
+        **kwargs,
     )
     counters = result["counters"]
     commits = result["commits"]
@@ -331,7 +324,8 @@ def run_group_commit(scheme, *, group_size=0, clients=8, items=50,
     result = run_multi_client(
         scheme, clients=clients, items=items, read_ratio=read_ratio,
         key_space=key_space, seed=seed, record_size=record_size,
-        config=config, extra_counters=_DURABILITY_COUNTERS, **kwargs,
+        config=config, extra_counters=_DURABILITY_COUNTERS + tuple(kwargs.pop("extra_counters", ())),
+        **kwargs,
     )
     counters = result["counters"]
     commits = result["commits"]
@@ -440,7 +434,8 @@ def run_cache_cell(scheme, *, cache_pages=64, clients=8, items=40,
         scheme, clients=1, readers=clients - 1, mvcc=True, items=items,
         key_space=key_space, seed=seed, record_size=record_size,
         preload=key_space if preload is None else preload,
-        config=config, extra_counters=_CACHE_COUNTERS, **kwargs,
+        config=config, extra_counters=_CACHE_COUNTERS + tuple(kwargs.pop("extra_counters", ())),
+        **kwargs,
     )
     counters = result["counters"]
     hits = counters["cache.hit"]

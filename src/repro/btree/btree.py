@@ -38,8 +38,17 @@ Structural notes (paper Section 4):
 * a page whose total free space suffices but is fragmented is rewritten
   copy-on-write and the parent's child pointer is swapped as part of
   the same transaction (Section 4.3);
-* structural changes restart the insert from the root — the context's
-  page cache keeps the pending view consistent across restarts;
+* plan, claim, then store: every operation claims the pages and root
+  slot it will write through ``ctx.lock_ahead`` before its first store
+  — the leaf, then, when the leaf cannot take its cell, each ancestor
+  up to the first that can take what the level below sends it
+  (Bayer & Schkolnick's safe node), the root slot above an unsafe root,
+  and the overflow-chain pages a replace or delete frees — so a
+  locking context that meets another transaction can wait instead of
+  discarding what it stored (a claim after a store raises there).  A
+  split or copy-on-write then re-points the descent path's entries
+  (``_PathEntry``) at the pages now holding the cell, and the insert
+  finishes there: nothing re-descends from the root;
 * a point descent (search, insert, delete, update) reads through
   ``view.route``, which is ``view.page`` everywhere but under 2PL:
   there an internal page it only routes through gets an
@@ -47,12 +56,6 @@ Structural notes (paper Section 4):
   only the leaf keeps one (DESIGN.md §10).  Range scans read through
   ``view.page``: a lazy cursor outlives its step, so it keeps S on
   every page it passes;
-* a leaf split or copy-on-write first claims what it will write above
-  the leaf — the parent page, or the root slot for a root leaf —
-  through ``ctx.lock_ahead``, before any store (Bayer & Schkolnick's
-  rule for structure modifications), so a locking context that meets
-  another transaction there can wait instead of discarding the new
-  sibling;
 * every leaf-cell write goes through :meth:`BTree._put_leaf_cell`, which
   sets a leaf's ``FLAG_HAS_OVERFLOW`` header bit with its first overflow
   cell, so reachability reads the records of flagged leaves only.
@@ -75,9 +78,8 @@ from repro.storage.slotted_page import (
     PAGE_INTERNAL,
     PAGE_LEAF,
     PageFullError,
+    RecordTooLargeError,
 )
-
-_MAX_RESTARTS = 32
 
 
 def _segment(view, name):
@@ -126,8 +128,13 @@ class BTree:
 
     def create(self, ctx):
         """Allocate an empty root leaf and point the root slot at it."""
+        ctx.lock_ahead(root_slot=self.root_slot)
         page_no, _ = ctx.allocate_page(PAGE_LEAF)
         ctx.set_root(self.root_slot, page_no)
+
+    def drop(self, ctx):
+        """Clear the root slot: the tree's pages become unreachable."""
+        ctx.set_root(self.root_slot, 0)
 
     # ------------------------------------------------------------------
     # Reads
@@ -227,54 +234,58 @@ class BTree:
     def insert(self, ctx, key, value, *, replace=False):
         """Insert ``key -> value``; with ``replace`` update an existing
         key out-of-place instead of raising ``DuplicateKeyError``."""
-        payload = leaf_cell(key, value)
-        spilled = False
-        for _ in range(_MAX_RESTARTS):
-            with _segment(ctx, "search"):
-                path = self._descend(ctx, key)
-                leaf = path[-1]
-                found, slot = self._leaf_search(leaf.page, key)
-            with _segment(ctx, "page_update"):
-                if not spilled:
-                    payload = self._maybe_spill(
-                        ctx, key, value, payload, leaf.page.page_size
-                    )
-                    spilled = True
-                if found:
-                    if not replace:
-                        raise DuplicateKeyError(repr(key))
-                    self._free_overflow_of(ctx, leaf.page.record(slot))
-                    if self._replace(ctx, path, slot, payload):
-                        return
-                    continue
-                if self._try_insert(ctx, path, slot, payload):
-                    return
-        raise PageFullError("insert of %d-byte record did not converge" % len(payload))
+        with _segment(ctx, "search"):
+            path = self._descend(ctx, key)
+            leaf = path[-1]
+            found, slot = self._leaf_search(leaf.page, key)
+        with _segment(ctx, "page_update"):
+            if found and not replace:
+                raise DuplicateKeyError(repr(key))
+            chain = self._chain_of(ctx, leaf.page.record(slot)) if found else ()
+            payload, tail = self._spill(key, value, leaf.page.page_size)
+            # A chain to write or free: claim the whole footprint before
+            # the first store, since the leaf attempt would be one.
+            if (chain or tail) and ctx.lock_ahead(leaf.page):
+                if not leaf.page.fits_in_place([(len(payload), not found)]):
+                    self._claim_above(ctx, path, slot, payload, found)
+                for page_no in chain:
+                    ctx.lock_ahead(ctx.page(page_no))
+            if tail:
+                payload = overflow_leaf_cell(
+                    key, value[: len(value) - len(tail)], len(value),
+                    overflow.write_chain(ctx, tail),
+                )
+            self._make_room(ctx, path, len(path) - 1, slot, payload,
+                            replace=found)
+            for page_no in chain:
+                ctx.free_page(page_no)
 
-    def _maybe_spill(self, ctx, key, value, payload, page_size):
-        """Spill a too-large value's tail to an overflow chain (done
-        once, after the duplicate check cannot reject the insert)."""
+    def _spill(self, key, value, page_size):
+        """``(cell, tail)``: the leaf cell of ``key -> value`` and the
+        value tail it spills to an overflow chain, or None.  A spilled
+        cell names chain head 0 until the chain is written, after the
+        claims; the head is fixed-width, so the length is final."""
+        payload = leaf_cell(key, value)
         if len(payload) <= overflow.max_local_payload(page_size):
-            return payload
+            return payload, None
         local_room = overflow.local_payload_after_spill(page_size) - (
             2 + len(key) + 8
         )
         if local_room < 0:
-            from repro.storage.slotted_page import RecordTooLargeError
-
             raise RecordTooLargeError(
                 "key of %d bytes leaves no room in a %d-byte page"
                 % (len(key), page_size)
             )
-        prefix, tail = value[:local_room], value[local_room:]
-        head = overflow.write_chain(ctx, tail)
-        return overflow_leaf_cell(key, prefix, len(value), head)
+        cell = overflow_leaf_cell(key, value[:local_room], len(value), 0)
+        return cell, value[local_room:]
 
-    def _free_overflow_of(self, ctx, payload):
-        """Queue an outgoing record's overflow chain for release."""
-        if is_overflow_cell(payload):
-            _, _, (_, head) = parse_leaf_any(payload)
-            overflow.free_chain(ctx, head)
+    def _chain_of(self, view, payload):
+        """Page numbers of an outgoing record's overflow chain (none for
+        an inline record)."""
+        if not is_overflow_cell(payload):
+            return ()
+        _, _, (_, head) = parse_leaf_any(payload)
+        return overflow.chain_page_nos(view, head)
 
     def update(self, ctx, key, value):
         """Out-of-place update of an existing key; False if absent."""
@@ -288,7 +299,9 @@ class BTree:
 
         A leaf emptied by the deletion is unlinked from its parent and
         freed (and an internal root left with a single child collapses),
-        so delete-heavy workloads return pages to the store.
+        so delete-heavy workloads return pages to the store.  The
+        parent, the root slot and the chain pages are claimed before
+        the first store.
         """
         with _segment(ctx, "search"):
             path = self._descend(ctx, key)
@@ -297,15 +310,27 @@ class BTree:
         if not found:
             return False
         with _segment(ctx, "page_update"):
-            self._free_overflow_of(ctx, leaf.page.record(slot))
+            chain = self._chain_of(ctx, leaf.page.record(slot))
+            empties = len(path) > 1 and leaf.page.nrecords == 1
+            if (chain or empties) and ctx.lock_ahead(leaf.page):
+                if empties:
+                    parent = path[-2]
+                    ctx.lock_ahead(parent.page)
+                    if len(path) == 2 and parent.page.nrecords == 2:
+                        ctx.lock_ahead(root_slot=self.root_slot)
+                for page_no in chain:
+                    ctx.lock_ahead(ctx.page(page_no))
             ctx.delete_record(leaf.page, slot)
-            if leaf.page.nrecords == 0 and len(path) > 1:
+            for page_no in chain:
+                ctx.free_page(page_no)
+            if empties:
                 self._unlink_empty_leaf(ctx, path)
         return True
 
     def _unlink_empty_leaf(self, ctx, path):
         """Drop an empty leaf's cell from its parent and free the page
-        (all through pending operations, so it commits atomically)."""
+        (all through pending operations, so it commits atomically); a
+        root parent left with a single child hands it the root role."""
         leaf = path[-1]
         parent = path[-2]
         slot = leaf.parent_slot
@@ -324,17 +349,10 @@ class BTree:
         else:
             ctx.delete_record(parent.page, slot)
         ctx.free_page(leaf.page_no)
-        self._maybe_collapse_root(ctx, path)
-
-    def _maybe_collapse_root(self, ctx, path):
-        """An internal root with a single (rightmost) child hands the
-        root role to that child."""
-        root = path[0]
-        if root.page.page_type != PAGE_INTERNAL or root.page.nrecords != 1:
-            return
-        _, only_child = parse_internal(root.page.record(0))
-        ctx.set_root(self.root_slot, only_child)
-        ctx.free_page(root.page_no)
+        if len(path) == 2 and parent.page.nrecords == 1:
+            _, only_child = parse_internal(parent.page.record(0))
+            ctx.set_root(self.root_slot, only_child)
+            ctx.free_page(parent.page_no)
 
     # ------------------------------------------------------------------
     # Descent helpers
@@ -391,29 +409,8 @@ class BTree:
         return lo
 
     # ------------------------------------------------------------------
-    # Insert machinery
+    # Insert machinery: plan, claim, then store
     # ------------------------------------------------------------------
-
-    def _try_insert(self, ctx, path, slot, payload):
-        """One attempt to place ``payload``; False asks for a restart."""
-        leaf = path[-1]
-        try:
-            self._put_leaf_cell(ctx, leaf.page, slot, payload)
-            return True
-        except PageFullError as err:
-            self._make_room(ctx, path, len(path) - 1, len(payload), err)
-            return False
-
-    def _replace(self, ctx, path, slot, payload):
-        leaf = path[-1]
-        try:
-            self._put_leaf_cell(ctx, leaf.page, slot, payload, replace=True)
-            return True
-        except PageFullError:
-            # Replace as delete + (re-descending) insert: the deletion
-            # frees the slot; the insert path handles any split.
-            ctx.delete_record(leaf.page, slot)
-            return False
 
     def _put_leaf_cell(self, ctx, page, slot, payload, *, replace=False):
         """Write a leaf cell — insert it at ``slot``, or with
@@ -427,43 +424,145 @@ class BTree:
         if is_overflow_cell(payload) and not page.flags & FLAG_HAS_OVERFLOW:
             ctx.set_page_flags(page, FLAG_HAS_OVERFLOW)
 
-    def _make_room(self, ctx, path, depth, need, err):
-        """Copy-on-write if compaction would make the record fit —
-        this covers both fragmented committed space and space held
-        hostage by cells this transaction made dead (paper Section
-        4.3) — otherwise split.
+    def _make_room(self, ctx, path, depth, slot, cell, *, replace=False):
+        """Store ``cell`` at ``slot`` of ``path[depth]`` — inserted, or
+        with ``replace`` repointing the slot — rewriting the page
+        copy-on-write if compaction would make it fit (paper Section
+        4.3: committed fragments and cells this transaction made dead)
+        and splitting it otherwise (Figure 4), until it does.  A
+        replace that finds no room first drops the old version from
+        the page's pending view (on FAST pages the two cannot share a
+        page before the commit) and places the new one as an insert.
 
-        Either way the parent (or, for the root, the root slot) is
-        claimed first: the leaf insert that raised ``PageFullError``
-        stored nothing, so a conflict here is one a locking context can
-        still wait out."""
-        del err
-        if depth:
-            ctx.lock_ahead(path[depth - 1].page)
-        else:
-            ctx.lock_ahead(root_slot=self.root_slot)
-        page = path[depth].page
-        if page.fits_after_copy(need):
-            self._copy_on_write(ctx, path, depth)
-        else:
-            self._split(ctx, path, depth)
+        The path follows the cell: a copy-on-write re-points its entry
+        at the fresh page, a split at whichever half now holds the slot,
+        and the child below (whose cell this is) gets the final slot —
+        so nothing re-descends from the root.  A leaf store that finds no
+        room claims what the rest will write first (:meth:`_claim_above`,
+        which finds the claims of a planned spill or chain held): the
+        attempt stored nothing."""
+        entry = path[depth]
+        leaf = unplanned = entry is path[-1]
+        own = replace  # the cell is the child's own, not a new one before it
+        while True:
+            try:
+                if leaf:
+                    self._put_leaf_cell(ctx, entry.page, slot, cell,
+                                        replace=replace)
+                elif replace:
+                    ctx.update_record(entry.page, slot, cell)
+                else:
+                    ctx.insert_record(entry.page, slot, cell)
+                break
+            except PageFullError:
+                if unplanned:
+                    unplanned = False
+                    self._claim_above(ctx, path, slot, cell, replace)
+            if replace:
+                ctx.delete_record(entry.page, slot)
+                replace = False
+                continue
+            depth = path.index(entry)
+            if entry.page.fits_after_copy(len(cell)):
+                self._copy_on_write(ctx, path, depth)
+                continue
+            if slot == 0 and entry.page.nrecords == 1:
+                # A split would move the record, and the cell with it.
+                raise PageFullError(
+                    "a %d-byte cell does not fit beside its neighbour"
+                    % len(cell)
+                )
+            sibling_no, sibling, half = self._split(ctx, path, depth)
+            if slot < half:
+                entry.page_no, entry.page = sibling_no, sibling
+                entry.parent_slot -= 1
+            else:
+                slot -= half
+        if not leaf:
+            path[path.index(entry) + 1].parent_slot = slot + (not own)
+
+    def _claim_above(self, ctx, path, slot, cell, replace):
+        """Claim, bottom-up, what making room for ``cell`` at the leaf's
+        ``slot`` will write above the leaf (Bayer & Schkolnick's safe
+        node): each ancestor up to and including the first that takes,
+        in place, every cell the level below may send it, and the root
+        slot if there is none.  An ancestor is judged after its claim,
+        by the rule its stores will meet (``fits_in_place``).  A level
+        sent one cell is planned again one level up; if several, the
+        rest of the path is claimed.  A context that takes no locks
+        claims nothing, and nothing is planned."""
+        depth = len(path) - 1
+        length = len(cell)
+        while depth:
+            entry, parent = path[depth], path[depth - 1]
+            if not ctx.lock_ahead(parent.page):
+                return
+            swap = len(parent.page.record(entry.parent_slot))
+            sends = self._sends(entry.page, slot, length, replace, swap)
+            if parent.page.fits_in_place(sends):
+                return
+            if len(sends) > 1:
+                for above in reversed(path[: depth - 1]):
+                    ctx.lock_ahead(above.page)
+                break
+            ((length, adds_slot),) = sends
+            replace = not adds_slot
+            slot = entry.parent_slot
+            depth -= 1
+        ctx.lock_ahead(root_slot=self.root_slot)
+
+    def _sends(self, page, slot, length, replace, swap):
+        """The cells :meth:`_make_room` stores one level up while
+        ``page`` makes room for a ``length``-byte cell at ``slot``, as
+        ``fits_in_place`` pairs in order: a separator per split, and a
+        ``swap``-byte cell where a page that holds committed cells is
+        rewritten copy-on-write.  It runs ``_make_room``'s
+        loop on the cells' sizes alone, taking every in-place attempt
+        on a page that keeps dead cells as failing: the longest run,
+        of which the real one is a prefix."""
+        offsets = page.slots()
+        if replace:
+            del offsets[slot]
+        sizes = [page.cell_allocated_size(offset) for offset in offsets]
+        sends = []
+        while not page.fits_after_copy(length, sizes=sizes):
+            if slot == 0 and len(sizes) <= 1:
+                raise PageFullError(
+                    "a %d-byte cell does not fit beside its neighbour" % length
+                )
+            half = max(1, len(sizes) // 2)
+            separator = page.read_cell(offsets[half - 1])
+            if page.page_type == PAGE_LEAF:
+                separator = internal_cell(leaf_key(separator), 0)
+            sends.append((len(separator), True))
+            if slot < half:
+                # The new left sibling: it takes a cell in place exactly
+                # when it would after a copy, and its rewrite swaps its
+                # pointer in place.
+                offsets = offsets[:half]
+                sizes = [page.copied_size(offset) for offset in offsets]
+                swap = 0
+            else:
+                offsets, sizes, slot = offsets[half:], sizes[half:], slot - half
+        if swap:
+            sends.append((swap, False))
+        return sends
 
     def _copy_on_write(self, ctx, path, depth):
-        """Defragment ``path[depth]`` copy-on-write and swap the parent
-        pointer (paper Section 4.3).
+        """Defragment ``path[depth]`` copy-on-write, swap the parent
+        pointer (paper Section 4.3) and re-point the entry.
 
         A context may defragment *in place* (NVWAL's volatile cache can
         shift records freely), in which case the page number is
         unchanged and no pointer swap or free is needed.
         """
-        old = path[depth]
-        new_no, new_page = ctx.defragment(old.page_no)
-        new_page.header_capacity = old.page.header_capacity
-        if new_no != old.page_no:
+        entry = path[depth]
+        new_no, new_page = ctx.defragment(entry.page_no)
+        new_page.header_capacity = entry.page.header_capacity
+        if new_no != entry.page_no:
             self._swap_child(ctx, path, depth, new_no)
-            ctx.free_page(old.page_no)
-        # Re-located: a root split in the swap's cascade prepends an entry.
-        path[path.index(old)] = _PathEntry(new_no, new_page, old.parent_slot)
+            ctx.free_page(entry.page_no)
+        entry.page_no, entry.page = new_no, new_page
 
     def _swap_child(self, ctx, path, depth, new_page_no):
         """Repoint the parent at a copy-on-write page.
@@ -478,7 +577,8 @@ class BTree:
           committed records from the page's pending view (a split moved
           them to a not-yet-committed sibling), the pointer must flip
           atomically with the commit, so it goes through a normal
-          out-of-place cell update.
+          out-of-place cell update, making room in the parent if it
+          has none.
 
         The root-pointer case always goes through the transaction (an
         8-byte-atomic root slot update).
@@ -492,23 +592,14 @@ class BTree:
         if committed <= set(entry.page.slots()):
             ctx.overwrite_child_pointer(parent.page, entry.parent_slot, new_page_no)
             return
-        slot = entry.parent_slot
-        sep, _ = parse_internal(parent.page.record(slot))
-        cell = internal_cell(sep, new_page_no)
-        try:
-            ctx.update_record(parent.page, slot, cell)
-        except PageFullError:
-            # No room for the out-of-place cell: replace it through the
-            # full insert machinery (copy-on-write or split the parent).
-            ctx.delete_record(parent.page, slot)
-            self._insert_cell(ctx, path, path.index(parent), slot, cell)
-            # ``_insert_cell`` tracks the cell after the one it inserts;
-            # here the inserted cell is the entry's own.
-            entry.parent_slot -= 1
+        sep, _ = parse_internal(parent.page.record(entry.parent_slot))
+        self._make_room(ctx, path, depth - 1, entry.parent_slot,
+                        internal_cell(sep, new_page_no), replace=True)
 
     def _split(self, ctx, path, depth):
         """Split ``path[depth]``: allocate a left sibling that takes
-        the smaller half (paper Figure 4) and link it into the parent.
+        the smaller half (paper Figure 4) and link it into the parent
+        (growing the tree when the page is the root).
 
         Returns ``(sibling_no, sibling_page, half)`` — ``half`` is how
         many leading slots moved out, so callers with a pending cell
@@ -538,69 +629,24 @@ class BTree:
             ctx.insert_record(sibling, half - 1, internal_cell(None, child))
         for _ in range(half):
             ctx.delete_record(page, 0)
-        self._insert_cell(
-            ctx, path, depth - 1, entry.parent_slot, internal_cell(separator, sibling_no)
-        )
+        cell = internal_cell(separator, sibling_no)
+        if depth:
+            self._make_room(ctx, path, depth - 1, entry.parent_slot, cell)
+        else:
+            self._grow_root(ctx, path, cell)
         return sibling_no, sibling, half
 
-    def _insert_cell(self, ctx, path, depth, slot, cell):
-        """Insert an internal cell at level ``depth`` (depth == -1 means
-        the root split: grow the tree by one level).
-
-        ``path`` entries are tracked as objects (re-located with
-        ``path.index``) because a root split inside the cascade
-        prepends a new entry, shifting every index.
-        """
-        if depth < 0:
-            old_root = path[0]
-            root_no, root = ctx.allocate_page(PAGE_INTERNAL)
-            root.header_capacity = self.internal_capacity
-            ctx.insert_record(root, 0, cell)
-            ctx.insert_record(root, 1, internal_cell(None, old_root.page_no))
-            ctx.set_root(self.root_slot, root_no)
-            path.insert(0, _PathEntry(root_no, root, None))
-            old_root.parent_slot = 1
-            return
-        parent = path[depth]
-        child = path[depth + 1]  # its cell is (or, replaced, was) at ``slot``
-        try:
-            ctx.insert_record(parent.page, slot, cell)
-        except PageFullError:
-            if parent.page.fits_after_copy(len(cell)):
-                index = path.index(parent)
-                self._copy_on_write(ctx, path, index)
-                parent = path[index]
-                ctx.insert_record(parent.page, slot, cell)
-            else:
-                sibling_no, sibling, half = self._split(
-                    ctx, path, path.index(parent)
-                )
-                # Cells [0, half) moved to the sibling.  The pending cell
-                # goes in at the child's slot, so the two land on the
-                # same side: rebase both to that page's coordinates.
-                if slot >= half:
-                    slot -= half
-                    child.parent_slot -= half
-                    try:
-                        ctx.insert_record(parent.page, slot, cell)
-                    except PageFullError:
-                        # The kept half still has no in-place room (its
-                        # dead cells are unreclaimable until commit):
-                        # compact it copy-on-write and retry.
-                        index = path.index(parent)
-                        self._copy_on_write(ctx, path, index)
-                        parent = path[index]
-                        ctx.insert_record(parent.page, slot, cell)
-                else:
-                    ctx.insert_record(sibling, slot, cell)
-                    # The path now runs through the sibling, linked just
-                    # left of the kept page (the index is read after
-                    # ``_split``: a root split inside it prepends one).
-                    path[path.index(parent)] = _PathEntry(
-                        sibling_no, sibling, parent.parent_slot - 1
-                    )
-        if slot <= child.parent_slot:
-            child.parent_slot += 1
+    def _grow_root(self, ctx, path, cell):
+        """The root split: a new root holds ``cell`` (the new left
+        sibling) and the old root as its rightmost child."""
+        old_root = path[0]
+        root_no, root = ctx.allocate_page(PAGE_INTERNAL)
+        root.header_capacity = self.internal_capacity
+        ctx.insert_record(root, 0, cell)
+        ctx.insert_record(root, 1, internal_cell(None, old_root.page_no))
+        ctx.set_root(self.root_slot, root_no)
+        path.insert(0, _PathEntry(root_no, root, None))
+        old_root.parent_slot = 1
 
     # ------------------------------------------------------------------
     # Scan / verify internals
@@ -658,27 +704,39 @@ class BTree:
     def compact(self, ctx, *, min_waste=64):
         """Rewrite fragmented pages copy-on-write (the paper's Section
         4.3 mechanism, applied proactively).  Returns the number of
-        pages rewritten.  Runs inside the caller's transaction."""
+        pages rewritten.  Runs inside the caller's transaction as one
+        operation: it finds the pages first and claims each, with its
+        parent (or the root slot), before the first rewrite."""
         root_no = ctx.root_page_no(self.root_slot)
-        path = [_PathEntry(root_no, self._typed_page(ctx, root_no), None)]
-        return self._compact_walk(ctx, path, min_waste)
+        paths = []
+        self._fragmented(
+            ctx, [_PathEntry(root_no, self._typed_page(ctx, root_no), None)],
+            min_waste, paths,
+        )
+        for path in paths:
+            ctx.lock_ahead(path[-1].page)
+            if len(path) > 1:
+                ctx.lock_ahead(path[-2].page)
+            else:
+                ctx.lock_ahead(root_slot=self.root_slot)
+        for path in paths:
+            self._copy_on_write(ctx, path, len(path) - 1)
+        return len(paths)
 
-    def _compact_walk(self, ctx, path, min_waste):
-        rewritten = 0
+    def _fragmented(self, ctx, path, min_waste, found):
+        """Append to ``found``, children first, the path to every page
+        below ``path[-1]`` (itself included) with ``min_waste`` dead
+        bytes or more."""
         page = path[-1].page
         if page.page_type == PAGE_INTERNAL:
             for slot in range(page.nrecords):
                 _, child_no = parse_internal(page.record(slot))
-                child = self._typed_page(ctx, child_no)
-                path.append(_PathEntry(child_no, child, slot))
-                rewritten += self._compact_walk(ctx, path, min_waste)
-                path.pop()
+                child = _PathEntry(child_no, self._typed_page(ctx, child_no), slot)
+                self._fragmented(ctx, path + [child], min_waste, found)
         # Asked of the cells, not of the free list: a context may hold
         # the page as a copy of its committed bytes until it mutates it.
         if page.dead_content_bytes() >= min_waste:
-            self._copy_on_write(ctx, path, len(path) - 1)
-            rewritten += 1
-        return rewritten
+            found.append(path)
 
     def _verify_page(self, view, page_no, lo, hi, depth, leaf_depths):
         page = self._typed_page(view, page_no)

@@ -97,8 +97,3 @@ def chain_page_nos(view, head_no):
         page_no = page.pm.read_u32(page.base + _OFF_NEXT)
     return pages
 
-
-def free_chain(ctx, head_no):
-    """Release every page of a chain (deferred to commit by the ctx)."""
-    for page_no in chain_page_nos(ctx, head_no):
-        ctx.free_page(page_no)

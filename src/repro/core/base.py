@@ -36,6 +36,19 @@ def _null_segment():
     return _NULL_CM
 
 
+def _resumed(begin_op, cursor):
+    """``cursor``, each resumption its own operation: a lazy scan's
+    page latches are reads of its own, not part of whatever operation
+    (a store, say) ran in the transaction since its last step."""
+    while True:
+        begin_op()
+        try:
+            item = next(cursor)
+        except StopIteration:
+            return
+        yield item
+
+
 class TransactionError(Exception):
     """Illegal transaction state (nested begin, reuse after close...)."""
 
@@ -89,12 +102,11 @@ class MutationContext:
     the plain path tests an attribute and makes no call; a strict-2PL
     context mixes in :class:`repro.core.locking.TwoPhaseLocking`.
     Every body claims X — on the page it writes, or the root slot —
-    before its first store, and sets ``op_mutated`` once a claimed
-    store is done; ``lock_ahead`` claims without storing.
+    before its first store, and reports the store once it is done
+    (``_stored_claimed``); ``lock_ahead`` claims without storing.
     """
 
     _claim = None
-    op_mutated = False
 
     def __init__(self, engine, session=None):
         self.engine = engine
@@ -179,14 +191,11 @@ class MutationContext:
 
     def _edit(self, page, dead, store, *args):
         """The one body of the four page edits: claim ``page``, then
-        write it (``_write``), marking the op once the store is done."""
-        claim = self._claim
-        if claim is not None:
-            claim(page_resource(self._page_no(page)), LOCK_X)
-        result = self._write(page, dead, store, args)
-        if claim is not None:
-            self.op_mutated = True
-        return result
+        write it (``_write``).  The plain path computes no resource."""
+        if self._claim is None:
+            return self._write(page, dead, store, args)
+        return self._claimed(page_resource, self._page_no(page),
+                             self._write, page, dead, store, args)
 
     def _write(self, page, dead, store, args):
         """Run ``store(*args)`` on ``page``, record the store, and hand
@@ -202,59 +211,63 @@ class MutationContext:
             self._dead(page, dead)
         return result
 
+    def _claimed(self, resource, ident, store, *args):
+        """``store(*args)`` behind an X claim on ``resource(ident)``,
+        reported once done; a plain context just stores."""
+        claim = self._claim
+        if claim is None:
+            return store(*args)
+        claim(resource(ident), LOCK_X)
+        result = store(*args)
+        self._stored_claimed()
+        return result
+
     def allocate_page(self, page_type):
         page_no, page = self._allocate(page_type)
-        claim = self._claim
-        if claim is not None:
+        if self._claim is not None:
             # A fresh page is uncontended: the grant cannot conflict.
-            claim(page_resource(page_no), LOCK_X)
-            self.op_mutated = True
+            self._claim(page_resource(page_no), LOCK_X)
+            self._stored_claimed()
         return page_no, page
 
     def free_page(self, page_no):
-        claim = self._claim
-        if claim is not None:
-            claim(page_resource(page_no), LOCK_X)
-        self._free(page_no)
-        if claim is not None:
-            self.op_mutated = True
+        self._claimed(page_resource, page_no, self._free, page_no)
 
     def set_root(self, slot, page_no):
-        claim = self._claim
-        if claim is not None:
-            claim(root_resource(slot), LOCK_X)
-        self._set_root(slot, page_no)
-        if claim is not None:
-            self.op_mutated = True
+        self._claimed(root_resource, slot, self._set_root, slot, page_no)
 
     def overwrite_child_pointer(self, parent_page, slot, new_child_no):
         """Repoint ``parent_page``'s cell ``slot`` at ``new_child_no``
         with one u32 store (the paper's in-place pointer swap after a
         copy-on-write, Section 4.3)."""
-        claim = self._claim
-        if claim is not None:
-            claim(page_resource(self._page_no(parent_page)), LOCK_X)
-        self._write_pointer(parent_page, slot, new_child_no)
-        if claim is not None:
-            self.op_mutated = True
+        self._claimed(page_resource, self._page_no(parent_page),
+                      self._write_pointer, parent_page, slot, new_child_no)
 
     def lock_ahead(self, page=None, root_slot=None):
         """Claim ``page`` — or, given none, root slot ``root_slot`` — X
-        for a structure change about to write it, before anything is
-        stored.  It stores nothing, so a conflict here parks the
-        transaction instead of aborting it."""
-        if self._claim is not None:
-            self._claim(root_resource(root_slot) if page is None
-                        else page_resource(self._page_no(page)), LOCK_X)
+        for an operation that will write it, before its first store
+        (the B-tree claims an operation's whole footprint this way).
+        It stores nothing, so a conflict here parks the transaction
+        instead of aborting it.  A claimed frame-backed page is
+        promoted, so its free space can be asked.  Returns False, and
+        claims nothing, on a context without a claim hook."""
+        claim = self._claim
+        if claim is None:
+            return False
+        if page is None:
+            claim(root_resource(root_slot), LOCK_X)
+        else:
+            claim(page_resource(self._page_no(page)), LOCK_X)
+            if page.frame_backed:
+                self._promote(page)
+        return True
 
     def defragment(self, page_no):
-        claim = self._claim
-        if claim is not None:
-            claim(page_resource(page_no), LOCK_X)
-        fresh_no, fresh = self._defragment(page_no)
-        if claim is not None:
-            claim(page_resource(fresh_no), LOCK_X)
-            self.op_mutated = True
+        fresh_no, fresh = self._claimed(
+            page_resource, page_no, self._defragment, page_no
+        )
+        if self._claim is not None:
+            self._claim(page_resource(fresh_no), LOCK_X)
         return fresh_no, fresh
 
     # -- scheme hooks ------------------------------------------------------
@@ -440,13 +453,23 @@ class Transaction:
 
     def scan(self, lo=None, hi=None, *, root_slot=0):
         self._check_open()
-        return self._op("scan", root_slot, LOCK_IS, lo, hi)
+        cursor = self._op("scan", root_slot, LOCK_IS, lo, hi)
+        if self.mode != "locked":
+            return cursor
+        return _resumed(self.ctx.begin_op, cursor)
 
     def create_tree(self, root_slot):
         """Allocate an empty tree at ``root_slot`` (commits with txn)."""
         self._check_writable()
         with self._op_segment():
             self._op("create", root_slot, LOCK_IX)
+
+    def drop_tree(self, root_slot):
+        """Clear ``root_slot`` (commits with txn); garbage collection
+        reclaims the tree's unreachable pages."""
+        self._check_writable()
+        with self._op_segment():
+            self._op("drop", root_slot, LOCK_IX)
 
     def savepoint(self):
         """Capture a point to partially roll back to (``rollback_to``).

@@ -7,7 +7,7 @@ The benchmark harnesses sweep ``latency`` exactly as the paper sweeps
 Quartz.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.pm.latency import CostModel, LatencyProfile
 from repro.pm.memory import CACHE_LINE
@@ -113,9 +113,3 @@ class SystemConfig:
             + self.twopc_bytes
         )
 
-    def with_latency(self, read_ns=None, write_ns=None):
-        """A copy with overridden PM latencies (sweep helper)."""
-        return replace(self, latency=self.latency.with_pm(read_ns, write_ns))
-
-    def with_scheme(self, scheme):
-        return replace(self, scheme=scheme)

@@ -147,6 +147,13 @@ class LockTimeout(LockError):
     """A session waited longer than the configured simulated timeout."""
 
 
+class ClaimAfterStore(LockError):
+    """An operation asked for a lock it does not already hold after its
+    first store: its plan missed part of its footprint.  Raised whether
+    or not the lock would conflict, so every locked run checks the
+    plan; never waited out (a conflict there could only abort)."""
+
+
 def root_resource(slot):
     """The lockable resource for a named root slot."""
     return ("root", slot)
@@ -404,10 +411,14 @@ class TwoPhaseLocking:
     adopts it.  Cached, such a view would outlive the
     check it was read behind and miss a later committed install.
 
-    ``op_mutated`` — set by the mutator bodies after a claimed store —
-    tells the scheduler whether the current top-level operation can
-    simply re-run after a conflict (only reads happened) or must abort
-    the transaction (a partial mutation cannot be re-issued).
+    Plan, claim, then store: a top-level operation (``begin_op``)
+    takes every lock it needs before its first store, so a conflict
+    only ever meets it unmutated and the scheduler can park it and
+    re-run it.  The context enforces this itself.  Once a mutator
+    reports a completed store (``_stored_claimed``), any claim or
+    route check not covered by a lock already held — contended or not
+    — raises :class:`ClaimAfterStore`; pages the transaction allocated
+    are exempt.
     """
 
     def __init__(self, engine, session):
@@ -417,14 +428,31 @@ class TwoPhaseLocking:
         # Sharded sessions namespace their resource ids (shard << 24)
         # so per-shard locks stay distinct in a merged wait-for graph.
         self._ns = session.resource_namespace
+        self._op_stored = False
 
     def begin_op(self):
         """Mark the start of a top-level operation (insert/search/...)."""
-        self.op_mutated = False
+        self._op_stored = False
+
+    def _stored_claimed(self):
+        self._op_stored = True
+
+    def _held(self, resource, mode):
+        """After the operation's first store: ``resource`` must already
+        be held in a mode covering ``mode``."""
+        held = self._locks.holds(self._owner, resource)
+        if held is None or _upgrade(held, mode) != held:
+            raise ClaimAfterStore(
+                "%r asked for %r in %s after its operation's first store"
+                % (self._owner, resource, mode)
+            )
 
     def _claim(self, resource, mode):
         kind, ident = resource
-        self._locks.acquire(self._owner, (kind, self._ns | ident), mode)
+        resource = (kind, self._ns | ident)
+        if self._op_stored and not (kind == "page" and ident in self.new_pages):
+            self._held(resource, mode)
+        self._locks.acquire(self._owner, resource, mode)
 
     def lock_root(self, slot, mode):
         """Intent lock on a tree's root slot (taken per operation)."""
@@ -443,6 +471,8 @@ class TwoPhaseLocking:
         or the leaf's latch still meets."""
         resource = page_resource(self._ns | page_no)
         locks = self._locks
+        if self._op_stored:
+            self._held(resource, LOCK_S)
         if locks.check(self._owner, resource, LOCK_S) is not None:
             return self._lookup(page_no)
         page = self._first_touch(page_no)

@@ -84,9 +84,6 @@ class OccContext:
     #: back; once the write set installs, ``Transaction.inner_ctx``
     #: names the scheme context instead.
     is_read_only = True
-    #: Buffered ops never half-apply (nothing touches the tree), so
-    #: the scheduler's mutated-op accounting always sees False here.
-    op_mutated = False
 
     def __init__(self, engine, session):
         self.engine = engine

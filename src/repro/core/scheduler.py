@@ -21,24 +21,21 @@ interleaves them one operation at a time on the shared
 
 Conflict policy (the timeout/abort-retry policy of the lock manager):
 
-* a :class:`LockConflict` before the operation mutated anything
-  (``ctx.op_mutated`` False — only reads happened) parks the client in
+* a :class:`LockConflict` always meets an operation that has stored
+  nothing: every B-tree operation claims its whole lock footprint —
+  the leaf, the ancestors a structure change will write up to the
+  first safe one, the root slot, any overflow-chain pages — before its
+  first store, and a locked context raises
+  :class:`repro.core.locking.ClaimAfterStore` (a bug, never waited
+  out) if it asks for anything new after one.  So the client parks in
   WAITING: its wait is registered in the wait-for graph, and it wakes
-  as soon as a blocker commits or aborts.  A wait-for cycle found at
-  park time aborts the requester immediately (deadlock victim);
-* a conflict *after* the operation mutated transaction state cannot be
-  waited out — the half-applied operation cannot be re-issued — so the
-  transaction aborts and the whole item retries after a deterministic
-  exponential backoff.  A B-tree split keeps this path rare: it claims
-  its parent page (or the root slot) before its first store
-  (``MutationContext.lock_ahead``), so meeting a holder there parks it.
-  What still aborts here stores before its next lock: cascading
-  splits, a replace's delete-and-reinsert fallback, empty-leaf unlinks.
-  Those meet holders rarely, because a point descent holds no internal
-  page: it passes each under an instant-duration S check
+  as soon as a blocker commits or aborts, to re-run the operation.  A
+  wait-for cycle found at park time aborts the requester immediately
+  (deadlock victim), and the whole item retries after a deterministic
+  exponential backoff.  A point descent holds no internal page: it
+  passes each under an instant-duration S check
   (``LockManager.check``) that grants nothing, so an internal page is
-  held only by a structure change (X) or an open range scan (S) — and
-  an X holder still parks a descent at the check, before it reads;
+  held only by a structure change (X) or an open range scan (S);
 * a wait that outlives ``lock_timeout_ns`` simulated nanoseconds times
   out: the transaction aborts and retries the same way.
 
@@ -244,16 +241,10 @@ class Scheduler:
                 self._step(client)
                 if self.on_step is not None:
                     self.on_step(client)
-        except LockConflict:
-            # ``_step`` handles conflicts (wait/abort/retry); one
-            # escaping means a non-operation path raised it — never
-            # swallow, but still release what the clients hold.
-            if self.cleanup_on_error:
-                self._cleanup_after_error()
-            raise
         except Exception:
             # An operation failed for a non-conflict reason (engine
-            # error, bad workload item...).  Without cleanup the failed
+            # error, bad workload item, a conflict escaping a
+            # non-operation path...).  Without cleanup the failed
             # client's transaction would stay open with its locks held
             # and every session would leak.  Roll back and close, then
             # re-raise the original error.
@@ -429,13 +420,7 @@ class Scheduler:
 
     def _on_conflict(self, client, conflict):
         locks = self.engine.lock_manager
-        if client.txn.ctx.op_mutated:
-            # The operation already changed transaction state; it
-            # cannot simply be re-issued, so the transaction aborts
-            # and the whole item retries after backoff.
-            self._abort(client, "sched.abort.mutated")
-            return
-        # Only reads happened: park and retry the operation when a
+        # The operation stored nothing yet: park and re-run it when a
         # blocker releases.  Deadlock check at park time — the new
         # wait edge is the only one that can have closed a cycle.
         locks.start_wait(client.session.sid, conflict.resource, conflict.mode)

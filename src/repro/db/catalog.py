@@ -213,7 +213,7 @@ class Catalog:
         txn.delete(encode_key("t:" + name), root_slot=SCHEMA_TREE)
         # The table's pages become unreachable once its root slot is
         # cleared; garbage collection reclaims them.
-        txn.ctx.set_root(table.root_slot, 0)
+        txn.drop_tree(table.root_slot)
         del self._tables[name]
         return table
 
@@ -223,7 +223,7 @@ class Catalog:
         if index is None:
             raise SchemaError("no such index: %s" % name)
         txn.delete(encode_key("i:" + name), root_slot=SCHEMA_TREE)
-        txn.ctx.set_root(index.root_slot, 0)
+        txn.drop_tree(index.root_slot)
         del self._indexes[name]
         return index
 

@@ -80,6 +80,11 @@ class HashIndex:
         directory = self._directory(ctx)
         bucket = self.bucket_of(key)
         head_no = self._bucket_head(directory, bucket)
+        # Claim what any outcome may write — the directory slot and the
+        # bucket's chain — before the first store.
+        if ctx.lock_ahead(directory):
+            for page_no in self._chain_page_nos(ctx, head_no):
+                ctx.lock_ahead(ctx.page(page_no))
         if head_no == 0:
             head_no, head = self._new_bucket_page(ctx)
             ctx.update_record(

@@ -19,8 +19,8 @@ and consistency, while durability comes from flushing *after* ``XEND``.
 """
 
 from repro.obs import trace as ev
-from repro.obs.registry import MetricsRegistry
 from repro.pm.memory import CACHE_LINE
+from repro.pm.stats import LegacyCounters
 
 
 class RTMAbort(Exception):
@@ -46,7 +46,7 @@ _LEGACY_FIELDS = {
 }
 
 
-class RTMStats:
+class RTMStats(LegacyCounters):
     """Legacy-named view over the registry's ``rtm.*`` counters.
 
     Historically a standalone dataclass mirrored into ``MemoryStats``;
@@ -55,32 +55,8 @@ class RTMStats:
     disagree.
     """
 
-    __slots__ = ("registry",)
-
-    def __init__(self, registry=None, **initial):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-        for field, value in initial.items():
-            setattr(self, field, value)
-
-    def __getattr__(self, name):
-        try:
-            metric = _LEGACY_FIELDS[name]
-        except KeyError:
-            raise AttributeError(
-                "%r has no attribute %r" % (type(self).__name__, name)
-            ) from None
-        return self.registry.value(metric)
-
-    def __setattr__(self, name, value):
-        try:
-            metric = _LEGACY_FIELDS[name]
-        except KeyError:
-            raise AttributeError(
-                "%r has no attribute %r" % (type(self).__name__, name)
-            ) from None
-        self.registry.counter(metric).value = value
+    __slots__ = ()
+    FIELDS = _LEGACY_FIELDS
 
 
 class _Transaction:

@@ -250,9 +250,6 @@ class MetricsRegistry:
 
     # -- export ------------------------------------------------------------
 
-    def to_json(self, *, indent=2):
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
     def export_json(self, path):
         """Write the snapshot as JSON; returns the snapshot dict."""
         snapshot = self.snapshot()

@@ -125,14 +125,13 @@ def _durability_cost(counters):
 
 
 #: Why a scheduled transaction was retried (``Scheduler._abort``).
-_ABORT_CAUSES = ("mutated", "deadlock", "timeout", "occ")
+_ABORT_CAUSES = ("deadlock", "timeout", "occ")
 
 
 def _scheduler(counters):
     """Derived scheduler health: lock waits and aborts per committed
-    transaction, the aborts split by cause — a conflict after the
-    operation stored (``mutated``), a wait-for cycle, a wait timeout, a
-    failed OCC commit.  Present only for scheduled runs."""
+    transaction, the aborts split by cause — a wait-for cycle, a wait
+    timeout, a failed OCC commit.  Present only for scheduled runs."""
     if not counters.get("sched.step", 0):
         return []
     commits = counters.get("engine.txn.commit", 0) or 1

@@ -42,7 +42,7 @@ COUNTERS = frozenset({
     "lock.check",
     # core/scheduler.py
     "sched.step", "sched.wait", "sched.wake", "sched.abort",
-    "sched.abort.mutated", "sched.abort.deadlock", "sched.abort.timeout",
+    "sched.abort.deadlock", "sched.abort.timeout",
     "sched.abort.occ",
     "sched.retry", "sched.deadlock", "sched.timeout",
     # core/epoch.py joins/closes (core/fast.py)
@@ -109,7 +109,3 @@ def is_registered(name):
         return True
     return any(name.startswith(prefix) for prefix in PREFIXES)
 
-
-def all_names():
-    """Every exact name in the schema (for reports and self-tests)."""
-    return sorted(COUNTERS | GAUGES)

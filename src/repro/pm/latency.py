@@ -22,7 +22,7 @@ Everything else (who wins, where crossovers fall) is *produced* by the
 algorithms' executed instruction mix, not tuned.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ class LatencyProfile:
     read_ns: float = 300.0
     write_ns: float = 300.0
     dram_ns: float = 120.0
-
-    def with_pm(self, read_ns=None, write_ns=None):
-        """A copy with overridden PM latencies (sweep helper)."""
-        return replace(
-            self,
-            read_ns=self.read_ns if read_ns is None else read_ns,
-            write_ns=self.write_ns if write_ns is None else write_ns,
-        )
-
-    @classmethod
-    def symmetric(cls, pm_ns, dram_ns=120.0):
-        """Profile with equal PM read and write latency (paper x-axis
-        points such as 300/300 ... 1200/1200)."""
-        return cls(read_ns=pm_ns, write_ns=pm_ns, dram_ns=dram_ns)
 
 
 @dataclass(frozen=True)

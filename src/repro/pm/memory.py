@@ -121,7 +121,38 @@ class _ResidencySet:
         self._lines.clear()
 
 
-class PersistentMemory:
+class _Arena:
+    """What the PM and DRAM arenas share: fixed-width stores (one
+    ``_write_fixed`` when the integer sits in one line) and the bounds
+    check."""
+
+    def write_u16(self, addr, value):
+        if addr & 63 <= 62 and 0 <= addr and addr + 2 <= self.size:
+            self._write_fixed(addr, value.to_bytes(2, "little"), 2)
+        else:
+            self.write(addr, value.to_bytes(2, "little"))
+
+    def write_u32(self, addr, value):
+        if addr & 63 <= 60 and 0 <= addr and addr + 4 <= self.size:
+            self._write_fixed(addr, value.to_bytes(4, "little"), 4)
+        else:
+            self.write(addr, value.to_bytes(4, "little"))
+
+    def write_u64(self, addr, value):
+        if addr & 63 <= 56 and 0 <= addr and addr + 8 <= self.size:
+            self._write_fixed(addr, value.to_bytes(8, "little"), 8)
+        else:
+            self.write(addr, value.to_bytes(8, "little"))
+
+    def _check(self, addr, length):
+        if addr < 0 or addr + length > self.size:
+            raise IndexError(
+                "access [%d, %d) outside arena of %d bytes"
+                % (addr, addr + length, self.size)
+            )
+
+
+class PersistentMemory(_Arena):
     """A simulated persistent-memory arena.
 
     Args:
@@ -529,24 +560,6 @@ class PersistentMemory:
                     lines.popitem(last=False)
             offset += take
 
-    def write_u16(self, addr, value):
-        if addr & 63 <= 62 and 0 <= addr and addr + 2 <= self.size:
-            self._write_fixed(addr, value.to_bytes(2, "little"), 2)
-        else:
-            self.write(addr, value.to_bytes(2, "little"))
-
-    def write_u32(self, addr, value):
-        if addr & 63 <= 60 and 0 <= addr and addr + 4 <= self.size:
-            self._write_fixed(addr, value.to_bytes(4, "little"), 4)
-        else:
-            self.write(addr, value.to_bytes(4, "little"))
-
-    def write_u64(self, addr, value):
-        if addr & 63 <= 56 and 0 <= addr and addr + 8 <= self.size:
-            self._write_fixed(addr, value.to_bytes(8, "little"), 8)
-        else:
-            self.write(addr, value.to_bytes(8, "little"))
-
     def _write_fixed(self, addr, data, length):
         """Single-line store of a fixed-width integer (the WAL frame
         header / heap metadata hot path): ``write`` with the length
@@ -887,14 +900,6 @@ class PersistentMemory:
     # Internals
     # ------------------------------------------------------------------
 
-    def _visible(self, line):
-        """The content of ``line`` as the CPU currently sees it."""
-        entry = self._vget(line)
-        if entry is not None:
-            return entry.data
-        base = line * CACHE_LINE
-        return self._durable[base : base + CACHE_LINE]
-
     def _materialize(self, line):
         """A fresh ``_DirtyLine`` seeded with the CPU-visible content of
         ``line`` (which, by construction, is not in ``_dirty``)."""
@@ -915,15 +920,9 @@ class PersistentMemory:
             lo = word << 3
             durable[base + lo : base + lo + WORD] = data[lo : lo + WORD]
 
-    def _check(self, addr, length):
-        if addr < 0 or addr + length > self.size:
-            raise IndexError(
-                "access [%d, %d) outside arena of %d bytes"
-                % (addr, addr + length, self.size)
-            )
 
 
-class VolatileMemory:
+class VolatileMemory(_Arena):
     """A DRAM arena: same accounting interface, no persistence.
 
     Used by the NVWAL baseline's volatile buffer cache.  Loads charge
@@ -1066,24 +1065,6 @@ class VolatileMemory:
     def read_u64(self, addr):
         return int.from_bytes(self.read(addr, 8), "little")
 
-    def write_u16(self, addr, value):
-        if addr & 63 <= 62 and 0 <= addr and addr + 2 <= self.size:
-            self._write_fixed(addr, value.to_bytes(2, "little"), 2)
-        else:
-            self.write(addr, value.to_bytes(2, "little"))
-
-    def write_u32(self, addr, value):
-        if addr & 63 <= 60 and 0 <= addr and addr + 4 <= self.size:
-            self._write_fixed(addr, value.to_bytes(4, "little"), 4)
-        else:
-            self.write(addr, value.to_bytes(4, "little"))
-
-    def write_u64(self, addr, value):
-        if addr & 63 <= 56 and 0 <= addr and addr + 8 <= self.size:
-            self._write_fixed(addr, value.to_bytes(8, "little"), 8)
-        else:
-            self.write(addr, value.to_bytes(8, "little"))
-
     def _write_fixed(self, addr, data, length):
         """Single-line DRAM store of a fixed-width integer."""
         self._c_store.value += 1
@@ -1127,9 +1108,3 @@ class VolatileMemory:
         self._data = bytearray(self.size)
         self._resident.clear()
 
-    def _check(self, addr, length):
-        if addr < 0 or addr + length > self.size:
-            raise IndexError(
-                "access [%d, %d) outside arena of %d bytes"
-                % (addr, addr + length, self.size)
-            )

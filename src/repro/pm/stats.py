@@ -31,7 +31,37 @@ _LEGACY_FIELDS = {
 }
 
 
-class MemoryStats:
+class LegacyCounters:
+    """Legacy-named view over registry counters: reading a field of
+    ``FIELDS`` (legacy name -> counter name) returns the counter's live
+    value, and assignment and ``+=`` write through."""
+
+    __slots__ = ("registry",)
+    FIELDS = {}
+
+    def __init__(self, registry=None, **initial):
+        object.__setattr__(
+            self, "registry", registry if registry is not None else MetricsRegistry()
+        )
+        for field, value in initial.items():
+            setattr(self, field, value)
+
+    def _metric(self, name):
+        try:
+            return self.FIELDS[name]
+        except KeyError:
+            raise AttributeError(
+                "%r has no attribute %r" % (type(self).__name__, name)
+            ) from None
+
+    def __getattr__(self, name):
+        return self.registry.value(self._metric(name))
+
+    def __setattr__(self, name, value):
+        self.registry.counter(self._metric(name)).value = value
+
+
+class MemoryStats(LegacyCounters):
     """Legacy-named view over a registry's memory-hierarchy counters.
 
     Reading ``stats.clflushes`` returns the live value of the registry
@@ -41,32 +71,8 @@ class MemoryStats:
     ``MemoryStats`` objects exactly as the old dataclass did.
     """
 
-    __slots__ = ("registry",)
-
-    def __init__(self, registry=None, **initial):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-        for field, value in initial.items():
-            setattr(self, field, value)
-
-    def __getattr__(self, name):
-        try:
-            metric = _LEGACY_FIELDS[name]
-        except KeyError:
-            raise AttributeError(
-                "%r has no attribute %r" % (type(self).__name__, name)
-            ) from None
-        return self.registry.value(metric)
-
-    def __setattr__(self, name, value):
-        try:
-            metric = _LEGACY_FIELDS[name]
-        except KeyError:
-            raise AttributeError(
-                "%r has no attribute %r" % (type(self).__name__, name)
-            ) from None
-        self.registry.counter(metric).value = value
+    __slots__ = ()
+    FIELDS = _LEGACY_FIELDS
 
     def snapshot(self):
         """An independent copy of the current counter values."""

@@ -113,11 +113,6 @@ class PageStore:
         npages = pm.read_u32(base + _OFF_NPAGES)
         return cls(pm, base, npages, page_size)
 
-    @staticmethod
-    def bytes_needed(npages, page_size):
-        """Arena bytes a store of this geometry occupies."""
-        return npages * page_size
-
     # ------------------------------------------------------------------
     # Page addressing
     # ------------------------------------------------------------------

@@ -457,16 +457,6 @@ class ShardedSession(Session):
             self._inner[index].close()
 
 
-class _IdleCtx:
-    """What ``ShardedTransaction.ctx`` exposes before any op ran (the
-    scheduler only ever reads ``op_mutated`` off it)."""
-
-    op_mutated = False
-
-
-_IDLE_CTX = _IdleCtx()
-
-
 class ShardedTransaction(Transaction):
     """One transaction spanning any subset of the shards: the
     :class:`repro.core.base.Transaction` lifecycle fanned out over
@@ -491,9 +481,8 @@ class ShardedTransaction(Transaction):
         super().__init__(router, session, mode)
 
     def _open_ctx(self):
-        # ``ctx`` is the current operation's shard-local context —
-        # what the scheduler consults (``op_mutated``) after a conflict.
-        return _IDLE_CTX
+        """None: each leg has its own context."""
+        return None
 
     @property
     def shards_touched(self):
@@ -506,7 +495,6 @@ class ShardedTransaction(Transaction):
         if txn is None:
             txn = self.session._inner_session(index)._begin(self.mode)
             self._txns[index] = txn
-        self.ctx = txn.ctx
         return txn
 
     # -- data operations ---------------------------------------------------

@@ -394,37 +394,62 @@ class SlottedPage:
         live = sum(self.cell_allocated_size(offset) for offset in self.slots())
         return (self.page_size - self.content_start) - live
 
-    def fits(self, payload_len, extra_slots=1):
-        """Can a record of ``payload_len`` bytes be inserted (possibly
-        after defragmentation)?"""
-        if self.frame_backed:
-            raise self._no_free_space_answer()
-        if self.header_capacity is not None and (
-            self.nrecords + extra_slots > self.header_capacity
-        ):
-            return False
-        need = self._cell_need(payload_len)
-        return self.total_free() >= need + SLOT_SIZE * extra_slots
-
-    def fits_after_copy(self, payload_len, extra_slots=1):
+    def fits_after_copy(self, payload_len, extra_slots=1, sizes=None):
         """Would the record fit once live records are copied
         contiguously into a fresh page?  This is the trigger for the
         paper's copy-on-write defragmentation (Section 4.3), including
         the same-transaction reinsert-into-an-overflowing-page case:
         cells made dead by *this* transaction cannot be reused in
-        place, but a copy-on-write page reclaims their space."""
+        place, but a copy-on-write page reclaims their space.
+
+        ``sizes`` asks it of another set of cells of this page's type,
+        one allocated size each, in place of the page's own records
+        (a B-tree plans a split's halves with it)."""
         if self.frame_backed:
             raise self._no_free_space_answer()
-        if self.header_capacity is not None and (
-            self.nrecords + extra_slots > self.header_capacity
-        ):
+        count = (self.nrecords if sizes is None else len(sizes)) + extra_slots
+        if self.header_capacity is not None and count > self.header_capacity:
             return False
+        if sizes is None:
+            sizes = [self.cell_allocated_size(offset) for offset in self.slots()]
         need = self._cell_need(payload_len)
-        live = sum(self.cell_allocated_size(offset) for offset in self.slots())
-        return (
-            self.header_end(self.nrecords + extra_slots) + need + live
-            <= self.page_size
-        )
+        return self.header_end(count) + need + sum(sizes) <= self.page_size
+
+    def fits_in_place(self, cells):
+        """Would :meth:`_allocate_cell` place every cell of ``cells`` —
+        ``(payload_len, adds_slot)`` pairs, stored in that order —
+        without a ``PageFullError``?  The same rules (header capacity,
+        first fit from the free list, then the gap above the offset
+        array) run on a copy of the free list.  It begins the pending
+        header, so the list is validated first, and stores nothing
+        else."""
+        if self.frame_backed:
+            raise self._no_free_space_answer()
+        pending = self.begin_pending()
+        count, start = pending.nrecords, pending.content_start
+        chunks = [size for _, size in self.free_chunks()]
+        capacity = self.header_capacity
+        for payload_len, adds_slot in cells:
+            if adds_slot and capacity is not None and count + 1 > capacity:
+                return False
+            need = self._cell_need(payload_len)
+            header_end = max(self.header_end(count + 1), self._floor)
+            count += adds_slot
+            fit = next((i for i, size in enumerate(chunks) if size >= need), None)
+            if header_end <= start and fit is not None:
+                chunks[fit] -= need   # a remainder under a chunk is absorbed
+                if chunks[fit] < _MIN_CHUNK:
+                    del chunks[fit]
+            elif start - need >= header_end:
+                start -= need
+            else:
+                return False
+        return True
+
+    def copied_size(self, offset):
+        """Bytes the cell at ``offset`` takes once copied into a fresh
+        page (no absorbed free-chunk remainder)."""
+        return self._cell_need(self.pm.read_u16(self.base + offset))
 
     # ------------------------------------------------------------------
     # Two-phase mutation: content writes + volatile pending header
@@ -551,9 +576,6 @@ class SlottedPage:
         reclaimed only after commit)."""
         pending = self.begin_pending()
         pending.offsets.pop(slot)
-
-    def pending_set_type(self, page_type):
-        self.begin_pending().page_type = page_type
 
     def pending_set_flags(self, mask):
         """OR ``mask`` into the pending header's flags byte."""
@@ -828,9 +850,3 @@ def live_extents(fixed_header, page_size):
             return header_end, content_start
     return page_size, page_size
 
-
-def _cell_size(payload_len):
-    """Nominal allocated size of a cell: 4-byte header + payload,
-    rounded up to keep u16 alignment (a cell that swallowed a chunk
-    remainder records its larger true size in its header)."""
-    return max(_MIN_CHUNK, (CELL_HEADER_SIZE + payload_len + 1) // 2 * 2)

@@ -338,9 +338,6 @@ class VersionManager:
         self.obs.event(ev.SNAPSHOT_END, ctx.session.sid)
         self.collect()
 
-    def active_snapshots(self):
-        return list(self._snapshots.values())
-
     # -- OCC read-set support ----------------------------------------------
 
     def _occ_active(self):

@@ -47,8 +47,11 @@ SMALL_CONFIG = dict(
 )
 
 
-class CrashPoint(Exception):
-    """A power failure that stops the run (see :func:`power_fail`)."""
+class CrashPoint(BaseException):
+    """A power failure that stops the run (see :func:`power_fail`).  A
+    ``BaseException``, as ``KeyboardInterrupt`` is: no ``except
+    Exception`` handler runs after the power is cut, so none can store
+    into the crashed arena."""
 
 
 class AtomicityViolation(AssertionError):

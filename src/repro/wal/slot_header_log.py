@@ -110,20 +110,11 @@ class SlotHeaderLog:
         self._staged_bytes += len(frame)
 
     @property
-    def staged_frames(self):
-        return len(self._staged)
-
-    @property
     def staged_bytes(self):
         """Bytes the next commit word's tail must cover: the current
         transaction's staged frames plus any epoch members' frames
         already sitting before them in the log."""
         return self._group_bytes + self._staged_bytes
-
-    @property
-    def group_bytes(self):
-        """Bytes held by epoch members awaiting the shared mark."""
-        return self._group_bytes
 
     def write_frames(self):
         """Store all staged frames into the log region (no flushes —

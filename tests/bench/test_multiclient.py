@@ -426,3 +426,26 @@ class TestCommittedCacheBaseline:
         for scheme in ("fast", "fastplus"):
             commits = {row["commits"] for row in self._rows(scheme)}
             assert len(commits) == 1
+
+
+class TestWrapperExtraCounters:
+    """Each wrapper adds its own counters to the caller's
+    ``extra_counters`` instead of passing the keyword twice."""
+
+    def test_isolation_cell(self):
+        result = run_isolation_cell("fast", isolation="occ", clients=2,
+                                    items=5, extra_counters=("sched.wait",))
+        assert "sched.wait" in result["counters"]
+        assert "occ.validation" in result["counters"]
+
+    def test_group_commit(self):
+        result = run_group_commit("fast", group_size=2, clients=8, items=25,
+                                  extra_counters=("sched.wait",))
+        assert "sched.wait" in result["counters"]
+        assert result["commits"] == 8 * 25
+
+    def test_cache_cell(self):
+        result = run_cache_cell("fast", cache_pages=8, clients=2, items=5,
+                                key_space=40, extra_counters=("sched.wait",))
+        assert "sched.wait" in result["counters"]
+        assert "cache.hit" in result["counters"]

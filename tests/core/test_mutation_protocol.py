@@ -12,7 +12,7 @@ from repro.btree.cells import leaf_cell, parse_internal
 from repro.core import engine_class, open_engine
 from repro.core.base import MutationContext
 from repro.core.locking import (
-    LOCK_X, decode_lock, page_resource, root_resource,
+    LOCK_X, ClaimAfterStore, decode_lock, page_resource, root_resource,
 )
 from repro.obs import trace as ev
 from repro.storage.slotted_page import FLAG_HAS_OVERFLOW, PAGE_LEAF
@@ -136,19 +136,30 @@ def test_locked_mutators_claim_x_before_their_first_store(scheme):
         for hook in HOOKS:
             delattr(ctx, hook)
         assert seen and resource in seen[0], name
-        assert ctx.op_mutated, name
+        # The store is done: a lock the op does not hold is refused
+        # (uncontended), one it holds still answers.
+        with pytest.raises(ClaimAfterStore):
+            ctx.lock_ahead(root_slot=7)
+        if resource[0] == "page":
+            ctx.page(resource[1])
+        else:
+            ctx.lock_ahead(root_slot=resource[1])
         if name == "defragment":
             assert page_resource(result[0]) in _x_claims(engine, sid)
     ctx.begin_op()
     new_no, _ = ctx.allocate_page(PAGE_LEAF)
     assert page_resource(new_no) in _x_claims(engine, sid)
-    assert ctx.op_mutated
-    # ``lock_ahead`` claims and stores nothing: the op is not mutated.
+    # Pages the transaction allocates are exempt; others are not.
+    other_no, _ = ctx.allocate_page(PAGE_LEAF)
+    assert page_resource(other_no) in _x_claims(engine, sid)
+    with pytest.raises(ClaimAfterStore):
+        ctx.page(leaves[7])
+    # ``lock_ahead`` claims and stores nothing: later claims still go.
     ctx.begin_op()
     ctx.lock_ahead(root_slot=1)
     ctx.lock_ahead(page(leaves[7]))
-    assert {root_resource(1), page_resource(leaves[7])} <= _x_claims(
-        engine, sid)
-    assert not ctx.op_mutated
+    ctx.lock_ahead(root_slot=2)
+    assert {root_resource(1), root_resource(2),
+            page_resource(leaves[7])} <= _x_claims(engine, sid)
     txn.rollback()
     assert engine.verify() == 150

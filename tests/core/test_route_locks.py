@@ -145,8 +145,10 @@ def test_descent_parks_on_an_internal_page_a_split_holds(monkeypatch):
         ("insert", b"j991", b"split"),
         ("think", 30_000.0, None),
     ])], name="splitter")
+    # The reader's think ends inside the splitter's split step, so its
+    # search is the next step after the split and before the commit.
     scheduler.add_client([("txn", [
-        ("think", 10_000.0, None),
+        ("think", 5_000.0, None),
         ("search", b"j990", None),
     ])], name="reader")
     seq = engine.trace.seq

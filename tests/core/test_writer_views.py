@@ -28,7 +28,9 @@ from repro.hashindex import HashIndex
 from repro.obs import trace as ev
 from repro.pm.crash import DropAll, PersistAll, RandomPersist
 from repro.storage.cache import TieredPageCache
-from repro.storage.slotted_page import FLAG_HAS_OVERFLOW, SlottedPage
+from repro.storage.slotted_page import (
+    FLAG_HAS_OVERFLOW, PAGE_INTERNAL, PAGE_LEAF, SlottedPage,
+)
 from repro.testing.crashsim import run_scheduler_crash_sweep
 from repro.testing.invariants import PageInvariantChecker
 from tests.storage.test_cache import (
@@ -120,7 +122,7 @@ _FREE_SPACE_QUESTIONS = (
     lambda page: page.free_chunks(),
     lambda page: page.contiguous_free(),
     lambda page: page.total_free(),
-    lambda page: page.fits(24),
+    lambda page: page.fits_in_place([(24, True)]),
     lambda page: page.fits_after_copy(24),
 )
 
@@ -266,15 +268,26 @@ def test_mutators_promote_their_page_in_place(scheme, mutate):
 # ----------------------------------------------------------------------
 
 
+#: The B-tree asks free-space questions in ``_make_room``, of a leaf
+#: (the leaf room-making the parameter calls ``_make_room``) and of an
+#: internal page (``_insert_cell``); the hash index in ``insert``.
+_ASKERS = {
+    ("_make_room", PAGE_LEAF): "_make_room",
+    ("_make_room", PAGE_INTERNAL): "_insert_cell",
+}
+
+
 @pytest.fixture
 def asked(monkeypatch):
-    """Every ``fits_after_copy`` call as (asking function, was the page
-    still frame-backed)."""
+    """Every ``fits_after_copy`` call as (asker, was the page still
+    frame-backed)."""
     calls = []
     original = SlottedPage.fits_after_copy
 
     def spy(self, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, self.frame_backed))
+        caller = sys._getframe(1).f_code.co_name
+        asker = _ASKERS.get((caller, self.page_type), caller)
+        calls.append((asker, self.frame_backed))
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(SlottedPage, "fits_after_copy", spy)

@@ -51,6 +51,18 @@ class TestConnectionLifecycle:
         assert db.execute("SELECT COUNT(*) FROM t").rows == [(0,)]
 
 
+    def test_create_index_backfills_across_leaves(self, db):
+        """The backfill scans the table lazily and inserts index entries
+        between its steps; each scan step is its own operation, so its
+        next leaf latch is no claim after the inserts' stores."""
+        for i in range(120):
+            db.execute("INSERT INTO t VALUES (?, ?)", (i, "v%03d" % (i % 7)))
+        with db.connect() as conn:
+            conn.execute("CREATE INDEX tv ON t (v)")
+            assert conn.execute("SELECT COUNT(*) FROM t WHERE v = 'v003'") \
+                .rows == [(17,)]
+
+
 class TestConcurrentConnections:
     def test_two_connections_interleave_transactions(self, db):
         # Seed enough rows that the two hot rows live on different

@@ -140,7 +140,7 @@ def test_scheduler_line_says_why_transactions_retried():
     assert counters["sched.wait"] and counters["sched.abort"]
     causes = ", ".join(
         "%s %.3f" % (cause, counters.get("sched.abort." + cause, 0) / commits)
-        for cause in ("mutated", "deadlock", "timeout", "occ")
+        for cause in ("deadlock", "timeout", "occ")
     )
     assert (
         "  per committed txn %.3f waits, %.3f aborts (%s)"

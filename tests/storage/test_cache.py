@@ -477,6 +477,9 @@ def _run_transactions(engine, index, txns):
         token = None
         for kind, key, fill, size in ops:
             value = bytes([fill]) * (24 if kind.startswith("hash") else size)
+            if kind.startswith("hash") and how == "session":
+                # A raw-context call is its own top-level operation.
+                txn.ctx.begin_op()
             if kind == "insert":
                 txn.insert(key, value, replace=True)
             elif kind == "update":

@@ -23,11 +23,13 @@ from repro.pm.crash import DropAll, PersistSubset, RandomPersist
 from repro.pm.memory import PersistentMemory
 from repro.testing.crashsim import (
     SMALL_CONFIG,
+    CrashPoint,
     ScheduledRun,
     ShardedRun,
     SingleRun,
     _recover,
     crash_sweep,
+    power_fail,
 )
 
 #: Words 0, 3 and 6 of every fifth line survive, everything else drops.
@@ -93,24 +95,13 @@ def _forked(make_shape, config, stride, name):
     }
 
 
-class _Stop(BaseException):
-    """Stops the reference run without running its ``except Exception``
-    handlers: a 2PC participant's prepare failure handler, for one,
-    would otherwise abort the already-prepared shards *after* the power
-    was cut (which ``CrashPoint``, an ``Exception``, lets it do)."""
-
-
-def _stop(_pm):
-    raise _Stop()
-
-
 def _stopped(make_shape, config, point, name):
     """The reference: run to ``point``, cut the power, crash the live
     arena itself and recover it."""
     shape = _recording(make_shape)
     pm, _ = shape.build(config, None)
-    pm.arm({point}, _stop)
-    with pytest.raises(_Stop):
+    pm.arm({point}, power_fail)
+    with pytest.raises(CrashPoint):
         shape.run()
     state = shape.state()
     pm.crash(_policy(name, point))
