@@ -15,6 +15,9 @@ same simulated-ns totals, same commit/abort/deadlock/retry counts,
 same lock counters.  Any diff means concurrency behavior changed and
 the baseline must be consciously regenerated with ``--update``.
 
+On a mismatch ``--check`` prints the moved fields of every differing
+row, tagged ``time-only`` or ``schedule`` (``TIME_FIELDS``).
+
 Usage::
 
     python benchmarks/bench_multiclient.py            # run + compare
@@ -278,6 +281,58 @@ def run_group_grid():
     return len(cells), failures
 
 
+#: Row fields that cannot show a change in the row's own schedule:
+#: simulated time, what is derived from it, and ratios against another
+#: row of the sweep.  A row whose other fields (commits, aborts,
+#: deadlocks, steps, lock counts, records, flushes, ...) all match
+#: moved in time only; any other moved field means its schedule
+#: changed.
+TIME_FIELDS = frozenset({
+    "simulated_ns", "elapsed_ns", "throughput_tps", "busy_ns",
+    "parallel_elapsed_ns", "serial_throughput_tps", "speedup_vs_one_shard",
+    "speedup_vs_uncached", "fence_reduction_vs_ungrouped",
+})
+#: Fields that name a row within its section's scheme list.
+ROW_KEYS = ("clients", "read_ratio", "mvcc", "group_size", "isolation",
+            "mix", "cache_pages", "read_ns", "shards")
+
+
+def diff_rows(grid, baseline):
+    """Every row of ``grid`` that differs from ``baseline``, as
+    ``(section, scheme, label, tag, {field: (want, got)})`` with
+    ``tag`` ``"time-only"`` or ``"schedule"``."""
+    diffs = []
+    for section, schemes in grid.items():
+        if section == "workload":
+            continue
+        for scheme, rows in schemes.items():
+            wanted = (baseline.get(section) or {}).get(scheme) or []
+            for got, want in itertools.zip_longest(rows, wanted, fillvalue={}):
+                fields = {
+                    name: (want.get(name), got.get(name))
+                    for name in sorted(got.keys() | want.keys())
+                    if got.get(name) != want.get(name)
+                }
+                if fields:
+                    label = " ".join("%s=%s" % (key, (got or want)[key])
+                                     for key in ROW_KEYS if key in (got or want))
+                    tag = "time-only" if fields.keys() <= TIME_FIELDS else "schedule"
+                    diffs.append((section, scheme, label, tag, fields))
+    return diffs
+
+
+def _print_diffs(diffs, out):
+    for section, scheme, label, tag, fields in diffs:
+        print("  %s/%s %s [%s]: %s" % (
+            section, scheme, label, tag,
+            ", ".join("%s %s -> %s" % (name, want, got)
+                      for name, (want, got) in fields.items()),
+        ), file=out)
+    schedule = sum(diff[3] == "schedule" for diff in diffs)
+    print("%d rows differ: %d time-only, %d schedule"
+          % (len(diffs), len(diffs) - schedule, schedule), file=out)
+
+
 def _print_grid(grid):
     print("multiclient: simulated throughput under contention "
           "(%d items/client, seed %d)" % (ITEMS, SEED))
@@ -427,15 +482,11 @@ def main(argv=None):
             print("multiclient MISMATCH: results differ from %s — "
                   "concurrency behavior changed (run --update if intended)"
                   % BASELINE_PATH.name, file=sys.stderr)
-            for section in ("client_sweep", "mix_sweep", "mvcc_sweep",
-                            "shard_sweep", "group_sweep", "occ_sweep",
-                            "cache_sweep"):
-                for scheme in SCHEMES:
-                    got = grid[section].get(scheme)
-                    want = (baseline.get(section) or {}).get(scheme)
-                    if got != want:
-                        print("  %s/%s:\n    got  %s\n    want %s"
-                              % (section, scheme, got, want), file=sys.stderr)
+            if grid["workload"] != baseline.get("workload"):
+                print("  workload %s -> %s" % (baseline.get("workload"),
+                                               grid["workload"]),
+                      file=sys.stderr)
+            _print_diffs(diff_rows(grid, baseline), sys.stderr)
             return 1
         print("multiclient check: OK (exactly equal to baseline)")
     return 0

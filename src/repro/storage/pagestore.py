@@ -16,7 +16,10 @@ Free-list links.  The head word and a free page's first word each hold
 a link: 0 ends the list, a page number ``n`` continues it at page ``n``,
 and a *run* link ``RUN | F`` (bit 31 set) stands for every page in
 ``[F, npages)``, handed out in ascending order without reading them.
-Only :meth:`garbage_collect` writes a run: every page above the highest
+:meth:`format` publishes the head ``RUN | 1``: a fresh store costs the
+same few stores, flushes and fences whatever its size, and allocation
+hands out pages 1, 2, ... without reading their link words.
+:meth:`garbage_collect` writes a run too: every page above the highest
 reachable or protected page is free, so it relinks just the free pages
 below that mark and names the rest with one link.  Its publish order
 makes every crash state the old list, the new list, or the new list
@@ -93,13 +96,8 @@ class PageStore:
         store = cls(pm, base, npages, page_size)
         pm.write_u32(base + _OFF_PAGE_SIZE, page_size)
         pm.write_u32(base + _OFF_NPAGES, npages)
-        pm.write_u32(base + _OFF_FREE_HEAD, 1 if npages > 1 else 0)
-        for slot in range(N_ROOT_SLOTS):
-            pm.write_u32(base + _OFF_ROOTS + 4 * slot, 0)
-        for page_no in range(1, npages):
-            nxt = page_no + 1 if page_no + 1 < npages else 0
-            pm.write_u32(store.page_base(page_no), nxt)
-            pm.persist(store.page_base(page_no), 4)
+        pm.write_u32(base + _OFF_FREE_HEAD, store._run_link(1))
+        pm.write(base + _OFF_ROOTS, bytes(4 * N_ROOT_SLOTS))
         pm.write_u32(base + _OFF_MAGIC, _MAGIC)
         pm.persist(base, _OFF_ROOTS + 4 * N_ROOT_SLOTS)
         return store
@@ -201,24 +199,31 @@ class PageStore:
         """The link standing for every page in ``[first, npages)``."""
         return RUN | first if first < self.npages else 0
 
-    def free_pages(self, read_u32=None):
-        """Every page on the free list, in the order allocation hands
-        them out: the explicit chain, then the run its last link names.
-        ``read_u32`` reads a link word (default: ``pm.read_u32``, which
-        charges simulated time); a chain that loops is cut where it
-        would repeat a page."""
+    def free_list(self, read_u32=None):
+        """``(chain, run)``: the free list's explicit pages, as an
+        ordered dict's keys, and the range ``[F, npages)`` its last link
+        names (empty, ``F = npages``, without a run), both in the order
+        allocation hands them out.  ``read_u32`` reads a link word
+        (default: ``pm.read_u32``, which charges simulated time); a
+        chain that loops is cut where it would repeat a page."""
         read_u32 = read_u32 or self.pm.read_u32
         chain = {}
         link = read_u32(self.base + _OFF_FREE_HEAD)
         while link and not link & RUN and link not in chain:
             chain[link] = None
             link = read_u32(self.page_base(link))
-        run = range(link & ~RUN, self.npages) if link & RUN else ()
+        return chain, range(link & ~RUN if link & RUN else self.npages,
+                            self.npages)
+
+    def free_pages(self, read_u32=None):
+        """Every page on the free list, in the order allocation hands
+        them out: the explicit chain, then the run."""
+        chain, run = self.free_list(read_u32)
         return [*chain, *run]
 
     def free_page_count(self):
         """Number of pages currently on the free list."""
-        return len(self.free_pages())
+        return sum(map(len, self.free_list()))
 
     def garbage_collect(self, reachable, *, protected=frozenset()):
         """Rebuild the free list as every page not in ``reachable``.

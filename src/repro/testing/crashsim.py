@@ -154,6 +154,9 @@ class CrashTestResult:
     #: Armed memory events counted: the crash point's index, or every
     #: event of a run that completed.
     events: int = 0
+    #: Simulated ns recovery (``attach``) took on the crashed image
+    #: (0.0 when the run completed or recovery crashed).
+    recovery_ns: float = 0.0
 
     @property
     def ok(self):
@@ -546,17 +549,18 @@ def _recover(shape, config, image, point, state):
     ``(committed, inflight, candidates)`` the run had at ``point``."""
     committed, inflight, candidates = state
     start_seq = image.obs.trace.seq
+    start_ns = image.clock.now_ns  # 0.0 on a fork's fresh clock
     try:
         engine = shape.attach(config, image)
+        recovery_ns = image.clock.now_ns - start_ns
         recovered = dict(engine.scan())
     except Exception as err:  # corruption can crash recovery itself
-        result = CrashTestResult(True, committed, inflight, {}, events=point)
-        result.violations.append(
-            "recovery crashed: %s: %s" % (type(err).__name__, err)
-        )
-        return result
+        return CrashTestResult(True, committed, inflight, {}, events=point,
+                               violations=["recovery crashed: %s: %s"
+                                           % (type(err).__name__, err)])
     result = CrashTestResult(
         True, committed, inflight, recovered, events=point,
+        recovery_ns=recovery_ns,
         recovery_events=image.obs.trace.events(
             kind=RECOVERY_REPLAY, since_seq=start_seq,
         ),

@@ -14,8 +14,9 @@ a page in a state from which the rule *can* be broken:
   epoch — has a sane cell header;
 * no two of those cells overlap;
 * no chunk reachable from the page's effective free-list head (the
-  open writer's pending head, else the head word in PM) overlaps any
-  of them, leaves the page, or loops.
+  open writer's pending head, else the head word in PM once the lazy
+  check has validated it since attach) overlaps any of them, leaves
+  the page, or loops.
 
 Everything is read host-side (``_visible_bytes`` and the engine's
 volatile bookkeeping): the check charges no simulated time and touches
@@ -112,18 +113,23 @@ class PageInvariantChecker:
         engine = self.engine
         store = engine.store
         claims, pending_heads = self._outside_claims()
-        free = self._free_pages()
+        # Free pages keep their old bytes past the link word, so they
+        # are skipped by number, not by type byte: the run's pages from
+        # ``run.start`` on, the chain's below it.
+        chain, run = store.free_list(read_u32=lambda addr: int.from_bytes(
+            _visible_bytes(engine.pm, addr, 4), "little"))
         found = []
-        for page_no in range(1, store.npages):
-            if page_no in free:
-                self._clean.pop(page_no, None)
+        for page_no in range(1, run.start):
+            if page_no in chain:
                 continue
-            image = _visible_bytes(
-                engine.pm, store.page_base(page_no), store.page_size
-            )
+            base = store.page_base(page_no)
+            image = _visible_bytes(engine.pm, base, store.page_size)
             if image[0] not in (PAGE_LEAF, PAGE_INTERNAL):
                 continue
-            state = (image, claims.get(page_no), pending_heads.get(page_no))
+            head = pending_heads.get(page_no)
+            if head is None and base not in store.freelist_validated:
+                head = 0  # torn by a crash until the lazy check rebuilds it
+            state = (image, claims.get(page_no), head)
             if self._clean.get(page_no) == state:
                 continue
             self.pages_checked += 1
@@ -133,17 +139,6 @@ class PageInvariantChecker:
             else:
                 self._clean[page_no] = state
         return found
-
-    def _free_pages(self):
-        """The store's free pages, the run included.  A freed page keeps
-        its old bytes past the link word, so it must be skipped by
-        number, not by type byte."""
-        pm = self.engine.pm
-
-        def link_at(addr):
-            return int.from_bytes(_visible_bytes(pm, addr, 4), "little")
-
-        return set(self.engine.store.free_pages(read_u32=link_at))
 
     def _open_contexts(self):
         engine = self.engine
@@ -185,9 +180,12 @@ class PageInvariantChecker:
         return {no: tuple(owned) for no, owned in claims.items()}, heads
 
 
-def _page_problems(page_no, image, claims, pending_head):
+def _page_problems(page_no, image, claims, head):
     """Broken invariants of one page image, given the outside claims
-    on it and its open writer's pending head (None = nobody's)."""
+    on it and the free-list head to walk: its open writer's pending
+    head, None for PM's, or 0 for none — a list not validated since
+    attach may be torn by a crash, and the lazy check of paper
+    Section 4.3 rebuilds it before anything allocates from it."""
     size = len(image)
     problems = []
     owners = {}
@@ -213,10 +211,10 @@ def _page_problems(page_no, image, claims, pending_head):
             continue
         spans.append((offset, offset + allocated, label))
 
-    if pending_head is None:
+    if head is None:
         head, source = _u16(image, _OFF_FREELIST), "PM's head"
     else:
-        head, source = pending_head, "the writer's pending head"
+        source = "the writer's pending head"
     seen = set()
     while head:
         label = "free chunk @%d (from %s)" % (head, source)

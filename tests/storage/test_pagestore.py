@@ -151,6 +151,48 @@ def drain(store):
     return handed
 
 
+# ----------------------------------------------------------------------
+# Format publishes the whole arena as one run link
+# ----------------------------------------------------------------------
+
+
+def format_counts(npages, page_size=64):
+    pm = PersistentMemory(npages * page_size)
+    PageStore.format(pm, 0, npages, page_size)
+    return pm.stats.stores, pm.stats.clflushes, pm.stats.fences
+
+
+def test_format_costs_the_same_whatever_the_arena_size():
+    small = format_counts(8)
+    assert small == format_counts(512) == format_counts(65536)
+    assert small[2] == 1
+
+
+def test_fresh_store_hands_out_its_pages_in_order_without_reading_them():
+    pm, store = make_store(npages=8)
+    assert store.free_head == RUN | 1
+    assert store.free_pages() == list(range(1, 8))
+    loads = pm.stats.loads
+    handed = [store.page_no_of(store.allocate_page(PAGE_LEAF))
+              for _ in range(7)]
+    assert handed == list(range(1, 8))
+    # One head read per pop; no page's link word.
+    assert pm.stats.loads - loads == 7
+    with pytest.raises(OutOfPagesError):
+        store.allocate_page(PAGE_LEAF)
+
+
+@pytest.mark.parametrize("crash", [False, True])
+def test_attach_after_format_sees_the_same_free_list(crash):
+    pm, store = make_store(npages=16)
+    if crash:
+        pm.crash(DropAll())
+    again = PageStore.attach(pm, 0)
+    assert again.free_pages() == store.free_pages() == list(range(1, 16))
+    assert again.free_page_count() == 15
+    assert drain(again) == list(range(1, 16))
+
+
 def test_geometry_leaves_the_run_bit_clear():
     with pytest.raises(ValueError):
         PageStore(PersistentMemory(4096), 0, RUN, 512)

@@ -4,7 +4,8 @@ run that stops at the same event and power-fails its live arena.
 This is the reference check behind the one-pass crash driver: the
 sweeps fork the memory at every visited event and let the run go on,
 so the per-point outcome — committed model, in-flight item, group
-commit candidates, recovered state and violations — must be exactly
+commit candidates, recovered state, violations and recovery's
+simulated time — must be exactly
 what a run cut at that event would have produced, and so must the
 crashed image itself, byte for byte.  Each shape runs
 under a seeded ``RandomPersist`` (which draws in the at-risk lines'
@@ -49,11 +50,18 @@ def _policy(name, point):
     return policy or RandomPersist(rng=random.Random(point))
 
 
-def _outcome(result, image):
+def _outcome(result, image, stopped=False):
+    """The compared outcome.  Recovery's simulated ns is one clock read
+    on a fork's fresh clock; the stopped run's clock holds the run
+    before it, so its difference may round differently."""
+    recovery_ns = result.recovery_ns
+    if stopped:
+        recovery_ns = pytest.approx(recovery_ns, rel=1e-9)
     return (
         result.crashed, result.committed, result.inflight, result.recovered,
         result.violations,
         [event[2:] for event in result.recovery_events],
+        recovery_ns,
         image,
     )
 
@@ -106,7 +114,7 @@ def _stopped(make_shape, config, point, name):
     state = shape.state()
     pm.crash(_policy(name, point))
     result = _recover(shape, config, pm, point, state)
-    return state, _outcome(result, shape.images[0])
+    return state, _outcome(result, shape.images[0], stopped=True)
 
 
 def _assert_equivalent(make_shape, config, stride):
@@ -114,6 +122,7 @@ def _assert_equivalent(make_shape, config, stride):
         forked = _forked(make_shape, config, stride, name)
         assert len(forked) >= 8
         for point, (state, outcome) in forked.items():
+            assert outcome[-2] > 0, (name, point)
             assert (state, outcome) == _stopped(
                 make_shape, config, point, name,
             ), (name, point)
