@@ -2,8 +2,9 @@
 
 An ``Engine`` owns the simulated persistent memory, the page store,
 and one B-tree per named root slot.  Subclasses provide the commit
-scheme by naming their ``context_class`` (a :class:`MutationContext`)
-and implementing ``_commit`` / ``_rollback`` / ``recover``.
+scheme by naming their ``context_class`` (a :class:`MutationContext`,
+whose ``_undo`` serves savepoints and rollback alike) and implementing
+``_commit`` / ``recover``.
 
 The measured quantity everywhere is *simulated* time: the engine's
 ``clock`` accumulates nanoseconds charged by the memory hierarchy, and
@@ -96,7 +97,9 @@ class MutationContext:
     reclaim, the others reclaim at once.  NVWAL writes records without
     the in-place spans and flush of ``_write_record``; the page-level
     steps ``_allocate``, ``_defragment``, ``_free``, ``_set_root`` and
-    ``_repoint`` default to the PM store and to deferral.
+    ``_repoint`` default to the PM store and to deferral.  A savepoint
+    and a rollback are one undo, ``restore_state``; its durable part is
+    the scheme's ``_undo``.
 
     Locking is the claim hook ``_claim(resource, mode)``: None here, so
     the plain path tests an attribute and makes no call; a strict-2PL
@@ -135,6 +138,37 @@ class MutationContext:
     def uncommitted_pages(self):
         """Pages this open transaction owns (GC protection set)."""
         return set(self.new_pages)
+
+    # -- savepoints and rollback -------------------------------------------
+
+    #: The savepoint of an empty transaction: restoring it is the
+    #: rollback (``Engine._rollback``).  A scheme extends it with the
+    #: fields its ``snapshot_state`` adds.
+    BEGIN = {"dirty": (), "new_pages": (), "freed": 0, "root_updates": {}}
+
+    def snapshot_state(self):
+        """A savepoint (``Transaction.savepoint``): the tracking every
+        context keeps; a scheme adds what its ``_undo`` needs."""
+        return {
+            "dirty": tuple(self.dirty),
+            "new_pages": tuple(self.new_pages),
+            "freed": len(self.freed),
+            "root_updates": dict(self.root_updates),
+        }
+
+    def restore_state(self, snapshot):
+        """Undo everything since ``snapshot`` — a savepoint, or
+        :attr:`BEGIN` for the whole transaction: the scheme's durable
+        undo (``_undo``), then the tracking.  Every list restored here
+        only grew since the snapshot, so its length marks it."""
+        # FAST views every page it touched in ``_pages``; NVWAL tracks
+        # its frames in ``dirty`` alone.
+        pages = {**self._pages, **self.dirty}
+        self._undo(snapshot)
+        self.dirty = {no: pages[no] for no in snapshot["dirty"]}
+        self.new_pages = {no: pages[no] for no in snapshot["new_pages"]}
+        del self.freed[snapshot["freed"]:]
+        self.root_updates = dict(snapshot["root_updates"])
 
     @property
     def is_read_only(self):
@@ -505,6 +539,10 @@ class Transaction:
             except OCCConflict:
                 self.session._occ_failed()
                 raise
+            except Exception:
+                # A failed commit: ``occ_commit`` has undone the install.
+                self._finish(False, None)
+                raise
             self._finish(True, None)
         elif self.mode == "read_only":
             # Nothing to make durable: a snapshot read nothing but
@@ -520,7 +558,7 @@ class Transaction:
         if self.mode in ("read_only", "occ"):
             # Nothing durable to undo: a snapshot wrote nothing, and
             # an OCC write set that never installed (or whose install
-            # already rolled back precisely) lives only in the buffer.
+            # already rolled back) lives only in the buffer.
             self._finish(False, None)
         else:
             self._finish(False, self._rollback_work)
@@ -534,24 +572,31 @@ class Transaction:
         self.engine._commit(self.inner_ctx)
 
     def _rollback_work(self):
-        if self.mode == "locked":
-            # Concurrent sessions roll back precisely: other
-            # sessions' uncommitted pages must survive, so no
-            # global garbage collection here.
-            self.engine._rollback_precise(self.inner_ctx)
-        else:
-            self.engine._rollback(self.inner_ctx)
+        self.engine._rollback(self.inner_ctx)
 
     def _finish(self, committed, work):
         """The one transaction epilogue every isolation mode shares:
         run the scheme work (if any) inside the session's clock
         segment, count the outcome, then — committed, aborted, or
         crashed mid-commit — hand the transaction back to its owner.
+
+        A commit that raises (the log has no room for its frames...)
+        has stored nothing yet: it is rolled back, reported aborted,
+        and the error re-raised.  A power cut is no ``Exception`` and
+        runs no handler.
         """
         try:
             if work is not None:
                 with self._op_segment():
-                    work()
+                    try:
+                        work()
+                    except Exception:
+                        if not committed:
+                            raise
+                        committed = False
+                        self._rollback_work()
+                        self.engine.obs.inc("engine.txn.rollback")
+                        raise
             self.engine.obs.inc(
                 "engine.txn.commit" if committed else "engine.txn.rollback"
             )
@@ -713,15 +758,9 @@ class Engine:
         raise NotImplementedError
 
     def _rollback(self, ctx):
-        raise NotImplementedError
-
-    def _rollback_precise(self, ctx):
-        """Roll back exactly one session's context without global
-        garbage collection (other sessions' uncommitted pages must
-        survive).  Schemes whose ``_rollback`` is already precise —
-        NVWAL restores page snapshots and frees only its own
-        allocations — simply inherit this alias."""
-        self._rollback(ctx)
+        """Undo ``ctx``'s transaction, and only it (other sessions'
+        open transactions are untouched): restore its begin savepoint."""
+        ctx.restore_state(ctx.BEGIN)
 
     def recover(self):
         """Bring the committed state to consistency after a crash."""
@@ -901,7 +940,7 @@ class Engine:
         """The live (unclosed) sessions, in creation order."""
         return list(self._sessions.values())
 
-    def _protected_pages(self, exclude_ctx=None):
+    def _protected_pages(self):
         """Pages owned by live sessions' uncommitted transactions —
         unreachable from any committed structure, but *not* garbage.
         While MVCC snapshots are active, pages reachable through any
@@ -909,7 +948,7 @@ class Engine:
         protected = set()
         for session in self._sessions.values():
             ctx = session.transaction_ctx
-            if ctx is None or ctx is exclude_ctx:
+            if ctx is None:
                 continue
             owned = getattr(ctx, "uncommitted_pages", None)
             if owned is not None:
@@ -974,17 +1013,15 @@ class Engine:
                 pages |= self.tree(slot).reachable_pages(view)
         return pages
 
-    def garbage_collect(self, *, exclude_ctx=None):
+    def garbage_collect(self):
         """Reclaim pages leaked by crashes (paper Section 4.4).
 
-        Pages held by other live sessions' uncommitted transactions
-        are *not* garbage even though no committed structure reaches
-        them yet; ``exclude_ctx`` names the context whose own pages
-        should nonetheless be reclaimed (its rollback is the caller).
+        Pages held by live sessions' uncommitted transactions are
+        *not* garbage even though no committed structure reaches them
+        yet.
         """
-        protected = self._protected_pages(exclude_ctx)
         return self.store.garbage_collect(
-            self.reachable_pages(), protected=protected
+            self.reachable_pages(), protected=self._protected_pages()
         )
 
     def compact(self, root_slot=0, *, min_waste=64):

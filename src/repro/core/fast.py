@@ -34,7 +34,7 @@ from repro.core.locking import TwoPhaseLocking
 from repro.htm.rtm import RTM
 from repro.obs import trace as ev
 from repro.pm.memory import CACHE_LINE
-from repro.wal.slot_header_log import SlotHeaderLog
+from repro.wal.slot_header_log import LogFullError, SlotHeaderLog
 from repro.wal.twopc import PrepareRegion
 
 
@@ -45,14 +45,14 @@ class FASTContext(MutationContext):
     def __init__(self, engine, session=None):
         super().__init__(engine, session)
         self.reclaims = []     # (page, offset) cells dead once committed
-        # Every page this transaction obtained from the store and still
-        # owns — what precise (session) rollback returns to the free
-        # list and what GC must protect while the txn is open.
+        # Every page this transaction obtained from the store — what a
+        # rollback returns to the free list and what GC must protect
+        # while the txn is open.
         self.allocated = []
         # In-place child-pointer swaps (durable immediately): recorded
-        # as (address, old_child, new_child) so savepoint rollback can
-        # reverse them — both directions are crash-safe because both
-        # pages are committed-equivalent.
+        # as (address, old_child, new_child) so a rollback can reverse
+        # them — both directions are crash-safe because both pages are
+        # committed-equivalent.
         self.pointer_swaps = []
 
     # -- mutation hooks ----------------------------------------------------
@@ -105,72 +105,75 @@ class FASTContext(MutationContext):
         if new_child_no in self.new_pages:
             self.dirty[new_child_no] = self.new_pages.pop(new_child_no)
 
-    # -- savepoints --------------------------------------------------------
+    # -- savepoints and rollback ---------------------------------------------
+
+    BEGIN = {
+        **MutationContext.BEGIN,
+        "pending": {}, "reclaims": (), "swaps": 0, "allocated": 0,
+    }
 
     def snapshot_state(self):
-        """Capture the transaction's volatile state for a savepoint."""
-        return {
-            "pending": {
-                page_no: page.clone_pending()
-                for page_no, page in self._pages.items()
-            },
-            "dirty": set(self.dirty),
-            "new_pages": set(self.new_pages),
-            "freed": list(self.freed),
-            "reclaims": list(self.reclaims),
-            "root_updates": dict(self.root_updates),
-            "swap_count": len(self.pointer_swaps),
+        state = super().snapshot_state()
+        state["pending"] = {
+            page_no: page.clone_pending()
+            for page_no, page in self._pages.items()
         }
+        state["reclaims"] = tuple(self.reclaims)
+        state["swaps"] = len(self.pointer_swaps)
+        state["allocated"] = len(self.allocated)
+        return state
 
-    def restore_state(self, snapshot):
-        """Partial rollback to a savepoint snapshot.
-
-        Pages allocated after the savepoint are released; pending
-        headers are restored; record bytes written after the savepoint
-        become free space (they were never reachable); durable
-        child-pointer swaps are reversed (newest first).
+    def _undo(self, snapshot):
+        """Reverse the durable child-pointer swaps made since the
+        snapshot, newest first (both directions are crash-safe: the
+        pages are committed-equivalent); put every page's pending
+        header back to the snapshot's, dropping the ones it had none
+        of; then return the pages allocated since, newest first.
+        Record bytes written since sit in free space no header names.
         """
-        while len(self.pointer_swaps) > snapshot["swap_count"]:
-            position, old_child, _ = self.pointer_swaps.pop()
-            self.engine._swap_child_pointer(position, old_child)
-        for page_no in list(self.new_pages):
-            if page_no not in snapshot["new_pages"]:
-                self.new_pages.pop(page_no)
-                self._pages.pop(page_no, None)
-                self.dirty.pop(page_no, None)
-                self.store.free_page(page_no)
-                # Returned to the store: the txn no longer owns it.
-                self.allocated.remove(page_no)
-        for page_no, page in list(self._pages.items()):
-            if page_no not in snapshot["pending"]:
-                if page.has_pending:
-                    self.engine._discard_page_pending(page_no, page)
-                self._pages.pop(page_no)
-                continue
-            saved = snapshot["pending"][page_no]
+        engine = self.engine
+        swaps = self.pointer_swaps
+        while len(swaps) > snapshot["swaps"]:
+            position, old_child, _ = swaps.pop()
+            engine._swap_child_pointer(position, old_child)
+        saved_pending = snapshot["pending"]
+        group = engine.group
+        # Dirty pages, new pages, then the ones freed since (which left
+        # both): durable work is charged in the order it is done.
+        for page_no, page in {
+            **self.dirty, **self.new_pages, **self._pages
+        }.items():
+            saved = saved_pending.get(page_no)
             if saved is None and not page.has_pending:
-                # Only read, before the savepoint and since: there is
-                # no header to restore and its free list was never
-                # touched (the view may not even be PM-backed).
                 continue
-            # Cells the savepoint's header had already dropped are
-            # still live in the committed header: this context holds
-            # them (beside whatever the open epoch holds on the page).
+            # The rebuilt free list must not hand out cells a committed
+            # header still reaches: those the savepoint's header had
+            # already dropped (this context reclaims them at commit)
+            # and those the open epoch reclaims at its close — on an
+            # overlaid page, and on a member's new page, whose header
+            # was applied directly.
             held = [
                 offset for held_page, offset in snapshot["reclaims"]
                 if held_page.base == page.base
             ]
-            held += self.engine._held_cells(page_no)
-            page.restore_pending(saved, held)
-        self.dirty = {
-            page_no: self._pages[page_no] for page_no in snapshot["dirty"]
+            held += engine._held_cells(page_no)
+            if (saved is None and group is not None
+                    and group.overlaid(page_no)):
+                # Committed state is the member's overlay, not the
+                # durable header.
+                page.overlay_header(group.pending_headers[page_no],
+                                    group.header_extents[page_no])
+                page.rebuild_free_list(held)
+            else:
+                page.restore_pending(saved, held)
+        self._pages = {
+            page_no: page for page_no, page in self._pages.items()
+            if page_no in saved_pending
         }
-        self.new_pages = {
-            page_no: self._pages[page_no] for page_no in snapshot["new_pages"]
-        }
-        self.freed = list(snapshot["freed"])
         self.reclaims = list(snapshot["reclaims"])
-        self.root_updates = dict(snapshot["root_updates"])
+        allocated = self.allocated
+        while len(allocated) > snapshot["allocated"]:
+            self.store.free_page(allocated.pop())
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -238,8 +241,25 @@ class FASTEngine(Engine):
         with self.obs.phase("commit"):
             if ctx.is_read_only:
                 return
+            self.check_log_room(ctx)
             self._begin_commit(ctx)
             self._commit_durable(ctx)
+
+    def check_log_room(self, ctx):
+        """Raise ``LogFullError`` unless the log can take the commit's
+        frames — asked before its first store (the MVCC publish, a 2PC
+        prepare record), so a refused commit rolls back like any abort.
+        Frames of an open epoch that fill the log are retired first, by
+        closing it.  FAST⁺'s in-place commit asks too: it may fall back
+        to logging."""
+        headers = [page.header_length() for page in ctx.dirty.values()]
+        try:
+            self.log.check_room(headers, len(ctx.root_updates))
+        except LogFullError:
+            if self.group is None or not self.group.member_count:
+                raise
+            self.group.close()
+            self.log.check_room(headers, len(ctx.root_updates))
 
     def _begin_commit(self, ctx):
         """The preamble every committing writer runs first (plain,
@@ -369,7 +389,9 @@ class FASTEngine(Engine):
         """2PC phase one: persist this shard's redo frames and the
         prepare record, but *not* the commit word — the frames stay
         invisible until :meth:`commit_prepared` publishes them.
-        Returns the log sequence number the commit will use."""
+        Returns the log sequence number the commit will use.  The
+        coordinator has asked ``check_log_room`` of every participant
+        first."""
         with self.obs.phase("commit"):
             self._begin_commit(ctx)
             self._stage_and_flush(ctx)
@@ -512,66 +534,9 @@ class FASTEngine(Engine):
 
     # -- rollback / recovery -------------------------------------------------
 
-    def _discard_page_pending(self, page_no, page):
-        """Drop a context's pending header on ``page``, returning it
-        to *committed* state — which, while a group-commit epoch is
-        open, is the member overlay rather than the durable header.
-        The free list is rebuilt from the overlay's offsets so cells
-        the rolled-back transaction wrote return to free space without
-        handing back the member's live cells — nor, on either arm, the
-        dead cells the epoch holds for its close: the durable header
-        still reaches them, and a member's *new* page carries them
-        without ever being overlaid (its header was applied
-        directly)."""
-        held = self._held_cells(page_no)
-        if self.group is not None:
-            image = self.group.pending_headers.get(page_no)
-            if image is not None:
-                page.overlay_header(image, self.group.header_extents[page_no])
-                page.rebuild_free_list(held)
-                return
-        page.discard_pending(held)
-
     def _rollback(self, ctx):
-        for page_no, page in list(ctx.dirty.items()):
-            if page.has_pending:
-                self._discard_page_pending(page_no, page)
-        for page in list(ctx.new_pages.values()):
-            if page.has_pending:
-                page.discard_pending()
+        super()._rollback(ctx)
         self.log.discard()
-        # Pages allocated by the transaction — including copy-on-write
-        # pages whose parent pointer was already swapped in place (the
-        # swap is durable but harmless: such pages expose only
-        # committed content) — are reclaimed by reachability, exactly
-        # like crash recovery does.
-        self.garbage_collect(exclude_ctx=ctx)
-
-    def _rollback_precise(self, ctx):
-        """Session rollback: undo *this* transaction only.
-
-        The single-session ``_rollback`` reclaims by reachability,
-        which would also sweep up pages owned by other live sessions'
-        open transactions.  Here everything is reversed from the
-        context's own records instead: durable child-pointer swaps are
-        un-swapped (newest first — both directions are crash-safe, the
-        pages are committed-equivalent), pending header updates are
-        discarded, the staged log is dropped, and every page the
-        transaction obtained from the store goes back to the free list.
-        """
-        while ctx.pointer_swaps:
-            position, old_child, _ = ctx.pointer_swaps.pop()
-            self._swap_child_pointer(position, old_child)
-        for page_no, page in list(ctx.dirty.items()):
-            if page.has_pending:
-                self._discard_page_pending(page_no, page)
-        for page in list(ctx.new_pages.values()):
-            if page.has_pending:
-                page.discard_pending()
-        self.log.discard()
-        for page_no in reversed(ctx.allocated):
-            self.store.free_page(page_no)
-        ctx.allocated = []
 
     def recover(self):
         """Crash recovery (paper Section 4.4).

@@ -15,6 +15,9 @@ from repro.core.base import Engine, MutationContext
 class NaiveContext(MutationContext):
     """Applies every header change immediately and non-atomically."""
 
+    #: Nothing to restore: every change is already in place.
+    snapshot_state = restore_state = None
+
     def _stored(self, page):
         """In-place header overwrite — *not* failure-atomic."""
         image = page.pending_header_image()

@@ -103,7 +103,6 @@ class NVWALContext(MutationContext):
     def __init__(self, engine, session=None):
         super().__init__(engine, session)
         self.snapshots = {}   # page_no -> bytes at first touch
-        self.new_pages = set()
 
     # -- mutation hooks ----------------------------------------------------
 
@@ -154,7 +153,7 @@ class NVWALContext(MutationContext):
             engine.cache.pinned.add(page_no)
             self.dirty[page_no] = page
             self.snapshots[page_no] = bytes(engine.config.page_size)
-            self.new_pages.add(page_no)
+            self.new_pages[page_no] = page
         return page_no, page
 
     def _repoint(self, position, new_child_no):
@@ -184,48 +183,40 @@ class NVWALContext(MutationContext):
             self.dirty[page_no] = fresh
         return page_no, fresh
 
-    # -- savepoints --------------------------------------------------------
+    # -- savepoints and rollback ---------------------------------------------
+
+    BEGIN = {**MutationContext.BEGIN, "content": {}, "snapshots": {}}
 
     def snapshot_state(self):
-        """Savepoint snapshot: DRAM page images + tracking sets."""
+        """A savepoint: the tracking, plus the DRAM page images."""
+        state = super().snapshot_state()
         dram = self.engine.dram
         page_size = self.engine.config.page_size
-        return {
-            "content": {
-                page_no: bytes(dram._data[page.base : page.base + page_size])
-                for page_no, page in self.dirty.items()
-            },
-            "dirty": set(self.dirty),
-            "new_pages": set(self.new_pages),
-            "snapshots": dict(self.snapshots),
-            "freed": list(self.freed),
-            "root_updates": dict(self.root_updates),
+        state["content"] = {
+            page_no: bytes(dram._data[page.base : page.base + page_size])
+            for page_no, page in self.dirty.items()
         }
+        state["snapshots"] = dict(self.snapshots)
+        return state
 
-    def restore_state(self, snapshot):
-        """Partial rollback: restore DRAM page images to the savepoint."""
+    def _undo(self, snapshot):
+        """Put every frame back to its image at the snapshot — a page
+        first dirtied since goes back to its transaction-start image —
+        and release the pages allocated since."""
         engine = self.engine
-        for page_no, page in list(self.dirty.items()):
-            if page_no in snapshot["content"]:
-                engine.dram.write(page.base, snapshot["content"][page_no])
+        content = snapshot["content"]
+        for page_no, page in self.dirty.items():
+            if page_no in content:
+                engine.dram.write(page.base, content[page_no])
                 page._pending = None
-            elif page_no in self.new_pages and page_no not in snapshot["new_pages"]:
-                # Created after the savepoint: release entirely.
+            elif page_no in self.new_pages:
                 engine.cache.drop(page_no)
                 engine.store.free_page(page_no)
             else:
-                # Committed page first dirtied after the savepoint:
-                # its transaction-start image is the savepoint image.
                 engine.dram.write(page.base, self.snapshots[page_no])
                 page._pending = None
                 engine.cache.pinned.discard(page_no)
-        self.dirty = {
-            page_no: self.dirty[page_no] for page_no in snapshot["dirty"]
-        }
-        self.new_pages = set(snapshot["new_pages"])
         self.snapshots = dict(snapshot["snapshots"])
-        self.freed = list(snapshot["freed"])
-        self.root_updates = dict(snapshot["root_updates"])
 
     # -- view protocol ---------------------------------------------------
 
@@ -374,16 +365,6 @@ class NVWALEngine(Engine):
         with self.obs.span("log_flush"):
             self.wal.install_frame(addr, frame)
         return addr
-
-    def _rollback(self, ctx):
-        for page_no, page in ctx.dirty.items():
-            if page_no in ctx.new_pages:
-                self.cache.drop(page_no)
-                self.store.free_page(page_no)
-                continue
-            self.dram.write(page.base, ctx.snapshots[page_no])
-            page._pending = None
-            self.cache.pinned.discard(page_no)
 
     # ------------------------------------------------------------------
     # Checkpoint + recovery

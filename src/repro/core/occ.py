@@ -254,17 +254,11 @@ class OccContext:
             raise OCCConflict("install")
 
     def uninstall(self):
-        """Roll the installed context back precisely; the write set
-        stays buffered and the transaction open."""
-        self.engine._rollback_precise(self.installed_ctx)
-        self.installed_ctx = None
-
-    # -- GC protection (engine._protected_pages) ---------------------------
-
-    def uncommitted_pages(self):
-        ctx = self.installed_ctx
-        owned = getattr(ctx, "uncommitted_pages", None)
-        return owned() if owned is not None else set()
+        """Roll the installed context back, if there is one; the write
+        set stays buffered and the transaction open."""
+        if self.installed_ctx is not None:
+            self.engine._rollback(self.installed_ctx)
+            self.installed_ctx = None
 
 
 def occ_commit(legs, commit):
@@ -276,10 +270,11 @@ def occ_commit(legs, commit):
     ordinary commit protocol, or the router's native-vs-2PC choice —
     with those locks held, and count ``occ.commit`` once.
 
-    Any :class:`OCCConflict` unwinds the already-installed legs
-    precisely and re-raises with every leg still open and
-    rollbackable.  A write-free commit installs nothing, takes no
-    locks, makes nothing durable and doesn't count.
+    Any :class:`OCCConflict` unwinds the already-installed legs and
+    re-raises with every leg still open and rollbackable; so does a
+    commit that fails before its first store (the log is full...).  A
+    write-free commit installs nothing, takes no locks, makes nothing
+    durable and doesn't count.
 
     Because the install replays through the ordinary commit, the
     tiered DRAM page cache needs no OCC-specific hook: the commit's
@@ -298,12 +293,12 @@ def occ_commit(legs, commit):
                     scopes.enter_context(session.lock_manager.commit_scope(
                         session.sid, clock=session.engine.clock,
                     ))
-                    octx.install()
                     installed.append(octx)
-        except OCCConflict:
+                    octx.install()
+            if installed:
+                commit()
+                installed[0].obs.inc("occ.commit")
+        except Exception:
             for octx in installed:
                 octx.uninstall()
             raise
-        if installed:
-            commit()
-            installed[0].obs.inc("occ.commit")

@@ -538,7 +538,7 @@ class ShardedTransaction(Transaction):
     def _rollback_work(self):
         router = self.engine
         for index, txn in self._writers():
-            router.shards[index]._rollback_precise(txn.inner_ctx)
+            router.shards[index]._rollback(txn.inner_ctx)
             router._shard_obs[index].inc("abort")
 
     def _end(self, committed):
@@ -564,6 +564,9 @@ class ShardedTransaction(Transaction):
         grouped = router.group_commit
         if grouped:
             router._settle_twopc()
+        # A full log refuses the commit before the first prepare record.
+        for index, txn in writers:
+            router.shards[index].check_log_room(txn.inner_ctx)
         gtid = router.next_gtid()
         prepared = []
         try:
@@ -573,9 +576,9 @@ class ShardedTransaction(Transaction):
                 )
                 prepared.append((index, txn, seq))
         except Exception:
-            # A participant failed to prepare (log full...): abort the
-            # ones already prepared — their frames are durable but
-            # unpublished, so clearing the records aborts cleanly.
+            # A participant failed to prepare: abort the ones already
+            # prepared — their frames are durable but unpublished, so
+            # clearing the records aborts cleanly.
             for index, txn, _seq in prepared:
                 router.shards[index].abort_prepared(txn.inner_ctx)
             raise

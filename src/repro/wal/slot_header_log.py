@@ -37,6 +37,8 @@ _FRAMES_BASE = 16
 
 _FRAME_PAGE = 0x01
 _FRAME_ROOT = 0x02
+_PAGE_FRAME_OVERHEAD = 7   # kind, page_no, image_len
+_ROOT_FRAME_SIZE = 9
 
 
 class LogFullError(Exception):
@@ -82,6 +84,7 @@ class SlotHeaderLog:
 
     def stage_page_header(self, page_no, image):
         """Queue a page's updated slot header for the next commit."""
+        self.check_room([len(image)])
         frame = (
             bytes([_FRAME_PAGE])
             + page_no.to_bytes(4, "little")
@@ -92,6 +95,7 @@ class SlotHeaderLog:
 
     def stage_root_update(self, root_slot, page_no):
         """Queue a named-root pointer update for the next commit."""
+        self.check_room((), 1)
         frame = (
             bytes([_FRAME_ROOT])
             + root_slot.to_bytes(4, "little")
@@ -99,13 +103,20 @@ class SlotHeaderLog:
         )
         self._stage(frame)
 
-    def _stage(self, frame):
-        used = self._group_bytes + self._staged_bytes
-        if _FRAMES_BASE + used + len(frame) > self.size:
+    def check_room(self, header_lengths, root_updates=0):
+        """Raise :class:`LogFullError` unless the frames of slot
+        headers ``header_lengths`` bytes long and of ``root_updates``
+        root updates fit past the tail."""
+        need = (sum(header_lengths) + _ROOT_FRAME_SIZE * root_updates
+                + _PAGE_FRAME_OVERHEAD * len(header_lengths))
+        room = self.size - _FRAMES_BASE - self._group_bytes - self._staged_bytes
+        if need > room:
             raise LogFullError(
                 "transaction needs %d log bytes but only %d remain"
-                % (len(frame), self.size - _FRAMES_BASE - used)
+                % (need, room)
             )
+
+    def _stage(self, frame):
         self._staged.append(frame)
         self._staged_bytes += len(frame)
 

@@ -65,6 +65,7 @@ def test_protocol_list_is_the_base_public_surface():
     }
     assert public == set(PROTOCOL) | {
         "root_page_no", "page", "route", "keep", "uncommitted_pages",
+        "snapshot_state", "restore_state",
     }
 
 

@@ -4,10 +4,14 @@ Savepoint partial rollback performs durable work (reversing in-place
 child-pointer swaps), so power failures during and after
 ``rollback_to`` need the same exhaustive treatment as commits: the
 transaction's final committed effect must be exactly the
-prefix-plus-post-savepoint writes, or nothing.
+prefix-plus-post-savepoint writes, or nothing.  A whole rollback is a
+restore to the transaction's begin savepoint and does the same durable
+work: after a power failure in or before it, the state is the one the
+transaction started from.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -124,3 +128,60 @@ def test_rollback_to_does_not_free_cells_the_context_still_holds(scheme):
     recovered = engine_class(scheme).attach(cfg, engine.pm)
     recovered.verify()
     assert dict(recovered.scan()) == committed
+
+
+def fragmented_keepers(engine):
+    """Committed keepers with the dead cells of their deleted
+    neighbours between them, so a copy-on-write has work to do.
+    Returns the committed state."""
+    for i in range(24):
+        engine.insert(b"keep%03d" % i, b"k" * 30)
+    for i in range(0, 24, 2):
+        engine.delete(b"keep%03d" % i)
+    return dict(engine.scan())
+
+
+@pytest.mark.parametrize("granularity", [8, 64])
+@pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+def test_rollback_txn_crash_sweep(scheme, granularity):
+    """One transaction — doomed bulk (splits), a copy-on-write
+    ``compact`` (in-place pointer swaps), a whole ``rollback()`` —
+    executed once, its memory forked and crashed at every 37th event
+    before the rollback and at every event of it.  Each recovers the
+    state before the transaction, and so does the finished run."""
+    cfg = config(scheme, granularity)
+    pm = CrashablePM(
+        cfg.arena_bytes, latency=cfg.latency, cost=cfg.cost,
+        atomic_granularity=granularity, cache_lines=cfg.cache_lines,
+    )
+    engine = engine_class(scheme).create(cfg, pm=pm)
+    before = fragmented_keepers(engine)
+    rolling_back = False
+    crashes = {False: 0, True: 0}
+
+    def visit(live):
+        if not rolling_back and live.events % 37 != 1:
+            return
+        image = live.fork()
+        image.crash(RandomPersist(rng=random.Random(live.events)))
+        recovered = engine_class(scheme).attach(cfg, image)
+        recovered.verify()
+        assert dict(recovered.scan()) == before, live.events
+        crashes[rolling_back] += 1
+
+    pm.arm(range(1, sys.maxsize), visit)
+    try:
+        txn = engine.transaction()
+        for i in range(40):
+            txn.insert(b"doom%03d" % i, b"d" * 30)
+        assert engine.tree(0).compact(txn.ctx, min_waste=16)
+        assert txn.ctx.pointer_swaps
+        rolling_back = True
+        txn.rollback()
+    finally:
+        pm.armed = False
+    assert crashes[False] > 5 and crashes[True] > 0, crashes
+    engine.verify()
+    assert dict(engine.scan()) == before
+    assert (len(engine.reachable_pages()) + engine.store.free_page_count()
+            == cfg.npages - 1)
