@@ -1,49 +1,48 @@
 """Trace-checked corpora: curated runs with a :class:`TraceChecker`
-attached.
+riding them.
 
-Four harnesses, together covering every execution mode the dynamic
-invariants apply to:
+Every corpus is one row of :data:`CORPORA` — a run shape of the crash
+driver (:mod:`repro.testing.crashsim`), a ``SystemConfig``, the
+checker it arms, and optional crash-sweep arguments — and
+:func:`run_corpus` runs every row the same way.  A plain row runs as
+``crash_at(shape, None, ...)``: a completed run whose live state must
+equal the committed-prefix model and whose clients must all drain.  A
+swept row runs as ``crash_sweep(shape, ...)``, forking its one
+execution at every sampled event.  The checker observes the run
+itself, never a fork's recovery; every model or sweep violation
+becomes a TC000 finding, so a broken execution can never report a
+clean trace.
 
-* :func:`run_single_client` — FAST / FAST⁺ single-session workloads
-  with full checking (flush coverage, mark atomicity, live-range
-  protection refreshed from the committed state before every
-  transaction);
-* :func:`run_group_commit` — the single-client workload with
-  epoch-pipelined group commit on: each group mark is checked exactly
-  like a transaction mark (every member's log lines flushed + fenced
-  before the one shared fence, the mark a single ≤8-byte store);
-* :func:`run_scheduled` — the multi-client contention bench under the
-  deterministic scheduler, checking ordering plus strict 2PL off the
-  lock/txn event stream (live ranges are per-transaction snapshots,
-  which interleaving invalidates, so that invariant is out of scope
-  here); ``run_all`` drives it grouped, ungrouped, and with a warmed
-  DRAM page cache whose frames only the locked writers' contexts hit;
-* :func:`run_mvcc_scheduled` — writers plus read-only MVCC sessions,
-  adding the snapshot invariant (TC107): a read-only transaction must
-  acquire zero locks and only resolve versions with commit timestamp
-  ≤ its pinned snapshot timestamp; ``run_all`` drives it (and the OCC
-  variant) a second time with the tiered DRAM page cache enabled and
-  the cache coherence invariant (TC111) armed — no cached read may
-  serve bytes older than the latest committed install for its page;
-* :func:`run_occ_single_client` / :func:`run_occ_scheduled` /
-  :func:`run_occ_crash_swept` — the optimistic writer path (TC109): a
-  lock-free read phase, commit-time validation against the version
-  publish history, installs under short X locks only after a clean
-  validation — single-session, racing 2PL writers and MVCC readers
-  under the scheduler (grouped and ungrouped), and crash-swept;
-* :func:`run_crash_swept` — the crash-injection sweep with a checker
-  riding along on its one execution: ordering violations surface even
-  at crash points that happen to recover correctly;
-* :func:`run_sharded_scheduled` — clients over a sharded router with
-  single- and cross-shard transactions, adding the 2PC invariant
-  (TC108: no shard commit mark before its prepare record and the
-  coordinator decision) plus per-shard flush/atomic checkers scoped to
-  each shard's own log and commit word;
-* :func:`run_sharded_crash_swept` — the cross-shard crash sweep with a
-  TC108-armed checker riding its one execution.
+The rows, each over FAST and FAST⁺:
 
-``python -m repro.analysis --trace-check`` runs all of them and merges
-the findings.
+* *single client* (plain, grouped) — one client with full checking
+  (flush coverage, mark atomicity, live-range protection refreshed
+  from the committed state before every transaction); grouped, every
+  ≤8-byte group mark is checked like a transaction mark (every
+  member's log lines flushed + fenced before the one shared fence);
+* *scheduled* (plain, grouped, cached) — four 2PL clients under the
+  deterministic scheduler over a preloaded key space, checking
+  ordering plus strict 2PL off the lock/txn event stream (live ranges
+  are per-transaction snapshots, which interleaving invalidates, so
+  that rule is out of scope in every scheduled row); cached, the
+  locked writers' contexts hit the warmed DRAM tier and TC111 checks
+  every hit;
+* *mvcc* (plain, cached) — two 2PL writers and two read-only MVCC
+  sessions: TC107 fires if a snapshot session takes a lock or resolves
+  a version younger than its snapshot;
+* *occ single client* — one OCC session (TC109 audits each
+  validation; its install's commit is checked like a 2PL commit);
+* *occ scheduled* (plain, grouped, cached) — OCC writers racing a 2PL
+  writer and an MVCC reader, so validation aborts, install conflicts,
+  retries and 2PL fallbacks all happen under the checker;
+* *occ crash swept*, *crash swept* — crash sweeps of an OCC + 2PL
+  schedule and of the single-client workload;
+* *sharded*, *sharded crash swept* — clients over a two-shard router
+  with single- and cross-shard transactions, adding the 2PC rule
+  (TC108); the plain row also checks each shard's own log and commit
+  word (:class:`ShardCheckers`).
+
+``python -m repro.analysis --trace-check`` runs :func:`run_all`.
 
 One corpus lives outside ``run_all`` because it multiplies executions
 rather than adding one: :func:`run_explored` model-checks *every
@@ -53,10 +52,16 @@ a mixed locked/OCC/read-only workload, with a bounded schedule ×
 crash-point product.  ``python -m repro.analysis --explore`` drives it.
 """
 
+from collections import namedtuple
+from functools import partial
+
+from repro.analysis.findings import Finding
 from repro.analysis.tracecheck import TraceChecker
-from repro.core import SystemConfig, open_engine
+from repro.bench.multiclient import client_workload, sharded_client_workload
+from repro.core import SystemConfig
 from repro.testing.crashsim import (
-    SMALL_CONFIG, ScheduledRun, ShardedRun, SingleRun, crash_sweep, failing,
+    SMALL_CONFIG, ScheduledRun, ShardedRun, SingleRun, crash_at,
+    crash_sweep, failing,
 )
 
 #: Schemes with a commit mark the ordering invariants apply to.
@@ -83,312 +88,175 @@ def _workload(items):
     return ops
 
 
-def _execute(txn, item):
-    ops = item[1] if item[0] == "txn" else [item]
-    for kind, key, value in ops:
-        if kind == "insert":
-            txn.insert(key, value, replace=True)
-        elif kind == "update":
-            txn.update(key, value)
-        else:
-            txn.delete(key)
+#: The scheduled rows' hot key space, half of it preloaded so reads
+#: hit and writes update shared pages.
+PRELOAD = {b"mk%05d" % i: bytes(48) for i in range(0, 200, 4)}
 
 
-def _account(engine, checker):
-    stats = checker.stats
-    engine.obs.inc("analysis.trace.txns", stats["txns"])
-    engine.obs.inc("analysis.trace.events", stats["events"])
-    engine.obs.inc("analysis.trace.findings", stats["findings"])
-    return stats
-
-
-def run_single_client(scheme, *, items=30, config=None):
-    """Full-invariant checked run of one session; returns
-    ``(findings, stats)``."""
-    config = config or SystemConfig(**SMALL_CONFIG)
-    engine = open_engine(config, scheme=scheme)
-    checker = TraceChecker.for_engine(engine)
-    for item in _workload(items):
-        checker.begin_txn(TraceChecker.live_ranges_of(engine))
-        txn = engine.transaction()
-        _execute(txn, item)
-        txn.commit()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def run_group_commit(scheme, *, items=30, config=None):
-    """Full-invariant checked run with epoch-pipelined group commit on:
-    the single-client workload committing through shared fences and
-    ≤8-byte group marks.  TC101/TC102 validate every group mark — one
-    mark, every member's log lines flushed and fenced before it — and
-    the end-of-run drain closes the last epoch under the checker."""
-    config = config or SystemConfig(
-        group_commit_size=4, **SMALL_CONFIG
-    )
-    engine = open_engine(config, scheme=scheme)
-    checker = TraceChecker.for_engine(engine)
-    for item in _workload(items):
-        checker.begin_txn(TraceChecker.live_ranges_of(engine))
-        txn = engine.transaction()
-        _execute(txn, item)
-        txn.commit()
-    engine.drain_group_commit()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def run_scheduled(scheme, *, clients=4, items=12, config=None):
-    """Ordering + strict-2PL checked multi-client scheduler run.  With
-    a DRAM page cache in ``config`` the locked writers' contexts read
-    through it, and TC111 checks every one of their hits."""
-    from repro.bench.multiclient import client_workload
-    from repro.core.scheduler import Scheduler
-
-    config = config or SystemConfig(**SMALL_CONFIG)
-    engine = open_engine(config, scheme=scheme)
-    payload = bytes(48)
-    for i in range(0, 200, 4):
-        engine.insert(b"mk%05d" % i, payload, replace=True)
-    if engine.page_cache is not None:
-        # Writer contexts hit frames but never fill one, so a committed
-        # scan warms the tier — before the checker attaches: TC111 has
-        # to pick these frames up from their first observed hit.
-        list(engine.scan())
-    checker = TraceChecker.for_engine(
-        engine, invariants=("flush", "atomic", "twopl", "cache"),
-    )
-    # Drain the ring after every step: the checker never lets the ring
-    # wrap, and the wait-for graph is validated at every grant.
-    scheduler = Scheduler(engine, on_step=lambda _client: checker.advance())
-    for index in range(clients):
-        scheduler.add_client(client_workload(index, items=items))
-    scheduler.run()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def run_mvcc_scheduled(scheme, *, writers=2, readers=2, items=12,
-                       config=None):
-    """Writers under 2PL plus lock-free MVCC reader sessions, with the
-    snapshot invariant armed: TC107 fires if any read-only session
-    acquires a lock or resolves a version younger than its snapshot."""
-    from repro.bench.multiclient import client_workload
-    from repro.core.scheduler import Scheduler
-
-    config = config or SystemConfig(**SMALL_CONFIG)
-    engine = open_engine(config, scheme=scheme)
-    payload = bytes(48)
-    for i in range(0, 200, 4):
-        engine.insert(b"mk%05d" % i, payload, replace=True)
-    checker = TraceChecker.for_engine(
-        engine, invariants=("flush", "atomic", "twopl", "snapshot", "cache"),
-    )
-    scheduler = Scheduler(engine, on_step=lambda _client: checker.advance())
-    for index in range(writers):
-        scheduler.add_client(client_workload(index, items=items))
-    for index in range(writers, writers + readers):
-        scheduler.add_client(
-            client_workload(index, items=items, read_ratio=1.0),
-            read_only=True,
-        )
-    scheduler.run()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def run_occ_single_client(scheme, *, items=30, config=None):
-    """Full-invariant checked run of one OCC session: lock-free read
-    phase, commit-time validation, write-set install under short X
-    locks — the live-range and mark-ordering rules apply to the
-    install's commit exactly as to a 2PL transaction's, and the occ
-    invariant (TC109) audits the validation exchange itself."""
-    config = config or SystemConfig(**SMALL_CONFIG)
-    engine = open_engine(config, scheme=scheme)
-    checker = TraceChecker.for_engine(engine)
-    with engine.session("occ", isolation="occ") as session:
-        for item in _workload(items):
-            checker.begin_txn(TraceChecker.live_ranges_of(engine))
-            txn = session.transaction()
-            _execute(txn, item)
-            txn.commit()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def run_occ_scheduled(scheme, *, occ=2, locked=1, readers=1, items=10,
-                      config=None):
-    """Mixed-isolation scheduler run with the occ invariant armed: OCC
-    writers racing 2PL writers and MVCC readers over one hot keyspace,
-    so validation aborts, install conflicts, retries, and 2PL
-    fallbacks all happen under the checker (TC104-TC107 plus TC109 off
-    one interleaved event stream)."""
-    from repro.bench.multiclient import client_workload
-    from repro.core.scheduler import Scheduler
-
-    config = config or SystemConfig(**SMALL_CONFIG)
-    engine = open_engine(config, scheme=scheme)
-    payload = bytes(48)
-    for i in range(0, 200, 4):
-        engine.insert(b"mk%05d" % i, payload, replace=True)
-    checker = TraceChecker.for_engine(
-        engine,
-        invariants=("flush", "atomic", "twopl", "snapshot", "occ", "cache"),
-    )
-    scheduler = Scheduler(engine, on_step=lambda _client: checker.advance())
-    for index in range(occ):
-        scheduler.add_client(
-            client_workload(index, items=items), isolation="occ",
-        )
-    for index in range(occ, occ + locked):
-        scheduler.add_client(client_workload(index, items=items))
-    for index in range(occ + locked, occ + locked + readers):
-        scheduler.add_client(
-            client_workload(index, items=items, read_ratio=1.0),
-            isolation="read_only",
-        )
-    scheduler.run()
-    findings = checker.finish()
-    return findings, _account(engine, checker)
-
-
-def _crash_swept(label, shape, make_checker, **sweep):
-    """One crash sweep (seed 0: each point's own seed) with one checker
-    riding its single execution; recovery on the forks is unchecked
-    (its redo stores legitimately rewrite live bytes).  Correctness of
-    the recovered state stays the sweep's own job — each failing point
-    surfaces as a TC000 finding, so a broken execution can never report
-    a clean trace."""
-    from repro.analysis.findings import Finding
-
-    checkers = []
-
-    def factory(engine):
-        checkers.append(make_checker(engine))
-        return checkers[-1]
-
-    failures = failing(crash_sweep(
-        shape, seeds=(0,), checker_factory=factory, **sweep,
-    ))
-    (checker,) = checkers
-    findings = list(checker.finish())
-    for budget, result in failures:
-        findings.append(Finding(
-            "TC000",
-            "%s violation at budget %d: %s"
-            % (label, budget, "; ".join(result.violations)),
-        ))
-    stats = {key: checker.stats[key] for key in ("txns", "events", "findings")}
-    return findings, stats
-
-
-def run_occ_crash_swept(scheme, *, items=4, stride=11, max_points=30):
-    """Scheduled crash sweep with an OCC client racing a 2PL client and
-    an occ-armed checker riding the run (see :func:`_crash_swept`)."""
-    from repro.bench.multiclient import client_workload
-
-    workloads = [
-        {"items": client_workload(0, items=items), "isolation": "occ"},
-        client_workload(1, items=items),
+def _clients(items, modes):
+    """One scheduler client per isolation mode, client ``i`` running
+    ``client_workload(i)`` (all reads for a read-only client)."""
+    return [
+        {"items": client_workload(
+            index, items=items,
+            read_ratio=1.0 if mode == "read_only" else 0.5,
+        ), "isolation": mode}
+        for index, mode in enumerate(modes)
     ]
-    return _crash_swept(
-        "occ crash sweep", ScheduledRun(scheme, workloads),
-        lambda engine: TraceChecker.for_engine(
-            engine,
-            invariants=("flush", "atomic", "twopl", "snapshot", "occ"),
-        ),
-        stride=stride, max_points=max_points,
+
+
+def _single(items, isolation=None):
+    return lambda scheme: SingleRun(
+        scheme, _workload(items), isolation=isolation,
     )
 
 
-def run_crash_swept(scheme, *, items=6, stride=7, max_points=40):
-    """The crash-injection sweep with a full checker riding the run
-    (see :func:`_crash_swept`): ordering violations surface even at
-    crash points that happen to recover correctly."""
-    return _crash_swept(
-        "crash sweep", SingleRun(scheme, _workload(items)),
-        TraceChecker.for_engine, stride=stride, max_points=max_points,
+def _scheduled(items, modes, preload=PRELOAD):
+    return lambda scheme: ScheduledRun(
+        scheme, _clients(items, modes), preload=preload,
     )
 
 
-def run_sharded_scheduled(scheme, *, shards=2, clients=4, items=10,
-                          cross_ratio=0.25, config=None):
-    """Clients over a sharded router, mixing single-shard and 2PC
-    cross-shard transactions, with TC108 armed.
+def _sharded(items, cross_ratio, key_space, clients, occ=False):
+    """``clients`` 2PL clients over a two-shard router; with ``occ``
+    one more, optimistic, over client 0's exact key slice: per-shard
+    validation + install inside the commit path, single- and
+    cross-shard alike, with contention guaranteed."""
+    def client(index):
+        return sharded_client_workload(
+            index, items=items, cross_ratio=cross_ratio,
+            key_space=key_space, read_ratio=0.2,
+        )
 
-    One global checker reads the merged trace for the 2PL + 2PC
-    invariants; additionally each shard gets a checker scoped to *its*
-    log range and commit word for the flush/atomic ordering rules —
-    other shards' stores fall outside its geometry and are ignored, so
+    def shape(scheme):
+        workloads = [client(index) for index in range(clients)]
+        if occ:
+            workloads.append({"items": client(0), "isolation": "occ"})
+        return ShardedRun(scheme, workloads)
+
+    return shape
+
+
+class ShardCheckers:
+    """The checker of a sharded run: one over the router's merged trace
+    for the 2PL + 2PC + OCC rules, and one per shard scoped to *its*
+    log range and commit word for the flush/atomic rules — other
+    shards' stores fall outside its geometry and are ignored, so
     per-shard commit discipline is checked shard by shard off one
-    interleaved event stream.
-    """
-    from repro.bench.multiclient import sharded_client_workload
-    from repro.core.scheduler import Scheduler
-    from repro.storage.sharding import ShardRouter
+    interleaved event stream.  Its stats are the global checker's."""
 
-    config = config or SystemConfig(**SMALL_CONFIG)
-    router = ShardRouter.create(config, shards, scheme=scheme)
-    checkers = [
-        TraceChecker(router.trace, invariants=("twopl", "twopc", "occ"))
-    ]
-    for shard in router.shards:
-        checkers.append(TraceChecker.for_engine(
-            shard, invariants=("flush", "atomic"), shared_trace=True,
-        ))
+    def __init__(self, router):
+        self.checkers = [
+            TraceChecker(router.trace, invariants=("twopl", "twopc", "occ"))
+        ] + [
+            TraceChecker.for_engine(
+                shard, invariants=("flush", "atomic"), shared_trace=True,
+            )
+            for shard in router.shards
+        ]
 
-    def drain(_client):
-        for checker in checkers:
+    def advance(self):
+        for checker in self.checkers:
             checker.advance()
 
-    scheduler = Scheduler(router, on_step=drain)
-    for index in range(clients):
-        scheduler.add_client(sharded_client_workload(
-            index, items=items, cross_ratio=cross_ratio,
-            key_space=20, read_ratio=0.2,
+    def finish(self):
+        return [f for checker in self.checkers for f in checker.finish()]
+
+    def close(self):
+        for checker in self.checkers:
+            checker.close()
+
+    @property
+    def stats(self):
+        return self.checkers[0].stats
+
+
+#: Every rule armed (a single client refreshes live ranges per
+#: transaction).
+_EVERY = TraceChecker.for_engine
+#: Every rule but ``live``, whose per-transaction live-range snapshots
+#: interleaving invalidates, and ``lockset``, which needs the
+#: explorer's per-step actor.
+_INTERLEAVED = partial(TraceChecker.for_engine, invariants=(
+    "flush", "atomic", "twopl", "snapshot", "occ", "cache",
+))
+
+#: One trace-check corpus: ``shape(scheme)`` builds the run, ``checker(
+#: engine)`` the checker riding it; ``config`` None is the crash
+#: driver's small arena, and ``sweep`` (crash-sweep arguments) makes
+#: it a swept row.
+Corpus = namedtuple(
+    "Corpus", "label shape checker config sweep", defaults=(None, None),
+)
+
+_GROUPED = SystemConfig(group_commit_size=4, **SMALL_CONFIG)
+#: A tiered DRAM page cache: snapshot readers fill and hit frames and
+#: locked writers' contexts hit them, so TC111 sees traffic from both.
+_CACHED = SystemConfig(dram_cache_pages=16, **SMALL_CONFIG)
+
+_LOCKED = ("locked",) * 4
+_MVCC = ("locked", "locked", "read_only", "read_only")
+_OCC = ("occ", "occ", "locked", "read_only")
+
+#: The trace-check corpora; :func:`run_all` runs each over every scheme.
+CORPORA = (
+    Corpus("single client", _single(30), _EVERY),
+    Corpus("group commit", _single(30), _EVERY, _GROUPED),
+    Corpus("scheduled", _scheduled(12, _LOCKED), _INTERLEAVED),
+    Corpus("scheduled grouped", _scheduled(12, _LOCKED), _INTERLEAVED,
+           _GROUPED),
+    Corpus("scheduled cached", _scheduled(12, _LOCKED), _INTERLEAVED,
+           _CACHED),
+    Corpus("mvcc", _scheduled(12, _MVCC), _INTERLEAVED),
+    Corpus("mvcc cached", _scheduled(12, _MVCC), _INTERLEAVED, _CACHED),
+    Corpus("occ single client", _single(30, "occ"), _EVERY),
+    Corpus("occ scheduled", _scheduled(10, _OCC), _INTERLEAVED),
+    Corpus("occ scheduled grouped", _scheduled(10, _OCC), _INTERLEAVED,
+           _GROUPED),
+    Corpus("occ scheduled cached", _scheduled(10, _OCC), _INTERLEAVED,
+           _CACHED),
+    Corpus("occ crash swept", _scheduled(4, ("occ", "locked"), ()),
+           _INTERLEAVED, sweep=dict(stride=11, max_points=30)),
+    Corpus("crash swept", _single(6), _EVERY,
+           sweep=dict(stride=7, max_points=40)),
+    Corpus("sharded", _sharded(10, 0.25, 20, 4, occ=True), ShardCheckers),
+    Corpus("sharded crash swept", _sharded(3, 0.5, 8, 2), ShardCheckers,
+           sweep=dict(stride=9, max_points=30)),
+)
+
+
+def run_corpus(corpus, scheme):
+    """Run one :data:`CORPORA` row on ``scheme`` with its checker
+    riding the one execution (seed 0 on a sweep: each point's own
+    seed); returns ``(findings, stats)``.  Each model or sweep
+    violation is a TC000 finding."""
+    shape = corpus.shape(scheme)
+    if corpus.sweep is None:
+        results = [(None, crash_at(
+            shape, None, config=corpus.config,
+            checker_factory=corpus.checker,
+        ))]
+    else:
+        results = crash_sweep(
+            shape, config=corpus.config, seeds=(0,),
+            checker_factory=corpus.checker, **corpus.sweep,
+        )
+    checker = shape.checker  # the checked execution's (built last)
+    findings = list(checker.finish())
+    for point, result in failing(results):
+        findings.append(Finding(
+            "TC000",
+            "%s %s violation%s: %s" % (
+                scheme, corpus.label,
+                "" if point is None else " at budget %d" % point,
+                "; ".join(result.violations),
+            ),
         ))
-    # One optimistic client over client 0's exact key slice: per-shard
-    # validation + install inside the commit path, single-shard and
-    # cross-shard (2PC) alike, with contention guaranteed.
-    scheduler.add_client(
-        sharded_client_workload(
-            0, items=items, cross_ratio=cross_ratio,
-            key_space=20, read_ratio=0.2,
-        ),
-        isolation="occ",
-    )
-    scheduler.run()
-    findings = []
-    for checker in checkers:
-        findings.extend(checker.finish())
-    stats = {
-        "txns": 0,
-        "events": checkers[0].stats["events"],
+    stats = checker.stats
+    return findings, {
+        "txns": stats["txns"], "events": stats["events"],
         "findings": len(findings),
     }
-    router.obs.inc("analysis.trace.events", stats["events"])
-    router.obs.inc("analysis.trace.findings", stats["findings"])
-    return findings, stats
-
-
-def run_sharded_crash_swept(scheme, *, shards=2, stride=9, max_points=30):
-    """The cross-shard crash sweep with a TC108-armed checker riding
-    the run (see :func:`_crash_swept`)."""
-    from repro.bench.multiclient import sharded_client_workload
-
-    workloads = [
-        sharded_client_workload(
-            index, items=3, cross_ratio=0.5, key_space=8, read_ratio=0.2,
-        )
-        for index in range(2)
-    ]
-    return _crash_swept(
-        "sharded crash sweep", ShardedRun(scheme, workloads, shards),
-        lambda router: TraceChecker(
-            router.obs.trace, invariants=("twopl", "twopc"),
-        ),
-        stride=stride, max_points=max_points,
-    )
 
 
 def mixed_explore_workloads():
@@ -452,39 +320,17 @@ def run_explored(schemes=("fast",), *, budget=None, clients=2,
 
 
 def run_all(schemes=SCHEMES):
-    """Every corpus over every scheme; returns ``(findings, stats)``."""
+    """Every corpus over every scheme; returns ``(findings, stats)``
+    with corpus totals and one ``rows`` entry per run."""
     findings = []
-    totals = {"txns": 0, "events": 0, "findings": 0, "runs": 0}
-
-    def merge(result):
-        run_findings, stats = result
-        findings.extend(run_findings)
-        for key in ("txns", "events"):
-            totals[key] += stats[key]
-        totals["findings"] += len(run_findings)
-        totals["runs"] += 1
-
-    grouped = SystemConfig(
-        group_commit_size=4, **SMALL_CONFIG
-    )
-    # Tiered DRAM page cache on: snapshot readers fill and hit frames
-    # and locked writers' contexts hit them, so the TC111 coherence
-    # invariant sees real cache traffic from both sides.
-    cached = SystemConfig(dram_cache_pages=16, **SMALL_CONFIG)
+    rows = []
     for scheme in schemes:
-        merge(run_single_client(scheme))
-        merge(run_group_commit(scheme))
-        merge(run_scheduled(scheme))
-        merge(run_scheduled(scheme, config=grouped))
-        merge(run_scheduled(scheme, config=cached))
-        merge(run_mvcc_scheduled(scheme))
-        merge(run_mvcc_scheduled(scheme, config=cached))
-        merge(run_occ_single_client(scheme))
-        merge(run_occ_scheduled(scheme))
-        merge(run_occ_scheduled(scheme, config=grouped))
-        merge(run_occ_scheduled(scheme, config=cached))
-        merge(run_occ_crash_swept(scheme))
-        merge(run_crash_swept(scheme))
-        merge(run_sharded_scheduled(scheme))
-        merge(run_sharded_crash_swept(scheme))
-    return findings, totals
+        for corpus in CORPORA:
+            run_findings, stats = run_corpus(corpus, scheme)
+            findings.extend(run_findings)
+            rows.append(dict(stats, scheme=scheme, label=corpus.label))
+    totals = {
+        key: sum(row[key] for row in rows)
+        for key in ("txns", "events", "findings")
+    }
+    return findings, dict(totals, runs=len(rows), rows=rows)

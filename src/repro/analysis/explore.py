@@ -73,8 +73,8 @@ Findings
 * TC101-TC111 from the riding :class:`TraceChecker` (per schedule);
 * ``EX000`` — an engine exception or scheduler failure under an
   explored (legal) schedule;
-* ``EX001`` — a committed state that differs from the serial replay
-  of its own commit order (serializability violation);
+* ``EX001`` — a committed state that differs from the committed-
+  prefix model of its own commit order (serializability violation);
 * ``EX002`` — a crash-sweep violation under a forced explored
   schedule (the product mode).
 
@@ -92,10 +92,12 @@ from repro.core.locking import (
     _COMPATIBLE, _upgrade, LOCK_S, LOCK_X, decode_lock,
 )
 from repro.core.scheduler import (
-    RetriesExhausted, Scheduler, SchedulerError, _ops_of, client_spec,
+    RetriesExhausted, Scheduler, SchedulerError, client_spec,
 )
 from repro.obs import trace as ev
-from repro.testing.crashsim import SMALL_CONFIG, ScheduledRun, crash_sweep
+from repro.testing.crashsim import (
+    SMALL_CONFIG, ScheduledRun, _committed_items, _replay, crash_sweep,
+)
 
 #: Invariants armed on every explored schedule.  ``live`` is out of
 #: scope (its per-transaction live-range snapshots are invalidated by
@@ -483,7 +485,9 @@ class Explorer:
 
     def _check_schedule(self, engine, scheduler, path):
         """Digest the committed state; run the serializability oracle
-        once per distinct digest."""
+        once per distinct digest: the state must be the committed-
+        prefix model of the commit order (the dict model
+        ``check_committed_prefix`` and the crash sweeps use)."""
         if not self.oracle:
             return
         final = tuple(sorted(engine.scan()))
@@ -493,42 +497,16 @@ class Explorer:
             self.stats["pruned_state"] += 1
             return
         self._digests[digest] = path
-        serial = self._serial_state(order)
-        if serial != final:
+        model = tuple(sorted(_replay(
+            _committed_items(scheduler.clients, order), self.preload,
+        ).items()))
+        if model != final:
             self._add_finding(Finding(
                 "EX001",
-                "schedule %s: committed state diverges from the serial "
-                "replay of its commit order %s (%d vs %d records)"
-                % (list(path), list(order), len(final),
-                   len(serial) if isinstance(serial, tuple) else -1),
+                "schedule %s: committed state is not the committed-"
+                "prefix model of its commit order %s (%d vs %d records)"
+                % (list(path), list(order), len(final), len(model)),
             ))
-
-    def _serial_state(self, commit_order):
-        """The committed items replayed serially, in commit order, on a
-        fresh engine — the one state a serializable schedule may
-        produce."""
-        engine = open_engine(self.config, scheme=self.scheme)
-        for key, value in self.preload:
-            engine.insert(key, value, replace=True)
-        items_of = {}
-        for index, workload in enumerate(self.workloads):
-            items, _isolation = client_spec(workload)
-            items_of["c%d" % index] = items
-        try:
-            for name, item_idx in commit_order:
-                txn = engine.transaction()
-                for kind, key, value in _ops_of(items_of[name][item_idx]):
-                    if kind == "insert":
-                        txn.insert(key, value, replace=True)
-                    elif kind == "update":
-                        txn.update(key, value)
-                    elif kind == "delete":
-                        txn.delete(key)
-                txn.commit()
-        except Exception as err:
-            return ("serial replay failed",
-                    "%s: %s" % (type(err).__name__, err))
-        return tuple(sorted(engine.scan()))
 
     # -- race analysis -----------------------------------------------------
 

@@ -21,9 +21,7 @@ from repro.core.locking import (
 )
 from repro.core.occ import OCCConflict, OccContext, occ_commit
 from repro.core.session import ISOLATION_MODES, Session
-from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
-from repro.pm.stats import MemoryStats
 from repro.storage.defrag import defragment_into
 from repro.storage.pagestore import N_ROOT_SLOTS, PageStore
 from repro.storage.slotted_page import CELL_HEADER_SIZE
@@ -702,16 +700,7 @@ class Engine:
     @classmethod
     def build_pm(cls, config):
         """A fresh arena with the config's latency/cost/crash model."""
-        return PersistentMemory(
-            config.arena_bytes,
-            latency=config.latency,
-            cost=config.cost,
-            clock=SimClock(),
-            stats=MemoryStats(),
-            atomic_granularity=config.atomic_granularity,
-            cache_lines=config.cache_lines,
-            flush_instruction=config.flush_instruction,
-        )
+        return PersistentMemory.for_config(config)
 
     @classmethod
     def create(cls, config, pm=None):

@@ -139,6 +139,22 @@ def _ops_of(item):
     return [item]
 
 
+def execute_op(txn, kind, key, value):
+    """Run one workload operation in ``txn``: the one op dispatch of
+    the scheduler and the crash driver's run shapes (``think`` is the
+    scheduler's own and never reaches here)."""
+    if kind == "insert":
+        txn.insert(key, value, replace=True)
+    elif kind == "update":
+        txn.update(key, value)
+    elif kind == "delete":
+        txn.delete(key)
+    elif kind == "search":
+        txn.search(key)
+    else:
+        raise SchedulerError("unknown op kind %r" % (kind,))
+
+
 def client_spec(workload):
     """``(items, isolation)`` of one client workload entry as the
     crash and exploration harnesses spell it: a plain item list (a
@@ -376,20 +392,12 @@ class Scheduler:
                 return
         else:
             try:
-                if kind == "insert":
-                    txn.insert(key, value, replace=True)
-                elif kind == "update":
-                    txn.update(key, value)
-                elif kind == "delete":
-                    txn.delete(key)
-                elif kind == "search":
-                    txn.search(key)
-                    client.reads += 1
-                else:
-                    raise SchedulerError("unknown op kind %r" % (kind,))
+                execute_op(txn, kind, key, value)
             except LockConflict as conflict:
                 self._on_conflict(client, conflict)
                 return
+            if kind == "search":
+                client.reads += 1
             client.op_idx += 1
         if client.op_idx >= len(client.ops):
             try:

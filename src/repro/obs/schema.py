@@ -61,9 +61,6 @@ COUNTERS = frozenset({
     # wal/twopc.py + storage/sharding.py — cross-shard two-phase commit
     "twopc.prepare", "twopc.decision", "twopc.commit",
     "twopc.resolve.commit", "twopc.resolve.abort",
-    # analysis/corpus.py — trace-checker harness bookkeeping
-    "analysis.trace.txns", "analysis.trace.events",
-    "analysis.trace.findings",
     # analysis/explore.py — schedule-space exploration (DPOR)
     "explore.schedules", "explore.attempts", "explore.steps",
     "explore.nodes", "explore.states",

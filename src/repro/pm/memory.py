@@ -246,6 +246,20 @@ class PersistentMemory(_Arena):
         # footnote 2), so the simulation forbids it outright.
         self.flush_forbidden = False
 
+    @classmethod
+    def for_config(cls, config, size=None):
+        """A fresh arena with ``config``'s latency, cost, crash model
+        and flush instruction; ``size`` defaults to the config's own
+        arena (a sharded router passes its whole span)."""
+        return cls(
+            size or config.arena_bytes,
+            latency=config.latency,
+            cost=config.cost,
+            atomic_granularity=config.atomic_granularity,
+            cache_lines=config.cache_lines,
+            flush_instruction=config.flush_instruction,
+        )
+
     # ------------------------------------------------------------------
     # Loads
     # ------------------------------------------------------------------

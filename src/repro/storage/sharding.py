@@ -55,9 +55,7 @@ from repro.core.base import Transaction
 from repro.core.locking import find_cycle
 from repro.core.session import ISOLATION_MODES, Session
 from repro.obs import trace as ev
-from repro.pm.clock import SimClock
 from repro.pm.memory import PersistentMemory
-from repro.pm.stats import MemoryStats
 from repro.wal.twopc import CoordinatorLog
 
 #: Shard index bits OR-ed into lock resource ids (page numbers and
@@ -138,15 +136,8 @@ class ShardRouter:
     @classmethod
     def build_pm(cls, config, nshards):
         """One arena sized for ``nshards`` slices + the coordinator."""
-        return PersistentMemory(
-            total_arena_bytes(config, nshards),
-            latency=config.latency,
-            cost=config.cost,
-            clock=SimClock(),
-            stats=MemoryStats(),
-            atomic_granularity=config.atomic_granularity,
-            cache_lines=config.cache_lines,
-            flush_instruction=config.flush_instruction,
+        return PersistentMemory.for_config(
+            config, total_arena_bytes(config, nshards),
         )
 
     @classmethod

@@ -35,6 +35,7 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.core import SystemConfig, engine_class
+from repro.core.scheduler import _ops_of, execute_op
 from repro.obs.trace import RECOVERY_REPLAY
 from repro.pm.crash import DropAll, RandomPersist
 from repro.pm.memory import PersistentMemory
@@ -163,44 +164,25 @@ class CrashTestResult:
         return not self.violations
 
 
-def _crashable_pm(config, size):
-    return CrashablePM(
-        size,
-        latency=config.latency,
-        cost=config.cost,
-        atomic_granularity=config.atomic_granularity,
-        cache_lines=config.cache_lines,
-    )
-
-
-def _ops_of(item):
-    """A workload item is one op or a composite ("txn", [ops...])."""
-    if item[0] == "txn":
-        return list(item[1])
-    return [item]
+def _writes_of(item):
+    """The state-changing ops of an item (reads/thinks have none)."""
+    return [
+        op for op in _ops_of(item)
+        if op[0] in ("insert", "update", "delete")
+    ]
 
 
 def _apply(model, item):
-    for kind, key, value in _ops_of(item):
+    """The dict model of committing ``item``: the reference oracle,
+    kept apart from :func:`~repro.core.scheduler.execute_op`."""
+    for kind, key, value in _writes_of(item):
         if kind == "insert":
             model[key] = value
         elif kind == "update":
             if key in model:
                 model[key] = value
-        elif kind == "delete":
+        else:
             model.pop(key, None)
-        else:
-            raise ValueError("unknown op %r" % (kind,))
-
-
-def _execute(txn, item):
-    for kind, key, value in _ops_of(item):
-        if kind == "insert":
-            txn.insert(key, value, replace=True)
-        elif kind == "update":
-            txn.update(key, value)
-        else:
-            txn.delete(key)
 
 
 def _replay(items, base=()):
@@ -219,7 +201,7 @@ def _dirtying_positions(items):
     positions = []
     for index, item in enumerate(items):
         if any(kind == "insert" or key in model
-               for kind, key, _ in _ops_of(item)):
+               for kind, key, _ in _writes_of(item)):
             positions.append(index)
         _apply(model, item)
     return positions
@@ -311,20 +293,35 @@ def _validate(engine, result, *, prefix_candidates=None):
 class _Shape:
     """What one execution builds, runs and checks.  A shape supplies
     ``run()`` and ``state()``: the ``(committed model, in-flight item,
-    group-commit prefix candidates)`` at this instant of the run."""
+    group-commit prefix candidates)`` at this instant of the run.
 
-    def __init__(self, scheme, workload):
+    ``preload`` (a mapping, or ``(key, value)`` pairs) is inserted
+    before the checker attaches and arming starts; it is the model's
+    base, as the first committed items (under group commit its last
+    inserts may still ride the open epoch).  After a preload, a
+    committed scan warms any DRAM page cache: writer contexts hit
+    frames but never fill one."""
+
+    def __init__(self, scheme, workload, preload=()):
         self.scheme = scheme
         self.workload = workload
+        self.preload = [
+            ("insert", key, value) for key, value in dict(preload).items()
+        ]
 
     def _create(self, config):
-        pm = _crashable_pm(config, config.arena_bytes)
+        pm = CrashablePM.for_config(config)
         return engine_class(self.scheme).create(config, pm=pm), pm
 
     def build(self, config, checker_factory):
         """A fresh engine and checker, before arming; returns
         ``(pm, checker)``."""
         self.engine, self.pm = self._create(config)
+        for _kind, key, value in self.preload:
+            self.engine.insert(key, value, replace=True)
+        if (self.preload
+                and getattr(self.engine, "page_cache", None) is not None):
+            list(self.engine.scan())
         self.checker = (
             checker_factory(self.engine) if checker_factory is not None
             else None
@@ -346,33 +343,47 @@ class _Shape:
 
 
 class SingleRun(_Shape):
-    """One session runs ``workload`` item by item, each item its own
-    transaction: a bare ``(op, key, value)`` or ``("txn", [ops])``.
+    """One client runs ``workload`` item by item, each item its own
+    transaction: a bare ``(op, key, value)`` or ``("txn", [ops])``,
+    ops as :func:`~repro.core.scheduler.execute_op` runs them.  With
+    ``isolation`` the transactions run in one session of that mode,
+    else on the engine's own transaction path.
 
     A ``checker_factory`` checker is refreshed from the committed
     state before every transaction, so persistence-ordering violations
     surface even at crash points that happen to recover cleanly."""
 
+    def __init__(self, scheme, workload, *, preload=(), isolation=None):
+        super().__init__(scheme, workload, preload)
+        self.isolation = isolation
+
     def build(self, config, checker_factory):
-        self.committed = {}
-        self.committed_items = []
+        self.committed = _replay(self.preload)
+        self.committed_items = list(self.preload)
         self.inflight = ()
         return super().build(config, checker_factory)
 
     def run(self):
         engine, checker = self.engine, self.checker
+        session = None
+        if self.isolation is not None:
+            session = engine.session(self.isolation, isolation=self.isolation)
+        begin = engine.transaction if session is None else session.transaction
         for item in self.workload:
             self.inflight = item
             if checker is not None:
                 # Pure PM reads: refreshing the live set never ticks
                 # an armed event or perturbs the traced store stream.
                 checker.begin_txn(checker.live_ranges_of(engine))
-            txn = engine.transaction()
-            _execute(txn, item)
+            txn = begin()
+            for op in _ops_of(item):
+                execute_op(txn, *op)
             txn.commit()
             _apply(self.committed, item)
             self.committed_items.append(item)
             self.inflight = ()
+        if session is not None:
+            session.close()
         # End-of-run durability barrier (armed: a sweep also visits
         # every crash point inside the final epoch close) — a no-op
         # with grouping off.
@@ -384,14 +395,6 @@ class SingleRun(_Shape):
             _group_candidates(self.engine, self.committed_items,
                               self.inflight),
         )
-
-
-def _writes_of(item):
-    """The state-changing ops of an item (reads/thinks have none)."""
-    return [
-        op for op in _ops_of(item)
-        if op[0] in ("insert", "update", "delete")
-    ]
 
 
 def _committed_items(clients, commit_order):
@@ -430,8 +433,9 @@ class ScheduledRun(_Shape):
     memory, so event indexes are unchanged by it.
     """
 
-    def __init__(self, scheme, workloads, pick_strategy_factory=None):
-        super().__init__(scheme, workloads)
+    def __init__(self, scheme, workloads, pick_strategy_factory=None, *,
+                 preload=()):
+        super().__init__(scheme, workloads, preload)
         self.pick_strategy_factory = pick_strategy_factory
 
     def build(self, config, checker_factory):
@@ -462,7 +466,9 @@ class ScheduledRun(_Shape):
 
     def state(self):
         scheduler = self.scheduler
-        ordered = _committed_items(scheduler.clients, scheduler.commit_order)
+        ordered = self.preload + _committed_items(
+            scheduler.clients, scheduler.commit_order,
+        )
         # Only the client that was executing can have an in-flight
         # commit; every other open transaction was parked mid-operation
         # and its effects must vanish with the volatile state.
@@ -508,14 +514,16 @@ class ShardedRun(ScheduledRun):
     committed prefix nor prefix-plus-whole-in-flight-item, and fails as
     an atomicity blend."""
 
-    def __init__(self, scheme, workloads, shards=2):
-        super().__init__(scheme, workloads)
+    def __init__(self, scheme, workloads, shards=2, *, preload=()):
+        super().__init__(scheme, workloads, preload=preload)
         self.shards = shards
 
     def _create(self, config):
         from repro.storage.sharding import ShardRouter, total_arena_bytes
 
-        pm = _crashable_pm(config, total_arena_bytes(config, self.shards))
+        pm = CrashablePM.for_config(
+            config, total_arena_bytes(config, self.shards),
+        )
         router = ShardRouter.create(
             config, self.shards, scheme=self.scheme, pm=pm,
         )

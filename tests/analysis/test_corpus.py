@@ -1,82 +1,101 @@
 """The real system passes its own dynamic invariants, the analyzer's
 self-test still fires every rule, and the harness integrations work."""
 
+import pytest
+
 from repro.analysis import corpus, selftest
 from repro.analysis.tracecheck import TraceChecker
 from repro.bench.multiclient import run_multi_client
-from repro.testing.crashsim import run_crash_sweep
+from repro.testing.crashsim import SingleRun, run_crash_sweep
 
 
 def test_selftest_every_rule_fires():
     assert selftest.run() == []
 
 
-def test_single_client_corpus_is_clean_fast():
-    findings, stats = corpus.run_single_client("fast")
+def _run(scheme, label, **overrides):
+    """Run the :data:`corpus.CORPORA` row called ``label``."""
+    (row,) = [row for row in corpus.CORPORA if row.label == label]
+    return corpus.run_corpus(row._replace(**overrides), scheme)
+
+
+def _clean(scheme, label):
+    findings, stats = _run(scheme, label)
     assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["txns"] > 0 and stats["events"] > 0
+    assert stats["events"] > 0 and stats["findings"] == 0
+    return stats
+
+
+@pytest.mark.parametrize(
+    "scheme,label",
+    [(scheme, row.label) for scheme in corpus.SCHEMES
+     for row in corpus.CORPORA],
+)
+def test_every_corpus_row_is_clean(scheme, label):
+    """Every row at its committed size: no checker finding, and the
+    completed run (or every swept point) matches the committed-prefix
+    model."""
+    _clean(scheme, label)
+
+
+def test_single_client_corpus_is_clean_fast():
+    # One live-range window per workload item.
+    assert _clean("fast", "single client")["txns"] == 54
 
 
 def test_single_client_corpus_is_clean_fastplus():
-    findings, stats = corpus.run_single_client("fastplus")
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["txns"] > 0
+    assert _clean("fastplus", "single client")["txns"] == 54
 
 
 def test_scheduled_corpus_is_clean():
-    findings, stats = corpus.run_scheduled("fast", clients=3, items=6)
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["txns"] > 0  # TXN_BEGIN events from the session layer
+    # TXN_BEGIN events from the session layer.
+    assert _clean("fast", "scheduled")["txns"] > 0
 
 
 def test_cache_armed_locked_writer_corpus_is_clean_and_watched():
     """Only locked writers' contexts touch the warmed tier here, and
     the frames were filled before the checker attached: TC111 must see
     those hits — clean on the real engine, and flagged once installs
-    stop invalidating."""
+    stop invalidating, when the run's state also leaves the committed
+    model (TC000)."""
     from repro.analysis.mutants import skip_cache_invalidate
-    from repro.core import SystemConfig
 
-    cached = SystemConfig(dram_cache_pages=16, **corpus.SMALL_CONFIG)
     for scheme in corpus.SCHEMES:
-        findings, stats = corpus.run_scheduled(scheme, config=cached)
-        assert findings == [], "\n".join(f.render() for f in findings)
-        assert stats["txns"] > 0
+        assert _clean(scheme, "scheduled cached")["txns"] > 0
     with skip_cache_invalidate():
-        findings, _ = corpus.run_scheduled("fast", config=cached)
-    assert findings and {f.rule for f in findings} == {"TC111"}
+        findings, _ = _run("fast", "scheduled cached")
+    assert {f.rule for f in findings} == {"TC111", "TC000"}
+
+
+def test_a_run_off_the_committed_model_is_a_tc000_finding():
+    """The model check is part of every row: a shape that forgets a
+    committed item fails its row with TC000 and nothing else."""
+
+    class Forgetful(SingleRun):
+        def run(self):
+            super().run()
+            self.committed.pop(next(iter(self.committed)))
+
+    findings, _ = _run("fast", "single client",
+                       shape=lambda s: Forgetful(s, corpus._workload(6)))
+    assert [f.rule for f in findings] == ["TC000"]
+    assert "phantom key" in findings[0].message
 
 
 def test_crash_swept_corpus_is_clean():
-    findings, stats = corpus.run_crash_swept(
-        "fast", items=3, stride=11, max_points=8,
-    )
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["events"] > 0
+    _clean("fast", "crash swept")
 
 
 def test_sharded_scheduled_corpus_is_clean_fast():
-    findings, stats = corpus.run_sharded_scheduled(
-        "fast", shards=2, clients=3, items=6,
-    )
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["events"] > 0
+    _clean("fast", "sharded")
 
 
 def test_sharded_scheduled_corpus_is_clean_fastplus():
-    findings, stats = corpus.run_sharded_scheduled(
-        "fastplus", shards=2, clients=3, items=6,
-    )
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["events"] > 0
+    _clean("fastplus", "sharded")
 
 
 def test_sharded_crash_swept_corpus_is_clean():
-    findings, stats = corpus.run_sharded_crash_swept(
-        "fast", shards=2, stride=13, max_points=10,
-    )
-    assert findings == [], "\n".join(f.render() for f in findings)
-    assert stats["events"] > 0
+    _clean("fast", "sharded crash swept")
 
 
 def test_crash_sweep_checker_factory_hook():

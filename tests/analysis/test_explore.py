@@ -93,7 +93,7 @@ def test_dpor_explores_strictly_fewer_schedules_than_naive():
 def test_conflicting_workload_schedules_all_pass_oracle():
     # The default workload's shared hot key makes transactions
     # genuinely conflict; every explored schedule still has to satisfy
-    # TC101-TC110 plus the commit-order serial-replay oracle.
+    # TC101-TC110 plus the committed-prefix model of its commit order.
     result = explore("fast", workloads=default_workloads(clients=2, ops=2))
     assert result["schedules"] >= 2
     assert result["findings"] == []
@@ -124,6 +124,51 @@ def test_cache_mutant_also_bites_at_the_pointer_swap():
         with pytest.raises(IndexError):  # descent into the freed old leaf
             run_seam_row("cow-defragment-swap", cache_pages=16)
     assert run_seam_row("cow-defragment-swap", cache_pages=16) == expected
+
+
+_V0, _V1, _V2 = b"v0" * 8, b"v1" * 8, b"v2" * 8
+#: Two committed multi-op items over a preloaded key, committed c0
+#: then c1: the model of that order is _PLANTED["correct"].
+_PLANTED_WORKLOADS = [
+    [("txn", [("insert", b"a", _V1), ("insert", b"shared", _V1),
+              ("delete", b"p", None)])],
+    [("txn", [("insert", b"shared", _V2), ("insert", b"b", _V2)])],
+]
+_PLANTED = {
+    "correct": {b"a": _V1, b"b": _V2, b"shared": _V2},
+    "lost write": {b"a": _V1, b"shared": _V1},
+    "phantom key": {b"a": _V1, b"b": _V2, b"shared": _V2, b"zz": _V1},
+    "stale value": {b"a": _V1, b"b": _V2, b"shared": _V1},
+    "half an item": {b"a": _V1, b"b": _V2, b"shared": _V2, b"p": _V0},
+}
+
+
+class _PlantedEngine:
+    """Stands in for the explored engine: its scan is the planted
+    final state."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def scan(self):
+        return iter(sorted(self.state.items()))
+
+
+@pytest.mark.parametrize("name", sorted(_PLANTED))
+def test_ex001_fires_on_exactly_the_wrong_planted_states(name):
+    from repro.core import open_engine
+    from repro.core.scheduler import Scheduler
+
+    explorer = Explorer("fast", workloads=_PLANTED_WORKLOADS,
+                        preload=[(b"p", _V0)])
+    scheduler = Scheduler(open_engine(explorer.config, scheme="fast"))
+    for workload in _PLANTED_WORKLOADS:
+        scheduler.add_client(workload)
+    scheduler.commit_order = [("c0", 0), ("c1", 0)]
+    explorer._check_schedule(_PlantedEngine(_PLANTED[name]), scheduler,
+                             (0, 1))
+    fired = [finding.rule for finding in explorer.findings]
+    assert fired == ([] if name == "correct" else ["EX001"])
 
 
 def test_mixed_isolation_workload_is_clean():

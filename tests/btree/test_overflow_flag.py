@@ -253,11 +253,7 @@ CRASH_TXNS = [
 
 
 def crash_and_attach(scheme, config, budget):
-    pm = CrashablePM(
-        config.arena_bytes, latency=config.latency, cost=config.cost,
-        atomic_granularity=config.atomic_granularity,
-        cache_lines=config.cache_lines,
-    )
+    pm = CrashablePM.for_config(config)
     engine = engine_class(scheme).create(config, pm=pm)
     committed, inflight = {}, None
     pm.arm(() if budget is None else {budget}, power_fail)

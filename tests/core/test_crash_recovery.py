@@ -134,8 +134,7 @@ def test_double_crash_during_recovery():
 
     cfg = config(8)
     cls = engine_class("fast")
-    pm = CrashablePM(cfg.arena_bytes, latency=cfg.latency, cost=cfg.cost,
-                     atomic_granularity=8, cache_lines=cfg.cache_lines)
+    pm = CrashablePM.for_config(cfg)
     engine = cls.create(cfg, pm=pm)
     for i in range(20):
         engine.insert(b"%03d" % i, b"v%d" % i)

@@ -185,11 +185,7 @@ class TestScheduledCrashWithReaders:
             heap_bytes=1 << 20, dram_bytes=64 * 512, scheme="fast",
         )
         cls = engine_class("fast")
-        pm = CrashablePM(
-            config.arena_bytes, latency=config.latency, cost=config.cost,
-            atomic_granularity=config.atomic_granularity,
-            cache_lines=config.cache_lines,
-        )
+        pm = CrashablePM.for_config(config)
         engine = cls.create(config, pm=pm)
         engine.insert(b"k", b"v0")
         reader = engine.session("r", read_only=True)

@@ -32,10 +32,7 @@ def run_savepoint_txn(scheme, granularity, budget, seed):
     """One transaction: keepers, savepoint, doomed bulk (forces splits
     and copy-on-write), rollback_to, more keepers, commit."""
     cfg = config(scheme, granularity)
-    pm = CrashablePM(
-        cfg.arena_bytes, latency=cfg.latency, cost=cfg.cost,
-        atomic_granularity=granularity, cache_lines=cfg.cache_lines,
-    )
+    pm = CrashablePM.for_config(cfg)
     engine = engine_class(scheme).create(cfg, pm=pm)
     committed = False
     pm.arm(() if budget is None else {budget}, power_fail)
@@ -150,10 +147,7 @@ def test_rollback_txn_crash_sweep(scheme, granularity):
     before the rollback and at every event of it.  Each recovers the
     state before the transaction, and so does the finished run."""
     cfg = config(scheme, granularity)
-    pm = CrashablePM(
-        cfg.arena_bytes, latency=cfg.latency, cost=cfg.cost,
-        atomic_granularity=granularity, cache_lines=cfg.cache_lines,
-    )
+    pm = CrashablePM.for_config(cfg)
     engine = engine_class(scheme).create(cfg, pm=pm)
     before = fragmented_keepers(engine)
     rolling_back = False

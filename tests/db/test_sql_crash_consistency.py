@@ -27,10 +27,7 @@ def config():
 def build(cfg):
     from repro.core import engine_class
 
-    pm = CrashablePM(
-        cfg.arena_bytes, latency=cfg.latency, cost=cfg.cost,
-        atomic_granularity=cfg.atomic_granularity, cache_lines=cfg.cache_lines,
-    )
+    pm = CrashablePM.for_config(cfg)
     engine = engine_class(cfg.scheme).create(cfg, pm=pm)
     return Database(engine), pm
 

@@ -367,8 +367,7 @@ def gc_crash_arena(budget, policy):
     reachable and protected sets the GC was given, and the GC's event
     count."""
     config = small_config("fast", eager_recovery_gc=False)
-    pm = CrashablePM(config.arena_bytes, latency=config.latency,
-                     cost=config.cost, cache_lines=config.cache_lines)
+    pm = CrashablePM.for_config(config)
     engine = engine_class("fast").create(config, pm=pm)
     store = engine.store
     for i in range(4):

@@ -126,3 +126,32 @@ def test_group_candidates_cut_at_members_not_at_commit_order_items():
     assert {b"a": b"1", b"b": b"2"} in _group_candidates(
         engine, items, ("insert", b"d", b"5")
     )
+
+
+@pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+def test_a_clwb_config_is_crash_tested_with_clwb(scheme):
+    """The crash arena takes the config's flush instruction: a sweep
+    under ``clwb`` flushes with clwb and survives every point."""
+    from repro.testing.crashsim import SingleRun, crash_sweep, failing
+
+    cfg = SystemConfig(flush_instruction="clwb", **SMALL_CONFIG)
+    shape = SingleRun(scheme, WORKLOAD)
+    results = crash_sweep(shape, config=cfg, stride=5, seeds=(0,))
+    assert shape.pm.flush_instruction == "clwb"
+    assert shape.pm.obs.registry.value("pm.flush.clwb") > 0
+    assert results and failing(results) == []
+
+
+def test_a_single_run_mixing_searches_and_writes_is_modelled():
+    """Reads run as reads, not deletes, and leave the model alone."""
+    from repro.testing.crashsim import SingleRun, crash_at
+
+    workload = WORKLOAD + [
+        ("search", b"01", None),
+        ("txn", [("search", b"02", None), ("update", b"02", b"new"),
+                 ("search", b"nope", None)]),
+    ]
+    result = crash_at(SingleRun("fast", workload), None, config=config())
+    assert result.ok, result.violations
+    assert result.recovered == result.committed
+    assert len(result.committed) == 5 and result.committed[b"02"] == b"new"
