@@ -123,8 +123,8 @@ class NVWALContext(MutationContext):
         if page_no in self.snapshots:
             self.dirty.setdefault(page_no, page)
             return
-        self.snapshots[page_no] = bytes(
-            self.engine.dram._data[page.base : page.base + page.page_size]
+        self.snapshots[page_no] = self.engine.dram.visible_bytes(
+            page.base, page.page_size
         )
         self.dirty[page_no] = page
         self.engine.cache.pinned.add(page_no)
@@ -193,7 +193,7 @@ class NVWALContext(MutationContext):
         dram = self.engine.dram
         page_size = self.engine.config.page_size
         state["content"] = {
-            page_no: bytes(dram._data[page.base : page.base + page_size])
+            page_no: dram.visible_bytes(page.base, page_size)
             for page_no, page in self.dirty.items()
         }
         state["snapshots"] = dict(self.snapshots)
@@ -321,9 +321,9 @@ class NVWALEngine(Engine):
                 for page_no, page in ctx.dirty.items():
                     if page_no in freed:
                         continue
-                    current = self.dram._data[
-                        page.base : page.base + self.config.page_size
-                    ]
+                    current = self.dram.visible_bytes(
+                        page.base, self.config.page_size
+                    )
                     deltas[page_no] = word_diff(ctx.snapshots[page_no], current)
                     self.clock.advance(
                         self.pm.cost.diff_byte_ns * self.config.page_size
@@ -378,8 +378,8 @@ class NVWALEngine(Engine):
         with self.obs.span("nvwal_checkpoint"):
             for page_no in list(self.wal.index):
                 page = self._fetch_page(page_no)
-                content = bytes(
-                    self.dram._data[page.base : page.base + self.config.page_size]
+                content = self.dram.visible_bytes(
+                    page.base, self.config.page_size
                 )
                 target = self.store.page_base(page_no)
                 # repro: allow[PM001] checkpoint writeback of whole WAL-protected pages, flushed below

@@ -17,8 +17,13 @@ guarantee, or full 64-byte lines, the paper's HTM-era assumption).
 Every load miss charges the PM read latency and every ``clflush``
 charges the PM write latency to the shared ``SimClock``, mirroring how
 the paper drives Quartz and injects post-``clflush`` delays.
+
+Both arenas keep their bytes in a private anonymous mapping
+(``_zero_map``): pages the run never writes read the kernel's zero page
+and cost the host no memory, whatever size the arena is configured at.
 """
 
+import mmap
 from collections import OrderedDict
 
 from repro.obs import trace as ev
@@ -55,6 +60,28 @@ _RANGE_MASK_FLAT = tuple(
 )
 
 
+#: Host pages are 4 KiB: ``PersistentMemory`` records the durable image's
+#: written pages as ``addr >> _PAGE_SHIFT`` (``line >> 6``), and ``fork()``
+#: copies those pages only.
+_PAGE_SHIFT = 12
+_PAGE = 1 << _PAGE_SHIFT
+
+
+def _zero_map(size):
+    """``size`` zero bytes in a private anonymous mapping.
+
+    An untouched page reads the kernel's zero page and is resident
+    nowhere; a write faults in one private page.  ``MAP_SHARED`` (the
+    ``mmap`` default) would be shmem-backed instead, and every page it
+    is read at is charged to the host's RSS.  Slices are ``bytes``.
+    ``mmap`` refuses length 0, so a zero-byte arena maps one byte that
+    no bounds-checked access reaches.
+    """
+    return mmap.mmap(
+        -1, size or 1, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+    )
+
+
 #: ``_MASK_WORDS[mask]`` — the set word indices of the 8-bit ``mask``,
 #: ascending.  A 256-entry table beats re-deriving bits in the flush
 #: and crash paths (see ``_bits`` for why ascending order matters).
@@ -82,10 +109,10 @@ class _DirtyLine:
     """Cache-resident state of one dirty line.
 
     ``data`` is a caller-owned 64-byte ``bytearray`` (constructors pass
-    a freshly sliced/copied buffer — ``_DirtyLine`` itself no longer
-    copies).  ``dirty_words`` is an integer bitmask (bit ``w`` set when
-    8-byte word ``w`` of the line has unflushed modifications) instead
-    of the historical ``set`` — same semantics, no per-word allocation.
+    a fresh copy — ``_DirtyLine`` itself does not copy).
+    ``dirty_words`` is an integer bitmask (bit ``w`` set when 8-byte
+    word ``w`` of the line has unflushed modifications) instead of the
+    historical ``set`` — same semantics, no per-word allocation.
     """
 
     __slots__ = ("data", "dirty_words")
@@ -224,7 +251,10 @@ class PersistentMemory(_Arena):
         }
         self.atomic_granularity = atomic_granularity
         self.flush_instruction = flush_instruction
-        self._durable = bytearray(size)
+        self._durable = _zero_map(size)
+        # Host pages the durable image was ever written at (``sfence``
+        # and ``crash()`` learn them): the only ones ``fork()`` copies.
+        self._written = set()
         self._dirty = {}
         self._inflight = {}
         # line -> entry as the CPU sees it (dirty wins over inflight).
@@ -302,7 +332,7 @@ class PersistentMemory(_Arena):
                 clock.pending_ns += ns
             entry = self._vget(line)
             if entry is None:
-                return bytes(self._durable[addr:end])
+                return self._durable[addr:end]
             offset = addr - (line << 6)
             return bytes(entry.data[offset : offset + length])
         last = (end - 1) >> 6
@@ -342,7 +372,7 @@ class PersistentMemory(_Arena):
             entry = vget(line)
             second = vget(last)
             if entry is None and second is None:
-                return bytes(durable[addr:end])
+                return durable[addr:end]
             split = last << 6
             first_part = (
                 durable[addr:split] if entry is None
@@ -352,7 +382,7 @@ class PersistentMemory(_Arena):
                 durable[split:end] if second is None
                 else second.data[0 : end - split]
             )
-            return bytes(first_part) + bytes(second_part)
+            return b"".join((first_part, second_part))
         if not self._vis:
             # Clean arena (typical for bulk page fetches): account for
             # residency and latency per line, then take the whole range
@@ -374,7 +404,7 @@ class PersistentMemory(_Arena):
                 if ns > 0:
                     clock.now_ns += ns
                     clock.pending_ns += ns
-            return bytes(durable[addr:end])
+            return durable[addr:end]
         parts = []
         visible_get = self._vget
         for line in range(line, last + 1):
@@ -526,9 +556,9 @@ class PersistentMemory(_Arena):
             if entry is None:
                 pending = self._iget(line)
                 if pending is None:
-                    entry = _DirtyLine(
+                    entry = _DirtyLine(bytearray(
                         self._durable[line_base : line_base + CACHE_LINE]
-                    )
+                    ))
                 else:
                     entry = _DirtyLine(bytearray(pending.data))
                 self._dirty[line] = entry
@@ -600,9 +630,9 @@ class PersistentMemory(_Arena):
             pending = self._iget(line)
             line_base = line << 6
             if pending is None:
-                entry = _DirtyLine(
+                entry = _DirtyLine(bytearray(
                     self._durable[line_base : line_base + CACHE_LINE]
-                )
+                ))
             else:
                 entry = _DirtyLine(bytearray(pending.data))
             self._dirty[line] = entry
@@ -633,13 +663,8 @@ class PersistentMemory(_Arena):
         PM write latency — the same post-``clflush`` delay injection the
         paper uses to emulate PM write latency.
         """
-        if addr < 0 or addr >= self.size:
-            self._check(addr, 1)
-        if self.flush_forbidden:
-            raise RuntimeError(
-                "clflush inside an RTM transaction violates hardware "
-                "transactional semantics (paper Section 3.2, footnote 2)"
-            )
+        if addr < 0 or addr >= self.size or self.flush_forbidden:
+            self._check_flush(addr, 1, "clflush")
         line = addr >> 6
         self._c_flush.value += 1
         trace = self._trace
@@ -676,13 +701,8 @@ class PersistentMemory(_Arena):
         after a fence — but subsequent reads of the line stay cache
         hits.
         """
-        if addr < 0 or addr >= self.size:
-            self._check(addr, 1)
-        if self.flush_forbidden:
-            raise RuntimeError(
-                "cache write-back inside an RTM transaction violates "
-                "hardware transactional semantics"
-            )
+        if addr < 0 or addr >= self.size or self.flush_forbidden:
+            self._check_flush(addr, 1, "clwb")
         line = addr // CACHE_LINE
         self._c_flush.value += 1
         self._c_flush_clwb.value += 1
@@ -705,9 +725,13 @@ class PersistentMemory(_Arena):
     def flush_range(self, addr, length):
         """Write back every line overlapping ``[addr, addr+length)``
         using the configured instruction (``clflush`` evicts, as on the
-        paper's Haswell testbed; ``clwb`` keeps the line cached)."""
+        paper's Haswell testbed; ``clwb`` keeps the line cached).  A
+        range that overruns the arena, or any flush inside an RTM
+        region, raises before the first line is flushed."""
         if length <= 0:
             return
+        if addr < 0 or addr + length > self.size or self.flush_forbidden:
+            self._check_flush(addr, length, self.flush_instruction)
         if self.flush_instruction == "clwb":
             clwb = self.clwb
             for line in range(addr >> 6, ((addr + length - 1) >> 6) + 1):
@@ -718,13 +742,6 @@ class PersistentMemory(_Arena):
         # accounting itself.  Semantics (counters, trace events, clock,
         # dirty -> in-flight movement, eviction) are line-for-line those
         # of ``clflush``.
-        if addr < 0 or addr + length > self.size:
-            self._check(addr, length)
-        if self.flush_forbidden:
-            raise RuntimeError(
-                "clflush inside an RTM transaction violates hardware "
-                "transactional semantics (paper Section 3.2, footnote 2)"
-            )
         c_flush = self._c_flush
         c_bytes = self._c_flush_bytes
         trace = self._trace
@@ -785,9 +802,11 @@ class PersistentMemory(_Arena):
             durable = self._durable
             dirty = self._dirty
             vis = self._vis
+            written_add = self._written.add
             for line, entry in inflight.items():
                 words = entry.dirty_words
                 base = line << 6
+                written_add(line >> 6)
                 if words == _FULL_LINE:
                     durable[base : base + CACHE_LINE] = entry.data
                 else:
@@ -846,9 +865,12 @@ class PersistentMemory(_Arena):
         power failure *now* would act on, for ``crash()`` and recovery
         to consume while this memory keeps running.
 
-        The in-flight and dirty lines are copied in their current dict
-        order, because a policy that draws per unit (``RandomPersist``)
-        must see them in the order ``crash()`` here would.
+        Only the host pages the durable image was ever written at are
+        copied (every other page is zero on both sides), and the twin
+        inherits that set.  The in-flight and dirty lines are copied in
+        their current dict order, because a policy that draws per unit
+        (``RandomPersist``) must see them in the order ``crash()`` here
+        would.
         """
         twin = PersistentMemory(
             self.size,
@@ -858,7 +880,12 @@ class PersistentMemory(_Arena):
             cache_lines=self._rcap,
             flush_instruction=self.flush_instruction,
         )
-        twin._durable[:] = self._durable
+        durable = self._durable
+        for page in self._written:
+            lo = page << _PAGE_SHIFT
+            chunk = durable[lo : lo + _PAGE]
+            twin._durable[lo : lo + len(chunk)] = chunk
+        twin._written.update(self._written)
         # Dirty after in-flight: the CPU-visible entry of a line in both
         # is the dirty one.
         for source, target in ((self._inflight, twin._inflight),
@@ -899,7 +926,31 @@ class PersistentMemory(_Arena):
     def durable_bytes(self, addr, length):
         """What persistence currently holds (bypasses the cache)."""
         self._check(addr, length)
-        return bytes(self._durable[addr : addr + length])
+        return self._durable[addr : addr + length]
+
+    def visible_bytes(self, addr, length):
+        """What the CPU currently sees: the durable bytes overlaid with
+        the dirty and in-flight lines.  A host-side view with no
+        simulated cost — no clock, counter, residency or trace effect
+        (version capture, cache-fill sizing and checkers read here)."""
+        end = addr + length
+        if addr < 0 or end > self.size:
+            self._check(addr, length)
+        image = self._durable[addr:end]
+        if not length or not self._vis:
+            return image
+        vget = self._vget
+        out = None
+        for line in range(addr >> 6, ((end - 1) >> 6) + 1):
+            entry = vget(line)
+            if entry is not None:
+                if out is None:
+                    out = bytearray(image)
+                base = line << 6
+                lo = base if base > addr else addr
+                hi = base + CACHE_LINE if base + CACHE_LINE < end else end
+                out[lo - addr : hi - addr] = entry.data[lo - base : hi - base]
+        return image if out is None else bytes(out)
 
     def is_durably_clean(self, addr, length):
         """True if no byte of the range has unfenced modifications."""
@@ -921,9 +972,23 @@ class PersistentMemory(_Arena):
         if pending is not None:
             return _DirtyLine(bytearray(pending.data))
         base = line * CACHE_LINE
-        return _DirtyLine(self._durable[base : base + CACHE_LINE])
+        return _DirtyLine(bytearray(self._durable[base : base + CACHE_LINE]))
+
+    def _check_flush(self, addr, length, instruction):
+        """Raise, with nothing flushed, on a range outside the arena or
+        on any flush inside an RTM region."""
+        if addr < 0 or addr + length > self.size:
+            self._check(addr, length)
+        if self.flush_forbidden:
+            raise RuntimeError(
+                "%s inside an RTM transaction violates hardware "
+                "transactional semantics (paper Section 3.2, footnote 2)"
+                % instruction
+            )
 
     def _apply_words(self, line, entry, words):
+        if words:
+            self._written.add(line >> 6)
         base = line * CACHE_LINE
         if words == _FULL_LINE:
             self._durable[base : base + CACHE_LINE] = entry.data
@@ -969,7 +1034,7 @@ class VolatileMemory(_Arena):
         self._store_fixed_ns = {
             n: self._store_ns + self._store_byte_ns * n for n in (2, 4, 8)
         }
-        self._data = bytearray(size)
+        self._data = _zero_map(size)
         self._resident = _ResidencySet(cache_lines)
         self._rlines = self._resident._lines
         self._rcap = cache_lines
@@ -1000,7 +1065,7 @@ class VolatileMemory(_Arena):
                 clock = self.clock
                 clock.now_ns += ns
                 clock.pending_ns += ns
-            return bytes(self._data[addr:end])
+            return self._data[addr:end]
         last = (end - 1) >> 6
         missed_before = False
         lines = self._rlines
@@ -1023,7 +1088,15 @@ class VolatileMemory(_Arena):
             if ns > 0:
                 clock.now_ns += ns
                 clock.pending_ns += ns
-        return bytes(self._data[addr:end])
+        return self._data[addr:end]
+
+    def visible_bytes(self, addr, length):
+        """The bytes at ``[addr, addr+length)``, read host-side with no
+        simulated cost (NVWAL's frame snapshots and word diffs)."""
+        end = addr + length
+        if addr < 0 or end > self.size:
+            self._check(addr, length)
+        return self._data[addr:end]
 
     def write(self, addr, data):
         length = len(data)
@@ -1119,6 +1192,6 @@ class VolatileMemory(_Arena):
     def crash(self, policy=None):
         """DRAM loses everything on power failure."""
         del policy
-        self._data = bytearray(self.size)
+        self._data = _zero_map(self.size)
         self._resident.clear()
 

@@ -57,7 +57,7 @@ from repro.storage.slotted_page import (
     SlottedPage,
     live_extents,
 )
-from repro.storage.versions import _ImageMemory, _visible_bytes
+from repro.storage.versions import _ImageMemory
 
 
 class _Frame:
@@ -175,7 +175,7 @@ class TieredPageCache:
         size = self._page_size
         base = self.store.page_base(page_no)
         head_end, tail_start = live_extents(
-            _visible_bytes(pm, base, FIXED_HEADER_SIZE), size
+            pm.visible_bytes(base, FIXED_HEADER_SIZE), size
         )
         if (self._cold_read_ns(0, head_end)
                 + self._cold_read_ns(tail_start, size)

@@ -40,23 +40,6 @@ from repro.storage.pagestore import N_ROOT_SLOTS
 from repro.storage.slotted_page import SlottedPage
 
 
-def _visible_bytes(pm, base, length):
-    """The CPU-visible content of ``[base, base+length)`` — durable
-    bytes overlaid with dirty/in-flight cache lines — read host-side
-    (no simulated cost: version capture is bookkeeping, not I/O)."""
-    end = base + length
-    out = bytearray(pm._durable[base:end])
-    vget = pm._vis.get
-    for line in range(base >> 6, ((end - 1) >> 6) + 1):
-        entry = vget(line)
-        if entry is not None:
-            line_base = line << 6
-            lo = line_base if line_base > base else base
-            hi = line_base + 64 if line_base + 64 < end else end
-            out[lo - base:hi - base] = entry.data[lo - line_base:hi - line_base]
-    return bytes(out)
-
-
 class _ImageMemory:
     """Read-only memory over one immutable page image — a retained
     pre-image (version chains) or a cached committed copy
@@ -418,8 +401,8 @@ class VersionManager:
         for page_no in sorted(touched):
             if page_no in new:
                 continue
-            image = _visible_bytes(
-                engine.pm, store.page_base(page_no), page_size
+            image = engine.pm.visible_bytes(
+                store.page_base(page_no), page_size
             )
             if group is not None:
                 # An open-epoch member already committed over this

@@ -135,6 +135,8 @@ class CrashablePM(PersistentMemory):
     def flush_range(self, addr, length):
         if length <= 0:
             return
+        if addr < 0 or addr + length > self.size or self.flush_forbidden:
+            self._check_flush(addr, length, self.flush_instruction)
         flush = self.clwb if self.flush_instruction == "clwb" else self.clflush
         for line in range(addr >> 6, ((addr + length - 1) >> 6) + 1):
             flush(line << 6)

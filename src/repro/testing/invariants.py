@@ -18,7 +18,7 @@ a page in a state from which the rule *can* be broken:
   check has validated it since attach) overlaps any of them, leaves
   the page, or loops.
 
-Everything is read host-side (``_visible_bytes`` and the engine's
+Everything is read host-side (``pm.visible_bytes`` and the engine's
 volatile bookkeeping): the check charges no simulated time and touches
 no cache residency, so it cannot move the schedule it is checking.
 It covers the PM-resident schemes (FAST, FAST⁺); NVWAL's pages live in
@@ -36,7 +36,6 @@ from repro.storage.slotted_page import (
     PAGE_LEAF,
     SLOT_SIZE,
 )
-from repro.storage.versions import _visible_bytes
 
 
 class PageInvariantViolation(AssertionError):
@@ -117,13 +116,13 @@ class PageInvariantChecker:
         # are skipped by number, not by type byte: the run's pages from
         # ``run.start`` on, the chain's below it.
         chain, run = store.free_list(read_u32=lambda addr: int.from_bytes(
-            _visible_bytes(engine.pm, addr, 4), "little"))
+            engine.pm.visible_bytes(addr, 4), "little"))
         found = []
         for page_no in range(1, run.start):
             if page_no in chain:
                 continue
             base = store.page_base(page_no)
-            image = _visible_bytes(engine.pm, base, store.page_size)
+            image = engine.pm.visible_bytes(base, store.page_size)
             if image[0] not in (PAGE_LEAF, PAGE_INTERNAL):
                 continue
             head = pending_heads.get(page_no)

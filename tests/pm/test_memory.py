@@ -1,5 +1,8 @@
 """Unit and property tests for the persistent-memory model."""
 
+import os
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from repro.pm import (
     VolatileMemory,
     WORD,
 )
+from repro.testing.crashsim import CrashablePM
 
 
 def make_pm(**kwargs):
@@ -125,6 +129,55 @@ def test_flush_range_covers_every_line():
     pm.flush_range(10, len(data))
     pm.sfence()
     assert pm.durable_bytes(10, len(data)) == data
+
+
+@pytest.mark.parametrize("memory_class", [PersistentMemory, CrashablePM])
+@pytest.mark.parametrize("instruction", ["clflush", "clwb"])
+@pytest.mark.parametrize("fault", ["overrun", "rtm"])
+def test_refused_flush_range_changes_nothing(memory_class, instruction,
+                                            fault):
+    """An overrunning range or a flush inside an RTM region raises
+    before the first line is flushed, under either instruction: the
+    clock, the counters and the dirty state are as they were."""
+    pm = memory_class(
+        4096, latency=LatencyProfile(read_ns=300, write_ns=300),
+        flush_instruction=instruction,
+    )
+    pm.write(4032, b"x" * 64)  # line 63, the arena's last
+    before = (pm.clock.now_ns, pm.stats.registry.counters())
+    if fault == "overrun":
+        with pytest.raises(IndexError):
+            pm.flush_range(4032, 128)
+    else:
+        pm.flush_forbidden = True
+        with pytest.raises(RuntimeError):
+            pm.flush_range(3968, 128)
+        pm.flush_forbidden = False
+    assert (pm.clock.now_ns, pm.stats.registry.counters()) == before
+    assert pm.dirty_units() == [(63, 0)]
+    pm.sfence()  # nothing was put in flight
+    assert pm.durable_bytes(4032, 64) == bytes(64)
+
+
+def test_visible_bytes_overlays_dirty_and_inflight_lines_at_no_cost():
+    pm = make_pm()
+    pm.write(56, b"durable!")
+    pm.persist(56, 8)           # line 0 durable
+    pm.write(64, b"inflight")
+    pm.clflush(64)              # line 1 in flight
+    pm.write(130, b"dirty")     # line 2 dirty
+    before = (pm.clock.now_ns, pm.stats.registry.counters())
+    expected = bytearray(256)
+    expected[56:64] = b"durable!"
+    expected[64:72] = b"inflight"
+    expected[130:135] = b"dirty"
+    assert pm.visible_bytes(0, 256) == bytes(expected)
+    assert pm.visible_bytes(60, 72) == bytes(expected[60:132])
+    assert pm.visible_bytes(100, 0) == b""
+    assert (pm.clock.now_ns, pm.stats.registry.counters()) == before
+    assert pm.durable_bytes(56, 16) == b"durable!" + bytes(8)
+    with pytest.raises(IndexError):
+        pm.visible_bytes(4090, 8)
 
 
 def test_is_durably_clean():
@@ -345,3 +398,59 @@ def test_volatile_bounds_checked():
     dram = VolatileMemory(64)
     with pytest.raises(IndexError):
         dram.write(60, b"123456789")
+
+
+# ----------------------------------------------------------------------
+# Host memory: arenas are sparse
+# ----------------------------------------------------------------------
+
+
+def _rss_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                    reason="reads the process's RSS from /proc/self/statm")
+def test_arenas_cost_host_memory_only_for_written_pages():
+    """A 64 MiB PM arena, its fork and a 64 MiB DRAM arena hold only
+    the pages written: a few hundred scattered lines, and reads of
+    every other page, grow the RSS by a few MiB, where zero-filled
+    arenas would add more than 128 MiB."""
+    size = 64 << 20
+    rng = random.Random(11)
+    lines = rng.sample(range(size // CACHE_LINE), 300)
+    before = _rss_bytes()
+    pm = PersistentMemory(size, atomic_granularity=WORD)
+    dram = VolatileMemory(size)
+    for line in lines:
+        pm.write(line * CACHE_LINE, b"\xa5" * CACHE_LINE)
+        pm.clflush(line * CACHE_LINE)
+        dram.write(line * CACHE_LINE, b"\x5a" * CACHE_LINE)
+    pm.sfence()
+    pm.write(0, b"dirty")
+    twin = pm.fork()
+    for addr in range(0, size, 4096):
+        twin.durable_bytes(addr, 1)
+        dram.visible_bytes(addr, 1)
+    grown = _rss_bytes() - before
+    assert grown < 8 << 20, grown
+    for line in lines[:20]:
+        assert twin.durable_bytes(line * CACHE_LINE, 2) == b"\xa5\xa5"
+    dram.crash()
+    assert dram.read(lines[0] * CACHE_LINE, 2) == bytes(2)
+
+
+def test_zero_byte_arenas_construct():
+    pm = PersistentMemory(0)
+    dram = VolatileMemory(0)
+    assert pm.durable_bytes(0, 0) == pm.visible_bytes(0, 0) == b""
+    assert dram.visible_bytes(0, 0) == b""
+    twin = pm.fork()
+    assert twin.size == 0 and twin.durable_bytes(0, 0) == b""
+    for memory in (pm, dram):
+        with pytest.raises(IndexError):
+            memory.read(0, 1)
+        with pytest.raises(IndexError):
+            memory.write(0, b"x")
+        memory.crash()

@@ -54,12 +54,7 @@ def make_engine(scheme="fast", cache_pages=8, **overrides):
 def arena_image(pm):
     """The arena as the CPU sees it: durable bytes with the dirty and
     in-flight line overlays applied."""
-    image = bytearray(pm._durable)
-    for line, entry in pm._inflight.items():
-        image[line * 64:(line + 1) * 64] = entry.data
-    for line, entry in pm._dirty.items():
-        image[line * 64:(line + 1) * 64] = entry.data
-    return bytes(image)
+    return pm.visible_bytes(0, pm.size)
 
 
 def cache_counters(engine):

@@ -20,7 +20,7 @@ import pytest
 
 from repro.bench.multiclient import client_workload
 from repro.core import SystemConfig
-from repro.pm.crash import DropAll, PersistSubset, RandomPersist
+from repro.pm.crash import DropAll, PersistAll, PersistSubset, RandomPersist
 from repro.pm.memory import PersistentMemory
 from repro.testing.crashsim import (
     SMALL_CONFIG,
@@ -232,3 +232,64 @@ def test_fork_is_independent_and_crashes_alike():
     twin.crash(RandomPersist(rng=random.Random(3)))
     assert twin.durable_bytes(64, 63 * 64) == pm.durable_bytes(64, 63 * 64)
     assert twin.clock is not pm.clock and twin.obs is not pm.obs
+
+
+def _assert_same_image(twin, pm):
+    assert twin.size == pm.size
+    assert twin.durable_bytes(0, pm.size) == pm.durable_bytes(0, pm.size)
+
+
+def test_fork_after_crash_copies_the_pages_the_crash_wrote():
+    """``crash()`` makes surviving words durable on pages no fence
+    ever reached (one of them the arena's short last page): a later
+    fork must copy those pages too."""
+    pm = PersistentMemory(5 * 4096 + 192, atomic_granularity=8)
+    pm.write(64, b"fenced" * 4)
+    pm.persist(64, 24)
+    pm.write(2 * 4096 + 128, b"dirty-only" * 6)
+    pm.write(5 * 4096 + 128, b"in-flight" * 7)
+    pm.clflush(5 * 4096 + 128)
+    pm.crash(PersistAll())
+    twin = pm.fork()
+    _assert_same_image(twin, pm)
+    assert twin.durable_bytes(2 * 4096 + 128, 10) == b"dirty-only"
+    assert twin.durable_bytes(5 * 4096 + 128, 9) == b"in-flight"
+
+
+def test_fork_of_a_fork_keeps_the_pages_it_inherited():
+    """A twin's image holds pages it copied but never wrote itself;
+    forking the twin must copy them as well as its own."""
+    pm = PersistentMemory(16 * 4096)
+    pm.write(3 * 4096, b"parent" * 8)
+    pm.persist(3 * 4096, 48)
+    twin = pm.fork()
+    twin.write(9 * 4096 + 64, b"twin" * 16)
+    twin.persist(9 * 4096 + 64, 64)
+    twin.write(12 * 4096, b"at risk!")
+    twin.crash(PersistAll())
+    grandchild = twin.fork()
+    _assert_same_image(grandchild, twin)
+    assert grandchild.durable_bytes(3 * 4096, 6) == b"parent"
+    assert grandchild.durable_bytes(12 * 4096, 8) == b"at risk!"
+    assert pm.durable_bytes(9 * 4096 + 64, 4) == bytes(4)
+
+
+def test_fork_of_a_large_sparse_arena_equals_it():
+    """A 4 MiB arena with a handful of fenced pages scattered over it,
+    its last line and one store straddling a page boundary among them:
+    the fork's whole image equals the original's, and the at-risk
+    lines crash alike."""
+    size = 4 << 20
+    pm = PersistentMemory(size, atomic_granularity=8)
+    rng = random.Random(37)
+    for addr in sorted(rng.sample(range(0, size, 64), 6)) + [size - 64]:
+        pm.write(addr, rng.randbytes(64))
+        pm.persist(addr, 64)
+    pm.write(7 * 4096 - 20, b"straddles the boundary!!")
+    pm.persist(7 * 4096 - 20, 24)
+    pm.write(300 * 4096, b"unfenced")
+    twin = pm.fork()
+    _assert_same_image(twin, pm)
+    pm.crash(RandomPersist(rng=random.Random(1)))
+    twin.crash(RandomPersist(rng=random.Random(1)))
+    _assert_same_image(twin, pm)
