@@ -17,9 +17,9 @@ def test_extension_recovery_scaling(benchmark, results_dir):
     for scheme in ("fast", "fastplus"):
         lazy = [data[(size, scheme, False)] for size in sizes]
         assert max(lazy) < 5.0, lazy  # microseconds, size-independent
-    # Eager GC reads a header line per leaf and relinks the free pages
-    # below the highest live one: it grows with the live page count
-    # (not the record count, nor the arena).
+    # Eager GC reads the internal pages (no leaf but one: nothing has
+    # spilled) and relinks the free pages below the highest live one:
+    # it grows with the tree (not the record count, nor the arena).
     for scheme in ("fast", "fastplus"):
         eager = [data[(size, scheme, True)] for size in sizes]
         assert eager[-1] > eager[0]

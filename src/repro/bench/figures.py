@@ -530,6 +530,27 @@ def ablation_flush_instruction(ops=None):
     return {"table": table, "data": data}
 
 
+#: Crash points per recovery-distribution sweep (``crash_sweep`` spreads
+#: them evenly over the run).
+RECOVERY_CRASH_POINTS = 64
+
+
+def _crash_recovery_us(scheme, config, items):
+    """Simulated recovery time (us) at about ``RECOVERY_CRASH_POINTS``
+    crash points spread across ``items``: each point is a fork of one
+    execution, crashed, recovered and checked against the committed
+    prefix by ``crash_sweep``."""
+    from repro.testing.crashsim import SingleRun, crash_sweep, failing
+
+    results = crash_sweep(
+        SingleRun(scheme, items), config=config, seeds=(0,),
+        max_points=RECOVERY_CRASH_POINTS,
+    )
+    bad = failing(results)
+    assert not bad, (scheme, bad[0][0], bad[0][1].violations)
+    return [result.recovery_ns / 1000.0 for _, result in results]
+
+
 def extension_recovery_scaling(ops=None):
     """Extension: recovery time vs database size.
 
@@ -537,17 +558,21 @@ def extension_recovery_scaling(ops=None):
     slot-header frames and go; orphan pages and stale free lists are
     handled lazily.  This bench measures simulated recovery time after
     a crash as the database grows, with and without eager
-    recovery-time garbage collection.
+    recovery-time garbage collection.  At the smallest size it also
+    crashes the run at points spread across it and reports the median
+    and max recovery time next to the end-of-run sample.
     """
     import dataclasses
+    import statistics
 
     from repro.bench.workloads import random_keys, sized_payload
     from repro.core import engine_class, open_engine
 
     base_ops = ops or default_ops()
+    sizes = (base_ops // 2, base_ops, base_ops * 3)
     rows = []
     data = {}
-    for size in (base_ops // 2, base_ops, base_ops * 3):
+    for size in sizes:
         for scheme in ("fast", "fastplus", "nvwal"):
             for eager in (True, False):
                 config = dataclasses.replace(
@@ -555,7 +580,8 @@ def extension_recovery_scaling(ops=None):
                 )
                 engine = open_engine(config, scheme=scheme)
                 payload = sized_payload(64)
-                for key in random_keys(size, seed=5):
+                keys = random_keys(size, seed=5)
+                for key in keys:
                     engine.insert(key, payload)
                 pm = engine.pm
                 pm.crash()
@@ -563,19 +589,32 @@ def extension_recovery_scaling(ops=None):
                 recovered = engine_class(scheme).attach(config, pm)
                 recovery_us = (pm.clock.now_ns - before) / 1000.0
                 assert recovered.search(random_keys(1, seed=5)[0]) is not None
-                rows.append([size, scheme, "eager" if eager else "lazy",
-                             recovery_us])
+                row = [size, scheme, "eager" if eager else "lazy",
+                       recovery_us, "", ""]
+                if size == sizes[0]:
+                    samples = _crash_recovery_us(
+                        scheme, config,
+                        [("insert", key, payload) for key in keys],
+                    )
+                    row[4:] = [statistics.median(samples), max(samples)]
+                rows.append(row)
                 data[(size, scheme, eager)] = recovery_us
     table = format_table(
         "Extension: recovery time vs database size (simulated us)",
-        ["records", "scheme", "GC", "recovery us"],
+        ["records", "scheme", "GC", "recovery us", "crash median us",
+         "crash max us"],
         rows,
         note="Lazy mode replays only the commit-marked log frames; "
-             "eager mode additionally garbage-collects: a header line "
-             "per leaf (records only in leaves flagged as holding "
-             "overflow cells) plus relinking the free pages below the "
-             "highest live page (the rest become one run link), so it "
-             "scales with live pages, not records or the arena.",
+             "eager mode additionally garbage-collects: until a value "
+             "first spills (the page store's overflow latch is clear) "
+             "it reads the internal pages and one leaf and lists the "
+             "other leaves unread, then relinks the free pages below "
+             "the highest live page (the rest become one run link), so "
+             "it scales with internal pages, not leaves, records or the "
+             "arena.  'recovery us' crashes the finished run; the crash "
+             "columns crash the smallest run at %d points spread across "
+             "it (crash_sweep, one writeback draw per point)."
+             % RECOVERY_CRASH_POINTS,
     )
     return {"table": table, "data": data}
 

@@ -58,7 +58,8 @@ Structural notes (paper Section 4):
   every page it passes;
 * every leaf-cell write goes through :meth:`BTree._put_leaf_cell`, which
   sets a leaf's ``FLAG_HAS_OVERFLOW`` header bit with its first overflow
-  cell, so reachability reads the records of flagged leaves only.
+  cell, so reachability reads the records of flagged leaves only — and,
+  while the page store's overflow latch is clear, reads no leaf at all.
 """
 
 from contextlib import nullcontext
@@ -190,11 +191,17 @@ class BTree:
             page = self._typed_page(view, child)
         return levels
 
-    def reachable_pages(self, view):
+    def reachable_pages(self, view, *, overflow_chains=True):
         """Page numbers of every page in the tree, including overflow
         chains (for GC).  A leaf's records are read only if its header
         says it may hold an overflow cell (``FLAG_HAS_OVERFLOW``), so
-        the walk costs a header line per leaf, not a read per record."""
+        the walk costs a header line per leaf, not a read per record.
+
+        ``overflow_chains=False`` (the page store's overflow latch is
+        clear: no chain was ever written) reads no leaf beyond one:
+        see :meth:`_pages_without_chains`."""
+        if not overflow_chains:
+            return self._pages_without_chains(view)
         pages = set()
         stack = [view.root_page_no(self.root_slot)]
         while stack:
@@ -211,6 +218,26 @@ class BTree:
                     if is_overflow_cell(payload):
                         _, _, (_, head) = parse_leaf_any(payload)
                         stack.extend(overflow.chain_page_nos(view, head))
+        return pages
+
+    def _pages_without_chains(self, view):
+        """Every page of a tree that holds no overflow cell.  Leaves all
+        sit at one depth (a split grows a level only at the root, and an
+        empty-leaf unlink removes one only there), so one leftmost
+        descent finds it; the internal levels above it are read and the
+        children of the last one are listed without being read."""
+        root = view.root_page_no(self.root_slot)
+        if not root:
+            return set()
+        pages = {root}
+        level = [root]
+        for _ in range(self.height(view) - 1):
+            level = [
+                parse_internal(payload)[1]
+                for page_no in level
+                for payload in self._typed_page(view, page_no).records()
+            ]
+            pages.update(level)
         return pages
 
     def verify(self, view):

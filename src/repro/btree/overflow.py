@@ -53,6 +53,7 @@ def write_chain(ctx, tail):
     page number.  Pages are written and flushed immediately (they must
     be durable before the commit mark that publishes the leaf cell)."""
     assert tail, "never spill an empty tail"
+    ctx.store.latch_overflow()
     head_no = 0
     previous = None
     offset = 0

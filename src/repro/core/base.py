@@ -988,6 +988,8 @@ class Engine:
         indexes (META directory page, see ``repro.hashindex``); the
         root page's type says which reachability walk applies.  The
         walk reads each page once, so it fills no DRAM-tier frame.
+        While the store's overflow latch is clear no tree holds an
+        overflow chain, and a tree's walk lists its leaves unread.
         """
         from repro.hashindex.index import HashIndex
         from repro.storage.slotted_page import PAGE_META
@@ -999,7 +1001,9 @@ class Engine:
             if view.page(root_no).page_type == PAGE_META:
                 pages |= HashIndex.reachable_from_directory(view, root_no)
             else:
-                pages |= self.tree(slot).reachable_pages(view)
+                pages |= self.tree(slot).reachable_pages(
+                    view, overflow_chains=self.store.overflow_latched
+                )
         return pages
 
     def garbage_collect(self):

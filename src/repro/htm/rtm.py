@@ -126,6 +126,13 @@ class RTM:
         self.max_write_lines = max_write_lines
         self.abort_injector = abort_injector
         self.stats = RTMStats(registry=pm.stats.registry)
+        # Counter handles for the per-attempt path: ``self.stats.x += 1``
+        # costs two registry lookups on every in-place commit.
+        counter = pm.stats.registry.counter
+        self._c_begin = counter("rtm.begin")
+        self._c_commit = counter("rtm.commit")
+        self._c_abort = counter("rtm.abort")
+        self._c_fallback = counter("rtm.fallback")
 
     def execute(self, body, *, max_retries=None, fallback=None):
         """Run ``body(txn)`` under RTM, retrying transient aborts.
@@ -149,7 +156,7 @@ class RTM:
                 exhausted = max_retries is not None and attempt > max_retries
                 if deterministic or exhausted:
                     if fallback is not None:
-                        self.stats.fallbacks += 1
+                        self._c_fallback.value += 1
                         return fallback()
                     raise
 
@@ -160,7 +167,7 @@ class RTM:
     }
 
     def _attempt(self, body, attempt):
-        self.stats.begins += 1
+        self._c_begin.value += 1
         self.pm.obs.event(ev.RTM_BEGIN, attempt)
         self.pm.clock.advance(self.pm.cost.rtm_begin_ns)
         txn = _Transaction(self.pm, self.max_write_lines)
@@ -170,7 +177,7 @@ class RTM:
                 raise RTMAbort("transient")
             result = body(txn)
         except RTMAbort as abort:
-            self.stats.aborts += 1
+            self._c_abort.value += 1
             if abort.reason == "capacity":
                 self.stats.capacity_aborts += 1
             self.pm.obs.event(ev.RTM_ABORT, self._ABORT_CODES[abort.reason])
@@ -187,7 +194,7 @@ class RTM:
             txn._apply()
         finally:
             self.pm.rtm_commit_in_progress = False
-        self.stats.commits += 1
+        self._c_commit.value += 1
         self.pm.obs.event(ev.RTM_COMMIT, attempt)
         self.pm.clock.advance(self.pm.cost.rtm_commit_ns)
         return result

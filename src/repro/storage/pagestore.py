@@ -37,6 +37,16 @@ with the run leaked:
 
 Writing the run before step 2 would splice it into the old list, whose
 pages above ``F`` would then be handed out twice.
+
+The overflow latch.  The high bit of the page-size word
+(``OVERFLOW_LATCH``) is a one-way latch meaning "overflow chains may
+exist": :meth:`latch_overflow` sets and persists it before the first
+overflow page is allocated, and nothing clears it.  In every durable
+state, then, a clear latch means no committed leaf holds an overflow
+cell, so a reachability walk may list the leaves without reading them.
+:meth:`format` writes the word with the bit clear and :meth:`attach`
+reads the bit with the page size, so the latch costs no store, flush
+or load of its own until a value first spills.
 """
 
 from repro.storage.slotted_page import SlottedPage
@@ -48,6 +58,9 @@ _OFF_NPAGES = 8
 _OFF_FREE_HEAD = 12
 _OFF_ROOTS = 16
 N_ROOT_SLOTS = 12
+
+#: High bit of the page-size word: overflow chains may exist.
+OVERFLOW_LATCH = 1 << 31
 
 #: Tag bit of a run link: ``RUN | F`` = every page in ``[F, npages)``.
 RUN = 1 << 31
@@ -85,6 +98,9 @@ class PageStore:
         #: Section 4.3 runs once per page per attach instead of once
         #: per view; recovery on a live engine empties it.
         self.freelist_validated = set()
+        #: The durable ``OVERFLOW_LATCH`` bit, as read at attach or set
+        #: since (False on a fresh store).
+        self.overflow_latched = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -109,7 +125,21 @@ class PageStore:
             raise ValueError("no page store at %#x" % base)
         page_size = pm.read_u32(base + _OFF_PAGE_SIZE)
         npages = pm.read_u32(base + _OFF_NPAGES)
-        return cls(pm, base, npages, page_size)
+        store = cls(pm, base, npages, page_size & ~OVERFLOW_LATCH)
+        store.overflow_latched = bool(page_size & OVERFLOW_LATCH)
+        return store
+
+    def latch_overflow(self):
+        """Set and persist the one-way "overflow chains may exist"
+        latch (a no-op once set).  Call it before allocating the first
+        page of an overflow chain: the latch is then durable before any
+        commit that could make the chain reachable."""
+        if self.overflow_latched:
+            return
+        self.pm.write_u32(self.base + _OFF_PAGE_SIZE,
+                          self.page_size | OVERFLOW_LATCH)
+        self.pm.persist(self.base + _OFF_PAGE_SIZE, 4)
+        self.overflow_latched = True
 
     # ------------------------------------------------------------------
     # Page addressing

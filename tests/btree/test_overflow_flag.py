@@ -294,7 +294,8 @@ def test_crash_sweep_eager_gc_keeps_committed_chains(scheme):
 
 
 # ----------------------------------------------------------------------
-# (c) Cost shape: eager GC reads a header line per leaf
+# (c) Cost shape: with the store's overflow latch clear, eager GC reads
+# the internal pages and one leaf
 # ----------------------------------------------------------------------
 
 
@@ -321,6 +322,9 @@ def test_eager_gc_attach_reads_one_line_per_leaf(scheme):
         )
         return registry.value("pm.load_miss") - before
 
+    assert not engine.store.overflow_latched
     lazy = attach_misses(False)
     eager = attach_misses(True)
-    assert eager - lazy <= leaves + internal_lines, (eager, lazy, leaves)
+    # The internal pages' lines, the leaf header line the leftmost
+    # descent reads, and one line of margin: no line per leaf.
+    assert eager - lazy <= internal_lines + 1 + 1, (eager, lazy, leaves)

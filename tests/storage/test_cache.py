@@ -186,25 +186,51 @@ def test_garbage_collect_invalidates_swept_pages():
 
 
 def test_reachability_walks_fill_no_frames():
-    """GC and ``page_stats`` read every reachable page once: they hit
-    the frames that exist and read the rest from PM (``cache.bypass``),
-    leaving the tier's contents as they found them."""
+    """GC and ``page_stats`` read every page their walk reads once: they
+    hit the frames that exist and read the rest from PM
+    (``cache.bypass``), leaving the tier's contents as they found them.
+    While the store's overflow latch is clear the walk reads the
+    internal pages and one leaf; once a value has spilled, every page."""
     engine = make_engine(cache_pages=4)
     for i in range(120):
         engine.insert(b"walk%04d" % i, b"v" * 24)
-    engine.search(b"walk0000")
-    warm = set(engine.page_cache._frames)
-    reachable = engine.reachable_pages()
-    assert warm and len(reachable) > len(warm) + 4
-    before = cache_counters(engine)
-    engine.garbage_collect()
-    engine.page_stats()
-    after = cache_counters(engine)
-    moved = {name: after[name] - before[name] for name in after}
-    assert moved["cache.fill"] == moved["cache.miss"] == 0
-    assert moved["cache.evict"] == 0
-    assert moved["cache.bypass"] == 2 * (len(reachable) - len(warm))
-    assert set(engine.page_cache._frames) == warm
+
+    def walk_twice():
+        """Warm the path to the leftmost leaf, then GC and take page
+        stats; returns ``(pages the walk reads, warm frames, bypasses)``."""
+        path = engine.tree()._descend(engine.read_view(), b"")
+        warm = set(engine.page_cache._frames)
+        reachable = engine.reachable_pages()
+        if engine.store.overflow_latched:
+            read = reachable
+        else:
+            read = {entry.page_no for entry in path} | {
+                no for no in reachable
+                if engine._fetch_page(no).page_type == PAGE_INTERNAL
+            }
+        before = cache_counters(engine)
+        engine.garbage_collect()
+        engine.page_stats()
+        after = cache_counters(engine)
+        moved = {name: after[name] - before[name] for name in after}
+        assert moved["cache.fill"] == moved["cache.miss"] == 0
+        assert moved["cache.evict"] == 0
+        assert set(engine.page_cache._frames) == warm
+        return read, warm, moved["cache.bypass"]
+
+    read, warm, bypasses = walk_twice()
+    assert not engine.store.overflow_latched
+    assert bypasses == 2 * len(read - warm)
+    engine.insert(b"spill", b"s" * 1000)
+    assert engine.store.overflow_latched
+    read, warm, bypasses = walk_twice()
+    assert warm and len(read) > len(warm) + 4
+    # A walk fetches a chain page twice: to follow its link, then when
+    # it pops the page.
+    chain = {no for no in read
+             if engine._fetch_page(no).page_type == PAGE_OVERFLOW}
+    assert chain
+    assert bypasses == 2 * (len(read - warm) + len(chain))
 
 
 # ----------------------------------------------------------------------
