@@ -52,17 +52,17 @@ def main():
         engine = open_engine(build_config(scheme, ops=2 * n), scheme=scheme)
         store = PreferenceStore(engine)
         snapshot = engine.clock.snapshot()
-        stats = engine.stats.snapshot()
+        counters = engine.registry.snapshot()
         drive(store, n)
         ops = n + n // 7 + 1
         elapsed, _ = engine.clock.since(snapshot)
-        delta = engine.stats.since(stats)
+        delta = engine.registry.since(counters)["counters"]
         print("%-10s %12.2f %14.2f %12.2f %10d" % (
             scheme,
             elapsed / ops / 1000.0,
-            delta.clflushes / ops,
-            delta.fences / ops,
-            delta.rtm_commits,
+            delta.get("pm.flush", 0) / ops,
+            delta.get("pm.fence", 0) / ops,
+            delta.get("rtm.commit", 0),
         ))
     print("\nFAST+ commits almost every preference write with a single "
           "atomic slot-header store (the RTM commit count ~= the ops).")

@@ -12,7 +12,13 @@ Run:  python examples/crash_recovery.py
 """
 
 from repro.core import SystemConfig
-from repro.testing import SMALL_CONFIG, run_crash_sweep, run_to_crash_point
+from repro.testing import (
+    SMALL_CONFIG,
+    SingleRun,
+    crash_at,
+    crash_sweep,
+    failing,
+)
 
 WORKLOAD = (
     [("insert", b"user:%04d" % i, b"profile-%04d" % i) for i in range(12)]
@@ -37,8 +43,10 @@ def main():
     )
     for scheme, granularity in cases:
         cfg = config(granularity)
-        total = run_to_crash_point(scheme, WORKLOAD, None, config=cfg).events
-        failures = run_crash_sweep(scheme, WORKLOAD, config=cfg, stride=3)
+        total = crash_at(SingleRun(scheme, WORKLOAD), None, config=cfg).events
+        failures = failing(crash_sweep(
+            SingleRun(scheme, WORKLOAD), config=cfg, stride=3,
+        ))
         verdict = "survives every crash" if not failures else "CORRUPTS"
         print("%-10s %11d B %14d %12d  %s" % (
             scheme, granularity, total, len(failures), verdict))

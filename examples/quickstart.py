@@ -46,7 +46,8 @@ def main():
           bool(recovered.query("SELECT 1 FROM notes WHERE id = 99")))
 
     print("Simulated time spent: %.1f us" % (recovered.clock.now_ns / 1000))
-    print("Cache-line flushes issued:", recovered.stats.clflushes)
+    print("Cache-line flushes issued:",
+          recovered.engine.registry.value("pm.flush"))
 
 
 if __name__ == "__main__":

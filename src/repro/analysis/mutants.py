@@ -176,7 +176,7 @@ def _stale_read_workloads():
     return {
         "preload": [(b"hot%d" % i, payload) for i in range(4)],
         "workloads": [
-            {"items": [read, read, read, read], "read_only": True},
+            {"items": [read, read, read, read], "isolation": "read_only"},
             [("txn", [("update", b"hot0", fresh)])],
         ],
         "config": SystemConfig(

@@ -354,7 +354,7 @@ def ablation_atomicity():
     8-byte atomic writes; FAST+ needs line-atomic writes; naive
     in-place paging is unsafe either way."""
     from repro.core import SystemConfig
-    from repro.testing import SMALL_CONFIG, run_crash_sweep
+    from repro.testing import SMALL_CONFIG, SingleRun, crash_sweep, failing
 
     workload = [("insert", b"%04d" % i, b"x" * 40) for i in range(18)]
     rows = []
@@ -364,7 +364,9 @@ def ablation_atomicity():
         ("naive", 8), ("naive", 64),
     ):
         config = SystemConfig(atomic_granularity=granularity, **SMALL_CONFIG)
-        failures = run_crash_sweep(scheme, workload, config=config, stride=4)
+        failures = failing(crash_sweep(
+            SingleRun(scheme, workload), config=config, stride=4,
+        ))
         rows.append([scheme, granularity, len(failures),
                      "SAFE" if not failures else "CORRUPTS"])
         data[(scheme, granularity)] = len(failures)
@@ -436,8 +438,9 @@ def ablation_rtm(ops=None):
         for key in random_keys(ops, seed=5):
             engine.insert(key, payload)
         elapsed_us = engine.clock.since(snapshot)[0] / ops / 1000.0
-        rows.append([abort_prob, elapsed_us, engine.rtm.stats.aborts,
-                     engine.rtm.stats.commits])
+        rows.append([abort_prob, elapsed_us,
+                     engine.registry.value("rtm.abort"),
+                     engine.registry.value("rtm.commit")])
         data[abort_prob] = elapsed_us
     table = format_table(
         "Ablation A3: in-place commit under injected RTM aborts",

@@ -9,9 +9,7 @@ the paper does.
 
 Everything reported here comes from the shared observability layer
 (``engine.obs``): phase times are the ``phase.<segment>`` histogram
-deltas, counters are the registry's counter deltas.  The historical
-counter names (``clflushes``, ``fences``, ...) are kept as aliases of
-their registry counterparts in ``RunResult.counters``.
+deltas, counters are the registry's counter deltas.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.bench.workloads import random_keys, sized_payload
 from repro.core import SystemConfig, open_engine
 from repro.pm.latency import LatencyProfile
-from repro.pm.stats import _LEGACY_FIELDS
 
 #: Engine-level phases whose sum is the per-operation time the paper
 #: plots in Figure 6.
@@ -100,10 +97,6 @@ def _collect(engine, ops, params, obs_snapshot, **extras):
         if name.startswith("phase.")
     }
     counters = dict(registry_delta["counters"])
-    # Historical names stay available as aliases of the registry
-    # counters ("clflushes" == "pm.flush", ...).
-    for legacy, metric in _LEGACY_FIELDS.items():
-        counters[legacy] = counters.get(metric, 0)
     extras.setdefault("total_us_per_op", delta["elapsed_ns"] / ops / 1000.0)
     return RunResult(
         scheme=engine.scheme,

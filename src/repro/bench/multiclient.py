@@ -128,7 +128,7 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
                 index, items=items, read_ratio=1.0,
                 key_space=key_space, seed=seed, record_size=record_size,
             ),
-            read_only=mvcc,
+            isolation="read_only" if mvcc else None,
         )
     snapshot = engine.obs.snapshot()
     report = scheduler.run()

@@ -217,7 +217,9 @@ class BTree:
                 for payload in page.records():
                     if is_overflow_cell(payload):
                         _, _, (_, head) = parse_leaf_any(payload)
-                        stack.extend(overflow.chain_page_nos(view, head))
+                        # Following the links read every chain page:
+                        # list them, don't push them to be read again.
+                        pages.update(overflow.chain_page_nos(view, head))
         return pages
 
     def _pages_without_chains(self, view):

@@ -838,10 +838,6 @@ class Engine:
         return self.pm.clock
 
     @property
-    def stats(self):
-        return self.pm.stats
-
-    @property
     def registry(self):
         """The shared :class:`repro.obs.MetricsRegistry`."""
         return self.obs.registry
@@ -870,7 +866,8 @@ class Engine:
             # transaction would silently break their isolation.
             # Read-only snapshot sessions are exempt by design: MVCC
             # readers never block writers.
-            if session.in_transaction and not session.read_only:
+            if (session.in_transaction
+                    and session.isolation != "read_only"):
                 raise TransactionError(
                     "implicit engine.transaction() cannot overlap session "
                     "%r's open transaction; commit it first or use a "
@@ -903,7 +900,7 @@ class Engine:
             self._versions = VersionManager(self)
         return self._versions
 
-    def session(self, name=None, read_only=False, isolation=None):
+    def session(self, name=None, isolation=None):
         """Open a session (one concurrent client).
 
         Sessions own their transactions independently of the engine's
@@ -915,12 +912,10 @@ class Engine:
         reads — no lock manager at all, zero locks), or ``"occ"``
         (snapshot-isolation writes validated at commit, installed
         under short commit-time locks, falling back to 2PL after
-        repeated validation failures).  ``read_only=True`` is the
-        historical spelling of ``isolation="read_only"``.  A mode
-        outside the scheme's ``isolation_modes`` raises
-        ``TransactionError``.
+        repeated validation failures).  A mode outside the scheme's
+        ``isolation_modes`` raises ``TransactionError``.
         """
-        return Session.open(self, name, read_only, isolation)
+        return Session.open(self, name, isolation)
 
     def _session_closed(self, session):
         self._sessions.pop(session.sid, None)

@@ -27,7 +27,7 @@ in the claim hook every mutator body calls before its first store, and
 latches the pages the tree reads.  Only a locked transaction's context
 has it, so the default code path never takes a lock.
 
-Read-only MVCC sessions (``engine.session(read_only=True)``) bypass
+Read-only MVCC sessions (``engine.session(isolation="read_only")``) bypass
 this module entirely: their transactions resolve reads against the
 version chains (:mod:`repro.storage.versions`) with a pinned snapshot
 timestamp, take no IS/S locks, never appear in the wait-for graph, and

@@ -93,9 +93,6 @@ class BufferCache:
         self.pinned.clear()
         self.freelist_validated.clear()
 
-    def resident(self, page_no):
-        return page_no in self._frame_of
-
 
 class NVWALContext(MutationContext):
     """Transaction context: volatile page updates + commit-time WAL."""
@@ -260,8 +257,7 @@ class NVWALEngine(Engine):
             config.dram_bytes,
             latency=config.latency,
             cost=config.cost,
-            clock=pm.clock,
-            stats=pm.stats,
+            obs=pm.obs,
         )
         self.cache = BufferCache(self.dram, config.page_size)
         self.wal = None

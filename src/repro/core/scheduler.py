@@ -158,12 +158,9 @@ def execute_op(txn, kind, key, value):
 def client_spec(workload):
     """``(items, isolation)`` of one client workload entry as the
     crash and exploration harnesses spell it: a plain item list (a
-    classic 2PL writer), or ``{"items": [...], "isolation": mode}``
-    (``{"read_only": True}`` is accepted as legacy spelling)."""
+    classic 2PL writer), or ``{"items": [...], "isolation": mode}``."""
     if isinstance(workload, dict):
-        return workload["items"], resolve_isolation(
-            workload.get("read_only"), workload.get("isolation")
-        )
+        return workload["items"], resolve_isolation(workload.get("isolation"))
     return workload, "locked"
 
 
@@ -214,20 +211,18 @@ class Scheduler:
         #: serialization order (strict 2PL commits in lock order).
         self.commit_order = []
 
-    def add_client(self, items, *, name=None, read_only=False,
-                   isolation=None):
+    def add_client(self, items, *, name=None, isolation=None):
         """Register one client with its workload; returns the client.
 
         ``isolation`` picks the session's concurrency mode
         (``"locked"`` / ``"read_only"`` / ``"occ"``, see
-        ``Engine.session``); ``read_only=True`` is the historical
-        spelling of ``isolation="read_only"``.  Read-only clients run
+        ``Engine.session``).  Read-only clients run
         MVCC snapshot transactions: their session carries no lock
         manager, so their workloads may contain only ``search`` and
         ``think`` operations (validated here — failing at add time
         beats a mid-run surprise).
         """
-        isolation = resolve_isolation(read_only, isolation)
+        isolation = resolve_isolation(isolation)
         if isolation == "read_only":
             for item in items:
                 for op in _ops_of(item):

@@ -43,12 +43,12 @@ ISOLATION_MODES = ("locked", "read_only", "occ")
 OCC_MAX_VALIDATION_FAILURES = 3
 
 
-def resolve_isolation(read_only=False, isolation=None):
-    """The isolation mode a ``read_only``/``isolation`` pair names:
-    ``isolation`` when given, else ``read_only=True`` as the historical
-    spelling of ``"read_only"``, else ``"locked"``."""
+def resolve_isolation(isolation=None):
+    """The isolation mode ``isolation`` names (``None`` is
+    ``"locked"``); anything outside :data:`ISOLATION_MODES` raises
+    ``ValueError``."""
     if isolation is None:
-        isolation = "read_only" if read_only else "locked"
+        isolation = "locked"
     if isolation not in ISOLATION_MODES:
         raise ValueError(
             "unknown isolation mode %r (choose from %s)"
@@ -66,12 +66,11 @@ class Session:
         self.sid = sid
         self.name = name
         self.lock_manager = lock_manager
-        #: One of :data:`ISOLATION_MODES`.
+        #: One of :data:`ISOLATION_MODES`.  ``"read_only"`` sessions
+        #: run MVCC snapshot transactions: they carry no lock manager
+        #: and acquire zero locks (no IS/S traffic at all) — reads
+        #: resolve against version chains.
         self.isolation = isolation
-        #: Read-only sessions run MVCC snapshot transactions: they
-        #: carry no lock manager and acquire zero locks (no IS/S
-        #: traffic at all) — reads resolve against version chains.
-        self.read_only = isolation == "read_only"
         #: Consecutive failed OCC validations (the 2PL-fallback streak).
         self._occ_failures = 0
         #: Quiet sessions are inner per-shard legs of a sharded
@@ -95,14 +94,14 @@ class Session:
         self.closed = False
 
     @classmethod
-    def open(cls, host, name=None, read_only=False, isolation=None):
+    def open(cls, host, name=None, isolation=None):
         """Open and register one session on ``host`` (an engine, or a
         shard router for the sharded subclass) — what both
         ``session()`` entry points do.  A mode outside the host's
         ``isolation_modes`` raises ``TransactionError``.  Read-only
         sessions get no lock manager, so a pure-reader mix never
         instantiates one."""
-        isolation = resolve_isolation(read_only, isolation)
+        isolation = resolve_isolation(isolation)
         if isolation not in host.isolation_modes:
             from repro.core.base import TransactionError
 
@@ -251,18 +250,6 @@ class Session:
     def insert(self, key, value, *, root_slot=0, replace=False):
         with self.transaction() as txn:
             txn.insert(key, value, root_slot=root_slot, replace=replace)
-
-    def update(self, key, value, *, root_slot=0):
-        with self.transaction() as txn:
-            return txn.update(key, value, root_slot=root_slot)
-
-    def delete(self, key, *, root_slot=0):
-        with self.transaction() as txn:
-            return txn.delete(key, root_slot=root_slot)
-
-    def search(self, key, *, root_slot=0):
-        with self.transaction() as txn:
-            return txn.search(key, root_slot=root_slot)
 
     # -- lifecycle ---------------------------------------------------------
 

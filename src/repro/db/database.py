@@ -55,7 +55,7 @@ class Database:
         engine = open_engine(config or SystemConfig(), scheme=scheme, pm=pm)
         return cls(engine, cache_statements=cache_statements)
 
-    def connect(self, name=None, read_only=False):
+    def connect(self, name=None, isolation=None):
         """A new connection: same engine and catalog, its own session.
 
         Connections are the SQL face of :meth:`repro.core.base.Engine.session` —
@@ -64,7 +64,9 @@ class Database:
         connection (or use it as a context manager) to release its
         session.
 
-        With ``read_only=True`` the connection's transactions are MVCC
+        ``isolation`` picks the session's mode (see
+        :meth:`repro.core.base.Engine.session`).  Under
+        ``isolation="read_only"`` the connection's transactions are MVCC
         snapshots: each pins a snapshot timestamp at begin, resolves
         every page read against the latest version ≤ that timestamp,
         and acquires zero locks — writers never block it and it never
@@ -73,7 +75,7 @@ class Database:
         return Database(
             self.engine,
             cache_statements=self.cache_statements,
-            session=self.engine.session(name, read_only=read_only),
+            session=self.engine.session(name, isolation=isolation),
             catalog=self.catalog,
         )
 
@@ -215,10 +217,6 @@ class Database:
     @property
     def clock(self):
         return self.engine.clock
-
-    @property
-    def stats(self):
-        return self.engine.stats
 
     def close(self):
         """Roll back any open transaction (data is already durable)

@@ -67,10 +67,6 @@ class ColumnConstraints:
     lo: Optional[object] = None
     hi: Optional[object] = None
 
-    @property
-    def bounded(self):
-        return self.eq is not None or self.lo is not None or self.hi is not None
-
 
 def analyze_conjuncts(where):
     """Constant constraints per column across top-level AND conjuncts.

@@ -71,9 +71,6 @@ class HashIndex:
                 return parse_leaf(page.record(slot))[1]
         return None
 
-    def contains(self, view, key):
-        return self.search(view, key) is not None
-
     def insert(self, ctx, key, value, *, replace=False):
         """Insert ``key -> value``; with ``replace`` overwrite."""
         payload = leaf_cell(key, value)
@@ -90,14 +87,12 @@ class HashIndex:
             ctx.update_record(
                 directory, bucket, head_no.to_bytes(4, "little")
             )
-        last_page = None
         for page, slot in self._chain_pages(ctx, head_no, key):
             if slot is not None:
                 if not replace:
                     raise KeyError("duplicate key %r" % key)
                 ctx.update_record(page, slot, payload)
                 return
-            last_page = page
         # Not present: append to the first chain page with room.
         page = ctx.page(head_no)
         while True:
@@ -120,7 +115,6 @@ class HashIndex:
                     page = overflow
                 else:
                     page = ctx.page(next_no)
-        del last_page
 
     def delete(self, ctx, key):
         """Remove ``key``; returns False if absent."""

@@ -13,6 +13,6 @@ transaction stay in the store buffer and become visible all at once at
   software fallback/retry policy is mandatory.
 """
 
-from repro.htm.rtm import RTM, RTMAbort, RTMStats
+from repro.htm.rtm import RTM, RTMAbort
 
-__all__ = ["RTM", "RTMAbort", "RTMStats"]
+__all__ = ["RTM", "RTMAbort"]

@@ -20,7 +20,6 @@ and consistency, while durability comes from flushing *after* ``XEND``.
 
 from repro.obs import trace as ev
 from repro.pm.memory import CACHE_LINE
-from repro.pm.stats import LegacyCounters
 
 
 class RTMAbort(Exception):
@@ -34,29 +33,6 @@ class RTMAbort(Exception):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-
-
-#: Legacy attribute name -> registry counter name.
-_LEGACY_FIELDS = {
-    "begins": "rtm.begin",
-    "commits": "rtm.commit",
-    "aborts": "rtm.abort",
-    "capacity_aborts": "rtm.abort.capacity",
-    "fallbacks": "rtm.fallback",
-}
-
-
-class RTMStats(LegacyCounters):
-    """Legacy-named view over the registry's ``rtm.*`` counters.
-
-    Historically a standalone dataclass mirrored into ``MemoryStats``;
-    both now read and write the same registry counters, so
-    ``rtm.stats.commits`` and ``pm.stats.rtm_commits`` can never
-    disagree.
-    """
-
-    __slots__ = ()
-    FIELDS = _LEGACY_FIELDS
 
 
 class _Transaction:
@@ -79,9 +55,6 @@ class _Transaction:
 
     def write_u16(self, addr, value):
         self.write(addr, value.to_bytes(2, "little"))
-
-    def write_u32(self, addr, value):
-        self.write(addr, value.to_bytes(4, "little"))
 
     def write_u64(self, addr, value):
         self.write(addr, value.to_bytes(8, "little"))
@@ -125,13 +98,12 @@ class RTM:
         self.pm = pm
         self.max_write_lines = max_write_lines
         self.abort_injector = abort_injector
-        self.stats = RTMStats(registry=pm.stats.registry)
-        # Counter handles for the per-attempt path: ``self.stats.x += 1``
-        # costs two registry lookups on every in-place commit.
-        counter = pm.stats.registry.counter
+        # Counter handles, bound once for the per-attempt path.
+        counter = pm.obs.registry.counter
         self._c_begin = counter("rtm.begin")
         self._c_commit = counter("rtm.commit")
         self._c_abort = counter("rtm.abort")
+        self._c_abort_capacity = counter("rtm.abort.capacity")
         self._c_fallback = counter("rtm.fallback")
 
     def execute(self, body, *, max_retries=None, fallback=None):
@@ -179,7 +151,7 @@ class RTM:
         except RTMAbort as abort:
             self._c_abort.value += 1
             if abort.reason == "capacity":
-                self.stats.capacity_aborts += 1
+                self._c_abort_capacity.value += 1
             self.pm.obs.event(ev.RTM_ABORT, self._ABORT_CODES[abort.reason])
             self.pm.clock.advance(self.pm.cost.rtm_abort_ns)
             raise

@@ -8,9 +8,7 @@ PM arena, reachable as ``pm.obs`` / ``engine.obs``):
 
 ``MetricsRegistry``
     Named counters, gauges and simulated-ns histograms
-    (``repro.obs.registry``).  The legacy ``repro.pm.stats.MemoryStats``
-    and ``repro.htm.rtm.RTMStats`` objects are now thin views over
-    this registry.
+    (``repro.obs.registry``).
 
 ``TraceRecorder``
     A bounded ring buffer of typed, clock-stamped events — store,

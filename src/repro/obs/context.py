@@ -41,10 +41,12 @@ class Observability:
         # handles stay live (same contract the PM counter handles use).
         self._phase_hists = {}
         self._attach_clock()
-        # Hot-path aliases: ``phase``/``span`` are pure taxonomy over
-        # ``clock.segment`` (see the method docstrings); binding the
-        # clock method directly skips two dispatch layers per segment
-        # entry on every engine's per-operation path.
+        # ``phase(name)`` attributes simulated time inside the block to
+        # a top-level phase, ``span(name)`` to a sub-phase (spans nest
+        # inside phases, and their time is also charged to every
+        # enclosing phase: stacked-bar semantics).  Both are pure
+        # taxonomy over ``clock.segment``, bound directly so a segment
+        # entry on every engine's per-operation path is one call.
         self.phase = self.span = self.clock.segment
 
     def _attach_clock(self):
@@ -81,19 +83,6 @@ class Observability:
             buckets[exponent] += 1
         except KeyError:
             buckets[exponent] = 1
-
-    # -- phase / span accounting -------------------------------------------
-
-    def phase(self, name):
-        """Attribute simulated time inside the block to top-level phase
-        ``name`` (clock segment + ``phase.<name>`` histogram)."""
-        return self.clock.segment(name)
-
-    def span(self, name):
-        """Attribute simulated time inside the block to sub-phase
-        ``name``.  Spans nest inside phases; time recorded in a span is
-        also charged to every enclosing phase (stacked-bar semantics)."""
-        return self.clock.segment(name)
 
     # -- tracing toggle -----------------------------------------------------
 
@@ -173,9 +162,3 @@ class _LabeledObs:
 
     def inc(self, name, n=1):
         self._obs.registry.inc(self._prefix + name, n)
-
-    def counter(self, name):
-        return self._obs.registry.counter(self._prefix + name)
-
-    def span(self, name):
-        return self._obs.clock.segment(self._prefix + name)

@@ -1,9 +1,8 @@
 """The metrics registry: one namespace for every counter in the system.
 
-Before this subsystem existed, each layer accumulated its own ad-hoc
-counters (``MemoryStats`` fields, ``RTMStats`` fields, ``inplace_commits``
-attributes on engines...) and every harness stitched them together by
-hand.  ``MetricsRegistry`` replaces all of that with three primitives:
+Every layer counts into one ``MetricsRegistry`` (reached as
+``pm.obs.registry`` / ``engine.registry``), built from three
+primitives:
 
 ``Counter``
     A monotonically increasing event count (``pm.flush``, ``rtm.abort``).
@@ -47,9 +46,6 @@ class Gauge:
 
     def __init__(self, name, value=0):
         self.name = name
-        self.value = value
-
-    def set(self, value):
         self.value = value
 
     def add(self, n):

@@ -32,7 +32,6 @@ The central objects are:
 
 from repro.pm.clock import SimClock
 from repro.pm.latency import CostModel, LatencyProfile
-from repro.pm.stats import MemoryStats
 from repro.pm.crash import (
     CrashPolicy,
     DropAll,
@@ -50,7 +49,6 @@ __all__ = [
     "CrashPolicy",
     "DropAll",
     "LatencyProfile",
-    "MemoryStats",
     "PersistAll",
     "PersistSubset",
     "PersistentHeap",

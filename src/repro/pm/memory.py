@@ -31,7 +31,6 @@ from repro.obs.context import Observability
 from repro.pm.clock import SimClock
 from repro.pm.crash import PersistAll
 from repro.pm.latency import CostModel, LatencyProfile
-from repro.pm.stats import MemoryStats
 
 CACHE_LINE = 64
 WORD = 8
@@ -141,9 +140,6 @@ class _ResidencySet:
             self._lines.popitem(last=False)
         return False
 
-    def evict(self, line):
-        self._lines.pop(line, None)
-
     def clear(self):
         self._lines.clear()
 
@@ -186,8 +182,6 @@ class PersistentMemory(_Arena):
         size: arena size in bytes (multiple of the cache-line size).
         latency: PM/DRAM latency profile (the paper's sweep variable).
         cost: fixed per-operation cost model.
-        clock: shared simulated clock (created if omitted).
-        stats: shared counters (created if omitted).
         atomic_granularity: failure-atomic write unit in bytes — 8 for
             the baseline hardware guarantee, 64 when assuming
             failure-atomic cache-line writes (paper Section 3.2).
@@ -200,13 +194,9 @@ class PersistentMemory(_Arena):
         *,
         latency=None,
         cost=None,
-        clock=None,
-        stats=None,
         atomic_granularity=CACHE_LINE,
         cache_lines=4096,
         flush_instruction="clflush",
-        obs=None,
-        trace=None,
     ):
         if size % CACHE_LINE:
             raise ValueError("size must be a multiple of %d" % CACHE_LINE)
@@ -217,16 +207,13 @@ class PersistentMemory(_Arena):
         self.size = size
         self.latency = latency or LatencyProfile()
         self.cost = cost or CostModel()
-        self.clock = clock or SimClock()
-        self.stats = stats or MemoryStats()
-        if obs is None:
-            obs = Observability(
-                self.clock, registry=self.stats.registry, trace=trace
-            )
-        self.obs = obs
+        # The arena owns the machine's instrumentation: engines, logs,
+        # the RTM unit and the DRAM arenas all reach it as ``pm.obs``.
+        self.obs = Observability(SimClock())
+        self.clock = self.obs.clock
         # Hot-path counters, resolved once (registry.reset() preserves
         # instrument identities, so these references stay live).
-        registry = self.stats.registry
+        registry = self.obs.registry
         self._c_load = registry.counter("pm.load")
         self._c_load_miss = registry.counter("pm.load_miss")
         self._c_store = registry.counter("pm.store")
@@ -1006,17 +993,18 @@ class VolatileMemory(_Arena):
 
     Used by the NVWAL baseline's volatile buffer cache.  Loads charge
     the (lower) DRAM latency on residency misses; a crash erases the
-    entire contents.
+    entire contents.  ``obs`` is the instrumentation it charges (the
+    PM arena's, for NVWAL's buffer; a fresh one if omitted).
     """
 
-    def __init__(self, size, *, latency=None, cost=None, clock=None, stats=None,
+    def __init__(self, size, *, latency=None, cost=None, obs=None,
                  cache_lines=4096):
         self.size = size
         self.latency = latency or LatencyProfile()
         self.cost = cost or CostModel()
-        self.clock = clock or SimClock()
-        self.stats = stats or MemoryStats()
-        registry = self.stats.registry
+        self.obs = obs or Observability(SimClock())
+        self.clock = self.obs.clock
+        registry = self.obs.registry
         self._c_load = registry.counter("dram.load")
         self._c_load_miss = registry.counter("dram.load_miss")
         self._c_store = registry.counter("dram.store")
@@ -1149,9 +1137,6 @@ class VolatileMemory(_Arena):
     def read_u32(self, addr):
         return int.from_bytes(self.read(addr, 4), "little")
 
-    def read_u64(self, addr):
-        return int.from_bytes(self.read(addr, 8), "little")
-
     def _write_fixed(self, addr, data, length):
         """Single-line DRAM store of a fixed-width integer."""
         self._c_store.value += 1
@@ -1171,22 +1156,11 @@ class VolatileMemory(_Arena):
             if len(lines) > self._rcap:
                 lines.popitem(last=False)
 
-    # Persistence operations are no-ops on DRAM: data here is volatile
-    # by definition.  They exist so the slotted-page code runs
-    # unchanged on the NVWAL volatile buffer cache.
-
-    def clflush(self, addr):
-        del addr
+    # Flushing is a no-op on DRAM: data here is volatile by
+    # definition.  It exists so the slotted-page code runs unchanged on
+    # the NVWAL volatile buffer cache.
 
     def flush_range(self, addr, length):
-        del addr, length
-
-    def sfence(self):
-        pass
-
-    mfence = sfence
-
-    def persist(self, addr, length):
         del addr, length
 
     def crash(self, policy=None):

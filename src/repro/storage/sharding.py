@@ -216,10 +216,6 @@ class ShardRouter:
         return self.pm.clock
 
     @property
-    def stats(self):
-        return self.pm.stats
-
-    @property
     def registry(self):
         return self.obs.registry
 
@@ -243,9 +239,9 @@ class ShardRouter:
         self._next_gtid += 1
         return gtid
 
-    def session(self, name=None, read_only=False, isolation=None):
+    def session(self, name=None, isolation=None):
         """Open a sharded session (one concurrent client)."""
-        return ShardedSession.open(self, name, read_only, isolation)
+        return ShardedSession.open(self, name, isolation)
 
     def _session_closed(self, session):
         self._sessions.pop(session.sid, None)
@@ -428,7 +424,10 @@ class ShardedSession(Session):
             shard = self.engine.shards[index]
             session = Session(
                 shard, self.sid, self.name,
-                lock_manager=None if self.read_only else shard.lock_manager,
+                lock_manager=(
+                    None if self.isolation == "read_only"
+                    else shard.lock_manager
+                ),
                 isolation=self.isolation,
                 quiet=True,
                 resource_namespace=index << SHARD_NS_SHIFT,

@@ -472,7 +472,7 @@ class SlottedPage:
             if validated is None or self.base not in validated:
                 if validated is not None:
                     validated.add(self.base)
-                counters = self.pm.stats.registry
+                counters = self.pm.obs.registry
                 counters.inc("page.freelist.check")
                 if self.freelist_head and not self.free_list_consistent():
                     counters.inc("page.freelist.rebuild")

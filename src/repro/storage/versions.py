@@ -159,9 +159,6 @@ class _ImageMemory:
     def read_u32(self, addr):
         return int.from_bytes(self.read(addr, 4), "little")
 
-    def read_u64(self, addr):
-        return int.from_bytes(self.read(addr, 8), "little")
-
     def _outside(self, addr, end):
         if self._gap and addr < self._hole_end and end > self._hole_start:
             return IndexError(

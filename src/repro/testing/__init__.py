@@ -24,11 +24,8 @@ from repro.testing.crashsim import (
     check_committed_prefix,
     crash_at,
     crash_sweep,
+    failing,
     power_fail,
-    run_crash_sweep,
-    run_sharded_crash_sweep,
-    run_sharded_to_crash_point,
-    run_to_crash_point,
 )
 from repro.testing.invariants import (
     PageInvariantChecker,
@@ -49,9 +46,6 @@ __all__ = [
     "check_committed_prefix",
     "crash_at",
     "crash_sweep",
+    "failing",
     "power_fail",
-    "run_crash_sweep",
-    "run_sharded_crash_sweep",
-    "run_sharded_to_crash_point",
-    "run_to_crash_point",
 ]

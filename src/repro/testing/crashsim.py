@@ -678,51 +678,6 @@ def failing(results):
     return [(point, result) for point, result in results if not result.ok]
 
 
-def run_to_crash_point(scheme, workload, budget, **options):
-    """:func:`crash_at` of a :class:`SingleRun`."""
-    return crash_at(SingleRun(scheme, workload), budget, **options)
-
-
-def run_scheduler_to_crash_point(scheme, workloads, budget, *,
-                                 pick_strategy_factory=None, **options):
-    """:func:`crash_at` of a :class:`ScheduledRun`."""
-    return crash_at(
-        ScheduledRun(scheme, workloads, pick_strategy_factory), budget,
-        **options,
-    )
-
-
-def run_sharded_to_crash_point(scheme, workloads, budget, *, shards=2,
-                               **options):
-    """:func:`crash_at` of a :class:`ShardedRun`."""
-    return crash_at(ShardedRun(scheme, workloads, shards), budget, **options)
-
-
-def run_crash_sweep(scheme, workload, **options):
-    """The failing points of a :class:`SingleRun` :func:`crash_sweep`.
-
-    An empty return value is the theorem the paper argues in Section
-    4.4: no crash point and no writeback ordering breaks the scheme.
-    """
-    return failing(crash_sweep(SingleRun(scheme, workload), **options))
-
-
-def run_scheduler_crash_sweep(scheme, workloads, *,
-                              pick_strategy_factory=None, **options):
-    """The failing points of a :class:`ScheduledRun` :func:`crash_sweep`."""
-    return failing(crash_sweep(
-        ScheduledRun(scheme, workloads, pick_strategy_factory), **options,
-    ))
-
-
-def run_sharded_crash_sweep(scheme, workloads, *, shards=2, **options):
-    """The failing points of a :class:`ShardedRun` :func:`crash_sweep`:
-    every instant between redo-frame writes, prepare records, the
-    coordinator decision and the per-shard commit marks."""
-    return failing(crash_sweep(ShardedRun(scheme, workloads, shards),
-                               **options))
-
-
 def check_committed_prefix(engine, scheduler, *, preloaded=None):
     """The committed-prefix oracle for a *finished* scheduled run:
     ``verify()`` passes and a scan equals the plain-dict model that

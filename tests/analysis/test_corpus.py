@@ -6,7 +6,7 @@ import pytest
 from repro.analysis import corpus, selftest
 from repro.analysis.tracecheck import TraceChecker
 from repro.bench.multiclient import run_multi_client
-from repro.testing.crashsim import SingleRun, run_crash_sweep
+from repro.testing.crashsim import SingleRun, crash_sweep, failing
 
 
 def test_selftest_every_rule_fires():
@@ -106,10 +106,11 @@ def test_crash_sweep_checker_factory_hook():
         checkers.append(checker)
         return checker
 
-    failures = run_crash_sweep(
-        "fast", [("insert", b"k%d" % i, bytes(24)) for i in range(3)],
-        stride=17, seeds=(0,), max_points=4, checker_factory=factory,
-    )
+    workload = [("insert", b"k%d" % i, bytes(24)) for i in range(3)]
+    failures = failing(crash_sweep(
+        SingleRun("fast", workload), stride=17, seeds=(0,), max_points=4,
+        checker_factory=factory,
+    ))
     assert failures == []
     assert len(checkers) == 1, "one checker rides the one execution"
     for checker in checkers:

@@ -81,8 +81,8 @@ def test_run_single_inserts_collects_phases(scheme):
     assert result.op_us > 0
     for phase in ("search", "page_update", "commit"):
         assert phase in result.segments_us
-    assert result.counters["clflushes"] > 0
-    assert result.per_op("clflushes") > 0
+    assert result.counters["pm.flush"] > 0
+    assert result.per_op("pm.flush") > 0
 
 
 def test_run_single_inserts_latency_sensitivity():

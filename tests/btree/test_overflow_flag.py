@@ -278,7 +278,10 @@ def crash_and_attach(scheme, config, budget):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_crash_sweep_eager_gc_keeps_committed_chains(scheme):
-    config = config_for(scheme, npages=128)
+    # NVWAL checkpoints after every commit, so committed chain pages
+    # leave the WAL (whose pages GC keeps anyway) and only the walk
+    # keeps them.
+    config = config_for(scheme, npages=128, nvwal_checkpoint_bytes=1)
     assert config.eager_recovery_gc
     clean, _ = crash_and_attach(scheme, config, None)
     total = clean.pm.events
@@ -315,7 +318,7 @@ def test_eager_gc_attach_reads_one_line_per_leaf(scheme):
     def attach_misses(eager):
         pm = engine.pm
         pm.crash()
-        registry = pm.stats.registry
+        registry = pm.obs.registry
         before = registry.value("pm.load_miss")
         engine_class(scheme).attach(
             dataclasses.replace(config, eager_recovery_gc=eager), pm

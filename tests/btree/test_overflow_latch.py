@@ -58,7 +58,7 @@ def engine_walk_before_latch(engine):
 
 
 def load_misses(engine, walk):
-    registry = engine.pm.stats.registry
+    registry = engine.pm.obs.registry
     before = registry.value("pm.load_miss")
     pages = walk(engine)
     return pages, registry.value("pm.load_miss") - before
@@ -98,9 +98,9 @@ def test_first_chain_persists_the_latch_once_and_nothing_clears_it():
     assert store.overflow_latched
     word = int.from_bytes(pm.durable_bytes(store.base + 4, 4), "little")
     assert word == store.page_size | OVERFLOW_LATCH
-    stores = pm.stats.stores
+    stores = pm.obs.registry.value("pm.store")
     store.latch_overflow()
-    assert pm.stats.stores == stores  # already set: no store
+    assert pm.obs.registry.value("pm.store") == stores  # already set: no store
     engine.delete(b"big")
     pm.crash()
     recovered = engine_class("fast").attach(config, pm)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import SystemConfig, open_engine
-from repro.testing import run_crash_sweep
+from repro.testing import SingleRun, crash_sweep, failing
 from tests.btree.helpers import naive_tree
 from tests.core.conftest import small_config
 
@@ -83,5 +83,7 @@ def test_crash_sweep_through_page_reclamation(scheme):
     )
     workload = [("insert", b"%04d" % i, b"x" * 40) for i in range(14)]
     workload += [("delete", b"%04d" % i, None) for i in range(14)]
-    failures = run_crash_sweep(scheme, workload, config=config, stride=4)
+    failures = failing(crash_sweep(
+        SingleRun(scheme, workload), config=config, stride=4,
+    ))
     assert failures == [], failures[:3]

@@ -1,6 +1,6 @@
 """Crash matrix: every durable engine x every writeback policy.
 
-``run_crash_sweep`` injects a power failure at every ``stride``-th armed
+``crash_sweep`` injects a power failure at every ``stride``-th armed
 memory event of a mixed insert/update/delete workload and validates the
 recovered database against the model (durability + atomicity +
 structural integrity — the executable form of the paper's Section 4.4
@@ -19,9 +19,7 @@ import pytest
 
 from repro.obs.trace import RECOVERY_REPLAY
 from repro.pm.crash import DropAll, PersistAll
-from repro.testing import (
-    SingleRun, crash_sweep, run_crash_sweep, run_to_crash_point,
-)
+from repro.testing import SingleRun, crash_at, crash_sweep, failing
 
 SCHEMES = ("fast", "fastplus", "nvwal")
 
@@ -48,7 +46,7 @@ def _expected_final_state():
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_no_crash_baseline(scheme):
     """budget=None: the workload completes and matches the model."""
-    result = run_to_crash_point(scheme, WORKLOAD, None)
+    result = crash_at(SingleRun(scheme, WORKLOAD), None)
     assert not result.crashed
     assert result.ok, result.violations
     assert result.recovered == _expected_final_state()
@@ -58,9 +56,9 @@ def test_no_crash_baseline(scheme):
 @pytest.mark.parametrize("policy", [PersistAll(), DropAll()],
                          ids=["persist-all", "drop-all"])
 def test_extreme_writeback_policies(scheme, policy):
-    failures = run_crash_sweep(
-        scheme, WORKLOAD, stride=7, policies=[policy],
-    )
+    failures = failing(crash_sweep(
+        SingleRun(scheme, WORKLOAD), stride=7, policies=[policy],
+    ))
     assert failures == [], [
         (budget, result.violations) for budget, result in failures[:3]
     ]
@@ -70,7 +68,9 @@ def test_extreme_writeback_policies(scheme, policy):
 def test_random_writeback_orderings(scheme):
     """Seeded ``RandomPersist``: arbitrary subsets of unfenced lines
     survive the failure."""
-    failures = run_crash_sweep(scheme, WORKLOAD, stride=7, seeds=(0, 1))
+    failures = failing(crash_sweep(
+        SingleRun(scheme, WORKLOAD), stride=7, seeds=(0, 1),
+    ))
     assert failures == [], [
         (budget, result.violations) for budget, result in failures[:3]
     ]
@@ -119,6 +119,6 @@ def test_nvwal_always_replays_its_committed_frames():
     every post-commit crash point makes recovery walk the chain."""
     probed, hits = _replay_budgets("nvwal", max_points=4)
     # Every probed point past the first commit replays at least one frame.
-    first_commit = run_to_crash_point("nvwal", WORKLOAD[:1], None).events
+    first_commit = crash_at(SingleRun("nvwal", WORKLOAD[:1]), None).events
     past = [budget for budget in probed if budget > first_commit]
     assert len(past) >= 3 and set(past) <= set(hits)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SystemConfig
-from repro.testing import run_to_crash_point
+from repro.testing import SingleRun, crash_at
 
 
 def config(granularity):
@@ -38,8 +38,11 @@ def to_workload(raw):
 @settings(max_examples=25, deadline=None)
 @given(raw=ops, budget=st.integers(1, 600), seed=st.integers(0, 1 << 16))
 def test_fast_random_workload_random_crash(raw, budget, seed):
-    result = run_to_crash_point(
-        "fast", to_workload(raw), budget, config=config(8), seed=seed
+    result = crash_at(
+        SingleRun("fast", to_workload(raw)),
+        budget,
+        config=config(8),
+        seed=seed,
     )
     assert result.ok, result.violations
 
@@ -47,8 +50,11 @@ def test_fast_random_workload_random_crash(raw, budget, seed):
 @settings(max_examples=25, deadline=None)
 @given(raw=ops, budget=st.integers(1, 600), seed=st.integers(0, 1 << 16))
 def test_fastplus_random_workload_random_crash(raw, budget, seed):
-    result = run_to_crash_point(
-        "fastplus", to_workload(raw), budget, config=config(64), seed=seed
+    result = crash_at(
+        SingleRun("fastplus", to_workload(raw)),
+        budget,
+        config=config(64),
+        seed=seed,
     )
     assert result.ok, result.violations
 
@@ -56,7 +62,10 @@ def test_fastplus_random_workload_random_crash(raw, budget, seed):
 @settings(max_examples=20, deadline=None)
 @given(raw=ops, budget=st.integers(1, 700), seed=st.integers(0, 1 << 16))
 def test_nvwal_random_workload_random_crash(raw, budget, seed):
-    result = run_to_crash_point(
-        "nvwal", to_workload(raw), budget, config=config(8), seed=seed
+    result = crash_at(
+        SingleRun("nvwal", to_workload(raw)),
+        budget,
+        config=config(8),
+        seed=seed,
     )
     assert result.ok, result.violations

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import SystemConfig, engine_class
 from repro.pm.crash import DropAll, PersistAll
-from repro.testing import run_crash_sweep, run_to_crash_point
+from repro.testing import SingleRun, crash_at, crash_sweep, failing
 
 WORKLOAD = (
     [("insert", b"%04d" % i, b"value-%04d" % i) for i in range(10)]
@@ -41,13 +41,17 @@ def config(granularity=8):
 @pytest.mark.parametrize("scheme", ["fast", "nvwal"])
 def test_exhaustive_crash_sweep_word_atomic(scheme):
     """FAST and NVWAL need only 8-byte atomic writes."""
-    failures = run_crash_sweep(scheme, WORKLOAD, config=config(8), stride=1)
+    failures = failing(crash_sweep(
+        SingleRun(scheme, WORKLOAD), config=config(8), stride=1,
+    ))
     assert failures == [], failures[:3]
 
 
 def test_exhaustive_crash_sweep_fastplus_line_atomic():
     """FAST⁺ relies on failure-atomic cache-line writes (Section 3.2)."""
-    failures = run_crash_sweep("fastplus", WORKLOAD, config=config(64), stride=1)
+    failures = failing(crash_sweep(
+        SingleRun("fastplus", WORKLOAD), config=config(64), stride=1,
+    ))
     assert failures == [], failures[:3]
 
 
@@ -55,9 +59,11 @@ def test_exhaustive_crash_sweep_fastplus_line_atomic():
 def test_crash_sweep_through_splits(scheme):
     """Crashes during B-tree splits (paper Figure 4's case analysis)."""
     granularity = 64 if scheme == "fastplus" else 8
-    failures = run_crash_sweep(
-        scheme, SPLIT_WORKLOAD, config=config(granularity), stride=5,
-    )
+    failures = failing(crash_sweep(
+        SingleRun(scheme, SPLIT_WORKLOAD),
+        config=config(granularity),
+        stride=5,
+    ))
     assert failures == [], failures[:3]
 
 
@@ -70,10 +76,12 @@ def test_crash_sweep_through_splits(scheme):
 @pytest.mark.parametrize("policy", [DropAll(), PersistAll()])
 def test_extreme_writeback_orderings(scheme, policy):
     granularity = 64 if scheme == "fastplus" else 8
-    failures = run_crash_sweep(
-        scheme, WORKLOAD, config=config(granularity),
-        stride=4, policies=[policy],
-    )
+    failures = failing(crash_sweep(
+        SingleRun(scheme, WORKLOAD),
+        config=config(granularity),
+        stride=4,
+        policies=[policy],
+    ))
     assert failures == [], failures[:3]
 
 
@@ -84,18 +92,18 @@ def test_extreme_writeback_orderings(scheme, policy):
 
 def test_naive_inplace_corrupts_under_word_atomicity():
     """Without logging or RTM, in-place header overwrites tear."""
-    failures = run_crash_sweep(
-        "naive", SPLIT_WORKLOAD, config=config(8), stride=2,
-    )
+    failures = failing(crash_sweep(
+        SingleRun("naive", SPLIT_WORKLOAD), config=config(8), stride=2,
+    ))
     assert failures, "expected the naive engine to corrupt at some crash point"
 
 
 def test_fastplus_unsafe_without_line_atomicity():
     """The in-place commit *needs* the cache-line guarantee: under the
     8-byte-only model some crash point must tear the slot header."""
-    failures = run_crash_sweep(
-        "fastplus", SPLIT_WORKLOAD, config=config(8), stride=1,
-    )
+    failures = failing(crash_sweep(
+        SingleRun("fastplus", SPLIT_WORKLOAD), config=config(8), stride=1,
+    ))
     assert failures, "expected FAST+ to be unsafe with 8-byte atomicity"
 
 
@@ -109,10 +117,14 @@ def test_orphan_pages_are_garbage_collected(scheme):
     """Crash mid-split leaks the new sibling; recovery reclaims it."""
     granularity = 64 if scheme == "fastplus" else 8
     cfg = config(granularity)
-    total = run_to_crash_point(scheme, SPLIT_WORKLOAD, None, config=cfg).events
+    total = crash_at(
+        SingleRun(scheme, SPLIT_WORKLOAD), None, config=cfg,
+    ).events
     free_counts = set()
     for budget in range(total // 3, total // 3 + 12):
-        result = run_to_crash_point(scheme, SPLIT_WORKLOAD, budget, config=cfg)
+        result = crash_at(
+            SingleRun(scheme, SPLIT_WORKLOAD), budget, config=cfg,
+        )
         assert result.ok, result.violations
     del free_counts
 
@@ -122,9 +134,9 @@ def test_recovery_is_idempotent():
     re-running recovery replays the same frames."""
     cfg = config(8)
     scheme = "fast"
-    total = run_to_crash_point(scheme, WORKLOAD, None, config=cfg).events
+    total = crash_at(SingleRun(scheme, WORKLOAD), None, config=cfg).events
     # Crash late (inside commit/checkpoint machinery), recover twice.
-    result = run_to_crash_point(scheme, WORKLOAD, total - 3, config=cfg)
+    result = crash_at(SingleRun(scheme, WORKLOAD), total - 3, config=cfg)
     assert result.ok, result.violations
 
 
@@ -149,22 +161,25 @@ def test_double_crash_during_recovery():
 @settings(max_examples=20, deadline=None)
 @given(budget=st.integers(1, 400), seed=st.integers(0, 1 << 20))
 def test_random_crash_points_fast(budget, seed):
-    result = run_to_crash_point("fast", WORKLOAD, budget,
-                                config=config(8), seed=seed)
+    result = crash_at(
+        SingleRun("fast", WORKLOAD), budget, config=config(8), seed=seed,
+    )
     assert result.ok, result.violations
 
 
 @settings(max_examples=20, deadline=None)
 @given(budget=st.integers(1, 500), seed=st.integers(0, 1 << 20))
 def test_random_crash_points_nvwal(budget, seed):
-    result = run_to_crash_point("nvwal", WORKLOAD, budget,
-                                config=config(8), seed=seed)
+    result = crash_at(
+        SingleRun("nvwal", WORKLOAD), budget, config=config(8), seed=seed,
+    )
     assert result.ok, result.violations
 
 
 @settings(max_examples=20, deadline=None)
 @given(budget=st.integers(1, 400), seed=st.integers(0, 1 << 20))
 def test_random_crash_points_fastplus(budget, seed):
-    result = run_to_crash_point("fastplus", WORKLOAD, budget,
-                                config=config(64), seed=seed)
+    result = crash_at(
+        SingleRun("fastplus", WORKLOAD), budget, config=config(64), seed=seed,
+    )
     assert result.ok, result.violations

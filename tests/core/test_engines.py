@@ -107,10 +107,10 @@ def test_multiple_trees(engine):
 
 def test_read_only_transaction_is_cheap(engine):
     engine.insert(b"x", b"1")
-    flushes_before = engine.stats.clflushes
+    flushes_before = engine.registry.value("pm.flush")
     with engine.transaction() as txn:
         assert txn.search(b"x") == b"1"
-    assert engine.stats.clflushes == flushes_before
+    assert engine.registry.value("pm.flush") == flushes_before
 
 
 def test_simulated_time_advances(engine):
@@ -148,7 +148,7 @@ def test_fastplus_uses_inplace_commit_for_single_inserts():
     for i in range(20):
         engine.insert(b"%04d" % i, b"v")
     assert engine.inplace_commits > 0
-    assert engine.pm.stats.rtm_commits == engine.inplace_commits
+    assert engine.pm.obs.registry.value("rtm.commit") == engine.inplace_commits
 
 
 def test_fastplus_falls_back_on_multi_page_txn():
@@ -169,15 +169,15 @@ def test_fast_never_uses_rtm():
     engine = open_engine(small_config(scheme="fast"))
     for i in range(50):
         engine.insert(b"%04d" % i, b"v")
-    assert engine.pm.stats.rtm_commits == 0
+    assert engine.pm.obs.registry.value("rtm.commit") == 0
 
 
 def test_fast_logs_every_write_transaction():
     engine = open_engine(small_config(scheme="fast"))
-    fences_before = engine.stats.fences
+    fences_before = engine.registry.value("pm.fence")
     engine.insert(b"k", b"v")
     # log flush fence + commit-mark fence + checkpoint fence + truncate
-    assert engine.stats.fences - fences_before >= 3
+    assert engine.registry.value("pm.fence") - fences_before >= 3
 
 
 def test_nvwal_defers_database_writes_until_checkpoint():
@@ -223,10 +223,10 @@ def test_commit_flush_counts_favor_fastplus():
             small_config(scheme=scheme, page_size=4096, npages=128,
                          dram_bytes=64 * 4096)
         )
-        base = engine.stats.clflushes
+        base = engine.registry.value("pm.flush")
         for i in range(100):
             engine.insert(b"%05d" % i, b"x" * 64)
-        counts[scheme] = engine.stats.clflushes - base
+        counts[scheme] = engine.registry.value("pm.flush") - base
     assert counts["fastplus"] < counts["fast"]
     assert counts["fastplus"] < counts["nvwal"]
 

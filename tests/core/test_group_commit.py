@@ -15,7 +15,7 @@ from repro.bench.multiclient import (
 )
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm.crash import PersistAll
-from repro.testing.crashsim import run_crash_sweep
+from repro.testing.crashsim import SingleRun, crash_sweep, failing
 from repro.testing.invariants import PageInvariantChecker
 
 from .conftest import SMALL, small_config
@@ -204,8 +204,9 @@ class TestEpochCloseCrashSweep:
     def test_close_window_all_or_nothing(self, scheme):
         config = SystemConfig(group_commit_size=4, **SMALL)
         workload = [("insert", b"ck%02d" % i, PAYLOAD) for i in range(3)]
-        failures = run_crash_sweep(scheme, workload, config=config,
-                                   stride=1, seeds=(0,))
+        failures = failing(crash_sweep(
+            SingleRun(scheme, workload), config=config, stride=1, seeds=(0,),
+        ))
         assert failures == []
 
     @pytest.mark.parametrize("scheme", GROUPING)
@@ -215,8 +216,9 @@ class TestEpochCloseCrashSweep:
         config = SystemConfig(group_commit_size=2, **SMALL)
         workload = [("insert", b"ck%02d" % i, PAYLOAD) for i in range(5)]
         workload.append(("update", b"ck00", PAYLOAD[::-1]))
-        failures = run_crash_sweep(scheme, workload, config=config,
-                                   stride=1, seeds=(0,))
+        failures = failing(crash_sweep(
+            SingleRun(scheme, workload), config=config, stride=1, seeds=(0,),
+        ))
         assert failures == []
 
 

@@ -8,7 +8,7 @@ the *whole* transaction (exact-state validation)."""
 import pytest
 
 from repro.core import SystemConfig
-from repro.testing import run_crash_sweep
+from repro.testing import SingleRun, crash_sweep, failing
 
 MULTI_TXN_WORKLOAD = [
     ("txn", [("insert", b"a%02d" % i, b"x" * 30) for i in range(6)]),
@@ -35,16 +35,18 @@ def config(granularity):
     ("fast", 8), ("fastplus", 64), ("nvwal", 8),
 ])
 def test_multi_op_transactions_are_atomic_under_crash(scheme, granularity):
-    failures = run_crash_sweep(
-        scheme, MULTI_TXN_WORKLOAD, config=config(granularity), stride=3,
-    )
+    failures = failing(crash_sweep(
+        SingleRun(scheme, MULTI_TXN_WORKLOAD),
+        config=config(granularity),
+        stride=3,
+    ))
     assert failures == [], failures[:3]
 
 
 def test_naive_engine_blends_multi_op_transactions():
-    failures = run_crash_sweep(
-        "naive", MULTI_TXN_WORKLOAD, config=config(8), stride=3,
-    )
+    failures = failing(crash_sweep(
+        SingleRun("naive", MULTI_TXN_WORKLOAD), config=config(8), stride=3,
+    ))
     assert failures, "naive in-place paging cannot be transactionally atomic"
     # The failures include torn transactional state, not only
     # structural damage.

@@ -15,10 +15,7 @@ import pytest
 from repro.bench.multiclient import client_workload
 from repro.core import SystemConfig, TransactionError
 from repro.pm.crash import DropAll, PersistAll, RandomPersist
-from repro.testing.crashsim import (
-    run_scheduler_crash_sweep,
-    run_scheduler_to_crash_point,
-)
+from repro.testing.crashsim import ScheduledRun, crash_at, crash_sweep, failing
 from repro.testing.invariants import PageInvariantChecker
 
 SCHEMES = ("fast", "fastplus", "nvwal")
@@ -48,7 +45,7 @@ def _workloads():
 
 def _event_total(scheme, workloads):
     """Armed memory events in the uncrashed scheduled run."""
-    return run_scheduler_to_crash_point(scheme, workloads, None).events
+    return crash_at(ScheduledRun(scheme, workloads), None).events
 
 
 class TestScheduledCrashPoints:
@@ -60,35 +57,31 @@ class TestScheduledCrashPoints:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_single_midpoint_crash_recovers(self, scheme):
         total = _event_total(scheme, _workloads())
-        result = run_scheduler_to_crash_point(
-            scheme, _workloads(), total // 2
-        )
+        result = crash_at(ScheduledRun(scheme, _workloads()), total // 2)
         assert result.crashed
         assert result.ok, result.violations
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_overlong_budget_runs_to_completion(self, scheme):
         total = _event_total(scheme, _workloads())
-        result = run_scheduler_to_crash_point(
-            scheme, _workloads(), total + 1000
-        )
+        result = crash_at(ScheduledRun(scheme, _workloads()), total + 1000)
         assert not result.crashed
         assert result.ok, result.violations
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_sweep_finds_no_violations(self, scheme):
         # Stride keeps this a smoke-level sweep; the exhaustive version
-        # runs in CI via run_scheduler_crash_sweep with stride=1.
-        failures = run_scheduler_crash_sweep(
-            scheme, _workloads(), stride=9, seeds=(0,)
-        )
+        # runs in CI as a ScheduledRun crash_sweep with stride=1.
+        failures = failing(crash_sweep(
+            ScheduledRun(scheme, _workloads()), stride=9, seeds=(0,),
+        ))
         assert failures == [], failures[:3]
 
 
 class TestScheduledCrashDeterminism:
     def test_same_budget_same_outcome(self):
-        a = run_scheduler_to_crash_point("fast", _workloads(), 33)
-        b = run_scheduler_to_crash_point("fast", _workloads(), 33)
+        a = crash_at(ScheduledRun("fast", _workloads()), 33)
+        b = crash_at(ScheduledRun("fast", _workloads()), 33)
         assert a.crashed == b.crashed
         assert a.committed == b.committed
         assert a.recovered == b.recovered
@@ -125,11 +118,13 @@ class TestGroupedContendedCrashSweep:
             RandomPersist(rng=random.Random(1)),
             RandomPersist(rng=random.Random(2)),
         ]
-        failures = run_scheduler_crash_sweep(
-            scheme, workloads, config=config, policies=policies,
+        failures = failing(crash_sweep(
+            ScheduledRun(scheme, workloads),
+            config=config,
+            policies=policies,
             max_points=4,
             checker_factory=PageInvariantChecker if armed else None,
-        )
+        ))
         assert failures == [], [
             (budget, result.violations[:2]) for budget, result in failures[:3]
         ]
@@ -145,29 +140,27 @@ def _mvcc_workloads():
     """
     w1, w2, _ = _workloads()
     reads = [("search", b"shared%02d" % (i % 3), None) for i in range(6)]
-    return [w1, w2, {"items": reads, "read_only": True}]
+    return [w1, w2, {"items": reads, "isolation": "read_only"}]
 
 
 class TestScheduledCrashWithReaders:
     @pytest.mark.parametrize("scheme", MVCC_SCHEMES)
     def test_midpoint_crash_recovers(self, scheme):
         total = _event_total(scheme, _mvcc_workloads())
-        result = run_scheduler_to_crash_point(
-            scheme, _mvcc_workloads(), total // 2
-        )
+        result = crash_at(ScheduledRun(scheme, _mvcc_workloads()), total // 2)
         assert result.crashed
         assert result.ok, result.violations
 
     @pytest.mark.parametrize("scheme", MVCC_SCHEMES)
     def test_sweep_finds_no_violations(self, scheme):
-        failures = run_scheduler_crash_sweep(
-            scheme, _mvcc_workloads(), stride=11, seeds=(0,)
-        )
+        failures = failing(crash_sweep(
+            ScheduledRun(scheme, _mvcc_workloads()), stride=11, seeds=(0,),
+        ))
         assert failures == [], failures[:3]
 
     def test_nvwal_refuses_a_read_only_client(self):
         with pytest.raises(TransactionError, match="'nvwal'.*'read_only'"):
-            run_scheduler_to_crash_point("nvwal", _mvcc_workloads(), 1)
+            crash_at(ScheduledRun("nvwal", _mvcc_workloads()), 1)
 
     def test_recovery_discards_version_chains(self):
         # Version chains are volatile metadata over persistent
@@ -188,7 +181,7 @@ class TestScheduledCrashWithReaders:
         pm = CrashablePM.for_config(config)
         engine = cls.create(config, pm=pm)
         engine.insert(b"k", b"v0")
-        reader = engine.session("r", read_only=True)
+        reader = engine.session("r", isolation="read_only")
         rtxn = reader.transaction()
         assert rtxn.search(b"k") == b"v0"
         with engine.session("w") as writer:
@@ -204,7 +197,7 @@ class TestScheduledCrashWithReaders:
         assert dict(recovered.scan())[b"k"] == b"v3"
         # And a fresh snapshot over the recovered engine works, seeing
         # only the committed state.
-        with recovered.session("r2", read_only=True) as reader2:
+        with recovered.session("r2", isolation="read_only") as reader2:
             txn = reader2.transaction()
             assert txn.search(b"k") == b"v3"
             txn.commit()

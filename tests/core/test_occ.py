@@ -102,6 +102,34 @@ class TestOccBasics:
 
 
 @on_occ_schemes
+class TestOccCreateTree:
+    def test_create_tree_commits(self, engine):
+        with engine.session("o", isolation="occ") as session:
+            with session.transaction() as txn:
+                txn.create_tree(1)
+        assert engine.read_view().root_page_no(1)
+        engine.insert(b"k", b"v", root_slot=1)
+        assert engine.search(b"k", root_slot=1) == b"v"
+        assert engine.search(b"k") is None
+
+    def test_concurrent_create_of_one_slot_fails_validation(self, engine):
+        """Both creates read the empty root slot; the first to commit
+        moves it, so the second's read set is stale."""
+        with engine.session("a", isolation="occ") as s1, \
+                engine.session("b", isolation="occ") as s2:
+            t1, t2 = s1.transaction(), s2.transaction()
+            t1.create_tree(1)
+            t2.create_tree(1)
+            t1.commit()
+            root = engine.read_view().root_page_no(1)
+            with pytest.raises(OCCConflict):
+                t2.commit()
+            t2.rollback()
+        assert root and engine.read_view().root_page_no(1) == root
+        engine.verify()
+
+
+@on_occ_schemes
 class TestValidationConflict:
     def test_stale_read_aborts_commit(self, engine):
         engine.insert(b"k", b"orig")

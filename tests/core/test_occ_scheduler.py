@@ -11,8 +11,10 @@ from repro.core import SystemConfig, open_engine
 from repro.core.scheduler import Scheduler
 from repro.storage.sharding import ShardRouter
 from repro.testing.crashsim import (
-    run_scheduler_crash_sweep,
-    run_sharded_crash_sweep,
+    ScheduledRun,
+    ShardedRun,
+    crash_sweep,
+    failing,
 )
 
 
@@ -103,22 +105,25 @@ class TestOccCrashSweeps:
         return [{"items": occ, "isolation": "occ"}, locked]
 
     def test_scheduled_sweep_clean(self):
-        failures = run_scheduler_crash_sweep(
-            "fast", self._workloads(), stride=1, seeds=(0,),
-        )
+        failures = failing(crash_sweep(
+            ScheduledRun("fast", self._workloads()), stride=1, seeds=(0,),
+        ))
         assert failures == []
 
     def test_grouped_sweep_clean(self):
         config = replace(_config(), group_commit_size=2)
-        failures = run_scheduler_crash_sweep(
-            "fast", self._workloads(), config=config, stride=1, seeds=(0,),
-        )
+        failures = failing(crash_sweep(
+            ScheduledRun("fast", self._workloads()),
+            config=config,
+            stride=1,
+            seeds=(0,),
+        ))
         assert failures == []
 
     def test_sharded_sweep_clean(self):
-        failures = run_sharded_crash_sweep(
-            "fast", self._workloads(), shards=2, stride=1, seeds=(0,),
-        )
+        failures = failing(crash_sweep(
+            ShardedRun("fast", self._workloads(), 2), stride=1, seeds=(0,),
+        ))
         assert failures == []
 
 

@@ -26,7 +26,7 @@ def test_transient_aborts_are_retried():
     engine.rtm.abort_injector = flaky
     engine.insert(b"k1", b"v1")
     assert engine.search(b"k1") == b"v1"
-    assert engine.rtm.stats.aborts >= 2
+    assert engine.registry.value("rtm.abort") >= 2
     assert engine.rtm_fallbacks == 0
 
 
@@ -77,8 +77,8 @@ def test_clwb_keeps_line_resident():
     pm.write(0, b"payload!")
     pm.clwb(0)
     pm.sfence()
-    misses_before = pm.stats.load_misses
+    misses_before = pm.obs.registry.value("pm.load_miss")
     assert pm.read(0, 8) == b"payload!"        # still a cache hit
-    assert pm.stats.load_misses == misses_before
+    assert pm.obs.registry.value("pm.load_miss") == misses_before
     pm.crash(DropAll())
     assert pm.read(0, 8) == b"payload!"        # and durable

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import SystemConfig, open_engine
 from repro.db.records import decode_composite, encode_composite
-from repro.testing import run_crash_sweep
+from repro.testing import SingleRun, crash_sweep, failing
 
 
 def config(scheme, granularity=64):
@@ -53,7 +53,9 @@ def test_bulk_build_survives_crash_sweep(scheme):
         ("insert", encode_composite(["g%d" % (i % 3), i]), b"x" * 30)
         for i in range(20)
     ]
-    failures = run_crash_sweep(scheme, workload, config=cfg, stride=6)
+    failures = failing(crash_sweep(
+        SingleRun(scheme, workload), config=cfg, stride=6,
+    ))
     assert failures == [], failures[:3]
 
 

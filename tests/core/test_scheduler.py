@@ -222,7 +222,8 @@ class TestReadOnlyClients:
         engine = _engine()
         scheduler = Scheduler(engine)
         with pytest.raises(SchedulerError):
-            scheduler.add_client([("insert", b"k", b"v")], read_only=True)
+            scheduler.add_client([("insert", b"k", b"v")],
+                                 isolation="read_only")
 
     def test_pure_reader_mix_round_robins(self):
         # Zero-length think items commit without advancing the clock,
@@ -236,7 +237,8 @@ class TestReadOnlyClients:
             engine, on_step=lambda client: order.append(client.index)
         )
         for _ in range(3):
-            scheduler.add_client([("think", 0.0, None)] * 4, read_only=True)
+            scheduler.add_client([("think", 0.0, None)] * 4,
+                                 isolation="read_only")
         scheduler.run()
         assert order == [0, 1, 2] * 4
 
@@ -247,7 +249,7 @@ class TestReadOnlyClients:
                 engine.insert(b"seed%02d" % i, b"x" * 24)
             scheduler = Scheduler(engine)
             for items in _reader_workloads(4, items=6):
-                scheduler.add_client(items, read_only=True)
+                scheduler.add_client(items, isolation="read_only")
             report = scheduler.run()
             return report, engine.registry.snapshot(), engine.clock.now_ns
 
@@ -259,7 +261,7 @@ class TestReadOnlyClients:
             engine.insert(b"seed%02d" % i, b"x" * 24)
         scheduler = Scheduler(engine)
         for items in _reader_workloads(3, items=5):
-            scheduler.add_client(items, read_only=True)
+            scheduler.add_client(items, isolation="read_only")
         report = scheduler.run()
         assert report["commits"] == 15
         assert report["aborts"] == 0
@@ -275,7 +277,7 @@ class TestReadOnlyClients:
             for items in _hot_workloads(2, items=4):
                 scheduler.add_client(items)
             for items in _reader_workloads(2, items=5):
-                scheduler.add_client(items, read_only=True)
+                scheduler.add_client(items, isolation="read_only")
             report = scheduler.run()
             return report, engine.registry.snapshot(), engine.clock.now_ns
 

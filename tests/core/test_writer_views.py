@@ -31,7 +31,7 @@ from repro.storage.cache import TieredPageCache
 from repro.storage.slotted_page import (
     FLAG_HAS_OVERFLOW, PAGE_INTERNAL, PAGE_LEAF, SlottedPage,
 )
-from repro.testing.crashsim import run_scheduler_crash_sweep
+from repro.testing.crashsim import ScheduledRun, crash_sweep, failing
 from repro.testing.invariants import PageInvariantChecker
 from tests.storage.test_cache import (
     _SEAM_KEYS,
@@ -457,19 +457,24 @@ def test_crash_sweep_with_a_writer_reading_through_frames(scheme, monkeypatch):
 
     monkeypatch.setattr(TieredPageCache, "view", counting_view)
     config = SystemConfig(dram_cache_pages=8, **SMALL)
-    failures = run_scheduler_crash_sweep(
-        scheme, _crash_workloads(), config=config, max_points=40,
+    failures = failing(crash_sweep(
+        ScheduledRun(scheme, _crash_workloads()),
+        config=config,
+        max_points=40,
         policies=[DropAll(), PersistAll(),
                   RandomPersist(rng=random.Random(1)),
                   RandomPersist(rng=random.Random(2))],
-    )
+    ))
     assert failures == [], failures[:3]
     assert hits, "the writer's contexts never found a frame"
     if scheme == "fast":
         # One cell again, checked after every step: no free chunk or
         # cell may overlap a cell some owner still counts on.
-        failures = run_scheduler_crash_sweep(
-            scheme, _crash_workloads(), config=config, max_points=12,
-            policies=[DropAll()], checker_factory=PageInvariantChecker,
-        )
+        failures = failing(crash_sweep(
+            ScheduledRun(scheme, _crash_workloads()),
+            config=config,
+            max_points=12,
+            policies=[DropAll()],
+            checker_factory=PageInvariantChecker,
+        ))
         assert failures == [], failures[:3]

@@ -110,14 +110,14 @@ class TestConcurrentConnections:
 class TestReadOnlyConnections:
     def test_read_only_connection_reads_committed_data(self, db):
         db.execute("INSERT INTO t VALUES (1, 'one')")
-        with db.connect("snap", read_only=True) as conn:
+        with db.connect("snap", isolation="read_only") as conn:
             assert conn.execute("SELECT v FROM t WHERE id = 1").rows == \
                 [("one",)]
 
     def test_read_only_connection_rejects_writes(self, db):
         from repro.core import TransactionError
 
-        with db.connect("snap", read_only=True) as conn:
+        with db.connect("snap", isolation="read_only") as conn:
             with pytest.raises(TransactionError):
                 conn.execute("INSERT INTO t VALUES (2, 'nope')")
 
@@ -128,7 +128,7 @@ class TestReadOnlyConnections:
         writer = db.connect("writer")
         writer.execute("BEGIN")
         writer.execute("UPDATE t SET v = 'dirty' WHERE id = 1")
-        with db.connect("snap", read_only=True) as conn:
+        with db.connect("snap", isolation="read_only") as conn:
             assert conn.execute("SELECT v FROM t WHERE id = 1").rows == \
                 [("orig",)]
             writer.execute("COMMIT")
@@ -140,7 +140,7 @@ class TestReadOnlyConnections:
 
     def test_read_only_transaction_pins_one_snapshot(self, db):
         db.execute("INSERT INTO t VALUES (1, 'orig')")
-        conn = db.connect("snap", read_only=True)
+        conn = db.connect("snap", isolation="read_only")
         conn.execute("BEGIN")
         assert conn.execute("SELECT v FROM t WHERE id = 1").rows == \
             [("orig",)]

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.btree.cells import parse_leaf
 from repro.core import engine_class, open_engine
 from repro.hashindex import HashIndex
+from repro.pm.crash import DropAll
 from tests.core.conftest import small_config
 
 ROOT_SLOT = 2
@@ -166,6 +168,78 @@ def test_crash_mid_transaction_is_atomic():
     assert index.search(recovered_view, b"committed") == b"1"
     assert index.search(recovered_view, b"doomed") is None
     assert index.verify(recovered_view) == 1
+
+
+# ----------------------------------------------------------------------
+# Copy-on-write of a fragmented bucket page
+# ----------------------------------------------------------------------
+
+
+def _chain(index, view):
+    head_no = index._bucket_head(index._directory(view), 0)
+    return list(index._chain_page_nos(view, head_no))
+
+
+@pytest.mark.parametrize("target", ["head", "chain"])
+@pytest.mark.parametrize("scheme", ["fast", "fastplus", "nvwal"])
+def test_fragmented_bucket_page_is_rewritten(scheme, target, monkeypatch):
+    """A record that no hole of a bucket page fits, but that fits once
+    the page is compacted, rewrites the page instead of growing the
+    chain.  FAST and FAST⁺ copy it to a fresh page, repoint its
+    referrer (the directory for a head page, the predecessor's chain
+    cell otherwise) and free the old page; NVWAL compacts the DRAM
+    frame in place, so the chain keeps its page numbers."""
+    entered = []
+    for name in ("_copy_on_write", "_predecessor"):
+        method = getattr(HashIndex, name)
+
+        def spy(self, *args, _name=name, _method=method):
+            entered.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(HashIndex, name, spy)
+    config = small_config(scheme=scheme, page_size=512)
+    engine = open_engine(config)
+    index = HashIndex(root_slot=ROOT_SLOT, nbuckets=1)
+    with engine.transaction() as txn:
+        index.create(txn.ctx)
+    model = {}
+    while len(_chain(index, view(engine))) < 3:
+        key = b"k%03d" % len(model)
+        put(engine, index, key, b"x" * 20)
+        model[key] = b"x" * 20
+    chain = _chain(index, view(engine))
+    old_no = chain[0] if target == "head" else chain[1]
+    page = view(engine).page(old_no)
+    # Every other record goes: holes too small for the new record,
+    # room enough once the page is compacted.
+    doomed = [parse_leaf(page.record(slot))[0]
+              for slot in range(1, page.nrecords, 2)]
+    for key in doomed:
+        with engine.transaction() as txn:
+            assert index.delete(txn.ctx, key)
+        del model[key]
+    put(engine, index, b"big", b"y" * 80)
+    model[b"big"] = b"y" * 80
+    assert "_copy_on_write" in entered
+    relinked = scheme != "nvwal"
+    assert ("_predecessor" in entered) == (relinked and target == "chain")
+    expected = _chain(index, view(engine))
+    position = chain.index(old_no)
+    assert expected[:position] + expected[position + 1:] == (
+        chain[:position] + chain[position + 1:]
+    )
+    assert (expected[position] != old_no) == relinked
+
+    def check(engine):
+        assert _chain(index, view(engine)) == expected
+        assert dict(index.items(view(engine))) == model
+        assert index.verify(view(engine)) == len(model)
+        assert (old_no in engine.store.free_pages()) == relinked
+
+    check(engine)
+    engine.pm.crash(DropAll())
+    check(engine_class(scheme).attach(config, engine.pm))
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_capacity_abort_on_second_line():
     with pytest.raises(RTMAbort) as excinfo:
         rtm.execute(body)
     assert excinfo.value.reason == "capacity"
-    assert rtm.stats.capacity_aborts == 1
+    assert pm.obs.registry.value("rtm.abort.capacity") == 1
 
 
 def test_write_spanning_two_lines_aborts():
@@ -104,8 +104,8 @@ def test_transient_abort_retried_until_success():
 
     rtm.execute(body)
     assert pm.read(0, 4) == b"done"
-    assert rtm.stats.aborts == 2
-    assert rtm.stats.commits == 1
+    assert pm.obs.registry.value("rtm.abort") == 2
+    assert pm.obs.registry.value("rtm.commit") == 1
 
 
 def test_fallback_invoked_after_retry_budget():
@@ -115,7 +115,7 @@ def test_fallback_invoked_after_retry_budget():
 
     rtm.execute(lambda txn: None, max_retries=2, fallback=lambda: calls.append(1))
     assert calls == [1]
-    assert rtm.stats.fallbacks == 1
+    assert pm.obs.registry.value("rtm.fallback") == 1
 
 
 def test_capacity_abort_goes_straight_to_fallback():
@@ -178,8 +178,8 @@ def test_committed_line_is_all_or_nothing_under_line_atomicity():
 def test_stats_mirrored_into_memory_stats():
     pm, rtm = make()
     rtm.execute(lambda txn: txn.write(0, b"x"))
-    assert pm.stats.rtm_begins == 1
-    assert pm.stats.rtm_commits == 1
+    assert pm.obs.registry.value("rtm.begin") == 1
+    assert pm.obs.registry.value("rtm.commit") == 1
 
 
 def test_rtm_charges_time():

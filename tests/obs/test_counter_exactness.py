@@ -103,15 +103,6 @@ def test_registry_and_trace_agree_on_flush_and_fence(scheme):
     assert registry.value("pm.store") == trace.count(ev.STORE)
 
 
-def test_legacy_stats_shim_reads_the_registry():
-    """``engine.stats.clflushes`` must be the same number as the
-    registry's ``pm.flush`` — the shim is a view, not a copy."""
-    engine, _ = _run_workload("fast", 64)
-    assert engine.stats.clflushes == engine.registry.value("pm.flush")
-    assert engine.stats.fences == engine.registry.value("pm.fence")
-    assert engine.stats.stores == engine.registry.value("pm.store")
-
-
 # ---------------------------------------------------------------------------
 # FAST+ RTM commit vs fallback
 # ---------------------------------------------------------------------------

@@ -95,7 +95,7 @@ def test_alloc_charges_heap_cost_and_counts():
     before = pm.clock.now_ns
     heap.pmalloc(64)
     assert pm.clock.now_ns - before >= pm.cost.heap_alloc_ns
-    assert pm.stats.pm_allocs == 1
+    assert pm.obs.registry.value("pm.alloc") == 1
 
 
 def test_many_alloc_free_cycles_stay_consistent():

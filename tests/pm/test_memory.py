@@ -144,7 +144,7 @@ def test_refused_flush_range_changes_nothing(memory_class, instruction,
         flush_instruction=instruction,
     )
     pm.write(4032, b"x" * 64)  # line 63, the arena's last
-    before = (pm.clock.now_ns, pm.stats.registry.counters())
+    before = (pm.clock.now_ns, pm.obs.registry.counters())
     if fault == "overrun":
         with pytest.raises(IndexError):
             pm.flush_range(4032, 128)
@@ -153,7 +153,7 @@ def test_refused_flush_range_changes_nothing(memory_class, instruction,
         with pytest.raises(RuntimeError):
             pm.flush_range(3968, 128)
         pm.flush_forbidden = False
-    assert (pm.clock.now_ns, pm.stats.registry.counters()) == before
+    assert (pm.clock.now_ns, pm.obs.registry.counters()) == before
     assert pm.dirty_units() == [(63, 0)]
     pm.sfence()  # nothing was put in flight
     assert pm.durable_bytes(4032, 64) == bytes(64)
@@ -166,7 +166,7 @@ def test_visible_bytes_overlays_dirty_and_inflight_lines_at_no_cost():
     pm.write(64, b"inflight")
     pm.clflush(64)              # line 1 in flight
     pm.write(130, b"dirty")     # line 2 dirty
-    before = (pm.clock.now_ns, pm.stats.registry.counters())
+    before = (pm.clock.now_ns, pm.obs.registry.counters())
     expected = bytearray(256)
     expected[56:64] = b"durable!"
     expected[64:72] = b"inflight"
@@ -174,7 +174,7 @@ def test_visible_bytes_overlays_dirty_and_inflight_lines_at_no_cost():
     assert pm.visible_bytes(0, 256) == bytes(expected)
     assert pm.visible_bytes(60, 72) == bytes(expected[60:132])
     assert pm.visible_bytes(100, 0) == b""
-    assert (pm.clock.now_ns, pm.stats.registry.counters()) == before
+    assert (pm.clock.now_ns, pm.obs.registry.counters()) == before
     assert pm.durable_bytes(56, 16) == b"durable!" + bytes(8)
     with pytest.raises(IndexError):
         pm.visible_bytes(4090, 8)
@@ -350,28 +350,28 @@ def test_clflush_evicts_line_from_cache():
     pm.write(0, b"y")
     pm.clflush(0)
     pm.sfence()
-    misses_before = pm.stats.load_misses
+    misses_before = pm.obs.registry.value("pm.load_miss")
     pm.read(0, 8)
-    assert pm.stats.load_misses == misses_before + 1
+    assert pm.obs.registry.value("pm.load_miss") == misses_before + 1
 
 
 def test_stats_count_events():
     pm = make_pm()
     pm.write(0, b"abc")
     pm.persist(0, 3)
-    assert pm.stats.stores == 1
-    assert pm.stats.bytes_stored == 3
-    assert pm.stats.clflushes == 1
-    assert pm.stats.fences == 1
+    assert pm.obs.registry.value("pm.store") == 1
+    assert pm.obs.registry.value("pm.store_bytes") == 3
+    assert pm.obs.registry.value("pm.flush") == 1
+    assert pm.obs.registry.value("pm.fence") == 1
 
 
 def test_stats_snapshot_since():
     pm = make_pm()
     pm.write(0, b"a")
-    snap = pm.stats.snapshot()
+    snap = pm.obs.snapshot()
     pm.write(0, b"b")
-    delta = pm.stats.since(snap)
-    assert delta.stores == 1
+    delta = pm.obs.since(snap)
+    assert delta["registry"]["counters"]["pm.store"] == 1
 
 
 # ----------------------------------------------------------------------

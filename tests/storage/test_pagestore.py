@@ -159,7 +159,8 @@ def drain(store):
 def format_counts(npages, page_size=64):
     pm = PersistentMemory(npages * page_size)
     PageStore.format(pm, 0, npages, page_size)
-    return pm.stats.stores, pm.stats.clflushes, pm.stats.fences
+    value = pm.obs.registry.value
+    return value("pm.store"), value("pm.flush"), value("pm.fence")
 
 
 def test_format_costs_the_same_whatever_the_arena_size():
@@ -172,12 +173,12 @@ def test_fresh_store_hands_out_its_pages_in_order_without_reading_them():
     pm, store = make_store(npages=8)
     assert store.free_head == RUN | 1
     assert store.free_pages() == list(range(1, 8))
-    loads = pm.stats.loads
+    loads = pm.obs.registry.value("pm.load")
     handed = [store.page_no_of(store.allocate_page(PAGE_LEAF))
               for _ in range(7)]
     assert handed == list(range(1, 8))
     # One head read per pop; no page's link word.
-    assert pm.stats.loads - loads == 7
+    assert pm.obs.registry.value("pm.load") - loads == 7
     with pytest.raises(OutOfPagesError):
         store.allocate_page(PAGE_LEAF)
 

@@ -162,7 +162,7 @@ class TestCommitProtocols:
         k0, k1 = _keys_on(0, 2, 1)[0], _keys_on(1, 2, 1)[0]
         router.insert(k0, b"a")
         router.insert(k1, b"b")
-        with router.session("r", read_only=True) as session:
+        with router.session("r", isolation="read_only") as session:
             with session.transaction() as txn:
                 assert txn.search(k0) == b"a"
                 assert txn.search(k1) == b"b"
@@ -284,7 +284,7 @@ class TestPerShardSnapshots:
         k0, k1 = _keys_on(0, 2, 1)[0], _keys_on(1, 2, 1)[0]
         router.insert(k0, b"old")
         router.insert(k1, b"old")
-        with router.session("r", read_only=True) as session:
+        with router.session("r", isolation="read_only") as session:
             txn = session.transaction()
             assert txn.search(k0) == b"old"  # pins shard 0 only
             assert router.shards[0].version_manager.capture_active
@@ -300,7 +300,7 @@ class TestPerShardSnapshots:
         router.insert(k0, b"old")
         for key in keys1:
             router.insert(key, b"old")
-        with router.session("r", read_only=True) as reader:
+        with router.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             assert txn.search(k0) == b"old"
             # Churn shard 1 while shard 0's snapshot stays pinned.
@@ -322,7 +322,7 @@ class TestPerShardSnapshots:
         for key in _keys_on(1, 2, 12):
             router.insert(key, bytes(64))
         router.insert(k0, b"x")
-        with router.session("r", read_only=True) as reader:
+        with router.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             txn.search(k0)  # pin shard 0
             # GC fans out per shard; shard 1 is unpinned and collects

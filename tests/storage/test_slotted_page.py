@@ -180,7 +180,7 @@ def test_commit_pending_inplace():
     rtm = RTM(pm)
     page.pending_insert(0, b"rtm-record")
     page.commit_pending_inplace(rtm)
-    assert pm.stats.rtm_commits == 1
+    assert pm.obs.registry.value("rtm.commit") == 1
     assert page.records() == [b"rtm-record"]
     assert pm.is_durably_clean(0, 64)
 
@@ -353,7 +353,7 @@ def test_free_list_check_is_remembered_by_the_views_keeper():
     pm, page, offsets = _page_with_a_dropped_cell()
     commit(page)
     page.reclaim_cell(offsets[1])
-    counter = pm.stats.registry.counter("page.freelist.check")
+    counter = pm.obs.registry.counter("page.freelist.check")
     start = counter.value
     validated = set()
     for _ in range(3):

@@ -1,6 +1,6 @@
 """MVCC version chains: snapshot visibility, watermark GC, zero locks.
 
-Read-only sessions (``engine.session(read_only=True)``) run snapshot
+Read-only sessions (``engine.session(isolation="read_only")``) run snapshot
 transactions over :mod:`repro.storage.versions`: each pins a snapshot
 timestamp at begin, resolves every page read against the latest
 version with commit timestamp ≤ that pin, and acquires no locks at
@@ -30,7 +30,7 @@ def engine(request):
 class TestSnapshotVisibility:
     def test_snapshot_pins_state_across_writer_commits(self, engine):
         engine.insert(b"k", b"old")
-        reader = engine.session("r", read_only=True)
+        reader = engine.session("r", isolation="read_only")
         txn = reader.transaction()
         assert txn.search(b"k") == b"old"
         with engine.session("w") as writer:
@@ -49,7 +49,7 @@ class TestSnapshotVisibility:
         with engine.session("w") as writer:
             wtxn = writer.transaction()
             wtxn.insert(b"k", b"dirty", replace=True)
-            with engine.session("r", read_only=True) as reader:
+            with engine.session("r", isolation="read_only") as reader:
                 rtxn = reader.transaction()
                 assert rtxn.search(b"k") == b"old"
                 wtxn.commit()
@@ -60,7 +60,7 @@ class TestSnapshotVisibility:
 
     def test_snapshot_transactions_cannot_write(self, engine):
         engine.insert(b"k", b"v")
-        with engine.session("r", read_only=True) as reader:
+        with engine.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             with pytest.raises(TransactionError):
                 txn.insert(b"x", b"y")
@@ -76,7 +76,7 @@ class TestSnapshotVisibility:
 
     def test_readers_touch_no_lock_state(self, engine):
         engine.insert(b"k", b"v")
-        with engine.session("r", read_only=True) as reader:
+        with engine.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             assert txn.search(b"k") == b"v"
             txn.commit()
@@ -105,12 +105,12 @@ class TestWatermarkGC:
     def test_watermark_is_minimum_active_snapshot(self, engine):
         engine.insert(b"k", b"v0")
         versions = engine.version_manager
-        older = engine.session("older", read_only=True)
+        older = engine.session("older", isolation="read_only")
         otxn = older.transaction()
         assert otxn.search(b"k") == b"v0"
         with engine.session("w") as writer:
             writer.insert(b"k", b"v1", replace=True)
-        newer = engine.session("newer", read_only=True)
+        newer = engine.session("newer", isolation="read_only")
         ntxn = newer.transaction()
         assert ntxn.ctx.snapshot_ts > otxn.ctx.snapshot_ts
         assert versions.watermark() == otxn.ctx.snapshot_ts
@@ -125,7 +125,7 @@ class TestWatermarkGC:
 
     def test_long_lived_reader_pins_versions_under_churn(self, engine):
         engine.insert(b"k", b"v-original")
-        with engine.session("r", read_only=True) as reader:
+        with engine.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             assert txn.search(b"k") == b"v-original"
             with engine.session("w") as writer:
@@ -141,7 +141,7 @@ class TestWatermarkGC:
 
     def test_gc_with_active_reader_reclaims_nothing_it_can_see(self, engine):
         engine.insert(b"k", b"v0")
-        with engine.session("r", read_only=True) as reader:
+        with engine.session("r", isolation="read_only") as reader:
             txn = reader.transaction()
             assert txn.search(b"k") == b"v0"
             with engine.session("w") as writer:
@@ -159,7 +159,7 @@ class TestWatermarkGC:
 
     def test_gc_after_last_reader_reclaims_everything(self, engine):
         engine.insert(b"k", b"v0")
-        reader = engine.session("r", read_only=True)
+        reader = engine.session("r", isolation="read_only")
         txn = reader.transaction()
         assert txn.search(b"k") == b"v0"
         with engine.session("w") as writer:
@@ -184,7 +184,7 @@ class TestSchemeGating:
     def test_naive_rejects_read_only_sessions(self):
         engine = open_engine(small_config(scheme="naive"))
         with pytest.raises(TransactionError):
-            engine.session("r", read_only=True)
+            engine.session("r", isolation="read_only")
 
     @pytest.mark.parametrize("isolation", ["read_only", "occ"])
     def test_nvwal_refuses_snapshot_sessions(self, isolation):

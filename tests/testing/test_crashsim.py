@@ -8,9 +8,11 @@ from repro.testing import (
     SMALL_CONFIG,
     CrashPoint,
     CrashablePM,
+    SingleRun,
+    crash_at,
+    crash_sweep,
+    failing,
     power_fail,
-    run_crash_sweep,
-    run_to_crash_point,
 )
 
 WORKLOAD = [("insert", b"%02d" % i, b"v%d" % i) for i in range(5)]
@@ -51,28 +53,28 @@ def test_rtm_commit_is_not_a_crash_point():
 
 
 def test_no_crash_run_reports_clean():
-    result = run_to_crash_point("fast", WORKLOAD, None, config=config())
+    result = crash_at(SingleRun("fast", WORKLOAD), None, config=config())
     assert not result.crashed
     assert result.ok
     assert len(result.recovered) == 5
 
 
 def test_crash_points_in_is_positive_and_stable():
-    total = run_to_crash_point("fast", WORKLOAD, None, config=config()).events
+    total = crash_at(SingleRun("fast", WORKLOAD), None, config=config()).events
     assert total > 10
-    again = run_to_crash_point("fast", WORKLOAD, None, config=config())
+    again = crash_at(SingleRun("fast", WORKLOAD), None, config=config())
     assert again.events == total
 
 
 def test_crash_point_runs_report_inflight():
-    result = run_to_crash_point("fast", WORKLOAD, 5, config=config())
+    result = crash_at(SingleRun("fast", WORKLOAD), 5, config=config())
     assert result.crashed
     assert result.inflight  # crashed inside some transaction
 
 
 def test_validator_catches_planted_corruption():
     """If recovery 'lost' a committed key, the validator must say so."""
-    result = run_to_crash_point("fast", WORKLOAD, None, config=config())
+    result = crash_at(SingleRun("fast", WORKLOAD), None, config=config())
     result.recovered.pop(b"02")
     from repro.testing.crashsim import _validate
 
@@ -86,17 +88,24 @@ def test_validator_catches_planted_corruption():
 
 
 def test_sweep_with_policies():
-    failures = run_crash_sweep(
-        "fast", WORKLOAD, config=config(), stride=10, policies=[PersistAll()]
-    )
+    failures = failing(crash_sweep(
+        SingleRun("fast", WORKLOAD),
+        config=config(),
+        stride=10,
+        policies=[PersistAll()],
+    ))
     assert failures == []
 
 
 def test_sweep_respects_max_points():
     # Just exercises the sampling path.
-    failures = run_crash_sweep(
-        "fast", WORKLOAD, config=config(), stride=1, max_points=5, seeds=(1,)
-    )
+    failures = failing(crash_sweep(
+        SingleRun("fast", WORKLOAD),
+        config=config(),
+        stride=1,
+        max_points=5,
+        seeds=(1,),
+    ))
     assert failures == []
 
 

@@ -5,10 +5,7 @@ all-shards-or-none recovery at each."""
 
 import pytest
 
-from repro.testing.crashsim import (
-    run_sharded_crash_sweep,
-    run_sharded_to_crash_point,
-)
+from repro.testing.crashsim import ShardedRun, crash_at, crash_sweep, failing
 
 #: One client whose middle item is a cross-shard transaction — by
 #: crc32, keys b"c00"/b"c04"/b"c01"/b"c05" land on shards 0/1/2/3 of 4
@@ -42,18 +39,12 @@ _MIXED_WORKLOADS = [
 
 class TestSweepMechanics:
     def test_crash_points_enumerable(self):
-        total = run_sharded_to_crash_point(
-            "fast", _CROSS_WORKLOAD, None, shards=2,
-        ).events
+        total = crash_at(ShardedRun("fast", _CROSS_WORKLOAD, 2), None).events
         assert total > 20  # prepare/decide/commit all emit memory events
 
     def test_uncrashed_run_validates_clean(self):
-        total = run_sharded_to_crash_point(
-            "fast", _CROSS_WORKLOAD, None, shards=2,
-        ).events
-        result = run_sharded_to_crash_point(
-            "fast", _CROSS_WORKLOAD, total + 100, shards=2,
-        )
+        total = crash_at(ShardedRun("fast", _CROSS_WORKLOAD, 2), None).events
+        result = crash_at(ShardedRun("fast", _CROSS_WORKLOAD, 2), total + 100)
         assert not result.crashed
         assert result.ok, result.violations
 
@@ -81,9 +72,7 @@ class TestSweepMechanics:
         ]
 
     def test_crashed_run_reports_committed_prefix(self):
-        result = run_sharded_to_crash_point(
-            "fast", _CROSS_WORKLOAD, 5, shards=2,
-        )
+        result = crash_at(ShardedRun("fast", _CROSS_WORKLOAD, 2), 5)
         assert result.crashed
         assert result.ok, result.violations
 
@@ -94,18 +83,20 @@ class TestTwoPhaseConformance:
         """The exhaustive enumeration (stride 1): no instant between
         the first prepare store and the final commit-mark clear may
         recover to a half-committed cross-shard transaction."""
-        failures = run_sharded_crash_sweep(
-            scheme, _CROSS_WORKLOAD, shards=2, stride=1, seeds=(0,),
-        )
+        failures = failing(crash_sweep(
+            ShardedRun(scheme, _CROSS_WORKLOAD, 2), stride=1, seeds=(0,),
+        ))
         assert failures == [], [
             (budget, result.violations) for budget, result in failures[:5]
         ]
 
     def test_mixed_clients_survive_thinned_sweep(self, scheme):
-        failures = run_sharded_crash_sweep(
-            scheme, _MIXED_WORKLOADS, shards=2, stride=5, seeds=(0, 1),
+        failures = failing(crash_sweep(
+            ShardedRun(scheme, _MIXED_WORKLOADS, 2),
+            stride=5,
+            seeds=(0, 1),
             max_points=40,
-        )
+        ))
         assert failures == [], [
             (budget, result.violations) for budget, result in failures[:5]
         ]
@@ -114,8 +105,10 @@ class TestTwoPhaseConformance:
 def test_four_shard_sweep_with_adversarial_policy():
     from repro.pm.crash import DropAll, PersistAll
 
-    failures = run_sharded_crash_sweep(
-        "fast", _CROSS_WORKLOAD, shards=4, stride=3,
-        policies=(PersistAll(), DropAll()), max_points=30,
-    )
+    failures = failing(crash_sweep(
+        ShardedRun("fast", _CROSS_WORKLOAD, 4),
+        stride=3,
+        policies=(PersistAll(), DropAll()),
+        max_points=30,
+    ))
     assert failures == []

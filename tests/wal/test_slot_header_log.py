@@ -103,10 +103,10 @@ def test_commit_is_single_atomic_word():
     log.write_frames()
     log.flush_frames()
     pm.sfence()
-    stores_before = pm.stats.stores
+    stores_before = pm.obs.registry.value("pm.store")
     log.commit(7)
     # one store for the mark (plus none others)
-    assert pm.stats.stores == stores_before + 1
+    assert pm.obs.registry.value("pm.store") == stores_before + 1
 
 
 def test_replay_order_preserved():
