@@ -86,8 +86,8 @@ _RANDOM_FUNCS = frozenset({
 })
 #: Registry mutators whose first literal argument is a metric name.
 _METRIC_METHODS = frozenset({
-    "inc", "counter", "gauge", "histogram", "set_gauge", "observe",
-    "value",
+    "inc", "counter", "counter_handle", "gauge", "histogram", "set_gauge",
+    "observe", "value",
 })
 #: Exception names PM005 refuses to see swallowed.
 _SWALLOW_NAMES = frozenset({

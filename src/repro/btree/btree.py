@@ -66,6 +66,8 @@ from contextlib import nullcontext
 
 from repro.btree import overflow
 from repro.btree.cells import (
+    OVERFLOW_FLAG,
+    RIGHTMOST_KEY_LEN,
     internal_cell,
     is_overflow_cell,
     leaf_cell,
@@ -81,6 +83,23 @@ from repro.storage.slotted_page import (
     PageFullError,
     RecordTooLargeError,
 )
+
+
+#: The key-length bits of a leaf cell's first u16 (``leaf_key``).
+_KEY_LEN_BITS = ~OVERFLOW_FLAG
+
+
+def _pending_record(page, slot):
+    return page.record(slot)
+
+
+def _prober(page):
+    """``(probe, at)`` with ``probe(at, slot) == page.record(slot)``:
+    the memory's fused ``read_record`` at the page's base when no
+    pending header exists, the page's own ``record`` otherwise."""
+    if page.has_pending:
+        return _pending_record, page
+    return page.pm.read_record, page.base
 
 
 def _segment(view, name):
@@ -411,11 +430,20 @@ class BTree:
             _, page_no = parse_internal(page.record(parent_slot))
 
     def _leaf_search(self, page, key):
-        """Binary search a leaf -> (found, slot)."""
+        """Binary search a leaf -> (found, slot).  Each probe is one
+        record read, its key decoded inline as ``leaf_key`` does (a
+        payload too short to hold the length goes through it)."""
         lo, hi = 0, page.nrecords
+        probe, at = _prober(page)
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_key = leaf_key(page.record(mid))
+            payload = probe(at, mid)
+            try:
+                mid_key = payload[
+                    2 : 2 + ((payload[0] | payload[1] << 8) & _KEY_LEN_BITS)
+                ]
+            except IndexError:
+                mid_key = leaf_key(payload)
             if mid_key < key:
                 lo = mid + 1
             elif mid_key > key:
@@ -425,13 +453,20 @@ class BTree:
         return False, lo
 
     def _child_slot(self, page, key):
-        """Slot of the internal cell routing ``key`` (rightmost wins)."""
+        """Slot of the internal cell routing ``key`` (rightmost wins).
+        Each probe's separator is decoded inline as ``parse_internal``
+        does (a payload too short to hold the length goes through it)."""
         nrec = page.nrecords
         lo, hi = 0, nrec - 1  # the last cell is the rightmost catch-all
+        probe, at = _prober(page)
         while lo < hi:
             mid = (lo + hi) // 2
-            sep, _ = parse_internal(page.record(mid))
-            if sep is not None and sep < key:
+            payload = probe(at, mid)
+            try:
+                key_len = payload[4] | payload[5] << 8
+            except IndexError:
+                key_len = int.from_bytes(payload[4:6], "little")
+            if key_len != RIGHTMOST_KEY_LEN and payload[6 : 6 + key_len] < key:
                 lo = mid + 1
             else:
                 hi = mid

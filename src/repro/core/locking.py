@@ -175,6 +175,18 @@ class LockManager:
 
     def __init__(self, *, obs=None):
         self.obs = obs
+        if obs is not None:
+            # Bound once: every grant, check and release counts, and
+            # traces only while the ring records (event arguments are
+            # computed under ``trace.enabled`` alone).
+            handle = obs.registry.counter_handle
+            self._c_acquire = handle("lock.acquire")
+            self._c_upgrade = handle("lock.upgrade")
+            self._c_conflict = handle("lock.conflict")
+            self._c_check = handle("lock.check")
+            self._c_release = handle("lock.release")
+            self._c_hold_ns = handle("occ.lock_hold_ns")
+            self._trace = obs.trace
         self._granted = {}   # resource -> {owner: mode}
         self._owned = {}     # owner -> set of resources
         self._waits = {}     # owner -> (resource, mode)
@@ -198,18 +210,20 @@ class LockManager:
         blockers = _blockers(granted, owner, target)
         if blockers:
             if self.obs is not None:
-                self.obs.inc("lock.conflict")
+                self._c_conflict.inc()
             raise LockConflict(owner, resource, mode, blockers)
         granted[owner] = target
         self._owned.setdefault(owner, set()).add(resource)
         if self.obs is not None:
             upgraded = held is not None
-            self.obs.inc("lock.upgrade" if upgraded else "lock.acquire")
-            self.obs.event(
-                ev.LOCK_UPGRADE if upgraded else ev.LOCK_ACQUIRE,
-                owner if isinstance(owner, int) else 0,
-                encode_lock(resource, target),
-            )
+            (self._c_upgrade if upgraded else self._c_acquire).inc()
+            trace = self._trace
+            if trace.enabled:
+                trace.record(
+                    ev.LOCK_UPGRADE if upgraded else ev.LOCK_ACQUIRE,
+                    owner if isinstance(owner, int) else 0,
+                    encode_lock(resource, target),
+                )
         return target
 
     def check(self, owner, resource, mode):
@@ -235,15 +249,17 @@ class LockManager:
             blockers = _blockers(granted, owner, target)
             if blockers:
                 if self.obs is not None:
-                    self.obs.inc("lock.conflict")
+                    self._c_conflict.inc()
                 raise LockConflict(owner, resource, mode, blockers)
         if self.obs is not None:
-            self.obs.inc("lock.check")
-            self.obs.event(
-                ev.LOCK_CHECK,
-                owner if isinstance(owner, int) else 0,
-                encode_lock(resource, mode),
-            )
+            self._c_check.inc()
+            trace = self._trace
+            if trace.enabled:
+                trace.record(
+                    ev.LOCK_CHECK,
+                    owner if isinstance(owner, int) else 0,
+                    encode_lock(resource, mode),
+                )
         return None
 
     def try_acquire(self, owner, resource, mode):
@@ -272,7 +288,7 @@ class LockManager:
         the number of locks released."""
         resources = self._owned.pop(owner, None)
         released = 0
-        obs = self.obs
+        trace = self._trace if self.obs is not None else None
         sid = owner if isinstance(owner, int) else 0
         if resources:
             # Sorted release order keeps the emitted event sequence
@@ -288,11 +304,13 @@ class LockManager:
                 released += 1
                 if not granted:
                     del self._granted[resource]
-                if obs is not None:
-                    obs.event(ev.LOCK_RELEASE, sid, encode_lock(resource, mode))
+                if trace is not None and trace.enabled:
+                    trace.record(
+                        ev.LOCK_RELEASE, sid, encode_lock(resource, mode)
+                    )
         self._waits.pop(owner, None)
-        if released and obs is not None:
-            obs.inc("lock.release", released)
+        if released and trace is not None:
+            self._c_release.inc(released)
         return released
 
     @contextmanager
@@ -313,7 +331,7 @@ class LockManager:
             if clock is not None and self.obs is not None:
                 held = clock.now_ns - start
                 if held > 0:
-                    self.obs.inc("occ.lock_hold_ns", int(held))
+                    self._c_hold_ns.inc(int(held))
             self.release_all(owner)
 
     # -- wait-for graph ----------------------------------------------------
@@ -321,8 +339,8 @@ class LockManager:
     def start_wait(self, owner, resource, mode):
         """Register that ``owner`` is waiting to lock ``resource``."""
         self._waits[owner] = (resource, mode)
-        if self.obs is not None:
-            self.obs.event(
+        if self.obs is not None and self._trace.enabled:
+            self._trace.record(
                 ev.LOCK_WAIT,
                 owner if isinstance(owner, int) else 0,
                 encode_lock(resource, mode),

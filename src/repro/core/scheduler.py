@@ -177,6 +177,17 @@ class Scheduler:
             )
         self.engine = engine
         self.obs = engine.obs
+        handle = engine.obs.registry.counter_handle
+        self._c_step = handle("sched.step")
+        self._c_wait = handle("sched.wait")
+        self._c_wake = handle("sched.wake")
+        self._c_abort = handle("sched.abort")
+        self._c_retry = handle("sched.retry")
+        self._c_deadlock = handle("sched.deadlock")
+        self._c_timeout = handle("sched.timeout")
+        self._c_abort_deadlock = handle("sched.abort.deadlock")
+        self._c_abort_timeout = handle("sched.abort.timeout")
+        self._c_abort_occ = handle("sched.abort.occ")
         self.clock = engine.clock
         self.lock_timeout_ns = lock_timeout_ns
         self.retry_backoff_ns = retry_backoff_ns
@@ -363,7 +374,7 @@ class Scheduler:
         self._step_seq += 1
         client.last_step = self._step_seq
         self.running_client = client
-        self.obs.inc("sched.step")
+        self._c_step.inc()
         if self.pick_strategy is not None:
             # Stamp the stream with the stepping session so per-step
             # event attribution (the lockset race detector's actor)
@@ -402,7 +413,7 @@ class Scheduler:
                 # the install lost a lock race): the transaction is
                 # still open — abort it and retry the item, eventually
                 # under the session's 2PL fallback.
-                self._abort(client, "sched.abort.occ")
+                self._abort(client, self._c_abort_occ)
                 return
             self.commit_order.append((client.name, client.item_idx))
             client.txn = None
@@ -431,12 +442,12 @@ class Scheduler:
         if cycle is not None:
             locks.stop_wait(client.session.sid)
             client.deadlocks += 1
-            self.obs.inc("sched.deadlock")
-            self._abort(client, "sched.abort.deadlock")
+            self._c_deadlock.inc()
+            self._abort(client, self._c_abort_deadlock)
             return
         client.state = WAITING
         client.wait_deadline_ns = self.clock.now_ns + self.lock_timeout_ns
-        self.obs.inc("sched.wait")
+        self._c_wait.inc()
 
     def _time_out(self, client):
         """A parked client's wait deadline arrived."""
@@ -453,17 +464,18 @@ class Scheduler:
         client.state = READY
         client.wait_deadline_ns = None
         client.timeouts += 1
-        self.obs.inc("sched.timeout")
-        self._abort(client, "sched.abort.timeout")
+        self._c_timeout.inc()
+        self._abort(client, self._c_abort_timeout)
 
     def _abort(self, client, counter):
-        """Roll back the client's transaction and schedule the retry."""
+        """Roll back the client's transaction and schedule the retry;
+        ``counter`` is the handle of the abort's cause."""
         client.txn.rollback()
         client.txn = None
         client.ops = None
         client.aborts += 1
-        self.obs.inc("sched.abort")
-        self.obs.inc(counter)
+        self._c_abort.inc()
+        counter.inc()
         client.retries += 1
         if client.retries > self.max_retries:
             raise RetriesExhausted(
@@ -471,7 +483,7 @@ class Scheduler:
                 % (client.name, self.max_retries, client.item_idx)
             )
         client.total_retries += 1
-        self.obs.inc("sched.retry")
+        self._c_retry.inc()
         # Deterministic exponential backoff, staggered per client so
         # simultaneous aborters do not collide forever.
         delay = self.retry_backoff_ns * (
@@ -498,7 +510,7 @@ class Scheduler:
         client.state = READY
         client.wait_deadline_ns = None
         client.ready_at_ns = self.clock.now_ns
-        self.obs.inc("sched.wake")
+        self._c_wake.inc()
 
     # -- reporting ---------------------------------------------------------
 

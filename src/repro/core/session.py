@@ -85,6 +85,10 @@ class Session:
         self.segment_name = "session.%s" % name
         #: Per-session obs labels ("session.<name>.commit" ...).
         self.obs = engine.obs.labeled("session.%s" % name)
+        self._c_commit = self.obs.counter_handle("commit")
+        self._c_abort = self.obs.counter_handle("abort")
+        self._c_begin = engine.obs.registry.counter_handle("engine.txn.begin")
+        self._trace = engine.obs.trace
         self._clock = engine.clock
         self._txn = None
         #: Log sequence of the last committed transaction (None until
@@ -198,8 +202,9 @@ class Session:
         transaction's, so every leg runs — and falls back — together."""
         txn = self._txn = self._new_transaction(mode)
         if not self.quiet:
-            self.engine.obs.inc("engine.txn.begin")
-            self.engine.obs.event(ev.TXN_BEGIN, self.sid)
+            self._c_begin.inc()
+            if self._trace.enabled:
+                self._trace.record(ev.TXN_BEGIN, self.sid)
         return txn
 
     def _new_transaction(self, mode):
@@ -240,10 +245,11 @@ class Session:
             self.engine.version_manager.end_snapshot(snapshot)
         if self.quiet:
             return
-        self.obs.inc("commit" if committed else "abort")
-        self.engine.obs.event(
-            ev.TXN_COMMIT if committed else ev.TXN_ABORT, self.sid
-        )
+        (self._c_commit if committed else self._c_abort).inc()
+        if self._trace.enabled:
+            self._trace.record(
+                ev.TXN_COMMIT if committed else ev.TXN_ABORT, self.sid
+            )
 
     # -- autocommit conveniences ------------------------------------------
 

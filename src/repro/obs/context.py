@@ -162,3 +162,6 @@ class _LabeledObs:
 
     def inc(self, name, n=1):
         self._obs.registry.inc(self._prefix + name, n)
+
+    def counter_handle(self, name):
+        return self._obs.registry.counter_handle(self._prefix + name)

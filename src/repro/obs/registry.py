@@ -39,6 +39,30 @@ class Counter:
         return "Counter(%r, %r)" % (self.name, self.value)
 
 
+class CounterHandle:
+    """A counter bound by name before its first count.
+
+    A hot path binds its counters once (``registry.counter_handle``)
+    and counts with ``handle.inc()``: one call, no name lookup per
+    event.  The counter joins the registry at the first ``inc``, when
+    ``registry.inc(name)`` would have created it, so a snapshot lists
+    exactly the counters it would list without the binding.
+    """
+
+    __slots__ = ("_registry", "name", "_counter")
+
+    def __init__(self, registry, name):
+        self._registry = registry
+        self.name = name
+        self._counter = registry._counters.get(name)
+
+    def inc(self, n=1):
+        counter = self._counter
+        if counter is None:
+            counter = self._counter = self._registry.counter(self.name)
+        counter.value += n
+
+
 class Gauge:
     """A named point-in-time value."""
 
@@ -139,6 +163,11 @@ class MetricsRegistry:
         if counter is None:
             counter = self._counters[name] = Counter(name)
         return counter
+
+    def counter_handle(self, name):
+        """A :class:`CounterHandle` on ``name`` (registered at its
+        first count, not here)."""
+        return CounterHandle(self, name)
 
     def gauge(self, name):
         gauge = self._gauges.get(name)

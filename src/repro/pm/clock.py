@@ -13,11 +13,13 @@ class _Segment:
     A plain class with ``__slots__`` instead of ``@contextmanager``:
     segment entry/exit is on the per-operation hot path of every
     engine, and the generator-based protocol costs several times more
-    per entry.  Semantics are identical — append on enter, pop and
-    notify observers on exit.
+    per entry.  Entry stamps ``now_ns``; exit adds the entry's
+    ``now_ns`` delta to the name's bucket (outermost entry of a name
+    only, so re-entrant same-name nesting counts its time once) and
+    notifies observers with the same delta.
     """
 
-    __slots__ = ("_clock", "_name", "_entered_ns", "_active")
+    __slots__ = ("_clock", "_name", "_entered_ns", "_active", "_outer")
 
     def __init__(self, clock, name):
         self._clock = clock
@@ -26,16 +28,13 @@ class _Segment:
 
     def __enter__(self):
         clock = self._clock
-        ns = clock.pending_ns
-        if ns:
-            clock.pending_ns = 0.0
-            buckets = clock._buckets
-            for name in clock._open:
-                try:
-                    buckets[name] += ns
-                except KeyError:
-                    buckets[name] = ns
-        clock._open.append(self._name)
+        name = self._name
+        open_ = clock._open
+        if name in open_:
+            self._outer = False
+        else:
+            open_[name] = self
+            self._outer = True
         self._entered_ns = clock.now_ns
         self._active = True
         return clock
@@ -43,18 +42,16 @@ class _Segment:
     def __exit__(self, exc_type, exc, tb):
         self._active = False
         clock = self._clock
-        ns = clock.pending_ns
-        if ns:
-            clock.pending_ns = 0.0
-            buckets = clock._buckets
-            for name in clock._open:
-                try:
-                    buckets[name] += ns
-                except KeyError:
-                    buckets[name] = ns
-        clock._open.pop()
         name = self._name
         elapsed = clock.now_ns - self._entered_ns
+        if self._outer:
+            del clock._open[name]
+            if elapsed:
+                buckets = clock._buckets
+                try:
+                    buckets[name] += elapsed
+                except KeyError:
+                    buckets[name] = elapsed
         observers = clock._observers
         if len(observers) == 1:  # the common case: one metrics registry
             observers[0][0](name, elapsed)
@@ -69,55 +66,34 @@ class SimClock:
 
     Segments nest: while ``commit`` and ``log_flush`` are both open, an
     ``advance(100)`` adds 100 ns to the total, to ``commit`` and to
-    ``log_flush``.  This mirrors how the paper's sub-phase bars sum into
+    ``log_flush``.  A segment that was never charged has no bucket.  This mirrors how the paper's sub-phase bars sum into
     their parent phase bars.
+
+    A charge is one add to ``now_ns``; nothing else is touched.  A
+    segment's bucket receives its entry's ``now_ns`` delta when it
+    closes, and the readers (``elapsed``, ``segments``, ``snapshot`` /
+    ``since``) add the open portion of every segment still open.
     """
 
-    __slots__ = (
-        "now_ns", "pending_ns", "_buckets", "_open", "_observers",
-        "_segments",
-    )
+    __slots__ = ("now_ns", "_buckets", "_open", "_observers", "_segments")
 
     def __init__(self):
         self.now_ns = 0.0
-        #: Simulated time advanced but not yet attributed to the open
-        #: segments' buckets.  The open-segment set only changes on
-        #: segment entry/exit, so attribution can be deferred until
-        #: then (or until a bucket reader flushes): every open segment
-        #: receives exactly the time that passed while it was open,
-        #: and ``now_ns`` itself is always exact.  This takes the
-        #: per-``advance`` cost on the memory-model hot path down to
-        #: two float adds.
-        self.pending_ns = 0.0
         self._buckets = {}
-        self._open = []
+        self._open = {}  # name -> its outermost open _Segment
         self._observers = []
         self._segments = {}  # name -> reusable _Segment (hot-path cache)
 
     def advance(self, ns):
         """Advance simulated time by ``ns`` nanoseconds."""
-        if ns <= 0:
-            return
-        self.now_ns += ns
-        self.pending_ns += ns
+        if ns > 0:
+            self.now_ns += ns
 
     def advance_to(self, target_ns):
         """Advance simulated time to ``target_ns`` if it lies ahead
         (no-op otherwise).  Used by the cooperative scheduler to model
         a session sleeping until a wake-up instant."""
         self.advance(target_ns - self.now_ns)
-
-    def flush_pending(self):
-        """Attribute ``pending_ns`` to every currently open segment."""
-        ns = self.pending_ns
-        if ns:
-            self.pending_ns = 0.0
-            buckets = self._buckets
-            for name in self._open:
-                try:
-                    buckets[name] += ns
-                except KeyError:
-                    buckets[name] = ns
 
     def add_observer(self, fn, tag=None):
         """Call ``fn(name, elapsed_ns)`` when a segment closes.
@@ -153,35 +129,39 @@ class SimClock:
 
     def elapsed(self, name):
         """Total nanoseconds charged to segment ``name`` so far."""
-        if self.pending_ns:
-            self.flush_pending()
-        return self._buckets.get(name, 0.0)
+        total = self._buckets.get(name, 0.0)
+        segment = self._open.get(name)
+        if segment is not None:
+            total += self.now_ns - segment._entered_ns
+        return total
 
     def segments(self):
         """A copy of all segment totals (name -> nanoseconds)."""
-        if self.pending_ns:
-            self.flush_pending()
-        return dict(self._buckets)
+        buckets = dict(self._buckets)
+        now = self.now_ns
+        for name, segment in self._open.items():
+            open_ns = now - segment._entered_ns
+            if open_ns:
+                buckets[name] = buckets.get(name, 0.0) + open_ns
+        return buckets
 
     def reset(self):
-        """Zero the clock and every segment (open segments stay open)."""
+        """Zero the clock and every segment (open segments stay open,
+        and count from here)."""
         self.now_ns = 0.0
-        self.pending_ns = 0.0
         self._buckets.clear()
+        for segment in self._open.values():
+            segment._entered_ns = 0.0
 
     def snapshot(self):
         """Capture (now, segments) for later differencing via ``since``."""
-        if self.pending_ns:
-            self.flush_pending()
-        return self.now_ns, dict(self._buckets)
+        return self.now_ns, self.segments()
 
     def since(self, snapshot):
         """Return (elapsed_ns, per-segment deltas) since ``snapshot``."""
-        if self.pending_ns:
-            self.flush_pending()
         then, buckets = snapshot
         deltas = {}
-        for name, value in self._buckets.items():
+        for name, value in self.segments().items():
             delta = value - buckets.get(name, 0.0)
             if delta:
                 deltas[name] = delta

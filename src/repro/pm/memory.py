@@ -66,6 +66,28 @@ _PAGE_SHIFT = 12
 _PAGE = 1 << _PAGE_SHIFT
 
 
+#: The slotted-page layout ``read_record`` walks (``repro.storage.
+#: slotted_page``): the u16 record count, the u16 offset array, and the
+#: cell header before a payload, whose first u16 is the payload length.
+_REC_NRECORDS = 2
+_REC_SLOTS = 8
+_REC_CELL_HEADER = 4
+
+
+def _record_rest(memory, base, slot, done, offset=0):
+    """The slotted page's record probe as separate loads, from the
+    ``done``-th on: the record count (and the bound check against it),
+    the slot's u16 offset, the cell's u16 payload length, the payload.
+    It is the reference ``read_record`` fuses, and where a fused reader
+    hands over at a load it cannot take in one line."""
+    if done < 1 and not 0 <= slot < memory.read_u16(base + _REC_NRECORDS):
+        raise IndexError("slot %d out of range" % slot)
+    if done < 2:
+        offset = memory.read_u16(base + _REC_SLOTS + 2 * slot)
+    length = memory.read_u16(base + offset)
+    return memory.read(base + offset + _REC_CELL_HEADER, length)
+
+
 def _zero_map(size):
     """``size`` zero bytes in a private anonymous mapping.
 
@@ -88,6 +110,28 @@ _MASK_WORDS = tuple(
     tuple(w for w in range(_WORDS_PER_LINE) if mask >> w & 1)
     for mask in range(1 << _WORDS_PER_LINE)
 )
+
+
+def _runs(mask):
+    """Byte spans ``(lo, hi)`` of the runs of contiguous set words in
+    the 8-bit ``mask``, ascending."""
+    spans = []
+    word = 0
+    while word < _WORDS_PER_LINE:
+        if mask >> word & 1:
+            first = word
+            while word < _WORDS_PER_LINE and mask >> word & 1:
+                word += 1
+            spans.append((first * WORD, word * WORD))
+        else:
+            word += 1
+    return tuple(spans)
+
+
+#: ``_MASK_RUNS[mask]`` — the byte spans of ``mask``'s runs of dirty
+#: words: a partial line reaches the durable image one slice per run
+#: (a slot header's dirty prefix is one), not one per word.
+_MASK_RUNS = tuple(_runs(mask) for mask in range(1 << _WORDS_PER_LINE))
 
 
 def _bits(mask):
@@ -314,9 +358,7 @@ class PersistentMemory(_Arena):
                 self._c_load_miss.value += 1
                 ns = self._read_miss_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             entry = self._vget(line)
             if entry is None:
                 return self._durable[addr:end]
@@ -354,7 +396,6 @@ class PersistentMemory(_Arena):
                 ns += self._stream_ns if missed_before else self._read_miss_ns
             if ns > 0:
                 clock.now_ns += ns
-                clock.pending_ns += ns
             vget = self._vget
             entry = vget(line)
             second = vget(last)
@@ -390,7 +431,6 @@ class PersistentMemory(_Arena):
                         missed_before = True
                 if ns > 0:
                     clock.now_ns += ns
-                    clock.pending_ns += ns
             return durable[addr:end]
         parts = []
         visible_get = self._vget
@@ -414,7 +454,6 @@ class PersistentMemory(_Arena):
                     missed_before = True
             if ns > 0:
                 clock.now_ns += ns
-                clock.pending_ns += ns
             base = line << 6
             lo = addr if addr > base else base
             hi = end if end < base + CACHE_LINE else base + CACHE_LINE
@@ -443,9 +482,7 @@ class PersistentMemory(_Arena):
                 self._c_load_miss.value += 1
                 ns = self._read_miss_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             entry = self._vget(line)
             if entry is None:
                 durable = self._durable
@@ -487,14 +524,221 @@ class PersistentMemory(_Arena):
             self._c_load_miss.value += 1
             ns = self._read_miss_ns
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         entry = self._vget(line)
         if entry is None:
             return self._durable[addr:end]
         base = line << 6
         return entry.data[addr - base : end - base]
+
+    def read_u8(self, addr):
+        """One byte (the page-type and flags fields): ``read(addr, 1)[0]``
+        without the ``bytes`` slice — same load, same charge."""
+        if 0 <= addr < self.size:
+            line = addr >> 6
+            self._c_load.value += 1
+            lines = self._rlines
+            try:
+                lines.move_to_end(line)
+                ns = self._hit_ns
+            except KeyError:
+                lines[line] = None
+                if len(lines) > self._rcap:
+                    lines.popitem(last=False)
+                self._c_load_miss.value += 1
+                ns = self._read_miss_ns
+            if ns > 0:
+                self.clock.now_ns += ns
+            entry = self._vget(line)
+            if entry is None:
+                return self._durable[addr]
+            return entry.data[addr & 63]
+        return self.read(addr, 1)[0]
+
+    def read_record(self, base, slot):
+        """Payload of record ``slot`` of the slotted page at ``base``,
+        the B-tree's search probe, in one frame (see ``_record_rest``
+        for the four loads it fuses and DESIGN.md §9 for the contract).
+
+        Each load touches its line and adds its charge to a local copy
+        of ``now_ns`` in the order the separate calls would; a load of
+        the line the previous load touched is a hit with no LRU move
+        (that line is already the most recently used) and reuses that
+        load's visible entry (nothing stores between the loads).  The
+        clock and the load counters are stored back once.  Charges are
+        non-negative, so a zero charge is added rather than skipped.
+        """
+        if slot < 0:  # refused before the count is loaded, as ever
+            raise IndexError("slot %d out of range" % slot)
+        size = self.size
+        addr = base + _REC_NRECORDS
+        if addr & 63 == 63 or addr < 0 or addr + 2 > size:
+            return _record_rest(self, base, slot, 0)
+        lines = self._rlines
+        rcap = self._rcap
+        vget = self._vget
+        durable = self._durable
+        hit = self._hit_ns
+        clock = self.clock
+        now = clock.now_ns
+        misses = 0
+        # Load 1: the record count.
+        line = addr >> 6
+        try:
+            lines.move_to_end(line)
+            now += hit
+            prev = line
+        except KeyError:
+            lines[line] = None
+            if len(lines) > rcap:
+                lines.popitem(last=False)
+            misses = 1
+            now += self._read_miss_ns
+            prev = line if rcap else -1
+        entry = vget(line)
+        if entry is None:
+            count = durable[addr] | durable[addr + 1] << 8
+        else:
+            data = entry.data
+            count = data[addr & 63] | data[(addr & 63) + 1] << 8
+        if slot >= count:
+            clock.now_ns = now
+            self._c_load.value += 1
+            self._c_load_miss.value += misses
+            raise IndexError("slot %d out of range" % slot)
+        # Load 2: the slot's offset.
+        addr = base + _REC_SLOTS + 2 * slot
+        if addr & 63 == 63 or addr + 2 > size:
+            clock.now_ns = now
+            self._c_load.value += 1
+            self._c_load_miss.value += misses
+            return _record_rest(self, base, slot, 1)
+        line = addr >> 6
+        if line == prev:
+            now += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                now += hit
+                prev = line
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += self._read_miss_ns
+                prev = line if rcap else -1
+            entry = vget(line)
+        if entry is None:
+            offset = durable[addr] | durable[addr + 1] << 8
+        else:
+            data = entry.data
+            offset = data[addr & 63] | data[(addr & 63) + 1] << 8
+        # Load 3: the cell's payload length.
+        addr = base + offset
+        if addr & 63 == 63 or addr < 0 or addr + 2 > size:
+            clock.now_ns = now
+            self._c_load.value += 2
+            self._c_load_miss.value += misses
+            return _record_rest(self, base, slot, 2, offset)
+        line = addr >> 6
+        if line == prev:
+            now += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                now += hit
+                prev = line
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += self._read_miss_ns
+                prev = line if rcap else -1
+            entry = vget(line)
+        if entry is None:
+            length = durable[addr] | durable[addr + 1] << 8
+        else:
+            data = entry.data
+            length = data[addr & 63] | data[(addr & 63) + 1] << 8
+        # Load 4: the payload, in one line or across two.
+        addr += _REC_CELL_HEADER
+        end = addr + length
+        line = addr >> 6
+        if end <= (line + 1) << 6 and length and end <= size:
+            if line == prev:
+                now += hit
+            else:
+                try:
+                    lines.move_to_end(line)
+                    now += hit
+                except KeyError:
+                    lines[line] = None
+                    if len(lines) > rcap:
+                        lines.popitem(last=False)
+                    misses += 1
+                    now += self._read_miss_ns
+                entry = vget(line)
+            clock.now_ns = now
+            self._c_load.value += 4
+            if misses:
+                self._c_load_miss.value += misses
+            if entry is None:
+                return durable[addr:end]
+            offset = addr & 63
+            return bytes(entry.data[offset : offset + length])
+        last = (end - 1) >> 6
+        if last != line + 1 or end > size:
+            clock.now_ns = now
+            self._c_load.value += 3
+            self._c_load_miss.value += misses
+            return self.read(addr, length)
+        # ``read``'s two-line path: the pair's charges summed, added once.
+        ns = 0.0
+        missed_before = False
+        if line == prev:
+            ns += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                ns += hit
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                ns += self._read_miss_ns
+                missed_before = True
+            entry = vget(line)
+        try:
+            lines.move_to_end(last)
+            ns += hit
+        except KeyError:
+            lines[last] = None
+            if len(lines) > rcap:
+                lines.popitem(last=False)
+            misses += 1
+            ns += self._stream_ns if missed_before else self._read_miss_ns
+        if ns > 0:
+            now += ns
+        clock.now_ns = now
+        self._c_load.value += 4
+        if misses:
+            self._c_load_miss.value += misses
+        second = vget(last)
+        if entry is None and second is None:
+            return durable[addr:end]
+        split = last << 6
+        first_part = (
+            durable[addr:split] if entry is None
+            else entry.data[addr - (line << 6) : CACHE_LINE]
+        )
+        second_part = (
+            durable[split:end] if second is None
+            else second.data[0 : end - split]
+        )
+        return b"".join((first_part, second_part))
 
     # ------------------------------------------------------------------
     # Stores
@@ -528,9 +772,7 @@ class PersistentMemory(_Arena):
                 totals[ev.STORE] = 1
         ns = self._store_ns + self._store_byte_ns * length
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         if not length:
             return
         line = addr >> 6
@@ -608,9 +850,7 @@ class PersistentMemory(_Arena):
                 totals[ev.STORE] = 1
         ns = self._store_fixed_ns[length]
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         line = addr >> 6
         entry = self._dget(line)
         if entry is None:
@@ -665,9 +905,7 @@ class PersistentMemory(_Arena):
                 totals[ev.CLFLUSH] = 1
         ns = self._flush_ns
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         entry = self._dirty.pop(line, None)
         if entry is not None:
             self._c_flush_bytes.value += WORD * entry.dirty_words.bit_count()
@@ -754,7 +992,6 @@ class PersistentMemory(_Arena):
                     totals[ev.CLFLUSH] = 1
             if ns > 0:
                 clock.now_ns += ns
-                clock.pending_ns += ns
             entry = dirty_pop(line, None)
             if entry is not None:
                 c_bytes.value += WORD * entry.dirty_words.bit_count()
@@ -781,9 +1018,7 @@ class PersistentMemory(_Arena):
                 totals[ev.FENCE] = 1
         ns = self._fence_ns
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         inflight = self._inflight
         if inflight:
             durable = self._durable
@@ -800,9 +1035,8 @@ class PersistentMemory(_Arena):
                     # ``_apply_words`` inlined: partial lines (slot
                     # headers, log records) dominate fence traffic.
                     data = entry.data
-                    for word in _MASK_WORDS[words]:
-                        lo = word << 3
-                        durable[base + lo : base + lo + WORD] = data[lo : lo + WORD]
+                    for lo, hi in _MASK_RUNS[words]:
+                        durable[base + lo : base + hi] = data[lo:hi]
                 if line not in dirty:
                     del vis[line]
             inflight.clear()
@@ -982,9 +1216,8 @@ class PersistentMemory(_Arena):
             return
         data = entry.data
         durable = self._durable
-        for word in _MASK_WORDS[words]:
-            lo = word << 3
-            durable[base + lo : base + lo + WORD] = data[lo : lo + WORD]
+        for lo, hi in _MASK_RUNS[words]:
+            durable[base + lo : base + hi] = data[lo:hi]
 
 
 
@@ -1050,9 +1283,7 @@ class VolatileMemory(_Arena):
                 self._c_load_miss.value += 1
                 ns = self._dram_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             return self._data[addr:end]
         last = (end - 1) >> 6
         missed_before = False
@@ -1075,7 +1306,6 @@ class VolatileMemory(_Arena):
                     missed_before = True
             if ns > 0:
                 clock.now_ns += ns
-                clock.pending_ns += ns
         return self._data[addr:end]
 
     def visible_bytes(self, addr, length):
@@ -1094,10 +1324,8 @@ class VolatileMemory(_Arena):
         self._c_store.value += 1
         self._c_store_bytes.value += length
         ns = self._store_ns + self._store_byte_ns * length
-        clock = self.clock
         if ns > 0:
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         self._data[addr:end] = data
         lines = self._rlines
         rcap = self._rcap
@@ -1127,12 +1355,153 @@ class VolatileMemory(_Arena):
                 self._c_load_miss.value += 1
                 ns = self._dram_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             data = self._data
             return data[addr] | (data[addr + 1] << 8)
         return int.from_bytes(self.read(addr, 2), "little")
+
+    def read_u8(self, addr):
+        """``read(addr, 1)[0]`` without the slice, as on PM."""
+        if 0 <= addr < self.size:
+            self._c_load.value += 1
+            line = addr >> 6
+            lines = self._rlines
+            try:
+                lines.move_to_end(line)
+                ns = self._hit_ns
+            except KeyError:
+                lines[line] = None
+                if len(lines) > self._rcap:
+                    lines.popitem(last=False)
+                self._c_load_miss.value += 1
+                ns = self._dram_ns
+            if ns > 0:
+                self.clock.now_ns += ns
+            return self._data[addr]
+        return self.read(addr, 1)[0]
+
+    def read_record(self, base, slot):
+        """``PersistentMemory.read_record`` on DRAM: the same four loads
+        in one frame, priced as DRAM reads.  A two-line payload adds
+        its lines' charges one at a time, as ``read``'s loop does."""
+        if slot < 0:  # refused before the count is loaded, as ever
+            raise IndexError("slot %d out of range" % slot)
+        size = self.size
+        addr = base + _REC_NRECORDS
+        if addr & 63 == 63 or addr < 0 or addr + 2 > size:
+            return _record_rest(self, base, slot, 0)
+        lines = self._rlines
+        rcap = self._rcap
+        data = self._data
+        hit = self._hit_ns
+        miss = self._dram_ns
+        clock = self.clock
+        now = clock.now_ns
+        misses = 0
+        # Load 1: the record count.
+        line = addr >> 6
+        try:
+            lines.move_to_end(line)
+            now += hit
+            prev = line
+        except KeyError:
+            lines[line] = None
+            if len(lines) > rcap:
+                lines.popitem(last=False)
+            misses = 1
+            now += miss
+            prev = line if rcap else -1
+        count = data[addr] | data[addr + 1] << 8
+        if slot >= count:
+            clock.now_ns = now
+            self._c_load.value += 1
+            self._c_load_miss.value += misses
+            raise IndexError("slot %d out of range" % slot)
+        # Load 2: the slot's offset.
+        addr = base + _REC_SLOTS + 2 * slot
+        if addr & 63 == 63 or addr + 2 > size:
+            clock.now_ns = now
+            self._c_load.value += 1
+            self._c_load_miss.value += misses
+            return _record_rest(self, base, slot, 1)
+        line = addr >> 6
+        if line == prev:
+            now += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                now += hit
+                prev = line
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += miss
+                prev = line if rcap else -1
+        offset = data[addr] | data[addr + 1] << 8
+        # Load 3: the cell's payload length.
+        addr = base + offset
+        if addr & 63 == 63 or addr < 0 or addr + 2 > size:
+            clock.now_ns = now
+            self._c_load.value += 2
+            self._c_load_miss.value += misses
+            return _record_rest(self, base, slot, 2, offset)
+        line = addr >> 6
+        if line == prev:
+            now += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                now += hit
+                prev = line
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += miss
+                prev = line if rcap else -1
+        length = data[addr] | data[addr + 1] << 8
+        # Load 4: the payload, in one line or across two.
+        addr += _REC_CELL_HEADER
+        end = addr + length
+        line = addr >> 6
+        last = (end - 1) >> 6
+        if not length or end > size or last > line + 1:
+            clock.now_ns = now
+            self._c_load.value += 3
+            self._c_load_miss.value += misses
+            return self.read(addr, length)
+        missed_before = False
+        if line == prev:
+            now += hit
+        else:
+            try:
+                lines.move_to_end(line)
+                now += hit
+            except KeyError:
+                lines[line] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += miss
+                missed_before = True
+        if last != line:
+            try:
+                lines.move_to_end(last)
+                now += hit
+            except KeyError:
+                lines[last] = None
+                if len(lines) > rcap:
+                    lines.popitem(last=False)
+                misses += 1
+                now += self._dram_stream_ns if missed_before else miss
+        clock.now_ns = now
+        self._c_load.value += 4
+        if misses:
+            self._c_load_miss.value += misses
+        return data[addr:end]
 
     def read_u32(self, addr):
         return int.from_bytes(self.read(addr, 4), "little")
@@ -1143,9 +1512,7 @@ class VolatileMemory(_Arena):
         self._c_store_bytes.value += length
         ns = self._store_fixed_ns[length]
         if ns > 0:
-            clock = self.clock
-            clock.now_ns += ns
-            clock.pending_ns += ns
+            self.clock.now_ns += ns
         self._data[addr : addr + length] = data
         line = addr >> 6
         lines = self._rlines

@@ -233,7 +233,7 @@ class SlottedPage:
     def page_type(self):
         if self._pending is not None:
             return self._pending.page_type
-        return self.pm.read(self.base + _OFF_TYPE, 1)[0]
+        return self.pm.read_u8(self.base + _OFF_TYPE)
 
     @property
     def cell_align(self):
@@ -250,7 +250,7 @@ class SlottedPage:
     def flags(self):
         if self._pending is not None:
             return self._pending.flags
-        return self.pm.read(self.base + _OFF_FLAGS, 1)[0]
+        return self.pm.read_u8(self.base + _OFF_FLAGS)
 
     @property
     def nrecords(self):
@@ -275,7 +275,7 @@ class SlottedPage:
     def slot_offset(self, slot):
         """Content-area offset of the record in ``slot``."""
         if self._pending is not None:
-            return self._pending.offsets[slot]
+            return self._pending_offset(slot)
         if not 0 <= slot < self.nrecords:
             raise IndexError("slot %d out of range" % slot)
         return self.pm.read_u16(self.base + FIXED_HEADER_SIZE + SLOT_SIZE * slot)
@@ -323,23 +323,22 @@ class SlottedPage:
     # ------------------------------------------------------------------
 
     def record(self, slot):
-        """Payload bytes of the record in ``slot``.
+        """Payload bytes of the record in ``slot``:
+        ``read_cell(slot_offset(slot))``.  This is the B-tree search
+        probe, the single hottest call in the system; with no pending
+        header it is the memory's fused ``read_record`` (the same
+        simulated loads, in one host frame)."""
+        if self._pending is None:
+            return self.pm.read_record(self.base, slot)
+        return self.read_cell(self._pending_offset(slot))
 
-        Equivalent to ``read_cell(slot_offset(slot))`` with the two
-        wrappers inlined — this is the B-tree search probe, the single
-        hottest call in the system (same simulated loads either way).
-        """
-        pm = self.pm
-        base = self.base
-        pending = self._pending
-        if pending is not None:
-            offset = pending.offsets[slot]
-        else:
-            if not 0 <= slot < pm.read_u16(base + _OFF_NRECORDS):
-                raise IndexError("slot %d out of range" % slot)
-            offset = pm.read_u16(base + FIXED_HEADER_SIZE + SLOT_SIZE * slot)
-        length = pm.read_u16(base + offset)
-        return pm.read(base + offset + CELL_HEADER_SIZE, length)
+    def _pending_offset(self, slot):
+        """The pending header's offset for ``slot``, bound-checked as
+        the committed header's is (a host-side check: no load)."""
+        offsets = self._pending.offsets
+        if not 0 <= slot < len(offsets):
+            raise IndexError("slot %d out of range" % slot)
+        return offsets[slot]
 
     def read_cell(self, offset):
         """Payload of the cell at content-area ``offset``."""

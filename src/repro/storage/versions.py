@@ -36,6 +36,9 @@ never flush anything — there is nothing of theirs to make durable.
 """
 
 from repro.obs import trace as ev
+from repro.pm.memory import (
+    _REC_CELL_HEADER, _REC_NRECORDS, _REC_SLOTS, _record_rest,
+)
 from repro.storage.pagestore import N_ROOT_SLOTS
 from repro.storage.slotted_page import SlottedPage
 
@@ -108,9 +111,7 @@ class _ImageMemory:
                 resident.add(line)
                 ns = self._miss_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             return self._image[pos:pos + length]
         clock = self.clock
         missed_before = False
@@ -126,7 +127,6 @@ class _ImageMemory:
                     missed_before = True
             if ns > 0:
                 clock.now_ns += ns
-                clock.pending_ns += ns
         return self._image[pos:pos + length]
 
     def read_u16(self, addr):
@@ -149,12 +149,137 @@ class _ImageMemory:
                 resident.add(line)
                 ns = self._miss_ns
             if ns > 0:
-                clock = self.clock
-                clock.now_ns += ns
-                clock.pending_ns += ns
+                self.clock.now_ns += ns
             image = self._image
             return image[pos] | (image[pos + 1] << 8)
         return int.from_bytes(self.read(addr, 2), "little")
+
+    def read_u8(self, addr):
+        """``read(addr, 1)[0]`` without the slice."""
+        offset = addr - self._origin
+        if 0 <= offset < self._hole_start:
+            pos = offset
+        elif self._hole_end <= offset < self._size:
+            pos = offset - self._gap
+        else:
+            raise self._outside(offset, offset + 1)
+        line = offset >> 6
+        resident = self._resident
+        if line in resident:
+            ns = self._hit_ns
+        else:
+            resident.add(line)
+            ns = self._miss_ns
+        if ns > 0:
+            self.clock.now_ns += ns
+        return self._image[pos]
+
+    def read_record(self, base, slot):
+        """``PersistentMemory.read_record`` over the image: the four
+        loads in one frame, charged as ``read_u16`` / ``read`` charge
+        them (a two-line payload adds its lines one at a time); a load
+        outside the held bytes raises as those readers do, after the
+        loads before it were charged."""
+        if slot < 0:  # refused before the count is loaded, as ever
+            raise IndexError("slot %d out of range" % slot)
+        origin = self._origin
+        hole_start = self._hole_start
+        hole_end = self._hole_end
+        gap = self._gap
+        size = self._size
+        image = self._image
+        resident = self._resident
+        hit = self._hit_ns
+        miss = self._miss_ns
+        clock = self.clock
+        now = clock.now_ns
+        # Load 1: the record count.
+        addr = base - origin + _REC_NRECORDS
+        if addr & 63 == 63:
+            return _record_rest(self, base, slot, 0)
+        if 0 <= addr and addr + 2 <= hole_start:
+            pos = addr
+        elif hole_end <= addr and addr + 2 <= size:
+            pos = addr - gap
+        else:
+            raise self._outside(addr, addr + 2)
+        line = addr >> 6
+        if line in resident:
+            now += hit
+        else:
+            resident.add(line)
+            now += miss
+        count = image[pos] | image[pos + 1] << 8
+        if slot >= count:
+            clock.now_ns = now
+            raise IndexError("slot %d out of range" % slot)
+        # Load 2: the slot's offset.
+        addr = base - origin + _REC_SLOTS + 2 * slot
+        if addr & 63 == 63:
+            clock.now_ns = now
+            return _record_rest(self, base, slot, 1)
+        if 0 <= addr and addr + 2 <= hole_start:
+            pos = addr
+        elif hole_end <= addr and addr + 2 <= size:
+            pos = addr - gap
+        else:
+            clock.now_ns = now
+            raise self._outside(addr, addr + 2)
+        line = addr >> 6
+        if line in resident:
+            now += hit
+        else:
+            resident.add(line)
+            now += miss
+        offset = image[pos] | image[pos + 1] << 8
+        # Load 3: the cell's payload length.
+        addr = base - origin + offset
+        if addr & 63 == 63:
+            clock.now_ns = now
+            return _record_rest(self, base, slot, 2, offset)
+        if 0 <= addr and addr + 2 <= hole_start:
+            pos = addr
+        elif hole_end <= addr and addr + 2 <= size:
+            pos = addr - gap
+        else:
+            clock.now_ns = now
+            raise self._outside(addr, addr + 2)
+        line = addr >> 6
+        if line in resident:
+            now += hit
+        else:
+            resident.add(line)
+            now += miss
+        length = image[pos] | image[pos + 1] << 8
+        # Load 4: the payload, in one line or across two.
+        addr += _REC_CELL_HEADER
+        end = addr + length
+        line = addr >> 6
+        last = (end - 1) >> 6
+        if 0 <= addr and end <= hole_start:
+            pos = addr
+        elif hole_end <= addr and end <= size:
+            pos = addr - gap
+        else:
+            last = -1  # outside the held bytes: ``read`` reports it
+        if not length or last < line or last > line + 1:
+            clock.now_ns = now
+            return self.read(base + offset + _REC_CELL_HEADER, length)
+        missed_before = False
+        if line in resident:
+            now += hit
+        else:
+            resident.add(line)
+            now += miss
+            missed_before = True
+        if last != line:
+            if last in resident:
+                now += hit
+            else:
+                resident.add(last)
+                now += self._stream_ns if missed_before else miss
+        clock.now_ns = now
+        return image[pos:pos + length]
 
     def read_u32(self, addr):
         return int.from_bytes(self.read(addr, 4), "little")
@@ -224,10 +349,12 @@ class SnapshotContext:
         if self.track_reads and page_no not in self.read_pages:
             self.read_pages.add(page_no)
             versions._note_read(self.session.sid, "page", page_no)
-        versions.obs.inc("mvcc.snapshot_reads")
+        versions._c_snapshot_reads.inc()
+        trace = versions._trace
         cached = self._image_pages.get(page_no)
         if cached is not None:
-            versions.obs.event(ev.SNAPSHOT_READ, self.session.sid, cached[0])
+            if trace.enabled:
+                trace.record(ev.SNAPSHOT_READ, self.session.sid, cached[0])
             return cached[1]
         resolved = versions.resolve_page(page_no, self.snapshot_ts)
         if resolved is None:
@@ -244,7 +371,8 @@ class SnapshotContext:
         else:
             version_ts, page = resolved
             self._image_pages[page_no] = (version_ts, page)
-        versions.obs.event(ev.SNAPSHOT_READ, self.session.sid, version_ts)
+        if trace.enabled:
+            trace.record(ev.SNAPSHOT_READ, self.session.sid, version_ts)
         return page
 
     route = page
@@ -275,6 +403,10 @@ class VersionManager:
     def __init__(self, engine):
         self.engine = engine
         self.obs = engine.obs
+        self._trace = engine.obs.trace
+        handle = engine.obs.registry.counter_handle
+        self._c_snapshot_reads = handle("mvcc.snapshot_reads")
+        self._c_gc_reclaimed = handle("mvcc.gc_reclaimed")
         self.clock = engine.clock
         #: Highest commit timestamp handed out (0 = none yet).
         self.last_commit_ts = 0
@@ -337,7 +469,8 @@ class VersionManager:
         return encode_lock((kind, self.event_namespace | ident), LOCK_X)
 
     def _note_read(self, sid, kind, ident):
-        self.obs.event(ev.OCC_READ, sid, self._packed(kind, ident))
+        if self._trace.enabled:
+            self._trace.record(ev.OCC_READ, sid, self._packed(kind, ident))
 
     def validate_read_set(self, ctx, pin_ts):
         """Packed resources in ``ctx``'s read set with a committed
@@ -357,13 +490,13 @@ class VersionManager:
     def _announce_publish(self, ctx, touched, ts):
         """Emit one ``VERSION_PUBLISH`` per stamped resource (gated on
         OCC tracking being live; see ``_occ_active``)."""
-        if not self._occ_active():
+        trace = self._trace
+        if not trace.enabled or not self._occ_active():
             return
         for page_no in sorted(touched):
-            self.obs.event(ev.VERSION_PUBLISH, self._packed("page", page_no),
-                           ts)
+            trace.record(ev.VERSION_PUBLISH, self._packed("page", page_no), ts)
         for slot in sorted(ctx.root_updates):
-            self.obs.event(ev.VERSION_PUBLISH, self._packed("root", slot), ts)
+            trace.record(ev.VERSION_PUBLISH, self._packed("root", slot), ts)
 
     # -- commit-time version publication -----------------------------------
 
@@ -529,7 +662,7 @@ class VersionManager:
                 else:
                     del chains[key]
         if reclaimed:
-            self.obs.inc("mvcc.gc_reclaimed", reclaimed)
+            self._c_gc_reclaimed.inc(reclaimed)
             self.obs.event(ev.MVCC_GC, reclaimed, watermark)
         self._update_gauge()
         return reclaimed

@@ -86,3 +86,59 @@ def test_segment_closed_on_exception():
         pass
     clock.advance(10)
     assert clock.elapsed("x") == 0
+
+
+def test_readers_include_the_open_portion_of_open_segments():
+    clock = SimClock()
+    with clock.segment("commit"):
+        clock.advance(10)
+        snap = clock.snapshot()
+        with clock.segment("log_flush"):
+            clock.advance(30)
+            assert clock.elapsed("commit") == 40
+            assert clock.elapsed("log_flush") == 30
+            assert clock.segments() == {"commit": 40, "log_flush": 30}
+            assert clock.since(snap) == (30, {"commit": 30, "log_flush": 30})
+    assert clock.segments() == {"commit": 40, "log_flush": 30}
+
+
+def test_reentrant_same_name_nesting_counts_once():
+    clock = SimClock()
+    seen = []
+    clock.add_observer(lambda name, ns: seen.append((name, ns)))
+    with clock.segment("x"):
+        clock.advance(1)
+        with clock.segment("x"):
+            clock.advance(2)
+            assert clock.elapsed("x") == 3
+        clock.advance(4)
+    assert clock.elapsed("x") == 7
+    assert seen == [("x", 2), ("x", 7)]
+
+
+def test_charges_touch_only_now():
+    """A charge is one add to ``now_ns``: buckets move only when a
+    segment closes."""
+    clock = SimClock()
+    with clock.segment("x"):
+        clock.advance(5)
+        assert clock._buckets == {}
+    assert clock._buckets == {"x": 5}
+
+
+def test_reset_inside_an_open_segment_counts_from_the_reset():
+    clock = SimClock()
+    with clock.segment("x"):
+        clock.advance(9)
+        clock.reset()
+        clock.advance(2)
+        assert clock.elapsed("x") == 2
+    assert clock.segments() == {"x": 2}
+
+
+def test_an_uncharged_segment_has_no_bucket():
+    clock = SimClock()
+    with clock.segment("idle"):
+        assert clock.segments() == {}
+    assert clock.segments() == {}
+    assert clock.elapsed("idle") == 0

@@ -454,3 +454,18 @@ def test_zero_byte_arenas_construct():
         with pytest.raises(IndexError):
             memory.write(0, b"x")
         memory.crash()
+
+
+def test_mask_runs_cover_exactly_the_dirty_words():
+    """``sfence`` and ``crash()`` apply a partial line one slice per run
+    of dirty words: the runs must cover exactly the set words, and be
+    maximal (no two runs touch)."""
+    from repro.pm.memory import _MASK_RUNS, _MASK_WORDS
+
+    for mask in range(256):
+        runs = _MASK_RUNS[mask]
+        covered = [byte for lo, hi in runs for byte in range(lo, hi)]
+        assert covered == [
+            word * WORD + i for word in _MASK_WORDS[mask] for i in range(WORD)
+        ]
+        assert all(hi < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))

@@ -486,3 +486,26 @@ def test_header_image_encode_decode_identity(payloads):
         page.apply_header(image, persist=True)
         assert page.header_image() == image
     assert page.records() == payloads
+
+
+def test_pending_header_bound_checks_slots_like_the_committed_one():
+    """A negative or past-the-end slot raises ``IndexError`` on a page
+    with a pending header, as on the committed page, and the check is
+    host-side: it charges nothing."""
+    pm, page = make_page()
+    page.pending_insert(0, b"aaaa")
+    commit(page)
+    for slot in (-1, 1):
+        with pytest.raises(IndexError):
+            page.record(slot)
+        with pytest.raises(IndexError):
+            page.slot_offset(slot)
+    page.pending_insert(1, b"bbbb")
+    assert page.has_pending and page.record(1) == b"bbbb"
+    before = (pm.clock.now_ns, pm.obs.registry.counters())
+    for slot in (-1, -2, 2):
+        with pytest.raises(IndexError):
+            page.record(slot)
+        with pytest.raises(IndexError):
+            page.slot_offset(slot)
+    assert (pm.clock.now_ns, pm.obs.registry.counters()) == before
