@@ -30,7 +30,6 @@ import itertools
 import json
 import pathlib
 import sys
-from functools import partial
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -79,95 +78,64 @@ CACHE_READ_LATS = (300.0, 900.0, 1200.0)
 CACHE_ITEMS = 40
 
 
-def _summarize(result):
+#: Report fields rounded to 3 places in a committed row.
+ROUNDED = frozenset({
+    "throughput_tps", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
+    "fence_reduction_vs_ungrouped", "lock_acquires_per_commit",
+    "occ_abort_rate", "cache_hit_ratio", "speedup_vs_uncached", "busy_ns",
+    "parallel_elapsed_ns", "serial_throughput_tps", "speedup_vs_one_shard",
+})
+#: The committed row of each section: report fields, and
+#: ``row_name=counter`` entries for a counter of the run's delta.
+#: ``clients`` counts every client, writers and readers.
+CONTENTION = (
+    "clients", "read_ratio", "commits", "aborts", "deadlocks", "timeouts",
+    "retries", "steps", "simulated_ns", "elapsed_ns", "throughput_tps",
+    "records", "lock_acquires=lock.acquire", "lock_conflicts=lock.conflict",
+)
+SHARDED = (
+    "shards", "clients", "commits", "aborts", "retries", "steps",
+    "elapsed_ns", "busy_ns", "parallel_elapsed_ns", "throughput_tps",
+    "serial_throughput_tps", "records", "twopc_commits=twopc.commit",
+)
+FIELDS = {
+    "client_sweep": CONTENTION,
+    "mix_sweep": CONTENTION,
+    "mvcc_sweep": CONTENTION + ("mvcc", "snapshot_reads=mvcc.snapshot_reads"),
+    "group_sweep": CONTENTION + (
+        "group_size", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
+        "group_closes=group.close", "fence_reduction_vs_ungrouped",
+    ),
+    "occ_sweep": CONTENTION + (
+        "isolation", "mix", "lock_acquires_per_commit",
+        "occ_commits=occ.commit", "occ_abort_rate", "occ_fallbacks",
+    ),
+    "cache_sweep": CONTENTION + (
+        "cache_pages", "read_ns", "cache_hit_ratio", "cache_hits=cache.hit",
+        "cache_misses=cache.miss", "cache_evicts=cache.evict",
+        "cache_invalidates=cache.invalidate", "speedup_vs_uncached",
+    ),
+    "shard_sweep": SHARDED + ("speedup_vs_one_shard",),
+}
+
+
+def _summarize(result, fields):
     """The comparable (and committed) slice of one run's report."""
-    return {
-        "clients": result["clients"],
-        "read_ratio": result["read_ratio"],
-        "commits": result["commits"],
-        "aborts": result["aborts"],
-        "deadlocks": result["deadlocks"],
-        "timeouts": result["timeouts"],
-        "retries": result["retries"],
-        "steps": result["steps"],
-        "simulated_ns": result["simulated_ns"],
-        "elapsed_ns": result["elapsed_ns"],
-        "throughput_tps": round(result["throughput_tps"], 3),
-        "records": result["records"],
-        "lock_acquires": result["counters"]["lock.acquire"],
-        "lock_conflicts": result["counters"]["lock.conflict"],
-    }
-
-
-def _summarize_mvcc(result):
-    summary = _summarize(result)
-    summary["clients"] = 1 + result["readers"]  # writer + readers
-    summary["mvcc"] = result["mvcc"]
-    summary["snapshot_reads"] = result["mvcc_counters"]["mvcc.snapshot_reads"]
+    summary = {}
+    for field in fields:
+        name, _, counter = field.partition("=")
+        if counter:
+            value = result["counters"].get(counter, 0)
+        elif name == "clients":
+            value = result["clients"] + result["readers"]
+        elif name not in ROUNDED:
+            value = result[name]
+        elif isinstance(result[name], list):
+            value = [round(v, 3) for v in result[name]]
+        else:
+            value = round(result[name], 3)
+        summary[name] = value
     return summary
-
-
-def _summarize_group(result):
-    """The comparable (and committed) slice of one group-commit run."""
-    summary = _summarize(result)
-    summary["group_size"] = result["group_size"]
-    summary["fences_per_txn"] = round(result["fences_per_txn"], 3)
-    summary["marks_per_txn"] = round(result["marks_per_txn"], 3)
-    summary["flushes_per_txn"] = round(result["flushes_per_txn"], 3)
-    summary["group_closes"] = result["counters"]["group.close"]
-    summary["fence_reduction_vs_ungrouped"] = round(
-        result["fence_reduction_vs_ungrouped"], 3,
-    )
-    return summary
-
-
-def _summarize_occ(result):
-    """The comparable (and committed) slice of one isolation cell."""
-    summary = _summarize(result)
-    summary["isolation"] = result["isolation"]
-    summary["mix"] = result["mix"]
-    summary["lock_acquires_per_commit"] = round(
-        result["lock_acquires_per_commit"], 3,
-    )
-    summary["occ_commits"] = result["counters"]["occ.commit"]
-    summary["occ_abort_rate"] = round(result["occ_abort_rate"], 3)
-    summary["occ_fallbacks"] = result["occ_fallbacks"]
-    return summary
-
-
-def _summarize_cache(result):
-    """The comparable (and committed) slice of one cache cell."""
-    summary = _summarize(result)
-    summary["clients"] = 1 + result["readers"]  # writer + readers
-    summary["cache_pages"] = result["cache_pages"]
-    summary["read_ns"] = result["read_ns"]
-    summary["cache_hit_ratio"] = round(result["cache_hit_ratio"], 3)
-    summary["cache_hits"] = result["counters"]["cache.hit"]
-    summary["cache_misses"] = result["counters"]["cache.miss"]
-    summary["cache_evicts"] = result["counters"]["cache.evict"]
-    summary["cache_invalidates"] = result["counters"]["cache.invalidate"]
-    summary["speedup_vs_uncached"] = round(result["speedup_vs_uncached"], 3)
-    return summary
-
-
-def _summarize_sharded(result):
-    """The comparable (and committed) slice of one sharded run."""
-    return {
-        "shards": result["shards"],
-        "clients": result["clients"],
-        "commits": result["commits"],
-        "aborts": result["aborts"],
-        "retries": result["retries"],
-        "steps": result["steps"],
-        "elapsed_ns": result["elapsed_ns"],
-        "busy_ns": [round(b, 3) for b in result["busy_ns"]],
-        "parallel_elapsed_ns": round(result["parallel_elapsed_ns"], 3),
-        "throughput_tps": round(result["throughput_tps"], 3),
-        "serial_throughput_tps": round(result["serial_throughput_tps"], 3),
-        "speedup_vs_one_shard": round(result["speedup_vs_one_shard"], 3),
-        "records": result["records"],
-        "twopc_commits": result["counters"]["twopc.commit"],
-    }
 
 
 def run_grid():
@@ -176,59 +144,45 @@ def run_grid():
         sweep_group_commit, sweep_occ, sweep_shards,
     )
 
-    grid = {"workload": {"items_per_client": ITEMS, "seed": SEED},
-            "client_sweep": {}, "mix_sweep": {}, "mvcc_sweep": {},
-            "shard_sweep": {}, "group_sweep": {}, "occ_sweep": {},
-            "cache_sweep": {}}
+    runs = {section: {} for section in FIELDS}
     for scheme in SCHEMES:
-        grid["client_sweep"][scheme] = [
-            _summarize(run_multi_client(
-                scheme, clients=count, items=ITEMS, seed=SEED,
-            ))
+        runs["client_sweep"][scheme] = [
+            run_multi_client(scheme, clients=count, items=ITEMS, seed=SEED)
             for count in CLIENT_COUNTS
         ]
-        grid["mix_sweep"][scheme] = [
-            _summarize(run_multi_client(
-                scheme, clients=4, items=ITEMS, read_ratio=ratio, seed=SEED,
-            ))
+        runs["mix_sweep"][scheme] = [
+            run_multi_client(scheme, clients=4, items=ITEMS,
+                             read_ratio=ratio, seed=SEED)
             for ratio in READ_RATIOS
         ]
     for scheme in PM_SCHEMES:
-        grid["mvcc_sweep"][scheme] = [
-            _summarize_mvcc(run_read_mostly(
-                scheme, clients=count, items=ITEMS, seed=SEED,
-                key_space=MVCC_KEY_SPACE, mvcc=mvcc,
-            ))
+        runs["mvcc_sweep"][scheme] = [
+            run_read_mostly(scheme, clients=count, items=ITEMS, seed=SEED,
+                            key_space=MVCC_KEY_SPACE, mvcc=mvcc)
             for count in MVCC_CLIENT_COUNTS
             for mvcc in (False, True)
         ]
-        grid["group_sweep"][scheme] = [
-            _summarize_group(row)
-            for row in sweep_group_commit(
-                scheme, group_sizes=GROUP_SIZES, counts=GROUP_CLIENTS,
-                items=ITEMS, seed=SEED,
-            )
-        ]
-        grid["occ_sweep"][scheme] = [
-            _summarize_occ(row)
-            for row in sweep_occ(
-                scheme, counts=OCC_CLIENTS, items=ITEMS, seed=SEED,
-            )
-        ]
-        grid["cache_sweep"][scheme] = [
-            _summarize_cache(row)
-            for row in sweep_cache(
-                scheme, cache_sizes=CACHE_SIZES,
-                read_lats=CACHE_READ_LATS, items=CACHE_ITEMS, seed=SEED,
-            )
-        ]
-        grid["shard_sweep"][scheme] = [
-            _summarize_sharded(row)
-            for row in sweep_shards(
-                scheme, shard_counts=SHARD_COUNTS,
-                clients=SHARD_CLIENTS, items=ITEMS, seed=SEED,
-            )
-        ]
+        runs["group_sweep"][scheme] = sweep_group_commit(
+            scheme, group_sizes=GROUP_SIZES, counts=GROUP_CLIENTS,
+            items=ITEMS, seed=SEED,
+        )
+        runs["occ_sweep"][scheme] = sweep_occ(
+            scheme, counts=OCC_CLIENTS, items=ITEMS, seed=SEED,
+        )
+        runs["cache_sweep"][scheme] = sweep_cache(
+            scheme, cache_sizes=CACHE_SIZES, read_lats=CACHE_READ_LATS,
+            items=CACHE_ITEMS, seed=SEED,
+        )
+        runs["shard_sweep"][scheme] = sweep_shards(
+            scheme, shard_counts=SHARD_COUNTS, clients=SHARD_CLIENTS,
+            items=ITEMS, seed=SEED,
+        )
+    grid = {
+        section: {scheme: [_summarize(row, FIELDS[section]) for row in rows]
+                  for scheme, rows in schemes.items()}
+        for section, schemes in runs.items()
+    }
+    grid["workload"] = {"items_per_client": ITEMS, "seed": SEED}
     return grid
 
 
@@ -243,41 +197,49 @@ GRID_SEEDS = (7, 8, 9)
 
 
 def run_group_grid():
-    """Run every cell under the committed-prefix oracle (``verify()``
-    + scan == the dict model replaying the commit order, live and
-    after ``DropAll`` + attach) and the per-step page invariant
-    checker.  Returns the cell count and the
-    failing cells."""
+    """Run every cell through the crash driver to completion
+    (``crash_at(shape, None)``: ``verify()`` + scan == the dict model
+    replaying the commit order, live and after ``DropAll`` + attach)
+    with the per-step page invariant checker armed.  Returns the cell
+    count and the failing cells."""
     from repro.bench.multiclient import (
-        SMALL_PAGE_EPOCH_CELLS, run_group_commit, run_small_page_epoch_cell,
+        SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
+        cell_workloads, small_page_epoch_config,
     )
+    from repro.testing.crashsim import ScheduledRun, crash_at
     from repro.testing.invariants import PageInvariantChecker
 
-    armed = dict(oracle=True, checker_factory=PageInvariantChecker)
     cells = [
         ("%s G=%d clients=%d items=%d seed=%d"
-         % (scheme, size, clients, items, seed),
-         partial(run_group_commit, scheme, group_size=size, clients=clients,
-                 items=items, seed=seed, **armed))
+         % (scheme, size, clients, items, seed), scheme,
+         cell_config(scheme, clients=clients, items=items,
+                     group_commit_size=size),
+         dict(clients=clients, items=items, seed=seed))
         for scheme, size, clients, items, seed in itertools.product(
             PM_SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS,
             GRID_SEEDS,
         )
     ]
     cells += [
-        ("%s G=%d small pages seed=%d" % (scheme, size, seed),
-         partial(run_small_page_epoch_cell, scheme, group_size=size,
-                 seed=seed, **armed))
+        ("%s G=%d small pages seed=%d" % (scheme, size, seed), scheme,
+         small_page_epoch_config(size),
+         dict(SMALL_PAGE_EPOCH_CLIENTS, seed=seed))
         for scheme in PM_SCHEMES
         for seed, size in SMALL_PAGE_EPOCH_CELLS
     ]
     failures = []
-    for name, run in cells:
+    for name, scheme, config, cell in cells:
+        workloads, rows = cell_workloads(**cell)
         try:
-            run()
+            problems = crash_at(
+                ScheduledRun(scheme, workloads, preload=rows), None,
+                config=config, checker_factory=PageInvariantChecker,
+            ).violations
         # Report every failing cell, whatever it raised.
         except Exception as err:
-            failures.append("%s: %s: %s" % (name, type(err).__name__, err))
+            problems = ["%s: %s" % (type(err).__name__, err)]
+        if problems:
+            failures.append("%s: %s" % (name, "; ".join(problems)))
     return len(cells), failures
 
 
@@ -405,6 +367,15 @@ def _print_grid(grid):
         ))
 
 
+def _dump(data, dest):
+    """Write ``data`` as sorted JSON to ``dest`` (``"-"``: stdout)."""
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if dest == "-":
+        sys.stdout.write(text)
+    else:
+        pathlib.Path(dest).write_text(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Deterministic multi-client contention baseline.",
@@ -421,9 +392,9 @@ def main(argv=None):
                              "pagestores (8 clients, disjoint pools)")
     parser.add_argument("--group-grid", action="store_true",
                         help="skip the baseline grid: run the group-commit "
-                             "correctness grid (124 cells under the "
-                             "committed-prefix oracle); exit 1 on any "
-                             "failing cell")
+                             "correctness grid (124 cells through the "
+                             "crash driver's committed-prefix check); exit "
+                             "1 on any failing cell")
     args = parser.parse_args(argv)
 
     if args.group_grid:
@@ -435,41 +406,28 @@ def main(argv=None):
         return 1 if failures else 0
 
     if args.shards is not None:
-        from repro.bench.multiclient import run_sharded_multi_client
+        from repro.bench.multiclient import sweep_shards
 
-        result = run_sharded_multi_client(
-            "fastplus", shards=args.shards, clients=SHARD_CLIENTS,
-            items=ITEMS, seed=SEED,
-        )
-        summary = _summarize_sharded(dict(result, speedup_vs_one_shard=0.0))
-        del summary["speedup_vs_one_shard"]
+        result, = sweep_shards("fastplus", shard_counts=(args.shards,),
+                               clients=SHARD_CLIENTS, items=ITEMS, seed=SEED)
+        summary = _summarize(result, SHARDED)
         print("fastplus over %d shard(s): %d commits, %8.0f modeled tps "
               "(serial %8.0f)" % (
                   result["shards"], result["commits"],
                   result["throughput_tps"], result["serial_throughput_tps"],
               ))
-        if args.json == "-":
-            print(json.dumps(summary, indent=2, sort_keys=True))
-        elif args.json:
-            pathlib.Path(args.json).write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n"
-            )
+        if args.json:
+            _dump(summary, args.json)
         return 0
 
     grid = run_grid()
     _print_grid(grid)
 
-    if args.json == "-":
-        print(json.dumps(grid, indent=2, sort_keys=True))
-    elif args.json:
-        pathlib.Path(args.json).write_text(
-            json.dumps(grid, indent=2, sort_keys=True) + "\n"
-        )
+    if args.json:
+        _dump(grid, args.json)
 
     if args.update:
-        BASELINE_PATH.write_text(
-            json.dumps(grid, indent=2, sort_keys=True) + "\n"
-        )
+        _dump(grid, BASELINE_PATH)
         print("updated %s" % BASELINE_PATH)
         return 0
 

@@ -694,7 +694,7 @@ def fig13(ops=None):
                     key_space=100, mvcc=mvcc,
                 )
                 mode = "mvcc" if mvcc else "locked"
-                conflicts = result["counters"]["lock.conflict"]
+                conflicts = result["counters"].get("lock.conflict", 0)
                 txns = max(1, result["commits"] + result["aborts"])
                 rows.append([
                     scheme, clients, mode,
@@ -799,7 +799,7 @@ def fig15(ops=None):
                 round(row["cache_hit_ratio"], 3),
                 round(row["throughput_tps"] / 1000.0, 1),
                 "%.2fx" % row["speedup_vs_uncached"],
-                row["counters"]["cache.invalidate"],
+                row["counters"].get("cache.invalidate", 0),
             ])
             data[(scheme, row["cache_pages"], row["read_ns"])] = (
                 row["throughput_tps"], row["cache_hit_ratio"],

@@ -593,11 +593,11 @@ class Transaction:
                             raise
                         committed = False
                         self._rollback_work()
-                        self.engine.obs.inc("engine.txn.rollback")
+                        self.engine._c_txn_rollback.inc()
                         raise
-            self.engine.obs.inc(
-                "engine.txn.commit" if committed else "engine.txn.rollback"
-            )
+            engine = self.engine
+            (engine._c_txn_commit if committed
+             else engine._c_txn_rollback).inc()
         finally:
             self._end(committed)
 
@@ -666,8 +666,13 @@ class Engine:
         self.pm = pm
         self.store = store
         # All instrumentation (registry counters, phase histograms,
-        # event trace) flows through the arena's shared handle.
+        # event trace) flows through the arena's shared handle, and
+        # the per-transaction counters are bound once.
         self.obs = pm.obs
+        handle = self.obs.registry.counter_handle
+        self._c_txn_begin = handle("engine.txn.begin")
+        self._c_txn_commit = handle("engine.txn.commit")
+        self._c_txn_rollback = handle("engine.txn.rollback")
         if not self._pm_resident:
             for field in ("group_commit_size", "dram_cache_pages"):
                 if getattr(config, field) > 0:
@@ -875,7 +880,7 @@ class Engine:
                 )
         txn = Transaction(self)
         self._active = txn
-        self.obs.inc("engine.txn.begin")
+        self._c_txn_begin.inc()
         return txn
 
     # -- sessions ----------------------------------------------------------

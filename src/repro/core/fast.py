@@ -214,6 +214,14 @@ class FASTEngine(Engine):
 
     def __init__(self, config, pm, store):
         super().__init__(config, pm, store)
+        handle = self.obs.registry.counter_handle
+        self._c_checkpoint = handle("engine.checkpoint")
+        self._c_logged = handle("engine.commit.logged")
+        self._c_inplace = handle("engine.commit.inplace")
+        self._c_fallback = handle("engine.commit.fallback")
+        self._c_group_join = handle("group.join")
+        self._c_group_close = handle("group.close")
+        self._c_twopc_commit = handle("twopc.commit")
         self.log = None
         #: 2PC prepare region (sharded deployments only; see
         #: ``repro.wal.twopc`` / ``repro.storage.sharding``).
@@ -327,7 +335,7 @@ class FASTEngine(Engine):
         #: Surfaced to sessions: ``Session.commit_durable`` reports
         #: False until this seq's epoch closes.
         ctx.commit_seq = seq
-        self.obs.inc("group.join")
+        self._c_group_join.inc()
 
     def _close_epoch(self):
         """Close the open epoch: ONE sfence makes every member's
@@ -354,7 +362,7 @@ class FASTEngine(Engine):
                 self.store.free_page(page_no)
             if member.get("twopc_clear"):
                 self.twopc.clear()
-        self.obs.inc("group.close")
+        self._c_group_close.inc()
 
     def _stage_and_flush(self, ctx, fence=True):
         """Front half shared by the logged commit, the 2PC prepare,
@@ -412,14 +420,14 @@ class FASTEngine(Engine):
         resolves an unmarked participant from)."""
         if self.group is not None:
             with self.obs.phase("commit"):
-                self.obs.inc("twopc.commit")
+                self._c_twopc_commit.inc()
                 self.obs.event(ev.TWOPC_COMMIT, gtid, shard_index)
                 self._join_epoch(ctx, seq, twopc_clear=True)
             return
         with self.obs.phase("commit"):
             with self.obs.span("atomic_commit"):
                 self.log.commit(seq)
-            self.obs.inc("twopc.commit")
+            self._c_twopc_commit.inc()
             self.obs.event(ev.TWOPC_COMMIT, gtid, shard_index)
             # From the mark on, plain single-shard recovery suffices:
             # the prepare record has done its job.
@@ -442,7 +450,7 @@ class FASTEngine(Engine):
             applied = self._apply_replay(self.log.replay(), fetch)
             self.pm.sfence()
             self.log.truncate()
-            self.obs.inc("engine.checkpoint")
+            self._c_checkpoint.inc()
             self.obs.event(ev.CHECKPOINT, applied)
 
     def _apply_replay(self, entries, fetch):
@@ -623,7 +631,7 @@ class FASTPlusEngine(FASTEngine):
             if page.base + len(image) <= line_start + CACHE_LINE:
                 self._commit_inplace(ctx, page)
                 return
-        self.obs.inc("engine.commit.logged")
+        self._c_logged.inc()
         super()._commit_durable(ctx)
 
     def _commit_inplace(self, ctx, page):
@@ -649,11 +657,11 @@ class FASTPlusEngine(FASTEngine):
                 fallback=fall_back_to_logging,
             )
         if fell_back:
-            self.obs.inc("engine.commit.fallback")
-            self.obs.inc("engine.commit.logged")
+            self._c_fallback.inc()
+            self._c_logged.inc()
             self._commit_logged(ctx)
             return
-        self.obs.inc("engine.commit.inplace")
+        self._c_inplace.inc()
         # The RTM publish IS the install: the page's durable header
         # changed without a checkpoint, so the frame dies here.
         cache = self.page_cache

@@ -253,6 +253,8 @@ class NVWALEngine(Engine):
 
     def __init__(self, config, pm, store):
         super().__init__(config, pm, store)
+        self._c_checkpoint = self.obs.registry.counter_handle(
+            "engine.checkpoint")
         self.dram = VolatileMemory(
             config.dram_bytes,
             latency=config.latency,
@@ -369,7 +371,7 @@ class NVWALEngine(Engine):
     def checkpoint(self):
         """Lazy checkpoint: write every WAL-covered page back to the
         database region and reset the log (paper Section 2.2)."""
-        self.obs.inc("engine.checkpoint")
+        self._c_checkpoint.inc()
         self.obs.event(ev.CHECKPOINT, len(self.wal.index))
         with self.obs.span("nvwal_checkpoint"):
             for page_no in list(self.wal.index):

@@ -165,29 +165,6 @@ class _DirtyLine:
         self.dirty_words = dirty_words
 
 
-class _ResidencySet:
-    """Bounded LRU set of cache-resident line numbers (for read-latency
-    accounting only; dirty data is tracked separately and never silently
-    dropped)."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self._lines = OrderedDict()
-
-    def touch(self, line):
-        """Record an access; return True on hit, False on miss."""
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            return True
-        self._lines[line] = None
-        if len(self._lines) > self.capacity:
-            self._lines.popitem(last=False)
-        return False
-
-    def clear(self):
-        self._lines.clear()
-
-
 class _Arena:
     """What the PM and DRAM arenas share: fixed-width stores (one
     ``_write_fixed`` when the integer sits in one line) and the bounds
@@ -297,10 +274,10 @@ class PersistentMemory(_Arena):
         self._dget = self._dirty.get
         self._iget = self._inflight.get
         self._vget = self._vis.get
-        self._resident = _ResidencySet(cache_lines)
-        # Fast-path aliases into the residency model (its OrderedDict is
-        # cleared in place, never replaced, so these stay live).
-        self._rlines = self._resident._lines
+        # The read-residency model: a bounded LRU of cache-resident
+        # line numbers, for read-latency accounting only (dirty data is
+        # tracked separately and never silently dropped).
+        self._rlines = OrderedDict()
         self._rcap = cache_lines
         # Set by the RTM emulation while a hardware transaction is open:
         # clflush inside an RTM region aborts on real hardware (paper
@@ -357,8 +334,7 @@ class PersistentMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._read_miss_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             entry = self._vget(line)
             if entry is None:
                 return self._durable[addr:end]
@@ -394,8 +370,7 @@ class PersistentMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns += self._stream_ns if missed_before else self._read_miss_ns
-            if ns > 0:
-                clock.now_ns += ns
+            clock.now_ns += ns
             vget = self._vget
             entry = vget(line)
             second = vget(last)
@@ -429,8 +404,7 @@ class PersistentMemory(_Arena):
                     else:
                         ns = self._read_miss_ns
                         missed_before = True
-                if ns > 0:
-                    clock.now_ns += ns
+                clock.now_ns += ns
             return durable[addr:end]
         parts = []
         visible_get = self._vget
@@ -452,8 +426,7 @@ class PersistentMemory(_Arena):
                 else:
                     ns = self._read_miss_ns
                     missed_before = True
-            if ns > 0:
-                clock.now_ns += ns
+            clock.now_ns += ns
             base = line << 6
             lo = addr if addr > base else base
             hi = end if end < base + CACHE_LINE else base + CACHE_LINE
@@ -481,8 +454,7 @@ class PersistentMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._read_miss_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             entry = self._vget(line)
             if entry is None:
                 durable = self._durable
@@ -523,8 +495,7 @@ class PersistentMemory(_Arena):
                 lines.popitem(last=False)
             self._c_load_miss.value += 1
             ns = self._read_miss_ns
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         entry = self._vget(line)
         if entry is None:
             return self._durable[addr:end]
@@ -547,8 +518,7 @@ class PersistentMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._read_miss_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             entry = self._vget(line)
             if entry is None:
                 return self._durable[addr]
@@ -720,8 +690,7 @@ class PersistentMemory(_Arena):
                 lines.popitem(last=False)
             misses += 1
             ns += self._stream_ns if missed_before else self._read_miss_ns
-        if ns > 0:
-            now += ns
+        now += ns
         clock.now_ns = now
         self._c_load.value += 4
         if misses:
@@ -771,8 +740,7 @@ class PersistentMemory(_Arena):
             except KeyError:
                 totals[ev.STORE] = 1
         ns = self._store_ns + self._store_byte_ns * length
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         if not length:
             return
         line = addr >> 6
@@ -849,8 +817,7 @@ class PersistentMemory(_Arena):
             except KeyError:
                 totals[ev.STORE] = 1
         ns = self._store_fixed_ns[length]
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         line = addr >> 6
         entry = self._dget(line)
         if entry is None:
@@ -904,8 +871,7 @@ class PersistentMemory(_Arena):
             except KeyError:
                 totals[ev.CLFLUSH] = 1
         ns = self._flush_ns
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         entry = self._dirty.pop(line, None)
         if entry is not None:
             self._c_flush_bytes.value += WORD * entry.dirty_words.bit_count()
@@ -945,7 +911,13 @@ class PersistentMemory(_Arena):
                 pending.data = entry.data
                 pending.dirty_words |= entry.dirty_words
                 self._vis[line] = pending
-        self._resident.touch(line)  # the line stays cached
+        lines = self._rlines  # the line stays cached
+        if line in lines:
+            lines.move_to_end(line)
+        else:
+            lines[line] = None
+            if len(lines) > self._rcap:
+                lines.popitem(last=False)
 
     def flush_range(self, addr, length):
         """Write back every line overlapping ``[addr, addr+length)``
@@ -990,8 +962,7 @@ class PersistentMemory(_Arena):
                     totals[ev.CLFLUSH] += 1
                 except KeyError:
                     totals[ev.CLFLUSH] = 1
-            if ns > 0:
-                clock.now_ns += ns
+            clock.now_ns += ns
             entry = dirty_pop(line, None)
             if entry is not None:
                 c_bytes.value += WORD * entry.dirty_words.bit_count()
@@ -1017,8 +988,7 @@ class PersistentMemory(_Arena):
             except KeyError:
                 totals[ev.FENCE] = 1
         ns = self._fence_ns
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         inflight = self._inflight
         if inflight:
             durable = self._durable
@@ -1078,7 +1048,7 @@ class PersistentMemory(_Arena):
         self._dirty.clear()
         self._inflight.clear()
         self._vis.clear()
-        self._resident.clear()
+        self._rlines.clear()
 
     def fork(self):
         """An independent arena holding this one's durable bytes and
@@ -1256,8 +1226,7 @@ class VolatileMemory(_Arena):
             n: self._store_ns + self._store_byte_ns * n for n in (2, 4, 8)
         }
         self._data = _zero_map(size)
-        self._resident = _ResidencySet(cache_lines)
-        self._rlines = self._resident._lines
+        self._rlines = OrderedDict()
         self._rcap = cache_lines
 
     def read(self, addr, length):
@@ -1282,8 +1251,7 @@ class VolatileMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._dram_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             return self._data[addr:end]
         last = (end - 1) >> 6
         missed_before = False
@@ -1304,8 +1272,7 @@ class VolatileMemory(_Arena):
                 else:
                     ns = self._dram_ns
                     missed_before = True
-            if ns > 0:
-                clock.now_ns += ns
+            clock.now_ns += ns
         return self._data[addr:end]
 
     def visible_bytes(self, addr, length):
@@ -1324,8 +1291,7 @@ class VolatileMemory(_Arena):
         self._c_store.value += 1
         self._c_store_bytes.value += length
         ns = self._store_ns + self._store_byte_ns * length
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         self._data[addr:end] = data
         lines = self._rlines
         rcap = self._rcap
@@ -1354,8 +1320,7 @@ class VolatileMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._dram_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             data = self._data
             return data[addr] | (data[addr + 1] << 8)
         return int.from_bytes(self.read(addr, 2), "little")
@@ -1375,8 +1340,7 @@ class VolatileMemory(_Arena):
                     lines.popitem(last=False)
                 self._c_load_miss.value += 1
                 ns = self._dram_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             return self._data[addr]
         return self.read(addr, 1)[0]
 
@@ -1511,8 +1475,7 @@ class VolatileMemory(_Arena):
         self._c_store.value += 1
         self._c_store_bytes.value += length
         ns = self._store_fixed_ns[length]
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         self._data[addr : addr + length] = data
         line = addr >> 6
         lines = self._rlines
@@ -1534,5 +1497,5 @@ class VolatileMemory(_Arena):
         """DRAM loses everything on power failure."""
         del policy
         self._data = _zero_map(self.size)
-        self._resident.clear()
+        self._rlines.clear()
 

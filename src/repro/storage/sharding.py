@@ -106,6 +106,9 @@ class ShardRouter:
         self.config = config        # the base (per-shard) geometry
         self.pm = pm
         self.obs = pm.obs
+        handle = self.obs.registry.counter_handle
+        self._c_txn_commit = handle("engine.txn.commit")
+        self._c_txn_rollback = handle("engine.txn.rollback")
         self.shards = shards
         self.coordinator = coordinator
         self.nshards = len(shards)

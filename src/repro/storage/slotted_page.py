@@ -566,6 +566,7 @@ class SlottedPage:
         """Out-of-place update (paper Section 3.2): write the new
         version into free space and repoint the pending slot."""
         pending = self.begin_pending()
+        self._pending_offset(slot)
         offset = self._allocate_cell(payload)
         pending.offsets[slot] = offset
         return offset
@@ -574,6 +575,7 @@ class SlottedPage:
         """Remove ``slot`` from the pending header (the cell itself is
         reclaimed only after commit)."""
         pending = self.begin_pending()
+        self._pending_offset(slot)
         pending.offsets.pop(slot)
 
     def pending_set_flags(self, mask):

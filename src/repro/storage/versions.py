@@ -110,8 +110,7 @@ class _ImageMemory:
             else:
                 resident.add(line)
                 ns = self._miss_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             return self._image[pos:pos + length]
         clock = self.clock
         missed_before = False
@@ -125,8 +124,7 @@ class _ImageMemory:
                 else:
                     ns = self._miss_ns
                     missed_before = True
-            if ns > 0:
-                clock.now_ns += ns
+            clock.now_ns += ns
         return self._image[pos:pos + length]
 
     def read_u16(self, addr):
@@ -148,8 +146,7 @@ class _ImageMemory:
             else:
                 resident.add(line)
                 ns = self._miss_ns
-            if ns > 0:
-                self.clock.now_ns += ns
+            self.clock.now_ns += ns
             image = self._image
             return image[pos] | (image[pos + 1] << 8)
         return int.from_bytes(self.read(addr, 2), "little")
@@ -170,8 +167,7 @@ class _ImageMemory:
         else:
             resident.add(line)
             ns = self._miss_ns
-        if ns > 0:
-            self.clock.now_ns += ns
+        self.clock.now_ns += ns
         return self._image[pos]
 
     def read_record(self, base, slot):

@@ -5,9 +5,10 @@ executes once, its memory is forked at the N-th event of that one run
 for every (sampled) N, the fork is crashed and recovered, and the ACID
 invariants of paper Section 4.4 are checked — every committed
 transaction durable, the in-flight transaction all-or-nothing, and the
-B-tree structurally intact.  Beside the crash sweeps: the
-committed-prefix oracle for a finished scheduled run
-(``check_committed_prefix``) and a per-step page invariant checker
+B-tree structurally intact.  A run that completes is checked against
+the full committed model, live and after a ``DropAll`` crash of a fork
+(``crash_at(shape, None)``; ``check_committed_prefix`` for a scheduled
+run a test drove itself).  Beside them: a per-step page invariant checker
 that reports the first bad state instead of the first bad symptom
 (``repro.testing.invariants``).
 """

@@ -620,6 +620,29 @@ def _drive(shape, config, points, policies_at, checker_factory, stop=False):
     return results
 
 
+def _completed(shape, config, events=0, violations=()):
+    """The checks of a run that completed: ``verify()`` passes and the
+    live scan equals the committed model, and so does the state a
+    ``DropAll`` power failure now recovers to (a fork of the arena,
+    recovered through :func:`_recover`).  ``violations``: what the
+    caller already found."""
+    state = shape.state()
+    committed, inflight, _ = state
+    result = CrashTestResult(
+        False, committed, inflight, dict(shape.engine.scan()),
+        violations=list(violations), events=events,
+    )
+    _validate(shape.engine, result)
+    image = shape.pm.fork()
+    image.crash(DropAll())
+    result.violations.extend(
+        "after DropAll + attach: %s" % violation
+        for violation in _recover(shape, config, image, events,
+                                  state).violations
+    )
+    return result
+
+
 def crash_at(shape, budget, *, config=None, policy=None, seed=0,
              checker_factory=None):
     """Run ``shape``, crash it at armed event ``budget`` under
@@ -627,8 +650,9 @@ def crash_at(shape, budget, *, config=None, policy=None, seed=0,
     recover and validate; returns the ``CrashTestResult``.
 
     A run that ends before ``budget`` (or ``budget=None``) is checked
-    as completed instead: its live state must equal the full committed
-    model, and every client must have drained its items."""
+    as completed instead: every client must have drained its items, and
+    its live state, and the state a ``DropAll`` crash of it recovers
+    to, must equal the full committed model."""
     config = config or SystemConfig(**SMALL_CONFIG)
     results = _drive(
         shape, config, () if budget is None else (budget,),
@@ -637,13 +661,8 @@ def crash_at(shape, budget, *, config=None, policy=None, seed=0,
     )
     if results:
         return results[0][1]
-    committed, inflight, _ = shape.state()
-    result = CrashTestResult(
-        False, committed, inflight, dict(shape.engine.scan()),
-        events=shape.pm.events,
-    )
-    result.violations.extend(shape.completed_violations())
-    return _validate(shape.engine, result)
+    return _completed(shape, config, shape.pm.events,
+                      shape.completed_violations())
 
 
 def crash_sweep(shape, *, config=None, stride=1, seeds=(0, 1),
@@ -679,30 +698,16 @@ def failing(results):
 
 
 def check_committed_prefix(engine, scheduler, *, preloaded=None):
-    """The committed-prefix oracle for a *finished* scheduled run:
-    ``verify()`` passes and a scan equals the plain-dict model that
-    replays ``scheduler.commit_order`` over the ``preloaded`` records —
-    on the live engine, then again on a fresh attach after a
-    ``DropAll`` power failure.  Raises ``AtomicityViolation`` at the
-    first mismatch.
-
-    The crash destroys the engine's volatile state: call this last.
-    """
-    model = _replay(
-        _committed_items(scheduler.clients, scheduler.commit_order),
-        preloaded or (),
-    )
-
-    def expect_model(engine, label):
-        result = _validate(
-            engine, CrashTestResult(False, model, (), dict(engine.scan())),
+    """The committed-prefix check of a *finished* scheduled run that a
+    test drove itself: :func:`crash_at`'s completed-run check, with the
+    model replaying ``scheduler.commit_order`` over the ``preloaded``
+    records.  Raises ``AtomicityViolation`` on a mismatch.  The engine
+    keeps running: the power failure hits a fork of its arena."""
+    shape = ScheduledRun(engine.scheme, (), preload=preloaded or ())
+    shape.engine, shape.pm, shape.scheduler = engine, engine.pm, scheduler
+    result = _completed(shape, engine.config)
+    if not result.ok:
+        raise AtomicityViolation(
+            "state is not the committed model: %s"
+            % "; ".join(result.violations[:3])
         )
-        if not result.ok:
-            raise AtomicityViolation(
-                "%s state is not the committed model: %s"
-                % (label, "; ".join(result.violations[:3]))
-            )
-
-    expect_model(engine, "live")
-    engine.pm.crash(DropAll())
-    expect_model(type(engine).attach(engine.config, engine.pm), "recovered")

@@ -61,8 +61,8 @@ class PageInvariantChecker:
     Callable, for ``Scheduler(on_step=checker)`` (the violation then
     names the client and operation that just ran), and shaped like a
     trace checker (``advance`` / ``close`` / ``finish`` / ``stats``),
-    so the harnesses that take a ``checker_factory`` — the crash
-    sweeps, ``run_multi_client`` — can arm it as one.
+    so the harnesses that take a ``checker_factory`` — ``crash_at``
+    and ``crash_sweep`` — can arm it as one.
     """
 
     def __init__(self, engine):

@@ -157,6 +157,9 @@ class NVWALog:
         self.pm = pm
         self.base = base
         self.size = size
+        handle = pm.obs.registry.counter_handle
+        self._c_frame = handle("wal.frame")
+        self._c_commit_mark = handle("wal.commit_mark")
         self.heap = None
         self.index = {}        # page_no -> [frame addr, ...] (volatile)
         self.roots = {}        # root slot -> page_no overlay (volatile)
@@ -256,7 +259,7 @@ class NVWALog:
             self.pm.flush_range(self.base + _OFF_HEAD, 8)
         self._tail = addr
         self.bytes_used += len(frame_bytes)
-        self.pm.obs.inc("wal.frame")
+        self._c_frame.inc()
         self.pm.obs.event(ev.LOG_APPEND, addr, len(frame_bytes))
         self.pm.obs.registry.set_gauge("wal.bytes_used", self.bytes_used)
 
@@ -264,7 +267,7 @@ class NVWALog:
         """The 8-byte-atomic commit mark."""
         self.pm.write_u64(self.base + _OFF_COMMIT_SEQ, seq)
         self.pm.persist(self.base + _OFF_COMMIT_SEQ, 8)
-        self.pm.obs.inc("wal.commit_mark")
+        self._c_commit_mark.inc()
         self.pm.obs.event(ev.COMMIT_MARK, seq)
 
     def publish(self, frames):

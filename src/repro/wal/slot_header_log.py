@@ -52,6 +52,10 @@ class SlotHeaderLog:
         self.pm = pm
         self.base = base
         self.size = size
+        handle = pm.obs.registry.counter_handle
+        self._c_frame = handle("log.frame")
+        self._c_commit_mark = handle("log.commit_mark")
+        self._c_truncate = handle("log.truncate")
         self._staged = []
         self._staged_bytes = 0
         # Group commit: frames of epoch members that already wrote +
@@ -135,7 +139,7 @@ class SlotHeaderLog:
         cursor = self.base + _FRAMES_BASE + self._group_bytes
         for frame in self._staged:
             self.pm.write(cursor, frame)
-            obs.inc("log.frame")
+            self._c_frame.inc()
             obs.event(ev.LOG_APPEND, cursor, len(frame))
             cursor += len(frame)
 
@@ -160,14 +164,14 @@ class SlotHeaderLog:
         word = (seq << 32) | tail
         self.pm.write_u64(self.base + _OFF_COMMIT, word)
         self.pm.persist(self.base + _OFF_COMMIT, 8)
-        self.pm.obs.inc("log.commit_mark")
+        self._c_commit_mark.inc()
         self.pm.obs.event(ev.COMMIT_MARK, seq, tail)
 
     def truncate(self):
         """Reset after checkpointing (atomically empties the log)."""
         self.pm.write_u64(self.base + _OFF_COMMIT, 0)
         self.pm.persist(self.base + _OFF_COMMIT, 8)
-        self.pm.obs.inc("log.truncate")
+        self._c_truncate.inc()
         self.pm.obs.event(ev.LOG_TRUNCATE)
         self._staged = []
         self._staged_bytes = 0
@@ -194,7 +198,7 @@ class SlotHeaderLog:
         word = (seq << 32) | tail
         self.pm.write_u64(self.base + _OFF_COMMIT, word)
         self.pm.persist(self.base + _OFF_COMMIT, 8)
-        self.pm.obs.inc("log.commit_mark")
+        self._c_commit_mark.inc()
         self.pm.obs.event(ev.COMMIT_MARK, seq, tail)
 
     def committed_seq(self):

@@ -5,8 +5,12 @@ import pytest
 
 from repro.analysis import corpus, selftest
 from repro.analysis.tracecheck import TraceChecker
-from repro.bench.multiclient import run_multi_client
-from repro.testing.crashsim import SingleRun, crash_sweep, failing
+from repro.bench.multiclient import (
+    cell_config, cell_workloads, run_multi_client,
+)
+from repro.testing.crashsim import (
+    ScheduledRun, SingleRun, crash_at, crash_sweep, failing,
+)
 
 
 def test_selftest_every_rule_fires():
@@ -119,17 +123,23 @@ def test_crash_sweep_checker_factory_hook():
 
 
 def test_multi_client_bench_trace_check_hook():
-    result = run_multi_client(
-        "fast", clients=2, items=5,
+    """A bench cell is trace-checked through the crash driver: its
+    workloads and preload as a ``ScheduledRun``, its sized config."""
+    workloads, rows = cell_workloads(clients=2, items=5)
+    shape = ScheduledRun("fast", workloads, preload=rows)
+    result = crash_at(
+        shape, None, config=cell_config("fast", clients=2, items=5),
         checker_factory=lambda engine: TraceChecker.for_engine(
             engine, invariants=("flush", "atomic", "twopl"),
         ),
     )
-    assert result["trace_check"]["findings"] == []
-    stats = result["trace_check"]["stats"]
+    assert result.ok, result.violations
+    assert shape.checker.finish() == []
+    stats = shape.checker.stats
     assert stats["txns"] > 0 and stats["events"] > 0
 
 
 def test_multi_client_bench_report_unchanged_without_checker():
+    """Measuring never checks: the report carries no verdict."""
     result = run_multi_client("fast", clients=2, items=5)
     assert "trace_check" not in result

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+from functools import partial
 
 from repro.bench.multiclient import (
     client_workload,
@@ -9,16 +10,16 @@ from repro.bench.multiclient import (
     run_isolation_cell,
     run_cache_cell,
     run_multi_client,
-    run_sharded_multi_client,
     shard_pool_keys,
     sharded_client_workload,
     sweep_cache,
-    sweep_clients,
     sweep_group_commit,
     sweep_occ,
-    sweep_read_ratio,
     sweep_shards,
 )
+
+#: A sharded run in the shard sweep's regime: 50-key pools, 16 preloaded.
+run_sharded = partial(run_multi_client, key_space=50, preload=16)
 
 
 class TestClientWorkload:
@@ -46,7 +47,7 @@ class TestRunMultiClient:
         result = run_multi_client("fast", clients=1, items=10)
         assert result["aborts"] == 0
         assert result["deadlocks"] == 0
-        assert result["counters"]["lock.conflict"] == 0
+        assert result["counters"].get("lock.conflict", 0) == 0
 
     def test_contention_shows_in_counters(self):
         result = run_multi_client("fast", clients=8, items=15,
@@ -105,13 +106,13 @@ class TestShardedWorkload:
 
 class TestRunSharded:
     def test_byte_identical_reruns(self):
-        a = run_sharded_multi_client("fast", shards=2, clients=4, items=8)
-        b = run_sharded_multi_client("fast", shards=2, clients=4, items=8)
+        a = run_sharded("fast", shards=2, clients=4, items=8)
+        b = run_sharded("fast", shards=2, clients=4, items=8)
         assert a == b
 
     def test_commits_invariant_across_shard_counts(self):
         commits = {
-            shards: run_sharded_multi_client(
+            shards: run_sharded(
                 "fast", shards=shards, clients=4, items=8,
             )["commits"]
             for shards in (1, 2, 4)
@@ -119,7 +120,7 @@ class TestRunSharded:
         assert commits[1] == commits[2] == commits[4] > 0
 
     def test_cross_shard_txns_drive_twopc(self):
-        result = run_sharded_multi_client(
+        result = run_sharded(
             "fastplus", shards=2, clients=4, items=10, cross_ratio=1.0,
         )
         assert result["counters"]["twopc.decision"] > 0
@@ -127,10 +128,10 @@ class TestRunSharded:
             result["counters"]["twopc.prepare"]
 
     def test_disjoint_pools_skip_twopc(self):
-        result = run_sharded_multi_client(
+        result = run_sharded(
             "fast", shards=4, clients=4, items=10, cross_ratio=0.0,
         )
-        assert result["counters"]["twopc.prepare"] == 0
+        assert result["counters"].get("twopc.prepare", 0) == 0
         assert all(b > 0 for b in result["busy_ns"])
 
     def test_sweep_shards_shape(self):
@@ -297,19 +298,6 @@ class TestCommittedOccBaseline:
         )
 
 
-class TestSweeps:
-    def test_sweep_clients_shape(self):
-        rows = sweep_clients("fast", counts=(1, 2), items=6)
-        assert [r["clients"] for r in rows] == [1, 2]
-        assert all(r["commits"] == r["clients"] * 6 for r in rows)
-
-    def test_sweep_read_ratio_shape(self):
-        rows = sweep_read_ratio("fast", ratios=(0.0, 1.0), clients=2, items=6)
-        assert [r["read_ratio"] for r in rows] == [0.0, 1.0]
-        # All-read runs never conflict on write locks.
-        assert rows[1]["counters"]["lock.conflict"] == 0
-
-
 class TestCacheSweep:
     def test_sweep_cache_shape(self):
         rows = sweep_cache("fast", cache_sizes=(0, 8), read_lats=(300.0,),
@@ -429,23 +417,45 @@ class TestCommittedCacheBaseline:
 
 
 class TestWrapperExtraCounters:
-    """Each wrapper adds its own counters to the caller's
-    ``extra_counters`` instead of passing the keyword twice."""
+    """Each preset reports the run's whole counter delta, its own
+    counters and any other a caller wants beside them."""
 
     def test_isolation_cell(self):
         result = run_isolation_cell("fast", isolation="occ", clients=2,
-                                    items=5, extra_counters=("sched.wait",))
-        assert "sched.wait" in result["counters"]
+                                    items=5)
+        assert "sched.step" in result["counters"]
         assert "occ.validation" in result["counters"]
 
     def test_group_commit(self):
-        result = run_group_commit("fast", group_size=2, clients=8, items=25,
-                                  extra_counters=("sched.wait",))
+        result = run_group_commit("fast", group_size=2, clients=8, items=25)
         assert "sched.wait" in result["counters"]
+        assert "group.close" in result["counters"]
         assert result["commits"] == 8 * 25
 
     def test_cache_cell(self):
         result = run_cache_cell("fast", cache_pages=8, clients=2, items=5,
-                                key_space=40, extra_counters=("sched.wait",))
-        assert "sched.wait" in result["counters"]
+                                key_space=40)
+        assert "sched.step" in result["counters"]
         assert "cache.hit" in result["counters"]
+
+
+class TestOneReport:
+    """The per-commit figures derive from the counter delta in one
+    place, so every run reports them, sharded or not."""
+
+    def test_ratios_match_the_counters(self):
+        result = run_multi_client("fastplus", clients=4, items=10)
+        counters = result["counters"]
+        commits = result["commits"]
+        assert result["fences_per_txn"] == counters["pm.fence"] / commits
+        assert result["lock_acquires_per_commit"] == (
+            counters["lock.acquire"] / commits)
+        assert result["occ_abort_rate"] == 0.0
+        assert all(value != 0 for value in counters.values())
+
+    def test_sharded_run_reports_the_same_figures(self):
+        result = run_sharded("fast", shards=2, clients=4, items=8,
+                             cross_ratio=0.5)
+        assert result["marks_per_txn"] > 0
+        assert result["serial_throughput_tps"] <= result["throughput_tps"]
+        assert sum(result["busy_ns"]) > 0

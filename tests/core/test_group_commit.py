@@ -11,11 +11,14 @@ group mark) asserting all-or-nothing recovery at epoch granularity.
 import pytest
 
 from repro.bench.multiclient import (
-    SMALL_PAGE_EPOCH_CELLS, run_group_commit, run_small_page_epoch_cell,
+    SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
+    cell_workloads, run_group_commit, small_page_epoch_config,
 )
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm.crash import PersistAll
-from repro.testing.crashsim import SingleRun, crash_sweep, failing
+from repro.testing.crashsim import (
+    ScheduledRun, SingleRun, crash_at, crash_sweep, failing,
+)
 from repro.testing.invariants import PageInvariantChecker
 
 from .conftest import SMALL, small_config
@@ -24,6 +27,17 @@ SCHEMES = ("fast", "fastplus", "nvwal")
 #: The schemes that group commits (NVWAL refuses ``group_commit_size``).
 GROUPING = ("fast", "fastplus")
 PAYLOAD = bytes(range(48))
+
+
+def checked_cell(scheme, config, **cell):
+    """Run a bench cell through the crash driver to completion with the
+    page invariant checker armed; returns the shape it ran."""
+    workloads, rows = cell_workloads(**cell)
+    shape = ScheduledRun(scheme, workloads, preload=rows)
+    result = crash_at(shape, None, config=config,
+                      checker_factory=PageInvariantChecker)
+    assert result.ok, result.violations
+    return shape
 
 
 def grouped_config(**overrides):
@@ -252,10 +266,11 @@ class TestContendedGrid:
     """The cells of ROADMAP item 1's grid (scheme x G x clients x N x
     seed) that corrupted committed pages before deferred reclamation
     had one owner, at N <= 50; CI's ``concurrency`` job runs all 124
-    (``bench_multiclient.py --group-grid``).  Each cell runs under the
-    per-step page invariant checker and ends with the committed-prefix
-    oracle: ``verify()`` + scan == the dict model replaying the commit
-    order, live and after ``DropAll`` + attach."""
+    (``bench_multiclient.py --group-grid``).  Each cell runs through
+    the crash driver with the per-step page invariant checker armed and
+    ends with its completed-run check: ``verify()`` + scan == the dict
+    model replaying the commit order, live and after ``DropAll`` +
+    attach."""
 
     @pytest.mark.parametrize("scheme,group_size,items,seed", [
         ("fast", 4, 50, 7), ("fast", 4, 50, 9), ("fast", 8, 25, 7),
@@ -264,12 +279,14 @@ class TestContendedGrid:
     ])
     def test_cell_keeps_committed_pages_intact(self, scheme, group_size,
                                                items, seed):
-        result = run_group_commit(
-            scheme, group_size=group_size, clients=8, items=items,
-            seed=seed, checker_factory=PageInvariantChecker, oracle=True,
+        shape = checked_cell(
+            scheme, cell_config(scheme, clients=8, items=items,
+                                group_commit_size=group_size),
+            clients=8, items=items, seed=seed,
         )
-        assert result["commits"] == 8 * items
-        assert result["trace_check"]["stats"]["steps"] == result["steps"]
+        assert len(shape.scheduler.commit_order) == 8 * items
+        assert shape.checker.steps == sum(
+            client.steps for client in shape.scheduler.clients)
 
 
 class TestSmallPageEpochFloor:
@@ -283,11 +300,11 @@ class TestSmallPageEpochFloor:
     @pytest.mark.parametrize("seed,group_size", SMALL_PAGE_EPOCH_CELLS)
     def test_cell_keeps_committed_pages_intact(self, scheme, seed,
                                                group_size):
-        result = run_small_page_epoch_cell(
-            scheme, group_size=group_size, seed=seed,
-            checker_factory=PageInvariantChecker, oracle=True,
+        shape = checked_cell(
+            scheme, small_page_epoch_config(group_size),
+            **SMALL_PAGE_EPOCH_CLIENTS, seed=seed,
         )
-        assert result["commits"] == 8 * 25
+        assert len(shape.scheduler.commit_order) == 8 * 25
 
     @pytest.mark.parametrize("scheme", GROUPING)
     def test_overlay_floors_at_the_widest_member_image(self, scheme):

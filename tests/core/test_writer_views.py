@@ -233,7 +233,7 @@ def test_mutators_promote_their_page_in_place(scheme, mutate):
     txn = engine.session("writer").transaction()
     ctx = txn.inner_ctx
     root_no = store.root(0)
-    pm._resident.clear()
+    pm._rlines.clear()
     for key in _SEAM_KEYS:                  # descend to every leaf
         txn.search(key)
     views = dict(ctx._pages)

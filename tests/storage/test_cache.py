@@ -311,7 +311,7 @@ def _cold_ns(engine, action):
     """Simulated ns and ``pm.load_miss`` delta of ``action`` with no PM
     line CPU-resident."""
     pm = engine.pm
-    pm._resident.clear()
+    pm._rlines.clear()
     misses = pm._c_load_miss.value
     start = pm.clock.now_ns
     action()

@@ -170,6 +170,75 @@ class TestCommitProtocols:
         assert router._lock_facade is None
         assert all(shard._lock_manager is None for shard in router.shards)
 
+    @pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+    def test_grouped_decision_settles_before_the_word_is_reused(self, scheme):
+        """Under group commit a 2PC decision rides its participants'
+        open epochs, so ``_settle_twopc`` closes those epochs and clears
+        the decision word before the next decision is persisted.  One
+        client runs three cross-shard transactions on a two-shard router
+        at G=8: the second and third decisions each settle the one
+        before, and the completed run passes the crash driver's check."""
+        from repro.testing.crashsim import SMALL_CONFIG, ShardedRun, crash_at
+        from repro.wal.twopc import _OFF_WORD
+
+        decisions = []
+        settles = []
+
+        class DecisionSpy:
+            """Rides the run as its checker.  At every decision it notes
+            the durable decision word and how many epoch members still
+            wait for the previous decision's clear; it counts the
+            settles that had a decision to settle."""
+
+            def __init__(self, router):
+                decide, settle = router.coordinator.decide_commit, \
+                    router._settle_twopc
+                word = router.coordinator.base + _OFF_WORD
+
+                def decide_commit(gtid, fence=True):
+                    waiting = sum(
+                        1 for shard in router.shards
+                        for member in shard.group.members
+                        if member.get("twopc_clear")
+                    )
+                    decisions.append((router.pm.durable_bytes(word, 8),
+                                      waiting))
+                    decide(gtid, fence)
+
+                def settle_twopc():
+                    settles.append(router._twopc_settled)
+                    settle()
+
+                router.coordinator.decide_commit = decide_commit
+                router._settle_twopc = settle_twopc
+
+            def advance(self):
+                pass
+
+            close = advance
+
+            def finish(self):
+                return []
+
+        value = bytes(24)
+        shape = ShardedRun(scheme, [[
+            ("txn", [("insert", b"c%02d" % i, value),
+                     ("insert", b"c%02d" % (i + 4), value)])
+            for i in range(3)
+        ]], 2)
+        assert {crc32(b"c%02d" % i) % 2 for i in range(3)} == {0}
+        assert {crc32(b"c%02d" % i) % 2 for i in range(4, 7)} == {1}
+        result = crash_at(
+            shape, None, checker_factory=DecisionSpy,
+            config=SystemConfig(**SMALL_CONFIG, group_commit_size=8),
+        )
+        assert result.ok, result.violations
+        assert settles == [True, False, False]
+        assert decisions == [(bytes(8), 0)] * 3
+        router = shape.engine
+        assert router.coordinator.decided_commit() is None
+        assert all(shard.twopc.prepared() is None for shard in router.shards)
+
 
 class TestRecoveryMatrix:
     """Each row of the presumed-abort recovery matrix, driven by

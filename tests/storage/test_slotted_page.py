@@ -155,6 +155,28 @@ def test_delete_removes_slot():
     assert page.records() == [b"b"]
 
 
+@pytest.mark.parametrize("slot", [-1, 2])
+def test_pending_update_and_delete_bound_check_the_slot(slot):
+    """A slot outside the pending header raises ``IndexError``, as the
+    committed path does, instead of re-pointing or removing the last
+    record.  The check is host-side: a refused call loads nothing,
+    allocates nothing and leaves the pending header as it was."""
+    pm, page = make_page()
+    page.pending_insert(0, b"aaaa")
+    page.pending_insert(1, b"bbbb")
+    commit(page)
+    page.begin_pending()
+    before = (pm.clock.now_ns, page.pending_header_image(), page.total_free())
+    with pytest.raises(IndexError):
+        page.pending_update(slot, b"cccc")
+    with pytest.raises(IndexError):
+        page.pending_delete(slot)
+    assert (pm.clock.now_ns, page.pending_header_image(),
+            page.total_free()) == before
+    commit(page)
+    assert page.records() == [b"aaaa", b"bbbb"]
+
+
 def test_pending_header_image_round_trip():
     _, page = make_page()
     page.pending_insert(0, b"r")
