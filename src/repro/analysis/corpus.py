@@ -282,7 +282,7 @@ def run_explored(schemes=("fast",), *, budget=None, clients=2,
     small workloads — the default conflict-rich locked workload, with
     a bounded schedule × crash-point product at its most distinct
     schedules, and a mixed locked/OCC/read-only workload — runs under
-    TC101-TC110 plus the commit-order serializability oracle.
+    TC101-TC111 plus the crash driver's committed-prefix check.
 
     Returns ``(findings, stats)``; ``stats`` carries one JSON-ready
     per-run summary list plus corpus totals.  With ``obs`` the

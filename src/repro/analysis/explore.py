@@ -4,9 +4,12 @@ Every other corpus in :mod:`repro.analysis` checks the *one*
 interleaving the deterministic scheduler produces per seed.  This
 module turns the scheduler into a model checker: the ``pick_strategy``
 hook on :class:`repro.core.scheduler.Scheduler` lets an explorer force
-any feasible interleaving of a small multi-client workload, and every
-explored schedule runs under the full dynamic invariant suite
-(TC101-TC111) plus a commit-order serializability oracle.
+any feasible interleaving of a small multi-client workload.  Every
+explored schedule is one crash-driver run, ``crash_at(ScheduledRun(...),
+None)`` (:mod:`repro.testing.crashsim`): the driver builds the engine,
+the preload and the scheduler, the dynamic invariant suite
+(TC101-TC111) rides every step, and the completed run gets the
+driver's committed-prefix check.
 
 Algorithm
 ---------
@@ -17,8 +20,11 @@ tree:
 
 * Each *execution* replays a forced prefix of scheduling choices on a
   fresh engine, then extends it with a default continuation (the first
-  enabled client not in the state's sleep set).  Every step's
-  *footprint* — the resources it touched, with access modes — is read
+  enabled client not in the state's sleep set).  One ``_Execution``
+  object serves the crash driver twice: its ``pick`` is the
+  scheduler's pick strategy, and its ``advance()`` is the per-step
+  checker hook, which feeds the :class:`TraceChecker` and reads the
+  step's *footprint* — the resources it touched, with access modes —
   off the obs trace ring the engine already emits.
 * After each execution, a race analysis walks the step sequence: for
   every step *j* and every other client with an earlier step *i*
@@ -52,20 +58,31 @@ treating those appends as conflicts would make all commit steps
 pairwise dependent — collapsing DPOR back to naive enumeration.  Two
 transactions over disjoint data commute semantically (their committed
 arena state is order-independent), which is exactly the equivalence
-the serializability oracle double-checks per schedule.
+the committed-prefix check double-checks per schedule.
 
 Budgets and pruning
 -------------------
 
-State explosion is capped three ways: a schedule budget (``budget``
-executions, complete or pruned), a per-schedule step budget
-(``max_steps``), and state-hash dedup — each completed schedule's
-``(commit order, committed arena scan)`` is digested, and the
-serializability oracle runs only once per distinct digest.  The
+State explosion is capped by a schedule budget (``budget``
+executions, complete or pruned) and a per-schedule step budget
+(``MAX_STEPS``).  Each completed schedule's ``(commit order,
+committed scan)`` is digested: the distinct digests are the run's
+``distinct_states``, a repeat counts in ``pruned_state``.  The
 schedule × crash-point product mode runs one bounded crash sweep (one
-execution, forked at each sampled point) with the explored schedule
-*forced*, at the first ``crash_schedules`` most-distinct explored
-schedules (one per distinct state digest).
+execution, forked at every ``CRASH_STRIDE``-th armed event, thinned to
+about ``CRASH_MAX_POINTS``) with the explored schedule *forced*, at
+the first ``crash_schedules`` explored schedules with distinct digests.
+
+Fixed settings
+--------------
+
+The explorer takes seven options (``scheme``, ``workloads``,
+``preload``, ``config``, ``budget``, ``reduction``,
+``crash_schedules``).  What no caller ever varied is fixed here: the
+invariants (``EXPLORE_INVARIANTS``), the step budget (``MAX_STEPS``),
+the crash product's stride and point cap (``CRASH_STRIDE``,
+``CRASH_MAX_POINTS``), the scheduler's retry cap (its default) and the
+per-schedule check, which is always on because it is ``crash_at``'s.
 
 Findings
 --------
@@ -73,8 +90,10 @@ Findings
 * TC101-TC111 from the riding :class:`TraceChecker` (per schedule);
 * ``EX000`` — an engine exception or scheduler failure under an
   explored (legal) schedule;
-* ``EX001`` — a committed state that differs from the committed-
-  prefix model of its own commit order (serializability violation);
+* ``EX001`` — a completed schedule failed ``crash_at``'s completed-run
+  check: ``verify()``, the live scan against the committed-prefix
+  model of its own commit order (a serializability violation), and
+  the same for the state a ``DropAll`` crash of it recovers to;
 * ``EX002`` — a crash-sweep violation under a forced explored
   schedule (the product mode).
 
@@ -87,16 +106,15 @@ import zlib
 
 from repro.analysis.findings import Finding
 from repro.analysis.tracecheck import TraceChecker
-from repro.core import SystemConfig, open_engine
+from repro.core import SystemConfig
 from repro.core.locking import (
     _COMPATIBLE, _upgrade, LOCK_S, LOCK_X, decode_lock,
 )
-from repro.core.scheduler import (
-    RetriesExhausted, Scheduler, SchedulerError, client_spec,
-)
+from repro.core.scheduler import RetriesExhausted, SchedulerError
 from repro.obs import trace as ev
+from repro.storage.pagestore import _OFF_ROOTS, N_ROOT_SLOTS
 from repro.testing.crashsim import (
-    SMALL_CONFIG, ScheduledRun, _committed_items, _replay, crash_sweep,
+    SMALL_CONFIG, ScheduledRun, crash_at, crash_sweep,
 )
 
 #: Invariants armed on every explored schedule.  ``live`` is out of
@@ -106,18 +124,13 @@ EXPLORE_INVARIANTS = (
     "flush", "atomic", "twopl", "snapshot", "occ", "lockset", "cache",
 )
 
-#: Adversarial schedules legitimately force more aborts than the
-#: default retry policy expects (the explorer may schedule the same
-#: loser over and over); a generous budget keeps retry exhaustion out
-#: of the findings unless something is genuinely livelocked.
-_MAX_RETRIES = 50
-
 DEFAULT_BUDGET = 256
-DEFAULT_MAX_STEPS = 400
-
-#: Store-header layout (== repro.storage.pagestore).
-_ROOTS_OFF = 16
-_N_ROOT_SLOTS = 12
+#: Scheduler steps one execution may take before it is truncated.
+MAX_STEPS = 400
+#: The crash product's sweep: every ``CRASH_STRIDE``-th armed event of
+#: a forced schedule, thinned to about ``CRASH_MAX_POINTS`` points.
+CRASH_STRIDE = 7
+CRASH_MAX_POINTS = 10
 
 
 class ExplorationError(Exception):
@@ -167,9 +180,9 @@ def _footprint(events, base, page_size, npages):
             page_no = (a - base) // page_size
             if page_no == 0:
                 offset = a - base
-                if _ROOTS_OFF <= offset < _ROOTS_OFF + 4 * _N_ROOT_SLOTS:
+                if _OFF_ROOTS <= offset < _OFF_ROOTS + 4 * N_ROOT_SLOTS:
                     _merge(footprint,
-                           ("root", (offset - _ROOTS_OFF) // 4), LOCK_X)
+                           ("root", (offset - _OFF_ROOTS) // 4), LOCK_X)
                 continue  # allocator words: single-word-atomic contract
             _merge(footprint, ("page", page_no), LOCK_X)
         elif kind in (ev.LOCK_ACQUIRE, ev.LOCK_UPGRADE,
@@ -259,6 +272,94 @@ class _ForcedReplay:
         return ready[0]
 
 
+class _Execution:
+    """One explored schedule, as the crash driver runs it: ``pick`` is
+    the scheduler's pick strategy (forced prefix, then a sleep-aware
+    continuation) and ``advance()`` is the per-step checker hook
+    (``ScheduledRun`` calls it as ``on_step``).  ``advance()`` feeds
+    the step's trace events to the :class:`TraceChecker` and records
+    the step's footprint and its child's sleep set in the explorer's
+    prefix tree; ``steps`` is what the race analysis walks."""
+
+    def __init__(self, explorer, forced):
+        self.explorer = explorer
+        self.forced = forced
+        self.path = []
+        self.steps = []           # (parent path, choice, footprint, enabled)
+        self.next_sleep = {}
+
+    def attach(self, engine):
+        """The ``checker_factory``: called once the preload is in, so
+        the checker and the footprints start past its events."""
+        config = engine.config
+        self.geometry = (config.store_base, config.page_size, config.npages)
+        self.trace = engine.obs.trace
+        self.checker = TraceChecker.for_engine(
+            engine, invariants=EXPLORE_INVARIANTS,
+        )
+        self.checker._cursor = self.trace.seq
+        return self
+
+    def pick(self, _scheduler, ready):
+        path = tuple(self.path)
+        enabled = tuple(sorted(client.index for client in ready))
+        node = self.explorer._node_at(path, enabled, self.next_sleep)
+        position = len(path)
+        if position < len(self.forced):
+            choice = self.forced[position]
+        else:
+            # Default continuation: the first *awake* client in the
+            # scheduler's own pick order (ready is pre-sorted by
+            # (ready_at, last_step, index)) — following the default
+            # order keeps retry backoff meaningful, so a freshly
+            # aborted client yields to the conflict winner instead
+            # of re-aborting until its retries run out.
+            choice = None
+            for client in ready:
+                if client.index not in node.sleep:
+                    choice = client.index
+                    break
+            if choice is None:
+                raise _SleepBlocked
+        for client in ready:
+            if client.index == choice:
+                self.path.append(choice)
+                return client
+        raise ExplorationError(
+            "forced choice %d not enabled at %r (enabled %r)"
+            % (choice, path, enabled)
+        )
+
+    def advance(self):
+        batch = self.trace.events(since_seq=self.checker._cursor)
+        self.checker.feed(batch)
+        footprint = _footprint(batch, *self.geometry)
+        choice = self.path[-1]
+        parent = tuple(self.path[:-1])
+        node = self.explorer._nodes[parent]
+        if choice not in node.done:
+            node.done[choice] = footprint
+        # The child's sleep set: already-explored siblings and the
+        # inherited sleepers survive iff independent of this step.
+        sleep = {}
+        if self.explorer.reduction:
+            for other, other_fp in list(node.sleep.items()) + [
+                (d, fp) for d, fp in node.done.items() if d != choice
+            ]:
+                if other != choice and not _dependent(other_fp, footprint):
+                    sleep[other] = other_fp
+        self.next_sleep = sleep
+        self.steps.append((parent, choice, footprint, node.enabled))
+        if len(self.steps) > MAX_STEPS:
+            raise _StepBudget
+
+    def finish(self):
+        return self.checker.finish()
+
+    def close(self):
+        return self.checker.close()
+
+
 # ----------------------------------------------------------------------
 # The explorer
 # ----------------------------------------------------------------------
@@ -273,10 +374,8 @@ class Explorer:
     """
 
     def __init__(self, scheme="fast", *, workloads=None, preload=(),
-                 config=None, budget=DEFAULT_BUDGET,
-                 max_steps=DEFAULT_MAX_STEPS, reduction=True, oracle=True,
-                 crash_schedules=0, crash_stride=7, crash_max_points=10,
-                 invariants=EXPLORE_INVARIANTS):
+                 config=None, budget=DEFAULT_BUDGET, reduction=True,
+                 crash_schedules=0):
         self.scheme = scheme
         self.config = config or SystemConfig(**SMALL_CONFIG)
         if self.config.group_commit_size:
@@ -291,13 +390,8 @@ class Explorer:
         )
         self.preload = list(preload)
         self.budget = budget
-        self.max_steps = max_steps
         self.reduction = reduction
-        self.oracle = oracle
         self.crash_schedules = crash_schedules
-        self.crash_stride = crash_stride
-        self.crash_max_points = crash_max_points
-        self.invariants = invariants
         # -- the persistent prefix tree -------------------------------
         self._nodes = {}          # path tuple -> _Node
         self._order = []          # node paths in creation (DFS) order
@@ -310,7 +404,7 @@ class Explorer:
             "schedules": 0,       # completed schedules
             "steps": 0,           # scheduler steps executed, total
             "pruned_sleep": 0,    # executions pruned by sleep sets
-            "pruned_state": 0,    # oracle runs skipped (digest seen)
+            "pruned_state": 0,    # completed schedules, digest seen
             "truncated": 0,       # executions over the step budget
             "starved": 0,         # executions ended by retry exhaustion
             "max_frontier": 0,    # peak count of states with pending
@@ -363,92 +457,19 @@ class Explorer:
     # -- one execution -----------------------------------------------------
 
     def _execute(self, forced):
-        """Run one schedule: forced prefix, sleep-aware continuation.
-        Returns the per-step records for the race analysis."""
-        engine = open_engine(self.config, scheme=self.scheme)
-        for key, value in self.preload:
-            engine.insert(key, value, replace=True)
-        checker = TraceChecker.for_engine(engine, invariants=self.invariants)
-        trace = engine.obs.trace
-        config = self.config
-        state = {
-            "path": [],
-            "steps": [],      # (parent path, choice, footprint, enabled)
-            "cursor": trace.seq,   # skip the preload's events
-            "next_sleep": {},
-        }
-        checker._cursor = trace.seq
-
-        def pick(_scheduler, ready):
-            path = tuple(state["path"])
-            enabled = tuple(sorted(client.index for client in ready))
-            node = self._node_at(path, enabled, state["next_sleep"])
-            position = len(path)
-            if position < len(forced):
-                choice = forced[position]
-            else:
-                # Default continuation: the first *awake* client in the
-                # scheduler's own pick order (ready is pre-sorted by
-                # (ready_at, last_step, index)) — following the default
-                # order keeps retry backoff meaningful, so a freshly
-                # aborted client yields to the conflict winner instead
-                # of re-aborting until its retries run out.
-                choice = None
-                for client in ready:
-                    if client.index not in node.sleep:
-                        choice = client.index
-                        break
-                if choice is None:
-                    raise _SleepBlocked
-            for client in ready:
-                if client.index == choice:
-                    state["path"].append(choice)
-                    return client
-            raise ExplorationError(
-                "forced choice %d not enabled at %r (enabled %r)"
-                % (choice, path, enabled)
-            )
-
-        def on_step(_client):
-            batch = trace.events(since_seq=state["cursor"])
-            if batch:
-                state["cursor"] = batch[-1][0]
-            checker.feed(batch)
-            footprint = _footprint(
-                batch, config.store_base, config.page_size, config.npages,
-            )
-            choice = state["path"][-1]
-            parent = tuple(state["path"][:-1])
-            node = self._nodes[parent]
-            if choice not in node.done:
-                node.done[choice] = footprint
-            # The child's sleep set: already-explored siblings and the
-            # inherited sleepers survive iff independent of this step.
-            sleep = {}
-            if self.reduction:
-                for other, other_fp in list(node.sleep.items()) + [
-                    (d, fp) for d, fp in node.done.items() if d != choice
-                ]:
-                    if other != choice and not _dependent(other_fp, footprint):
-                        sleep[other] = other_fp
-            state["next_sleep"] = sleep
-            state["steps"].append((parent, choice, footprint, node.enabled))
-            if len(state["steps"]) > self.max_steps:
-                raise _StepBudget
-
-        scheduler = Scheduler(
-            engine, max_retries=_MAX_RETRIES,
-            pick_strategy=pick, on_step=on_step,
+        """Run one schedule through the crash driver: forced prefix,
+        sleep-aware continuation.  Returns the per-step records for the
+        race analysis."""
+        execution = _Execution(self, forced)
+        shape = ScheduledRun(
+            self.scheme, self.workloads, lambda: execution.pick,
+            preload=self.preload,
         )
-        for workload in self.workloads:
-            items, isolation = client_spec(workload)
-            scheduler.add_client(items, isolation=isolation)
-
-        completed = False
+        result = None
         merge_checker = True
         try:
-            scheduler.run()
-            completed = True
+            result = crash_at(shape, None, config=self.config,
+                              checker_factory=execution.attach)
         except _SleepBlocked:
             self.stats["pruned_sleep"] += 1
             merge_checker = False  # the prefix is covered elsewhere
@@ -472,40 +493,37 @@ class Explorer:
                 "engine exception under an explored schedule: %s: %s"
                 % (type(err).__name__, err),
             ))
-        self.stats["steps"] += len(state["steps"])
+        self.stats["steps"] += len(execution.steps)
         if merge_checker:
-            for finding in checker.finish():
+            for finding in execution.checker.findings:
                 self._add_finding(finding)
-        if completed:
+        if result is not None:
             self.stats["schedules"] += 1
-            self._check_schedule(engine, scheduler, tuple(state["path"]))
-        return state["steps"]
+            self._check_schedule(
+                tuple(execution.path), shape.scheduler.commit_order, result,
+            )
+        return execution.steps
 
-    # -- per-schedule oracle -----------------------------------------------
+    # -- per-schedule check ------------------------------------------------
 
-    def _check_schedule(self, engine, scheduler, path):
-        """Digest the committed state; run the serializability oracle
-        once per distinct digest: the state must be the committed-
-        prefix model of the commit order (the dict model
-        ``check_committed_prefix`` and the crash sweeps use)."""
-        if not self.oracle:
-            return
-        final = tuple(sorted(engine.scan()))
-        order = tuple(scheduler.commit_order)
+    def _check_schedule(self, path, order, result):
+        """File a completed schedule: digest its committed state (the
+        live scan ``crash_at`` recovered) with its commit order, and
+        report the completed-run check's violations as EX001."""
+        order = tuple(order)
+        final = tuple(sorted(result.recovered.items()))
         digest = zlib.crc32(repr((order, final)).encode())
         if digest in self._digests:
             self.stats["pruned_state"] += 1
-            return
-        self._digests[digest] = path
-        model = tuple(sorted(_replay(
-            _committed_items(scheduler.clients, order), self.preload,
-        ).items()))
-        if model != final:
+        else:
+            self._digests[digest] = path
+        if not result.ok:
             self._add_finding(Finding(
                 "EX001",
-                "schedule %s: committed state is not the committed-"
-                "prefix model of its commit order %s (%d vs %d records)"
-                % (list(path), list(order), len(final), len(model)),
+                "schedule %s: the completed run is not the committed-"
+                "prefix model of its commit order %s: %s"
+                % (list(path), list(order),
+                   "; ".join(result.violations[:3])),
             ))
 
     # -- race analysis -----------------------------------------------------
@@ -541,10 +559,11 @@ class Explorer:
             shape = ScheduledRun(
                 self.scheme, self.workloads,
                 lambda path=path: _ForcedReplay(path),
+                preload=self.preload,
             )
             results = crash_sweep(
-                shape, config=self.config, stride=self.crash_stride,
-                max_points=self.crash_max_points, seeds=(0,),
+                shape, config=self.config, stride=CRASH_STRIDE,
+                max_points=CRASH_MAX_POINTS, seeds=(0,),
             )
             self.stats["crash_points"] += len(results)
             for budget, result in results:
@@ -627,5 +646,6 @@ def explore(scheme="fast", **kwargs):
 
 __all__ = [
     "Explorer", "ExplorationError", "explore", "default_workloads",
-    "EXPLORE_INVARIANTS", "DEFAULT_BUDGET",
+    "EXPLORE_INVARIANTS", "DEFAULT_BUDGET", "MAX_STEPS", "CRASH_STRIDE",
+    "CRASH_MAX_POINTS",
 ]

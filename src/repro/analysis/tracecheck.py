@@ -119,6 +119,7 @@ the trace sequence number of the offending event.
 from repro.core.locking import _COMPATIBLE, LOCK_X, decode_lock
 from repro.analysis.findings import Finding
 from repro.obs import trace as ev
+from repro.storage.pagestore import _OFF_ROOTS, N_ROOT_SLOTS
 
 _WORD = 8
 
@@ -139,11 +140,6 @@ _CACHE_WINDOW = 6
 #: words (== repro.storage.sharding.SHARD_NS_SHIFT; 0 when unsharded).
 _NS_SHIFT = 24
 _NS_MASK = (1 << _NS_SHIFT) - 1
-
-#: Store-header layout (== repro.storage.pagestore): the named-root
-#: words TC110 treats as lockable state sit at [16, 16 + 4*12).
-_ROOTS_OFF = 16
-_N_ROOT_SLOTS = 12
 
 
 def _lines_of(addr, length):
@@ -268,8 +264,8 @@ class TraceChecker:
         time."""
         store = engine.store
         ranges = []
-        roots_base = store.base + 16  # _OFF_ROOTS
-        ranges.append((roots_base, roots_base + 4 * 12))
+        roots_base = store.base + _OFF_ROOTS
+        ranges.append((roots_base, roots_base + 4 * N_ROOT_SLOTS))
         for page_no in sorted(engine.reachable_pages()):
             page = store.page(page_no)
             image = page.committed_header_image()
@@ -687,10 +683,10 @@ class TraceChecker:
             # state.  Magic/geometry/free-head words are allocator
             # machinery published by single-word atomic stores (paper
             # Section 4.4) with no lock discipline to check.
-            roots_end = _ROOTS_OFF + 4 * _N_ROOT_SLOTS
-            if offset < _ROOTS_OFF or offset >= roots_end:
+            roots_end = _OFF_ROOTS + 4 * N_ROOT_SLOTS
+            if offset < _OFF_ROOTS or offset >= roots_end:
                 return None
-            return ("root", (offset - _ROOTS_OFF) // 4)
+            return ("root", (offset - _OFF_ROOTS) // 4)
         if offset >= 6 and offset + length <= 8:
             # In-page free-list head: reconstructible by design and
             # rewritten in place at any time (TC103 carves out the

@@ -190,12 +190,6 @@ class BTree:
         if root:
             yield from self._scan_page(view, root, lo, hi)
 
-    def scan_desc(self, view, lo=None, hi=None):
-        """Yield ``(key, value)`` in descending key order."""
-        root = view.root_page_no(self.root_slot)
-        if root:
-            yield from self._scan_page_desc(view, root, lo, hi)
-
     def count(self, view):
         """Number of records in the tree."""
         return sum(1 for _ in self.scan(view))
@@ -734,32 +728,6 @@ class BTree:
             yield from self._scan_page(view, child, lo, hi)
             if hi is not None and sep is not None and sep >= hi:
                 return
-
-    def _scan_page_desc(self, view, page_no, lo, hi):
-        page = self._typed_page(view, page_no)
-        if page.page_type == PAGE_LEAF:
-            for slot in range(page.nrecords - 1, -1, -1):
-                payload = page.record(slot)
-                key = leaf_key(payload)
-                if hi is not None and key > hi:
-                    continue
-                if lo is not None and key < lo:
-                    return
-                yield key, self._read_value(view, payload)
-            return
-        cells = [parse_internal(p) for p in page.records()]
-        for index in range(len(cells) - 1, -1, -1):
-            sep, child = cells[index]
-            if lo is not None and sep is not None and sep < lo:
-                return
-            previous_sep = cells[index - 1][0] if index else None
-            if (
-                hi is not None
-                and previous_sep is not None
-                and previous_sep >= hi
-            ):
-                continue  # this whole subtree is above the bound
-            yield from self._scan_page_desc(view, child, lo, hi)
 
     # ------------------------------------------------------------------
     # Maintenance (VACUUM)

@@ -57,10 +57,13 @@ def word_diff(old, new):
     granularity (NVWAL's differential logging unit).
 
     Returns ``[(offset, bytes), ...]`` with adjacent changed words
-    merged into single ranges.
+    merged into single ranges.  The length must be a whole number of
+    words (a page always is).
     """
     if len(old) != len(new):
         raise ValueError("buffers differ in length")
+    if len(new) % WORD:
+        raise ValueError("buffer length is not a multiple of %d" % WORD)
     if old == new:
         return []
     # Scan in 512-byte blocks first: a block-level equality compare is
@@ -72,61 +75,41 @@ def word_diff(old, new):
     start = None
     length = len(new)
     block = 512  # multiple of WORD
-    # Word compares go through 64-bit memoryview casts when the buffers
-    # are word-multiple (pages always are): an int compare per word
-    # instead of two 8-byte slice allocations.
-    if length % WORD == 0:
-        old_w = memoryview(bytes(old)).cast("Q")
-        new_w = memoryview(bytes(new)).cast("Q")
-    else:
-        old_w = new_w = None
+    # Word compares go through 64-bit memoryview casts: an int compare
+    # per word instead of two 8-byte slice allocations.
+    old_w = memoryview(bytes(old)).cast("Q")
+    new_w = memoryview(bytes(new)).cast("Q")
     pos = 0
     while pos < length:
         hi = pos + block
         if hi > length:
             hi = length
-        if (
-            old_w[pos >> 3 : hi >> 3] == new_w[pos >> 3 : hi >> 3]
-            if old_w is not None
-            else old[pos:hi] == new[pos:hi]
-        ):
+        if old_w[pos >> 3 : hi >> 3] == new_w[pos >> 3 : hi >> 3]:
             if start is not None:
                 ranges.append((start, bytes(new[start:pos])))
                 start = None
             pos = hi
             continue
-        if old_w is not None:
-            # Narrow to 64-byte sub-blocks before the per-word loop:
-            # commit diffs touch a handful of words, so most sub-blocks
-            # of an unequal block are still skipped by one C compare.
-            for sub in range(pos, hi, 64):
-                sub_w = sub >> 3
-                hi_w = sub_w + 8
-                if hi_w > hi >> 3:
-                    hi_w = hi >> 3
-                if old_w[sub_w:hi_w] == new_w[sub_w:hi_w]:
-                    if start is not None:
-                        ranges.append((start, bytes(new[start:sub])))
-                        start = None
-                    continue
-                for word in range(sub_w, hi_w):
-                    if old_w[word] != new_w[word]:
-                        if start is None:
-                            start = word << 3
-                    elif start is not None:
-                        ranges.append((start, bytes(new[start : word << 3])))
-                        start = None
-            pos = hi
-            continue
-        for word_off in range(pos, hi, WORD):
-            changed = (
-                old[word_off : word_off + WORD] != new[word_off : word_off + WORD]
-            )
-            if changed and start is None:
-                start = word_off
-            elif not changed and start is not None:
-                ranges.append((start, bytes(new[start:word_off])))
-                start = None
+        # Narrow to 64-byte sub-blocks before the per-word loop: commit
+        # diffs touch a handful of words, so most sub-blocks of an
+        # unequal block are still skipped by one C compare.
+        for sub in range(pos, hi, 64):
+            sub_w = sub >> 3
+            hi_w = sub_w + 8
+            if hi_w > hi >> 3:
+                hi_w = hi >> 3
+            if old_w[sub_w:hi_w] == new_w[sub_w:hi_w]:
+                if start is not None:
+                    ranges.append((start, bytes(new[start:sub])))
+                    start = None
+                continue
+            for word in range(sub_w, hi_w):
+                if old_w[word] != new_w[word]:
+                    if start is None:
+                        start = word << 3
+                elif start is not None:
+                    ranges.append((start, bytes(new[start : word << 3])))
+                    start = None
         pos = hi
     if start is not None:
         ranges.append((start, bytes(new[start:])))

@@ -1,7 +1,7 @@
 """The DPOR schedule-space explorer: determinism, exhaustiveness,
 reduction (strictly fewer schedules than naive DFS), the per-schedule
-invariant + serializability oracle, seeded-bug detection, and the
-schedule × crash-point product."""
+invariants + the crash driver's committed-prefix check, seeded-bug
+detection, and the schedule × crash-point product."""
 
 import json
 
@@ -16,6 +16,7 @@ from repro.analysis.mutants import MUTANTS, skip_cache_invalidate
 from repro.core import SystemConfig
 from repro.core.locking import LOCK_S, LOCK_X, encode_lock
 from repro.obs import trace as ev
+from repro.testing.crashsim import ScheduledRun
 from tests.storage.test_cache import run_seam_row
 
 
@@ -144,29 +145,36 @@ _PLANTED = {
 
 
 class _PlantedEngine:
-    """Stands in for the explored engine: its scan is the planted
-    final state."""
+    """Stands in for the explored engine: its state is the planted one,
+    and its structure always verifies."""
 
-    def __init__(self, state):
-        self.state = state
-
-    def scan(self):
-        return iter(sorted(self.state.items()))
+    def verify(self):
+        pass
 
 
 @pytest.mark.parametrize("name", sorted(_PLANTED))
 def test_ex001_fires_on_exactly_the_wrong_planted_states(name):
+    """EX001 is the crash driver's completed-run validation: the
+    planted state is checked against the model ``ScheduledRun`` builds
+    from the commit order, and the explorer reports what it returns."""
     from repro.core import open_engine
     from repro.core.scheduler import Scheduler
+    from repro.testing.crashsim import CrashTestResult, _validate
 
+    preload = [(b"p", _V0)]
     explorer = Explorer("fast", workloads=_PLANTED_WORKLOADS,
-                        preload=[(b"p", _V0)])
-    scheduler = Scheduler(open_engine(explorer.config, scheme="fast"))
+                        preload=preload)
+    shape = ScheduledRun("fast", _PLANTED_WORKLOADS, preload=preload)
+    shape.engine = open_engine(explorer.config, scheme="fast")
+    shape.scheduler = Scheduler(shape.engine)
     for workload in _PLANTED_WORKLOADS:
-        scheduler.add_client(workload)
-    scheduler.commit_order = [("c0", 0), ("c1", 0)]
-    explorer._check_schedule(_PlantedEngine(_PLANTED[name]), scheduler,
-                             (0, 1))
+        shape.scheduler.add_client(workload)
+    shape.scheduler.commit_order = [("c0", 0), ("c1", 0)]
+    committed, inflight, _ = shape.state()
+    result = _validate(_PlantedEngine(), CrashTestResult(
+        False, committed, inflight, dict(_PLANTED[name]),
+    ))
+    explorer._check_schedule((0, 1), shape.scheduler.commit_order, result)
     fired = [finding.rule for finding in explorer.findings]
     assert fired == ([] if name == "correct" else ["EX001"])
 

@@ -1,65 +1,10 @@
-"""Reverse scans and VACUUM-style compaction."""
+"""VACUUM-style compaction."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.db import Database, SqlError
-from tests.btree.helpers import naive_tree
 from tests.core.conftest import small_config
-
-
-def make_tree(npages=512, page_size=512):
-    engine, ctx, tree = naive_tree(npages, page_size)
-    return engine.store, ctx, tree
-
-
-# ----------------------------------------------------------------------
-# scan_desc
-# ----------------------------------------------------------------------
-
-
-def test_scan_desc_reverses_scan():
-    _, ctx, tree = make_tree()
-    for i in range(300):
-        tree.insert(ctx, b"%05d" % i, b"v%d" % i)
-    forward = list(tree.scan(ctx))
-    assert list(tree.scan_desc(ctx)) == forward[::-1]
-
-
-def test_scan_desc_bounds():
-    _, ctx, tree = make_tree()
-    for i in range(100):
-        tree.insert(ctx, b"%05d" % i, b"v")
-    got = [k for k, _ in tree.scan_desc(ctx, lo=b"%05d" % 10, hi=b"%05d" % 15)]
-    assert got == [b"%05d" % i for i in range(15, 9, -1)]
-
-
-def test_scan_desc_empty_and_open_bounds():
-    _, ctx, tree = make_tree()
-    assert list(tree.scan_desc(ctx)) == []
-    for i in range(20):
-        tree.insert(ctx, b"%03d" % i, b"v")
-    assert len(list(tree.scan_desc(ctx, lo=b"015"))) == 5
-    assert len(list(tree.scan_desc(ctx, hi=b"004"))) == 5
-
-
-@settings(max_examples=20, deadline=None)
-@given(keys=st.sets(st.integers(0, 400), max_size=80))
-def test_scan_desc_matches_sorted_model(keys):
-    _, ctx, tree = make_tree()
-    for key_no in keys:
-        tree.insert(ctx, b"%05d" % key_no, b"v")
-    expected = [b"%05d" % k for k in sorted(keys, reverse=True)]
-    assert [k for k, _ in tree.scan_desc(ctx)] == expected
-
-
-def test_scan_desc_resolves_overflow_values():
-    _, ctx, tree = make_tree()
-    tree.insert(ctx, b"a", b"small")
-    tree.insert(ctx, b"b", b"B" * 1500)
-    assert list(tree.scan_desc(ctx)) == [(b"b", b"B" * 1500), (b"a", b"small")]
 
 
 # ----------------------------------------------------------------------

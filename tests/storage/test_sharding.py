@@ -178,7 +178,7 @@ class TestCommitProtocols:
         client runs three cross-shard transactions on a two-shard router
         at G=8: the second and third decisions each settle the one
         before, and the completed run passes the crash driver's check."""
-        from repro.testing.crashsim import SMALL_CONFIG, ShardedRun, crash_at
+        from repro.testing.crashsim import SMALL_CONFIG, crash_at
         from repro.wal.twopc import _OFF_WORD
 
         decisions = []
@@ -220,14 +220,7 @@ class TestCommitProtocols:
             def finish(self):
                 return []
 
-        value = bytes(24)
-        shape = ShardedRun(scheme, [[
-            ("txn", [("insert", b"c%02d" % i, value),
-                     ("insert", b"c%02d" % (i + 4), value)])
-            for i in range(3)
-        ]], 2)
-        assert {crc32(b"c%02d" % i) % 2 for i in range(3)} == {0}
-        assert {crc32(b"c%02d" % i) % 2 for i in range(4, 7)} == {1}
+        shape = _settle_shape(scheme)
         result = crash_at(
             shape, None, checker_factory=DecisionSpy,
             config=SystemConfig(**SMALL_CONFIG, group_commit_size=8),
@@ -238,6 +231,36 @@ class TestCommitProtocols:
         router = shape.engine
         assert router.coordinator.decided_commit() is None
         assert all(shard.twopc.prepared() is None for shard in router.shards)
+
+    @pytest.mark.parametrize("scheme", ["fast", "fastplus"])
+    def test_grouped_sharded_sweep_refuses_open_epochs(self, scheme):
+        """The crash driver models one engine's open epoch, not a
+        router's per-shard epochs.  A stride-1 sweep of the grouped
+        settle shape therefore raises at the first point where a shard
+        holds open members, instead of reporting them as lost; the
+        completed run, whose epochs are drained, still passes."""
+        from repro.testing.crashsim import SMALL_CONFIG, crash_at, crash_sweep
+
+        config = SystemConfig(**SMALL_CONFIG, group_commit_size=8)
+        with pytest.raises(NotImplementedError, match="open group-commit"):
+            crash_sweep(_settle_shape(scheme), config=config)
+        result = crash_at(_settle_shape(scheme), None, config=config)
+        assert result.ok, result.violations
+
+
+def _settle_shape(scheme):
+    """One client, three cross-shard transactions on a two-shard
+    router: each writes one key on shard 0 and one on shard 1."""
+    from repro.testing.crashsim import ShardedRun
+
+    value = bytes(24)
+    assert {crc32(b"c%02d" % i) % 2 for i in range(3)} == {0}
+    assert {crc32(b"c%02d" % i) % 2 for i in range(4, 7)} == {1}
+    return ShardedRun(scheme, [[
+        ("txn", [("insert", b"c%02d" % i, value),
+                 ("insert", b"c%02d" % (i + 4), value)])
+        for i in range(3)
+    ]], 2)
 
 
 class TestRecoveryMatrix:

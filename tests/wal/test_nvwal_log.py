@@ -57,6 +57,11 @@ def test_diff_length_mismatch_rejected():
         word_diff(b"\x00" * 8, b"\x00" * 16)
 
 
+def test_diff_rejects_a_length_that_is_not_whole_words():
+    with pytest.raises(ValueError, match="multiple of 8"):
+        word_diff(b"\x00" * 12, b"\x01" * 12)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     old=st.binary(min_size=128, max_size=128),
