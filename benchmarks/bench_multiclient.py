@@ -189,7 +189,8 @@ def run_grid():
 #: Group-commit correctness grid (``--group-grid``): every cell must end
 #: in exactly its committed state.  Scheme x group size x clients x
 #: items/client x seed = 108 cells, plus the 16 small-page cells
-#: (``SMALL_PAGE_EPOCH_CELLS`` on both schemes).
+#: (``SMALL_PAGE_EPOCH_CELLS`` on both schemes) and the 32 seeded
+#: random-pick cells (``RANDOM_PICK_CELLS`` on both schemes): 156.
 GRID_GROUP_SIZES = (2, 4, 8)
 GRID_CLIENTS = (2, 8)
 GRID_ITEMS = (25, 50, 100)
@@ -203,8 +204,8 @@ def run_group_grid():
     with the per-step page invariant checker armed.  Returns the cell
     count and the failing cells."""
     from repro.bench.multiclient import (
-        SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
-        cell_workloads, small_page_epoch_config,
+        RANDOM_PICK_CELLS, SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS,
+        cell_config, cell_workloads, random_picks, small_page_epoch_config,
     )
     from repro.testing.crashsim import ScheduledRun, crash_at
     from repro.testing.invariants import PageInvariantChecker
@@ -214,7 +215,7 @@ def run_group_grid():
          % (scheme, size, clients, items, seed), scheme,
          cell_config(scheme, clients=clients, items=items,
                      group_commit_size=size),
-         dict(clients=clients, items=items, seed=seed))
+         dict(clients=clients, items=items, seed=seed), None)
         for scheme, size, clients, items, seed in itertools.product(
             PM_SCHEMES, GRID_GROUP_SIZES, GRID_CLIENTS, GRID_ITEMS,
             GRID_SEEDS,
@@ -223,16 +224,24 @@ def run_group_grid():
     cells += [
         ("%s G=%d small pages seed=%d" % (scheme, size, seed), scheme,
          small_page_epoch_config(size),
-         dict(SMALL_PAGE_EPOCH_CLIENTS, seed=seed))
+         dict(SMALL_PAGE_EPOCH_CLIENTS, seed=seed), None)
         for scheme in PM_SCHEMES
         for seed, size in SMALL_PAGE_EPOCH_CELLS
     ]
+    cells += [
+        ("%s G=%d clients=8 items=50 seed=%d picks=%d"
+         % (scheme, size, seed, pick), scheme,
+         cell_config(scheme, clients=8, items=50, group_commit_size=size),
+         dict(clients=8, items=50, seed=seed), random_picks(pick))
+        for scheme in PM_SCHEMES
+        for size, seed, pick in RANDOM_PICK_CELLS
+    ]
     failures = []
-    for name, scheme, config, cell in cells:
+    for name, scheme, config, cell, picks in cells:
         workloads, rows = cell_workloads(**cell)
         try:
             problems = crash_at(
-                ScheduledRun(scheme, workloads, preload=rows), None,
+                ScheduledRun(scheme, workloads, picks, preload=rows), None,
                 config=config, checker_factory=PageInvariantChecker,
             ).violations
         # Report every failing cell, whatever it raised.

@@ -401,6 +401,29 @@ def run_group_commit(scheme, *, group_size=0, clients=8, items=50,
     )
 
 
+def random_picks(seed):
+    """A ``ScheduledRun`` ``pick_strategy_factory``: every execution
+    picks uniformly among the READY clients with its own
+    ``random.Random(seed)``, so one seed is one schedule — one the
+    simulated-time order would not reach."""
+    def factory():
+        choice = random.Random(seed).choice
+        return lambda _scheduler, ready: choice(ready)
+    return factory
+
+
+#: (group size, workload seed, pick seed) of the 8-client, 50-item
+#: cells run under :func:`random_picks` schedules.  Pick seed 3 of
+#: ``fastplus`` G=4, workload seed 7, rolled back a transaction that
+#: had only routed through an overlaid page, and the rollback rebuilt
+#: that page's free list under the writer holding it.  Run by
+#: ``bench_multiclient.py --group-grid``.
+RANDOM_PICK_CELLS = tuple(
+    (size, seed, pick)
+    for size in (4, 8) for seed in (7, 8) for pick in range(4)
+)
+
+
 #: (seed, group size) of the 8-client cells on 512-byte pages and a
 #: 40-key space whose epochs overlay one page with headers of differing
 #: lengths — the cells that corrupted a cell under an earlier member's

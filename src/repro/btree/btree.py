@@ -27,6 +27,7 @@ Context protocol (mutation path) — extends the view protocol::
     ctx.overwrite_child_pointer(page, slot, child_no)  # in-place swap
     ctx.defragment(page_no) -> (new_no, new_page)
     ctx.lock_ahead(page=None, root_slot=None)  # claim before storing
+    ctx.flush_records()    # flush the lines records dirtied, once each
 
 Structural notes (paper Section 4):
 
@@ -301,6 +302,7 @@ class BTree:
                             replace=found)
             for page_no in chain:
                 ctx.free_page(page_no)
+            ctx.flush_records()
 
     def _spill(self, key, value, page_size):
         """``(cell, tail)``: the leaf cell of ``key -> value`` and the
@@ -367,6 +369,7 @@ class BTree:
                 ctx.free_page(page_no)
             if empties:
                 self._unlink_empty_leaf(ctx, path)
+            ctx.flush_records()
         return True
 
     def _unlink_empty_leaf(self, ctx, path):
@@ -401,14 +404,19 @@ class BTree:
     # ------------------------------------------------------------------
 
     def _typed_page(self, view, page_no):
-        return self._typed(view.page(page_no))
+        page = view.page(page_no)
+        self._typed(page)
+        return page
 
     def _typed(self, page):
-        if page.page_type == PAGE_LEAF:
-            page.header_capacity = self.leaf_capacity
-        else:
-            page.header_capacity = self.internal_capacity
-        return page
+        """Give ``page`` the header capacity of its type; True for a
+        leaf.  One load of the type byte (none under a pending
+        header)."""
+        leaf = page.page_type == PAGE_LEAF
+        page.header_capacity = (
+            self.leaf_capacity if leaf else self.internal_capacity
+        )
+        return leaf
 
     def _descend(self, view, key):
         path = []
@@ -416,9 +424,9 @@ class BTree:
         parent_slot = None
         route = view.route
         while True:
-            page = self._typed(route(page_no))
+            page = route(page_no)
             path.append(_PathEntry(page_no, page, parent_slot))
-            if page.page_type == PAGE_LEAF:
+            if self._typed(page):
                 return path
             parent_slot = self._child_slot(page, key)
             _, page_no = parse_internal(page.record(parent_slot))
@@ -669,12 +677,13 @@ class BTree:
         if nrec < 1:
             raise PageFullError("cannot split an empty page")
         half = max(1, nrec // 2)
-        sibling_no, sibling = ctx.allocate_page(page.page_type)
+        page_type = page.page_type
+        sibling_no, sibling = ctx.allocate_page(page_type)
+        leaf = page_type == PAGE_LEAF
         sibling.header_capacity = (
-            self.leaf_capacity if page.page_type == PAGE_LEAF
-            else self.internal_capacity
+            self.leaf_capacity if leaf else self.internal_capacity
         )
-        if page.page_type == PAGE_LEAF:
+        if leaf:
             for i in range(half):
                 self._put_leaf_cell(ctx, sibling, i, page.record(i))
             separator = leaf_key(page.record(half - 1))

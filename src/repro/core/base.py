@@ -93,7 +93,8 @@ class MutationContext:
     FAST marks the page dirty, NVWAL and naive apply the header (naive
     also flushes it).  For a dead cell, ``_dead``: FAST defers the
     reclaim, the others reclaim at once.  NVWAL writes records without
-    the in-place spans and flush of ``_write_record``; the page-level
+    the in-place span and deferred flush of ``_write_record``
+    (``flush_records``); the page-level
     steps ``_allocate``, ``_defragment``, ``_free``, ``_set_root`` and
     ``_repoint`` default to the PM store and to deferral.  A savepoint
     and a rollback are one undo, ``restore_state``; its durable part is
@@ -132,6 +133,9 @@ class MutationContext:
         self.new_pages = {}    # page_no -> page created by this txn
         self.freed = []        # page_nos released once the txn commits
         self.root_updates = {}
+        # (address, length) of each record written and not yet flushed:
+        # ``flush_records`` flushes their lines, once each.
+        self.unflushed = []
 
     def uncommitted_pages(self):
         """Pages this open transaction owns (GC protection set)."""
@@ -142,7 +146,10 @@ class MutationContext:
     #: The savepoint of an empty transaction: restoring it is the
     #: rollback (``Engine._rollback``).  A scheme extends it with the
     #: fields its ``snapshot_state`` adds.
-    BEGIN = {"dirty": (), "new_pages": (), "freed": 0, "root_updates": {}}
+    BEGIN = {
+        "dirty": (), "new_pages": (), "freed": 0, "root_updates": {},
+        "unflushed": 0,
+    }
 
     def snapshot_state(self):
         """A savepoint (``Transaction.savepoint``): the tracking every
@@ -152,6 +159,7 @@ class MutationContext:
             "new_pages": tuple(self.new_pages),
             "freed": len(self.freed),
             "root_updates": dict(self.root_updates),
+            "unflushed": len(self.unflushed),
         }
 
     def restore_state(self, snapshot):
@@ -167,6 +175,8 @@ class MutationContext:
         self.new_pages = {no: pages[no] for no in snapshot["new_pages"]}
         del self.freed[snapshot["freed"]:]
         self.root_updates = dict(snapshot["root_updates"])
+        # Records written since sit in free space no header names.
+        del self.unflushed[snapshot["unflushed"]:]
 
     @property
     def is_read_only(self):
@@ -275,6 +285,34 @@ class MutationContext:
         self._claimed(page_resource, self._page_no(parent_page),
                       self._write_pointer, parent_page, slot, new_child_no)
 
+    def flush_records(self):
+        """Flush every line the records written since the last call
+        dirtied, each line once, however many records share it: the
+        B-tree calls this as an operation's page update ends, and a
+        commit before its first fence, so record bytes are durable
+        before any header names them (DESIGN.md §7 item 9).  One
+        record — the common case — is one ``flush_range``."""
+        ranges = self.unflushed
+        if not ranges:
+            return
+        flush_range = self.pm.flush_range
+        with self.obs.span("clflush_record"):
+            if len(ranges) == 1:
+                flush_range(*ranges[0])
+            else:
+                lines = sorted({
+                    line for addr, n in ranges
+                    for line in range(addr >> 6, ((addr + n - 1) >> 6) + 1)
+                })
+                start = prev = lines[0]
+                for line in lines[1:]:
+                    if line != prev + 1:
+                        flush_range(start << 6, (prev + 1 - start) << 6)
+                        start = line
+                    prev = line
+                flush_range(start << 6, (prev + 1 - start) << 6)
+        ranges.clear()
+
     def lock_ahead(self, page=None, root_slot=None):
         """Claim ``page`` — or, given none, root slot ``root_slot`` — X
         for an operation that will write it, before its first store
@@ -322,12 +360,12 @@ class MutationContext:
         page.promote(self.pm, self.store.freelist_validated)
 
     def _write_record(self, page, store, slot, payload):
-        """Write a record in place into the page's free space and flush
-        it: record bytes are durable before any header names them."""
+        """Write a record in place into the page's free space; its lines
+        are flushed by ``flush_records``, with the other records the
+        operation writes."""
         with self.obs.span("in_place_record_insert"):
             offset = store(slot, payload)
-        with self.obs.span("clflush_record"):
-            page.flush_record(offset, len(payload))
+        self.unflushed.append(page.record_range(offset, len(payload)))
         return offset
 
     def _allocate(self, page_type):

@@ -138,11 +138,17 @@ class FASTContext(MutationContext):
             engine._swap_child_pointer(position, old_child)
         saved_pending = snapshot["pending"]
         group = engine.group
+        freed = set(self.freed)
         # Dirty pages, new pages, then the ones freed since (which left
         # both): durable work is charged in the order it is done.
         for page_no, page in {
             **self.dirty, **self.new_pages, **self._pages
         }.items():
+            if not (page_no in self.dirty or page_no in self.new_pages
+                    or page_no in freed):
+                # Only read: another writer may hold it and own its
+                # free list (an epoch overlay is a pending header).
+                continue
             saved = saved_pending.get(page_no)
             if saved is None and not page.has_pending:
                 continue
@@ -271,7 +277,11 @@ class FASTEngine(Engine):
 
     def _begin_commit(self, ctx):
         """The preamble every committing writer runs first (plain,
-        grouped, in-place, and 2PC prepare alike)."""
+        grouped, in-place, OCC install and 2PC prepare alike)."""
+        # Records an operation left unflushed (one that raised, or a
+        # caller other than the B-tree) are flushed before any fence of
+        # the commit: the mark may name them.
+        ctx.flush_records()
         # MVCC version publication must precede every header, log,
         # RTM-publish and checkpoint store: at this instant the durable
         # pages still hold the pre-transaction committed state (record

@@ -19,7 +19,9 @@ class NaiveContext(MutationContext):
     snapshot_state = restore_state = None
 
     def _stored(self, page):
-        """In-place header overwrite — *not* failure-atomic."""
+        """In-place header overwrite — *not* failure-atomic.  The
+        record just written is flushed first, as the header names it."""
+        self.flush_records()
         image = page.pending_header_image()
         page.apply_header(image)
         self.pm.flush_range(page.base, len(image))

@@ -40,15 +40,19 @@ def defragment_into(store, page, *, header_capacity=None):
     committed = set(page.committed_offsets())
     committed_copies = []
     for slot, src_offset in enumerate(page.slots()):
-        payload = page.read_cell(src_offset)
-        dst_offset = fresh.pending_insert(slot, payload)
-        fresh.flush_record(dst_offset, len(payload))
+        dst_offset = fresh.pending_insert(slot, page.read_cell(src_offset))
         if src_offset in committed:
             committed_copies.append(dst_offset)
+    # The copies sit side by side from ``content_start`` to the page's
+    # end: one flush covers them, each line once, before the header
+    # that names the committed ones is published.
+    content_start = fresh.content_start
+    fresh.pm.flush_range(fresh.base + content_start,
+                         fresh.page_size - content_start)
     image = encode_header(
         page.page_type,
         page.flags,
-        fresh.content_start,        # covers every copied cell
+        content_start,              # covers every copied cell
         0,                          # free list rebuilt lazily if needed
         committed_copies,
     )

@@ -589,10 +589,10 @@ class SlottedPage:
             raise RuntimeError("no pending changes")
         return self._encode(self._pending)
 
-    def flush_record(self, offset, payload_len):
-        """``clflush`` the cache lines holding a freshly written cell
-        (the record must be durable before its commit mark)."""
-        self.pm.flush_range(self.base + offset, self._cell_need(payload_len))
+    def record_range(self, offset, payload_len):
+        """``(address, length)`` of the cell written at ``offset`` for a
+        ``payload_len``-byte record: the bytes its flush must cover."""
+        return self.base + offset, self._cell_need(payload_len)
 
     # ------------------------------------------------------------------
     # Header application (commit side)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.multiclient import (
     SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
-    cell_workloads, run_group_commit, small_page_epoch_config,
+    cell_workloads, random_picks, run_group_commit, small_page_epoch_config,
 )
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm.crash import PersistAll
@@ -29,11 +29,12 @@ GROUPING = ("fast", "fastplus")
 PAYLOAD = bytes(range(48))
 
 
-def checked_cell(scheme, config, **cell):
+def checked_cell(scheme, config, picks=None, **cell):
     """Run a bench cell through the crash driver to completion with the
-    page invariant checker armed; returns the shape it ran."""
+    page invariant checker armed — under the ``picks`` schedule
+    (``random_picks``), if given; returns the shape it ran."""
     workloads, rows = cell_workloads(**cell)
-    shape = ScheduledRun(scheme, workloads, preload=rows)
+    shape = ScheduledRun(scheme, workloads, picks, preload=rows)
     result = crash_at(shape, None, config=config,
                       checker_factory=PageInvariantChecker)
     assert result.ok, result.violations
@@ -287,6 +288,19 @@ class TestContendedGrid:
         assert len(shape.scheduler.commit_order) == 8 * items
         assert shape.checker.steps == sum(
             client.steps for client in shape.scheduler.clients)
+
+    def test_rollback_leaves_a_page_it_only_routed_through(self):
+        """Under this schedule a delete that only routed through an
+        overlaid page rolls back while another writer holds the page.
+        The overlay is a pending header, so the rollback used to
+        rebuild that page's free list from it, coalescing chunks under
+        the writer, whose next pop handed out its own live cell.  A
+        rollback restores only the pages its transaction stored to."""
+        checked_cell(
+            "fastplus", cell_config("fastplus", clients=8, items=50,
+                                    group_commit_size=4),
+            random_picks(3), clients=8, items=50, seed=7,
+        )
 
 
 class TestSmallPageEpochFloor:

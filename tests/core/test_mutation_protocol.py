@@ -22,7 +22,7 @@ from tests.core.conftest import small_config
 PROTOCOL = (
     "insert_record", "update_record", "delete_record", "set_page_flags",
     "allocate_page", "free_page", "set_root", "overwrite_child_pointer",
-    "defragment", "lock_ahead",
+    "defragment", "lock_ahead", "flush_records",
 )
 
 #: Where a scheme may differ: the hooks around a store.

@@ -17,7 +17,7 @@ def fragmented_page(store, page_size=512):
     while True:
         try:
             offset = page.pending_insert(index, bytes([65 + index]) * 30)
-            page.flush_record(offset, 30)  # records durable before header
+            page.pm.flush_range(*page.record_range(offset, 30))  # records durable before header
             offsets.append(offset)
             index += 1
         except PageFullError:

@@ -126,7 +126,7 @@ def test_crash_before_header_apply_is_invisible():
     page.pending_insert(0, b"committed")
     commit(page)
     offset = page.pending_insert(1, b"uncommitted")
-    page.flush_record(offset, len(b"uncommitted"))
+    page.pm.flush_range(*page.record_range(offset, len(b"uncommitted")))
     pm.sfence()
     pm.crash(DropAll())
     survivor = SlottedPage(pm, 0, PAGE_SIZE)
@@ -211,7 +211,7 @@ def test_inplace_commit_is_durable():
     pm, page = make_page(header_capacity=28)
     rtm = RTM(pm)
     offset = page.pending_insert(0, b"durable")
-    page.flush_record(offset, 7)
+    page.pm.flush_range(*page.record_range(offset, 7))
     pm.sfence()
     page.commit_pending_inplace(rtm)
     pm.crash(DropAll())
