@@ -1,12 +1,11 @@
 #!/usr/bin/env python
 """Multi-client contention baseline: deterministic concurrency numbers.
 
-Runs the multi-client scheduler bench (``repro.bench.multiclient``)
-over a fixed grid — schemes x client counts at a 50/50 read/write mix,
-plus a read-ratio sweep at 4 clients, plus read-mostly cells pairing
-locked readers against lock-free MVCC snapshot readers — and compares
-the results against the committed baseline in
-``BENCH_multiclient.json``.
+Runs the contention grid of ``repro.bench.multiclient`` (``run_grid``:
+client count, read/write mix, locked vs MVCC readers, group commit,
+locked vs OCC writers, DRAM page cache and shard sweeps), prints the
+fig13-15 tables rendered from its rows, and compares the rows against
+the committed baseline in ``BENCH_multiclient.json``.
 
 Unlike ``bench_selfperf.py`` (host wall-clock, noisy, checked with a
 wide regression factor), everything here is *simulated* and the
@@ -38,153 +37,15 @@ try:
 except ImportError:
     sys.path.insert(0, str(ROOT / "src"))
 
+from repro.bench.figures import fig13, fig14, fig15  # noqa: E402
+from repro.bench.multiclient import (  # noqa: E402
+    PM_SCHEMES, RANDOM_PICK_CELLS, SHARD_CELL, SHARDED,
+    SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
+    cell_workloads, random_picks, run_grid, run_multi_client,
+    small_page_epoch_config, summarize,
+)
+
 BASELINE_PATH = ROOT / "BENCH_multiclient.json"
-SCHEMES = ("fast", "fastplus", "nvwal")
-#: The PM-resident schemes: the only ones that shard, group commit,
-#: serve MVCC / OCC sessions or front PM with the DRAM page cache.
-#: NVWAL is the paper's single-writer baseline (plain and strict-2PL
-#: transactions only) and already fronts PM with its own volatile
-#: buffer cache.
-PM_SCHEMES = ("fast", "fastplus")
-CLIENT_COUNTS = (1, 2, 4, 8)
-READ_RATIOS = (0.0, 0.5, 0.9)
-ITEMS = 25
-SEED = 7
-#: Read-mostly MVCC cells: 1 writer + N-1 pure readers over a hot key
-#: space, run twice — readers as locked sessions, then as lock-free
-#: MVCC snapshots (identical workloads; the delta is locking cost).
-MVCC_CLIENT_COUNTS = (4, 8)
-MVCC_KEY_SPACE = 100
-#: Shard sweep: 8 clients on disjoint per-shard key pools over 1/2/4
-#: independent pagestores.
-SHARD_COUNTS = (1, 2, 4)
-SHARD_CLIENTS = 8
-#: Group-commit sweep: per-txn durability cost (fences / commit marks /
-#: flushes) over group size x client count, size 0 = grouping off.
-GROUP_SIZES = (0, 2, 4)
-GROUP_CLIENTS = (2, 8)
-#: OCC sweep: locked-vs-optimistic twins over client count x conflict
-#: mix (mixes come from ``repro.bench.multiclient.OCC_MIXES``).
-OCC_CLIENTS = (2, 8)
-#: Cache sweep (fig15): tiered DRAM page cache capacity x PM read
-#: latency over the read-mostly MVCC cell; 0 pages = cache off (the
-#: baseline each latency's speedups are relative to).
-CACHE_SIZES = (0, 8, 64)
-CACHE_READ_LATS = (300.0, 900.0, 1200.0)
-#: Longer per-client runs than the contention grid: read-hot caching
-#: needs enough reads per invalidation to amortize its fills, and the
-#: fig15 crossover claim (>=2.0x at the slow-PM/high-hit corner) is
-#: asserted over these committed rows.
-CACHE_ITEMS = 40
-
-
-#: Report fields rounded to 3 places in a committed row.
-ROUNDED = frozenset({
-    "throughput_tps", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
-    "fence_reduction_vs_ungrouped", "lock_acquires_per_commit",
-    "occ_abort_rate", "cache_hit_ratio", "speedup_vs_uncached", "busy_ns",
-    "parallel_elapsed_ns", "serial_throughput_tps", "speedup_vs_one_shard",
-})
-#: The committed row of each section: report fields, and
-#: ``row_name=counter`` entries for a counter of the run's delta.
-#: ``clients`` counts every client, writers and readers.
-CONTENTION = (
-    "clients", "read_ratio", "commits", "aborts", "deadlocks", "timeouts",
-    "retries", "steps", "simulated_ns", "elapsed_ns", "throughput_tps",
-    "records", "lock_acquires=lock.acquire", "lock_conflicts=lock.conflict",
-)
-SHARDED = (
-    "shards", "clients", "commits", "aborts", "retries", "steps",
-    "elapsed_ns", "busy_ns", "parallel_elapsed_ns", "throughput_tps",
-    "serial_throughput_tps", "records", "twopc_commits=twopc.commit",
-)
-FIELDS = {
-    "client_sweep": CONTENTION,
-    "mix_sweep": CONTENTION,
-    "mvcc_sweep": CONTENTION + ("mvcc", "snapshot_reads=mvcc.snapshot_reads"),
-    "group_sweep": CONTENTION + (
-        "group_size", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
-        "group_closes=group.close", "fence_reduction_vs_ungrouped",
-    ),
-    "occ_sweep": CONTENTION + (
-        "isolation", "mix", "lock_acquires_per_commit",
-        "occ_commits=occ.commit", "occ_abort_rate", "occ_fallbacks",
-    ),
-    "cache_sweep": CONTENTION + (
-        "cache_pages", "read_ns", "cache_hit_ratio", "cache_hits=cache.hit",
-        "cache_misses=cache.miss", "cache_evicts=cache.evict",
-        "cache_invalidates=cache.invalidate", "speedup_vs_uncached",
-    ),
-    "shard_sweep": SHARDED + ("speedup_vs_one_shard",),
-}
-
-
-def _summarize(result, fields):
-    """The comparable (and committed) slice of one run's report."""
-    summary = {}
-    for field in fields:
-        name, _, counter = field.partition("=")
-        if counter:
-            value = result["counters"].get(counter, 0)
-        elif name == "clients":
-            value = result["clients"] + result["readers"]
-        elif name not in ROUNDED:
-            value = result[name]
-        elif isinstance(result[name], list):
-            value = [round(v, 3) for v in result[name]]
-        else:
-            value = round(result[name], 3)
-        summary[name] = value
-    return summary
-
-
-def run_grid():
-    from repro.bench.multiclient import (
-        run_multi_client, run_read_mostly, sweep_cache,
-        sweep_group_commit, sweep_occ, sweep_shards,
-    )
-
-    runs = {section: {} for section in FIELDS}
-    for scheme in SCHEMES:
-        runs["client_sweep"][scheme] = [
-            run_multi_client(scheme, clients=count, items=ITEMS, seed=SEED)
-            for count in CLIENT_COUNTS
-        ]
-        runs["mix_sweep"][scheme] = [
-            run_multi_client(scheme, clients=4, items=ITEMS,
-                             read_ratio=ratio, seed=SEED)
-            for ratio in READ_RATIOS
-        ]
-    for scheme in PM_SCHEMES:
-        runs["mvcc_sweep"][scheme] = [
-            run_read_mostly(scheme, clients=count, items=ITEMS, seed=SEED,
-                            key_space=MVCC_KEY_SPACE, mvcc=mvcc)
-            for count in MVCC_CLIENT_COUNTS
-            for mvcc in (False, True)
-        ]
-        runs["group_sweep"][scheme] = sweep_group_commit(
-            scheme, group_sizes=GROUP_SIZES, counts=GROUP_CLIENTS,
-            items=ITEMS, seed=SEED,
-        )
-        runs["occ_sweep"][scheme] = sweep_occ(
-            scheme, counts=OCC_CLIENTS, items=ITEMS, seed=SEED,
-        )
-        runs["cache_sweep"][scheme] = sweep_cache(
-            scheme, cache_sizes=CACHE_SIZES, read_lats=CACHE_READ_LATS,
-            items=CACHE_ITEMS, seed=SEED,
-        )
-        runs["shard_sweep"][scheme] = sweep_shards(
-            scheme, shard_counts=SHARD_COUNTS, clients=SHARD_CLIENTS,
-            items=ITEMS, seed=SEED,
-        )
-    grid = {
-        section: {scheme: [_summarize(row, FIELDS[section]) for row in rows]
-                  for scheme, rows in schemes.items()}
-        for section, schemes in runs.items()
-    }
-    grid["workload"] = {"items_per_client": ITEMS, "seed": SEED}
-    return grid
-
 
 #: Group-commit correctness grid (``--group-grid``): every cell must end
 #: in exactly its committed state.  Scheme x group size x clients x
@@ -197,19 +58,9 @@ GRID_ITEMS = (25, 50, 100)
 GRID_SEEDS = (7, 8, 9)
 
 
-def run_group_grid():
-    """Run every cell through the crash driver to completion
-    (``crash_at(shape, None)``: ``verify()`` + scan == the dict model
-    replaying the commit order, live and after ``DropAll`` + attach)
-    with the per-step page invariant checker armed.  Returns the cell
-    count and the failing cells."""
-    from repro.bench.multiclient import (
-        RANDOM_PICK_CELLS, SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS,
-        cell_config, cell_workloads, random_picks, small_page_epoch_config,
-    )
-    from repro.testing.crashsim import ScheduledRun, crash_at
-    from repro.testing.invariants import PageInvariantChecker
-
+def group_grid_cells():
+    """Every ``--group-grid`` cell: ``(name, scheme, config,
+    cell_workloads kwargs, pick strategy factory or None)``."""
     cells = [
         ("%s G=%d clients=%d items=%d seed=%d"
          % (scheme, size, clients, items, seed), scheme,
@@ -236,6 +87,18 @@ def run_group_grid():
         for scheme in PM_SCHEMES
         for size, seed, pick in RANDOM_PICK_CELLS
     ]
+    return cells
+
+
+def run_group_grid(cells):
+    """Run every cell through the crash driver to completion
+    (``crash_at(shape, None)``: ``verify()`` + scan == the dict model
+    replaying the commit order, live and after ``DropAll`` + attach)
+    with the per-step page invariant checker armed.  Returns the
+    failing cells."""
+    from repro.testing.crashsim import ScheduledRun, crash_at
+    from repro.testing.invariants import PageInvariantChecker
+
     failures = []
     for name, scheme, config, cell, picks in cells:
         workloads, rows = cell_workloads(**cell)
@@ -249,7 +112,7 @@ def run_group_grid():
             problems = ["%s: %s" % (type(err).__name__, err)]
         if problems:
             failures.append("%s: %s" % (name, "; ".join(problems)))
-    return len(cells), failures
+    return failures
 
 
 #: Row fields that cannot show a change in the row's own schedule:
@@ -304,78 +167,6 @@ def _print_diffs(diffs, out):
           % (len(diffs), len(diffs) - schedule, schedule), file=out)
 
 
-def _print_grid(grid):
-    print("multiclient: simulated throughput under contention "
-          "(%d items/client, seed %d)" % (ITEMS, SEED))
-    for scheme in SCHEMES:
-        rows = grid["client_sweep"][scheme]
-        print("  %-9s " % scheme + "  ".join(
-            "%dc %8.0f tps (%da/%dd)" % (
-                r["clients"], r["throughput_tps"], r["aborts"], r["deadlocks"],
-            )
-            for r in rows
-        ))
-    print("read-mostly (1 writer + N-1 readers, key space %d): "
-          "locked vs MVCC readers" % MVCC_KEY_SPACE)
-    for scheme in PM_SCHEMES:
-        rows = grid["mvcc_sweep"][scheme]
-        print("  %-9s " % scheme + "  ".join(
-            "%dc %-4s %8.0f tps (%d cf)" % (
-                r["clients"], "mvcc" if r["mvcc"] else "lock",
-                r["throughput_tps"], r["lock_conflicts"],
-            )
-            for r in rows
-        ))
-    print("group commit (size 0 = off): marginal fences per committed txn")
-    for scheme in PM_SCHEMES:
-        rows = grid["group_sweep"][scheme]
-        print("  %-9s " % scheme + "  ".join(
-            "%dc/g%d %5.2f f/txn (%.2fx)" % (
-                r["clients"], r["group_size"], r["fences_per_txn"],
-                r["fence_reduction_vs_ungrouped"],
-            )
-            for r in rows
-        ))
-    print("occ sweep (locked vs optimistic twins): lock acquires per "
-          "committed txn")
-    for scheme in PM_SCHEMES:
-        rows = grid["occ_sweep"][scheme]
-        cells = {}
-        for r in rows:
-            cells.setdefault((r["mix"], r["clients"]), {})[r["isolation"]] = r
-        print("  %-9s " % scheme + "  ".join(
-            "%s/%dc %.2f->%.2f la/txn (%.0f%% ab, %d fb)" % (
-                mix[:4], count,
-                pair["locked"]["lock_acquires_per_commit"],
-                pair["occ"]["lock_acquires_per_commit"],
-                100 * pair["occ"]["occ_abort_rate"],
-                pair["occ"]["occ_fallbacks"],
-            )
-            for (mix, count), pair in sorted(cells.items())
-        ))
-    print("cache sweep (DRAM pages x PM read latency, read-mostly MVCC): "
-          "hit ratio and speedup vs cache-off")
-    for scheme in PM_SCHEMES:
-        rows = grid["cache_sweep"][scheme]
-        print("  %-9s " % scheme + "  ".join(
-            "p%d@%.0f %.2fh %.2fx" % (
-                r["cache_pages"], r["read_ns"], r["cache_hit_ratio"],
-                r["speedup_vs_uncached"],
-            )
-            for r in rows
-        ))
-    print("shard sweep (%d clients, disjoint per-shard pools): modeled "
-          "parallel throughput" % SHARD_CLIENTS)
-    for scheme in PM_SCHEMES:
-        rows = grid["shard_sweep"][scheme]
-        print("  %-9s " % scheme + "  ".join(
-            "%ds %8.0f tps (%.2fx)" % (
-                r["shards"], r["throughput_tps"], r["speedup_vs_one_shard"],
-            )
-            for r in rows
-        ))
-
-
 def _dump(data, dest):
     """Write ``data`` as sorted JSON to ``dest`` (``"-"``: stdout)."""
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -399,27 +190,26 @@ def main(argv=None):
     parser.add_argument("--shards", metavar="N", type=int, default=None,
                         help="skip the grid: one sharded run over N "
                              "pagestores (8 clients, disjoint pools)")
+    cells = group_grid_cells()
     parser.add_argument("--group-grid", action="store_true",
                         help="skip the baseline grid: run the group-commit "
-                             "correctness grid (124 cells through the "
+                             "correctness grid (%d cells through the "
                              "crash driver's committed-prefix check); exit "
-                             "1 on any failing cell")
+                             "1 on any failing cell" % len(cells))
     args = parser.parse_args(argv)
 
     if args.group_grid:
-        cells, failures = run_group_grid()
+        failures = run_group_grid(cells)
         for failure in failures:
             print("  FAIL %s" % failure, file=sys.stderr)
         print("group-commit grid: %d of %d cells failed"
-              % (len(failures), cells))
+              % (len(failures), len(cells)))
         return 1 if failures else 0
 
     if args.shards is not None:
-        from repro.bench.multiclient import sweep_shards
-
-        result, = sweep_shards("fastplus", shard_counts=(args.shards,),
-                               clients=SHARD_CLIENTS, items=ITEMS, seed=SEED)
-        summary = _summarize(result, SHARDED)
+        result = run_multi_client("fastplus", shards=args.shards,
+                                  **SHARD_CELL)
+        summary = summarize(result, SHARDED)
         print("fastplus over %d shard(s): %d commits, %8.0f modeled tps "
               "(serial %8.0f)" % (
                   result["shards"], result["commits"],
@@ -430,7 +220,9 @@ def main(argv=None):
         return 0
 
     grid = run_grid()
-    _print_grid(grid)
+    for figure, section in ((fig13, "mvcc_sweep"), (fig14, "occ_sweep"),
+                            (fig15, "cache_sweep")):
+        print(figure(grid[section])["table"] + "\n")
 
     if args.json:
         _dump(grid, args.json)

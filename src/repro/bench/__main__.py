@@ -54,10 +54,7 @@ def main(argv=None):
         if generator is None:
             parser.error("unknown figure %r" % name)
         started = time.time()
-        try:
-            result = generator(args.ops) if _takes_ops(name) else generator()
-        except TypeError:
-            result = generator()
+        result = generator(args.ops) if _takes_ops(name) else generator()
         print(result["table"])
         print("[%s generated in %.1fs wall time]" % (name, time.time() - started))
         print()
@@ -76,7 +73,9 @@ def main(argv=None):
 
 
 def _takes_ops(name):
-    return name not in ("ablation_atomicity",)
+    """False for the fixed-size tables: the atomicity ablation and the
+    renders of the contention grid."""
+    return name not in ("ablation_atomicity", "fig13", "fig14", "fig15")
 
 
 if __name__ == "__main__":

@@ -27,10 +27,6 @@ from repro.bench.report import format_table
 from repro.wal.legacy import run_legacy_models
 
 SCHEMES = ("nvwal", "fast", "fastplus")
-#: The schemes the concurrency extensions (figs 13-15) run: NVWAL, the
-#: paper's single-writer baseline, serves no MVCC or OCC sessions and
-#: takes no DRAM page cache.
-PM_SCHEMES = ("fast", "fastplus")
 
 LATENCY_POINTS = ((120, 120), (300, 300), (600, 600), (900, 900), (1200, 1200))
 WRITE_LATENCIES = (300, 600, 900, 1200)
@@ -670,7 +666,7 @@ def ablation_index_maintenance(ops=None):
     return {"table": table, "data": data}
 
 
-def fig13(ops=None):
+def fig13(rows=None):
     """Extension: multi-client throughput under the deterministic
     scheduler — locked readers vs lock-free MVCC snapshot readers.
 
@@ -680,44 +676,33 @@ def fig13(ops=None):
     Locked readers serialize against the writer through the lock
     manager (S/X conflicts); MVCC readers resolve page versions with
     zero lock traffic, so the conflict column goes to 0 and throughput
-    stays ahead at every client count."""
-    from repro.bench.multiclient import run_read_mostly
+    stays ahead at every client count.
 
-    items = max(5, min(25, (ops or default_ops()) // 60))
-    rows = []
-    data = {}
-    for scheme in PM_SCHEMES:
-        for clients in (2, 4, 8):
-            for mvcc in (False, True):
-                result = run_read_mostly(
-                    scheme, clients=clients, items=items,
-                    key_space=100, mvcc=mvcc,
-                )
-                mode = "mvcc" if mvcc else "locked"
-                conflicts = result["counters"].get("lock.conflict", 0)
-                txns = max(1, result["commits"] + result["aborts"])
-                rows.append([
-                    scheme, clients, mode,
-                    round(result["throughput_tps"] / 1000.0, 1),
-                    result["aborts"], conflicts,
-                    "%.1f%%" % (100.0 * conflicts / txns),
-                ])
-                data[(scheme, clients, mode)] = result["throughput_tps"]
+    A render of the contention grid's ``mvcc_sweep`` rows (``rows``:
+    ``BENCH_multiclient.json``'s section; simulated when not given)."""
+    from repro.bench.multiclient import run_section
+
+    rows = rows or run_section("mvcc_sweep")
     table = format_table(
         "Extension: read-mostly throughput vs clients — locked vs MVCC "
         "snapshot readers (1 writer + N-1 readers)",
         ["scheme", "clients", "readers", "ktps", "aborts", "conflicts",
          "conflict rate"],
-        rows,
+        [[scheme, row["clients"], "mvcc" if row["mvcc"] else "locked",
+          round(row["throughput_tps"] / 1000.0, 1), row["aborts"],
+          row["lock_conflicts"], "%.1f%%" % (
+              100.0 * row["lock_conflicts"]
+              / max(1, row["commits"] + row["aborts"]))]
+         for scheme, section in rows.items() for row in section],
         note="Identical workloads per pair; MVCC readers pin a snapshot "
              "timestamp and resolve version chains with zero lock "
              "traffic, so reader-writer conflicts vanish and throughput "
              "leads at every client count.",
     )
-    return {"table": table, "data": data}
+    return {"table": table, "data": rows}
 
 
-def fig14(ops=None):
+def fig14(rows=None):
     """Extension: OCC writer path vs strict 2PL under contention.
 
     The multi-layer OCC refactor trades whole-transaction lock tenure
@@ -727,47 +712,35 @@ def fig14(ops=None):
     (read-mostly, low-conflict writes, a deliberately hot write mix)
     and reports throughput, lock acquires per committed transaction,
     the validation-abort rate, and how many sessions exhausted their
-    streak and fell back to 2PL."""
-    from repro.bench.multiclient import OCC_MIXES, run_isolation_cell
+    streak and fell back to 2PL.
 
-    items = max(5, min(25, (ops or default_ops()) // 60))
-    rows = []
-    data = {}
-    for scheme in PM_SCHEMES:
-        for mix, read_ratio, key_space in OCC_MIXES:
-            for isolation in ("locked", "occ"):
-                result = run_isolation_cell(
-                    scheme, isolation=isolation, clients=8,
-                    read_ratio=read_ratio, key_space=key_space,
-                    items=items,
-                )
-                rows.append([
-                    scheme, mix, isolation,
-                    round(result["throughput_tps"] / 1000.0, 1),
-                    round(result["lock_acquires_per_commit"], 2),
-                    "%.1f%%" % (100.0 * result["occ_abort_rate"]),
-                    result["occ_fallbacks"],
-                ])
-                data[(scheme, mix, isolation)] = (
-                    result["throughput_tps"],
-                    result["lock_acquires_per_commit"],
-                )
+    A render of the contention grid's 8-client ``occ_sweep`` rows
+    (``rows``: ``BENCH_multiclient.json``'s section; simulated when not
+    given)."""
+    from repro.bench.multiclient import run_section
+
+    rows = rows or run_section("occ_sweep")
     table = format_table(
         "Extension: OCC vs strict 2PL at 8 clients across conflict "
         "mixes (identical workloads per pair)",
         ["scheme", "mix", "writers", "ktps", "locks/txn", "abort rate",
          "2PL fallbacks"],
-        rows,
+        [[scheme, row["mix"], row["isolation"],
+          round(row["throughput_tps"] / 1000.0, 1),
+          row["lock_acquires_per_commit"],
+          "%.1f%%" % (100.0 * row["occ_abort_rate"]), row["occ_fallbacks"]]
+         for scheme, section in rows.items() for row in section
+         if row["clients"] == 8],
         note="OCC writers read at a pinned snapshot and lock only to "
              "install the validated write set, so locks per committed "
              "txn collapse toward the write-set size on read-mostly "
              "mixes; as conflicts rise, validation aborts and 2PL "
              "fallbacks pay for the optimism.",
     )
-    return {"table": table, "data": data}
+    return {"table": table, "data": rows}
 
 
-def fig15(ops=None):
+def fig15(rows=None):
     """Extension: tiered DRAM page cache in front of the PM arena —
     cache capacity x PM read latency over the read-mostly MVCC cell.
 
@@ -783,41 +756,31 @@ def fig15(ops=None):
     at the lowest latency, where the fills its evictions keep
     discarding eat what the hits repay — while a cache that holds the
     read-hot set crosses over and the win grows with the PM read
-    latency each DRAM hit hides."""
-    from repro.bench.multiclient import sweep_cache
+    latency each DRAM hit hides.
 
-    items = max(10, min(40, (ops or default_ops()) // 37))
-    rows = []
-    data = {}
-    for scheme in PM_SCHEMES:
-        for row in sweep_cache(
-            scheme, cache_sizes=(0, 8, 64),
-            read_lats=(300.0, 900.0, 1200.0), items=items,
-        ):
-            rows.append([
-                scheme, row["cache_pages"], int(row["read_ns"]),
-                round(row["cache_hit_ratio"], 3),
-                round(row["throughput_tps"] / 1000.0, 1),
-                "%.2fx" % row["speedup_vs_uncached"],
-                row["counters"].get("cache.invalidate", 0),
-            ])
-            data[(scheme, row["cache_pages"], row["read_ns"])] = (
-                row["throughput_tps"], row["cache_hit_ratio"],
-            )
+    A render of the contention grid's ``cache_sweep`` rows (``rows``:
+    ``BENCH_multiclient.json``'s section; simulated when not given)."""
+    from repro.bench.multiclient import run_section
+
+    rows = rows or run_section("cache_sweep")
     table = format_table(
         "Extension: DRAM page cache capacity x PM read latency, "
         "read-mostly MVCC (1 writer + 7 readers; 0 pages = paper's "
         "PM-only design)",
         ["scheme", "pages", "read_ns", "hit ratio", "ktps", "speedup",
          "invals"],
-        rows,
+        [[scheme, row["cache_pages"], int(row["read_ns"]),
+          row["cache_hit_ratio"],
+          round(row["throughput_tps"] / 1000.0, 1),
+          "%.2fx" % row["speedup_vs_uncached"], row["cache_invalidates"]]
+         for scheme, section in rows.items() for row in section],
         note="Reads served from a coherent DRAM frame cost dram_ns per "
              "line instead of read_ns; every committed install "
              "invalidates its page's frame, so the cache only pays off "
              "once the hit ratio amortizes fills — the crossover "
              "sharpens as PM latency grows.",
     )
-    return {"table": table, "data": data}
+    return {"table": table, "data": rows}
 
 
 FIGURES = {

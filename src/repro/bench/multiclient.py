@@ -21,6 +21,12 @@ run as well under the crash driver,
 ``crash_at(ScheduledRun(scheme, workloads, preload=rows), None,
 config=config)``, which checks the committed-prefix model
 (``bench_multiclient.py --group-grid``).
+
+The contention grid ``BENCH_multiclient.json`` pins is declared once,
+here: :func:`grid_cells` lists each section's cells as
+``run_multi_client`` keyword arguments, :func:`run_section` runs and
+summarizes one section and :func:`run_grid` all of them.  Figures
+13-15 render that file's rows.
 """
 
 import random
@@ -316,89 +322,9 @@ def run_multi_client(scheme, *, clients=4, items=50, read_ratio=0.5,
     return result
 
 
-def run_read_mostly(scheme, *, clients=4, mvcc=False, **kwargs):
-    """The read-mostly cell: 1 writer + ``clients - 1`` pure readers,
-    locked (the baseline: S locks on every page touched, conflicting
-    with the writer) or MVCC snapshot sessions."""
-    if clients < 2:
-        raise ValueError("read-mostly needs at least 1 writer + 1 reader")
-    return run_multi_client(
-        scheme, clients=1, readers=clients - 1, mvcc=mvcc, **kwargs,
-    )
-
-
 # ----------------------------------------------------------------------
-# OCC writer path: lock traffic and abort behavior vs. strict 2PL
+# Group-commit correctness cells (``bench_multiclient.py --group-grid``)
 # ----------------------------------------------------------------------
-
-
-def run_isolation_cell(scheme, *, isolation="locked", clients=8,
-                       read_ratio=0.9, key_space=100, **kwargs):
-    """One contention run under a chosen writer protocol.  Strict 2PL
-    pays locks across the whole transaction, OCC only across the
-    commit-time write-set install (``lock_acquires_per_commit``), and
-    OCC pays for it in validation aborts and 2PL fallbacks
-    (``occ_abort_rate``, ``occ_fallbacks``)."""
-    return run_multi_client(
-        scheme, clients=clients, read_ratio=read_ratio,
-        key_space=key_space, isolation=isolation, **kwargs,
-    )
-
-
-#: The swept conflict mixes: (name, read_ratio, key_space).  Conflict
-#: probability rises as the write share grows and the hot key space
-#: shrinks; ``hot_writes`` is deliberately hostile so the sweep shows
-#: the validation-abort + 2PL-fallback regime, not just the win.
-OCC_MIXES = (
-    ("read_mostly", 0.9, 100),
-    ("low_conflict_writes", 0.5, 400),
-    ("hot_writes", 0.2, 20),
-)
-
-
-def sweep_occ(scheme, *, counts=(2, 8), mixes=OCC_MIXES, **kwargs):
-    """Locked-vs-OCC grid over client count x conflict mix.
-
-    Each (mix, count) pair runs the *same* workload bytes twice — once
-    under strict 2PL, once optimistically — so every OCC row can be
-    read directly against its locked twin.
-    """
-    rows = []
-    for mix, read_ratio, key_space in mixes:
-        for count in counts:
-            for isolation in ("locked", "occ"):
-                row = run_isolation_cell(
-                    scheme, isolation=isolation, clients=count,
-                    read_ratio=read_ratio, key_space=key_space, **kwargs,
-                )
-                row["mix"] = mix
-                rows.append(row)
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Group commit: per-transaction durability cost vs. epoch size
-# ----------------------------------------------------------------------
-
-
-def run_group_commit(scheme, *, group_size=0, clients=8, items=50,
-                     read_ns=300.0, write_ns=300.0, record_size=48,
-                     **kwargs):
-    """One contention run with epoch-pipelined group commit on;
-    ``group_size=0`` is the ungrouped baseline on the *same* workload
-    bytes.  The obs snapshot is taken after create + preload and the
-    scheduler drains the final epoch before reporting, so
-    ``fences_per_txn``, ``marks_per_txn`` and ``flushes_per_txn`` are
-    the marginal durability costs of the measured window."""
-    config = cell_config(
-        scheme, clients=clients, items=items, read_ns=read_ns,
-        write_ns=write_ns, record_size=record_size,
-        group_commit_size=group_size,
-    )
-    return run_multi_client(
-        scheme, clients=clients, items=items, read_ns=read_ns,
-        write_ns=write_ns, record_size=record_size, config=config, **kwargs,
-    )
 
 
 def random_picks(seed):
@@ -448,117 +374,203 @@ def small_page_epoch_config(group_size):
     )
 
 
-def run_small_page_epoch_cell(scheme, *, group_size, seed, **kwargs):
-    """One of :data:`SMALL_PAGE_EPOCH_CELLS`: 8 clients × 25 items over
-    40 keys on a 64-page arena of 512-byte pages, no preload."""
-    return run_multi_client(
-        scheme, seed=seed, config=small_page_epoch_config(group_size),
-        **SMALL_PAGE_EPOCH_CLIENTS, **kwargs,
-    )
-
-
-def sweep_group_commit(scheme, *, group_sizes=(0, 2, 4), counts=(2, 8),
-                       **kwargs):
-    """Per-txn durability cost over group size x client count.
-
-    ``group_sizes`` must start with 0 (or whatever row should serve as
-    the baseline): within each client count, every row gains
-    ``fence_reduction_vs_ungrouped`` relative to the first size swept.
-    """
-    rows = []
-    for count in counts:
-        base = None
-        for size in group_sizes:
-            row = run_group_commit(
-                scheme, group_size=size, clients=count, **kwargs,
-            )
-            if base is None:
-                base = row["fences_per_txn"]
-            row["fence_reduction_vs_ungrouped"] = (
-                base / row["fences_per_txn"] if row["fences_per_txn"]
-                else 0.0
-            )
-            rows.append(row)
-    return rows
-
-
 # ----------------------------------------------------------------------
-# Tiered DRAM page cache: hit ratio x PM read latency
+# The contention grid: every cell ``BENCH_multiclient.json`` pins
 # ----------------------------------------------------------------------
 
-
-def run_cache_cell(scheme, *, cache_pages=64, clients=8, items=40,
-                   key_space=400, read_ns=300.0, write_ns=300.0,
-                   cache_lines=64, record_size=48, preload=None, **kwargs):
-    """One read-mostly run with the tiered DRAM page cache in front of
-    the PM arena: 1 locked writer + ``clients - 1`` MVCC snapshot
-    readers — the read-hot regime the cache targets.  Snapshot reads
-    resolve live pages through DRAM frames charged at ``dram_ns``,
-    while the read working set (the whole preloaded tree — ``preload``
-    defaults to ``key_space``) far exceeds the small simulated CPU
-    cache (``cache_lines``), so uncached reads keep paying ``read_ns``
-    per line while cached frames converge to CPU-cache-hit cost.
-
-    ``cache_pages=0`` is the cache-off baseline on the *same* workload
-    bytes; ``cache_hit_ratio`` is hit / (hit + miss).
-    """
-    config = cell_config(
-        scheme, clients=clients, items=items, read_ns=read_ns,
-        write_ns=write_ns, record_size=record_size,
-        cache_lines=cache_lines, dram_cache_pages=cache_pages,
-    )
-    return run_multi_client(
-        scheme, clients=1, readers=clients - 1, mvcc=True, items=items,
-        key_space=key_space, read_ns=read_ns, write_ns=write_ns,
-        record_size=record_size, config=config,
-        preload=key_space if preload is None else preload, **kwargs,
-    )
-
-
-def sweep_cache(scheme, *, cache_sizes=(0, 8, 64),
-                read_lats=(300.0, 600.0, 1200.0), **kwargs):
-    """Cache capacity x PM read latency grid over the read-mostly cell.
-
-    Within each latency, every row gains ``speedup_vs_uncached``
-    relative to the cache-off row at that latency — the Fig 15 axis:
-    how the DRAM tier's win scales with the hit ratio it achieves and
-    the PM read latency each hit hides.
-    """
-    rows = []
-    for read_ns in read_lats:
-        base = None
-        for cache_pages in cache_sizes:
-            row = run_cache_cell(
-                scheme, cache_pages=cache_pages, read_ns=read_ns,
-                **kwargs,
-            )
-            if base is None:
-                base = row["throughput_tps"]
-            row["speedup_vs_uncached"] = (
-                row["throughput_tps"] / base if base else 0.0
-            )
-            rows.append(row)
-    return rows
+SCHEMES = ("fast", "fastplus", "nvwal")
+#: The PM-resident schemes: the only ones that shard, group commit,
+#: serve MVCC / OCC sessions or front PM with the DRAM page cache.
+#: NVWAL is the paper's single-writer baseline (plain and strict-2PL
+#: transactions only) and already fronts PM with its own volatile
+#: buffer cache.
+PM_SCHEMES = ("fast", "fastplus")
+ITEMS = 25
+SEED = 7
+CLIENT_COUNTS = (1, 2, 4, 8)
+READ_RATIOS = (0.0, 0.5, 0.9)
+#: Read-mostly MVCC cells (fig13): 1 writer + N-1 pure readers over a
+#: hot key space, run twice — readers as locked sessions, then as
+#: lock-free MVCC snapshots (identical workloads; the delta is locking
+#: cost).
+MVCC_CLIENT_COUNTS = (2, 4, 8)
+MVCC_KEY_SPACE = 100
+#: OCC sweep (fig14 at 8 clients): locked-vs-optimistic twins on the
+#: same workload bytes over client count x conflict mix ``(name,
+#: read_ratio, key_space)``.  Conflict probability rises as the write
+#: share grows and the hot key space shrinks; ``hot_writes`` is
+#: deliberately hostile so the sweep shows the validation-abort + 2PL
+#: fallback regime, not just the win.
+OCC_CLIENTS = (2, 8)
+OCC_MIXES = (
+    ("read_mostly", 0.9, 100),
+    ("low_conflict_writes", 0.5, 400),
+    ("hot_writes", 0.2, 20),
+)
+#: Group-commit sweep: per-txn durability cost (fences / commit marks /
+#: flushes) over client count x group size, size 0 = grouping off.
+GROUP_CLIENTS = (2, 8)
+GROUP_SIZES = (0, 2, 4)
+#: Cache sweep (fig15): PM read latency x DRAM page cache capacity over
+#: 1 locked writer + 7 MVCC snapshot readers, the read-hot regime the
+#: cache targets; 0 pages = cache off.  The whole 400-key tree is
+#: preloaded and read, far beyond the 64-line simulated CPU cache, so
+#: uncached reads keep paying ``read_ns`` per line.  Longer per-client
+#: runs than the contention grid: read-hot caching needs enough reads
+#: per invalidation to amortize its fills.
+CACHE_READ_LATS = (300.0, 900.0, 1200.0)
+CACHE_SIZES = (0, 8, 64)
+CACHE_ITEMS = 40
+CACHE_KEY_SPACE = 400
+#: Shard sweep: 8 clients on disjoint per-shard key pools (50 keys a
+#: pool, 16 preloaded) over 1/2/4 independent pagestores.
+SHARD_COUNTS = (1, 2, 4)
+SHARD_CELL = dict(clients=8, items=ITEMS, seed=SEED, key_space=50,
+                  preload=16)
 
 
-# ----------------------------------------------------------------------
-# Sharded scaling: disjoint workloads over N independent pagestores
-# ----------------------------------------------------------------------
+def grid_cells(section, scheme):
+    """``section``'s cells for ``scheme`` in row order, each ``(labels,
+    kwargs)``: the ``run_multi_client`` keyword arguments of one run and
+    the row fields its report does not carry."""
+    cell = dict(items=ITEMS, seed=SEED)
+    if section == "client_sweep":
+        cells = [dict(cell, clients=count) for count in CLIENT_COUNTS]
+    elif section == "mix_sweep":
+        cells = [dict(cell, clients=4, read_ratio=ratio)
+                 for ratio in READ_RATIOS]
+    elif section == "mvcc_sweep":
+        cells = [dict(cell, clients=1, readers=count - 1,
+                      key_space=MVCC_KEY_SPACE, mvcc=mvcc)
+                 for count in MVCC_CLIENT_COUNTS for mvcc in (False, True)]
+    elif section == "group_sweep":
+        cells = [dict(cell, clients=count, config=cell_config(
+                     scheme, clients=count, items=ITEMS,
+                     group_commit_size=size))
+                 for count in GROUP_CLIENTS for size in GROUP_SIZES]
+    elif section == "occ_sweep":
+        return [({"mix": mix}, dict(cell, clients=count,
+                                    read_ratio=read_ratio,
+                                    key_space=key_space,
+                                    isolation=isolation))
+                for mix, read_ratio, key_space in OCC_MIXES
+                for count in OCC_CLIENTS
+                for isolation in ("locked", "occ")]
+    elif section == "cache_sweep":
+        cells = [dict(cell, items=CACHE_ITEMS, clients=1, readers=7,
+                      mvcc=True, key_space=CACHE_KEY_SPACE,
+                      preload=CACHE_KEY_SPACE, read_ns=read_ns,
+                      config=cell_config(
+                          scheme, clients=8, items=CACHE_ITEMS,
+                          read_ns=read_ns, cache_lines=64,
+                          dram_cache_pages=pages))
+                 for read_ns in CACHE_READ_LATS for pages in CACHE_SIZES]
+    elif section == "shard_sweep":
+        cells = [dict(SHARD_CELL, shards=count) for count in SHARD_COUNTS]
+    else:
+        raise KeyError(section)
+    return [({}, kwargs) for kwargs in cells]
 
 
-def sweep_shards(scheme, *, shard_counts=(1, 2, 4), key_space=50,
-                 preload=16, **kwargs):
-    """Modeled-parallel throughput vs. shard count on the *same*
-    workload bytes (see :func:`shard_pool_keys`).  Each row gains
-    ``speedup_vs_one_shard`` relative to the first count swept."""
-    runs = [
-        run_multi_client(scheme, shards=count, key_space=key_space,
-                         preload=preload, **kwargs)
-        for count in shard_counts
-    ]
-    base = runs[0]["throughput_tps"]
+def ratio_to_first(runs, name, field, group=None, inverse=False):
+    """Give each run ``name``: its ``field`` over that of the first run
+    with the same ``group`` field (all runs, without ``group``), or the
+    first's over its own with ``inverse``; 0.0 over a zero."""
+    firsts = {}
     for run in runs:
-        run["speedup_vs_one_shard"] = (
-            run["throughput_tps"] / base if base else 0.0
-        )
-    return runs
+        first = firsts.setdefault(run[group] if group else None, run[field])
+        num, den = (first, run[field]) if inverse else (run[field], first)
+        run[name] = num / den if den else 0.0
+
+
+#: Each section's ratio to the first row of its group, as
+#: :func:`ratio_to_first` arguments: fences against the ungrouped row at
+#: each client count, throughput against the cache-off row at each PM
+#: read latency and against the one-shard row.
+RATIOS = {
+    "group_sweep": ("fence_reduction_vs_ungrouped", "fences_per_txn",
+                    "clients", True),
+    "cache_sweep": ("speedup_vs_uncached", "throughput_tps", "read_ns"),
+    "shard_sweep": ("speedup_vs_one_shard", "throughput_tps"),
+}
+#: Report fields rounded to 3 places in a committed row.
+ROUNDED = frozenset({
+    "throughput_tps", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
+    "fence_reduction_vs_ungrouped", "lock_acquires_per_commit",
+    "occ_abort_rate", "cache_hit_ratio", "speedup_vs_uncached", "busy_ns",
+    "parallel_elapsed_ns", "serial_throughput_tps", "speedup_vs_one_shard",
+})
+#: The committed row of each section: report fields, and
+#: ``row_name=counter`` entries for a counter of the run's delta.
+#: ``clients`` counts every client, writers and readers.
+CONTENTION = (
+    "clients", "read_ratio", "commits", "aborts", "deadlocks", "timeouts",
+    "retries", "steps", "simulated_ns", "elapsed_ns", "throughput_tps",
+    "records", "lock_acquires=lock.acquire", "lock_conflicts=lock.conflict",
+)
+SHARDED = (
+    "shards", "clients", "commits", "aborts", "retries", "steps",
+    "elapsed_ns", "busy_ns", "parallel_elapsed_ns", "throughput_tps",
+    "serial_throughput_tps", "records", "twopc_commits=twopc.commit",
+)
+FIELDS = {
+    "client_sweep": CONTENTION,
+    "mix_sweep": CONTENTION,
+    "mvcc_sweep": CONTENTION + ("mvcc", "snapshot_reads=mvcc.snapshot_reads"),
+    "group_sweep": CONTENTION + (
+        "group_size", "fences_per_txn", "marks_per_txn", "flushes_per_txn",
+        "group_closes=group.close", "fence_reduction_vs_ungrouped",
+    ),
+    "occ_sweep": CONTENTION + (
+        "isolation", "mix", "lock_acquires_per_commit",
+        "occ_commits=occ.commit", "occ_abort_rate", "occ_fallbacks",
+    ),
+    "cache_sweep": CONTENTION + (
+        "cache_pages", "read_ns", "cache_hit_ratio", "cache_hits=cache.hit",
+        "cache_misses=cache.miss", "cache_evicts=cache.evict",
+        "cache_invalidates=cache.invalidate", "speedup_vs_uncached",
+    ),
+    "shard_sweep": SHARDED + ("speedup_vs_one_shard",),
+}
+
+
+def summarize(result, fields):
+    """The comparable (and committed) slice of one run's report."""
+    summary = {}
+    for field in fields:
+        name, _, counter = field.partition("=")
+        if counter:
+            value = result["counters"].get(counter, 0)
+        elif name == "clients":
+            value = result["clients"] + result["readers"]
+        elif name not in ROUNDED:
+            value = result[name]
+        elif isinstance(result[name], list):
+            value = [round(v, 3) for v in result[name]]
+        else:
+            value = round(result[name], 3)
+        summary[name] = value
+    return summary
+
+
+def run_section(section):
+    """``{scheme: [committed row, ...]}`` of one grid section."""
+    rows = {}
+    for scheme in (SCHEMES if section in ("client_sweep", "mix_sweep")
+                   else PM_SCHEMES):
+        runs = []
+        for labels, kwargs in grid_cells(section, scheme):
+            runs.append(run_multi_client(scheme, **kwargs))
+            runs[-1].update(labels)
+        if section in RATIOS:
+            ratio_to_first(runs, *RATIOS[section])
+        rows[scheme] = [summarize(run, FIELDS[section]) for run in runs]
+    return rows
+
+
+def run_grid():
+    """Every section of the grid, as ``BENCH_multiclient.json`` holds
+    it."""
+    grid = {section: run_section(section) for section in FIELDS}
+    grid["workload"] = {"items_per_client": ITEMS, "seed": SEED}
+    return grid

@@ -198,11 +198,11 @@ class BTree:
     def height(self, view):
         """Number of levels (1 = a single leaf)."""
         levels = 1
-        page = self._typed_page(view, view.root_page_no(self.root_slot))
-        while page.page_type == PAGE_INTERNAL:
+        page = view.page(view.root_page_no(self.root_slot))
+        while not self._typed(page):
             levels += 1
             _, child = parse_internal(page.record(0))
-            page = self._typed_page(view, child)
+            page = view.page(child)
         return levels
 
     def reachable_pages(self, view, *, overflow_chains=True):
@@ -223,8 +223,8 @@ class BTree:
             if not page_no or page_no in pages:
                 continue
             pages.add(page_no)
-            page = self._typed_page(view, page_no)
-            if page.page_type == PAGE_INTERNAL:
+            page = view.page(page_no)
+            if not self._typed(page):
                 for payload in page.records():
                     stack.append(parse_internal(payload)[1])
             elif page.flags & FLAG_HAS_OVERFLOW:
@@ -720,8 +720,8 @@ class BTree:
     # ------------------------------------------------------------------
 
     def _scan_page(self, view, page_no, lo, hi):
-        page = self._typed_page(view, page_no)
-        if page.page_type == PAGE_LEAF:
+        page = view.page(page_no)
+        if self._typed(page):
             for payload in page.records():
                 key = leaf_key(payload)
                 if lo is not None and key < lo:
@@ -751,7 +751,7 @@ class BTree:
         root_no = ctx.root_page_no(self.root_slot)
         paths = []
         self._fragmented(
-            ctx, [_PathEntry(root_no, self._typed_page(ctx, root_no), None)],
+            ctx, [_PathEntry(root_no, ctx.page(root_no), None)],
             min_waste, paths,
         )
         for path in paths:
@@ -769,10 +769,10 @@ class BTree:
         below ``path[-1]`` (itself included) with ``min_waste`` dead
         bytes or more."""
         page = path[-1].page
-        if page.page_type == PAGE_INTERNAL:
+        if not self._typed(page):
             for slot in range(page.nrecords):
                 _, child_no = parse_internal(page.record(slot))
-                child = _PathEntry(child_no, self._typed_page(ctx, child_no), slot)
+                child = _PathEntry(child_no, ctx.page(child_no), slot)
                 self._fragmented(ctx, path + [child], min_waste, found)
         # Asked of the cells, not of the free list: a context may hold
         # the page as a copy of its committed bytes until it mutates it.
@@ -780,8 +780,8 @@ class BTree:
             found.append(path)
 
     def _verify_page(self, view, page_no, lo, hi, depth, leaf_depths):
-        page = self._typed_page(view, page_no)
-        if page.page_type == PAGE_LEAF:
+        page = view.page(page_no)
+        if self._typed(page):
             leaf_depths.add(depth)
             keys = [leaf_key(p) for p in page.records()]
             assert keys == sorted(keys), "leaf %d keys unsorted" % page_no

@@ -18,11 +18,9 @@ from repro.core.config import SystemConfig
 from repro.core.base import Engine, ReadView, Transaction, TransactionError
 from repro.core.fast import FASTEngine, FASTPlusEngine
 from repro.core.locking import (
-    DeadlockError,
     LockConflict,
     LockError,
     LockManager,
-    LockTimeout,
 )
 from repro.core.naive import NaiveEngine
 from repro.core.nvwal import NVWALEngine
@@ -63,14 +61,12 @@ def open_engine(config=None, *, scheme=None, pm=None):
 
 
 __all__ = [
-    "DeadlockError",
     "Engine",
     "FASTEngine",
     "FASTPlusEngine",
     "LockConflict",
     "LockError",
     "LockManager",
-    "LockTimeout",
     "NVWALEngine",
     "NaiveEngine",
     "ReadView",

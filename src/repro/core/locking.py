@@ -131,22 +131,6 @@ class LockConflict(LockError):
         )
 
 
-class DeadlockError(LockError):
-    """A wait-for cycle was found; ``cycle`` lists the owners on it."""
-
-    def __init__(self, victim, cycle):
-        self.victim = victim
-        self.cycle = tuple(cycle)
-        super().__init__(
-            "deadlock: %s (victim %r)"
-            % (" -> ".join(map(repr, self.cycle)), victim)
-        )
-
-
-class LockTimeout(LockError):
-    """A session waited longer than the configured simulated timeout."""
-
-
 class ClaimAfterStore(LockError):
     """An operation asked for a lock it does not already hold after its
     first store: its plan missed part of its footprint.  Raised whether

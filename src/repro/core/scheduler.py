@@ -52,7 +52,7 @@ kinds ``insert`` / ``update`` / ``delete`` / ``search`` / ``think``
 (think's ``key`` is simulated nanoseconds to hold the transaction open).
 """
 
-from repro.core.locking import DeadlockError, LockConflict
+from repro.core.locking import LockConflict
 from repro.core.occ import OCCConflict
 from repro.core.session import resolve_isolation
 from repro.obs import trace as ev
@@ -537,6 +537,5 @@ class Scheduler:
 
 
 __all__ = [
-    "Scheduler", "SchedulerError", "RetriesExhausted", "DeadlockError",
-    "client_spec",
+    "Scheduler", "SchedulerError", "RetriesExhausted", "client_spec",
 ]

@@ -1,25 +1,55 @@
-"""The multi-client contention benchmark driver."""
+"""The multi-client contention benchmark driver and the contention
+grid that ``BENCH_multiclient.json`` pins."""
 
 import json
 import pathlib
 from functools import partial
 
+import pytest
+
+from repro.bench.figures import fig13, fig14, fig15
 from repro.bench.multiclient import (
+    RATIOS,
+    cell_config,
     client_workload,
-    run_group_commit,
-    run_isolation_cell,
-    run_cache_cell,
+    grid_cells,
+    ratio_to_first,
     run_multi_client,
     shard_pool_keys,
     sharded_client_workload,
-    sweep_cache,
-    sweep_group_commit,
-    sweep_occ,
-    sweep_shards,
 )
+from repro.bench.report import table_to_csv
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+#: The committed contention grid, read once: every ``TestCommitted*``
+#: floor and the fig13-15 renders read its rows, and none re-runs them.
+BASELINE = json.loads((ROOT / "BENCH_multiclient.json").read_text())
 
 #: A sharded run in the shard sweep's regime: 50-key pools, 16 preloaded.
 run_sharded = partial(run_multi_client, key_space=50, preload=16)
+
+
+def run_grouped(scheme, group_size, *, clients, items):
+    """A group-sweep cell: epochs of ``group_size`` (0: ungrouped)."""
+    return run_multi_client(
+        scheme, clients=clients, items=items,
+        config=cell_config(scheme, clients=clients, items=items,
+                           group_commit_size=group_size),
+    )
+
+
+def run_cached(scheme, cache_pages, *, clients=4, items=6, key_space=60,
+               read_ns=300.0):
+    """A cache-sweep cell: 1 locked writer + ``clients - 1`` MVCC
+    readers over the whole preloaded key space, ``cache_pages`` DRAM
+    frames (0: cache off) in front of PM."""
+    return run_multi_client(
+        scheme, clients=1, readers=clients - 1, mvcc=True, items=items,
+        key_space=key_space, preload=key_space, read_ns=read_ns,
+        config=cell_config(scheme, clients=clients, items=items,
+                           read_ns=read_ns, cache_lines=64,
+                           dram_cache_pages=cache_pages),
+    )
 
 
 class TestClientWorkload:
@@ -135,10 +165,25 @@ class TestRunSharded:
         assert all(b > 0 for b in result["busy_ns"])
 
     def test_sweep_shards_shape(self):
-        rows = sweep_shards("fast", shard_counts=(1, 2), clients=4, items=6)
+        rows = [run_sharded("fast", shards=shards, clients=4, items=6)
+                for shards in (1, 2)]
+        ratio_to_first(rows, *RATIOS["shard_sweep"])
         assert [r["shards"] for r in rows] == [1, 2]
         assert rows[0]["speedup_vs_one_shard"] == 1.0
         assert rows[1]["speedup_vs_one_shard"] > 0
+
+
+class TestCommittedMvccBaseline:
+    """The 4-client read-mostly cell: MVCC snapshot readers take no
+    lock conflict and run at least as fast as locked readers on the
+    same workload bytes."""
+
+    def test_mvcc_readers_beat_locked_readers(self):
+        rows = {(r["clients"], r["mvcc"]): r
+                for r in BASELINE["mvcc_sweep"]["fast"]}
+        locked, mvcc = rows[(4, False)], rows[(4, True)]
+        assert mvcc["lock_conflicts"] == 0
+        assert mvcc["throughput_tps"] >= locked["throughput_tps"]
 
 
 class TestCommittedShardBaseline:
@@ -146,11 +191,7 @@ class TestCommittedShardBaseline:
     on disjoint pools must scale >=1.7x at 2 shards and >=3x at 4."""
 
     def _rows(self, scheme):
-        baseline = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2] /
-             "BENCH_multiclient.json").read_text()
-        )
-        return baseline["shard_sweep"][scheme]
+        return BASELINE["shard_sweep"][scheme]
 
     def test_fast_meets_scaling_floor(self):
         rows = {r["shards"]: r for r in self._rows("fast")}
@@ -165,21 +206,22 @@ class TestCommittedShardBaseline:
 
 class TestGroupCommitSweep:
     def test_same_commits_grouped_or_not(self):
-        rows = sweep_group_commit("fast", group_sizes=(0, 4), counts=(2,),
-                                  items=8)
+        rows = [run_grouped("fast", size, clients=2, items=8)
+                for size in (0, 4)]
+        ratio_to_first(rows, *RATIOS["group_sweep"])
         assert [r["group_size"] for r in rows] == [0, 4]
         assert rows[0]["fence_reduction_vs_ungrouped"] == 1.0
         assert all(r["commits"] == 2 * 8 for r in rows)
 
     def test_grouping_cuts_fences(self):
-        rows = sweep_group_commit("fast", group_sizes=(0, 4), counts=(2,),
-                                  items=10)
+        rows = [run_grouped("fast", size, clients=2, items=10)
+                for size in (0, 4)]
         assert rows[1]["fences_per_txn"] < rows[0]["fences_per_txn"]
         assert rows[1]["marks_per_txn"] < rows[0]["marks_per_txn"]
 
     def test_byte_identical_reruns(self):
-        a = run_group_commit("fastplus", group_size=4, clients=2, items=8)
-        b = run_group_commit("fastplus", group_size=4, clients=2, items=8)
+        a = run_grouped("fastplus", 4, clients=2, items=8)
+        b = run_grouped("fastplus", 4, clients=2, items=8)
         assert a == b
 
 
@@ -189,11 +231,7 @@ class TestCommittedGroupCommitBaseline:
     fewer fences per committed transaction than ungrouped."""
 
     def _rows(self, scheme):
-        baseline = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2] /
-             "BENCH_multiclient.json").read_text()
-        )
-        return baseline["group_sweep"][scheme]
+        return BASELINE["group_sweep"][scheme]
 
     def test_fast_meets_fence_floor(self):
         rows = {(r["clients"], r["group_size"]): r
@@ -222,18 +260,18 @@ class TestOccSweep:
         """Aborted optimistic work is retried (and eventually falls back
         to 2PL), so both protocols commit every workload item."""
         for isolation in ("locked", "occ"):
-            result = run_isolation_cell(
+            result = run_multi_client(
                 "fastplus", isolation=isolation, clients=4, items=8,
                 read_ratio=0.5, key_space=40,
             )
             assert result["commits"] == 4 * 8
 
     def test_occ_cuts_lock_traffic_on_read_mostly(self):
-        locked = run_isolation_cell(
+        locked = run_multi_client(
             "fast", isolation="locked", clients=8, items=10,
             read_ratio=0.9, key_space=100,
         )
-        occ = run_isolation_cell(
+        occ = run_multi_client(
             "fast", isolation="occ", clients=8, items=10,
             read_ratio=0.9, key_space=100,
         )
@@ -242,17 +280,23 @@ class TestOccSweep:
         )
 
     def test_byte_identical_reruns(self):
-        a = run_isolation_cell("fastplus", isolation="occ", clients=4,
-                               items=10, read_ratio=0.5, key_space=40)
-        b = run_isolation_cell("fastplus", isolation="occ", clients=4,
-                               items=10, read_ratio=0.5, key_space=40)
+        a = run_multi_client("fastplus", isolation="occ", clients=4,
+                             items=10, read_ratio=0.5, key_space=40)
+        b = run_multi_client("fastplus", isolation="occ", clients=4,
+                             items=10, read_ratio=0.5, key_space=40)
         assert a == b
 
     def test_sweep_occ_shape(self):
-        rows = sweep_occ("fast", counts=(2,), items=6,
-                         mixes=(("m", 0.5, 40),))
-        assert [r["isolation"] for r in rows] == ["locked", "occ"]
-        assert all(r["mix"] == "m" for r in rows)
+        """Each (mix, client count) pair of the grid runs the same
+        workload under both protocols, locked first."""
+        cells = grid_cells("occ_sweep", "fast")
+        assert len(cells) == 12
+        for (locked_labels, locked), (occ_labels, occ) in zip(
+                cells[::2], cells[1::2]):
+            assert locked_labels == occ_labels
+            assert (locked.pop("isolation"), occ.pop("isolation")) == (
+                "locked", "occ")
+            assert locked == occ
 
 
 class TestCommittedOccBaseline:
@@ -261,11 +305,7 @@ class TestCommittedOccBaseline:
     half the locks per committed transaction that strict 2PL pays."""
 
     def _rows(self, scheme):
-        baseline = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2] /
-             "BENCH_multiclient.json").read_text()
-        )
-        return baseline["occ_sweep"][scheme]
+        return BASELINE["occ_sweep"][scheme]
 
     def _pair(self, scheme, mix, clients):
         rows = {(r["mix"], r["clients"], r["isolation"]): r
@@ -300,8 +340,8 @@ class TestCommittedOccBaseline:
 
 class TestCacheSweep:
     def test_sweep_cache_shape(self):
-        rows = sweep_cache("fast", cache_sizes=(0, 8), read_lats=(300.0,),
-                           clients=4, items=6, key_space=60)
+        rows = [run_cached("fast", pages) for pages in (0, 8)]
+        ratio_to_first(rows, *RATIOS["cache_sweep"])
         assert [r["cache_pages"] for r in rows] == [0, 8]
         # The cache-off cell is its own baseline by construction.
         assert rows[0]["speedup_vs_uncached"] == 1.0
@@ -312,18 +352,15 @@ class TestCacheSweep:
         assert rows[0]["commits"] == rows[1]["commits"]
 
     def test_cache_cell_serves_and_invalidates(self):
-        result = run_cache_cell("fast", cache_pages=8, clients=4, items=6,
-                                key_space=60)
+        result = run_cached("fast", 8)
         counters = result["counters"]
         assert counters["cache.hit"] > 0
         # The locked writer's installs reach the cache.
         assert counters["cache.invalidate"] > 0
 
     def test_byte_identical_reruns(self):
-        a = run_cache_cell("fastplus", cache_pages=8, clients=4, items=6,
-                           key_space=60)
-        b = run_cache_cell("fastplus", cache_pages=8, clients=4, items=6,
-                           key_space=60)
+        a = run_cached("fastplus", 8)
+        b = run_cached("fastplus", 8)
         assert a == b
 
 
@@ -335,11 +372,7 @@ class TestCommittedCacheBaseline:
     read through the tier too)."""
 
     def _rows(self, scheme):
-        baseline = json.loads(
-            (pathlib.Path(__file__).resolve().parents[2] /
-             "BENCH_multiclient.json").read_text()
-        )
-        return baseline["cache_sweep"][scheme]
+        return BASELINE["cache_sweep"][scheme]
 
     def _cell(self, scheme, pages, read_ns):
         rows = {(r["cache_pages"], r["read_ns"]): r
@@ -404,6 +437,16 @@ class TestCommittedCacheBaseline:
                         cell["cache_evicts"],
                         cell["cache_invalidates"]) == expected
 
+    def test_cache_pays_for_itself_at_900ns(self):
+        """The 64-page tier at 900 ns PM reads hits >= 0.8 and runs
+        >= 3.0x the cache-off cell on the same commits."""
+        for scheme in ("fast", "fastplus"):
+            off = self._cell(scheme, 0, 900.0)
+            on = self._cell(scheme, 64, 900.0)
+            assert on["commits"] == off["commits"]
+            assert on["cache_hit_ratio"] >= 0.8
+            assert on["speedup_vs_uncached"] >= 3.0
+
     def test_win_grows_with_pm_latency(self):
         for scheme in ("fast", "fastplus"):
             speedups = [self._cell(scheme, 64, ns)["speedup_vs_uncached"]
@@ -417,24 +460,23 @@ class TestCommittedCacheBaseline:
 
 
 class TestWrapperExtraCounters:
-    """Each preset reports the run's whole counter delta, its own
+    """Each cell shape reports the run's whole counter delta, its own
     counters and any other a caller wants beside them."""
 
     def test_isolation_cell(self):
-        result = run_isolation_cell("fast", isolation="occ", clients=2,
-                                    items=5)
+        result = run_multi_client("fast", isolation="occ", clients=2,
+                                  items=5)
         assert "sched.step" in result["counters"]
         assert "occ.validation" in result["counters"]
 
     def test_group_commit(self):
-        result = run_group_commit("fast", group_size=2, clients=8, items=25)
+        result = run_grouped("fast", 2, clients=8, items=25)
         assert "sched.wait" in result["counters"]
         assert "group.close" in result["counters"]
         assert result["commits"] == 8 * 25
 
     def test_cache_cell(self):
-        result = run_cache_cell("fast", cache_pages=8, clients=2, items=5,
-                                key_space=40)
+        result = run_cached("fast", 8, clients=2, items=5, key_space=40)
         assert "sched.step" in result["counters"]
         assert "cache.hit" in result["counters"]
 
@@ -459,3 +501,24 @@ class TestOneReport:
         assert result["marks_per_txn"] > 0
         assert result["serial_throughput_tps"] <= result["throughput_tps"]
         assert sum(result["busy_ns"]) > 0
+
+
+class TestCommittedFigures:
+    """fig13-15 are renders of the committed grid's rows: rendered from
+    ``BENCH_multiclient.json`` with no simulation, they are
+    ``results/``'s tables byte for byte."""
+
+    @pytest.mark.parametrize("figure,section", [
+        (fig13, "mvcc_sweep"), (fig14, "occ_sweep"), (fig15, "cache_sweep"),
+    ])
+    def test_render_matches_results(self, monkeypatch, figure, section):
+        def simulate(*args, **kwargs):
+            raise AssertionError("a render ran a cell")
+
+        monkeypatch.setattr("repro.bench.multiclient.run_multi_client",
+                            simulate)
+        table = figure(BASELINE[section])["table"]
+        name = figure.__name__
+        assert table + "\n" == (ROOT / "results" / (name + ".txt")).read_text()
+        assert table_to_csv(table) == (
+            ROOT / "results" / (name + ".csv")).read_text()

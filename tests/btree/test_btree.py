@@ -299,3 +299,28 @@ def test_btree_random_bulk_with_verify(seed):
         model[key] = value
     assert tree.verify(ctx) == len(model)
     assert dict(tree.scan(ctx)) == model
+
+
+@pytest.mark.parametrize("walk", ["scan", "verify"])
+def test_walks_load_each_type_byte_once(monkeypatch, walk):
+    """``scan()`` and ``verify()`` type a page with ``_typed``'s one
+    load and branch on its answer, not on a second ``page_type``."""
+    from repro.bench.harness import build_config
+    from repro.core import open_engine
+    from repro.storage import SlottedPage
+
+    engine = open_engine(build_config("fast", ops=2000), scheme="fast")
+    for i in range(2000):
+        engine.insert(key_of(i * 7919 % 2000), b"v" * 48)
+    pages = len(engine.reachable_pages())
+    loads = []
+    page_type = SlottedPage.page_type
+    monkeypatch.setattr(SlottedPage, "page_type", property(
+        lambda page: loads.append(page.base) or page_type.fget(page)
+    ))
+    if walk == "scan":
+        assert len(list(engine.scan())) == 2000
+    else:
+        assert engine.verify() == 2000
+    assert pages > 1
+    assert len(loads) == len(set(loads)) == pages

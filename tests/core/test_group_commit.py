@@ -12,7 +12,7 @@ import pytest
 
 from repro.bench.multiclient import (
     SMALL_PAGE_EPOCH_CELLS, SMALL_PAGE_EPOCH_CLIENTS, cell_config,
-    cell_workloads, random_picks, run_group_commit, small_page_epoch_config,
+    cell_workloads, random_picks, run_multi_client, small_page_epoch_config,
 )
 from repro.core import SystemConfig, engine_class, open_engine
 from repro.pm.crash import PersistAll
@@ -140,7 +140,8 @@ class TestGroupingRefused:
 
     def test_group_commit_bench_refuses_nvwal(self):
         with pytest.raises(ValueError, match="'nvwal'.*group_commit_size"):
-            run_group_commit("nvwal", group_size=4, clients=2, items=2)
+            run_multi_client("nvwal", clients=2, items=2, config=cell_config(
+                "nvwal", clients=2, items=2, group_commit_size=4))
 
 
 class TestCommitDurability:
