@@ -13,7 +13,9 @@ Layout:
 
 Inserting into a full bucket appends an overflow page — a multi-page
 transaction that FAST⁺ automatically routes through slot-header
-logging, exactly like a B-tree split.
+logging, exactly like a B-tree split.  When the chain's last page has
+no room left for its new chain cell, the overflow page is linked in
+as the bucket's head instead (through the directory).
 
 The index uses the same view/context protocol as ``repro.btree``, so
 any transaction's context — every scheme's is a
@@ -91,8 +93,19 @@ class HashIndex:
             if slot is not None:
                 if not replace:
                     raise KeyError("duplicate key %r" % key)
-                ctx.update_record(page, slot, payload)
-                return
+                try:
+                    ctx.update_record(page, slot, payload)
+                    return
+                except PageFullError:
+                    if page.fits_after_copy(len(payload)):
+                        page = self._copy_on_write(ctx, directory, bucket,
+                                                   head_no, page)
+                        ctx.update_record(page, slot, payload)
+                        return
+                # No room here even compacted: move the record along
+                # the chain, as a fresh insert would place it.
+                ctx.delete_record(page, slot)
+                break
         # Not present: append to the first chain page with room.
         page = ctx.page(head_no)
         while True:
@@ -109,9 +122,15 @@ class HashIndex:
                 next_no = self._next_of(page)
                 if next_no == 0:
                     overflow_no, overflow = self._new_bucket_page(ctx)
-                    ctx.update_record(
-                        page, _CHAIN_SLOT, overflow_no.to_bytes(4, "little")
-                    )
+                    pointer = overflow_no.to_bytes(4, "little")
+                    try:
+                        ctx.update_record(page, _CHAIN_SLOT, pointer)
+                    except PageFullError:
+                        # No room for the tail's new chain cell: the
+                        # new page becomes the bucket's head instead.
+                        ctx.update_record(overflow, _CHAIN_SLOT,
+                                          head_no.to_bytes(4, "little"))
+                        ctx.update_record(directory, bucket, pointer)
                     page = overflow
                 else:
                     page = ctx.page(next_no)

@@ -19,9 +19,11 @@ from repro.testing.crashsim import (
     CrashPoint,
     CrashablePM,
     CrashTestResult,
+    HashRun,
     ScheduledRun,
     ShardedRun,
     SingleRun,
+    SqlRun,
     check_committed_prefix,
     crash_at,
     crash_sweep,
@@ -39,11 +41,13 @@ __all__ = [
     "CrashPoint",
     "CrashTestResult",
     "CrashablePM",
+    "HashRun",
     "PageInvariantChecker",
     "PageInvariantViolation",
     "ScheduledRun",
     "ShardedRun",
     "SingleRun",
+    "SqlRun",
     "check_committed_prefix",
     "crash_at",
     "crash_sweep",

@@ -13,7 +13,7 @@ the model while the run itself keeps going:
   be fully visible;
 * **atomicity** — the transaction in flight at the crash must be
   either fully visible or fully invisible;
-* **integrity** — the B-tree passes structural verification.
+* **integrity** — the structures pass verification.
 
 A crash image depends only on the durable arena and the at-risk words
 at that instant, so a fork at event N is the image a run stopped at
@@ -25,9 +25,13 @@ analysis.
 
 What is run is a *shape*: :class:`SingleRun` (one session, item by
 item), :class:`ScheduledRun` (N clients through the deterministic
-scheduler) or :class:`ShardedRun` (N clients over a sharded router).
-:func:`crash_sweep` visits many points of one execution;
-:func:`crash_at` visits one point and stops there.
+scheduler), :class:`ShardedRun` (N clients over a sharded router),
+:class:`HashRun` (one client through a hash index) or :class:`SqlRun`
+(SQL statements, modelled by stdlib ``sqlite3``).  A shape's
+``observe(engine)`` reads and verifies what it models, so the driver
+compares states and knows no structure.  :func:`crash_sweep` visits
+many points of one execution; :func:`crash_at` visits one point and
+stops there.
 """
 
 import random
@@ -257,21 +261,25 @@ def _group_candidates(engine, items, inflight):
     return [_replay(items[:count]) for count in sorted(lengths)]
 
 
-def _validate(engine, result, *, prefix_candidates=None):
-    """Exact-state validation: the recovered database must equal either
+def _structure(verify):
+    """``verify()``'s failed assertion as a violation list."""
+    try:
+        verify()
+    except AssertionError as err:
+        return ["structure: %s" % err]
+    return []
+
+
+def _validate(result, *, prefix_candidates=None):
+    """Exact-state validation: the recovered state must equal either
     the committed model or committed-plus-the-whole-in-flight-
     transaction — nothing else (durability + atomicity + no phantoms
-    in one comparison).  ``prefix_candidates`` (group commit) swaps
-    the single committed model for the legal epoch-boundary prefixes
-    from :func:`_group_candidates`."""
+    in one comparison).  ``prefix_candidates`` swaps the single
+    committed model for the legal states: group commit's epoch
+    boundaries (:func:`_group_candidates`), or :class:`SqlRun`'s."""
     committed, inflight, recovered = (
         result.committed, result.inflight, result.recovered,
     )
-    try:
-        engine.verify()
-    except AssertionError as err:
-        result.violations.append("structure: %s" % err)
-
     candidates = list(prefix_candidates) if prefix_candidates else [committed]
     if inflight:
         with_inflight = dict(committed)
@@ -306,8 +314,9 @@ def _validate(engine, result, *, prefix_candidates=None):
 
 class _Shape:
     """What one execution builds, runs and checks.  A shape supplies
-    ``run()`` and ``state()``: the ``(committed model, in-flight item,
-    group-commit prefix candidates)`` at this instant of the run.
+    ``run()``, ``state()`` — the ``(committed model, in-flight item,
+    legal prefix candidates)`` at this instant of the run — and
+    ``observe(engine)``, the same state read off an engine.
 
     ``preload`` (a mapping, or ``(key, value)`` pairs) is inserted
     before the checker attaches and arming starts; it is the model's
@@ -345,6 +354,12 @@ class _Shape:
     def attach(self, config, pm):
         """Re-open a crashed arena: recovery runs here."""
         return engine_class(self.scheme).attach(config, pm)
+
+    def observe(self, engine):
+        """``(state, structure violations)`` of a live or recovered
+        engine, spelled as ``state()`` spells the model: here the
+        B-tree's scan and ``verify()``."""
+        return dict(engine.scan()), _structure(engine.verify)
 
     def recovered_violations(self, engine):
         """Checks beyond the model comparison after recovery."""
@@ -391,7 +406,7 @@ class SingleRun(_Shape):
                 checker.begin_txn(checker.live_ranges_of(engine))
             txn = begin()
             for op in _ops_of(item):
-                execute_op(txn, *op)
+                self.execute(txn, *op)
             txn.commit()
             _apply(self.committed, item)
             self.committed_items.append(item)
@@ -402,6 +417,8 @@ class SingleRun(_Shape):
         # every crash point inside the final epoch close) — a no-op
         # with grouping off.
         engine.drain_group_commit()
+
+    execute = staticmethod(execute_op)
 
     def state(self):
         return (
@@ -561,6 +578,113 @@ class ShardedRun(ScheduledRun):
         return violations
 
 
+class HashRun(SingleRun):
+    """:class:`SingleRun` items (inserts and deletes) run through a
+    4-bucket :class:`~repro.hashindex.HashIndex`, made before arming,
+    against the same dict model."""
+
+    def __init__(self, scheme, workload):
+        from repro.hashindex import HashIndex
+
+        super().__init__(scheme, workload)
+        self.index = HashIndex(root_slot=1, nbuckets=4)
+
+    def _create(self, config):
+        engine, pm = super()._create(config)
+        with engine.transaction() as txn:
+            self.index.create(txn.ctx)
+        return engine, pm
+
+    def execute(self, txn, kind, key, value):
+        if kind == "insert":
+            self.index.insert(txn.ctx, key, value, replace=True)
+        elif kind == "delete":
+            self.index.delete(txn.ctx, key)
+        else:
+            raise ValueError("a hash run has no %r op" % (kind,))
+
+    def observe(self, engine):
+        view = engine.read_view()
+        return (dict(self.index.items(view)),
+                _structure(lambda: self.index.verify(view)))
+
+
+class SqlRun(_Shape):
+    """``(sql, params)`` statements, transaction control and savepoints
+    included, run through a :class:`~repro.db.Database`.  The model is
+    stdlib ``sqlite3``: the statements run there once, keeping the
+    state after each commit boundary (``snapshots``; ``boundaries[i]``
+    is the one in force as statement *i* starts).  While statement *i*
+    runs, that boundary and the next one are legal.  A state is
+    ``{(table, primary key): row, ("schema", name): kind}``."""
+
+    def __init__(self, scheme, statements):
+        import sqlite3
+
+        super().__init__(scheme, statements)
+        conn = sqlite3.connect(":memory:", isolation_level=None)
+        self.snapshots, self.boundaries = [_sql_state(conn)], []
+        for sql, params in statements:
+            self.boundaries.append(len(self.snapshots) - 1)
+            conn.execute(sql, params)
+            if not conn.in_transaction:
+                self.snapshots.append(_sql_state(conn))
+        self.boundaries.append(len(self.snapshots) - 1)
+
+    def run(self):
+        from repro.db import Database
+
+        db = Database(self.engine)
+        for self.position, (sql, params) in enumerate(self.workload):
+            db.execute(sql, params)
+        self.position = len(self.workload)
+
+    def state(self):
+        first = self.boundaries[self.position]
+        legal = self.snapshots[first:first + 2]
+        return legal[0], (), legal
+
+    def observe(self, engine):
+        """Also: each index holds exactly its table's rows."""
+        from repro.db import Database
+        from repro.db.records import decode_row
+        from repro.db.sql.executor import Executor
+
+        catalog = Database(engine).catalog
+        state, violations, slots = {}, [], [0]  # 0: the schema tree
+        for name, table in catalog.tables().items():
+            state[("schema", name)] = "table"
+            rows = [decode_row(value) for _, value
+                    in engine.scan(root_slot=table.root_slot)]
+            state.update(((name, row[table.pk_index]), row) for row in rows)
+            for index in catalog.indexes_on(name):
+                state[("schema", index.name)] = "index"
+                slots.append(index.root_slot)
+                entries = [key for key, _ in
+                           engine.scan(root_slot=index.root_slot)]
+                if entries != sorted(Executor._entry_key(table, index, row)
+                                     for row in rows):
+                    violations.append("index %s: %d entries, table %s: %d "
+                                      "rows" % (index.name, len(entries),
+                                                name, len(rows)))
+            slots.append(table.root_slot)
+        violations += _structure(lambda: [engine.verify(s) for s in slots])
+        return state, violations
+
+
+def _sql_state(conn):
+    """A ``sqlite3`` database spelled as :class:`SqlRun` spells a state."""
+    state = {}
+    for kind, name in conn.execute("SELECT type, name FROM sqlite_master"):
+        state[("schema", name)] = kind
+        if kind == "table":
+            pk = [column[5] for column in
+                  conn.execute("PRAGMA table_info(%s)" % name)].index(1)
+            for row in conn.execute("SELECT * FROM %s" % name):
+                state[(name, row[pk])] = row
+    return state
+
+
 # ----------------------------------------------------------------------
 # The driver
 # ----------------------------------------------------------------------
@@ -575,7 +699,7 @@ def _recover(shape, config, image, point, state):
     try:
         engine = shape.attach(config, image)
         recovery_ns = image.clock.now_ns - start_ns
-        recovered = dict(engine.scan())
+        recovered, structure = shape.observe(engine)
     except Exception as err:  # corruption can crash recovery itself
         return CrashTestResult(True, committed, inflight, {}, events=point,
                                violations=["recovery crashed: %s: %s"
@@ -586,9 +710,9 @@ def _recover(shape, config, image, point, state):
         recovery_events=image.obs.trace.events(
             kind=RECOVERY_REPLAY, since_seq=start_seq,
         ),
+        violations=shape.recovered_violations(engine) + structure,
     )
-    result.violations.extend(shape.recovered_violations(engine))
-    return _validate(engine, result, prefix_candidates=candidates)
+    return _validate(result, prefix_candidates=candidates)
 
 
 def _drive(shape, config, points, policies_at, checker_factory, stop=False):
@@ -633,18 +757,19 @@ def _drive(shape, config, points, policies_at, checker_factory, stop=False):
 
 
 def _completed(shape, config, events=0, violations=()):
-    """The checks of a run that completed: ``verify()`` passes and the
-    live scan equals the committed model, and so does the state a
-    ``DropAll`` power failure now recovers to (a fork of the arena,
-    recovered through :func:`_recover`).  ``violations``: what the
-    caller already found."""
+    """The checks of a run that completed: the live engine's observed
+    state is structurally sound and equals the committed model, and so
+    does the state a ``DropAll`` power failure now recovers to (a fork
+    of the arena, recovered through :func:`_recover`).  ``violations``:
+    what the caller already found."""
     state = shape.state()
     committed, inflight, _ = state
+    live, structure = shape.observe(shape.engine)
     result = CrashTestResult(
-        False, committed, inflight, dict(shape.engine.scan()),
-        violations=list(violations), events=events,
+        False, committed, inflight, live,
+        violations=[*violations, *structure], events=events,
     )
-    _validate(shape.engine, result)
+    _validate(result)
     image = shape.pm.fork()
     image.crash(DropAll())
     result.violations.extend(

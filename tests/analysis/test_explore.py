@@ -144,14 +144,6 @@ _PLANTED = {
 }
 
 
-class _PlantedEngine:
-    """Stands in for the explored engine: its state is the planted one,
-    and its structure always verifies."""
-
-    def verify(self):
-        pass
-
-
 @pytest.mark.parametrize("name", sorted(_PLANTED))
 def test_ex001_fires_on_exactly_the_wrong_planted_states(name):
     """EX001 is the crash driver's completed-run validation: the
@@ -171,7 +163,7 @@ def test_ex001_fires_on_exactly_the_wrong_planted_states(name):
         shape.scheduler.add_client(workload)
     shape.scheduler.commit_order = [("c0", 0), ("c1", 0)]
     committed, inflight, _ = shape.state()
-    result = _validate(_PlantedEngine(), CrashTestResult(
+    result = _validate(CrashTestResult(
         False, committed, inflight, dict(_PLANTED[name]),
     ))
     explorer._check_schedule((0, 1), shape.scheduler.commit_order, result)

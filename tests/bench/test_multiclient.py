@@ -228,7 +228,8 @@ class TestGroupCommitSweep:
 class TestCommittedGroupCommitBaseline:
     """The acceptance floor rides on the committed baseline: at group
     size 4 and 8 clients, the commit-mark schemes must pay at least 2x
-    fewer fences per committed transaction than ungrouped."""
+    fewer fences per committed transaction than ungrouped, over the
+    same committed transactions."""
 
     def _rows(self, scheme):
         return BASELINE["group_sweep"][scheme]
@@ -237,11 +238,13 @@ class TestCommittedGroupCommitBaseline:
         rows = {(r["clients"], r["group_size"]): r
                 for r in self._rows("fast")}
         assert rows[(8, 4)]["fence_reduction_vs_ungrouped"] >= 2.0
+        assert rows[(8, 4)]["commits"] == rows[(8, 0)]["commits"]
 
     def test_fastplus_meets_fence_floor(self):
         rows = {(r["clients"], r["group_size"]): r
                 for r in self._rows("fastplus")}
         assert rows[(8, 4)]["fence_reduction_vs_ungrouped"] >= 2.0
+        assert rows[(8, 4)]["commits"] == rows[(8, 0)]["commits"]
 
     def test_marks_amortize_with_group_size(self):
         """One shared mark per epoch: marks/txn must drop monotonically

@@ -4,7 +4,9 @@ lists the leaves without reading them; once a chain is written the
 latch is durable before the commit that publishes it, and the walk
 reads leaves exactly as it did before the latch."""
 
+import csv
 import dataclasses
+import pathlib
 import random
 
 from hypothesis import given, settings
@@ -309,3 +311,15 @@ def test_crash_sweep_catches_a_latch_persisted_after_the_commit(monkeypatch):
             "GC freed reachable pages" in violation
             for _, result in bad for violation in result.violations
         ), shape
+
+
+def test_committed_eager_recovery_meets_its_floor():
+    """``results/extension_recovery.csv`` (CI diffs it): FAST eager-GC
+    recovery under 0.25 x 48.29 us at 200 records and 0.6 x 69.15 us at
+    1 200, its cost before the latch and the free-page run link."""
+    with open(pathlib.Path(__file__).parents[2] / "results"
+              / "extension_recovery.csv") as f:
+        eager = {row["records"]: float(row["recovery us"])
+                 for row in csv.DictReader(f)
+                 if (row["scheme"], row["GC"]) == ("fast", "eager")}
+    assert eager["200"] < 0.25 * 48.29 and eager["1200"] < 0.6 * 69.15

@@ -78,12 +78,8 @@ def test_validator_catches_planted_corruption():
     result.recovered.pop(b"02")
     from repro.testing.crashsim import _validate
 
-    class _FakeEngine:
-        def verify(self):
-            return 0
-
     result.violations.clear()
-    _validate(_FakeEngine(), result)
+    _validate(result)
     assert any("durability" in v for v in result.violations)
 
 
