@@ -1,9 +1,9 @@
 """Benchmark harness: workloads, runners, and paper-figure generators.
 
 Every figure of the paper's evaluation has a generator in
-``repro.bench.figures`` (also runnable as ``python -m repro.bench
-fig6``); the pytest-benchmark files under ``benchmarks/`` call the same
-functions.  All reported times are *simulated* microseconds from the
+``repro.bench.figures``, named by its ``results/`` stem: ``python -m
+repro.bench fig06 --out results`` is the one way a ``results/`` table
+is made.  All reported times are *simulated* microseconds from the
 engines' cost-accounted clocks — deterministic for a given seed and
 independent of the host machine.
 """

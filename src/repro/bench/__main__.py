@@ -1,17 +1,20 @@
-"""CLI: regenerate any paper figure.
+"""CLI: regenerate any paper figure, named by its ``results/`` stem.
 
 Usage::
 
-    python -m repro.bench fig6 fig8
+    python -m repro.bench fig06 fig08
     python -m repro.bench all --ops 5000
-    python -m repro.bench --parallel fig6 fig9
+    python -m repro.bench all --parallel --out results
 
+Without ``--ops`` every table is made at its committed size, so
+``all --out results`` rewrites ``results/`` byte for byte.
 ``--parallel`` fans the grid cells of a figure out over worker
 processes (one simulation per cell); results are merged in declared
 grid order, so the output is byte-identical to a serial run.
 """
 
 import argparse
+import inspect
 import sys
 import time
 
@@ -30,31 +33,29 @@ def main(argv=None):
         help="figure names (%s) or 'all'" % ", ".join(sorted(FIGURES)),
     )
     parser.add_argument("--ops", type=int, default=None,
-                        help="operations per data point (default: "
-                             "REPRO_BENCH_OPS or 1500)")
+                        help="operations per data point (default: the "
+                             "committed table's size)")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="also write <DIR>/<figure>.txt and .csv")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--parallel", action="store_true",
-                      help="run each grid cell in its own worker process "
-                           "(output is byte-identical to --serial)")
-    mode.add_argument("--serial", action="store_true",
-                      help="run grid cells in-process (the default)")
+    parser.add_argument("--parallel", action="store_true",
+                        help="run each grid cell in its own worker process "
+                             "(output is byte-identical to a serial run)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for --parallel "
                              "(default: all CPUs)")
     args = parser.parse_args(argv)
-    parallel.configure(
-        parallel=True if args.parallel else (False if args.serial else None),
-        jobs=args.jobs,
-    )
+    parallel.configure(parallel=args.parallel, jobs=args.jobs)
     names = sorted(FIGURES) if "all" in args.figures else args.figures
     for name in names:
         generator = FIGURES.get(name)
         if generator is None:
             parser.error("unknown figure %r" % name)
         started = time.time()
-        result = generator(args.ops) if _takes_ops(name) else generator()
+        # The atomicity ablation and the contention-grid renders are
+        # fixed-size: they take no op count.
+        sized = (args.ops is not None
+                 and "ops" in inspect.signature(generator).parameters)
+        result = generator(ops=args.ops) if sized else generator()
         print(result["table"])
         print("[%s generated in %.1fs wall time]" % (name, time.time() - started))
         print()
@@ -70,12 +71,6 @@ def main(argv=None):
                 table_to_csv(result["table"])
             )
     return 0
-
-
-def _takes_ops(name):
-    """False for the fixed-size tables: the atomicity ablation and the
-    renders of the contention grid."""
-    return name not in ("ablation_atomicity", "fig13", "fig14", "fig15")
 
 
 if __name__ == "__main__":

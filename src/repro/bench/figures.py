@@ -1,10 +1,14 @@
 """Generators for every figure of the paper's evaluation.
 
-Each ``figN()`` runs the corresponding experiment and returns a dict
-with ``table`` (paper-style text) and ``data`` (raw series).  Op
-counts default to ``REPRO_BENCH_OPS`` (the paper uses 100,000 per
-point; the default here is sized to finish the whole suite in minutes
-— the *shape* of every series is preserved, see EXPERIMENTS.md).
+Each generator runs one experiment and returns a dict with ``table``
+(paper-style text) and ``data`` (raw series).  ``FIGURES`` names each
+one by its ``results/`` stem, and each generator's default size is the
+size of its committed table: ``python -m repro.bench all --out
+results`` rewrites ``results/`` byte for byte.  The paper uses 100,000
+operations per point; ``OPS`` is sized to finish every table in
+seconds, and the *shape* of every series is preserved (see
+EXPERIMENTS.md).  ``tests/bench/test_paper_claims.py`` checks the
+paper's orderings and factors against the committed tables.
 
 Figures 10-12 are reconstructed from the surviving narrative: the
 source text of the paper is truncated after Figure 9(b) (see
@@ -14,14 +18,7 @@ Figure 11 and Figure 12", "improves query response time by up to
 33%").
 """
 
-import os
-
-from repro.bench.harness import (
-    build_config,
-    run_multi_insert,      # noqa: F401  (serial ablations still call it)
-    run_single_inserts,
-    run_sql_statements,    # noqa: F401
-)
+from repro.bench.harness import build_config, run_single_inserts
 from repro.bench.parallel import cell, run_cells
 from repro.bench.report import format_table
 from repro.wal.legacy import run_legacy_models
@@ -35,8 +32,8 @@ TXN_SIZES = (1, 2, 4, 8, 16)
 READ_RATIOS = (0.1, 0.5, 0.9)
 
 
-def default_ops():
-    return int(os.environ.get("REPRO_BENCH_OPS", "1500"))
+#: Operations per data point of the committed ``results/`` tables.
+OPS = 800
 
 
 def _seg(result, name):
@@ -48,11 +45,10 @@ def _seg(result, name):
 # ----------------------------------------------------------------------
 
 
-def fig1(ops=None):
+def fig1(ops=OPS):
     """Bytes written per committed single-record transaction:
     journaling and WAL on a block device (with file-system journaling)
     vs the PM-native schemes' flushed bytes."""
-    ops = ops or default_ops()
     rows = []
     data = {}
     fast = run_single_inserts("fast", ops=ops)
@@ -84,8 +80,7 @@ def fig1(ops=None):
 # ----------------------------------------------------------------------
 
 
-def fig6(ops=None):
-    ops = ops or default_ops()
+def fig6(ops=OPS):
     grid = [
         (read_ns, write_ns, scheme)
         for read_ns, write_ns in LATENCY_POINTS
@@ -127,8 +122,7 @@ _FIG7_SEGMENTS = (
 )
 
 
-def fig7(ops=None):
-    ops = ops or default_ops()
+def fig7(ops=OPS):
     grid = [
         (read_ns, write_ns, scheme)
         for read_ns, write_ns in LATENCY_POINTS[1:]
@@ -173,8 +167,7 @@ _FIG8_SEGMENTS = (
 )
 
 
-def fig8(ops=None):
-    ops = ops or default_ops()
+def fig8(ops=OPS):
     grid = [
         (write_ns, scheme)
         for write_ns in WRITE_LATENCIES
@@ -216,8 +209,7 @@ def fig8(ops=None):
 # ----------------------------------------------------------------------
 
 
-def fig9(ops=None):
-    ops = ops or default_ops()
+def fig9(ops=OPS):
     grid = [
         (size, scheme) for size in RECORD_SIZES for scheme in SCHEMES
     ]
@@ -247,8 +239,7 @@ def fig9(ops=None):
 # ----------------------------------------------------------------------
 
 
-def fig10(ops=None):
-    ops = ops or default_ops()
+def fig10(ops=OPS):
     grid = [
         (per_txn, scheme) for per_txn in TXN_SIZES for scheme in SCHEMES
     ]
@@ -282,8 +273,8 @@ def fig10(ops=None):
 # ----------------------------------------------------------------------
 
 
-def fig11(ops=None):
-    ops = max(300, (ops or default_ops()) // 2)
+def fig11(ops=OPS):
+    ops = max(300, ops // 2)
     grid = [
         (kind, scheme)
         for kind in ("insert", "update", "delete", "select")
@@ -315,8 +306,8 @@ def fig11(ops=None):
     return {"table": table, "data": data, "improvements": improvements}
 
 
-def fig12(ops=None):
-    ops = max(300, (ops or default_ops()) // 2)
+def fig12(ops=OPS):
+    ops = max(300, ops // 2)
     grid = [
         (ratio, scheme) for ratio in READ_RATIOS for scheme in SCHEMES
     ]
@@ -377,12 +368,12 @@ def ablation_atomicity():
     return {"table": table, "data": data}
 
 
-def ablation_checkpoint(ops=None):
+def ablation_checkpoint(ops=OPS):
     """A2: eager (FAST) vs lazy (NVWAL) checkpointing — recovery work
     after a crash at the end of the workload."""
     from repro.core import engine_class, open_engine
 
-    ops = max(400, (ops or default_ops()) // 2)
+    ops = max(400, ops // 2)
     rows = []
     data = {}
     for scheme in ("fast", "fastplus", "nvwal"):
@@ -414,13 +405,13 @@ def ablation_checkpoint(ops=None):
     return {"table": table, "data": data}
 
 
-def ablation_rtm(ops=None):
+def ablation_rtm(ops=OPS):
     """A3: RTM transient-abort sensitivity of the in-place commit."""
     from repro.bench.workloads import random_keys, sized_payload
     from repro.core import open_engine
     import random as _random
 
-    ops = max(400, (ops or default_ops()) // 2)
+    ops = max(400, ops // 2)
     rows = []
     data = {}
     for abort_prob in (0.0, 0.1, 0.3, 0.5):
@@ -448,14 +439,14 @@ def ablation_rtm(ops=None):
     return {"table": table, "data": data}
 
 
-def ablation_defrag(ops=None):
+def ablation_defrag(ops=OPS):
     """Section 4.3 claim: defragmentation accounts for a tiny share of
     insertion time even under fragmentation-heavy churn."""
     from repro.bench.workloads import random_keys, sized_payload
     from repro.core import open_engine
     import random as _random
 
-    ops = max(600, ops or default_ops())
+    ops = max(600, ops)
     rows = []
     data = {}
     for scheme in ("fast", "fastplus"):
@@ -491,13 +482,13 @@ def ablation_defrag(ops=None):
     return {"table": table, "data": data}
 
 
-def ablation_flush_instruction(ops=None):
+def ablation_flush_instruction(ops=OPS):
     """A5: clflush vs clwb.  The paper's Figure 3 shows CLWB; the
     evaluation hardware (Haswell) only had the evicting clflush.  clwb
     keeps the flushed lines cached, so re-reads after commit are hits."""
     import dataclasses
 
-    ops = max(400, (ops or default_ops()) // 2)
+    ops = max(400, ops // 2)
     grid = [
         (scheme, instruction)
         for scheme in ("fast", "fastplus")
@@ -550,7 +541,7 @@ def _crash_recovery_us(scheme, config, items):
     return [result.recovery_ns / 1000.0 for _, result in results]
 
 
-def extension_recovery_scaling(ops=None):
+def extension_recovery_scaling(ops=OPS // 2):
     """Extension: recovery time vs database size.
 
     The paper argues recovery is (near-)trivial — replay the committed
@@ -567,8 +558,7 @@ def extension_recovery_scaling(ops=None):
     from repro.bench.workloads import random_keys, sized_payload
     from repro.core import engine_class, open_engine
 
-    base_ops = ops or default_ops()
-    sizes = (base_ops // 2, base_ops, base_ops * 3)
+    sizes = (ops // 2, ops, ops * 3)
     rows = []
     data = {}
     for size in sizes:
@@ -618,7 +608,7 @@ def extension_recovery_scaling(ops=None):
     return {"table": table, "data": data}
 
 
-def ablation_index_maintenance(ops=None):
+def ablation_index_maintenance(ops=OPS):
     """A4: multi-structure transactions.  Each SQL INSERT into a table
     with K secondary indexes dirties K+1 trees, so even "single-record"
     statements become multi-page transactions — the regime the paper
@@ -626,7 +616,7 @@ def ablation_index_maintenance(ops=None):
     in-place commit) carries the load."""
     from repro.db import Database
 
-    ops = max(300, (ops or default_ops()) // 3)
+    ops = max(300, ops // 3)
     rows = []
     data = {}
     for nindexes in (0, 1, 2):
@@ -784,11 +774,11 @@ def fig15(rows=None):
 
 
 FIGURES = {
-    "fig1": fig1,
-    "fig6": fig6,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
+    "fig01": fig1,
+    "fig06": fig6,
+    "fig07": fig7,
+    "fig08": fig8,
+    "fig09": fig9,
     "fig10": fig10,
     "fig11": fig11,
     "fig12": fig12,
@@ -800,6 +790,6 @@ FIGURES = {
     "ablation_rtm": ablation_rtm,
     "ablation_defrag": ablation_defrag,
     "ablation_index_maintenance": ablation_index_maintenance,
-    "ablation_flush_instruction": ablation_flush_instruction,
-    "extension_recovery_scaling": extension_recovery_scaling,
+    "ablation_flush": ablation_flush_instruction,
+    "extension_recovery": extension_recovery_scaling,
 }

@@ -25,21 +25,16 @@ fork, a spawn, or inline yields the same ``RunResult`` bit for bit;
 ``tests/bench/test_parallel.py`` pins that equivalence.
 
 The module-level mode set by :func:`configure` is what the figure
-generators consult, so ``python -m repro.bench --parallel fig6`` and
-the ``--parallel`` pytest option reach every sweep without threading a
-flag through each generator's signature.
+generators consult, so ``python -m repro.bench --parallel fig06``
+reaches every sweep without threading a flag through each generator's
+signature.
 """
 
 import multiprocessing
 import os
 
-#: Runtime mode, set by :func:`configure` (CLI / pytest / env).
+#: Runtime mode, set by :func:`configure` (the CLI's ``--parallel``).
 _MODE = {"parallel": False, "jobs": None}
-
-#: Environment override: ``REPRO_BENCH_PARALLEL=1`` turns the fan-out
-#: on for any entry point that forgets to ask.
-_ENV_FLAG = "REPRO_BENCH_PARALLEL"
-_ENV_JOBS = "REPRO_BENCH_JOBS"
 
 
 def configure(parallel=None, jobs=None):
@@ -52,20 +47,7 @@ def configure(parallel=None, jobs=None):
 
 def is_parallel():
     """True if grid sweeps should fan out over worker processes."""
-    if os.environ.get(_ENV_FLAG, "") not in ("", "0"):
-        return True
     return _MODE["parallel"]
-
-
-def job_count(ncells):
-    """Worker count for a grid of ``ncells`` cells."""
-    jobs = _MODE["jobs"]
-    if jobs is None:
-        env = os.environ.get(_ENV_JOBS, "")
-        jobs = int(env) if env.isdigit() and int(env) > 0 else None
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    return max(1, min(jobs, ncells))
 
 
 def cell(fn_name, **kwargs):
@@ -95,7 +77,7 @@ def run_cells(cells, parallel=None, jobs=None):
         parallel = is_parallel()
     if not parallel or len(cells) <= 1:
         return [_run_cell(spec) for spec in cells]
-    jobs = job_count(len(cells)) if jobs is None else max(1, min(jobs, len(cells)))
+    jobs = min(jobs or _MODE["jobs"] or os.cpu_count() or 1, len(cells))
     if jobs <= 1:
         return [_run_cell(spec) for spec in cells]
     # fork shares the already-imported simulator with the workers;

@@ -1,7 +1,10 @@
 """The ``python -m repro.bench`` command-line interface."""
 
+import pathlib
 import subprocess
 import sys
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
 
 
 def run_cli(*args):
@@ -12,11 +15,19 @@ def run_cli(*args):
 
 
 def test_cli_generates_a_figure():
-    completed = run_cli("fig1", "--ops", "150")
+    completed = run_cli("fig01", "--ops", "150")
     assert completed.returncode == 0, completed.stderr[-1000:]
     assert "Figure 1" in completed.stdout
     assert "journaling" in completed.stdout
     assert "generated in" in completed.stdout
+
+
+def test_default_size_rewrites_the_committed_tables(tmp_path):
+    completed = run_cli("fig01", "ablation_checkpoint", "--out", str(tmp_path))
+    assert completed.returncode == 0, completed.stderr[-1000:]
+    for name in ("fig01.txt", "fig01.csv", "ablation_checkpoint.txt",
+                 "ablation_checkpoint.csv"):
+        assert (tmp_path / name).read_text() == (RESULTS / name).read_text()
 
 
 def test_cli_multiple_figures():
@@ -35,5 +46,5 @@ def test_cli_rejects_unknown_figure():
 def test_cli_lists_figures_in_help():
     completed = run_cli("--help")
     assert completed.returncode == 0
-    assert "fig6" in completed.stdout
+    assert "fig06" in completed.stdout
     assert "ablation_atomicity" in completed.stdout

@@ -12,8 +12,10 @@ equivalences the optimisation work leans on:
   counter and the simulated clock stay byte-identical to a traced run.
 """
 
+import pathlib
+
 from repro.bench import parallel
-from repro.bench.figures import fig6
+from repro.bench.figures import FIGURES, fig6
 from repro.bench.harness import build_config
 from repro.bench.parallel import cell, run_cells
 from repro.bench.workloads import random_keys, sized_payload
@@ -51,8 +53,7 @@ def test_parallel_preserves_declared_grid_order():
     ]
 
 
-def test_figure_output_byte_identical(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_OPS", str(OPS))
+def test_figure_output_byte_identical():
     serial = fig6(ops=OPS)
     parallel.configure(parallel=True, jobs=2)
     try:
@@ -66,8 +67,7 @@ def test_figure_output_byte_identical(monkeypatch):
         assert fanned["data"][key].counters == serial["data"][key].counters
 
 
-def test_configure_and_env_control_mode(monkeypatch):
-    monkeypatch.delenv(parallel._ENV_FLAG, raising=False)
+def test_configure_controls_mode():
     parallel.configure(parallel=False)
     assert not parallel.is_parallel()
     parallel.configure(parallel=True)
@@ -75,10 +75,13 @@ def test_configure_and_env_control_mode(monkeypatch):
         assert parallel.is_parallel()
     finally:
         parallel.configure(parallel=False)
-    monkeypatch.setenv(parallel._ENV_FLAG, "1")
-    assert parallel.is_parallel()
-    monkeypatch.setenv(parallel._ENV_FLAG, "0")
-    assert not parallel.is_parallel()
+
+
+def test_every_results_table_is_named_by_its_generator():
+    """One name per table: each ``results/`` stem is a ``FIGURES`` key,
+    so ``python -m repro.bench all --out results`` rewrites them all."""
+    results = pathlib.Path(__file__).resolve().parents[2] / "results"
+    assert {path.stem for path in results.glob("*.txt")} == set(FIGURES)
 
 
 def _run_workload(traced):
